@@ -54,6 +54,11 @@
 #      run, a deliberately corrupted shard file must fail `merge` with
 #      exit 5 and a typed finding, and the supervised run's --obs-out
 #      trace (shard.* metrics) must pass obs-validate
+#  15. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#      of all five workloads, untraced and traced; it exits non-zero when
+#      any op's prediction differs from its sequential reference or a
+#      workload's traced and untraced sim_digest disagree (its numbers
+#      are stamped non-comparable — this stage checks answers, not speed)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -195,5 +200,9 @@ grep -q 'corrupt-shard-file' target/ci-shard-merge.log \
 cargo run --release -p gpumech-bench --bin bench_shard -- --quick \
   --shard-bin target/release/gpumech --json target/bench-shard-ci.json
 rm -rf target/ci-shard-sweep
+
+echo "== repo benchmark (quick) =="
+bash benchmark/run.sh --quick > target/benchmark-quick-ci.txt \
+  || { echo "benchmark/run.sh --quick failed; see target/benchmark-quick-ci.txt"; exit 1; }
 
 echo "CI OK"

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the pipeline components (Section VI-D's cost
-//! breakdown): static analysis, trace generation (with and without the
-//! analysis-guided uniform-branch fast path), functional cache simulation,
-//! the interval algorithm, warp clustering, and the analytical models.
+//! breakdown): static analysis, trace generation, functional cache
+//! simulation, the interval algorithm, warp clustering, and the analytical
+//! models.
 //!
 //! Run with `cargo bench --bench components` (plain wall-clock timing; see
 //! [`gpumech_bench::bench_wall`]).
@@ -12,7 +12,7 @@ use gpumech_bench::bench_wall;
 use gpumech_core::{build_profile, multithreading_cpi, select_representative, SelectionMethod};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_mem::simulate_hierarchy;
-use gpumech_trace::{trace_kernel_opts, workloads, TraceOptions};
+use gpumech_trace::workloads;
 
 fn main() {
     let w = workloads::by_name("cfd_compute_flux").expect("bundled").with_blocks(32);
@@ -23,19 +23,7 @@ fn main() {
 
     println!("components ({}, {} blocks)", w.name, 32);
     bench_wall("static_analysis", 100, || gpumech_analyze::analyze(&w.kernel));
-    let fast = bench_wall("trace_generation", 50, || w.trace().expect("trace"));
-    let slow = bench_wall("trace_generation_no_fast_path", 50, || {
-        trace_kernel_opts(
-            &w.kernel,
-            w.launch,
-            TraceOptions { uniform_branch_fast_path: false },
-        )
-        .expect("trace")
-    });
-    println!(
-        "  -> uniform-branch fast path: {:+.1}% wall time",
-        100.0 * (fast.as_secs_f64() / slow.as_secs_f64() - 1.0)
-    );
+    bench_wall("trace_generation", 50, || w.trace().expect("trace"));
     bench_wall("cache_simulation", 10, || simulate_hierarchy(&trace, &cfg));
     bench_wall("interval_algorithm_all_warps", 10, || {
         trace.warps.iter().map(|wt| build_profile(wt, &cfg, &mem)).collect::<Vec<_>>()

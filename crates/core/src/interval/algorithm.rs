@@ -50,7 +50,7 @@ pub fn build_profile(warp: &WarpTrace, cfg: &SimConfig, mem: &MemStats) -> Inter
         // Equation 4: issue(k) = max(issue(k-1) + 1, done(source) + 1).
         let mut dep_done = 0.0f64;
         let mut blamed: Option<&TraceInst> = None;
-        for &d in &inst.deps {
+        for &d in warp.deps(inst) {
             let dd = done[d as usize];
             if dd > dep_done {
                 dep_done = dd;

@@ -10,7 +10,7 @@
 //!
 //! The cache key is a pair of stable 64-bit content fingerprints (a
 //! lane-widened FNV-1a defined by this crate): the full trace content
-//! (via `#[derive(Hash)]` on the trace records) and the canonical JSON of
+//! (via the `Hash` impls of the trace records) and the canonical JSON of
 //! a *normalized* configuration whose prediction-only fields are pinned
 //! to defaults. Entries live in memory behind `Arc`s; an optional disk
 //! directory persists them as JSON (vendored `serde_json`) across
@@ -514,6 +514,23 @@ mod tests {
         let mut mutated = a.clone();
         mutated.warps[0].insts[0].active_mask ^= 1;
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
+    }
+
+    /// Fingerprints name on-disk cache entries, journal lines and shard
+    /// plans, so they must survive any change to how a trace is stored:
+    /// these are the values the `Vec`-owning record layout produced
+    /// (recorded at commit 4214416) for a coalesced, a gather and a
+    /// control-divergent kernel at 8 blocks.
+    #[test]
+    fn fingerprints_of_pinned_kernels_never_change() {
+        for (name, pinned) in [
+            ("sdk_vectoradd", 0x4a58_0347_ac9e_61f9_u64),
+            ("cfd_compute_flux", 0xd99d_71b2_00bb_bfa0),
+            ("sdk_reduction", 0x098f_95b7_ff33_ca73),
+        ] {
+            let trace = workloads::by_name(name).unwrap().with_blocks(8).trace().unwrap();
+            assert_eq!(trace_fingerprint(&trace), pinned, "{name}");
+        }
     }
 
     #[test]

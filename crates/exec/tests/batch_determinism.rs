@@ -19,7 +19,8 @@ use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
 use gpumech_trace::workloads;
 
-/// Serializes tests that install the process-global recorder.
+/// Serializes tests that install the process-global recorder with the
+/// tests whose batch runs would count into it (`exec.cache.*`).
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -55,6 +56,7 @@ fn sequential_canon(jobs: &[BatchJob]) -> Vec<String> {
 
 #[test]
 fn batch_is_byte_identical_to_sequential_across_worker_counts() {
+    let _serial = recorder_lock();
     let jobs = all_jobs(2);
     assert_eq!(jobs.len(), 40, "the bundled workload suite changed size");
     let expected = sequential_canon(&jobs);

@@ -11,7 +11,8 @@
 //! force: a corpus of deterministic [`MUTATORS`] that corrupt a healthy
 //! `(KernelTrace, SimConfig)` pair in targeted ways (truncation, dropped
 //! warps, zeroed active masks, scrambled dependencies, extreme
-//! configurations, corrupted address streams), and runners
+//! configurations, corrupted address streams, rows left pointing outside
+//! their warp's arenas), and runners
 //! ([`run_pipeline`], [`run_oracle`]) that execute the analytical model
 //! and the timing oracle under `catch_unwind` and classify the result as
 //! an [`Outcome`].
@@ -176,6 +177,7 @@ pub const MUTATORS: &[(&str, Mutator)] = &[
     ("extreme_config", extreme_config),
     ("corrupt_addrs", corrupt_addrs),
     ("swap_warp_ids", swap_warp_ids),
+    ("dangle_rows", dangle_rows),
 ];
 
 /// Truncates the warp list (and, on odd seeds, the surviving warps'
@@ -210,11 +212,12 @@ pub fn drop_warps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
 pub fn zero_masks(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for inst in &mut w.insts {
+        for k in 0..w.insts.len() {
             r = splitmix64(r);
             if r & 7 == 0 {
-                inst.active_mask = 0;
-                inst.addrs.clear();
+                w.insts[k].active_mask = 0;
+                // An empty list always fits the row layout.
+                let _ = w.set_addrs(k, &[]);
             }
         }
     }
@@ -226,14 +229,15 @@ pub fn scramble_deps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
         let n = w.insts.len() as u32;
-        for (k, inst) in w.insts.iter_mut().enumerate() {
+        for k in 0..w.insts.len() {
             r = splitmix64(r);
+            // Lists of one and three entries always fit the row layout.
             if r & 3 == 0 {
                 let a = (r >> 8) as u32 % (n + 2); // may be >= k or == k
                 let b = a / 2; // unsorted when a > 0
-                inst.deps = vec![a, b, a]; // duplicates too
+                let _ = w.set_deps(k, &[a, b, a]); // duplicates too
             } else if r & 3 == 1 {
-                inst.deps = vec![k as u32]; // self-dependency
+                let _ = w.set_deps(k, &[k as u32]); // self-dependency
             }
         }
     }
@@ -264,22 +268,41 @@ pub fn extreme_config(_trace: &mut KernelTrace, cfg: &mut SimConfig, seed: u64) 
 pub fn corrupt_addrs(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for inst in &mut w.insts {
-            if inst.addrs.is_empty() {
+        for k in 0..w.insts.len() {
+            let mut addrs = w.addrs(&w.insts[k]).to_vec();
+            if addrs.is_empty() {
                 continue;
             }
             r = splitmix64(r);
             if seed & 1 == 0 {
-                for a in &mut inst.addrs {
+                for a in &mut addrs {
                     r = splitmix64(r);
                     *a = r | (u64::MAX << 40); // near the top of the address space
                 }
             } else if r & 1 == 0 {
-                inst.addrs.pop();
+                addrs.pop();
             } else {
-                let dup = inst.addrs[0];
-                inst.addrs.push(dup);
+                addrs.push(addrs[0]);
             }
+            // At most one more address than lanes: fits the row layout.
+            let _ = w.set_addrs(k, &addrs);
+        }
+    }
+}
+
+/// Cuts a seeded subset of warps' arenas short, leaving their later rows
+/// pointing outside the dependency or address arena — the corruption the
+/// row-plus-arena layout makes possible, which validation must catch
+/// before any list is read.
+pub fn dangle_rows(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
+    let mut r = splitmix64(seed);
+    for (i, w) in trace.warps.iter_mut().enumerate() {
+        r = splitmix64(r);
+        // Warp 0 always, so every seed corrupts something.
+        if i == 0 || r & 3 == 0 {
+            let deps: usize = w.insts.iter().map(|inst| w.deps(inst).len()).sum();
+            let addrs: usize = w.insts.iter().map(|inst| w.addrs(inst).len()).sum();
+            w.truncate_arenas((r >> 8) as usize % deps.max(1), (r >> 32) as usize % addrs.max(1));
         }
     }
 }

@@ -2,8 +2,8 @@
 //! asserting the robustness contract — corrupted inputs yield a typed
 //! error or a finite CPI, never a panic.
 //!
-//! Coverage: 40 workloads x 7 mutators x 1 seed per pair = 280 mutated
-//! pipeline runs plus 280 mutated oracle runs, all deterministic
+//! Coverage: 40 workloads x 8 mutators x 1 seed per pair = 320 mutated
+//! pipeline runs plus 320 mutated oracle runs, all deterministic
 //! (seeds are splitmix64 chains of the workload and mutator indices).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -146,6 +146,33 @@ fn extreme_configs_yield_typed_errors() {
         if !matches!(outcome, Outcome::TypedError(_)) {
             violations
                 .push(format!("seed {seed}: invalid config not surfaced as typed error: {outcome:?}"));
+        }
+    }
+    restore_panic_output();
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// The corruption the row-plus-arena trace layout introduces — a row whose
+/// offset + length points outside its arena — must be caught by validation,
+/// in both runners, before any list is read.
+#[test]
+fn dangling_rows_yield_typed_errors() {
+    let _serial = suite_lock();
+    silence_panic_output();
+    let mut violations: Vec<String> = Vec::new();
+    for name in ["sdk_vectoradd", "cfd_compute_flux", "sdk_reduction"] {
+        let trace = workloads::by_name(name).expect("bundled").with_blocks(2).trace().expect("traces");
+        for seed in 0..16u64 {
+            let mut t = trace.clone();
+            let mut cfg = SimConfig::table1();
+            gpumech_fault::dangle_rows(&mut t, &mut cfg, seed);
+            for (runner, outcome) in
+                [("pipeline", run_pipeline(&t, &cfg)), ("oracle", run_oracle(&t, &cfg))]
+            {
+                if !matches!(&outcome, Outcome::TypedError(e) if e.contains("arena")) {
+                    violations.push(format!("{name} seed {seed} {runner}: {outcome:?}"));
+                }
+            }
         }
     }
     restore_panic_output();

@@ -5,24 +5,47 @@
 //! divergence ("uncoalesced memory accesses"): a fully coalesced instruction
 //! issues 1 request, a maximally divergent one issues 32.
 
+use gpumech_isa::WARP_SIZE;
+
+/// The coalesced requests of one warp memory instruction: at most one line
+/// per lane, held inline so the cache simulators' inner loops allocate
+/// nothing. Dereferences to the slice of line addresses.
+#[derive(Debug, Clone, Copy)]
+pub struct Lines {
+    lines: [u64; WARP_SIZE],
+    len: usize,
+}
+
+impl std::ops::Deref for Lines {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.lines[..self.len]
+    }
+}
+
 /// Returns the distinct line-aligned addresses touched by `addrs`, in
 /// first-touch order (the order requests are issued).
 ///
 /// # Panics
 ///
-/// Panics if `line_bytes` is not a power of two.
+/// Panics if `line_bytes` is not a power of two, or if `addrs` holds more
+/// than [`WARP_SIZE`] addresses (a warp instruction has one per active
+/// lane; `KernelTrace::validate` enforces it on every trace).
 #[must_use]
-pub fn coalesce(addrs: &[u64], line_bytes: u64) -> Vec<u64> {
+pub fn coalesce(addrs: &[u64], line_bytes: u64) -> Lines {
     assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+    assert!(addrs.len() <= WARP_SIZE, "a warp instruction has at most {WARP_SIZE} addresses");
     let mask = !(line_bytes - 1);
-    let mut lines: Vec<u64> = Vec::with_capacity(addrs.len().min(8));
+    let mut out = Lines { lines: [0; WARP_SIZE], len: 0 };
     for &a in addrs {
         let line = a & mask;
-        if !lines.contains(&line) {
-            lines.push(line);
+        if !out.contains(&line) {
+            out.lines[out.len] = line;
+            out.len += 1;
         }
     }
-    lines
+    out
 }
 
 /// Number of memory requests the instruction generates (1..=lanes).
@@ -63,7 +86,7 @@ mod tests {
     #[test]
     fn adjacent_words_coalesce_to_one_line() {
         let addrs: Vec<u64> = (0..32).map(|i| 0x1000 + i * 4).collect();
-        assert_eq!(coalesce(&addrs, 128), vec![0x1000]);
+        assert_eq!(*coalesce(&addrs, 128), [0x1000]);
         assert_eq!(num_requests(&addrs, 128), 1);
     }
 
@@ -83,14 +106,14 @@ mod tests {
     fn duplicate_addresses_merge() {
         let addrs = vec![0x80, 0x84, 0x80, 0x200, 0x27F];
         let lines = coalesce(&addrs, 128);
-        assert_eq!(lines, vec![0x80, 0x200]);
+        assert_eq!(*lines, [0x80, 0x200]);
     }
 
     #[test]
     fn first_touch_order_is_preserved() {
         let addrs = vec![0x300, 0x100, 0x200, 0x101];
         // 0x101 shares the 0x100 line; the rest appear in first-touch order.
-        assert_eq!(coalesce(&addrs, 128), vec![0x300, 0x100, 0x200]);
+        assert_eq!(*coalesce(&addrs, 128), [0x300, 0x100, 0x200]);
     }
 
     #[test]
@@ -102,6 +125,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_lines() {
         let _ = coalesce(&[0], 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 addresses")]
+    fn rejects_more_addresses_than_lanes() {
+        let _ = coalesce(&[0; WARP_SIZE + 1], 128);
     }
 
     #[test]
@@ -118,14 +147,14 @@ mod tests {
     #[test]
     fn every_address_is_covered_by_a_request() {
         for case in 0..64u64 {
-            let len = case as usize % 64;
+            let len = case as usize % (WARP_SIZE + 1);
             let addrs = random_addrs(0x1000 + case, len, Some(1 << 20));
             let lines = coalesce(&addrs, 128);
             for a in &addrs {
                 assert!(lines.contains(&(a & !127u64)));
             }
             // And no request is superfluous.
-            for l in &lines {
+            for l in lines.iter() {
                 assert!(addrs.iter().any(|a| a & !127u64 == *l));
             }
         }
@@ -134,8 +163,8 @@ mod tests {
     #[test]
     fn requests_are_line_aligned() {
         for case in 0..64u64 {
-            let len = case as usize % 64;
-            for l in coalesce(&random_addrs(0x2000 + case, len, None), 128) {
+            let len = case as usize % (WARP_SIZE + 1);
+            for l in coalesce(&random_addrs(0x2000 + case, len, None), 128).iter() {
                 assert_eq!(l % 128, 0);
             }
         }

@@ -28,23 +28,23 @@ use gpumech_trace::{KernelTrace, LaunchConfig, WarpTrace};
 
 use crate::cache::{Access, Cache};
 use crate::coalesce::coalesce;
-use crate::stats::MemStats;
+use crate::stats::{MemStats, PcStats};
 
 /// Round-robin passes between [`CancelToken`] polls in the cancellable
 /// path (each pass replays at most one memory instruction per core).
 const CANCEL_CHECK_MASK: u64 = 0x3F;
 
-/// One resident warp's cursor over its global-memory instructions.
+/// One resident warp's cursor over its global-memory instructions: the
+/// range `next..end` of the wave's shared index list.
 struct Cursor<'t> {
     warp: &'t WarpTrace,
-    /// Indices of global memory instructions within the warp trace.
-    mem_idxs: Vec<u32>,
     next: usize,
+    end: usize,
 }
 
 impl Cursor<'_> {
     fn exhausted(&self) -> bool {
-        self.next >= self.mem_idxs.len()
+        self.next >= self.end
     }
 }
 
@@ -111,9 +111,17 @@ fn simulate_impl<E>(
     let max_waves = core_blocks.iter().map(|bs| bs.len().div_ceil(bpc)).max().unwrap_or(0);
     let wpb = launch.warps_per_block();
     let mut passes: u64 = 0;
+    // Per-PC statistics, indexed by PC while the replay runs (one table
+    // touch per memory instruction) and folded into `stats` at the end.
+    // Validated traces bound every PC by `MAX_STATIC_INSTS`.
+    let mut per_pc: Vec<PcStats> = Vec::new();
+    // Indices of the global-memory instructions of every resident warp of
+    // the current wave, warp after warp; each cursor owns a range of it.
+    let mut mem_idxs: Vec<u32> = Vec::new();
 
     for wave in 0..max_waves {
         // Gather the resident warps of this wave, per core.
+        mem_idxs.clear();
         let mut resident: Vec<Vec<Cursor<'_>>> = Vec::with_capacity(cfg.num_cores);
         for blocks in &core_blocks {
             let mut cursors = Vec::new();
@@ -122,14 +130,16 @@ fn simulate_impl<E>(
                     // A validated trace always has `total_warps` entries;
                     // skip (don't panic) if a corrupt one slipped through.
                     let Some(warp) = trace.warps.get(b * wpb + w) else { continue };
-                    let mem_idxs: Vec<u32> = warp
-                        .insts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, i)| i.kind.is_global_mem())
-                        .map(|(n, _)| n as u32)
-                        .collect();
-                    cursors.push(Cursor { warp, mem_idxs, next: 0 });
+                    let next = mem_idxs.len();
+                    for (n, inst) in warp.insts.iter().enumerate() {
+                        if inst.kind.is_global_mem() {
+                            mem_idxs.push(n as u32);
+                            if inst.pc as usize >= per_pc.len() {
+                                per_pc.resize(inst.pc as usize + 1, PcStats::default());
+                            }
+                        }
+                    }
+                    cursors.push(Cursor { warp, next, end: mem_idxs.len() });
                 }
             }
             resident.push(cursors);
@@ -159,39 +169,34 @@ fn simulate_impl<E>(
                 progressed = true;
 
                 let cur = &mut cursors[pick];
-                let inst = &cur.warp.insts[cur.mem_idxs[cur.next] as usize];
+                let inst = &cur.warp.insts[mem_idxs[cur.next] as usize];
                 cur.next += 1;
 
-                let lines = coalesce(&inst.addrs, line);
+                let lines = coalesce(cur.warp.addrs(inst), line);
                 let is_store = inst.kind.is_global_store();
-                let entry = stats.entry(inst.pc);
+                let entry = &mut per_pc[inst.pc as usize];
                 entry.is_store = is_store;
                 entry.insts += 1;
                 entry.reqs += lines.len() as u64;
 
                 if is_store {
                     // Write-through, no-allocate: every request reaches DRAM.
-                    stats.entry(inst.pc).dram_reqs += lines.len() as u64;
+                    entry.dram_reqs += lines.len() as u64;
                     continue;
                 }
 
                 let mut worst_l1_miss = false;
                 let mut worst_l2_miss = false;
-                let mut mshr_reqs = 0u64;
-                let mut dram_reqs = 0u64;
-                for &l in &lines {
+                for &l in lines.iter() {
                     if l1s[core].access(l, true) == Access::Miss {
                         worst_l1_miss = true;
-                        mshr_reqs += 1;
+                        entry.mshr_reqs += 1;
                         if l2.access(l, true) == Access::Miss {
                             worst_l2_miss = true;
-                            dram_reqs += 1;
+                            entry.dram_reqs += 1;
                         }
                     }
                 }
-                let entry = stats.entry(inst.pc);
-                entry.mshr_reqs += mshr_reqs;
-                entry.dram_reqs += dram_reqs;
                 if worst_l2_miss {
                     entry.l2_miss_insts += 1;
                 } else if worst_l1_miss {
@@ -204,6 +209,9 @@ fn simulate_impl<E>(
                 break;
             }
         }
+    }
+    for (pc, s) in per_pc.into_iter().enumerate().filter(|(_, s)| s.insts > 0) {
+        *stats.entry(pc as u32) = s;
     }
     record_hierarchy_metrics(&stats);
     Ok(stats)

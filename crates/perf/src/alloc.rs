@@ -5,9 +5,18 @@
 //! `#[global_allocator]` by this crate (every binary that links
 //! `gpumech-perf` — the CLI, the bench harnesses, the fault suite — gets
 //! it). While no [`AllocScope`] is open the allocator's only overhead is
-//! one relaxed atomic load and a predicted branch per `alloc`/`dealloc`,
+//! one relaxed atomic load and a predicted branch per `alloc`/`dealloc`
+//! (`alloc` also checks the `Once` of the one-time set-up below),
 //! the same budget as a disabled obs probe; the counting RMWs happen only
 //! while a scope is measuring.
+//!
+//! On Linux/glibc the first allocation also pins malloc's heap-retention
+//! policy (`retain_heap`): a prediction builds tens of MiB of trace in a
+//! few large blocks and frees them together, and with glibc's defaults that
+//! hands the heap back to the kernel after every prediction, so the next
+//! one page-faults all of it in again (a seventh of a cold prediction's
+//! time on `cold_divergent`, and the part that varies most from run to run
+//! on a virtualised host).
 //!
 //! # Caveats (see DESIGN.md "Performance telemetry")
 //!
@@ -23,6 +32,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 
 /// Number of open [`AllocScope`]s; counting is active while nonzero.
 static DEPTH: AtomicU64 = AtomicU64::new(0);
@@ -60,6 +70,41 @@ fn on_free(size: usize) {
     FREED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
 }
 
+/// Runs [`retain_heap`] on the first allocation.
+static HEAP_POLICY: Once = Once::new();
+
+/// Free heap glibc keeps at the top of an arena before it gives any back.
+/// Just under the 64 MiB heaps glibc builds a thread's arena from: at
+/// 64 MiB or more a worker thread's arena would never shrink again (a
+/// `gpumech serve` pass peaks at 450 MiB instead of 340).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const TRIM_THRESHOLD_BYTES: i32 = 56 << 20;
+/// Blocks up to this size come from the heap rather than from their own
+/// `mmap`; 32 MiB is the largest value glibc accepts.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const MMAP_THRESHOLD_BYTES: i32 = 32 << 20;
+
+/// Tells glibc malloc to keep freed heap for reuse instead of returning it
+/// to the kernel after each prediction. Fixing either threshold turns off
+/// glibc's adaptive one, so both are set. A no-op on other C libraries.
+fn retain_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        // SAFETY: `mallopt` is glibc's documented, thread-safe tuning call;
+        // it takes plain integers and allocates nothing through this
+        // allocator. A refused value leaves the default in place.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES);
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES);
+        }
+    }
+}
+
 /// [`System`] allocator wrapper that counts while a scope is open.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;
@@ -68,6 +113,7 @@ pub struct CountingAlloc;
 // plain relaxed atomics and never influence the returned pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HEAP_POLICY.call_once(retain_heap);
         if counting_enabled() {
             on_alloc(layout.size());
         }
@@ -185,6 +231,12 @@ mod tests {
         });
         assert!(result.is_err());
         assert!(!counting_enabled(), "unwind must close the scope");
+    }
+
+    #[test]
+    fn first_allocation_sets_the_heap_policy() {
+        drop(std::hint::black_box(Box::new(0u8)));
+        assert!(HEAP_POLICY.is_completed());
     }
 
     #[test]

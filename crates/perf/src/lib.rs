@@ -11,7 +11,8 @@
 //!   counting `#[global_allocator]` wrapper (registered by this crate for
 //!   every binary that links it) surfacing per-stage allocation counts,
 //!   bytes, and peak live bytes; one relaxed load per allocation while
-//!   disabled.
+//!   disabled. It also tells glibc once to keep freed heap rather than
+//!   hand it back to the kernel after every prediction.
 //! * **The perf suite** ([`run_suite`]) — named stage-level and
 //!   end-to-end micro-benchmarks (min-of-N with warmup, allocation
 //!   counters included) emitting under the `perf.*` naming family.

@@ -201,10 +201,11 @@ impl<'t> Core<'t> {
                 return Stall::Until(None);
             }
         }
-        let inst = &self.trace.warps[w.trace_idx].insts[w.next];
+        let trace = &self.trace.warps[w.trace_idx];
+        let inst = &trace.insts[w.next];
         // Equation 4 convention: a consumer issues no earlier than the
         // producer's done cycle + 1.
-        let ready_at = inst.deps.iter().map(|&d| w.done[d as usize] + 1).max().unwrap_or(0);
+        let ready_at = trace.deps(inst).iter().map(|&d| w.done[d as usize] + 1).max().unwrap_or(0);
         if ready_at > now {
             return Stall::Until(Some(ready_at));
         }
@@ -270,14 +271,15 @@ impl<'t> Core<'t> {
         let slot = idx / self.wpb;
         // `pick_warp` only returns indices of occupied slots.
         let Some(w) = self.warps[idx].as_mut() else { return };
-        let inst = &self.trace.warps[w.trace_idx].insts[w.next];
+        let trace = &self.trace.warps[w.trace_idx];
+        let inst = &trace.insts[w.next];
         let line_bytes = self.cfg.l1.line_bytes as u64;
 
         let done_cycle = match inst.kind {
             InstKind::Load(MemSpace::Global) => {
-                let lines = coalesce(&inst.addrs, line_bytes);
+                let lines = coalesce(trace.addrs(inst), line_bytes);
                 let mut done = now + self.cfg.l1.latency;
-                for l in lines {
+                for &l in lines.iter() {
                     let line_done = if let Some(&fill) = self.mshr.pending.get(&l) {
                         fill // pending hit: merge with the in-flight fill
                     } else if self.l1.probe(l) {
@@ -305,7 +307,7 @@ impl<'t> Core<'t> {
             }
             InstKind::Store(MemSpace::Global) => {
                 // Write-through, no-allocate: traffic only; retires at once.
-                for l in coalesce(&inst.addrs, line_bytes) {
+                for &l in coalesce(trace.addrs(inst), line_bytes).iter() {
                     let _ = l2.access(l, false);
                     dram.request_write(now, now + self.cfg.l2.latency);
                 }

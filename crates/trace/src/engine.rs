@@ -8,19 +8,31 @@
 //! control flow, every potentially-divergent branch carries its
 //! reconvergence PC statically.
 //!
+//! The warp, not the lane, is the unit of work. Each source operand of a
+//! warp-instruction is resolved once into a 32-element lane vector — a
+//! register copy, a splat of an immediate, parameter or per-warp constant,
+//! or an iota over the warp's thread ids — the [`ValueOp`] is dispatched
+//! once and applied over plain 32-element loops, and the result is written
+//! back under the active mask. Memory addresses, loaded values and branch
+//! taken-masks come from the same lane vectors, so a warp-instruction costs
+//! one operand `match` per source and one `ValueOp` `match`, not 32 of each.
+//! Inactive lanes are computed and discarded; no value operation can fault
+//! (division clamps its divisor, shifts mask their count), so that is
+//! unobservable.
+//!
 //! The engine tracks a *warp-level* register scoreboard (last writer per
 //! register), exactly like real hardware: a register write by any lane makes
-//! the whole warp's later readers depend on that instruction.
+//! the whole warp's later readers depend on that instruction. Records go
+//! straight into the warp's row vector and arenas (see [`crate::record`]),
+//! pre-sized from the previous warp of the same kernel.
 //!
 //! Before tracing, every kernel passes through the `gpumech-analyze`
 //! pre-trace hook: kernels with Error-severity findings (mis-placed
 //! reconvergence points, reads of never-written registers, irreducible
-//! control flow) are rejected with [`TraceError::RejectedByAnalysis`], and
-//! branches the analyzer proves warp-uniform take a fast path that
-//! evaluates the condition once per warp instead of once per lane and never
-//! touches the reconvergence stack. Debug builds cross-check every static
-//! fact against observed execution (`debug_assert!`), so the fast path is
-//! byte-identical to the per-lane path — see `tests/golden_workloads.rs`.
+//! control flow) are rejected with [`TraceError::RejectedByAnalysis`]. Debug
+//! builds cross-check every static fact against observed execution
+//! (`debug_assert!`): coalescing bounds, bank-conflict bounds, and that a
+//! branch the analyzer proves warp-uniform is observed uniform.
 
 use gpumech_analyze::{KernelAnalysis, RejectReason};
 use gpumech_isa::{
@@ -30,7 +42,7 @@ use gpumech_isa::{
 use gpumech_obs::{CancelToken, Interrupt};
 
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, TraceInst, WarpTrace};
+use crate::record::{KernelTrace, WarpTrace};
 use crate::splitmix64;
 
 /// Upper bound on dynamic instructions per warp; exceeded only by a
@@ -143,24 +155,6 @@ const NO_RECONV: u32 = u32::MAX;
 #[cfg(debug_assertions)]
 const LINE_SHIFT: u32 = 7;
 
-/// Options controlling trace generation. The default enables every
-/// analysis-guided optimization; disabling them forces the conservative
-/// per-lane path (useful for A/B-testing that both produce identical
-/// traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOptions {
-    /// Evaluate statically warp-uniform branch conditions once per warp
-    /// (first active lane) instead of once per lane, skipping the
-    /// reconvergence-stack bookkeeping such branches can never need.
-    pub uniform_branch_fast_path: bool,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions { uniform_branch_fast_path: true }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     pc: u32,
@@ -173,149 +167,233 @@ struct Frame {
 /// microseconds, rare enough that the clock read is amortized away.
 const CANCEL_CHECK_MASK: usize = 0x3FF;
 
+/// One value per lane of a warp.
+type Lanes = [u64; WARP_SIZE];
+
+fn splat(v: u64) -> Lanes {
+    [v; WARP_SIZE]
+}
+
+/// `base + lane` in every lane.
+fn iota(base: u64) -> Lanes {
+    std::array::from_fn(|lane| base + lane as u64)
+}
+
+fn map1(a: &Lanes, f: impl Fn(u64) -> u64) -> Lanes {
+    std::array::from_fn(|lane| f(a[lane]))
+}
+
+fn map2(a: &Lanes, b: &Lanes, f: impl Fn(u64, u64) -> u64) -> Lanes {
+    std::array::from_fn(|lane| f(a[lane], b[lane]))
+}
+
+/// Bit `lane` set where `v[lane] == 0`.
+fn zero_lanes(v: &Lanes) -> u32 {
+    v.iter().enumerate().fold(0, |m, (lane, &x)| m | (u32::from(x == 0) << lane))
+}
+
+/// The lanes of `v` selected by `mask`, packed in ascending lane order into
+/// the front of `out`; returns how many.
+fn compact(v: &Lanes, mask: u32, out: &mut Lanes) -> usize {
+    if mask == FULL_MASK {
+        *out = *v;
+        return WARP_SIZE;
+    }
+    let mut n = 0;
+    let mut rest = mask;
+    while rest != 0 {
+        out[n] = v[rest.trailing_zeros() as usize];
+        n += 1;
+        rest &= rest - 1;
+    }
+    n
+}
+
+/// Functional state of one warp. One machine serves every warp of a launch
+/// in turn ([`WarpMachine::run`] resets it), so the 16 KiB register file
+/// and the reconvergence stack are allocated once per kernel.
 struct WarpMachine<'k> {
     kernel: &'k Kernel,
     analysis: &'k KernelAnalysis,
-    opts: TraceOptions,
     cancel: &'k CancelToken,
     launch: LaunchConfig,
-    warp: WarpId,
     /// `regs[reg][lane]`.
-    regs: Vec<[u64; WARP_SIZE]>,
+    regs: Vec<Lanes>,
     stack: Vec<Frame>,
     last_writer: [Option<u32>; NUM_REGS],
+    // Per-warp constants behind the thread-id operands, set by `run`.
+    /// Grid-global thread id of lane 0.
+    tid_base: u64,
+    /// Thread id within the block of lane 0.
+    tid_in_block_base: u64,
+    warp_in_block: u64,
+    block: u64,
 }
 
 impl<'k> WarpMachine<'k> {
     fn new(
         kernel: &'k Kernel,
         analysis: &'k KernelAnalysis,
-        opts: TraceOptions,
         cancel: &'k CancelToken,
         launch: LaunchConfig,
-        warp: WarpId,
     ) -> Self {
         Self {
             kernel,
             analysis,
-            opts,
             cancel,
             launch,
-            warp,
             regs: vec![[0u64; WARP_SIZE]; NUM_REGS],
-            stack: vec![Frame { pc: 0, mask: FULL_MASK, reconv: NO_RECONV }],
+            stack: Vec::new(),
             last_writer: [None; NUM_REGS],
+            tid_base: 0,
+            tid_in_block_base: 0,
+            warp_in_block: 0,
+            block: 0,
         }
     }
 
-    fn operand(&self, op: Operand, lane: usize) -> u64 {
+    /// Resets the machine to the entry state of `warp`.
+    fn begin(&mut self, warp: WarpId) {
+        let warp_in_block = self.launch.warp_in_block(warp);
+        self.regs.fill([0u64; WARP_SIZE]);
+        self.stack.clear();
+        self.stack.push(Frame { pc: 0, mask: FULL_MASK, reconv: NO_RECONV });
+        self.last_writer = [None; NUM_REGS];
+        self.tid_base = self.launch.global_tid(warp, 0);
+        self.tid_in_block_base = (warp_in_block * WARP_SIZE) as u64;
+        self.warp_in_block = warp_in_block as u64;
+        self.block = self.launch.block_of_warp(warp).index() as u64;
+    }
+
+    /// The value of `op` in every lane of the warp.
+    fn lanes(&self, op: Operand) -> Lanes {
         match op {
-            Operand::Reg(Reg(r)) => self.regs[r as usize][lane],
-            Operand::Imm(v) => v,
-            Operand::Tid => self.launch.global_tid(self.warp, lane),
-            Operand::Lane => lane as u64,
-            Operand::WarpInBlock => self.launch.warp_in_block(self.warp) as u64,
-            Operand::Block => self.launch.block_of_warp(self.warp).index() as u64,
-            Operand::TidInBlock => {
-                (self.launch.warp_in_block(self.warp) * WARP_SIZE + lane) as u64
+            Operand::Reg(Reg(r)) => self.regs[r as usize],
+            Operand::Imm(v) => splat(v),
+            Operand::Tid => iota(self.tid_base),
+            Operand::Lane => iota(0),
+            Operand::WarpInBlock => splat(self.warp_in_block),
+            Operand::Block => splat(self.block),
+            Operand::TidInBlock => iota(self.tid_in_block_base),
+            Operand::Param(i) => splat(self.kernel.params[i as usize]),
+        }
+    }
+
+    /// `f` folded over all of `srcs`, from `init`, in every lane.
+    fn fold(&self, srcs: &[Operand], init: u64, f: impl Fn(u64, u64) -> u64) -> Lanes {
+        srcs.iter().fold(splat(init), |acc, &s| map2(&acc, &self.lanes(s), &f))
+    }
+
+    /// `op` over `srcs` in every lane of the warp.
+    fn eval(&self, op: ValueOp, srcs: &[Operand]) -> Lanes {
+        let v = |i: usize| self.lanes(srcs[i]);
+        match op {
+            ValueOp::Mov => if srcs.is_empty() { splat(0) } else { v(0) },
+            ValueOp::Add => self.fold(srcs, 0, u64::wrapping_add),
+            ValueOp::Sub => map2(&v(0), &v(1), u64::wrapping_sub),
+            ValueOp::Mul => self.fold(srcs, 1, u64::wrapping_mul),
+            ValueOp::Div => map2(&v(0), &v(1), |a, b| a / b.max(1)),
+            ValueOp::Rem => map2(&v(0), &v(1), |a, b| a % b.max(1)),
+            ValueOp::And => self.fold(srcs, u64::MAX, |a, b| a & b),
+            ValueOp::Xor => self.fold(srcs, 0, |a, b| a ^ b),
+            ValueOp::Shl => map2(&v(0), &v(1), |a, b| a << (b & 63)),
+            ValueOp::Shr => map2(&v(0), &v(1), |a, b| a >> (b & 63)),
+            ValueOp::Min => self.fold(srcs, u64::MAX, u64::min),
+            ValueOp::Max => self.fold(srcs, 0, u64::max),
+            ValueOp::CmpLt => map2(&v(0), &v(1), |a, b| u64::from(a < b)),
+            ValueOp::CmpEq => map2(&v(0), &v(1), |a, b| u64::from(a == b)),
+            ValueOp::CmpNe => map2(&v(0), &v(1), |a, b| u64::from(a != b)),
+            ValueOp::Select => {
+                let (c, a, b) = (v(0), v(1), v(2));
+                std::array::from_fn(|lane| if c[lane] != 0 { a[lane] } else { b[lane] })
             }
-            Operand::Param(i) => self.kernel.params[i as usize],
+            ValueOp::Hash => map1(&self.fold(srcs, 0, |a, b| a ^ b), splitmix64),
         }
     }
 
-    fn eval(&self, op: ValueOp, srcs: &[Operand], lane: usize) -> u64 {
-        let v = |i: usize| self.operand(srcs[i], lane);
-        let fold = |f: fn(u64, u64) -> u64, init: u64| {
-            srcs.iter().map(|&s| self.operand(s, lane)).fold(init, f)
-        };
-        match op {
-            ValueOp::Mov => if srcs.is_empty() { 0 } else { v(0) },
-            ValueOp::Add => fold(u64::wrapping_add, 0),
-            ValueOp::Sub => v(0).wrapping_sub(v(1)),
-            ValueOp::Mul => fold(u64::wrapping_mul, 1),
-            ValueOp::Div => v(0) / v(1).max(1),
-            ValueOp::Rem => v(0) % v(1).max(1),
-            ValueOp::And => fold(|a, b| a & b, u64::MAX),
-            ValueOp::Xor => fold(|a, b| a ^ b, 0),
-            ValueOp::Shl => v(0) << (v(1) & 63),
-            ValueOp::Shr => v(0) >> (v(1) & 63),
-            ValueOp::Min => fold(u64::min, u64::MAX),
-            ValueOp::Max => fold(u64::max, 0),
-            ValueOp::CmpLt => u64::from(v(0) < v(1)),
-            ValueOp::CmpEq => u64::from(v(0) == v(1)),
-            ValueOp::CmpNe => u64::from(v(0) != v(1)),
-            ValueOp::Select => if v(0) != 0 { v(1) } else { v(2) },
-            ValueOp::Hash => splitmix64(fold(|a, b| a ^ b, 0)),
-        }
-    }
-
-    fn collect_deps(&self, srcs: &[Operand]) -> Vec<u32> {
-        let mut deps: Vec<u32> = srcs
-            .iter()
-            .filter_map(|s| match s {
-                Operand::Reg(Reg(r)) => self.last_writer[*r as usize],
-                _ => None,
-            })
-            .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        deps
-    }
-
-    /// Per-lane evaluation of a conditional branch: the mask of active
-    /// lanes that jump to the target.
-    fn taken_mask(&self, inst: &gpumech_isa::StaticInst, mask: u32) -> u32 {
-        let mut t = 0u32;
-        for lane in 0..WARP_SIZE {
-            if mask & (1 << lane) != 0 {
-                let c = self.operand(inst.srcs[0], lane);
-                let jumps = match inst.cond {
-                    BranchCond::IfZero => c == 0,
-                    BranchCond::IfNonZero => c != 0,
-                    BranchCond::Always => unreachable!("taken_mask is for conditional branches"),
-                };
-                if jumps {
-                    t |= 1 << lane;
+    /// Writes `val` to register `dst` in the lanes of `mask`; the other
+    /// lanes keep their value.
+    fn write_back(&mut self, dst: u8, val: &Lanes, mask: u32) {
+        let reg = &mut self.regs[dst as usize];
+        if mask == FULL_MASK {
+            *reg = *val;
+        } else {
+            for (lane, (r, &v)) in reg.iter_mut().zip(val).enumerate() {
+                if mask & (1 << lane) != 0 {
+                    *r = v;
                 }
             }
         }
-        t
     }
 
-    fn run(mut self) -> Result<(WarpTrace, RunStats), TraceError> {
-        let mut insts: Vec<TraceInst> = Vec::new();
+    /// The distinct last writers of `srcs`' registers, ascending, packed
+    /// into the front of `out`; returns how many. At most one per register.
+    fn collect_deps(&self, srcs: &[Operand], out: &mut [u32; NUM_REGS]) -> usize {
+        let mut n = 0;
+        for s in srcs {
+            let Operand::Reg(Reg(r)) = s else { continue };
+            let Some(d) = self.last_writer[*r as usize] else { continue };
+            // Sorted insert, skipping duplicates; lists are 0-3 long.
+            let at = out[..n].partition_point(|&x| x < d);
+            if at < n && out[at] == d {
+                continue;
+            }
+            out.copy_within(at..n, at + 1);
+            out[at] = d;
+            n += 1;
+        }
+        n
+    }
+
+    /// Functionally executes `warp` and returns its trace, sized like
+    /// `like` (the previous warp of the launch) when there is one.
+    fn run(
+        &mut self,
+        warp: WarpId,
+        like: Option<&WarpTrace>,
+    ) -> Result<(WarpTrace, RunStats), TraceError> {
+        self.begin(warp);
+        let kernel = self.kernel;
+        let block = self.launch.block_of_warp(warp);
+        let mut trace = match like {
+            Some(prev) => WarpTrace::sized_like(warp, block, prev),
+            None => WarpTrace::new(warp, block),
+        };
         let mut stats = RunStats::default();
+        let mut deps = [0u32; NUM_REGS];
+        let mut addrs = [0u64; WARP_SIZE];
+        let broken = |pc: u32, detail: &'static str| TraceError::BrokenInvariant {
+            kernel: kernel.name.clone(),
+            warp,
+            pc,
+            detail,
+        };
 
         while let Some(&top) = self.stack.last() {
             if top.pc == top.reconv {
                 self.stack.pop();
                 continue;
             }
-            if insts.len() >= MAX_DYN_INSTS_PER_WARP {
-                return Err(TraceError::InstLimit { warp: self.warp });
+            if trace.len() >= MAX_DYN_INSTS_PER_WARP {
+                return Err(TraceError::InstLimit { warp });
             }
-            if insts.len() & CANCEL_CHECK_MASK == 0 {
+            if trace.len() & CANCEL_CHECK_MASK == 0 {
                 self.cancel.check().map_err(TraceError::Interrupted)?;
             }
 
-            let inst = &self.kernel.insts[top.pc as usize];
+            let inst = &kernel.insts[top.pc as usize];
             let mask = top.mask;
-            let idx = insts.len() as u32;
+            let idx = trace.len() as u32;
 
-            // Record the dynamic instruction (addresses filled below).
-            let mut addrs = Vec::new();
+            // Memory instructions: srcs[0] is the address in every lane.
+            let addr_lanes = inst.kind.is_mem().then(|| self.lanes(inst.srcs[0]));
+            let n_addrs = addr_lanes.as_ref().map_or(0, |a| compact(a, mask, &mut addrs));
+            #[cfg(debug_assertions)]
             if inst.kind.is_mem() {
-                addrs.reserve(mask.count_ones() as usize);
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) != 0 {
-                        addrs.push(self.operand(inst.srcs[0], lane));
-                    }
-                }
                 // Cross-check: the observed line count must respect the
                 // analyzer's per-warp coalescing bound.
-                #[cfg(debug_assertions)]
                 if let Some(Some(access)) = self.analysis.coalescing.get(top.pc as usize) {
-                    let lines = distinct_lines(&addrs);
+                    let lines = distinct_lines(&addrs[..n_addrs]);
                     debug_assert!(
                         lines <= access.max_requests,
                         "pc {}: warp touched {lines} lines, static bound is {} ({:?})",
@@ -326,9 +404,8 @@ impl<'k> WarpMachine<'k> {
                 }
                 // Cross-check: the observed shared-memory bank-conflict
                 // degree must respect the analyzer's full-mask bound.
-                #[cfg(debug_assertions)]
                 if let Some(fact) = self.analysis.shared_fact(top.pc) {
-                    let observed = observed_bank_degree(&addrs);
+                    let observed = observed_bank_degree(&addrs[..n_addrs]);
                     debug_assert!(
                         observed <= fact.bank_degree,
                         "pc {}: warp hit {observed}-way bank conflict, static bound is {}-way",
@@ -337,60 +414,30 @@ impl<'k> WarpMachine<'k> {
                     );
                 }
             }
-            insts.push(TraceInst {
-                pc: top.pc,
-                kind: inst.kind,
-                deps: self.collect_deps(&inst.srcs),
-                active_mask: mask,
-                addrs,
-            });
+            let n_deps = self.collect_deps(&inst.srcs, &mut deps);
+            trace
+                .push(top.pc, inst.kind, mask, &deps[..n_deps], &addrs[..n_addrs])
+                .map_err(|_| broken(top.pc, "dynamic instruction exceeds the trace row layout"))?;
 
             match inst.kind {
                 InstKind::Branch => {
                     let taken = match inst.cond {
                         BranchCond::Always => mask,
-                        BranchCond::IfZero | BranchCond::IfNonZero
-                            if self.opts.uniform_branch_fast_path
-                                && self.analysis.is_branch_uniform(top.pc) =>
-                        {
-                            // Statically warp-uniform condition: every
-                            // active lane agrees, so evaluate it once on the
-                            // first active lane. Either all active lanes
-                            // jump or none do — the reconvergence stack is
-                            // never touched.
-                            let lane = mask.trailing_zeros() as usize;
-                            let c = self.operand(inst.srcs[0], lane);
-                            let jumps = match inst.cond {
-                                BranchCond::IfZero => c == 0,
-                                BranchCond::IfNonZero => c != 0,
-                                BranchCond::Always => unreachable!(),
-                            };
-                            let t = if jumps { mask } else { 0 };
-                            debug_assert_eq!(
-                                t,
-                                self.taken_mask(inst, mask),
-                                "pc {}: statically uniform branch observed divergent",
-                                top.pc,
-                            );
-                            t
-                        }
-                        BranchCond::IfZero | BranchCond::IfNonZero => {
-                            self.taken_mask(inst, mask)
-                        }
+                        BranchCond::IfZero => mask & zero_lanes(&self.lanes(inst.srcs[0])),
+                        BranchCond::IfNonZero => mask & !zero_lanes(&self.lanes(inst.srcs[0])),
                     };
                     let fall = mask & !taken;
+                    debug_assert!(
+                        taken == 0 || fall == 0 || !self.analysis.is_branch_uniform(top.pc),
+                        "pc {}: statically uniform branch observed divergent",
+                        top.pc,
+                    );
                     // Targets/reconvergence PCs are guaranteed by kernel
                     // validation and the stack top by the loop condition;
                     // report (never panic) if an invariant is broken.
                     let Some(target) = inst.target else {
-                        return Err(TraceError::BrokenInvariant {
-                            kernel: self.kernel.name.clone(),
-                            warp: self.warp,
-                            pc: top.pc,
-                            detail: "branch without a target survived validation",
-                        });
+                        return Err(broken(top.pc, "branch without a target survived validation"));
                     };
-                    let reconv = inst.reconv;
                     let Some(frame) = self.stack.last_mut() else { break };
                     if taken != 0 && fall != 0 {
                         stats.divergent_branches += 1;
@@ -401,17 +448,14 @@ impl<'k> WarpMachine<'k> {
                         (true, false) => frame.pc = target,
                         (false, true) => frame.pc += 1,
                         (true, true) => {
-                            let Some(reconv) = reconv else {
-                                return Err(TraceError::BrokenInvariant {
-                                    kernel: self.kernel.name.clone(),
-                                    warp: self.warp,
-                                    pc: top.pc,
-                                    detail: "divergent branch without a reconvergence pc",
-                                });
+                            let Some(reconv) = inst.reconv else {
+                                return Err(broken(
+                                    top.pc,
+                                    "divergent branch without a reconvergence pc",
+                                ));
                             };
                             frame.pc = reconv;
-                            let fall_pc = insts[idx as usize].pc + 1;
-                            self.stack.push(Frame { pc: fall_pc, mask: fall, reconv });
+                            self.stack.push(Frame { pc: top.pc + 1, mask: fall, reconv });
                             self.stack.push(Frame { pc: target, mask: taken, reconv });
                         }
                         (false, false) => unreachable!("branch under empty mask"),
@@ -426,24 +470,13 @@ impl<'k> WarpMachine<'k> {
                 }
                 _ => {
                     if let Some(Reg(dst)) = inst.dst {
-                        if inst.kind == InstKind::Load(gpumech_isa::MemSpace::Global)
-                            || inst.kind == InstKind::Load(gpumech_isa::MemSpace::Shared)
-                        {
-                            for lane in 0..WARP_SIZE {
-                                if mask & (1 << lane) != 0 {
-                                    let addr = self.operand(inst.srcs[0], lane);
-                                    self.regs[dst as usize][lane] =
-                                        splitmix64(addr ^ MEMORY_SEED);
-                                }
+                        let val = match (&addr_lanes, inst.kind) {
+                            (Some(addr), InstKind::Load(_)) => {
+                                map1(addr, |a| splitmix64(a ^ MEMORY_SEED))
                             }
-                        } else {
-                            for lane in 0..WARP_SIZE {
-                                if mask & (1 << lane) != 0 {
-                                    self.regs[dst as usize][lane] =
-                                        self.eval(inst.op, &inst.srcs, lane);
-                                }
-                            }
-                        }
+                            _ => self.eval(inst.op, &inst.srcs),
+                        };
+                        self.write_back(dst, &val, mask);
                         self.last_writer[dst as usize] = Some(idx);
                     }
                     let Some(frame) = self.stack.last_mut() else { break };
@@ -452,14 +485,7 @@ impl<'k> WarpMachine<'k> {
             }
         }
 
-        Ok((
-            WarpTrace {
-                warp: self.warp,
-                block: self.launch.block_of_warp(self.warp),
-                insts,
-            },
-            stats,
-        ))
+        Ok((trace, stats))
     }
 }
 
@@ -548,9 +574,8 @@ pub fn trace_warp(
 ) -> Result<WarpTrace, TraceError> {
     let analysis = pre_trace_analysis(kernel)?;
     let cancel = CancelToken::never();
-    let (trace, stats) =
-        WarpMachine::new(kernel, &analysis, TraceOptions::default(), &cancel, launch, warp).run()?;
-    gpumech_obs::counter!("trace.engine.insts", trace.insts.len() as u64);
+    let (trace, stats) = WarpMachine::new(kernel, &analysis, &cancel, launch).run(warp, None)?;
+    gpumech_obs::counter!("trace.engine.insts", trace.len() as u64);
     gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
     gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
     Ok(trace)
@@ -558,33 +583,19 @@ pub fn trace_warp(
 
 /// Functionally executes every warp of a launch and returns the full kernel
 /// trace. Warps are independent (no inter-thread communication in the IR),
-/// so this is simply one warp machine per warp over the grid, sharing one
-/// static analysis.
+/// so this is simply one warp machine run over the grid, warp after warp,
+/// sharing one static analysis.
 ///
 /// # Errors
 ///
 /// Propagates the first [`TraceError`] encountered.
 pub fn trace_kernel(kernel: &Kernel, launch: LaunchConfig) -> Result<KernelTrace, TraceError> {
-    trace_kernel_opts(kernel, launch, TraceOptions::default())
+    trace_kernel_cancellable(kernel, launch, &CancelToken::never())
 }
 
-/// [`trace_kernel`] with explicit [`TraceOptions`] — used to A/B the
-/// analysis-guided fast paths against the conservative per-lane execution.
-///
-/// # Errors
-///
-/// Propagates the first [`TraceError`] encountered.
-pub fn trace_kernel_opts(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    opts: TraceOptions,
-) -> Result<KernelTrace, TraceError> {
-    trace_kernel_cancellable(kernel, launch, opts, &CancelToken::never())
-}
-
-/// [`trace_kernel_opts`] under a [`CancelToken`]: the warp machines poll
-/// the token at a fixed dynamic-instruction stride and between warps, so
-/// an expired deadline or explicit cancellation aborts tracing within a
+/// [`trace_kernel`] under a [`CancelToken`]: the warp machine polls the
+/// token at a fixed dynamic-instruction stride and between warps, so an
+/// expired deadline or explicit cancellation aborts tracing within a
 /// bounded amount of work.
 ///
 /// # Errors
@@ -594,27 +605,21 @@ pub fn trace_kernel_opts(
 pub fn trace_kernel_cancellable(
     kernel: &Kernel,
     launch: LaunchConfig,
-    opts: TraceOptions,
     cancel: &CancelToken,
 ) -> Result<KernelTrace, TraceError> {
     let _span = gpumech_obs::span!("trace.engine.kernel", name = kernel.name.as_str());
     let analysis = pre_trace_analysis(kernel)?;
+    let mut machine = WarpMachine::new(kernel, &analysis, cancel, launch);
     let mut stats = RunStats::default();
-    let warps = launch
-        .warps()
-        .map(|w| {
-            cancel.check().map_err(TraceError::Interrupted)?;
-            WarpMachine::new(kernel, &analysis, opts, cancel, launch, w).run().map(|(t, s)| {
-                stats.absorb(s);
-                t
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut warps: Vec<WarpTrace> = Vec::with_capacity(launch.total_warps());
+    for w in launch.warps() {
+        cancel.check().map_err(TraceError::Interrupted)?;
+        let (trace, s) = machine.run(w, warps.last())?;
+        stats.absorb(s);
+        warps.push(trace);
+    }
     gpumech_obs::counter!("trace.engine.warps", warps.len() as u64);
-    gpumech_obs::counter!(
-        "trace.engine.insts",
-        warps.iter().map(|w| w.insts.len() as u64).sum::<u64>()
-    );
+    gpumech_obs::counter!("trace.engine.insts", warps.iter().map(|w| w.len() as u64).sum::<u64>());
     gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
     gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
     Ok(KernelTrace { name: kernel.name.clone(), launch, warps })
@@ -630,6 +635,209 @@ mod tests {
         LaunchConfig::new(32, 1)
     }
 
+    /// The per-lane interpreter the warp-wide engine replaced, kept as the
+    /// reference the differential test below compares against.
+    fn scalar_operand(m: &WarpMachine<'_>, warp: WarpId, op: Operand, lane: usize) -> u64 {
+        match op {
+            Operand::Reg(Reg(r)) => m.regs[r as usize][lane],
+            Operand::Imm(v) => v,
+            Operand::Tid => m.launch.global_tid(warp, lane),
+            Operand::Lane => lane as u64,
+            Operand::WarpInBlock => m.launch.warp_in_block(warp) as u64,
+            Operand::Block => m.launch.block_of_warp(warp).index() as u64,
+            Operand::TidInBlock => (m.launch.warp_in_block(warp) * WARP_SIZE + lane) as u64,
+            Operand::Param(i) => m.kernel.params[i as usize],
+        }
+    }
+
+    fn scalar_eval(
+        m: &WarpMachine<'_>,
+        warp: WarpId,
+        op: ValueOp,
+        srcs: &[Operand],
+        lane: usize,
+    ) -> u64 {
+        let v = |i: usize| scalar_operand(m, warp, srcs[i], lane);
+        let fold = |f: fn(u64, u64) -> u64, init: u64| {
+            srcs.iter().map(|&s| scalar_operand(m, warp, s, lane)).fold(init, f)
+        };
+        match op {
+            ValueOp::Mov => if srcs.is_empty() { 0 } else { v(0) },
+            ValueOp::Add => fold(u64::wrapping_add, 0),
+            ValueOp::Sub => v(0).wrapping_sub(v(1)),
+            ValueOp::Mul => fold(u64::wrapping_mul, 1),
+            ValueOp::Div => v(0) / v(1).max(1),
+            ValueOp::Rem => v(0) % v(1).max(1),
+            ValueOp::And => fold(|a, b| a & b, u64::MAX),
+            ValueOp::Xor => fold(|a, b| a ^ b, 0),
+            ValueOp::Shl => v(0) << (v(1) & 63),
+            ValueOp::Shr => v(0) >> (v(1) & 63),
+            ValueOp::Min => fold(u64::min, u64::MAX),
+            ValueOp::Max => fold(u64::max, 0),
+            ValueOp::CmpLt => u64::from(v(0) < v(1)),
+            ValueOp::CmpEq => u64::from(v(0) == v(1)),
+            ValueOp::CmpNe => u64::from(v(0) != v(1)),
+            ValueOp::Select => if v(0) != 0 { v(1) } else { v(2) },
+            ValueOp::Hash => splitmix64(fold(|a, b| a ^ b, 0)),
+        }
+    }
+
+    const ALL_OPS: [ValueOp; 17] = [
+        ValueOp::Mov,
+        ValueOp::Add,
+        ValueOp::Sub,
+        ValueOp::Mul,
+        ValueOp::Div,
+        ValueOp::Rem,
+        ValueOp::And,
+        ValueOp::Xor,
+        ValueOp::Shl,
+        ValueOp::Shr,
+        ValueOp::Min,
+        ValueOp::Max,
+        ValueOp::CmpLt,
+        ValueOp::CmpEq,
+        ValueOp::CmpNe,
+        ValueOp::Select,
+        ValueOp::Hash,
+    ];
+
+    /// Registers 0..8 hold, in this order: seeded noise, all zeros (a zero
+    /// divisor in every lane), zeros in the odd lanes, shift counts of 64
+    /// and more, all ones, small values, and two more of noise.
+    fn seed_registers(m: &mut WarpMachine<'_>, seed: u64) {
+        let mut r = seed;
+        let mut next = || {
+            r = splitmix64(r);
+            r
+        };
+        for (reg, lanes) in m.regs.iter_mut().take(8).enumerate() {
+            for (lane, v) in lanes.iter_mut().enumerate() {
+                let noise = next();
+                *v = match reg {
+                    1 => 0,
+                    2 => if lane % 2 == 1 { 0 } else { noise },
+                    3 => 64 + noise % 200,
+                    4 => u64::MAX,
+                    5 => noise % 7,
+                    _ => noise,
+                };
+            }
+        }
+    }
+
+    /// One operand of kind `kind` (0..8), its payload drawn from `r`.
+    fn operand_of_kind(kind: u64, r: u64) -> Operand {
+        match kind {
+            0 => Operand::Reg(Reg((r % 8) as u8)),
+            // Zero, shift counts of 64 and more, and noise all occur.
+            1 => Operand::Imm([0, 1, 64, 200, r][(r % 5) as usize]),
+            2 => Operand::Tid,
+            3 => Operand::Lane,
+            4 => Operand::WarpInBlock,
+            5 => Operand::Block,
+            6 => Operand::TidInBlock,
+            _ => Operand::Param((r % 3) as u16),
+        }
+    }
+
+    /// Differential test of the warp-wide value path against the per-lane
+    /// reference: every `ValueOp` with every `Operand` kind in every source
+    /// position, over seeded register files and warps, under full, partial,
+    /// single-lane and high-lanes-only masks. Inactive lanes must keep
+    /// their previous register value.
+    #[test]
+    fn warp_wide_evaluation_matches_the_per_lane_reference() {
+        let mut b = KernelBuilder::new("k");
+        let _ = b.alu(ValueOp::Add, &[Operand::Tid]);
+        let k = b.finish(vec![0, 3, u64::MAX - 5]);
+        let analysis = gpumech_analyze::analyze(&k);
+        let cancel = CancelToken::never();
+        let launch = LaunchConfig::new(128, 7);
+        let mut m = WarpMachine::new(&k, &analysis, &cancel, launch);
+        const DST: u8 = 9;
+        let mut cases = 0usize;
+
+        for seed in 0..6u64 {
+            let warp = WarpId::new((splitmix64(seed) % launch.total_warps() as u64) as u32);
+            m.begin(warp);
+            seed_registers(&mut m, seed);
+            let r0 = splitmix64(seed ^ 0xD1FF);
+            let masks = [
+                FULL_MASK,
+                (r0 as u32) | 1,                                 // seeded partial
+                1 << ((r0 >> 32) % 32),                          // single lane
+                0x8000_0000,                                     // the highest lane alone
+                ((r0 >> 16) as u32 & 0xFFFF_0000) | 0x0001_0000, // high lanes only
+            ];
+            for op in ALL_OPS {
+                let arities: &[usize] = match op {
+                    ValueOp::Mov => &[0, 1],
+                    ValueOp::Select => &[3],
+                    ValueOp::Add
+                    | ValueOp::Mul
+                    | ValueOp::And
+                    | ValueOp::Xor
+                    | ValueOp::Min
+                    | ValueOp::Max
+                    | ValueOp::Hash => &[1, 2, 3],
+                    _ => &[2],
+                };
+                for &arity in arities {
+                    // Every operand kind in every position; the other
+                    // positions take seeded kinds. Arity 0 runs once.
+                    for pos in 0..arity.max(1) {
+                        for kind in 0..8u64 {
+                            let r = splitmix64(r0 ^ (cases as u64));
+                            let srcs: Vec<Operand> = (0..arity)
+                                .map(|p| {
+                                    let rp = splitmix64(r ^ p as u64);
+                                    operand_of_kind(if p == pos { kind } else { rp >> 8 & 7 }, rp)
+                                })
+                                .collect();
+                            let val = m.eval(op, &srcs);
+                            for (lane, &v) in val.iter().enumerate() {
+                                assert_eq!(
+                                    v,
+                                    scalar_eval(&m, warp, op, &srcs, lane),
+                                    "seed {seed} {op:?} {srcs:?} lane {lane}"
+                                );
+                            }
+                            for mask in masks {
+                                let before = splat(r ^ u64::from(mask));
+                                m.regs[DST as usize] = before;
+                                m.write_back(DST, &val, mask);
+                                for (lane, &got) in m.regs[DST as usize].iter().enumerate() {
+                                    let want =
+                                        if mask & (1 << lane) != 0 { val[lane] } else { before[lane] };
+                                    assert_eq!(
+                                        got, want,
+                                        "seed {seed} {op:?} {srcs:?} mask {mask:#x} lane {lane}"
+                                    );
+                                }
+                                // The mask helpers behind addresses and
+                                // branches, against their definitions.
+                                let mut packed = splat(0);
+                                let n = compact(&val, mask, &mut packed);
+                                let want: Vec<u64> = (0..WARP_SIZE)
+                                    .filter(|l| mask & (1 << l) != 0)
+                                    .map(|l| val[l])
+                                    .collect();
+                                assert_eq!(&packed[..n], &want[..], "compact under {mask:#x}");
+                            }
+                            let zeros = zero_lanes(&val);
+                            for (lane, &v) in val.iter().enumerate() {
+                                assert_eq!(zeros >> lane & 1 == 1, v == 0, "zero_lanes lane {lane}");
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases >= 2000, "the case fan shrank to {cases}");
+    }
+
     #[test]
     fn straight_line_trace_has_program_order_and_deps() {
         let mut b = KernelBuilder::new("k");
@@ -639,9 +847,9 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         assert_eq!(t.len(), 4); // 3 + exit
-        assert_eq!(t.insts[0].deps, Vec::<u32>::new());
-        assert_eq!(t.insts[1].deps, vec![0]);
-        assert_eq!(t.insts[2].deps, vec![0, 1]);
+        assert_eq!(t.deps(&t.insts[0]), &[] as &[u32]);
+        assert_eq!(t.deps(&t.insts[1]), &[0]);
+        assert_eq!(t.deps(&t.insts[2]), &[0, 1]);
         assert_eq!(t.insts[0].active_mask, u32::MAX);
     }
 
@@ -730,14 +938,16 @@ mod tests {
         let t = trace_warp(&k, LaunchConfig::new(64, 2), WarpId::new(3)).unwrap();
 
         let load = t.insts.iter().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
-        assert_eq!(load.addrs.len(), 32);
+        let load_addrs = t.addrs(load);
+        assert_eq!(load_addrs.len(), 32);
         // Warp 3 covers tids 96..128 → addresses 0x1000 + 4*tid.
-        assert_eq!(load.addrs[0], 0x1000 + 4 * 96);
-        assert_eq!(load.addrs[31], 0x1000 + 4 * 127);
+        assert_eq!(load_addrs[0], 0x1000 + 4 * 96);
+        assert_eq!(load_addrs[31], 0x1000 + 4 * 127);
 
         let store = t.insts.iter().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
-        assert_eq!(store.addrs.len(), 32);
-        assert_eq!(store.addrs[1] - store.addrs[0], 128, "one line per lane");
+        let store_addrs = t.addrs(store);
+        assert_eq!(store_addrs.len(), 32);
+        assert_eq!(store_addrs[1] - store_addrs[0], 128, "one line per lane");
     }
 
     #[test]
@@ -749,7 +959,7 @@ mod tests {
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         let load_idx = t.insts.iter().position(|i| i.kind.is_global_load()).unwrap() as u32;
         let consumer = t.insts.iter().find(|i| i.kind == InstKind::FpAdd).unwrap();
-        assert!(consumer.deps.contains(&load_idx));
+        assert!(t.deps(consumer).contains(&load_idx));
     }
 
     #[test]
@@ -785,7 +995,7 @@ mod tests {
         let cancel = CancelToken::never();
         cancel.cancel();
         let err =
-            trace_kernel_cancellable(&k, launch1(), TraceOptions::default(), &cancel).unwrap_err();
+            trace_kernel_cancellable(&k, launch1(), &cancel).unwrap_err();
         assert_eq!(err, TraceError::Interrupted(Interrupt::Cancelled));
     }
 
@@ -801,7 +1011,7 @@ mod tests {
         let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
         let cancel = CancelToken::with_clock(clock, 10_000);
         let err =
-            trace_kernel_cancellable(&k, launch1(), TraceOptions::default(), &cancel).unwrap_err();
+            trace_kernel_cancellable(&k, launch1(), &cancel).unwrap_err();
         assert_eq!(err, TraceError::Interrupted(Interrupt::DeadlineExceeded));
     }
 

@@ -29,11 +29,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use gpumech_isa::{BlockId, InstKind, MemSpace, WarpId};
+use gpumech_isa::{kernel::NUM_REGS, BlockId, InstKind, MemSpace, WarpId, WARP_SIZE};
 
 use crate::engine::TraceError;
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, TraceInst, WarpTrace};
+use crate::record::{KernelTrace, WarpTrace};
 
 const MAGIC: &[u8; 8] = b"GPUMECHT";
 const VERSION: u8 = 1;
@@ -53,6 +53,11 @@ pub enum DecodeError {
     BadString,
     /// The launch geometry stored in the header is invalid.
     BadLaunch(String),
+    /// An instruction claims more dependencies than there are registers to
+    /// depend through.
+    TooManyDeps(u64),
+    /// An instruction claims more addresses than a warp has lanes.
+    TooManyAddrs(u64),
     /// The decoded structure violates a trace invariant
     /// ([`KernelTrace::validate`]).
     Invalid(String),
@@ -67,6 +72,12 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadKind(t) => write!(f, "unknown instruction kind tag {t}"),
             DecodeError::BadString => f.write_str("invalid UTF-8 in trace"),
             DecodeError::BadLaunch(e) => write!(f, "invalid launch geometry: {e}"),
+            DecodeError::TooManyDeps(n) => {
+                write!(f, "instruction claims {n} dependencies (at most {NUM_REGS})")
+            }
+            DecodeError::TooManyAddrs(n) => {
+                write!(f, "instruction claims {n} addresses (at most {WARP_SIZE})")
+            }
             DecodeError::Invalid(e) => write!(f, "decoded trace is invalid: {e}"),
         }
     }
@@ -172,20 +183,22 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
         for inst in &warp.insts {
             put_varint(&mut out, u64::from(inst.pc));
             out.push(kind_tag(inst.kind));
-            put_varint(&mut out, inst.deps.len() as u64);
+            let deps = warp.deps(inst);
+            put_varint(&mut out, deps.len() as u64);
             // Deps are sorted ascending: delta-code them. Wrapping keeps the
             // encoder total on corrupt (unsorted) inputs; the decoder's
             // wrapping add inverts it exactly either way.
             let mut prev = 0u64;
-            for &d in &inst.deps {
+            for &d in deps {
                 put_varint(&mut out, u64::from(d).wrapping_sub(prev));
                 prev = u64::from(d);
             }
             out.extend_from_slice(&inst.active_mask.to_le_bytes());
-            put_varint(&mut out, inst.addrs.len() as u64);
+            let addrs = warp.addrs(inst);
+            put_varint(&mut out, addrs.len() as u64);
             // Addresses are usually strided: zigzag-delta-code them.
             let mut prev = 0i64;
-            for &a in &inst.addrs {
+            for &a in addrs {
                 let cur = a as i64;
                 put_varint(&mut out, zigzag(cur.wrapping_sub(prev)));
                 prev = cur;
@@ -235,21 +248,35 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, DecodeError> {
         LaunchConfig::try_new(threads_per_block, num_blocks).map_err(DecodeError::BadLaunch)?;
     let num_warps = get_varint(buf, &mut pos)? as usize;
 
-    let mut warps = Vec::with_capacity(capped_capacity(num_warps, buf, pos));
+    let mut warps: Vec<WarpTrace> = Vec::with_capacity(capped_capacity(num_warps, buf, pos));
     for w in 0..num_warps {
         let n_insts = get_varint(buf, &mut pos)? as usize;
-        let mut insts = Vec::with_capacity(capped_capacity(n_insts, buf, pos));
+        let warp_id = WarpId::new(w as u32);
+        let block = BlockId::new((w / launch.warps_per_block()) as u32);
+        // Warps of one kernel are mostly the same size: the previous warp
+        // sizes this one's arenas (its size is itself bounded by the bytes
+        // that were there to decode).
+        let mut warp = match warps.last() {
+            Some(prev) => WarpTrace::sized_like(warp_id, block, prev),
+            None => WarpTrace::new(warp_id, block),
+        };
+        warp.insts.reserve(capped_capacity(n_insts, buf, pos));
+        let mut deps = [0u32; NUM_REGS];
+        let mut addrs = [0u64; WARP_SIZE];
         for _ in 0..n_insts {
             let pc = get_varint(buf, &mut pos)? as u32;
             let tag = *buf.get(pos).ok_or(DecodeError::Truncated)?;
             pos += 1;
             let kind = tag_kind(tag)?;
-            let n_deps = get_varint(buf, &mut pos)? as usize;
-            let mut deps = Vec::with_capacity(capped_capacity(n_deps, buf, pos));
+            let n_deps = get_varint(buf, &mut pos)?;
+            let deps = usize::try_from(n_deps)
+                .ok()
+                .and_then(|n| deps.get_mut(..n))
+                .ok_or(DecodeError::TooManyDeps(n_deps))?;
             let mut prev = 0u64;
-            for _ in 0..n_deps {
+            for d in deps.iter_mut() {
                 prev = prev.wrapping_add(get_varint(buf, &mut pos)?);
-                deps.push(prev as u32);
+                *d = prev as u32;
             }
             let mask_end = pos.checked_add(4).ok_or(DecodeError::Truncated)?;
             let mask_bytes: [u8; 4] = buf
@@ -258,21 +285,20 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, DecodeError> {
                 .ok_or(DecodeError::Truncated)?;
             let active_mask = u32::from_le_bytes(mask_bytes);
             pos = mask_end;
-            let n_addrs = get_varint(buf, &mut pos)? as usize;
-            let mut addrs = Vec::with_capacity(capped_capacity(n_addrs, buf, pos));
+            let n_addrs = get_varint(buf, &mut pos)?;
+            let addrs = usize::try_from(n_addrs)
+                .ok()
+                .and_then(|n| addrs.get_mut(..n))
+                .ok_or(DecodeError::TooManyAddrs(n_addrs))?;
             let mut prev = 0i64;
-            for _ in 0..n_addrs {
+            for a in addrs.iter_mut() {
                 prev = prev.wrapping_add(unzigzag(get_varint(buf, &mut pos)?));
-                addrs.push(prev as u64);
+                *a = prev as u64;
             }
-            insts.push(TraceInst { pc, kind, deps, active_mask, addrs });
+            warp.push(pc, kind, active_mask, deps, addrs)
+                .map_err(|e| DecodeError::Invalid(e.to_string()))?;
         }
-        let warp_id = WarpId::new(w as u32);
-        warps.push(WarpTrace {
-            warp: warp_id,
-            block: BlockId::new((w / launch.warps_per_block()) as u32),
-            insts,
-        });
+        warps.push(warp);
     }
     let trace = KernelTrace { name, launch, warps };
     trace.validate().map_err(|e| DecodeError::Invalid(e.to_string()))?;
@@ -396,6 +422,43 @@ mod tests {
             // Truncations must error (any variant), never panic.
             let _ = decode(&trace_bytes[..cut]);
         }
+    }
+
+    /// A one-warp, one-instruction trace whose instruction claims `n_deps`
+    /// dependencies and `n_addrs` addresses, with no bytes behind the claims.
+    fn header_claiming(n_deps: u64, n_addrs: Option<u64>) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.push(VERSION);
+        put_varint(&mut b, 1);
+        b.push(b'k');
+        for v in [32, 1, 1, 1, 0] {
+            put_varint(&mut b, v); // threads/block, blocks, warps, insts, pc
+        }
+        b.push(kind_tag(InstKind::Load(MemSpace::Global)));
+        put_varint(&mut b, n_deps);
+        if let Some(n_addrs) = n_addrs {
+            b.extend_from_slice(&u32::MAX.to_le_bytes());
+            put_varint(&mut b, n_addrs);
+        }
+        b
+    }
+
+    #[test]
+    fn oversized_list_claims_are_typed_errors_before_any_read() {
+        // One past each bound, and absurd claims that must not be reserved.
+        for n in [NUM_REGS as u64 + 1, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(decode(&header_claiming(n, None)), Err(DecodeError::TooManyDeps(n)));
+        }
+        for n in [WARP_SIZE as u64 + 1, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(decode(&header_claiming(0, Some(n))), Err(DecodeError::TooManyAddrs(n)));
+        }
+        // At the bound the claim is believed and the missing bytes are
+        // what is reported.
+        assert_eq!(decode(&header_claiming(NUM_REGS as u64, None)), Err(DecodeError::Truncated));
+        assert_eq!(
+            decode(&header_claiming(0, Some(WARP_SIZE as u64))),
+            Err(DecodeError::Truncated)
+        );
     }
 
     /// Deterministic corruption fan over the binary format: flip one

@@ -8,6 +8,13 @@
 //! stack: the cache model, the interval model, and the cycle-level oracle
 //! all consume [`KernelTrace`]s.
 //!
+//! The [`engine`] interprets a warp-instruction warp-wide — each source
+//! operand becomes one 32-lane vector, the value operation is dispatched
+//! once per warp-instruction — and a [`WarpTrace`] stores its instructions
+//! as small `Copy` rows ([`TraceInst`]) plus one dependency arena and one
+//! address arena, read through [`WarpTrace::deps`] and
+//! [`WarpTrace::addrs`] (see [`record`] for why rows and arenas).
+//!
 //! It also bundles the [`workloads`] library: 40 synthetic kernels that
 //! stand in for the Rodinia 2.1 / Parboil 2.5 / NVIDIA SDK kernels of the
 //! paper's evaluation, spanning the full space of memory divergence, cache
@@ -27,8 +34,11 @@
 //! let launch = LaunchConfig::new(64, 4); // 64 threads/block, 4 blocks
 //! let trace = trace_kernel(&kernel, launch)?;
 //! assert_eq!(trace.warps.len(), 8);
-//! assert!(trace.warps[0].insts.len() >= 4);
-//! # Ok::<(), gpumech_trace::TraceError>(())
+//! let warp = &trace.warps[0];
+//! assert!(warp.len() >= 4);
+//! let load = warp.insts.iter().find(|i| i.kind.is_global_load()).ok_or("no load")?;
+//! assert_eq!(warp.addrs(load).len(), 32);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod engine;
@@ -38,11 +48,10 @@ pub mod record;
 pub mod workloads;
 
 pub use engine::{
-    trace_kernel, trace_kernel_cancellable, trace_kernel_opts, trace_warp, TraceError,
-    TraceOptions, MAX_DYN_INSTS_PER_WARP,
+    trace_kernel, trace_kernel_cancellable, trace_warp, TraceError, MAX_DYN_INSTS_PER_WARP,
 };
 pub use launch::LaunchConfig;
-pub use record::{KernelTrace, TraceInst, WarpTrace};
+pub use record::{KernelTrace, RowOverflow, TraceInst, WarpTrace};
 pub use workloads::{DivergenceClass, Suite, Workload};
 
 /// Deterministic 64-bit mixer (SplitMix64 finalizer). Used for synthetic

@@ -1,28 +1,43 @@
 //! Dynamic trace records: the interface between the functional simulator
 //! and every downstream consumer (cache model, interval model, oracle).
+//!
+//! A warp's trace is a vector of small `Copy` rows ([`TraceInst`]) plus two
+//! arenas owned by the [`WarpTrace`]: one `Vec<u32>` holding every row's
+//! dependency list back to back and one `Vec<u64>` holding every memory
+//! row's per-lane addresses. A row stores an offset and a length into each
+//! arena and is read through [`WarpTrace::deps`] / [`WarpTrace::addrs`], so
+//! tracing a warp costs three growing allocations instead of two per
+//! dynamic instruction, and dropping a trace frees three blocks per warp.
+//!
+//! Rows plus two arenas, not full struct-of-arrays: every consumer reads
+//! `pc`, `kind` and `active_mask` of one instruction together, so those
+//! stay in one row (one cache line serves three rows); only the two
+//! variable-length lists move out.
+
+use std::hash::{Hash, Hasher};
 
 use gpumech_isa::{BlockId, InstKind, WarpId, WARP_SIZE};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::TraceError;
 use crate::launch::LaunchConfig;
 
-/// One dynamically executed warp-instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// One dynamically executed warp-instruction: a fixed-size row of its
+/// owning [`WarpTrace`]. The dependency and address lists live in the
+/// warp's arenas — read them with [`WarpTrace::deps`] and
+/// [`WarpTrace::addrs`].
+#[derive(Debug, Clone, Copy)]
 pub struct TraceInst {
     /// Static PC (index into the kernel's instruction array).
     pub pc: u32,
     /// Latency class.
     pub kind: InstKind,
-    /// Indices (into the owning [`WarpTrace::insts`]) of the instructions
-    /// that produced this instruction's register sources. Deduplicated and
-    /// sorted; empty for instructions with no register inputs.
-    pub deps: Vec<u32>,
     /// Bitmask of active lanes.
     pub active_mask: u32,
-    /// Per-active-lane byte addresses for memory instructions, in ascending
-    /// lane order. Empty for non-memory instructions.
-    pub addrs: Vec<u64>,
+    deps_off: u32,
+    addrs_off: u32,
+    deps_len: u8,
+    addrs_len: u8,
 }
 
 impl TraceInst {
@@ -33,8 +48,52 @@ impl TraceInst {
     }
 }
 
+/// A list handed to [`WarpTrace::push`], [`WarpTrace::set_deps`] or
+/// [`WarpTrace::set_addrs`] does not fit the row layout: more than 255
+/// entries, or an arena that would outgrow its 32-bit offsets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowOverflow;
+
+impl std::fmt::Display for RowOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("list exceeds the trace row layout (255 entries, 2^32-entry arena)")
+    }
+}
+
+impl std::error::Error for RowOverflow {}
+
+/// Appends `items` to `arena` and returns the `(offset, length)` a row
+/// stores for them.
+fn append<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Result<(u32, u8), RowOverflow> {
+    let len = u8::try_from(items.len()).map_err(|_| RowOverflow)?;
+    let off = u32::try_from(arena.len()).map_err(|_| RowOverflow)?;
+    arena.extend_from_slice(items);
+    Ok((off, len))
+}
+
+/// The arena range of one row, or the empty slice when the row points
+/// outside the arena (only a corrupted trace does; [`KernelTrace::validate`]
+/// reports it).
+fn span<T>(arena: &[T], off: u32, len: u8) -> &[T] {
+    let off = off as usize;
+    arena.get(off..off + len as usize).unwrap_or(&[])
+}
+
+/// One row with its lists resolved: the logical content of a dynamic
+/// instruction. Field order is the record's historical declaration order —
+/// `Hash` feeds fields in this order, and `gpumech_exec::trace_fingerprint`
+/// values (so on-disk profile caches, journals and shard plans) depend on it.
+#[derive(PartialEq, Eq, Hash)]
+struct Row<'a> {
+    pc: u32,
+    kind: InstKind,
+    deps: &'a [u32],
+    active_mask: u32,
+    addrs: &'a [u64],
+}
+
 /// The full dynamic trace of one warp.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WarpTrace {
     /// Grid-global warp id.
     pub warp: WarpId,
@@ -42,9 +101,33 @@ pub struct WarpTrace {
     pub block: BlockId,
     /// Executed instructions in program order.
     pub insts: Vec<TraceInst>,
+    /// Every row's dependency list, back to back.
+    deps: Vec<u32>,
+    /// Every memory row's per-active-lane addresses, back to back.
+    addrs: Vec<u64>,
 }
 
 impl WarpTrace {
+    /// An empty trace for `warp` of `block`.
+    #[must_use]
+    pub fn new(warp: WarpId, block: BlockId) -> Self {
+        Self { warp, block, insts: Vec::new(), deps: Vec::new(), addrs: Vec::new() }
+    }
+
+    /// An empty trace whose row vector and arenas are pre-sized to hold
+    /// what `like` holds — warps of one kernel mostly execute the same
+    /// instruction stream, so the previous warp is an exact size hint.
+    #[must_use]
+    pub fn sized_like(warp: WarpId, block: BlockId, like: &WarpTrace) -> Self {
+        Self {
+            warp,
+            block,
+            insts: Vec::with_capacity(like.insts.len()),
+            deps: Vec::with_capacity(like.deps.len()),
+            addrs: Vec::with_capacity(like.addrs.len()),
+        }
+    }
+
     /// Number of dynamic instructions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -62,6 +145,191 @@ impl WarpTrace {
     pub fn global_mem_insts(&self) -> usize {
         self.insts.iter().filter(|i| i.kind.is_global_mem()).count()
     }
+
+    /// Indices (into [`WarpTrace::insts`]) of the instructions that
+    /// produced `inst`'s register sources. Deduplicated and sorted; empty
+    /// for instructions with no register inputs. `inst` must be a row of
+    /// this warp.
+    #[must_use]
+    pub fn deps(&self, inst: &TraceInst) -> &[u32] {
+        span(&self.deps, inst.deps_off, inst.deps_len)
+    }
+
+    /// Per-active-lane byte addresses of a memory instruction, in ascending
+    /// lane order. Empty for non-memory instructions. `inst` must be a row
+    /// of this warp.
+    #[must_use]
+    pub fn addrs(&self, inst: &TraceInst) -> &[u64] {
+        span(&self.addrs, inst.addrs_off, inst.addrs_len)
+    }
+
+    /// Appends one dynamic instruction.
+    ///
+    /// # Errors
+    ///
+    /// [`RowOverflow`] when a list has more than 255 entries or an arena
+    /// would outgrow its 32-bit offsets; no row is appended then.
+    pub fn push(
+        &mut self,
+        pc: u32,
+        kind: InstKind,
+        active_mask: u32,
+        deps: &[u32],
+        addrs: &[u64],
+    ) -> Result<(), RowOverflow> {
+        let (addrs_off, addrs_len) = append(&mut self.addrs, addrs)?;
+        let (deps_off, deps_len) = append(&mut self.deps, deps)?;
+        self.insts.push(TraceInst { pc, kind, active_mask, deps_off, addrs_off, deps_len, addrs_len });
+        Ok(())
+    }
+
+    /// Replaces the dependency list of row `k` (the new list is appended to
+    /// the arena; the old range is left unreferenced).
+    ///
+    /// # Errors
+    ///
+    /// [`RowOverflow`] as for [`WarpTrace::push`]; the row is unchanged then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn set_deps(&mut self, k: usize, deps: &[u32]) -> Result<(), RowOverflow> {
+        let (off, len) = append(&mut self.deps, deps)?;
+        let row = &mut self.insts[k];
+        (row.deps_off, row.deps_len) = (off, len);
+        Ok(())
+    }
+
+    /// Replaces the address list of row `k`, like [`WarpTrace::set_deps`].
+    ///
+    /// # Errors
+    ///
+    /// [`RowOverflow`] as for [`WarpTrace::push`]; the row is unchanged then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn set_addrs(&mut self, k: usize, addrs: &[u64]) -> Result<(), RowOverflow> {
+        let (off, len) = append(&mut self.addrs, addrs)?;
+        let row = &mut self.insts[k];
+        (row.addrs_off, row.addrs_len) = (off, len);
+        Ok(())
+    }
+
+    /// Shortens the arenas to at most `deps` and `addrs` entries without
+    /// touching the rows, so rows whose lists lay beyond the cut now point
+    /// outside their arena — the corruption a torn or hand-edited trace
+    /// would carry, which [`KernelTrace::validate`] must reject.
+    pub fn truncate_arenas(&mut self, deps: usize, addrs: usize) {
+        self.deps.truncate(deps);
+        self.addrs.truncate(addrs);
+    }
+
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        self.insts.iter().map(|i| Row {
+            pc: i.pc,
+            kind: i.kind,
+            deps: self.deps(i),
+            active_mask: i.active_mask,
+            addrs: self.addrs(i),
+        })
+    }
+
+    /// `true` when row `inst`'s lists lie inside the arenas (a list that
+    /// does not reads back empty, so shorter than the row says).
+    fn in_arenas(&self, inst: &TraceInst) -> bool {
+        self.deps(inst).len() == usize::from(inst.deps_len)
+            && self.addrs(inst).len() == usize::from(inst.addrs_len)
+    }
+}
+
+/// Equality of content, not of arena layout: two traces are equal when
+/// their rows, resolved through their own arenas, are.
+impl PartialEq for WarpTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.warp == other.warp
+            && self.block == other.block
+            && self.insts.len() == other.insts.len()
+            && self.rows().eq(other.rows())
+    }
+}
+
+impl Eq for WarpTrace {}
+
+/// Feeds the hasher exactly what `#[derive(Hash)]` fed it when rows owned
+/// their lists as `Vec`s (ids, row count, then per row `pc`, `kind`, the
+/// dependency slice, `active_mask`, the address slice), so every
+/// fingerprint computed before the arena layout is still valid.
+impl Hash for WarpTrace {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.warp.hash(state);
+        self.block.hash(state);
+        state.write_usize(self.insts.len());
+        for row in self.rows() {
+            row.hash(state);
+        }
+    }
+}
+
+// The JSON shape is the one the derive produced for rows owning `deps` and
+// `addrs` vectors: `{"warp", "block", "insts": [{"pc", "kind", "deps",
+// "active_mask", "addrs"}]}`.
+impl Serialize for WarpTrace {
+    fn to_value(&self) -> Value {
+        let insts = self
+            .rows()
+            .map(|r| {
+                Value::Object(vec![
+                    ("pc".to_string(), r.pc.to_value()),
+                    ("kind".to_string(), r.kind.to_value()),
+                    ("deps".to_string(), r.deps.to_value()),
+                    ("active_mask".to_string(), r.active_mask.to_value()),
+                    ("addrs".to_string(), r.addrs.to_value()),
+                ])
+            })
+            .collect();
+        Value::Object(vec![
+            ("warp".to_string(), self.warp.to_value()),
+            ("block".to_string(), self.block.to_value()),
+            ("insts".to_string(), Value::Array(insts)),
+        ])
+    }
+}
+
+/// A required field of a JSON object, with the field name on any error.
+fn field<T: Deserialize>(object: &Value, name: &str) -> Result<T, serde::Error> {
+    let v = object.get_field(name).ok_or_else(|| serde::Error::missing_field(name))?;
+    T::from_value(v).map_err(|e| e.in_field(name))
+}
+
+impl Deserialize for WarpTrace {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        if !matches!(value, Value::Object(_)) {
+            return Err(serde::Error::invalid_type("struct WarpTrace", value));
+        }
+        let mut warp = WarpTrace::new(field(value, "warp")?, field(value, "block")?);
+        let insts = match value.get_field("insts") {
+            Some(Value::Array(items)) => items,
+            Some(other) => return Err(serde::Error::invalid_type("array", other).in_field("insts")),
+            None => return Err(serde::Error::missing_field("insts")),
+        };
+        for item in insts {
+            if !matches!(item, Value::Object(_)) {
+                return Err(serde::Error::invalid_type("struct TraceInst", item).in_field("insts"));
+            }
+            let deps: Vec<u32> = field(item, "deps")?;
+            let addrs: Vec<u64> = field(item, "addrs")?;
+            warp.push(
+                field(item, "pc")?,
+                field(item, "kind")?,
+                field(item, "active_mask")?,
+                &deps,
+                &addrs,
+            )
+            .map_err(|e| serde::Error::custom(e.to_string()).in_field("insts"))?;
+        }
+        Ok(warp)
+    }
 }
 
 /// The traces of every warp of a kernel launch.
@@ -76,6 +344,11 @@ pub struct KernelTrace {
 }
 
 impl KernelTrace {
+    /// Largest static kernel (in instructions) accepted from untrusted
+    /// traces: every row's `pc` must be below it, so consumers may index
+    /// per-PC tables by `pc` without sizing them from hostile input.
+    pub const MAX_STATIC_INSTS: u32 = 1 << 20;
+
     /// Total dynamic warp-instructions across all warps.
     #[must_use]
     pub fn total_insts(&self) -> usize {
@@ -96,9 +369,11 @@ impl KernelTrace {
     ///
     /// Invariants: the launch geometry is well-formed, the warp count
     /// matches the grid, every warp is non-empty with consistent warp/block
-    /// ids, dependency indices are strictly ascending and refer only to
-    /// earlier instructions, active masks are non-zero, and address lists
-    /// are consistent with the instruction kind and active-lane count.
+    /// ids, every row's lists lie inside the warp's arenas (checked before
+    /// either list is read), PCs are below [`Self::MAX_STATIC_INSTS`],
+    /// dependency indices are strictly ascending and refer only to earlier
+    /// instructions, active masks are non-zero, and address lists are
+    /// consistent with the instruction kind and active-lane count.
     ///
     /// # Errors
     ///
@@ -144,8 +419,29 @@ impl KernelTrace {
                 ));
             }
             for (k, inst) in w.insts.iter().enumerate() {
+                if !w.in_arenas(inst) {
+                    return Err(corrupt(
+                        Some(i),
+                        format!(
+                            "instruction {k} (pc {}) points outside the warp's dependency or \
+                             address arena",
+                            inst.pc
+                        ),
+                    ));
+                }
+                if inst.pc >= Self::MAX_STATIC_INSTS {
+                    return Err(corrupt(
+                        Some(i),
+                        format!(
+                            "instruction {k} has pc {}, beyond the {} static instructions a \
+                             kernel may have",
+                            inst.pc,
+                            Self::MAX_STATIC_INSTS
+                        ),
+                    ));
+                }
                 let mut prev: Option<u32> = None;
-                for &d in &inst.deps {
+                for &d in w.deps(inst) {
                     if d as usize >= k {
                         return Err(corrupt(
                             Some(i),
@@ -176,14 +472,14 @@ impl KernelTrace {
                 }
                 let expected_addrs =
                     if inst.kind.is_mem() { inst.active_lanes() as usize } else { 0 };
-                if inst.addrs.len() != expected_addrs || inst.addrs.len() > WARP_SIZE {
+                let n_addrs = w.addrs(inst).len();
+                if n_addrs != expected_addrs || n_addrs > WARP_SIZE {
                     return Err(corrupt(
                         Some(i),
                         format!(
-                            "instruction {k} (pc {}) records {} addresses but its kind and \
-                             active mask imply {expected_addrs}",
-                            inst.pc,
-                            inst.addrs.len()
+                            "instruction {k} (pc {}) records {n_addrs} addresses but its kind \
+                             and active mask imply {expected_addrs}",
+                            inst.pc
                         ),
                     ));
                 }
@@ -199,28 +495,29 @@ mod tests {
     use super::*;
     use gpumech_isa::MemSpace;
 
-    fn inst(kind: InstKind, mask: u32) -> TraceInst {
-        TraceInst { pc: 0, kind, deps: vec![], active_mask: mask, addrs: vec![] }
+    fn warp_of(rows: &[(InstKind, u32)]) -> WarpTrace {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        for &(kind, mask) in rows {
+            wt.push(0, kind, mask, &[], &[]).unwrap();
+        }
+        wt
     }
 
     #[test]
     fn active_lane_count() {
-        assert_eq!(inst(InstKind::IntAlu, 0xFFFF_FFFF).active_lanes(), 32);
-        assert_eq!(inst(InstKind::IntAlu, 0b1011).active_lanes(), 3);
+        let wt = warp_of(&[(InstKind::IntAlu, 0xFFFF_FFFF), (InstKind::IntAlu, 0b1011)]);
+        assert_eq!(wt.insts[0].active_lanes(), 32);
+        assert_eq!(wt.insts[1].active_lanes(), 3);
     }
 
     #[test]
     fn trace_counters() {
-        let wt = WarpTrace {
-            warp: WarpId::new(0),
-            block: BlockId::new(0),
-            insts: vec![
-                inst(InstKind::IntAlu, 1),
-                inst(InstKind::Load(MemSpace::Global), 1),
-                inst(InstKind::Load(MemSpace::Shared), 1),
-                inst(InstKind::Store(MemSpace::Global), 1),
-            ],
-        };
+        let wt = warp_of(&[
+            (InstKind::IntAlu, 1),
+            (InstKind::Load(MemSpace::Global), 1),
+            (InstKind::Load(MemSpace::Shared), 1),
+            (InstKind::Store(MemSpace::Global), 1),
+        ]);
         assert_eq!(wt.len(), 4);
         assert!(!wt.is_empty());
         assert_eq!(wt.global_mem_insts(), 2);
@@ -231,5 +528,73 @@ mod tests {
         };
         assert_eq!(kt.total_insts(), 8);
         assert_eq!(kt.total_global_mem_insts(), 4);
+    }
+
+    #[test]
+    fn rows_read_their_lists_back_from_the_arenas() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push(0, InstKind::IntAlu, 0b11, &[], &[]).unwrap();
+        wt.push(1, InstKind::Load(MemSpace::Global), 0b11, &[0], &[0x100, 0x104]).unwrap();
+        wt.push(2, InstKind::FpAdd, 0b11, &[0, 1], &[]).unwrap();
+        assert_eq!(wt.deps(&wt.insts[0]), &[] as &[u32]);
+        assert_eq!(wt.addrs(&wt.insts[1]), &[0x100, 0x104]);
+        assert_eq!(wt.deps(&wt.insts[2]), &[0, 1]);
+        assert_eq!(std::mem::size_of::<TraceInst>(), 20, "a row stays small");
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_arena_layout() {
+        let mut a = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        a.push(0, InstKind::IntAlu, 1, &[], &[]).unwrap();
+        a.push(1, InstKind::IntAlu, 1, &[0], &[]).unwrap();
+        let mut b = a.clone();
+        // Same content, different layout: the list is re-appended.
+        b.set_deps(1, &[0]).unwrap();
+        assert_eq!(a, b);
+        let digest = |w: &WarpTrace| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            w.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&a), digest(&b));
+        b.set_deps(1, &[]).unwrap();
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn oversized_lists_are_refused_without_a_partial_row() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        assert_eq!(wt.push(0, InstKind::IntAlu, 1, &[0; 256], &[]), Err(RowOverflow));
+        assert_eq!(wt.push(0, InstKind::IntAlu, 1, &[], &[0; 256]), Err(RowOverflow));
+        assert!(wt.is_empty());
+        wt.push(0, InstKind::IntAlu, 1, &[], &[]).unwrap();
+        assert_eq!(wt.set_addrs(0, &[0; 256]), Err(RowOverflow));
+        assert_eq!(wt.addrs(&wt.insts[0]), &[] as &[u64]);
+    }
+
+    #[test]
+    fn a_row_outside_its_arena_reads_empty_and_fails_validation() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push(0, InstKind::Load(MemSpace::Global), 1, &[], &[0x40]).unwrap();
+        wt.push(1, InstKind::Exit, 1, &[0], &[]).unwrap();
+        let mut kt =
+            KernelTrace { name: "k".into(), launch: LaunchConfig::new(32, 1), warps: vec![wt] };
+        assert!(kt.validate().is_ok());
+        kt.warps[0].truncate_arenas(0, 0);
+        let w = &kt.warps[0];
+        assert_eq!(w.addrs(&w.insts[0]), &[] as &[u64]);
+        assert_eq!(w.deps(&w.insts[1]), &[] as &[u32]);
+        let err = kt.validate().unwrap_err().to_string();
+        assert!(err.contains("outside the warp's dependency or address arena"), "{err}");
+    }
+
+    #[test]
+    fn a_pc_beyond_any_kernel_fails_validation() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push(KernelTrace::MAX_STATIC_INSTS, InstKind::Exit, 1, &[], &[]).unwrap();
+        let kt =
+            KernelTrace { name: "k".into(), launch: LaunchConfig::new(32, 1), warps: vec![wt] };
+        let err = kt.validate().unwrap_err().to_string();
+        assert!(err.contains("beyond the 1048576 static instructions"), "{err}");
     }
 }

@@ -95,12 +95,7 @@ impl Workload {
         &self,
         cancel: &gpumech_obs::CancelToken,
     ) -> Result<KernelTrace, TraceError> {
-        crate::trace_kernel_cancellable(
-            &self.kernel,
-            self.launch,
-            crate::TraceOptions::default(),
-            cancel,
-        )
+        crate::trace_kernel_cancellable(&self.kernel, self.launch, cancel)
     }
 
     /// Returns a copy with a different block count (used by fast tests and
@@ -813,8 +808,10 @@ mod tests {
     fn coalesced_workloads_have_low_request_counts() {
         let w = by_name("sdk_vectoradd").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
-        for inst in t.warps[0].insts.iter().filter(|i| i.kind.is_global_mem()) {
-            assert!(requests(&inst.addrs) <= 2, "vectoradd should coalesce: {:?}", inst.addrs);
+        let wt = &t.warps[0];
+        for inst in wt.insts.iter().filter(|i| i.kind.is_global_mem()) {
+            let addrs = wt.addrs(inst);
+            assert!(requests(addrs) <= 2, "vectoradd should coalesce: {addrs:?}");
         }
     }
 
@@ -822,22 +819,24 @@ mod tests {
     fn high_divergence_workloads_reach_32_requests() {
         let w = by_name("sdk_transpose").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
-        let max_req = t.warps[0]
+        let wt = &t.warps[0];
+        let max_req = wt
             .insts
             .iter()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(wt.addrs(i)))
             .max()
             .unwrap();
         assert_eq!(max_req, 32, "transpose stores should be fully divergent");
 
         let w = by_name("kmeans_invert_mapping").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
-        let max_req = t.warps[0]
+        let wt = &t.warps[0];
+        let max_req = wt
             .insts
             .iter()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(wt.addrs(i)))
             .max()
             .unwrap();
         assert!(max_req >= 30, "invert_mapping stores should be ~fully divergent, got {max_req}");
@@ -847,11 +846,12 @@ mod tests {
     fn medium_divergence_sits_between() {
         let w = by_name("cfd_compute_flux").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
-        let reqs: Vec<usize> = t.warps[0]
+        let wt = &t.warps[0];
+        let reqs: Vec<usize> = wt
             .insts
             .iter()
             .filter(|i| i.kind.is_global_load())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(wt.addrs(i)))
             .collect();
         let max = *reqs.iter().max().unwrap();
         // 32 lanes x 64 B stride = 16 lines, +1 when the region wrap splits
@@ -907,7 +907,7 @@ mod tests {
                     break;
                 }
                 if seen.insert(n) {
-                    frontier.extend(wt.insts[n as usize].deps.iter().copied());
+                    frontier.extend(wt.deps(&wt.insts[n as usize]));
                 }
             }
             assert!(reaches, "load {next} does not depend on load {prev}");
@@ -940,9 +940,9 @@ mod tests {
         let t = w.trace().unwrap();
         let hot_base = 1u64 << 32; // region(0)
         let (mut hot, mut cold) = (0usize, 0usize);
-        for inst in t.warps.iter().flat_map(|wt| wt.insts.iter()) {
+        for (wt, inst) in t.warps.iter().flat_map(|wt| wt.insts.iter().map(move |i| (wt, i))) {
             if inst.kind.is_global_load() {
-                if inst.addrs.iter().all(|&a| a >= hot_base && a < hot_base + (1 << 20)) {
+                if wt.addrs(inst).iter().all(|&a| a >= hot_base && a < hot_base + (1 << 20)) {
                     hot += 1;
                 } else {
                     cold += 1;
