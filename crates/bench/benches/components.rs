@@ -9,7 +9,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use gpumech_bench::bench_wall;
-use gpumech_core::{build_profile, multithreading_cpi, select_representative, SelectionMethod};
+use gpumech_core::{
+    build_profile, multithreading_cpi, select_representative, ProfileBuilder, SelectionMethod,
+};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_mem::simulate_hierarchy;
 use gpumech_trace::workloads;
@@ -19,15 +21,18 @@ fn main() {
     let cfg = SimConfig::table1();
     let trace = w.trace().expect("trace");
     let mem = simulate_hierarchy(&trace, &cfg);
-    let profiles: Vec<_> = trace.warps.iter().map(|wt| build_profile(wt, &cfg, &mem)).collect();
+    // One builder for the kernel's warps, as `Gpumech::analyze` profiles them.
+    let all_warps = || {
+        let mut builder = ProfileBuilder::new(&cfg, &mem);
+        trace.warps.iter().map(|wt| builder.build(wt)).collect::<Vec<_>>()
+    };
+    let profiles = all_warps();
 
     println!("components ({}, {} blocks)", w.name, 32);
     bench_wall("static_analysis", 100, || gpumech_analyze::analyze(&w.kernel));
     bench_wall("trace_generation", 50, || w.trace().expect("trace"));
     bench_wall("cache_simulation", 10, || simulate_hierarchy(&trace, &cfg));
-    bench_wall("interval_algorithm_all_warps", 10, || {
-        trace.warps.iter().map(|wt| build_profile(wt, &cfg, &mem)).collect::<Vec<_>>()
-    });
+    bench_wall("interval_algorithm_all_warps", 10, all_warps);
     bench_wall("interval_algorithm_one_warp", 100, || build_profile(&trace.warps[0], &cfg, &mem));
     bench_wall("kmeans_clustering", 10, || {
         select_representative(&profiles, SelectionMethod::Clustering)

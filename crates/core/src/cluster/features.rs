@@ -29,17 +29,23 @@ impl FeatureVector {
 /// Degenerate inputs (zero average) normalize to zero rather than NaN.
 #[must_use]
 pub fn feature_vectors(profiles: &[IntervalProfile]) -> Vec<FeatureVector> {
-    let n = profiles.len().max(1) as f64;
-    let avg_perf: f64 = profiles.iter().map(IntervalProfile::warp_perf).sum::<f64>() / n;
-    let avg_insts: f64 =
-        profiles.iter().map(|p| p.total_insts() as f64).sum::<f64>() / n;
-    profiles
+    // One walk of each profile's intervals; the vectors hold the raw
+    // performance and instruction count until the averages are known.
+    let mut feats: Vec<FeatureVector> = profiles
         .iter()
-        .map(|p| FeatureVector {
-            perf: if avg_perf > 0.0 { p.warp_perf() / avg_perf } else { 0.0 },
-            insts: if avg_insts > 0.0 { p.total_insts() as f64 / avg_insts } else { 0.0 },
+        .map(|p| {
+            let (insts, perf) = p.insts_and_perf();
+            FeatureVector { perf, insts: insts as f64 }
         })
-        .collect()
+        .collect();
+    let n = profiles.len().max(1) as f64;
+    let avg_perf: f64 = feats.iter().map(|f| f.perf).sum::<f64>() / n;
+    let avg_insts: f64 = feats.iter().map(|f| f.insts).sum::<f64>() / n;
+    for f in &mut feats {
+        f.perf = if avg_perf > 0.0 { f.perf / avg_perf } else { 0.0 };
+        f.insts = if avg_insts > 0.0 { f.insts / avg_insts } else { 0.0 };
+    }
+    feats
 }
 
 #[cfg(test)]

@@ -8,112 +8,199 @@
 //! produced by the functional cache simulation (Section V-B).
 
 use gpumech_isa::{InstKind, MemSpace, SimConfig};
-use gpumech_mem::MemStats;
-use gpumech_trace::{TraceInst, WarpTrace};
+use gpumech_mem::{MemStats, PcStats};
+use gpumech_trace::{KernelTrace, TraceInst, WarpTrace};
 
 use super::profile::{Interval, IntervalProfile, StallCause};
 
-/// Latency the interval model assigns to one dynamic instruction.
-fn latency_of(inst: &TraceInst, cfg: &SimConfig, mem: &MemStats) -> f64 {
-    match inst.kind {
-        InstKind::Load(MemSpace::Global) => mem.load_latency(inst.pc),
-        // Stores retire at issue (write-through, nothing depends on them).
-        InstKind::Store(MemSpace::Global) => 1.0,
-        kind => cfg.latencies.latency_of(kind) as f64,
+/// What the interval loop needs from the cache statistics of one PC: the
+/// AMAT a load there resolves in, and the expected requests and miss
+/// events one execution adds to its interval.
+#[derive(Debug, Clone, Copy)]
+struct PcRow {
+    load_latency: f64,
+    mem_reqs: f64,
+    mshr_reqs: f64,
+    dram_reqs: f64,
+    mshr_load_events: f64,
+    dram_load_events: f64,
+}
+
+impl PcRow {
+    /// Default `stats` (a PC that never executed) give an L1 hit that
+    /// issues nothing.
+    fn new(mem: &MemStats, stats: &PcStats) -> Self {
+        let dist = stats.miss_dist();
+        Self {
+            load_latency: mem.amat(&dist),
+            mem_reqs: stats.reqs_per_inst(),
+            mshr_reqs: stats.mshr_reqs_per_inst(),
+            dram_reqs: stats.dram_reqs_per_inst(),
+            mshr_load_events: dist.l2_hit + dist.l2_miss,
+            dram_load_events: dist.l2_miss,
+        }
     }
 }
 
-/// Builds the interval profile of one warp (Equations 2 and 4).
-///
-/// Each interval also accumulates the expected memory-request statistics of
-/// its instructions (from the per-PC cache statistics), which the
-/// contention models of Section IV-B consume.
+/// Builds the interval profiles of the warps of one analysis (Equations 2
+/// and 4): everything that depends only on the machine and the cache
+/// statistics is worked out once, and the buffers a warp needs are kept
+/// for the next.
+#[derive(Debug)]
+pub struct ProfileBuilder<'a> {
+    cfg: &'a SimConfig,
+    mem: &'a MemStats,
+    /// [`PcRow`]s indexed by PC, covering every PC of `mem` a validated
+    /// trace can hold; any other PC is looked up in `mem` when met.
+    rows: Vec<PcRow>,
+    /// The row of a PC without statistics.
+    absent: PcRow,
+    issue_rate: f64,
+    /// Cycles one issue takes, `1 / issue_rate`.
+    issue_slot: f64,
+    /// Completion time of every instruction of the warp being profiled.
+    done: Vec<f64>,
+    /// Intervals of the last warp profiled — warps of one kernel mostly
+    /// form the same intervals, so it sizes the next warp's list.
+    last_intervals: usize,
+}
+
+impl<'a> ProfileBuilder<'a> {
+    /// A builder for warps of a kernel whose cache statistics are `mem`.
+    #[must_use]
+    pub fn new(cfg: &'a SimConfig, mem: &'a MemStats) -> Self {
+        let absent = PcRow::new(mem, &PcStats::default());
+        let bound = KernelTrace::MAX_STATIC_INSTS;
+        let len = mem.iter().next_back().map_or(0, |(pc, _)| pc.min(bound - 1) + 1);
+        let mut rows = vec![absent; len as usize];
+        for (pc, stats) in mem.iter().take_while(|&(pc, _)| pc < len) {
+            rows[pc as usize] = PcRow::new(mem, stats);
+        }
+        let issue_rate = cfg.issue_rate();
+        Self {
+            cfg,
+            mem,
+            rows,
+            absent,
+            issue_rate,
+            issue_slot: 1.0 / issue_rate,
+            done: Vec::new(),
+            last_intervals: 0,
+        }
+    }
+
+    fn row(&self, pc: u32) -> PcRow {
+        match self.rows.get(pc as usize) {
+            Some(&row) => row,
+            None => self.mem.pc_stats(pc).map_or(self.absent, |s| PcRow::new(self.mem, s)),
+        }
+    }
+
+    /// Adds `inst` to the interval being formed and returns the latency the
+    /// model assigns to it.
+    fn account(&self, cur: &mut Interval, inst: &TraceInst) -> f64 {
+        cur.insts += 1;
+        match inst.kind {
+            InstKind::Load(MemSpace::Global) => {
+                let row = self.row(inst.pc);
+                cur.load_insts += 1;
+                cur.mem_reqs += row.mem_reqs;
+                cur.mshr_reqs += row.mshr_reqs;
+                cur.dram_reqs += row.dram_reqs;
+                cur.mshr_load_events += row.mshr_load_events;
+                cur.dram_load_events += row.dram_load_events;
+                row.load_latency
+            }
+            InstKind::Store(MemSpace::Global) => {
+                let row = self.row(inst.pc);
+                cur.store_insts += 1;
+                cur.mem_reqs += row.mem_reqs;
+                // Stores never allocate MSHRs; all their traffic hits DRAM.
+                cur.dram_reqs += row.dram_reqs;
+                // Stores retire at issue (write-through, nothing depends on
+                // them).
+                1.0
+            }
+            kind => {
+                if kind == InstKind::Sfu {
+                    cur.sfu_insts += 1;
+                }
+                self.cfg.latencies.latency_of(kind) as f64
+            }
+        }
+    }
+
+    /// Builds the interval profile of one warp.
+    ///
+    /// Each interval also accumulates the expected memory-request
+    /// statistics of its instructions (from the per-PC cache statistics),
+    /// which the contention models of Section IV-B consume.
+    pub fn build(&mut self, warp: &WarpTrace) -> IntervalProfile {
+        // The capacity pushing one by one would have reached for the last
+        // warp's intervals: lists stay in the allocator's power-of-two size
+        // classes, which later analyses refill.
+        let capacity = match self.last_intervals {
+            0 => 0,
+            n => n.next_power_of_two().max(4),
+        };
+        let mut profile =
+            IntervalProfile { intervals: Vec::with_capacity(capacity), issue_rate: self.issue_rate };
+        let Some(first) = warp.insts.first() else { return profile };
+
+        let mut done = std::mem::take(&mut self.done);
+        done.clear();
+        done.resize(warp.insts.len(), 0.0);
+
+        // Accumulators for the interval currently being formed.
+        let mut cur = Interval::default();
+        let mut issue_prev = 0.0f64;
+        done[0] = issue_prev + self.account(&mut cur, first);
+
+        for (k, inst) in warp.insts.iter().enumerate().skip(1) {
+            // Equation 4: issue(k) = max(issue(k-1) + 1, done(source) + 1).
+            let mut dep_done = 0.0f64;
+            let mut blamed: Option<&TraceInst> = None;
+            for &d in warp.deps(inst) {
+                let dd = done[d as usize];
+                if dd > dep_done {
+                    dep_done = dd;
+                    blamed = Some(&warp.insts[d as usize]);
+                }
+            }
+            let seq = issue_prev + self.issue_slot;
+            let issue = seq.max(dep_done + self.issue_slot);
+
+            let stall = issue - seq;
+            if stall > 1e-9 {
+                // Close the current interval; the stalled consumer's producer
+                // gets the blame (Figure 6: the instruction "that leads to
+                // stall cycles").
+                cur.stall_cycles = stall;
+                cur.cause = match blamed {
+                    Some(b) if matches!(b.kind, InstKind::Load(MemSpace::Global)) => {
+                        StallCause::Memory { pc: b.pc }
+                    }
+                    _ => StallCause::Compute,
+                };
+                profile.intervals.push(std::mem::take(&mut cur));
+            }
+            done[k] = issue + self.account(&mut cur, inst);
+            issue_prev = issue;
+        }
+        // The final interval ends with the trace (no trailing stall).
+        profile.intervals.push(cur);
+        self.last_intervals = profile.intervals.len();
+        self.done = done;
+        profile
+    }
+}
+
+/// Builds the interval profile of one warp (Equations 2 and 4): a
+/// [`ProfileBuilder`] used once. Profile the warps of one kernel through
+/// one builder instead.
 #[must_use]
 pub fn build_profile(warp: &WarpTrace, cfg: &SimConfig, mem: &MemStats) -> IntervalProfile {
-    let issue_rate = cfg.issue_rate();
-    let n = warp.insts.len();
-    let mut profile = IntervalProfile { intervals: Vec::new(), issue_rate };
-    if n == 0 {
-        return profile;
-    }
-
-    let mut done = vec![0.0f64; n];
-    let mut issue_prev = 0.0f64;
-    done[0] = issue_prev + latency_of(&warp.insts[0], cfg, mem);
-
-    // Accumulators for the interval currently being formed.
-    let mut cur = new_interval();
-    accumulate(&mut cur, &warp.insts[0], mem, cfg);
-
-    for k in 1..n {
-        let inst = &warp.insts[k];
-        // Equation 4: issue(k) = max(issue(k-1) + 1, done(source) + 1).
-        let mut dep_done = 0.0f64;
-        let mut blamed: Option<&TraceInst> = None;
-        for &d in warp.deps(inst) {
-            let dd = done[d as usize];
-            if dd > dep_done {
-                dep_done = dd;
-                blamed = Some(&warp.insts[d as usize]);
-            }
-        }
-        let seq = issue_prev + 1.0 / issue_rate;
-        let issue = seq.max(dep_done + 1.0 / issue_rate);
-        done[k] = issue + latency_of(inst, cfg, mem);
-
-        let stall = issue - seq;
-        if stall > 1e-9 {
-            // Close the current interval; the stalled consumer's producer
-            // gets the blame (Figure 6: the instruction "that leads to
-            // stall cycles").
-            cur.stall_cycles = stall;
-            cur.cause = match blamed {
-                Some(b) if matches!(b.kind, InstKind::Load(MemSpace::Global)) => {
-                    StallCause::Memory { pc: b.pc }
-                }
-                _ => StallCause::Compute,
-            };
-            profile.intervals.push(std::mem::replace(&mut cur, new_interval()));
-        }
-        accumulate(&mut cur, inst, mem, cfg);
-        issue_prev = issue;
-    }
-    // The final interval ends with the trace (no trailing stall).
-    profile.intervals.push(cur);
-    profile
-}
-
-fn new_interval() -> Interval {
-    Interval::default()
-}
-
-fn accumulate(cur: &mut Interval, inst: &TraceInst, mem: &MemStats, _cfg: &SimConfig) {
-    cur.insts += 1;
-    match inst.kind {
-        InstKind::Load(MemSpace::Global) => {
-            cur.load_insts += 1;
-            if let Some(s) = mem.pc_stats(inst.pc) {
-                cur.mem_reqs += s.reqs_per_inst();
-                cur.mshr_reqs += s.mshr_reqs_per_inst();
-                cur.dram_reqs += s.dram_reqs_per_inst();
-                let d = mem.miss_dist(inst.pc);
-                cur.mshr_load_events += d.l2_hit + d.l2_miss;
-                cur.dram_load_events += d.l2_miss;
-            }
-        }
-        InstKind::Sfu => {
-            cur.sfu_insts += 1;
-        }
-        InstKind::Store(MemSpace::Global) => {
-            cur.store_insts += 1;
-            if let Some(s) = mem.pc_stats(inst.pc) {
-                cur.mem_reqs += s.reqs_per_inst();
-                // Stores never allocate MSHRs; all their traffic hits DRAM.
-                cur.dram_reqs += s.dram_reqs_per_inst();
-            }
-        }
-        _ => {}
-    }
+    ProfileBuilder::new(cfg, mem).build(warp)
 }
 
 #[cfg(test)]

@@ -5,6 +5,6 @@ mod algorithm;
 mod profile;
 mod summary;
 
-pub use algorithm::build_profile;
+pub use algorithm::{build_profile, ProfileBuilder};
 pub use profile::{Interval, IntervalProfile, StallCause};
 pub use summary::{summarize_population, PopulationSummary, ProfileSummary};

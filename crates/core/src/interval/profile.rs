@@ -80,30 +80,48 @@ pub struct IntervalProfile {
 }
 
 impl IntervalProfile {
+    /// Total instructions and total stall cycles, in one walk.
+    fn totals(&self) -> (u64, f64) {
+        self.intervals
+            .iter()
+            .fold((0, 0.0), |(insts, stall), i| (insts + i.insts, stall + i.stall_cycles))
+    }
+
     /// Total instructions across all intervals.
     #[must_use]
     pub fn total_insts(&self) -> u64 {
-        self.intervals.iter().map(|i| i.insts).sum()
+        self.totals().0
     }
 
     /// Total stall cycles across all intervals.
     #[must_use]
     pub fn total_stall_cycles(&self) -> f64 {
-        self.intervals.iter().map(|i| i.stall_cycles).sum()
+        self.totals().1
     }
 
     /// Single-warp execution time:
     /// `Σ (insts_i / issue_rate + stall_cycles_i)`.
     #[must_use]
     pub fn total_cycles(&self) -> f64 {
-        self.total_insts() as f64 / self.issue_rate + self.total_stall_cycles()
+        self.insts_and_cycles().1
+    }
+
+    /// [`Self::total_insts`] and [`Self::total_cycles`] from one walk.
+    fn insts_and_cycles(&self) -> (u64, f64) {
+        let (insts, stall) = self.totals();
+        (insts, insts as f64 / self.issue_rate + stall)
+    }
+
+    /// [`Self::total_insts`] and [`Self::warp_perf`] from one walk.
+    pub(crate) fn insts_and_perf(&self) -> (u64, f64) {
+        let (insts, cycles) = self.insts_and_cycles();
+        (insts, if cycles == 0.0 { 0.0 } else { insts as f64 / cycles })
     }
 
     /// Warp performance (Equation 5): single-warp IPC.
     #[must_use]
     pub fn warp_perf(&self) -> f64 {
-        let c = self.total_cycles();
-        if c == 0.0 { 0.0 } else { self.total_insts() as f64 / c }
+        self.insts_and_perf().1
     }
 
     /// Issue probability (Equation 9): the probability a lone warp can

@@ -17,7 +17,7 @@ use crate::baselines::{markov_chain_cpi, naive_interval_cpi};
 use crate::cluster::{select_representative, SelectionMethod};
 use crate::contention::{contention_cpi, ContentionResult};
 use crate::cpistack::CpiStack;
-use crate::interval::{build_profile, IntervalProfile};
+use crate::interval::{IntervalProfile, ProfileBuilder};
 use crate::multiwarp::{multithreading_cpi, MultithreadingResult};
 use crate::request::{PredictionRequest, Source, Weighting};
 
@@ -323,7 +323,8 @@ impl Gpumech {
     /// Returns [`ModelError::InvalidConfig`] or [`ModelError::EmptyKernel`].
     pub fn analyze(&self, trace: &KernelTrace) -> Result<Analysis, ModelError> {
         self.analyze_with(trace, |warps, cfg, mem| {
-            Ok(warps.iter().map(|w| build_profile(w, cfg, mem)).collect())
+            let mut builder = ProfileBuilder::new(cfg, mem);
+            Ok(warps.iter().map(|w| builder.build(w)).collect())
         })
     }
 
@@ -344,11 +345,12 @@ impl Gpumech {
         self.analyze_with_cancel(
             trace,
             |warps, cfg, mem| {
+                let mut builder = ProfileBuilder::new(cfg, mem);
                 warps
                     .iter()
                     .map(|w| {
                         cancel.check().map_err(ModelError::Interrupted)?;
-                        Ok(build_profile(w, cfg, mem))
+                        Ok(builder.build(w))
                     })
                     .collect()
             },
@@ -968,7 +970,7 @@ mod tests {
         let custom = m
             .analyze_with(&t, |warps, cfg, mem| {
                 let mut profiles: Vec<_> =
-                    warps.iter().rev().map(|w| build_profile(w, cfg, mem)).collect();
+                    warps.iter().rev().map(|w| crate::build_profile(w, cfg, mem)).collect();
                 profiles.reverse();
                 Ok(profiles)
             })
@@ -998,6 +1000,16 @@ mod tests {
         let t = trace_of("sdk_vectoradd", 2);
         let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
         let token = CancelToken::with_clock(clock, 1_500);
+        let err = model().run(&PredictionRequest::from_trace(&t).cancel(token)).unwrap_err();
+        assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
+
+        // `run` polls once, then the cache simulation's gather once per
+        // resident warp (8 in a one-block launch) before any replay pass:
+        // a clock that runs out at the sixth poll stops inside the gather
+        // of the first wave.
+        let t = trace_of("sdk_vectoradd", 1);
+        let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
+        let token = CancelToken::with_clock(clock, 4_500);
         let err = model().run(&PredictionRequest::from_trace(&t).cancel(token)).unwrap_err();
         assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
     }

@@ -442,6 +442,14 @@ impl SimConfig {
             {
                 return Err(ConfigError::CacheGeometry(name));
             }
+            // The cache model marks an empty way with line number u64::MAX,
+            // which only 1-byte lines could reach.
+            if cache.line_bytes < 2 {
+                return Err(ConfigError::OutOfRange {
+                    field: "cache line_bytes",
+                    bound: "at least 2",
+                });
+            }
         }
         if self.l1.line_bytes != self.l2.line_bytes {
             return Err(ConfigError::LineSizeMismatch);
@@ -576,6 +584,14 @@ mod tests {
         cfg.l1.line_bytes = 96;
         cfg.l2.line_bytes = 96;
         assert_eq!(cfg.validate(), Err(ConfigError::CacheGeometry("L1")), "non-power-of-two line");
+
+        let mut cfg = SimConfig::default();
+        cfg.l1.line_bytes = 1;
+        cfg.l2.line_bytes = 1;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange { field: "cache line_bytes", .. })
+        ));
 
         let cfg = SimConfig::default().with_shared_banks(24, 4);
         assert!(matches!(

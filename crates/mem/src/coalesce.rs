@@ -34,18 +34,33 @@ impl std::ops::Deref for Lines {
 /// lane; `KernelTrace::validate` enforces it on every trace).
 #[must_use]
 pub fn coalesce(addrs: &[u64], line_bytes: u64) -> Lines {
+    let mut out = Lines { lines: [0; WARP_SIZE], len: 0 };
+    out.len = usize::from(coalesce_into(addrs, line_bytes, &mut out.lines));
+    out
+}
+
+/// [`coalesce`] into the front of a caller-owned buffer at least as long
+/// as `addrs`; returns the number of lines written. Same panics.
+pub(crate) fn coalesce_into(addrs: &[u64], line_bytes: u64, out: &mut [u64]) -> u8 {
     assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
     assert!(addrs.len() <= WARP_SIZE, "a warp instruction has at most {WARP_SIZE} addresses");
     let mask = !(line_bytes - 1);
-    let mut out = Lines { lines: [0; WARP_SIZE], len: 0 };
-    for &a in addrs {
+    let Some(&first) = addrs.first() else { return 0 };
+    let first = first & mask;
+    out[0] = first;
+    let mut n = 1u8;
+    let mut prev = first;
+    for &a in &addrs[1..] {
         let line = a & mask;
-        if !out.contains(&line) {
-            out.lines[out.len] = line;
-            out.len += 1;
+        // Neighbouring lanes mostly share a line; only a change of line
+        // pays for the scan of the lines seen so far.
+        if line != prev && !out[..usize::from(n)].contains(&line) {
+            out[usize::from(n)] = line;
+            n += 1;
         }
+        prev = line;
     }
-    out
+    n
 }
 
 /// Number of memory requests the instruction generates (1..=lanes).
@@ -81,6 +96,57 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// The coalescer [`coalesce`] replaced — one scan of the lines seen so
+    /// far per lane — kept as the reference of
+    /// `coalescer_matches_the_scan_per_lane_reference`.
+    fn reference_coalesce(addrs: &[u64], line_bytes: u64) -> Vec<u64> {
+        let mask = !(line_bytes - 1);
+        let mut out: Vec<u64> = Vec::new();
+        for &a in addrs {
+            let line = a & mask;
+            if !out.contains(&line) {
+                out.push(line);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn coalescer_matches_the_scan_per_lane_reference() {
+        let lanes = |f: &dyn Fn(u64) -> u64| (0..WARP_SIZE as u64).map(f).collect::<Vec<u64>>();
+        let mut inputs: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0x1234],
+            vec![u64::MAX],
+            lanes(&|i| 0x1000 + i * 4),          // all one line
+            lanes(&|i| 0x1040 + i * 4),          // one line, then the next
+            lanes(&|i| i * 128),                 // one line per lane
+            lanes(&|i| i * 64),                  // half-line stride
+            lanes(&|i| (31 - i) * 64),           // descending
+            lanes(&|i| (i % 4) * 128),           // a line revisited after others
+            lanes(&|i| (i / 2 % 2) * 4096 + 8),  // pairs alternating two lines
+            lanes(&|_| 0xDEAD_BEE0),             // broadcast
+        ];
+        for case in 0..200u64 {
+            let len = case as usize % (WARP_SIZE + 1);
+            // Full-range, within a few lines, and duplicated lanes.
+            inputs.push(random_addrs(0x3000 + case, len, None));
+            inputs.push(random_addrs(0x4000 + case, len, Some(1024)));
+            let mut dup = random_addrs(0x5000 + case, len, Some(1 << 16));
+            for i in (1..dup.len()).step_by(3) {
+                dup[i] = dup[i - 1];
+            }
+            inputs.push(dup);
+        }
+        for addrs in &inputs {
+            for line_bytes in [2u64, 32, 128] {
+                let got = coalesce(addrs, line_bytes);
+                assert_eq!(*got, *reference_coalesce(addrs, line_bytes), "{addrs:x?} / {line_bytes}");
+                assert_eq!(num_requests(addrs, line_bytes), got.len());
+            }
+        }
     }
 
     #[test]

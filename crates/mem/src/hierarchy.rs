@@ -12,40 +12,68 @@
 //! and when a wave's memory instructions are exhausted the next wave of
 //! blocks becomes resident.
 //!
-//! Policy choices (shared with the timing oracle, so the two observe the
-//! same hit/miss behaviour):
+//! Policy choices (the timing oracle makes the same ones for loads, so the
+//! two see the same load hit/miss behaviour for the same access order):
 //! * L1 and L2 allocate on load misses (fill at access time),
 //! * stores are write-through / no-write-allocate all the way to DRAM —
 //!   they never allocate MSHRs and every store request consumes DRAM
 //!   bandwidth, which is what makes write-divergent kernels DRAM-queue
-//!   bound in the paper (Section VI-B).
+//!   bound in the paper (Section VI-B). Here a store touches no cache at
+//!   all. The oracle's stores do differ: they look their lines up in the
+//!   L2 without allocating, which refreshes the recency of a line already
+//!   there (DESIGN.md, "Oracle stores touch L2 recency").
 
 use std::convert::Infallible;
+use std::time::Instant;
 
 use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Interrupt};
-use gpumech_trace::{KernelTrace, LaunchConfig, WarpTrace};
+use gpumech_trace::{KernelTrace, LaunchConfig};
 
 use crate::cache::{Access, Cache};
-use crate::coalesce::coalesce;
+use crate::coalesce::coalesce_into;
 use crate::stats::{MemStats, PcStats};
 
 /// Round-robin passes between [`CancelToken`] polls in the cancellable
 /// path (each pass replays at most one memory instruction per core).
 const CANCEL_CHECK_MASK: u64 = 0x3F;
 
-/// One resident warp's cursor over its global-memory instructions: the
-/// range `next..end` of the wave's shared index list.
-struct Cursor<'t> {
-    warp: &'t WarpTrace,
-    next: usize,
-    end: usize,
+/// One global-memory instruction of the wave being replayed, coalesced
+/// while the wave was gathered. A load's `reqs` line addresses sit in the
+/// wave's line list, a warp's loads back to back in program order; a store
+/// needs only the count.
+#[derive(Clone, Copy)]
+struct WaveOp {
+    pc: u32,
+    reqs: u8,
+    is_store: bool,
 }
 
-impl Cursor<'_> {
-    fn exhausted(&self) -> bool {
-        self.next >= self.end
-    }
+/// One resident warp's position in the wave's two lists: its remaining
+/// instructions `op..op_end` and the first line of its next load.
+struct Cursor {
+    op: usize,
+    op_end: usize,
+    line: usize,
+}
+
+/// The resident warps of one core that still have memory instructions, in
+/// warp order, and the position of the one whose turn is next (always in
+/// range unless the queue is empty).
+#[derive(Default)]
+struct CoreQueue {
+    cursors: Vec<Cursor>,
+    turn: usize,
+}
+
+/// Nanoseconds since `clock` was last read, restarting it; 0 when the
+/// simulation is not being timed.
+fn lap(clock: &mut Option<Instant>) -> u64 {
+    let Some(since) = clock else { return 0 };
+    let now = Instant::now();
+    let ns = u64::try_from(now.duration_since(*since).as_nanos()).unwrap_or(u64::MAX);
+    *since = now;
+    ns
 }
 
 /// Runs the functional hierarchy simulation and returns per-PC statistics.
@@ -63,10 +91,10 @@ pub fn simulate_hierarchy(trace: &KernelTrace, cfg: &SimConfig) -> MemStats {
     }
 }
 
-/// [`simulate_hierarchy`] under a [`CancelToken`]: the round-robin replay
-/// polls the token at a fixed access stride, so an expired deadline or
-/// explicit cancellation aborts the simulation within a bounded amount
-/// of work.
+/// [`simulate_hierarchy`] under a [`CancelToken`]: the gather of a wave
+/// polls the token once per resident warp and the round-robin replay at a
+/// fixed stride of passes, so an expired deadline or explicit cancellation
+/// aborts the simulation within a bounded amount of work.
 ///
 /// # Errors
 ///
@@ -96,7 +124,7 @@ fn simulate_impl<E>(
     );
     assert!(cfg.validate().is_ok(), "invalid SimConfig");
     let launch: LaunchConfig = trace.launch;
-    let line = cfg.l1.line_bytes as u64;
+    let line_bytes = cfg.l1.line_bytes as u64;
 
     let mut l1s: Vec<Cache> = (0..cfg.num_cores).map(|_| Cache::new(&cfg.l1)).collect();
     let mut l2 = Cache::new(&cfg.l2);
@@ -115,100 +143,125 @@ fn simulate_impl<E>(
     // touch per memory instruction) and folded into `stats` at the end.
     // Validated traces bound every PC by `MAX_STATIC_INSTS`.
     let mut per_pc: Vec<PcStats> = Vec::new();
-    // Indices of the global-memory instructions of every resident warp of
-    // the current wave, warp after warp; each cursor owns a range of it.
-    let mut mem_idxs: Vec<u32> = Vec::new();
+    // The current wave: every resident warp's global-memory instructions,
+    // warp after warp, and the lines of its loads in the same order.
+    let mut ops: Vec<WaveOp> = Vec::new();
+    let mut lines: Vec<u64> = Vec::new();
+    let mut queues: Vec<CoreQueue> = (0..cfg.num_cores).map(|_| CoreQueue::default()).collect();
+
+    // Sub-stage totals, emitted once when a recorder is installed.
+    let mut clock = gpumech_obs::enabled().then(Instant::now);
+    let (mut gather_ns, mut replay_ns) = (0u64, 0u64);
+    let (mut wave_ops, mut wave_lines) = (0u64, 0u64);
 
     for wave in 0..max_waves {
-        // Gather the resident warps of this wave, per core.
-        mem_idxs.clear();
-        let mut resident: Vec<Vec<Cursor<'_>>> = Vec::with_capacity(cfg.num_cores);
-        for blocks in &core_blocks {
-            let mut cursors = Vec::new();
+        // Gather: walk each resident warp's rows and address arena once, in
+        // order, and coalesce there, so that the replay below — which hops
+        // between up to `num_cores x max_warps_per_core` warps — reads only
+        // the two compact wave lists.
+        ops.clear();
+        lines.clear();
+        for (queue, blocks) in queues.iter_mut().zip(&core_blocks) {
+            queue.cursors.clear();
+            queue.turn = 0;
             for &b in blocks.iter().skip(wave * bpc).take(bpc) {
                 for w in 0..wpb {
                     // A validated trace always has `total_warps` entries;
                     // skip (don't panic) if a corrupt one slipped through.
                     let Some(warp) = trace.warps.get(b * wpb + w) else { continue };
-                    let next = mem_idxs.len();
-                    for (n, inst) in warp.insts.iter().enumerate() {
-                        if inst.kind.is_global_mem() {
-                            mem_idxs.push(n as u32);
-                            if inst.pc as usize >= per_pc.len() {
-                                per_pc.resize(inst.pc as usize + 1, PcStats::default());
-                            }
+                    check()?;
+                    let (op, line) = (ops.len(), lines.len());
+                    for inst in warp.insts.iter().filter(|i| i.kind.is_global_mem()) {
+                        if inst.pc as usize >= per_pc.len() {
+                            per_pc.resize(inst.pc as usize + 1, PcStats::default());
                         }
+                        let addrs = warp.addrs(inst);
+                        let first = lines.len();
+                        lines.resize(first + addrs.len(), 0);
+                        let reqs = coalesce_into(addrs, line_bytes, &mut lines[first..]);
+                        let is_store = inst.kind.is_global_store();
+                        lines.truncate(if is_store { first } else { first + usize::from(reqs) });
+                        ops.push(WaveOp { pc: inst.pc, reqs, is_store });
                     }
-                    cursors.push(Cursor { warp, next, end: mem_idxs.len() });
+                    // A warp without memory instructions never gets a turn.
+                    if ops.len() > op {
+                        queue.cursors.push(Cursor { op, op_end: ops.len(), line });
+                    }
                 }
             }
-            resident.push(cursors);
         }
+        wave_ops += ops.len() as u64;
+        wave_lines += lines.len() as u64;
+        gather_ns += lap(&mut clock);
 
-        // Round-robin: each pass advances one memory instruction of the
-        // next unexhausted warp on every core.
-        let mut rr: Vec<usize> = vec![0; cfg.num_cores];
+        // Round-robin: each pass replays one memory instruction of the next
+        // warp in turn on every core.
         loop {
             if passes & CANCEL_CHECK_MASK == 0 {
                 check()?;
             }
             passes += 1;
             let mut progressed = false;
-            for (core, cursors) in resident.iter_mut().enumerate() {
-                if cursors.is_empty() {
-                    continue;
-                }
-                let n = cursors.len();
-                // Find the next warp with work, starting at the RR pointer.
-                let Some(pick) =
-                    (0..n).map(|k| (rr[core] + k) % n).find(|&i| !cursors[i].exhausted())
-                else {
-                    continue;
-                };
-                rr[core] = (pick + 1) % n;
+            for (queue, l1) in queues.iter_mut().zip(&mut l1s) {
+                let Some(cur) = queue.cursors.get_mut(queue.turn) else { continue };
                 progressed = true;
+                let op = ops[cur.op];
+                cur.op += 1;
 
-                let cur = &mut cursors[pick];
-                let inst = &cur.warp.insts[mem_idxs[cur.next] as usize];
-                cur.next += 1;
-
-                let lines = coalesce(cur.warp.addrs(inst), line);
-                let is_store = inst.kind.is_global_store();
-                let entry = &mut per_pc[inst.pc as usize];
-                entry.is_store = is_store;
+                let reqs = u64::from(op.reqs);
+                let entry = &mut per_pc[op.pc as usize];
+                entry.is_store = op.is_store;
                 entry.insts += 1;
-                entry.reqs += lines.len() as u64;
-
-                if is_store {
+                entry.reqs += reqs;
+                if op.is_store {
                     // Write-through, no-allocate: every request reaches DRAM.
-                    entry.dram_reqs += lines.len() as u64;
-                    continue;
-                }
-
-                let mut worst_l1_miss = false;
-                let mut worst_l2_miss = false;
-                for &l in lines.iter() {
-                    if l1s[core].access(l, true) == Access::Miss {
-                        worst_l1_miss = true;
-                        entry.mshr_reqs += 1;
-                        if l2.access(l, true) == Access::Miss {
-                            worst_l2_miss = true;
-                            entry.dram_reqs += 1;
+                    entry.dram_reqs += reqs;
+                } else {
+                    let mut worst_l1_miss = false;
+                    let mut worst_l2_miss = false;
+                    let last = cur.line + usize::from(op.reqs);
+                    for &l in &lines[cur.line..last] {
+                        if l1.access(l, true) == Access::Miss {
+                            worst_l1_miss = true;
+                            entry.mshr_reqs += 1;
+                            if l2.access(l, true) == Access::Miss {
+                                worst_l2_miss = true;
+                                entry.dram_reqs += 1;
+                            }
                         }
                     }
+                    cur.line = last;
+                    if worst_l2_miss {
+                        entry.l2_miss_insts += 1;
+                    } else if worst_l1_miss {
+                        entry.l2_hit_insts += 1;
+                    } else {
+                        entry.l1_hit_insts += 1;
+                    }
                 }
-                if worst_l2_miss {
-                    entry.l2_miss_insts += 1;
-                } else if worst_l1_miss {
-                    entry.l2_hit_insts += 1;
+
+                // The turn passes to the next warp of the queue; a warp
+                // with nothing left leaves it, and its successor moves up.
+                if cur.op == cur.op_end {
+                    queue.cursors.remove(queue.turn);
                 } else {
-                    entry.l1_hit_insts += 1;
+                    queue.turn += 1;
+                }
+                if queue.turn == queue.cursors.len() {
+                    queue.turn = 0;
                 }
             }
             if !progressed {
                 break;
             }
         }
+        replay_ns += lap(&mut clock);
+    }
+    if clock.is_some() {
+        gpumech_obs::counter!("mem.cachesim.gather_ns", gather_ns);
+        gpumech_obs::counter!("mem.cachesim.replay_ns", replay_ns);
+        gpumech_obs::counter!("mem.cachesim.wave_ops", wave_ops);
+        gpumech_obs::counter!("mem.cachesim.wave_lines", wave_lines);
     }
     for (pc, s) in per_pc.into_iter().enumerate().filter(|(_, s)| s.insts > 0) {
         *stats.entry(pc as u32) = s;
@@ -341,6 +394,31 @@ mod tests {
         assert_eq!(
             simulate_hierarchy_cancellable(&t, &small_cfg(), &cancelled),
             Err(Interrupt::Cancelled)
+        );
+
+        // One block: 8 warps x 18 memory instructions on one core, so the
+        // replay is 145 passes and polls three times (passes 0, 64, 128),
+        // after the gather's one poll per warp. A clock that ticks per poll
+        // and runs out at the fourth stops the gather; three polls alone
+        // would not reach it.
+        let w = workloads::by_name("sdk_vectoradd").unwrap().with_blocks(1);
+        let t = w.trace().unwrap();
+        assert_eq!((t.warps.len(), t.total_global_mem_insts()), (8, 144));
+        let deadline = |ns| {
+            CancelToken::with_clock(std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000)), ns)
+        };
+        assert_eq!(
+            simulate_hierarchy_cancellable(&t, &small_cfg(), &deadline(2_500)),
+            Err(Interrupt::DeadlineExceeded)
+        );
+        // Eleven polls in all: the last reads 10 000.
+        assert_eq!(
+            simulate_hierarchy_cancellable(&t, &small_cfg(), &deadline(10_500)),
+            Ok(simulate_hierarchy(&t, &small_cfg()))
+        );
+        assert_eq!(
+            simulate_hierarchy_cancellable(&t, &small_cfg(), &deadline(9_500)),
+            Err(Interrupt::DeadlineExceeded)
         );
     }
 

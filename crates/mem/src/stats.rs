@@ -79,6 +79,21 @@ impl PcStats {
     pub fn dram_reqs_per_inst(&self) -> f64 {
         if self.insts == 0 { 0.0 } else { self.dram_reqs as f64 / self.insts as f64 }
     }
+
+    /// Instruction-level miss-event distribution of this PC. Stores and
+    /// PCs that never executed report all-L1 (zero extra latency).
+    #[must_use]
+    pub fn miss_dist(&self) -> MissDistribution {
+        if self.is_store || self.insts == 0 {
+            return MissDistribution::all_l1();
+        }
+        let n = self.insts as f64;
+        MissDistribution {
+            l1_hit: self.l1_hit_insts as f64 / n,
+            l2_hit: self.l2_hit_insts as f64 / n,
+            l2_miss: self.l2_miss_insts as f64 / n,
+        }
+    }
 }
 
 /// All per-PC statistics of one kernel under one machine configuration,
@@ -112,21 +127,24 @@ impl MemStats {
         self.per_pc.get(&pc)
     }
 
+    /// Every PC that executed with its statistics, in ascending PC order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u32, &PcStats)> + '_ {
+        self.per_pc.iter().map(|(&pc, s)| (pc, s))
+    }
+
     /// Instruction-level miss-event distribution of a load PC. PCs that
     /// never executed report all-L1 (zero extra latency).
     #[must_use]
     pub fn miss_dist(&self, pc: u32) -> MissDistribution {
-        match self.per_pc.get(&pc) {
-            Some(s) if !s.is_store && s.insts > 0 => {
-                let n = s.insts as f64;
-                MissDistribution {
-                    l1_hit: s.l1_hit_insts as f64 / n,
-                    l2_hit: s.l2_hit_insts as f64 / n,
-                    l2_miss: s.l2_miss_insts as f64 / n,
-                }
-            }
-            _ => MissDistribution::all_l1(),
-        }
+        self.per_pc.get(&pc).map_or_else(MissDistribution::all_l1, PcStats::miss_dist)
+    }
+
+    /// AMAT of a load whose miss events are distributed as `dist`.
+    #[must_use]
+    pub fn amat(&self, dist: &MissDistribution) -> f64 {
+        dist.l1_hit * self.l1_latency as f64
+            + dist.l2_hit * self.l2_hit_latency as f64
+            + dist.l2_miss * self.l2_miss_latency as f64
     }
 
     /// AMAT of a load PC — the latency the interval algorithm assigns to it
@@ -134,10 +152,7 @@ impl MemStats {
     /// cycles → 150 cycles).
     #[must_use]
     pub fn load_latency(&self, pc: u32) -> f64 {
-        let d = self.miss_dist(pc);
-        d.l1_hit * self.l1_latency as f64
-            + d.l2_hit * self.l2_hit_latency as f64
-            + d.l2_miss * self.l2_miss_latency as f64
+        self.amat(&self.miss_dist(pc))
     }
 
     /// Average L2/DRAM latency of the requests that allocate MSHRs, without

@@ -37,6 +37,10 @@ mod tests {
         for name in [
             "core.kmeans.inertia",
             "mem.cachesim.l1_hits",
+            "mem.cachesim.gather_ns",
+            "mem.cachesim.replay_ns",
+            "mem.cachesim.wave_ops",
+            "mem.cachesim.wave_lines",
             "trace.engine.insts",
             "timing.oracle.dram_utilization",
             "fault.case.pipeline",

@@ -20,30 +20,44 @@
 //!
 //! # Caveats (see DESIGN.md "Performance telemetry")
 //!
-//! * Counters are **process-global**: allocations from *other* threads
-//!   running concurrently with a scope are attributed to it. The perf
-//!   suite runs its stages sequentially on one thread, where the numbers
-//!   are exact and deterministic.
-//! * Nested scopes share the peak-tracking register: the peak is only
-//!   reset when the outermost scope begins, so inner scopes report an
-//!   upper bound.
-//! * Frees of memory allocated *before* a scope began reduce net-live
-//!   below the scope baseline; deltas saturate at zero rather than wrap.
+//! * Counters are **per thread**: a scope sees exactly the allocations of
+//!   the thread that opened it, whatever other threads do meanwhile, and
+//!   nothing of the threads it spawns (the worker of a batch engine, a
+//!   server's handlers). The counters are `const`-initialised
+//!   `thread_local!` [`Cell`]s without destructors, so reading them from
+//!   inside the allocator neither allocates nor re-enters it. An
+//!   [`AllocScope`] must be read on the thread that opened it.
+//! * The gate is process-wide: while any thread has a scope open, every
+//!   thread counts (into its own cells).
+//! * Nested scopes share the thread's peak-tracking register: the peak is
+//!   only reset when the thread's outermost scope begins, so inner scopes
+//!   report an upper bound.
+//! * Frees of memory allocated *before* a scope began, or by another
+//!   thread, reduce net-live below the scope baseline; the peak saturates
+//!   at zero rather than wrap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
-/// Number of open [`AllocScope`]s; counting is active while nonzero.
+/// Number of open [`AllocScope`]s over all threads; counting is active
+/// while nonzero.
 static DEPTH: AtomicU64 = AtomicU64::new(0);
-/// Total `alloc`/grow calls observed while counting.
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Total bytes requested while counting.
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Total bytes freed while counting.
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// High-water mark of `ALLOC_BYTES - FREED_BYTES` (net live bytes).
-static PEAK_NET: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Open [`AllocScope`]s of this thread.
+    static THREAD_DEPTH: Cell<u64> = const { Cell::new(0) };
+    /// `alloc`/grow calls this thread made while counting.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread requested while counting.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread freed while counting.
+    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// High-water mark of [`net_live`].
+    static PEAK_NET: Cell<i64> = const { Cell::new(0) };
+}
 
 /// `true` while at least one [`AllocScope`] is measuring — the one
 /// relaxed load every disabled-path allocation reduces to.
@@ -53,21 +67,24 @@ pub fn counting_enabled() -> bool {
     DEPTH.load(Ordering::Relaxed) != 0
 }
 
+/// Bytes this thread allocated minus bytes it freed while counting:
+/// negative once it has freed memory from before the gate opened, or
+/// another thread's.
 #[inline]
-fn net_live() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed).saturating_sub(FREED_BYTES.load(Ordering::Relaxed))
+fn net_live() -> i64 {
+    ALLOC_BYTES.get().wrapping_sub(FREED_BYTES.get()) as i64
 }
 
 #[inline]
 fn on_alloc(size: usize) {
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    PEAK_NET.fetch_max(net_live(), Ordering::Relaxed);
+    ALLOC_CALLS.set(ALLOC_CALLS.get() + 1);
+    ALLOC_BYTES.set(ALLOC_BYTES.get() + size as u64);
+    PEAK_NET.set(PEAK_NET.get().max(net_live()));
 }
 
 #[inline]
 fn on_free(size: usize) {
-    FREED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    FREED_BYTES.set(FREED_BYTES.get() + size as u64);
 }
 
 /// Runs [`retain_heap`] on the first allocation.
@@ -110,7 +127,9 @@ fn retain_heap() {
 pub struct CountingAlloc;
 
 // SAFETY: defers every allocation to `System` unchanged; the counters are
-// plain relaxed atomics and never influence the returned pointers.
+// one relaxed atomic and `const`-initialised thread-local cells without
+// destructors (reading them allocates nothing and registers nothing), and
+// never influence the returned pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         HEAP_POLICY.call_once(retain_heap);
@@ -147,30 +166,35 @@ pub struct AllocDelta {
     pub peak_live_bytes: u64,
 }
 
-/// RAII measurement window over the counting allocator.
+/// RAII measurement window over the counting allocator, for the thread
+/// that opens it.
 ///
-/// `begin` snapshots the counters (and, for the outermost scope, resets
-/// the peak register to the current net-live level); [`AllocScope::delta`]
-/// reads the deltas. Dropping the scope — **including on unwind** — ends
-/// the window, so a panicking stage can never leave counting enabled.
+/// `begin` snapshots the thread's counters (and, for the thread's
+/// outermost scope, resets the peak register to the current net-live
+/// level); [`AllocScope::delta`] reads the deltas. Dropping the scope —
+/// **including on unwind** — ends the window, so a panicking stage can
+/// never leave counting enabled.
 #[derive(Debug)]
 pub struct AllocScope {
     calls0: u64,
     bytes0: u64,
-    net0: u64,
+    net0: i64,
+    /// The snapshots are of one thread's counters: not `Send`.
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl AllocScope {
     /// Opens a measurement window.
     #[must_use]
     pub fn begin() -> Self {
-        let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-        let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+        let calls0 = ALLOC_CALLS.get();
+        let bytes0 = ALLOC_BYTES.get();
         let net0 = net_live();
-        if DEPTH.fetch_add(1, Ordering::Relaxed) == 0 {
-            PEAK_NET.store(net0, Ordering::Relaxed);
+        if THREAD_DEPTH.replace(THREAD_DEPTH.get() + 1) == 0 {
+            PEAK_NET.set(net0);
         }
-        Self { calls0, bytes0, net0 }
+        DEPTH.fetch_add(1, Ordering::Relaxed);
+        Self { calls0, bytes0, net0, _this_thread: PhantomData }
     }
 
     /// Counter deltas since `begin`. Valid both mid-scope and from the
@@ -178,9 +202,9 @@ impl AllocScope {
     #[must_use]
     pub fn delta(&self) -> AllocDelta {
         AllocDelta {
-            allocs: ALLOC_CALLS.load(Ordering::Relaxed).saturating_sub(self.calls0),
-            bytes: ALLOC_BYTES.load(Ordering::Relaxed).saturating_sub(self.bytes0),
-            peak_live_bytes: PEAK_NET.load(Ordering::Relaxed).saturating_sub(self.net0),
+            allocs: ALLOC_CALLS.get().saturating_sub(self.calls0),
+            bytes: ALLOC_BYTES.get().saturating_sub(self.bytes0),
+            peak_live_bytes: u64::try_from(PEAK_NET.get().saturating_sub(self.net0)).unwrap_or(0),
         }
     }
 }
@@ -188,6 +212,7 @@ impl AllocScope {
 impl Drop for AllocScope {
     fn drop(&mut self) {
         DEPTH.fetch_sub(1, Ordering::Relaxed);
+        THREAD_DEPTH.set(THREAD_DEPTH.get().saturating_sub(1));
     }
 }
 
@@ -197,8 +222,8 @@ mod tests {
     use super::*;
     use std::sync::{Mutex, PoisonError};
 
-    /// The counters are process-global; serialize the tests that open
-    /// scopes so their deltas don't bleed into each other.
+    /// The gate is process-wide; serialize the tests that assert it is
+    /// closed against the ones that open scopes.
     static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -218,6 +243,45 @@ mod tests {
         assert!(d.bytes >= 5120, "bytes={} should cover both vecs", d.bytes);
         assert!(d.peak_live_bytes >= 4096, "peak={} should see the big vec", d.peak_live_bytes);
         assert!(d.peak_live_bytes < 1 << 30, "peak={} implausibly large", d.peak_live_bytes);
+    }
+
+    #[test]
+    fn scope_counts_only_its_own_thread() {
+        use std::sync::atomic::AtomicBool;
+        let _l = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let (go, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+        let noise = AtomicU64::new(0);
+        let d = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !go.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                while !stop.load(Ordering::Acquire) {
+                    drop(std::hint::black_box(vec![0u8; 256]));
+                    noise.fetch_add(1, Ordering::Release);
+                }
+            });
+            // Spawning allocates on this thread: the scope opens after it.
+            let scope = AllocScope::begin();
+            go.store(true, Ordering::Release);
+            // The other thread is allocating, under the open gate, before
+            // and while this one makes its two allocations.
+            while noise.load(Ordering::Acquire) < 1_000 {
+                std::hint::spin_loop();
+            }
+            let v: Vec<u8> = Vec::with_capacity(4096);
+            let b = Box::new(0u64);
+            let d = scope.delta();
+            let during = noise.load(Ordering::Acquire);
+            while noise.load(Ordering::Acquire) < during + 1_000 {
+                std::hint::spin_loop();
+            }
+            assert_eq!(scope.delta(), d, "the other thread's allocations leaked in");
+            stop.store(true, Ordering::Release);
+            drop((v, b, scope));
+            d
+        });
+        assert_eq!(d, AllocDelta { allocs: 2, bytes: 4104, peak_live_bytes: 4104 });
     }
 
     #[test]
@@ -243,10 +307,10 @@ mod tests {
     fn disabled_path_is_inert() {
         let _l = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!counting_enabled());
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = ALLOC_CALLS.get();
         let v: Vec<u8> = vec![0u8; 2048];
         drop(v);
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = ALLOC_CALLS.get();
         assert_eq!(before, after, "no scope open → no counting");
     }
 }

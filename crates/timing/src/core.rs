@@ -282,16 +282,15 @@ impl<'t> Core<'t> {
                 for &l in lines.iter() {
                     let line_done = if let Some(&fill) = self.mshr.pending.get(&l) {
                         fill // pending hit: merge with the in-flight fill
-                    } else if self.l1.probe(l) {
-                        let _ = self.l1.access(l, true); // refresh LRU
+                    } else if self.l1.access(l, true) == Access::Hit {
                         now + self.cfg.l1.latency
                     } else {
-                        let _ = self.l1.access(l, true); // allocate tags
-                        // An MSHR entry gates when the miss starts service
-                        // (a full file serializes misses in rounds of
-                        // #MSHR — the structure Equation 19 models); the
-                        // windowed DRAM channel makes the future arrival
-                        // harmless to earlier traffic.
+                        // The lookup allocated the tags. An MSHR entry
+                        // gates when the miss starts service (a full file
+                        // serializes misses in rounds of #MSHR — the
+                        // structure Equation 19 models); the windowed DRAM
+                        // channel makes the future arrival harmless to
+                        // earlier traffic.
                         let start = self.mshr.entry_available(now);
                         let fill = if l2.access(l, true) == Access::Hit {
                             start + self.cfg.l2.latency
