@@ -21,10 +21,12 @@ fn main() {
     let cfg = SimConfig::table1();
     let trace = w.trace().expect("trace");
     let mem = simulate_hierarchy(&trace, &cfg);
-    // One builder for the kernel's warps, as `Gpumech::analyze` profiles them.
+    // One builder for the kernel's warps, as `Gpumech::analyze` profiles
+    // them: one build per distinct instruction stream, copies for the rest.
     let all_warps = || {
-        let mut builder = ProfileBuilder::new(&cfg, &mem);
-        trace.warps.iter().map(|wt| builder.build(wt)).collect::<Vec<_>>()
+        ProfileBuilder::new(&cfg, &mem)
+            .build_all(&trace.warps, || Ok::<(), std::convert::Infallible>(()))
+            .expect("the check never fails")
     };
     let profiles = all_warps();
 

@@ -65,6 +65,15 @@ pub struct ProfileBuilder<'a> {
     last_intervals: usize,
 }
 
+/// The interval list of `profile` in a list of the same capacity — not
+/// `Vec::clone`, whose exact-size block would leave the size classes
+/// [`ProfileBuilder::build`] keeps to.
+fn copy_of(profile: &IntervalProfile) -> IntervalProfile {
+    let mut intervals = Vec::with_capacity(profile.intervals.capacity());
+    intervals.extend_from_slice(&profile.intervals);
+    IntervalProfile { intervals, issue_rate: profile.issue_rate }
+}
+
 impl<'a> ProfileBuilder<'a> {
     /// A builder for warps of a kernel whose cache statistics are `mem`.
     #[must_use]
@@ -128,6 +137,49 @@ impl<'a> ProfileBuilder<'a> {
                 self.cfg.latencies.latency_of(kind) as f64
             }
         }
+    }
+
+    /// Builds the interval profile of every warp of a kernel, in warp
+    /// order, calling `check` before each warp.
+    ///
+    /// A build reads only the `pc`, `kind` and dependency list of each row
+    /// (and this builder's per-PC table), so warps that executed the same
+    /// instruction stream ([`WarpTrace::same_stream`]) have the same
+    /// profile: the algorithm runs once per distinct stream and every other
+    /// warp gets a copy.
+    ///
+    /// # Errors
+    ///
+    /// The first error `check` returns.
+    pub fn build_all<E>(
+        &mut self,
+        warps: &[WarpTrace],
+        mut check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Vec<IntervalProfile>, E> {
+        let mut profiles: Vec<IntervalProfile> = Vec::with_capacity(warps.len());
+        // First warp of every stream met so far, the stream met last first:
+        // a launch runs a handful of streams and neighbours mostly share one.
+        let mut streams: Vec<usize> = Vec::new();
+        for (i, warp) in warps.iter().enumerate() {
+            check()?;
+            let profile = match streams.iter().position(|&first| warps[first].same_stream(warp)) {
+                Some(at) => {
+                    streams[..=at].rotate_right(1);
+                    copy_of(&profiles[streams[0]])
+                }
+                None => {
+                    streams.insert(0, i);
+                    self.build(warp)
+                }
+            };
+            profiles.push(profile);
+        }
+        gpumech_obs::counter!("core.intervals.distinct_streams", streams.len() as u64);
+        gpumech_obs::counter!(
+            "core.intervals.shared_profiles",
+            (warps.len() - streams.len()) as u64
+        );
+        Ok(profiles)
     }
 
     /// Builds the interval profile of one warp.
@@ -328,6 +380,84 @@ mod tests {
         // Cold divergent load: all 32 requests reach DRAM; all 32 store
         // requests are write-through → 64 DRAM requests.
         assert!((dram - 64.0).abs() < 1e-9, "got {dram}");
+    }
+
+    /// Two warp-uniform arms of equal length and equal dependency count,
+    /// taken by alternate warps: two streams that only a content compare
+    /// tells apart.
+    fn two_stream_trace() -> KernelTrace {
+        let mut b = KernelBuilder::new("k");
+        let c = b.alu(ValueOp::CmpEq, &[Operand::WarpInBlock, Operand::Imm(0)]);
+        b.if_begin(Operand::Reg(c));
+        let x = b.fp_add(&[Operand::Tid]);
+        let _ = b.alu(ValueOp::Add, &[Operand::Reg(x)]);
+        b.if_else(); // emits the then arm's jump over the else arm
+        let y = b.sfu(&[Operand::Tid]);
+        let _ = b.alu(ValueOp::Add, &[Operand::Reg(y)]);
+        let _ = b.alu(ValueOp::Add, &[Operand::Imm(1)]);
+        b.if_end();
+        let k = b.finish(vec![]);
+        trace_kernel(&k, LaunchConfig::new(64, 3)).unwrap()
+    }
+
+    #[test]
+    fn warps_of_one_stream_share_a_build_and_other_streams_do_not() {
+        let trace = two_stream_trace();
+        let (a, b) = (&trace.warps[0], &trace.warps[1]);
+        let n_deps = |w: &WarpTrace| w.insts.iter().map(|i| w.deps(i).len()).sum::<usize>();
+        assert_eq!((a.len(), n_deps(a)), (b.len(), n_deps(b)));
+        assert!(!a.same_stream(b) && a.same_stream(&trace.warps[2]));
+
+        let cfg = cfg();
+        let mem = empty_mem(&cfg);
+        let profiles =
+            ProfileBuilder::new(&cfg, &mem).build_all(&trace.warps, || Ok::<(), ()>(())).unwrap();
+        let one_by_one: Vec<IntervalProfile> =
+            trace.warps.iter().map(|w| build_profile(w, &cfg, &mem)).collect();
+        assert_eq!(profiles, one_by_one);
+        // The arms stall for different lengths, so a profile handed to the
+        // wrong stream would show.
+        assert_ne!(profiles[0], profiles[1]);
+        // A copy stays in its source's size class.
+        for (w, p) in profiles.iter().enumerate().skip(2) {
+            assert_eq!(p.intervals.capacity(), profiles[w % 2].intervals.capacity(), "warp {w}");
+        }
+    }
+
+    #[test]
+    fn build_all_matches_per_warp_builds_on_a_control_divergent_kernel() {
+        let w = gpumech_trace::workloads::by_name("bfs_kernel1").unwrap().with_blocks(6);
+        let trace = w.trace().unwrap();
+        let cfg = cfg();
+        let mem = simulate_hierarchy(&trace, &cfg);
+        let profiles =
+            ProfileBuilder::new(&cfg, &mem).build_all(&trace.warps, || Ok::<(), ()>(())).unwrap();
+        assert_eq!(profiles.len(), trace.warps.len());
+        for (wt, p) in trace.warps.iter().zip(&profiles) {
+            assert_eq!(*p, build_profile(wt, &cfg, &mem), "warp {}", wt.warp);
+        }
+        let distinct = (0..trace.warps.len())
+            .filter(|&i| !trace.warps[..i].iter().any(|e| e.same_stream(&trace.warps[i])))
+            .count();
+        assert!(
+            1 < distinct && distinct < trace.warps.len(),
+            "{distinct} streams over {} warps: nothing to tell apart, or nothing to share",
+            trace.warps.len()
+        );
+    }
+
+    #[test]
+    fn build_all_polls_before_every_warp_and_stops_at_the_first_error() {
+        let trace = two_stream_trace();
+        let cfg = cfg();
+        let mem = empty_mem(&cfg);
+        let mut polls = 0;
+        // Warp 3 shares warp 1's stream: it is polled all the same.
+        let err = ProfileBuilder::new(&cfg, &mem).build_all(&trace.warps, || {
+            polls += 1;
+            if polls == 4 { Err("stop") } else { Ok(()) }
+        });
+        assert_eq!((err, polls), (Err("stop"), 4));
     }
 
     #[test]

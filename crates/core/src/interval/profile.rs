@@ -22,7 +22,7 @@ pub enum StallCause {
 
 /// One interval: a run of `insts` back-to-back issues followed by
 /// `stall_cycles` of silence (Figure 6).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Interval {
     /// Instructions issued in the interval (`#interval_insts_i`).
     pub insts: u64,

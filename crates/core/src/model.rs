@@ -2,7 +2,6 @@
 //! per-warp interval profiles → representative-warp selection → multi-warp
 //! model → contention model → CPI stack.
 
-use std::convert::Infallible;
 use std::fmt;
 
 use std::time::Instant;
@@ -10,7 +9,7 @@ use std::time::Instant;
 use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig};
 use gpumech_mem::{simulate_hierarchy_cancellable, MemStats};
 use gpumech_obs::{CancelToken, Interrupt, PipelineReport, StageReport};
-use gpumech_trace::{KernelTrace, TraceError, WarpTrace, Workload};
+use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{markov_chain_cpi, naive_interval_cpi};
@@ -267,52 +266,11 @@ impl Gpumech {
         let check = &|| cancel.check();
         if request.weighting == Weighting::PopulationWeighted {
             return self
-                .weighted_prediction_impl(analysis, request.policy, request.model, check)
+                .weighted_prediction(analysis, request.policy, request.model, check)
                 .map_err(ModelError::Interrupted);
         }
-        self.selected_prediction_impl(analysis, request.policy, request.model, request.selection, check)
+        self.selected_prediction(analysis, request.policy, request.model, request.selection, check)
             .map_err(ModelError::Interrupted)
-    }
-
-    /// Full GPUMech prediction (MT_MSHR_BAND, clustering selection) for a
-    /// workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the configuration is invalid, tracing
-    /// fails, or the kernel is empty.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    pub fn predict(
-        &self,
-        workload: &Workload,
-        policy: SchedulingPolicy,
-    ) -> Result<Prediction, ModelError> {
-        let trace = workload.trace()?;
-        let analysis = self.analyze(&trace)?;
-        Ok(self.selected_prediction(
-            &analysis,
-            policy,
-            Model::MtMshrBand,
-            SelectionMethod::Clustering,
-        ))
-    }
-
-    /// Prediction for an explicit Table II model and selection method.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the configuration is invalid or the
-    /// kernel is empty.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    pub fn predict_trace(
-        &self,
-        trace: &KernelTrace,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-    ) -> Result<Prediction, ModelError> {
-        let analysis = self.analyze(trace)?;
-        Ok(self.selected_prediction(&analysis, policy, model, selection))
     }
 
     /// Runs the input collector (functional cache simulation) and the
@@ -322,15 +280,12 @@ impl Gpumech {
     ///
     /// Returns [`ModelError::InvalidConfig`] or [`ModelError::EmptyKernel`].
     pub fn analyze(&self, trace: &KernelTrace) -> Result<Analysis, ModelError> {
-        self.analyze_with(trace, |warps, cfg, mem| {
-            let mut builder = ProfileBuilder::new(cfg, mem);
-            Ok(warps.iter().map(|w| builder.build(w)).collect())
-        })
+        self.analyze_cancellable(trace, &CancelToken::never())
     }
 
     /// [`Gpumech::analyze`] under a [`CancelToken`]: the cache simulation
     /// polls the token as it replays and the interval profiler checks it
-    /// between warps, so an expired deadline or explicit cancellation
+    /// before every warp, so an expired deadline or explicit cancellation
     /// aborts the analysis within a bounded amount of work.
     ///
     /// # Errors
@@ -345,14 +300,8 @@ impl Gpumech {
         self.analyze_with_cancel(
             trace,
             |warps, cfg, mem| {
-                let mut builder = ProfileBuilder::new(cfg, mem);
-                warps
-                    .iter()
-                    .map(|w| {
-                        cancel.check().map_err(ModelError::Interrupted)?;
-                        Ok(builder.build(w))
-                    })
-                    .collect()
+                ProfileBuilder::new(cfg, mem)
+                    .build_all(warps, || cancel.check().map_err(ModelError::Interrupted))
             },
             cancel,
         )
@@ -452,52 +401,16 @@ impl Gpumech {
         Ok(Analysis { mem, profiles, effective_warps, stages })
     }
 
-    /// Predicts from a precomputed [`Analysis`] — cheap enough to call for
-    /// every (model, policy) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis contains no warps (cannot be produced by
-    /// [`Gpumech::analyze`]).
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    #[must_use]
-    pub fn predict_from_analysis(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-    ) -> Prediction {
-        self.selected_prediction(analysis, policy, model, selection)
-    }
-
-    /// Infallible [`Gpumech::selected_prediction_impl`] for the deprecated
-    /// `predict_from_analysis` shim (no cancellation).
+    /// Selects the representative warp by `selection` and predicts from it;
+    /// `check` is polled by the k-means loop.
     fn selected_prediction(
         &self,
         analysis: &Analysis,
         policy: SchedulingPolicy,
         model: Model,
         selection: SelectionMethod,
-    ) -> Prediction {
-        match self.selected_prediction_impl(analysis, policy, model, selection, &|| {
-            Ok::<(), Infallible>(())
-        }) {
-            Ok(p) => p,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Shared body of [`Gpumech::run`]'s analysis path and the deprecated
-    /// `predict_from_analysis` shim; `check` is polled by the k-means loop.
-    fn selected_prediction_impl<E>(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-        check: &dyn Fn() -> Result<(), E>,
-    ) -> Result<Prediction, E> {
+        check: &dyn Fn() -> Result<(), Interrupt>,
+    ) -> Result<Prediction, Interrupt> {
         if selection == SelectionMethod::Clustering {
             let t0 = Instant::now();
             let feats = crate::cluster::feature_vectors(&analysis.profiles);
@@ -507,7 +420,7 @@ impl Gpumech {
                 // Graceful degradation: the cluster structure is unreliable
                 // (non-finite features or Lloyd non-convergence), so blend
                 // by population instead of trusting one representative.
-                let mut p = self.weighted_prediction_impl(analysis, policy, model, check)?;
+                let mut p = self.weighted_prediction(analysis, policy, model, check)?;
                 p.warnings.push(
                     "k-means clustering degenerated (non-finite features or no convergence); \
                      downgraded to population-weighted cluster selection"
@@ -526,24 +439,7 @@ impl Gpumech {
     /// Runs the multi-warp + contention models for one explicit warp's
     /// profile (the building block of both the standard single-
     /// representative prediction and the weighted-clusters extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rep` is out of range for the analysis.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    #[must_use]
-    pub fn predict_profile(
-        &self,
-        analysis: &Analysis,
-        rep: usize,
-        policy: SchedulingPolicy,
-        model: Model,
-    ) -> Prediction {
-        self.profile_prediction(analysis, rep, policy, model)
-    }
-
-    /// Shared body of [`Gpumech::run`]'s explicit-profile path and the
-    /// deprecated `predict_profile` shim.
+    /// `rep` must be in range for the analysis.
     fn profile_prediction(
         &self,
         analysis: &Analysis,
@@ -639,45 +535,17 @@ impl Gpumech {
     ///
     /// Linearity keeps Equation 3 intact: the blended stack still sums to
     /// the blended `CPI_mt + CPI_rc`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `PredictionRequest` with `.population_weighted()` and call `Gpumech::run`"
-    )]
-    #[must_use]
-    pub fn predict_weighted_clusters(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-    ) -> Prediction {
-        self.weighted_prediction(analysis, policy, model)
-    }
-
-    /// Infallible [`Gpumech::weighted_prediction_impl`] for the deprecated
-    /// `predict_weighted_clusters` shim (no cancellation).
+    ///
+    /// The body of [`Gpumech::run`]'s population-weighted path and of the
+    /// degenerate-clustering fallback; `check` is polled by the k-means
+    /// loop.
     fn weighted_prediction(
         &self,
         analysis: &Analysis,
         policy: SchedulingPolicy,
         model: Model,
-    ) -> Prediction {
-        match self.weighted_prediction_impl(analysis, policy, model, &|| Ok::<(), Infallible>(())) {
-            Ok(p) => p,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Shared body of [`Gpumech::run`]'s population-weighted path, the
-    /// degenerate-clustering fallback, and the deprecated
-    /// `predict_weighted_clusters` shim; `check` is polled by the k-means
-    /// loop.
-    fn weighted_prediction_impl<E>(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        check: &dyn Fn() -> Result<(), E>,
-    ) -> Result<Prediction, E> {
+        check: &dyn Fn() -> Result<(), Interrupt>,
+    ) -> Result<Prediction, Interrupt> {
         let t0 = Instant::now();
         let feats = crate::cluster::feature_vectors(&analysis.profiles);
         let km = crate::cluster::kmeans2_checked(&feats, check)?;
@@ -1012,6 +880,35 @@ mod tests {
         let token = CancelToken::with_clock(clock, 4_500);
         let err = model().run(&PredictionRequest::from_trace(&t).cancel(token)).unwrap_err();
         assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
+
+        // The interval stage polls once per warp whether it builds the
+        // warp's profile or copies an earlier warp's: all eight warps here
+        // execute one stream, so seven of the polls are on shared warps,
+        // and a clock that runs out at the analysis' last poll stops on
+        // the last of them.
+        assert!(t.warps.iter().all(|w| w.same_stream(&t.warps[0])));
+        let m = model();
+        let polls_of = |run: &dyn Fn(&CancelToken)| {
+            let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
+            run(&CancelToken::with_clock(clock.clone(), u64::MAX - 1));
+            gpumech_obs::Clock::now_ns(&*clock) / 1_000
+        };
+        let mem_polls = polls_of(&|c| {
+            simulate_hierarchy_cancellable(&t, m.config(), c).unwrap();
+        });
+        let polls = polls_of(&|c| {
+            m.analyze_cancellable(&t, c).unwrap();
+        });
+        assert_eq!(polls, mem_polls + t.warps.len() as u64, "one poll per warp");
+        let runs_out_at = |poll: u64| {
+            let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
+            CancelToken::with_clock(clock, poll * 1_000)
+        };
+        assert_eq!(
+            m.analyze_cancellable(&t, &runs_out_at(polls - 1)).unwrap_err(),
+            ModelError::Interrupted(Interrupt::DeadlineExceeded)
+        );
+        assert!(m.analyze_cancellable(&t, &runs_out_at(polls)).is_ok());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The unified prediction request: one builder that expresses every way
 //! of driving the GPUMech pipeline.
 //!
-//! Historically [`Gpumech`](crate::model::Gpumech) grew five overlapping
-//! entry points (`predict`, `predict_trace`, `predict_from_analysis`,
-//! `predict_profile`, `predict_weighted_clusters`) that differed only in
-//! where the input came from and how the representative warp was chosen.
-//! [`PredictionRequest`] collapses them: pick an input *source* with a
-//! constructor, then adjust *options* with builder methods, and hand the
-//! request to [`Gpumech::run`](crate::model::Gpumech::run).
+//! Ways of driving the pipeline differ only in where the input comes from
+//! (a workload, a trace, a finished analysis, one named warp of it) and in
+//! how the representative warp is chosen. [`PredictionRequest`] expresses
+//! both: pick an input *source* with a constructor, then adjust *options*
+//! with builder methods, and hand the request to
+//! [`Gpumech::run`](crate::model::Gpumech::run) — the only entry point
+//! (the five `predict*` methods it replaced are gone; README lists the
+//! request that stands in for each).
 //!
 //! ```
 //! use gpumech_core::{Gpumech, Model, PredictionRequest, SchedulingPolicy};

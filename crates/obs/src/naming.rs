@@ -42,6 +42,12 @@ mod tests {
             "mem.cachesim.wave_ops",
             "mem.cachesim.wave_lines",
             "trace.engine.insts",
+            "trace.engine.unobserved_insts",
+            "trace.engine.scalar_insts",
+            "trace.engine.vector_insts",
+            "trace.engine.affine_addr_insts",
+            "core.intervals.distinct_streams",
+            "core.intervals.shared_profiles",
             "timing.oracle.dram_utilization",
             "fault.case.pipeline",
             "a.b.c",

@@ -8,17 +8,27 @@
 //! control flow, every potentially-divergent branch carries its
 //! reconvergence PC statically.
 //!
-//! The warp, not the lane, is the unit of work. Each source operand of a
-//! warp-instruction is resolved once into a 32-element lane vector — a
-//! register copy, a splat of an immediate, parameter or per-warp constant,
-//! or an iota over the warp's thread ids — the [`ValueOp`] is dispatched
-//! once and applied over plain 32-element loops, and the result is written
-//! back under the active mask. Memory addresses, loaded values and branch
-//! taken-masks come from the same lane vectors, so a warp-instruction costs
-//! one operand `match` per source and one `ValueOp` `match`, not 32 of each.
-//! Inactive lanes are computed and discarded; no value operation can fault
-//! (division clamps its divisor, shifts mask their count), so that is
-//! unobservable.
+//! The engine computes only what a trace can show. A trace records PCs,
+//! dependences, masks and addresses, so a register's *value* matters only
+//! when it can reach a memory address or a branch condition. Once per
+//! kernel the engine closes that set of *observed* registers (see
+//! `observed_registers`); an instruction that writes any other register
+//! pushes its row, its dependence list and its scoreboard update like every
+//! instruction, but fetches no operand and computes nothing.
+//!
+//! The warp, not the lane, is the unit of work, and most observed values
+//! are the same in every lane or step evenly from lane to lane. A register
+//! therefore holds a `Value`: either `base + stride·lane` (stride 0 is a
+//! warp-uniform value) or a 32-lane vector. Moves, sums, differences,
+//! products with at most one non-uniform factor and shifts by a uniform
+//! count stay in the first form — wrapping `u64` arithmetic is arithmetic
+//! modulo 2^64, in which those identities are exact — and any operation
+//! whose operands are all uniform is evaluated once. Everything else
+//! materialises its operands into lane vectors and goes through `eval`
+//! at 32 lanes, the one vector path: which path an instruction takes
+//! depends on what its operands hold, never on an option. Inactive lanes
+//! are computed and discarded; no value operation can fault (division
+//! clamps its divisor, shifts mask their count), so that is unobservable.
 //!
 //! The engine tracks a *warp-level* register scoreboard (last writer per
 //! register), exactly like real hardware: a register write by any lane makes
@@ -170,21 +180,70 @@ const CANCEL_CHECK_MASK: usize = 0x3FF;
 /// One value per lane of a warp.
 type Lanes = [u64; WARP_SIZE];
 
-fn splat(v: u64) -> Lanes {
-    [v; WARP_SIZE]
+/// `base + stride·lane`, wrapping.
+fn affine_at(base: u64, stride: u64, lane: usize) -> u64 {
+    base.wrapping_add(stride.wrapping_mul(lane as u64))
 }
 
-/// `base + lane` in every lane.
-fn iota(base: u64) -> Lanes {
-    std::array::from_fn(|lane| base + lane as u64)
+/// `base + stride·lane` in every lane.
+fn ramp(base: u64, stride: u64) -> Lanes {
+    std::array::from_fn(|lane| affine_at(base, stride, lane))
 }
 
-fn map1(a: &Lanes, f: impl Fn(u64) -> u64) -> Lanes {
+fn map1<const N: usize>(a: &[u64; N], f: impl Fn(u64) -> u64) -> [u64; N] {
     std::array::from_fn(|lane| f(a[lane]))
 }
 
-fn map2(a: &Lanes, b: &Lanes, f: impl Fn(u64, u64) -> u64) -> Lanes {
+fn map2<const N: usize>(a: &[u64; N], b: &[u64; N], f: impl Fn(u64, u64) -> u64) -> [u64; N] {
     std::array::from_fn(|lane| f(a[lane], b[lane]))
+}
+
+/// `f` folded over all of `srcs`, from `init`, in every lane.
+fn fold<const N: usize>(
+    srcs: &[Operand],
+    fetch: impl Fn(Operand) -> [u64; N],
+    init: u64,
+    f: impl Fn(u64, u64) -> u64,
+) -> [u64; N] {
+    srcs.iter().fold([init; N], |acc, &s| map2(&acc, &fetch(s), &f))
+}
+
+/// `op` over `srcs` in each of `N` lanes, `fetch` giving an operand's value
+/// in those lanes. The engine runs it at [`WARP_SIZE`] lanes over
+/// materialised operands and at one lane when every operand is uniform.
+fn eval<const N: usize>(
+    op: ValueOp,
+    srcs: &[Operand],
+    fetch: impl Fn(Operand) -> [u64; N],
+) -> [u64; N] {
+    let v = |i: usize| fetch(srcs[i]);
+    match op {
+        ValueOp::Mov => if srcs.is_empty() { [0; N] } else { v(0) },
+        ValueOp::Add => fold(srcs, fetch, 0, u64::wrapping_add),
+        ValueOp::Sub => map2(&v(0), &v(1), u64::wrapping_sub),
+        ValueOp::Mul => fold(srcs, fetch, 1, u64::wrapping_mul),
+        ValueOp::Div => map2(&v(0), &v(1), |a, b| a / b.max(1)),
+        ValueOp::Rem => map2(&v(0), &v(1), |a, b| a % b.max(1)),
+        ValueOp::And => fold(srcs, fetch, u64::MAX, |a, b| a & b),
+        ValueOp::Xor => fold(srcs, fetch, 0, |a, b| a ^ b),
+        ValueOp::Shl => map2(&v(0), &v(1), |a, b| a << (b & 63)),
+        ValueOp::Shr => map2(&v(0), &v(1), |a, b| a >> (b & 63)),
+        ValueOp::Min => fold(srcs, fetch, u64::MAX, u64::min),
+        ValueOp::Max => fold(srcs, fetch, 0, u64::max),
+        ValueOp::CmpLt => map2(&v(0), &v(1), |a, b| u64::from(a < b)),
+        ValueOp::CmpEq => map2(&v(0), &v(1), |a, b| u64::from(a == b)),
+        ValueOp::CmpNe => map2(&v(0), &v(1), |a, b| u64::from(a != b)),
+        ValueOp::Select => {
+            let (c, a, b) = (v(0), v(1), v(2));
+            std::array::from_fn(|lane| if c[lane] != 0 { a[lane] } else { b[lane] })
+        }
+        ValueOp::Hash => map1(&fold(srcs, fetch, 0, |a, b| a ^ b), splitmix64),
+    }
+}
+
+/// The synthetic content of memory at `addr`.
+fn loaded(addr: u64) -> u64 {
+    splitmix64(addr ^ MEMORY_SEED)
 }
 
 /// Bit `lane` set where `v[lane] == 0`.
@@ -192,21 +251,66 @@ fn zero_lanes(v: &Lanes) -> u32 {
     v.iter().enumerate().fold(0, |m, (lane, &x)| m | (u32::from(x == 0) << lane))
 }
 
-/// The lanes of `v` selected by `mask`, packed in ascending lane order into
-/// the front of `out`; returns how many.
-fn compact(v: &Lanes, mask: u32, out: &mut Lanes) -> usize {
-    if mask == FULL_MASK {
-        *out = *v;
-        return WARP_SIZE;
+/// A value across the lanes of a warp, its lane vector kept as a `V`: `()`
+/// for a register's shape (the vector then lives in [`WarpMachine::regs`]),
+/// `&Lanes` for an operand being read, `Lanes` for a fresh result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Value<V> {
+    /// `base + stride·lane`, wrapping; stride 0 is a warp-uniform value.
+    Affine { base: u64, stride: u64 },
+    /// Any 32 values.
+    Vector(V),
+}
+
+impl<V> Value<V> {
+    fn uniform(base: u64) -> Self {
+        Value::Affine { base, stride: 0 }
     }
-    let mut n = 0;
-    let mut rest = mask;
-    while rest != 0 {
-        out[n] = v[rest.trailing_zeros() as usize];
-        n += 1;
-        rest &= rest - 1;
+}
+
+impl Value<&Lanes> {
+    /// The value in every lane.
+    fn lanes(self) -> Lanes {
+        match self {
+            Value::Affine { base, stride } => ramp(base, stride),
+            Value::Vector(v) => *v,
+        }
     }
-    n
+}
+
+/// The registers a trace can observe, as a bit set: those that feed a
+/// memory instruction's address operand or a conditional branch's
+/// condition, closed under "a writer of an observed register observes its
+/// register sources". The closure ignores control flow and masks — a
+/// register is observed everywhere or nowhere — so it stays sound when a
+/// register is rewritten under a partial mask or reused for data in one
+/// place and an address in another: every writer of an observed register
+/// computes, whichever write a reader ends up seeing.
+fn observed_registers(kernel: &Kernel) -> u64 {
+    const { assert!(NUM_REGS <= u64::BITS as usize) };
+    let bit = |op: &Operand| match op {
+        Operand::Reg(Reg(r)) => 1u64 << r,
+        _ => 0,
+    };
+    let mut observed = 0u64;
+    for inst in &kernel.insts {
+        let reads_first = inst.kind.is_mem()
+            || (inst.kind == InstKind::Branch && inst.cond != BranchCond::Always);
+        if reads_first {
+            observed |= inst.srcs.first().map_or(0, bit);
+        }
+    }
+    loop {
+        let before = observed;
+        for inst in &kernel.insts {
+            if inst.dst.is_some_and(|Reg(d)| observed >> d & 1 != 0) {
+                observed |= inst.srcs.iter().fold(0, |set, s| set | bit(s));
+            }
+        }
+        if observed == before {
+            return observed;
+        }
+    }
 }
 
 /// Functional state of one warp. One machine serves every warp of a launch
@@ -217,7 +321,12 @@ struct WarpMachine<'k> {
     analysis: &'k KernelAnalysis,
     cancel: &'k CancelToken,
     launch: LaunchConfig,
-    /// `regs[reg][lane]`.
+    /// [`observed_registers`] of `kernel`; writes to any other register are
+    /// not computed.
+    observed: u64,
+    /// What each register holds.
+    shapes: [Value<()>; NUM_REGS],
+    /// `regs[reg][lane]`, meaningful while `shapes[reg]` is a vector.
     regs: Vec<Lanes>,
     stack: Vec<Frame>,
     last_writer: [Option<u32>; NUM_REGS],
@@ -242,6 +351,8 @@ impl<'k> WarpMachine<'k> {
             analysis,
             cancel,
             launch,
+            observed: observed_registers(kernel),
+            shapes: [Value::uniform(0); NUM_REGS],
             regs: vec![[0u64; WARP_SIZE]; NUM_REGS],
             stack: Vec::new(),
             last_writer: [None; NUM_REGS],
@@ -255,7 +366,7 @@ impl<'k> WarpMachine<'k> {
     /// Resets the machine to the entry state of `warp`.
     fn begin(&mut self, warp: WarpId) {
         let warp_in_block = self.launch.warp_in_block(warp);
-        self.regs.fill([0u64; WARP_SIZE]);
+        self.shapes = [Value::uniform(0); NUM_REGS];
         self.stack.clear();
         self.stack.push(Frame { pc: 0, mask: FULL_MASK, reconv: NO_RECONV });
         self.last_writer = [None; NUM_REGS];
@@ -265,65 +376,121 @@ impl<'k> WarpMachine<'k> {
         self.block = self.launch.block_of_warp(warp).index() as u64;
     }
 
-    /// The value of `op` in every lane of the warp.
-    fn lanes(&self, op: Operand) -> Lanes {
+    /// What `op` holds across the warp.
+    fn value(&self, op: Operand) -> Value<&Lanes> {
         match op {
-            Operand::Reg(Reg(r)) => self.regs[r as usize],
-            Operand::Imm(v) => splat(v),
-            Operand::Tid => iota(self.tid_base),
-            Operand::Lane => iota(0),
-            Operand::WarpInBlock => splat(self.warp_in_block),
-            Operand::Block => splat(self.block),
-            Operand::TidInBlock => iota(self.tid_in_block_base),
-            Operand::Param(i) => splat(self.kernel.params[i as usize]),
+            Operand::Reg(Reg(r)) => match self.shapes[r as usize] {
+                Value::Affine { base, stride } => Value::Affine { base, stride },
+                Value::Vector(()) => Value::Vector(&self.regs[r as usize]),
+            },
+            Operand::Imm(v) => Value::uniform(v),
+            Operand::Tid => Value::Affine { base: self.tid_base, stride: 1 },
+            Operand::Lane => Value::Affine { base: 0, stride: 1 },
+            Operand::WarpInBlock => Value::uniform(self.warp_in_block),
+            Operand::Block => Value::uniform(self.block),
+            Operand::TidInBlock => Value::Affine { base: self.tid_in_block_base, stride: 1 },
+            Operand::Param(i) => Value::uniform(self.kernel.params[i as usize]),
         }
     }
 
-    /// `f` folded over all of `srcs`, from `init`, in every lane.
-    fn fold(&self, srcs: &[Operand], init: u64, f: impl Fn(u64, u64) -> u64) -> Lanes {
-        srcs.iter().fold(splat(init), |acc, &s| map2(&acc, &self.lanes(s), &f))
+    /// `(base, stride)` of `op` unless it holds a vector.
+    fn affine(&self, op: Operand) -> Option<(u64, u64)> {
+        match self.value(op) {
+            Value::Affine { base, stride } => Some((base, stride)),
+            Value::Vector(_) => None,
+        }
     }
 
-    /// `op` over `srcs` in every lane of the warp.
-    fn eval(&self, op: ValueOp, srcs: &[Operand]) -> Lanes {
-        let v = |i: usize| self.lanes(srcs[i]);
+    /// The value of `op` if it is the same in every lane.
+    fn uniform(&self, op: Operand) -> Option<u64> {
+        match self.value(op) {
+            Value::Affine { base, stride: 0 } => Some(base),
+            _ => None,
+        }
+    }
+
+    /// `op` over `srcs` as `(base, stride)` without touching a lane, when
+    /// the operands allow it: the affine form is closed under moves, sums,
+    /// differences, products with at most one non-uniform factor and shifts
+    /// by a uniform count (all exact modulo 2^64), and any operation over
+    /// uniform operands is one evaluation.
+    fn closed_form(&self, op: ValueOp, srcs: &[Operand]) -> Option<(u64, u64)> {
         match op {
-            ValueOp::Mov => if srcs.is_empty() { splat(0) } else { v(0) },
-            ValueOp::Add => self.fold(srcs, 0, u64::wrapping_add),
-            ValueOp::Sub => map2(&v(0), &v(1), u64::wrapping_sub),
-            ValueOp::Mul => self.fold(srcs, 1, u64::wrapping_mul),
-            ValueOp::Div => map2(&v(0), &v(1), |a, b| a / b.max(1)),
-            ValueOp::Rem => map2(&v(0), &v(1), |a, b| a % b.max(1)),
-            ValueOp::And => self.fold(srcs, u64::MAX, |a, b| a & b),
-            ValueOp::Xor => self.fold(srcs, 0, |a, b| a ^ b),
-            ValueOp::Shl => map2(&v(0), &v(1), |a, b| a << (b & 63)),
-            ValueOp::Shr => map2(&v(0), &v(1), |a, b| a >> (b & 63)),
-            ValueOp::Min => self.fold(srcs, u64::MAX, u64::min),
-            ValueOp::Max => self.fold(srcs, 0, u64::max),
-            ValueOp::CmpLt => map2(&v(0), &v(1), |a, b| u64::from(a < b)),
-            ValueOp::CmpEq => map2(&v(0), &v(1), |a, b| u64::from(a == b)),
-            ValueOp::CmpNe => map2(&v(0), &v(1), |a, b| u64::from(a != b)),
-            ValueOp::Select => {
-                let (c, a, b) = (v(0), v(1), v(2));
-                std::array::from_fn(|lane| if c[lane] != 0 { a[lane] } else { b[lane] })
+            ValueOp::Mov if !srcs.is_empty() => self.affine(srcs[0]),
+            ValueOp::Add => srcs.iter().try_fold((0u64, 0u64), |(base, stride), &s| {
+                let (b, st) = self.affine(s)?;
+                Some((base.wrapping_add(b), stride.wrapping_add(st)))
+            }),
+            ValueOp::Sub => {
+                let (a, b) = (self.affine(srcs[0])?, self.affine(srcs[1])?);
+                Some((a.0.wrapping_sub(b.0), a.1.wrapping_sub(b.1)))
             }
-            ValueOp::Hash => map1(&self.fold(srcs, 0, |a, b| a ^ b), splitmix64),
+            ValueOp::Mul => srcs.iter().try_fold((1u64, 0u64), |(base, stride), &s| {
+                let (b, st) = self.affine(s)?;
+                // (base + stride·l)(b + st·l) has an l² term unless one
+                // stride is zero.
+                let stride = match (stride, st) {
+                    (0, _) => base.wrapping_mul(st),
+                    (_, 0) => stride.wrapping_mul(b),
+                    _ => return None,
+                };
+                Some((base.wrapping_mul(b), stride))
+            }),
+            ValueOp::Shl => {
+                let ((base, stride), count) = (self.affine(srcs[0])?, self.uniform(srcs[1])? & 63);
+                Some((base << count, stride << count))
+            }
+            _ => {
+                if srcs.iter().any(|&s| self.uniform(s).is_none()) {
+                    return None;
+                }
+                let [v] = eval(op, srcs, |s| [self.uniform(s).unwrap_or_default()]);
+                Some((v, 0))
+            }
+        }
+    }
+
+    /// `op` over `srcs`: in closed form when the operands allow it,
+    /// otherwise over their lane vectors.
+    fn compute(&self, op: ValueOp, srcs: &[Operand]) -> Value<Lanes> {
+        match self.closed_form(op, srcs) {
+            Some((base, stride)) => Value::Affine { base, stride },
+            None => Value::Vector(eval(op, srcs, |s| self.value(s).lanes())),
         }
     }
 
     /// Writes `val` to register `dst` in the lanes of `mask`; the other
     /// lanes keep their value.
-    fn write_back(&mut self, dst: u8, val: &Lanes, mask: u32) {
-        let reg = &mut self.regs[dst as usize];
+    fn write_back(&mut self, dst: u8, val: &Value<Lanes>, mask: u32) {
+        let (shape, reg) = (&mut self.shapes[dst as usize], &mut self.regs[dst as usize]);
+        let ramped;
+        let new: &Lanes = match val {
+            &Value::Affine { base, stride } => {
+                let new = Value::Affine { base, stride };
+                // Nothing to blend under a full mask, or when the other
+                // lanes already hold this very value.
+                if mask == FULL_MASK || *shape == new {
+                    *shape = new;
+                    return;
+                }
+                ramped = ramp(base, stride);
+                &ramped
+            }
+            Value::Vector(v) => v,
+        };
         if mask == FULL_MASK {
-            *reg = *val;
+            *reg = *new;
         } else {
-            for (lane, (r, &v)) in reg.iter_mut().zip(val).enumerate() {
+            if let Value::Affine { base, stride } = *shape {
+                *reg = ramp(base, stride);
+            }
+            for (lane, (r, &v)) in reg.iter_mut().zip(new).enumerate() {
                 if mask & (1 << lane) != 0 {
                     *r = v;
                 }
             }
         }
+        *shape = Value::Vector(());
     }
 
     /// The distinct last writers of `srcs`' registers, ascending, packed
@@ -361,7 +528,6 @@ impl<'k> WarpMachine<'k> {
         };
         let mut stats = RunStats::default();
         let mut deps = [0u32; NUM_REGS];
-        let mut addrs = [0u64; WARP_SIZE];
         let broken = |pc: u32, detail: &'static str| TraceError::BrokenInvariant {
             kernel: kernel.name.clone(),
             warp,
@@ -385,15 +551,31 @@ impl<'k> WarpMachine<'k> {
             let mask = top.mask;
             let idx = trace.len() as u32;
 
-            // Memory instructions: srcs[0] is the address in every lane.
-            let addr_lanes = inst.kind.is_mem().then(|| self.lanes(inst.srcs[0]));
-            let n_addrs = addr_lanes.as_ref().map_or(0, |a| compact(a, mask, &mut addrs));
+            let n_deps = self.collect_deps(&inst.srcs, &mut deps);
+            let deps = &deps[..n_deps];
+            // Memory instructions: srcs[0] is the address in every lane,
+            // and the active lanes' addresses go straight into the row.
+            let addr = inst.kind.is_mem().then(|| self.value(inst.srcs[0]));
+            match addr {
+                None => trace.push(top.pc, inst.kind, mask, deps, &[]),
+                Some(Value::Affine { base, stride }) => {
+                    stats.affine_addr_insts += 1;
+                    trace.push_mem(top.pc, inst.kind, mask, deps, |lane| {
+                        affine_at(base, stride, lane)
+                    })
+                }
+                Some(Value::Vector(v)) => {
+                    trace.push_mem(top.pc, inst.kind, mask, deps, |lane| v[lane])
+                }
+            }
+            .map_err(|_| broken(top.pc, "dynamic instruction exceeds the trace row layout"))?;
             #[cfg(debug_assertions)]
-            if inst.kind.is_mem() {
+            if let Some(row) = trace.insts.last().filter(|row| row.kind.is_mem()) {
+                let addrs = trace.addrs(row);
                 // Cross-check: the observed line count must respect the
                 // analyzer's per-warp coalescing bound.
                 if let Some(Some(access)) = self.analysis.coalescing.get(top.pc as usize) {
-                    let lines = distinct_lines(&addrs[..n_addrs]);
+                    let lines = distinct_lines(addrs);
                     debug_assert!(
                         lines <= access.max_requests,
                         "pc {}: warp touched {lines} lines, static bound is {} ({:?})",
@@ -405,7 +587,7 @@ impl<'k> WarpMachine<'k> {
                 // Cross-check: the observed shared-memory bank-conflict
                 // degree must respect the analyzer's full-mask bound.
                 if let Some(fact) = self.analysis.shared_fact(top.pc) {
-                    let observed = observed_bank_degree(&addrs[..n_addrs]);
+                    let observed = observed_bank_degree(addrs);
                     debug_assert!(
                         observed <= fact.bank_degree,
                         "pc {}: warp hit {observed}-way bank conflict, static bound is {}-way",
@@ -414,17 +596,21 @@ impl<'k> WarpMachine<'k> {
                     );
                 }
             }
-            let n_deps = self.collect_deps(&inst.srcs, &mut deps);
-            trace
-                .push(top.pc, inst.kind, mask, &deps[..n_deps], &addrs[..n_addrs])
-                .map_err(|_| broken(top.pc, "dynamic instruction exceeds the trace row layout"))?;
 
             match inst.kind {
                 InstKind::Branch => {
                     let taken = match inst.cond {
                         BranchCond::Always => mask,
-                        BranchCond::IfZero => mask & zero_lanes(&self.lanes(inst.srcs[0])),
-                        BranchCond::IfNonZero => mask & !zero_lanes(&self.lanes(inst.srcs[0])),
+                        sense => {
+                            // A uniform condition is one compare.
+                            let zero = match self.value(inst.srcs[0]) {
+                                Value::Affine { base, stride: 0 } => {
+                                    if base == 0 { FULL_MASK } else { 0 }
+                                }
+                                cond => zero_lanes(&cond.lanes()),
+                            };
+                            mask & if sense == BranchCond::IfZero { zero } else { !zero }
+                        }
                     };
                     let fall = mask & !taken;
                     debug_assert!(
@@ -470,13 +656,25 @@ impl<'k> WarpMachine<'k> {
                 }
                 _ => {
                     if let Some(Reg(dst)) = inst.dst {
-                        let val = match (&addr_lanes, inst.kind) {
-                            (Some(addr), InstKind::Load(_)) => {
-                                map1(addr, |a| splitmix64(a ^ MEMORY_SEED))
+                        if self.observed >> dst & 1 == 0 {
+                            stats.unobserved_insts += 1;
+                        } else {
+                            let val = match (addr, inst.kind) {
+                                // A load from one address loads one value.
+                                (Some(Value::Affine { base, stride: 0 }), InstKind::Load(_)) => {
+                                    Value::uniform(loaded(base))
+                                }
+                                (Some(addr), InstKind::Load(_)) => {
+                                    Value::Vector(map1(&addr.lanes(), loaded))
+                                }
+                                _ => self.compute(inst.op, &inst.srcs),
+                            };
+                            match val {
+                                Value::Affine { .. } => stats.scalar_insts += 1,
+                                Value::Vector(_) => stats.vector_insts += 1,
                             }
-                            _ => self.eval(inst.op, &inst.srcs),
-                        };
-                        self.write_back(dst, &val, mask);
+                            self.write_back(dst, &val, mask);
+                        }
                         self.last_writer[dst as usize] = Some(idx);
                     }
                     let Some(frame) = self.stack.last_mut() else { break };
@@ -489,21 +687,45 @@ impl<'k> WarpMachine<'k> {
     }
 }
 
-/// Branch-behaviour tallies from one warp's functional execution,
-/// aggregated per kernel before being emitted as `trace.engine.*`
-/// counters (so the hot loop only bumps plain integers).
+/// Tallies from one warp's functional execution, aggregated per kernel
+/// before being emitted as `trace.engine.*` counters (so the hot loop only
+/// bumps plain integers). Every register-writing instruction is counted in
+/// exactly one of `unobserved_insts`, `scalar_insts` and `vector_insts`.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunStats {
     /// Conditional branches where active lanes split both ways.
     divergent_branches: u64,
     /// Branch executions where every active lane agreed.
     uniform_branches: u64,
+    /// Instructions whose destination no address or branch can observe:
+    /// recorded, not computed.
+    unobserved_insts: u64,
+    /// Instructions computed without touching a lane (affine or uniform).
+    scalar_insts: u64,
+    /// Instructions computed over 32-lane vectors.
+    vector_insts: u64,
+    /// Memory instructions whose address was `base + stride·lane`.
+    affine_addr_insts: u64,
 }
 
 impl RunStats {
     fn absorb(&mut self, other: RunStats) {
         self.divergent_branches += other.divergent_branches;
         self.uniform_branches += other.uniform_branches;
+        self.unobserved_insts += other.unobserved_insts;
+        self.scalar_insts += other.scalar_insts;
+        self.vector_insts += other.vector_insts;
+        self.affine_addr_insts += other.affine_addr_insts;
+    }
+
+    /// Emits the tallies, once per traced kernel (or lone warp).
+    fn emit(&self) {
+        gpumech_obs::counter!("trace.engine.divergent_branches", self.divergent_branches);
+        gpumech_obs::counter!("trace.engine.uniform_branches", self.uniform_branches);
+        gpumech_obs::counter!("trace.engine.unobserved_insts", self.unobserved_insts);
+        gpumech_obs::counter!("trace.engine.scalar_insts", self.scalar_insts);
+        gpumech_obs::counter!("trace.engine.vector_insts", self.vector_insts);
+        gpumech_obs::counter!("trace.engine.affine_addr_insts", self.affine_addr_insts);
     }
 }
 
@@ -576,8 +798,7 @@ pub fn trace_warp(
     let cancel = CancelToken::never();
     let (trace, stats) = WarpMachine::new(kernel, &analysis, &cancel, launch).run(warp, None)?;
     gpumech_obs::counter!("trace.engine.insts", trace.len() as u64);
-    gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
-    gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
+    stats.emit();
     Ok(trace)
 }
 
@@ -620,8 +841,7 @@ pub fn trace_kernel_cancellable(
     }
     gpumech_obs::counter!("trace.engine.warps", warps.len() as u64);
     gpumech_obs::counter!("trace.engine.insts", warps.iter().map(|w| w.len() as u64).sum::<u64>());
-    gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
-    gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
+    stats.emit();
     Ok(KernelTrace { name: kernel.name.clone(), launch, warps })
 }
 
@@ -635,11 +855,23 @@ mod tests {
         LaunchConfig::new(32, 1)
     }
 
+    /// Seeded registers of the differential test, as plain lane vectors:
+    /// what the per-lane reference reads.
+    type Mirror = [Lanes; SEEDED_REGS];
+    const SEEDED_REGS: usize = 13;
+
     /// The per-lane interpreter the warp-wide engine replaced, kept as the
-    /// reference the differential test below compares against.
-    fn scalar_operand(m: &WarpMachine<'_>, warp: WarpId, op: Operand, lane: usize) -> u64 {
+    /// reference the differential test below compares against. Registers
+    /// come from `regs`, never from the machine's shapes.
+    fn scalar_operand(
+        m: &WarpMachine<'_>,
+        regs: &Mirror,
+        warp: WarpId,
+        op: Operand,
+        lane: usize,
+    ) -> u64 {
         match op {
-            Operand::Reg(Reg(r)) => m.regs[r as usize][lane],
+            Operand::Reg(Reg(r)) => regs[r as usize][lane],
             Operand::Imm(v) => v,
             Operand::Tid => m.launch.global_tid(warp, lane),
             Operand::Lane => lane as u64,
@@ -652,14 +884,15 @@ mod tests {
 
     fn scalar_eval(
         m: &WarpMachine<'_>,
+        regs: &Mirror,
         warp: WarpId,
         op: ValueOp,
         srcs: &[Operand],
         lane: usize,
     ) -> u64 {
-        let v = |i: usize| scalar_operand(m, warp, srcs[i], lane);
+        let v = |i: usize| scalar_operand(m, regs, warp, srcs[i], lane);
         let fold = |f: fn(u64, u64) -> u64, init: u64| {
-            srcs.iter().map(|&s| scalar_operand(m, warp, s, lane)).fold(init, f)
+            srcs.iter().map(|&s| scalar_operand(m, regs, warp, s, lane)).fold(init, f)
         };
         match op {
             ValueOp::Mov => if srcs.is_empty() { 0 } else { v(0) },
@@ -702,34 +935,68 @@ mod tests {
         ValueOp::Hash,
     ];
 
-    /// Registers 0..8 hold, in this order: seeded noise, all zeros (a zero
-    /// divisor in every lane), zeros in the odd lanes, shift counts of 64
-    /// and more, all ones, small values, and two more of noise.
-    fn seed_registers(m: &mut WarpMachine<'_>, seed: u64) {
+    /// The meaning of a value, lane by lane, written out independently of
+    /// the engine's own `ramp`.
+    fn lanes_of(val: &Value<Lanes>) -> Lanes {
+        match *val {
+            Value::Affine { base, stride } => {
+                std::array::from_fn(|l| base.wrapping_add(stride.wrapping_mul(l as u64)))
+            }
+            Value::Vector(v) => v,
+        }
+    }
+
+    /// Puts `val` into register `reg` of the machine in its own shape.
+    fn set_register(m: &mut WarpMachine<'_>, reg: usize, val: &Value<Lanes>) {
+        match *val {
+            Value::Affine { base, stride } => m.shapes[reg] = Value::Affine { base, stride },
+            Value::Vector(v) => {
+                m.shapes[reg] = Value::Vector(());
+                m.regs[reg] = v;
+            }
+        }
+    }
+
+    /// Seeds registers `0..SEEDED_REGS` in all three shapes and returns
+    /// them as plain lanes. Vectors: noise, zeros in the odd lanes, shift
+    /// counts of 64 and more, small values. Uniform: zero (a zero divisor in
+    /// every lane), all ones, a shift count of 64 or more, noise. Affine:
+    /// strides 1, 4, 128 and `u64::MAX`, and a base that wraps within the
+    /// warp.
+    fn seed_registers(m: &mut WarpMachine<'_>, seed: u64) -> Mirror {
         let mut r = seed;
         let mut next = || {
             r = splitmix64(r);
             r
         };
-        for (reg, lanes) in m.regs.iter_mut().take(8).enumerate() {
-            for (lane, v) in lanes.iter_mut().enumerate() {
-                let noise = next();
-                *v = match reg {
-                    1 => 0,
-                    2 => if lane % 2 == 1 { 0 } else { noise },
-                    3 => 64 + noise % 200,
-                    4 => u64::MAX,
-                    5 => noise % 7,
-                    _ => noise,
-                };
-            }
+        let mut vector = |f: fn(usize, u64) -> u64| -> Value<Lanes> {
+            Value::Vector(std::array::from_fn(|lane| f(lane, next())))
+        };
+        let seeded: [Value<Lanes>; SEEDED_REGS] = [
+            vector(|_, noise| noise),
+            Value::uniform(0),
+            vector(|lane, noise| if lane % 2 == 1 { 0 } else { noise }),
+            vector(|_, noise| 64 + noise % 200),
+            Value::uniform(u64::MAX),
+            vector(|_, noise| noise % 7),
+            Value::Affine { base: splitmix64(seed ^ 6), stride: 1 },
+            Value::Affine { base: splitmix64(seed ^ 7) >> 20, stride: 4 },
+            Value::Affine { base: 0x1000_0000 + (seed << 12), stride: 128 },
+            Value::Affine { base: splitmix64(seed ^ 9) >> 1, stride: u64::MAX },
+            Value::uniform(64 + splitmix64(seed ^ 10) % 200),
+            Value::uniform(splitmix64(seed ^ 11)),
+            Value::Affine { base: u64::MAX - 9 - seed, stride: 3 },
+        ];
+        for (reg, val) in seeded.iter().enumerate() {
+            set_register(m, reg, val);
         }
+        seeded.map(|val| lanes_of(&val))
     }
 
     /// One operand of kind `kind` (0..8), its payload drawn from `r`.
     fn operand_of_kind(kind: u64, r: u64) -> Operand {
         match kind {
-            0 => Operand::Reg(Reg((r % 8) as u8)),
+            0 => Operand::Reg(Reg((r % SEEDED_REGS as u64) as u8)),
             // Zero, shift counts of 64 and more, and noise all occur.
             1 => Operand::Imm([0, 1, 64, 200, r][(r % 5) as usize]),
             2 => Operand::Tid,
@@ -741,11 +1008,12 @@ mod tests {
         }
     }
 
-    /// Differential test of the warp-wide value path against the per-lane
-    /// reference: every `ValueOp` with every `Operand` kind in every source
-    /// position, over seeded register files and warps, under full, partial,
-    /// single-lane and high-lanes-only masks. Inactive lanes must keep
-    /// their previous register value.
+    /// Differential test of the value path — closed forms and lane vectors
+    /// alike — against the per-lane reference: every `ValueOp` with every
+    /// `Operand` kind in every source position, over warps and register
+    /// files seeded in all three shapes, written back under full, partial,
+    /// single-lane and high-lanes-only masks onto uniform, affine and
+    /// vector destinations. Inactive lanes must keep their previous value.
     #[test]
     fn warp_wide_evaluation_matches_the_per_lane_reference() {
         let mut b = KernelBuilder::new("k");
@@ -755,13 +1023,39 @@ mod tests {
         let cancel = CancelToken::never();
         let launch = LaunchConfig::new(128, 7);
         let mut m = WarpMachine::new(&k, &analysis, &cancel, launch);
-        const DST: u8 = 9;
-        let mut cases = 0usize;
+        const DST: usize = 20;
+        let (mut cases, mut closed, mut vector, mut kept_affine) = (0usize, 0usize, 0usize, 0usize);
+
+        let r = |n: u8| Operand::Reg(Reg(n));
+        // Cases the seeded fan may miss, by register (see `seed_registers`):
+        // products of two affine values and of one with uniform factors,
+        // shifts by uniform and per-lane counts of 64 and more, division by
+        // a uniform zero of uniform, affine and vector dividends, a
+        // difference that wraps.
+        let pinned: Vec<(ValueOp, Vec<Operand>)> = vec![
+            (ValueOp::Mul, vec![r(7), r(8)]),
+            (ValueOp::Mul, vec![r(6), Operand::Tid]),
+            (ValueOp::Mul, vec![r(11), r(7), Operand::Imm(3)]),
+            (ValueOp::Mul, vec![r(4), r(9), r(10)]),
+            (ValueOp::Shl, vec![r(7), Operand::Imm(64)]),
+            (ValueOp::Shl, vec![r(8), Operand::Imm(200)]),
+            (ValueOp::Shl, vec![r(9), r(10)]),
+            (ValueOp::Shl, vec![r(6), r(3)]),
+            (ValueOp::Shr, vec![r(7), r(10)]),
+            (ValueOp::Div, vec![r(11), r(1)]),
+            (ValueOp::Rem, vec![r(11), r(1)]),
+            (ValueOp::Div, vec![r(8), r(1)]),
+            (ValueOp::Rem, vec![r(0), r(1)]),
+            (ValueOp::Div, vec![r(4), Operand::Imm(0)]),
+            (ValueOp::Sub, vec![r(12), r(9)]),
+            (ValueOp::Add, vec![r(12), r(12), r(9)]),
+            (ValueOp::Mov, vec![r(9)]),
+        ];
 
         for seed in 0..6u64 {
             let warp = WarpId::new((splitmix64(seed) % launch.total_warps() as u64) as u32);
             m.begin(warp);
-            seed_registers(&mut m, seed);
+            let regs = seed_registers(&mut m, seed);
             let r0 = splitmix64(seed ^ 0xD1FF);
             let masks = [
                 FULL_MASK,
@@ -770,6 +1064,7 @@ mod tests {
                 0x8000_0000,                                     // the highest lane alone
                 ((r0 >> 16) as u32 & 0xFFFF_0000) | 0x0001_0000, // high lanes only
             ];
+            let mut fan = pinned.clone();
             for op in ALL_OPS {
                 let arities: &[usize] = match op {
                     ValueOp::Mov => &[0, 1],
@@ -788,54 +1083,350 @@ mod tests {
                     // positions take seeded kinds. Arity 0 runs once.
                     for pos in 0..arity.max(1) {
                         for kind in 0..8u64 {
-                            let r = splitmix64(r0 ^ (cases as u64));
+                            let r = splitmix64(r0 ^ (fan.len() as u64));
                             let srcs: Vec<Operand> = (0..arity)
                                 .map(|p| {
                                     let rp = splitmix64(r ^ p as u64);
                                     operand_of_kind(if p == pos { kind } else { rp >> 8 & 7 }, rp)
                                 })
                                 .collect();
-                            let val = m.eval(op, &srcs);
-                            for (lane, &v) in val.iter().enumerate() {
-                                assert_eq!(
-                                    v,
-                                    scalar_eval(&m, warp, op, &srcs, lane),
-                                    "seed {seed} {op:?} {srcs:?} lane {lane}"
-                                );
+                            fan.push((op, srcs));
+                        }
+                    }
+                }
+            }
+
+            for (case, (op, srcs)) in fan.iter().enumerate() {
+                let val = m.compute(*op, srcs);
+                match val {
+                    Value::Affine { .. } => closed += 1,
+                    Value::Vector(_) => vector += 1,
+                }
+                let got = lanes_of(&val);
+                for (lane, &v) in got.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        scalar_eval(&m, &regs, warp, *op, srcs, lane),
+                        "seed {seed} {op:?} {srcs:?} lane {lane} ({val:?})"
+                    );
+                }
+                let r = splitmix64(r0 ^ case as u64);
+                // The destination before the write, one shape per case in
+                // turn; now and then it already holds the result.
+                let before: Value<Lanes> = match case % 4 {
+                    0 => Value::uniform(r),
+                    1 => Value::Affine { base: r, stride: [1, 4, u64::MAX][case / 4 % 3] },
+                    2 => Value::Vector(std::array::from_fn(|l| splitmix64(r ^ l as u64))),
+                    _ => val,
+                };
+                let old = lanes_of(&before);
+                for mask in masks {
+                    set_register(&mut m, DST, &before);
+                    m.write_back(DST as u8, &val, mask);
+                    let now = m.value(Operand::Reg(Reg(DST as u8))).lanes();
+                    for (lane, &v) in now.iter().enumerate() {
+                        let want = if mask & (1 << lane) != 0 { got[lane] } else { old[lane] };
+                        assert_eq!(
+                            v, want,
+                            "seed {seed} {op:?} {srcs:?} onto {before:?} mask {mask:#x} lane {lane}"
+                        );
+                    }
+                    // An affine register survives only a write of an affine
+                    // value under a full mask or onto itself.
+                    if let Value::Affine { .. } = m.shapes[DST] {
+                        assert!(matches!(val, Value::Affine { .. }));
+                        assert!(mask == FULL_MASK || before == val, "blend left {before:?} affine");
+                        kept_affine += usize::from(mask != FULL_MASK);
+                    }
+                }
+                // The mask helper behind branches, against its definition.
+                let zeros = zero_lanes(&got);
+                for (lane, &v) in got.iter().enumerate() {
+                    assert_eq!(zeros >> lane & 1 == 1, v == 0, "zero_lanes lane {lane}");
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases >= 2000, "the case fan shrank to {cases}");
+        assert!(closed >= 500 && vector >= 500, "one path starved: {closed} closed, {vector} vector");
+        assert!(kept_affine >= 100, "partial writes of a held value were not exercised");
+    }
+
+    /// Traces every warp of a launch, on the product machine or on one
+    /// that observes every register (the slice switched off).
+    fn trace_all(
+        kernel: &Kernel,
+        launch: LaunchConfig,
+        observe_everything: bool,
+    ) -> (Vec<WarpTrace>, RunStats) {
+        let analysis = pre_trace_analysis(kernel).unwrap();
+        let cancel = CancelToken::never();
+        let mut m = WarpMachine::new(kernel, &analysis, &cancel, launch);
+        if observe_everything {
+            m.observed = u64::MAX;
+        }
+        let mut stats = RunStats::default();
+        let warps = launch
+            .warps()
+            .map(|w| {
+                let (trace, s) = m.run(w, None).unwrap();
+                stats.absorb(s);
+                trace
+            })
+            .collect();
+        (warps, stats)
+    }
+
+    /// A seeded kernel built to stress the observed-register slice: a small
+    /// pool of registers is rewritten again and again — as data, as
+    /// addresses, as branch conditions — through `Select`, `Hash`, loads
+    /// whose value becomes the next address, and writes under divergent
+    /// masks inside nested `if`s and lane-dependent loops.
+    fn generated_kernel(seed: u64) -> Kernel {
+        struct Gen {
+            b: KernelBuilder,
+            r: u64,
+            /// Long-lived registers every statement may read and rewrite.
+            pool: Vec<Reg>,
+            /// Scratch registers for intermediate values, used in turn.
+            temps: Vec<Reg>,
+            /// Loads left: each takes a fresh register from the builder.
+            loads: u32,
+        }
+        impl Gen {
+            fn next(&mut self) -> u64 {
+                self.r = splitmix64(self.r);
+                self.r
+            }
+            fn reg(&mut self) -> Reg {
+                let n = self.next();
+                self.pool[(n % self.pool.len() as u64) as usize]
+            }
+            fn temp(&mut self) -> Reg {
+                self.temps.rotate_left(1);
+                self.temps[0]
+            }
+            fn operand(&mut self) -> Operand {
+                match self.next() % 8 {
+                    0 => Operand::Tid,
+                    1 => Operand::Lane,
+                    2 => Operand::Imm(self.next() % 64),
+                    3 => Operand::Block,
+                    _ => Operand::Reg(self.reg()),
+                }
+            }
+            /// A global address derived from a pool register.
+            fn address(&mut self) -> Operand {
+                let (from, off, addr) = (Operand::Reg(self.reg()), self.temp(), self.temp());
+                let base = 0x1000_0000 * (1 + self.next() % 4);
+                match self.next() % 3 {
+                    // Keeps an affine value affine, a uniform one uniform.
+                    0 => self.b.alu_into(off, ValueOp::Shl, &[from, Operand::Imm(2)]),
+                    1 => self.b.alu_into(off, ValueOp::Mul, &[from, Operand::Imm(128)]),
+                    _ => self.b.alu_into(off, ValueOp::And, &[from, Operand::Imm(0xF_FFFC)]),
+                }
+                self.b.alu_into(addr, ValueOp::Add, &[Operand::Reg(off), Operand::Imm(base)]);
+                Operand::Reg(addr)
+            }
+            /// A condition on which lanes usually disagree.
+            fn condition(&mut self) -> Operand {
+                let (from, h, c) = (self.operand(), self.temp(), self.temp());
+                let salt = self.next() % 5;
+                self.b.alu_into(h, ValueOp::Add, &[from, Operand::Lane, Operand::Imm(salt)]);
+                self.b.alu_into(c, ValueOp::Rem, &[Operand::Reg(h), Operand::Imm(2 + salt)]);
+                Operand::Reg(c)
+            }
+            fn statements(&mut self, n: u64, depth: u32) {
+                for _ in 0..n {
+                    let dst = self.reg();
+                    match self.next() % 10 {
+                        0 | 1 => {
+                            let op = [ValueOp::Add, ValueOp::Sub, ValueOp::Mul, ValueOp::Xor]
+                                [(self.next() % 4) as usize];
+                            let srcs = [self.operand(), self.operand()];
+                            self.b.alu_into(dst, op, &srcs);
+                        }
+                        2 => {
+                            let srcs = [self.operand(), self.operand(), self.operand()];
+                            self.b.alu_into(dst, ValueOp::Select, &srcs);
+                        }
+                        3 => {
+                            let srcs = [self.operand(), Operand::Imm(self.next())];
+                            self.b.alu_into(dst, ValueOp::Hash, &srcs);
+                        }
+                        // A load into the pool: its value may be the next
+                        // address (pointer chase), a condition, or data.
+                        4 | 5 if self.loads > 0 => {
+                            self.loads -= 1;
+                            let addr = self.address();
+                            let x = self.b.load(MemSpace::Global, addr);
+                            self.b.alu_into(dst, ValueOp::Mov, &[Operand::Reg(x)]);
+                        }
+                        6 => {
+                            let (addr, data) = (self.address(), self.operand());
+                            self.b.store(MemSpace::Global, addr, data);
+                        }
+                        // An FMA chain: data only, unless the pool register
+                        // it lands in later feeds an address.
+                        7 => {
+                            let srcs = [self.operand(), self.operand(), self.operand()];
+                            let (x, y) = (self.temp(), self.temp());
+                            self.b.compute_into(x, InstKind::FpFma, ValueOp::Add, &srcs);
+                            let srcs = [Operand::Reg(x), Operand::Reg(x), srcs[0]];
+                            self.b.compute_into(y, InstKind::FpFma, ValueOp::Add, &srcs);
+                            self.b.compute_into(dst, InstKind::FpAdd, ValueOp::Add, &[Operand::Reg(y)]);
+                        }
+                        8 if depth < 2 => {
+                            let cond = self.condition();
+                            self.b.if_begin(cond);
+                            let n = 1 + self.next() % 3;
+                            self.statements(n, depth + 1);
+                            if self.next() & 1 == 0 {
+                                self.b.if_else();
+                                let n = 1 + self.next() % 3;
+                                self.statements(n, depth + 1);
                             }
-                            for mask in masks {
-                                let before = splat(r ^ u64::from(mask));
-                                m.regs[DST as usize] = before;
-                                m.write_back(DST, &val, mask);
-                                for (lane, &got) in m.regs[DST as usize].iter().enumerate() {
-                                    let want =
-                                        if mask & (1 << lane) != 0 { val[lane] } else { before[lane] };
-                                    assert_eq!(
-                                        got, want,
-                                        "seed {seed} {op:?} {srcs:?} mask {mask:#x} lane {lane}"
-                                    );
-                                }
-                                // The mask helpers behind addresses and
-                                // branches, against their definitions.
-                                let mut packed = splat(0);
-                                let n = compact(&val, mask, &mut packed);
-                                let want: Vec<u64> = (0..WARP_SIZE)
-                                    .filter(|l| mask & (1 << l) != 0)
-                                    .map(|l| val[l])
-                                    .collect();
-                                assert_eq!(&packed[..n], &want[..], "compact under {mask:#x}");
-                            }
-                            let zeros = zero_lanes(&val);
-                            for (lane, &v) in val.iter().enumerate() {
-                                assert_eq!(zeros >> lane & 1 == 1, v == 0, "zero_lanes lane {lane}");
-                            }
-                            cases += 1;
+                            self.b.if_end();
+                        }
+                        9 if depth < 2 => {
+                            // Do-while with a lane-dependent trip count of
+                            // at most four; counter and bound are fresh
+                            // registers so the loop always ends.
+                            let from = self.operand();
+                            let trip = self.b.alu(ValueOp::Rem, &[from, Operand::Imm(4)]);
+                            let i = self.b.alu(ValueOp::Mov, &[Operand::Imm(0)]);
+                            self.b.loop_begin();
+                            let n = 1 + self.next() % 3;
+                            self.statements(n, depth + 1);
+                            self.b.alu_into(i, ValueOp::Add, &[Operand::Reg(i), Operand::Imm(1)]);
+                            let c = self.temp();
+                            self.b.alu_into(c, ValueOp::CmpLt, &[Operand::Reg(i), Operand::Reg(trip)]);
+                            self.b.loop_end_while(Operand::Reg(c));
+                        }
+                        _ => {
+                            let src = self.operand();
+                            self.b.alu_into(dst, ValueOp::Mov, &[src]);
                         }
                     }
                 }
             }
         }
-        assert!(cases >= 2000, "the case fan shrank to {cases}");
+        let mut g = Gen {
+            b: KernelBuilder::new(format!("generated_{seed}")),
+            r: seed,
+            pool: vec![],
+            temps: vec![],
+            loads: 12,
+        };
+        // Every pool register is written before anything reads it, in one
+        // of each shape.
+        for init in [
+            (ValueOp::Mul, vec![Operand::Tid, Operand::Imm(4)]),
+            (ValueOp::Mov, vec![Operand::Imm(seed)]),
+            (ValueOp::Hash, vec![Operand::Tid, Operand::Imm(seed)]),
+            (ValueOp::Add, vec![Operand::Lane, Operand::Block]),
+            (ValueOp::Mov, vec![Operand::WarpInBlock]),
+        ] {
+            let reg = g.b.alu(init.0, &init.1);
+            g.pool.push(reg);
+        }
+        g.temps = (0..6).map(|_| g.b.alu(ValueOp::Mov, &[Operand::Imm(0)])).collect();
+        let n = 8 + g.next() % 8;
+        g.statements(n, 0);
+        g.b.finish(vec![])
+    }
+
+    /// The slice is unobservable: a machine that computes every register
+    /// produces the same traces as the product machine, over the whole
+    /// workload library and over a fan of generated kernels.
+    #[test]
+    fn the_observed_slice_does_not_change_any_trace() {
+        for w in crate::workloads::all() {
+            let w = w.with_blocks(2);
+            let (sliced, _) = trace_all(&w.kernel, w.launch, false);
+            let (full, stats) = trace_all(&w.kernel, w.launch, true);
+            assert_eq!(sliced, full, "{}", w.name);
+            assert_eq!(stats.unobserved_insts, 0, "{}: the reference skipped a write", w.name);
+        }
+
+        let launch = LaunchConfig::new(64, 3);
+        let mut totals = RunStats::default();
+        for seed in 0..64u64 {
+            let k = generated_kernel(seed);
+            let (sliced, stats) = trace_all(&k, launch, false);
+            let (full, _) = trace_all(&k, launch, true);
+            assert_eq!(sliced, full, "generated kernel {seed}");
+            totals.absorb(stats);
+        }
+        // The fan reaches every path it is meant to.
+        for (what, n) in [
+            ("unobserved writes", totals.unobserved_insts),
+            ("closed-form writes", totals.scalar_insts),
+            ("vector writes", totals.vector_insts),
+            ("affine addresses", totals.affine_addr_insts),
+            ("divergent branches", totals.divergent_branches),
+            ("uniform branches", totals.uniform_branches),
+        ] {
+            assert!(n >= 100, "the generated kernels executed only {n} {what}");
+        }
+    }
+
+    #[test]
+    fn observed_registers_are_those_that_reach_an_address_or_a_condition() {
+        let observed = |k: &Kernel, Reg(r): Reg| observed_registers(k) >> r & 1 != 0;
+
+        // Store data and the FMA chain behind it are never observed; the
+        // address arithmetic is.
+        let mut b = KernelBuilder::new("k");
+        let off = b.alu(ValueOp::Mul, &[Operand::Tid, Operand::Imm(4)]);
+        let addr = b.alu(ValueOp::Add, &[Operand::Reg(off), Operand::Imm(0x1000)]);
+        let x = b.load(MemSpace::Global, Operand::Reg(addr));
+        let y = b.fp_fma(&[Operand::Reg(x), Operand::Reg(x), Operand::Imm(1)]);
+        let z = b.fp_fma(&[Operand::Reg(y), Operand::Reg(x), Operand::Imm(2)]);
+        b.store(MemSpace::Global, Operand::Reg(addr), Operand::Reg(z));
+        let k = b.finish(vec![]);
+        assert!(observed(&k, off) && observed(&k, addr));
+        assert!(!observed(&k, x) && !observed(&k, y) && !observed(&k, z));
+
+        // A pointer chase: the loaded value is the next address, so the
+        // load's destination and everything behind its address is observed.
+        let mut b = KernelBuilder::new("k");
+        let p = b.alu(ValueOp::Mul, &[Operand::Lane, Operand::Imm(8)]);
+        let next = b.load(MemSpace::Global, Operand::Reg(p));
+        let masked = b.alu(ValueOp::And, &[Operand::Reg(next), Operand::Imm(0xFFF8)]);
+        let data = b.load(MemSpace::Shared, Operand::Reg(masked));
+        let k = b.finish(vec![]);
+        assert!(observed(&k, p) && observed(&k, next) && observed(&k, masked));
+        assert!(!observed(&k, data));
+
+        // A conditional branch observes its condition, through a `Select`
+        // to all three of its sources; the unconditional jump over the
+        // else arm observes nothing.
+        let mut b = KernelBuilder::new("k");
+        let a = b.alu(ValueOp::Rem, &[Operand::Lane, Operand::Imm(2)]);
+        let c = b.alu(ValueOp::Hash, &[Operand::Tid]);
+        let d = b.alu(ValueOp::Mov, &[Operand::Imm(1)]);
+        let cond = b.alu(ValueOp::Select, &[Operand::Reg(a), Operand::Reg(c), Operand::Reg(d)]);
+        let unused = b.alu(ValueOp::Add, &[Operand::Reg(cond), Operand::Imm(1)]);
+        b.if_begin(Operand::Reg(cond));
+        let _ = b.alu(ValueOp::Add, &[Operand::Imm(1)]);
+        b.if_else();
+        let _ = b.alu(ValueOp::Add, &[Operand::Imm(2)]);
+        b.if_end();
+        let k = b.finish(vec![]);
+        assert!([a, c, d, cond].iter().all(|&r| observed(&k, r)));
+        assert!(!observed(&k, unused));
+        assert_eq!(observed_registers(&k).count_ones(), 4);
+
+        let mut b = KernelBuilder::new("k");
+        let x = b.alu(ValueOp::Add, &[Operand::Tid]);
+        b.if_begin(Operand::Imm(1));
+        let _ = b.alu(ValueOp::Add, &[Operand::Reg(x)]);
+        b.if_else();
+        b.if_end();
+        let k = b.finish(vec![]);
+        assert!(k.insts.iter().any(|i| i.kind == InstKind::Branch && i.cond == BranchCond::Always));
+        assert_eq!(observed_registers(&k), 0, "no register feeds an address or a condition");
     }
 
     #[test]
@@ -974,6 +1565,40 @@ mod tests {
         let t1 = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         let t2 = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         assert_eq!(t1, t2, "tracing is deterministic");
+    }
+
+    /// Loaded values in every shape, followed into the addresses they
+    /// become: a uniform address loads one value, an affine or scattered
+    /// one loads a value per lane, and a partial mask records only its
+    /// lanes' addresses.
+    #[test]
+    fn loaded_values_reach_later_addresses_in_every_shape() {
+        let content = |addr: u64| splitmix64(addr ^ MEMORY_SEED);
+        let mut b = KernelBuilder::new("k");
+        let x = b.load(MemSpace::Global, Operand::Imm(0x42));
+        let a = b.alu(ValueOp::And, &[Operand::Reg(x), Operand::Imm(0xFFF8)]);
+        let _ = b.load(MemSpace::Global, Operand::Reg(a)); // row 2: uniform address
+        let p = b.alu(ValueOp::Mul, &[Operand::Lane, Operand::Imm(8)]);
+        let z = b.load(MemSpace::Global, Operand::Reg(p)); // row 4: affine address
+        let q = b.alu(ValueOp::And, &[Operand::Reg(z), Operand::Imm(0xFFF8)]);
+        let _ = b.load(MemSpace::Global, Operand::Reg(q)); // row 6: scattered address
+        let c = b.alu(ValueOp::CmpLt, &[Operand::Lane, Operand::Imm(8)]);
+        b.if_begin(Operand::Reg(c));
+        let _ = b.load(MemSpace::Global, Operand::Reg(p)); // affine, lanes 0..8
+        let _ = b.load(MemSpace::Global, Operand::Reg(q)); // scattered, lanes 0..8
+        b.if_end();
+        let k = b.finish(vec![]);
+        let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
+
+        assert_eq!(t.addrs(&t.insts[2]), &[content(0x42) & 0xFFF8; WARP_SIZE]);
+        let affine: Vec<u64> = (0..WARP_SIZE as u64).map(|l| 8 * l).collect();
+        assert_eq!(t.addrs(&t.insts[4]), &affine[..]);
+        let scattered: Vec<u64> = affine.iter().map(|&a| content(a) & 0xFFF8).collect();
+        assert_eq!(t.addrs(&t.insts[6]), &scattered[..]);
+        let masked: Vec<_> = t.insts.iter().filter(|i| i.active_mask == 0xFF).collect();
+        assert_eq!(masked.len(), 2);
+        assert_eq!(t.addrs(masked[0]), &affine[..8]);
+        assert_eq!(t.addrs(masked[1]), &scattered[..8]);
     }
 
     #[test]

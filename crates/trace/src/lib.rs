@@ -8,9 +8,11 @@
 //! stack: the cache model, the interval model, and the cycle-level oracle
 //! all consume [`KernelTrace`]s.
 //!
-//! The [`engine`] interprets a warp-instruction warp-wide — each source
-//! operand becomes one 32-lane vector, the value operation is dispatched
-//! once per warp-instruction — and a [`WarpTrace`] stores its instructions
+//! The [`engine`] interprets a warp-instruction warp-wide — a register is
+//! `base + stride·lane` or a 32-lane vector, the value operation is
+//! dispatched once per warp-instruction, and values that no address or
+//! branch can observe are not computed — and a [`WarpTrace`] stores its
+//! instructions
 //! as small `Copy` rows ([`TraceInst`]) plus one dependency arena and one
 //! address arena, read through [`WarpTrace::deps`] and
 //! [`WarpTrace::addrs`] (see [`record`] for why rows and arenas).

@@ -183,6 +183,37 @@ impl WarpTrace {
         Ok(())
     }
 
+    /// Appends one dynamic memory instruction whose lane `l` accesses
+    /// `addr_of(l)`: the active lanes' addresses are generated straight
+    /// into the arena, in ascending lane order.
+    ///
+    /// # Errors
+    ///
+    /// [`RowOverflow`] as for [`WarpTrace::push`]; no row is appended then.
+    pub(crate) fn push_mem(
+        &mut self,
+        pc: u32,
+        kind: InstKind,
+        active_mask: u32,
+        deps: &[u32],
+        addr_of: impl Fn(usize) -> u64,
+    ) -> Result<(), RowOverflow> {
+        let addrs_off = u32::try_from(self.addrs.len()).map_err(|_| RowOverflow)?;
+        let (deps_off, deps_len) = append(&mut self.deps, deps)?;
+        if active_mask == u32::MAX {
+            self.addrs.extend((0..WARP_SIZE).map(addr_of));
+        } else {
+            let mut rest = active_mask;
+            while rest != 0 {
+                self.addrs.push(addr_of(rest.trailing_zeros() as usize));
+                rest &= rest - 1;
+            }
+        }
+        let addrs_len = active_mask.count_ones() as u8;
+        self.insts.push(TraceInst { pc, kind, active_mask, deps_off, addrs_off, deps_len, addrs_len });
+        Ok(())
+    }
+
     /// Replaces the dependency list of row `k` (the new list is appended to
     /// the arena; the old range is left unreferenced).
     ///
@@ -223,6 +254,24 @@ impl WarpTrace {
     pub fn truncate_arenas(&mut self, deps: usize, addrs: usize) {
         self.deps.truncate(deps);
         self.addrs.truncate(addrs);
+    }
+
+    /// `true` when both warps executed the same instruction stream: every
+    /// row's `pc`, `kind` and dependency list are equal. Masks and addresses
+    /// are not compared — the interval algorithm reads neither, so warps of
+    /// one stream have one interval profile.
+    ///
+    /// Compares the dependency arenas whole and then each row's range in
+    /// them, so it is conservative: a trace whose lists were moved by
+    /// [`WarpTrace::set_deps`] may compare unequal to one with the same
+    /// content, but `true` always means the streams are equal.
+    #[must_use]
+    pub fn same_stream(&self, other: &Self) -> bool {
+        self.insts.len() == other.insts.len()
+            && self.deps == other.deps
+            && self.insts.iter().zip(&other.insts).all(|(a, b)| {
+                (a.pc, a.kind, a.deps_off, a.deps_len) == (b.pc, b.kind, b.deps_off, b.deps_len)
+            })
     }
 
     fn rows(&self) -> impl Iterator<Item = Row<'_>> {
@@ -559,6 +608,80 @@ mod tests {
         assert_eq!(digest(&a), digest(&b));
         b.set_deps(1, &[]).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn push_mem_records_the_active_lanes_in_ascending_order() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        let kind = InstKind::Load(MemSpace::Global);
+        let masks = [u32::MAX, 0b1011, 1, 0x8000_0000, 0xFFFF_0000, 0x8000_0001];
+        for (k, &mask) in masks.iter().enumerate() {
+            let base = 0x100 * k as u64;
+            wt.push_mem(k as u32, kind, mask, &[], |lane| base + 4 * lane as u64).unwrap();
+            let want: Vec<u64> =
+                (0..WARP_SIZE).filter(|l| mask >> l & 1 != 0).map(|l| base + 4 * l as u64).collect();
+            assert_eq!(wt.addrs(&wt.insts[k]), &want[..], "mask {mask:#x}");
+        }
+        // Indistinguishable from the same rows pushed with explicit lists.
+        let mut by_list = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        for (k, row) in wt.insts.iter().enumerate() {
+            by_list.push(k as u32, kind, row.active_mask, &[], wt.addrs(row)).unwrap();
+        }
+        assert_eq!(wt, by_list);
+    }
+
+    /// Four rows: an ALU op, a load depending on it, an add on both and a
+    /// multiply on the first and the third, the last list given by the
+    /// caller.
+    fn stream(masks: [u32; 4], load_addr: u64, last_deps: &[u32]) -> WarpTrace {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push(0, InstKind::IntAlu, masks[0], &[], &[]).unwrap();
+        let addrs = vec![load_addr; masks[1].count_ones() as usize];
+        wt.push(1, InstKind::Load(MemSpace::Global), masks[1], &[0], &addrs).unwrap();
+        wt.push(2, InstKind::FpAdd, masks[2], &[0, 1], &[]).unwrap();
+        wt.push(3, InstKind::FpMul, masks[3], last_deps, &[]).unwrap();
+        wt
+    }
+
+    #[test]
+    fn same_stream_compares_pcs_kinds_and_dependencies_only() {
+        let a = stream([u32::MAX; 4], 0x100, &[0, 2]);
+        // Other lanes, other addresses, another warp: the same stream.
+        let mut b = stream([0b1, 0b110, 0xFF00, 1 << 31], 0x9000, &[0, 2]);
+        b.warp = WarpId::new(7);
+        assert!(a.same_stream(&b) && b.same_stream(&a));
+        assert_ne!(a, b);
+
+        // One dependency different, every list as long as before.
+        let dep = stream([u32::MAX; 4], 0x100, &[1, 2]);
+        let mut kind = a.clone();
+        kind.insts[1].kind = InstKind::Load(MemSpace::Shared);
+        let mut pc = a.clone();
+        pc.insts[2].pc = 9;
+        let mut longer = a.clone();
+        longer.push(4, InstKind::Exit, 1, &[], &[]).unwrap();
+        for (what, other) in [("dep", &dep), ("kind", &kind), ("pc", &pc), ("longer", &longer)] {
+            assert!(!a.same_stream(other) && !other.same_stream(&a), "{what}");
+        }
+    }
+
+    #[test]
+    fn same_stream_is_conservative_after_set_deps() {
+        let a = stream([u32::MAX; 4], 0x100, &[0, 2]);
+        // The same list written again lies elsewhere in the arena: equal
+        // content, which `same_stream` is allowed to miss.
+        let mut moved = a.clone();
+        moved.set_deps(2, &[0, 1]).unwrap();
+        assert_eq!(a, moved);
+        assert!(!a.same_stream(&moved), "the arenas differ, so the compare gives up");
+        // A different list must never compare equal, wherever it lies.
+        let mut edited = a.clone();
+        edited.set_deps(2, &[1]).unwrap();
+        assert!(!a.same_stream(&edited) && !moved.same_stream(&edited));
+        // Two traces edited alike are laid out alike again.
+        let mut edited_too = a.clone();
+        edited_too.set_deps(2, &[1]).unwrap();
+        assert!(edited.same_stream(&edited_too));
     }
 
     #[test]
