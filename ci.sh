@@ -3,59 +3,50 @@
 # broken step.
 #
 #   1. release build of the whole workspace
-#   2. full test suite
+#   2. every suite of the workspace, twice: a debug pass (debug
+#      assertions live, which the trace engine's static-vs-observed
+#      cross-check suite needs) and a release pass (optimized codegen).
+#      Each covers the unit suites, the fault-injection and exec-layer
+#      suites, batch determinism over all 40 workloads, the cache
+#      corruption fan, the resilience contract, kill/resume, journal
+#      corruption resume, the defective-kernel corpus, the lint schema,
+#      the serve suites and smoke test, the perf suite, the shard
+#      partition/plan properties, the merge corruption fan, the
+#      supervisor chaos suite, the exit-code taxonomy and the CLI golden
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
 #      anything `#[deprecated]`)
-#   5. fault-injection suite: every mutator over all 40 workloads must
-#      yield a typed error or a finite CPI — never a panic; plus the
-#      exec-layer suite (injected worker panics / poisoned queue)
-#   6. batch determinism: the parallel engine's output is byte-identical
-#      to the sequential pipeline over all 40 workloads (release, so the
-#      suite also exercises optimized codegen)
-#   7. parallel benchmark: sequential-vs-batch walls on both axes,
+#   5. parallel benchmark: sequential-vs-batch walls on both axes,
 #      recorded as results/BENCH_parallel.json
-#   8. `gpumech lint` over the 40-workload library (nonzero exit on any
-#      error-severity finding)
-#   9. observability round trip: `gpumech profile` writes a JSONL trace
+#   6. `gpumech lint` over the 40-workload library (nonzero exit on any
+#      error-severity finding; zero Error findings is the gate)
+#   7. observability round trip: `gpumech profile` writes a JSONL trace
 #      and a Chrome trace, and `gpumech obs-validate` checks the JSONL
 #      against the exporter schema and the stage.subsystem.name scheme —
 #      including a `gpumech batch --obs-out` trace with exec.* metrics
-#  10. resilience: the on-disk cache corruption fan (truncation / bit
-#      flips / version skew / zero-length, each quarantined and
-#      recomputed byte-identically), the resilience contract suite
-#      (deadlines, cancellation, retry, breaker, journal resume), the
-#      kill/resume integration test (SIGKILL mid-sweep, `--resume`
-#      finishes with zero repeat work), and an obs-validate gate on a
-#      resumed run's trace carrying exec.resilience.* metrics
-#  11. static verification: release lint over the library must report
-#      zero error-severity findings (exit 0), the defective-kernel
-#      corpus must be 100% detected with the right finding codes, and a
-#      debug run of the cross-check suite must confirm every static
-#      bank bound and race verdict against observed per-lane addresses
-#  12. serve: the HTTP front door's release suites (parser fuzz fan,
-#      socket-level service contract, journal corruption resume), a
-#      smoke test of the real binary (spawn, /healthz, predict,
-#      /metrics, SIGTERM drain to exit 0), and a quick bench_serve load
-#      run whose --obs-out trace must pass obs-validate
-#  13. perf gate: the gpumech-perf release suite, a clean `gpumech perf
-#      compare` against the committed results/PERF_BASELINE.json — the
-#      parent's recording — within the disclosed noise tolerance (+40%
-#      +2 ms wall, +10% +256 allocs, min-of-N), then a fresh baseline
-#      recorded over it whose perf.* trace must validate, proof that a
-#      fault-injected 300 ms slowdown exits 4, and the folded-stack
-#      exporter round-tripped through obs-validate --folded
-#  14. sharded sweeps: the partition property suite, the shard-merge
-#      corruption fan (every mutation a typed finding, never a panic),
-#      the deterministic fake-shard supervisor chaos suite, the
-#      exit-code taxonomy test, and a real 3-shard supervised sweep with
-#      one shard SIGKILLed mid-run — the auto-merged output must be
-#      byte-identical (from jobs_checksum on) to the unsharded reference
-#      run, a deliberately corrupted shard file must fail `merge` with
-#      exit 5 and a typed finding, and the supervised run's --obs-out
-#      trace (shard.* metrics) must pass obs-validate
-#  15. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#   8. resilience: a journalled run + `--resume` through the release
+#      binary, with an obs-validate gate on the resumed run's trace
+#      carrying exec.resilience.* metrics
+#   9. serve: a quick bench_serve load run against the release binary
+#      (real sockets, shed + deadline taxonomy, SIGTERM drain,
+#      SIGKILL/restart chaos) whose --obs-out trace must pass
+#      obs-validate
+#  10. perf gate: a clean `gpumech perf compare` against the committed
+#      results/PERF_BASELINE.json — the parent's recording — within the
+#      disclosed noise tolerance (+40% +2 ms wall, +10% +256 allocs,
+#      min-of-N), then a fresh baseline recorded over it whose perf.*
+#      trace must validate, proof that a fault-injected 300 ms slowdown
+#      exits 4, and the folded-stack exporter round-tripped through
+#      obs-validate --folded
+#  11. sharded sweeps: a real 3-shard supervised sweep with one shard
+#      SIGKILLed mid-run — the auto-merged output must be byte-identical
+#      (from jobs_checksum on) to the unsharded reference run, a
+#      deliberately corrupted shard file must fail `merge` with exit 5
+#      and a typed finding, the supervised run's --obs-out trace
+#      (shard.* metrics) must pass obs-validate — and the quick
+#      bench_shard sharded-vs-unsharded harness
+#  12. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
 #      workload's traced and untraced sim_digest disagree (its numbers
@@ -66,20 +57,17 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-echo "== cargo test =="
+echo "== tests (debug) =="
 cargo test --workspace -q
+
+echo "== tests (release) =="
+cargo test --workspace --release -q
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-echo "== fault injection =="
-cargo test -p gpumech-fault -q
-
-echo "== batch determinism =="
-cargo test -p gpumech-exec --release --test batch_determinism -q
 
 echo "== parallel benchmark =="
 cargo run --release -p gpumech-bench --bin bench_parallel -- \
@@ -97,10 +85,6 @@ echo "== observability =="
 ./target/release/gpumech obs-validate target/obs-batch-ci.jsonl
 
 echo "== resilience =="
-cargo test -p gpumech-exec --release --test cache_corruption -q
-cargo test -p gpumech-exec --release --test resilience -q
-cargo test -p gpumech-fault --release --test resilience_suite -q
-cargo test -p gpumech-cli --release --test kill_resume -q
 # A journalled run + resume through the release binary; the resumed
 # trace must carry well-formed exec.resilience.* metrics and validate.
 rm -f target/ci-journal.jsonl
@@ -114,19 +98,7 @@ grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
   || { echo "resume trace missing exec.resilience.* metrics"; exit 1; }
 rm -f target/ci-journal.jsonl
 
-echo "== static verification =="
-# Zero Error findings over the 40-workload library: exit 0 is the gate.
-./target/release/gpumech lint > /dev/null
-cargo test -p gpumech-fault --release --test verify_corpus -q
-cargo test -p gpumech-cli --release --test lint_schema -q
-# Debug build so the engine's debug_assert cross-checks are live: every
-# observed per-lane address pattern must stay within its static verdict.
-cargo test -p gpumech-trace --test verify_crosscheck -q
-
 echo "== serve =="
-cargo test -p gpumech-serve --release -q
-cargo test -p gpumech-fault --release --test journal_suite -q
-cargo test -p gpumech-cli --release --test serve_smoke -q
 # Quick load harness against the release binary: real sockets, shed +
 # deadline taxonomy, SIGTERM drain, SIGKILL/restart chaos. The drained
 # server's observability trace must validate like any other export.
@@ -138,7 +110,6 @@ grep -q 'serve.req.ok' target/obs-serve-ci.jsonl \
   || { echo "serve trace missing serve.* metrics"; exit 1; }
 
 echo "== perf gate =="
-cargo test -p gpumech-perf --release -q
 # The gate proper, against the parent: results/PERF_BASELINE.json as
 # committed is the previous change's recording, so this run must stay within
 # the disclosed tolerance (+40% +2 ms wall, +10% +256 allocs over the
@@ -166,11 +137,6 @@ rc=0
 ./target/release/gpumech obs-validate --folded target/obs-ci.folded
 
 echo "== sharded sweeps =="
-cargo test -p gpumech-shard --release -q
-cargo test -p gpumech-fault --release --test merge_suite -q
-cargo test -p gpumech-fault --release --test supervisor_chaos -q
-cargo test -p gpumech-cli --release --test exit_codes -q
-cargo test -p gpumech-cli --release --test shard_supervise -q
 # A real supervised sweep: 3 shards over a 24-job sweep, shard 0
 # SIGKILLed after its first journal line, journal-replay recovery, and
 # an auto-merge gated on byte-identity with the unsharded reference.

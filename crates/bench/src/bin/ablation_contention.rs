@@ -28,12 +28,7 @@ const KERNELS: [&str; 10] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks = args
-        .iter()
-        .position(|a| a == "--blocks")
-        .and_then(|i| args.get(i + 1))
-        .map_or(64, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
+    let blocks = gpumech_bench::arg_blocks().unwrap_or(64);
 
     let cfg = SimConfig::table1();
     let model = Gpumech::new(cfg.clone());

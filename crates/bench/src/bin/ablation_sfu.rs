@@ -17,12 +17,7 @@ use gpumech_trace::workloads;
 const KERNELS: [&str; 3] = ["sdk_blackscholes", "parboil_mriq_computeQ", "sdk_montecarlo"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks = args
-        .iter()
-        .position(|a| a == "--blocks")
-        .and_then(|i| args.get(i + 1))
-        .map_or(64, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
+    let blocks = gpumech_bench::arg_blocks().unwrap_or(64);
 
     println!("# Ablation: SFU-contention extension (RR policy)");
     println!("# sweep: 32 (Table I default), 8, 4 SFU lanes per core\n");

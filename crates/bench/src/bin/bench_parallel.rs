@@ -26,6 +26,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gpumech_bench::arg_value;
 use gpumech_core::{Gpumech, Prediction, PredictionRequest};
 use gpumech_exec::{canonical_prediction_json, BatchEngine, BatchJob};
 use gpumech_isa::SimConfig;
@@ -130,12 +131,11 @@ fn assert_identical(got: &[Prediction], want: &[String], what: &str) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks: usize = flag(&args, "--blocks")
+    let blocks: usize = arg_value("--blocks")
         .map_or(48, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
-    let reps: usize = flag(&args, "--reps")
+    let reps: usize = arg_value("--reps")
         .map_or(3, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--reps expects a number")));
-    let worker_counts: Vec<usize> = flag(&args, "--workers").map_or_else(
+    let worker_counts: Vec<usize> = arg_value("--workers").map_or_else(
         || vec![1, 2, 4, 8],
         |s| {
             s.split(',')
@@ -226,7 +226,7 @@ fn main() {
         sweep_jobs.len(),
     );
 
-    if let Some(path) = flag(&args, "--json") {
+    if let Some(path) = arg_value("--json") {
         let report = Report {
             git_commit: gpumech_perf::git_commit(),
             config_fingerprint: gpumech_exec::analysis_config_fingerprint(&cfg),
@@ -258,8 +258,4 @@ fn main() {
 
 fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use gpumech_bench::{arg_value, gpumech_bin};
 use gpumech_serve::{send_sigkill, send_sigterm};
 use serde::Serialize;
 
@@ -92,25 +93,6 @@ struct Obs {
     status: u16,
     code: String,
     ms: f64,
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-fn switch(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// The `gpumech` binary: `--server-bin`, or a sibling of this executable.
-fn server_bin(args: &[String]) -> PathBuf {
-    if let Some(p) = flag(args, "--server-bin") {
-        return PathBuf::from(p);
-    }
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("gpumech")))
-        .unwrap_or_else(|| gpumech_bench::fail("cannot locate the gpumech binary"))
 }
 
 struct ServerProc {
@@ -274,20 +256,19 @@ fn count_quarantined(dir: &Path) -> usize {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = switch(&args, "--quick");
+    let quick = std::env::args().any(|a| a == "--quick");
     let clients: usize =
-        flag(&args, "--clients").and_then(|v| v.parse().ok()).unwrap_or(8).max(1);
-    let requests: usize = flag(&args, "--requests")
+        arg_value("--clients").and_then(|v| v.parse().ok()).unwrap_or(8).max(1);
+    let requests: usize = arg_value("--requests")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if quick { 3 } else { 12 })
         .max(1);
     let hold_ms: u64 = if quick { 10 } else { 25 };
-    let bin = server_bin(&args);
+    let bin = gpumech_bin("--server-bin");
     let scratch = std::env::temp_dir().join(format!("gpumech-bench-serve-{}", std::process::id()));
-    let cache_dir = flag(&args, "--cache-dir")
+    let cache_dir = arg_value("--cache-dir")
         .map_or_else(|| scratch.join("cache"), PathBuf::from);
-    let obs_out = flag(&args, "--obs-out")
+    let obs_out = arg_value("--obs-out")
         .map_or_else(|| scratch.join("serve-obs.jsonl"), PathBuf::from);
     let _ = std::fs::create_dir_all(&scratch);
 
@@ -481,7 +462,7 @@ fn main() {
     );
     println!("drain: exit 0, in-flight completed, obs trace at {obs_flag}");
 
-    if let Some(path) = flag(&args, "--json") {
+    if let Some(path) = arg_value("--json") {
         let json = serde_json::to_string_pretty(&report)
             .unwrap_or_else(|e| gpumech_bench::fail(format_args!("serialize report: {e}")));
         std::fs::write(&path, json)

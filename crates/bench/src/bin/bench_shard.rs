@@ -20,6 +20,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use gpumech_bench::{arg_value, gpumech_bin};
 use gpumech_shard::{
     merge_files, supervise, verify_expectation, ChaosKill, MergeOptions, SupervisorConfig,
 };
@@ -63,24 +64,6 @@ struct Report {
     per_shard: Vec<ShardLine>,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn switch(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn shard_bin(args: &[String]) -> PathBuf {
-    if let Some(p) = flag(args, "--shard-bin") {
-        return PathBuf::from(p);
-    }
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("gpumech")))
-        .unwrap_or_else(|| gpumech_bench::fail("cannot locate the gpumech binary"))
-}
-
 fn run_reference(bin: &PathBuf, sweep: &[String], out: &PathBuf) -> f64 {
     let t0 = Instant::now();
     let status = std::process::Command::new(bin)
@@ -97,10 +80,9 @@ fn run_reference(bin: &PathBuf, sweep: &[String], out: &PathBuf) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = switch(&args, "--quick");
-    let shards: u32 = flag(&args, "--shards").and_then(|v| v.parse().ok()).unwrap_or(3).max(1);
-    let bin = shard_bin(&args);
+    let quick = std::env::args().any(|a| a == "--quick");
+    let shards: u32 = arg_value("--shards").and_then(|v| v.parse().ok()).unwrap_or(3).max(1);
+    let bin = gpumech_bin("--shard-bin");
     let scratch =
         std::env::temp_dir().join(format!("gpumech-bench-shard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -190,7 +172,7 @@ fn main() {
             })
             .collect(),
     };
-    let path = flag(&args, "--json").unwrap_or_else(|| "results/BENCH_shard.json".to_string());
+    let path = arg_value("--json").unwrap_or_else(|| "results/BENCH_shard.json".to_string());
     if let Some(dir) = PathBuf::from(&path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

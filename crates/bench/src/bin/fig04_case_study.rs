@@ -12,15 +12,11 @@ use gpumech_core::Model;
 use gpumech_trace::workloads;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks = arg_value(&args, "--blocks").map(|s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
-    let kernel = arg_value(&args, "--kernel").unwrap_or_else(|| "srad_kernel1".to_string());
+    let kernel = gpumech_bench::arg_value("--kernel").unwrap_or_else(|| "srad_kernel1".to_string());
 
     let mut exp = Experiment::baseline();
     exp.label = "fig4-case-study".to_string();
-    if let Some(b) = blocks {
-        exp = exp.with_blocks(b);
-    }
+    exp.blocks = gpumech_bench::arg_blocks();
 
     let w = workloads::by_name(&kernel).unwrap_or_else(|| gpumech_bench::fail(format!("unknown kernel {kernel}")));
     println!("# Figure 4: per-component error, kernel {kernel} (RR policy)");
@@ -35,8 +31,4 @@ fn main() {
         "\npaper reference: modeling multithreading, MSHRs, and DRAM bandwidth\n\
          each cuts the SRAD error further (Figure 4's staircase)"
     );
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -8,14 +8,14 @@
 //!
 //! Usage: `fig07_selection [--blocks N]`
 
+use gpumech_bench::pct;
 use gpumech_core::{Gpumech, PredictionRequest, SelectionMethod};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
 use gpumech_trace::workloads;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks = arg_value(&args, "--blocks").map(|s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
+    let blocks = gpumech_bench::arg_blocks();
 
     let cfg = SimConfig::table1();
     let model = Gpumech::new(cfg.clone());
@@ -67,12 +67,4 @@ fn main() {
         "\npaper reference: on control-divergent kernels the clustering method\n\
          usually has the best accuracy; for some kernels all three tie"
     );
-}
-
-fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -16,8 +16,7 @@ use gpumech_timing::simulate;
 use gpumech_trace::workloads;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let blocks = arg_value(&args, "--blocks").map(|s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
+    let blocks = gpumech_bench::arg_blocks();
 
     let policy = SchedulingPolicy::RoundRobin;
     println!("# Figure 16: CPI stacks vs warps per core (RR policy)");
@@ -64,8 +63,4 @@ fn main() {
          cfd_compute_flux saturates around 32 warps as MSHR grows;\n\
          kmeans_invert_mapping is dominated by QUEUE (write traffic), not DRAM"
     );
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

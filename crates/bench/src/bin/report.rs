@@ -93,10 +93,7 @@ fn warning_table(evals: &[KernelEval]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
+    let get = gpumech_bench::arg_value;
     let dir = get("--dir").unwrap_or_else(|| "results".to_string());
     let out_path = get("--out").unwrap_or_else(|| format!("{dir}/report.md"));
     let dir = Path::new(&dir);

@@ -44,9 +44,7 @@ fn main() {
 
     let mut exp = Experiment::baseline();
     exp.label = "speedup".to_string();
-    if let Some(b) = blocks {
-        exp = exp.with_blocks(b);
-    }
+    exp.blocks = blocks;
 
     println!("# Section VI-D: modeling speed vs detailed timing simulation\n");
     println!(

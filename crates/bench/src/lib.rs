@@ -33,6 +33,31 @@ pub fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1)
 }
 
+/// The value following `flag` on this process's command line.
+#[must_use]
+pub fn arg_value(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// The `--blocks N` grid-size override every figure harness accepts.
+#[must_use]
+pub fn arg_blocks() -> Option<usize> {
+    arg_value("--blocks").map(|s| s.parse().unwrap_or_else(|_| fail("--blocks expects a number")))
+}
+
+/// The `gpumech` binary a process-level harness drives: the value of
+/// `flag`, or a sibling of this executable.
+#[must_use]
+pub fn gpumech_bin(flag: &str) -> std::path::PathBuf {
+    arg_value(flag).map(std::path::PathBuf::from).unwrap_or_else(|| {
+        std::env::current_exe()
+            .ok()
+            .and_then(|p| p.parent().map(|d| d.join("gpumech")))
+            .unwrap_or_else(|| fail("cannot locate the gpumech binary"))
+    })
+}
+
 /// One kernel evaluated under one configuration and policy: the oracle
 /// result and every model's prediction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,20 +127,6 @@ impl Experiment {
             blocks: None,
             selection: SelectionMethod::Clustering,
         }
-    }
-
-    /// Same experiment under a different policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Same experiment with a reduced grid (quick runs).
-    #[must_use]
-    pub fn with_blocks(mut self, blocks: usize) -> Self {
-        self.blocks = Some(blocks);
-        self
     }
 }
 
@@ -274,6 +285,89 @@ pub fn print_error_table(evals: &[KernelEval], models: &[Model]) {
     println!();
 }
 
+/// Honours `--json PATH`: dumps `evals` there and says so on stderr.
+fn dump_json_if_asked(evals: &[KernelEval]) {
+    if let Some(path) = arg_value("--json") {
+        dump_json(evals, &path).unwrap_or_else(|e| fail(format!("write json failed: {e}")));
+        eprintln!("wrote {path}");
+    }
+}
+
+/// The model-comparison harness of Figures 11 and 12: all 40 workloads on
+/// the Table I machine under `policy`, the five Table II models against
+/// the cycle-level oracle, per-kernel relative CPI errors plus the paper's
+/// summary metrics (mean error per model; fraction of kernels under 20%
+/// error). `header` and `reference` are the figure's own captions.
+/// Honours `--blocks N` and `--json PATH`.
+pub fn model_comparison(policy: SchedulingPolicy, label: &str, header: &str, reference: &str) {
+    let mut exp = Experiment::baseline();
+    exp.policy = policy;
+    exp.label = label.to_string();
+    exp.blocks = arg_blocks();
+
+    println!("{header}\n");
+    let evals: Vec<KernelEval> = gpumech_trace::workloads::all()
+        .iter()
+        .map(|w| {
+            let e = evaluate_kernel(w, &exp);
+            eprintln!("  done {:<28} oracle {:>8.3} cpi", e.name, e.oracle_cpi);
+            e
+        })
+        .collect();
+
+    print_error_table(&evals, &Model::ALL);
+    println!();
+    for m in Model::ALL {
+        println!(
+            "{:<16} mean error {:>7}   kernels under 20% error: {}",
+            m.to_string(),
+            pct(mean_error(&evals, m)),
+            pct(fraction_below(&evals, m, 0.20)),
+        );
+    }
+    println!("\n{reference}");
+    dump_json_if_asked(&evals);
+}
+
+/// The axis-sweep harness of Figures 13–15: the mean error of every
+/// Table II model over all 40 workloads (round-robin) at each point of
+/// one machine axis. A point is its axis value, its configuration label
+/// and its machine; `column` heads the value column, `header` and
+/// `reference` are the figure's own captions. Honours `--blocks N` and
+/// `--json PATH`.
+pub fn axis_sweep(header: &str, column: &str, points: &[(u32, String, SimConfig)], reference: &str) {
+    println!("{header}\n");
+    let blocks = arg_blocks();
+    let mut all_evals: Vec<KernelEval> = Vec::new();
+    let mut rows: Vec<(u32, Vec<f64>)> = Vec::new();
+    for (value, label, cfg) in points {
+        let mut exp = Experiment::baseline();
+        exp.cfg = cfg.clone();
+        exp.label = label.clone();
+        exp.blocks = blocks;
+        let evals: Vec<KernelEval> =
+            gpumech_trace::workloads::all().iter().map(|w| evaluate_kernel(w, &exp)).collect();
+        eprintln!("  swept {label}");
+        rows.push((*value, Model::ALL.iter().map(|&m| mean_error(&evals, m)).collect()));
+        all_evals.extend(evals);
+    }
+
+    print!("{column:<8}");
+    for m in Model::ALL {
+        print!("{:>16}", m.to_string());
+    }
+    println!();
+    for (value, errs) in &rows {
+        print!("{value:<8}");
+        for e in errs {
+            print!("{:>16}", pct(*e));
+        }
+        println!();
+    }
+    println!("\n{reference}");
+    dump_json_if_asked(&all_evals);
+}
+
 /// Writes evaluations as JSON to `path` (used to record EXPERIMENTS.md
 /// data).
 ///
@@ -294,7 +388,8 @@ mod tests {
     #[test]
     fn evaluate_kernel_produces_all_models() {
         let w = workloads::by_name("sdk_vectoradd").unwrap();
-        let exp = Experiment::baseline().with_blocks(8);
+        let mut exp = Experiment::baseline();
+        exp.blocks = Some(8);
         let e = evaluate_kernel(&w, &exp);
         assert_eq!(e.predictions.len(), 5);
         assert!(e.oracle_cpi > 0.0);

@@ -4,35 +4,8 @@
 //! rendered string, so the whole CLI is unit-testable without spawning
 //! processes. The `gpumech` binary (`src/main.rs`) is a thin dispatcher.
 //!
-//! Subcommands:
-//!
-//! * `list` — the bundled workload catalogue,
-//! * `config` — the Table I machine description,
-//! * `trace <kernel>` — trace statistics (and optional JSON dump),
-//! * `predict <kernel>` — GPUMech prediction with a CPI-stack bar,
-//! * `simulate <kernel>` — cycle-level oracle run,
-//! * `compare <kernel>` — all five Table II models vs the oracle,
-//! * `stacks <kernel>` — CPI stacks across warp counts,
-//! * `batch [kernels...|all]` — parallel batch prediction across kernels
-//!   and swept configurations, with profile caching (and `--shard i/N`
-//!   for one deterministic shard of the sweep, stamped with the sweep
-//!   manifest),
-//! * `merge <shards...>` — verified union of shard result files:
-//!   checksums, manifest/ownership/coverage proofs, typed findings and
-//!   exit 5 on any violation, byte-identical output on success,
-//! * `supervise` — run a whole sharded sweep locally under the
-//!   crash-tolerant supervisor (journal heartbeats, `--resume` restarts
-//!   with backoff and budget, deadline, SIGTERM drain, auto-merge),
-//! * `serve` — hardened HTTP prediction service: bounded admission queue
-//!   with load-shedding, per-request deadlines, typed errors, `/healthz`,
-//!   `/readyz`, `/metrics`, and graceful SIGTERM drain,
-//! * `lint [kernel|all]` — static analysis of the kernel IR
-//!   (reconvergence correctness, dataflow, divergence, coalescing),
-//! * `perf record|compare` — the stage-level + end-to-end micro-benchmark
-//!   suite with persisted baselines and a noise-aware regression gate,
-//! * `obs-validate <path>` — check an `--obs-out` JSON-lines trace (or,
-//!   with `--folded`, a folded-stack export) against the exporter schema
-//!   and the `stage.subsystem.name` scheme.
+//! [`USAGE`] lists the subcommands and their flags; `commands` has one
+//! module per command family.
 
 pub mod args;
 pub mod commands;

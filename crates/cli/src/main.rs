@@ -12,54 +12,25 @@
 
 use std::process::ExitCode;
 
-use gpumech_cli::CliError;
-
-/// Exit code for `lint` verification failures.
-const EXIT_LINT_FAILED: u8 = 2;
-/// Exit code for `obs-validate` schema failures.
-const EXIT_OBS_INVALID: u8 = 3;
-/// Exit code for `perf compare` regressions.
-const EXIT_PERF_REGRESSION: u8 = 4;
-/// Exit code for `merge` / `supervise` merge failures.
-const EXIT_MERGE_FAILED: u8 = 5;
-
 fn main() -> ExitCode {
     match gpumech_cli::run(std::env::args().skip(1)) {
         Ok(text) => {
             print!("{text}");
             ExitCode::SUCCESS
         }
-        // Lint failures still print the full report (to stdout, like a
-        // successful run) before signalling failure via the exit code.
-        Err(CliError::LintFailed { report, errors }) => {
-            print!("{report}");
-            eprintln!("error: lint found {errors} error-severity finding(s)");
-            ExitCode::from(EXIT_LINT_FAILED)
-        }
-        // Same shape for trace validation: full problem list, then the
-        // one-line error and a nonzero exit.
-        Err(CliError::ObsInvalid { report, problems }) => {
-            print!("{report}");
-            eprintln!("error: observability trace failed validation with {problems} problem(s)");
-            ExitCode::from(EXIT_OBS_INVALID)
-        }
-        // Perf regressions print the full comparison table first so the
-        // offending stage and its limits are in the CI log.
-        Err(CliError::PerfRegression { report, regressions }) => {
-            print!("{report}");
-            eprintln!("error: perf compare found {regressions} regressed stage(s)");
-            ExitCode::from(EXIT_PERF_REGRESSION)
-        }
-        // Merge failures print every typed finding first: the operator
-        // needs to know *which* shard file was corrupt or missing.
-        Err(CliError::MergeFailed { report, findings }) => {
-            print!("{report}");
-            eprintln!("error: merge failed with {findings} finding(s); no merged output written");
-            ExitCode::from(EXIT_MERGE_FAILED)
-        }
         Err(e) => {
+            // A failed check still prints its full report (to stdout, like
+            // a successful run) — the findings, the problem list, the
+            // comparison table — before the one-line error.
+            let code = match e.report() {
+                Some((report, code)) => {
+                    print!("{report}");
+                    code
+                }
+                None => 1,
+            };
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(code)
         }
     }
 }

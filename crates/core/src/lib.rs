@@ -55,7 +55,7 @@ pub use cpistack::{CpiStack, StallCategory};
 pub use interval::{build_profile, summarize_population, Interval, IntervalProfile, PopulationSummary, ProfileBuilder, ProfileSummary, StallCause};
 pub use model::{Analysis, Gpumech, Model, ModelError, Prediction};
 pub use multiwarp::{multithreading_cpi, MultithreadingResult};
-pub use request::{PredictionRequest, Weighting};
+pub use request::{parse_selection, PredictionRequest, Weighting};
 
 // Re-export the vocabulary types callers need alongside the model.
-pub use gpumech_isa::SchedulingPolicy;
+pub use gpumech_isa::{SchedulingPolicy, UnknownWord};

@@ -6,7 +6,7 @@ use std::fmt;
 
 use std::time::Instant;
 
-use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig};
+use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig, UnknownWord};
 use gpumech_mem::{simulate_hierarchy_cancellable, MemStats};
 use gpumech_obs::{CancelToken, Interrupt, PipelineReport, StageReport};
 use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
@@ -51,6 +51,26 @@ impl fmt::Display for Model {
             Model::MtMshrBand => "MT_MSHR_BAND",
         };
         f.write_str(s)
+    }
+}
+
+impl std::str::FromStr for Model {
+    type Err = UnknownWord;
+
+    /// Parses the request word for a model: `naive`, `markov`, `mt`,
+    /// `mt_mshr`, or `full` (alias `mt_mshr_band`).
+    fn from_str(s: &str) -> Result<Self, UnknownWord> {
+        match s {
+            "naive" => Ok(Model::NaiveInterval),
+            "markov" => Ok(Model::MarkovChain),
+            "mt" => Ok(Model::Mt),
+            "mt_mshr" => Ok(Model::MtMshr),
+            "full" | "mt_mshr_band" => Ok(Model::MtMshrBand),
+            other => Err(UnknownWord {
+                value: other.to_string(),
+                expected: "naive|markov|mt|mt_mshr|full",
+            }),
+        }
     }
 }
 

@@ -24,7 +24,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use gpumech_isa::SchedulingPolicy;
+use gpumech_isa::{SchedulingPolicy, UnknownWord};
 use gpumech_obs::CancelToken;
 use gpumech_trace::{KernelTrace, Workload};
 use serde::{Deserialize, Serialize};
@@ -42,6 +42,27 @@ pub enum Weighting {
     /// blend the CPI stacks by cluster population. Requires
     /// [`SelectionMethod::Clustering`].
     PopulationWeighted,
+}
+
+/// Parses the request word for representative selection into the
+/// (method, weighting) pair a request takes. `weighted` is clustering
+/// selection with population weighting, matching
+/// [`PredictionRequest::population_weighted`].
+///
+/// # Errors
+///
+/// [`UnknownWord`] for a word other than `max|min|clustering|weighted`.
+pub fn parse_selection(word: &str) -> Result<(SelectionMethod, Weighting), UnknownWord> {
+    match word {
+        "max" => Ok((SelectionMethod::Max, Weighting::SingleRepresentative)),
+        "min" => Ok((SelectionMethod::Min, Weighting::SingleRepresentative)),
+        "clustering" => Ok((SelectionMethod::Clustering, Weighting::SingleRepresentative)),
+        "weighted" => Ok((SelectionMethod::Clustering, Weighting::PopulationWeighted)),
+        other => Err(UnknownWord {
+            value: other.to_string(),
+            expected: "max|min|clustering|weighted",
+        }),
+    }
 }
 
 /// Where the pipeline input comes from.
@@ -185,6 +206,21 @@ mod tests {
         assert_eq!(req.model, Model::MtMshrBand);
         assert_eq!(req.selection, SelectionMethod::Clustering);
         assert_eq!(req.weighting, Weighting::SingleRepresentative);
+    }
+
+    #[test]
+    fn request_words_parse_to_their_options() {
+        assert_eq!("full".parse(), Ok(Model::MtMshrBand));
+        assert_eq!("mt_mshr_band".parse(), Ok(Model::MtMshrBand));
+        assert_eq!("markov".parse(), Ok(Model::MarkovChain));
+        let e = "quantum".parse::<Model>().unwrap_err();
+        assert_eq!(e.to_string(), "must be naive|markov|mt|mt_mshr|full, got \"quantum\"");
+        assert_eq!(
+            parse_selection("weighted"),
+            Ok((SelectionMethod::Clustering, Weighting::PopulationWeighted))
+        );
+        assert_eq!(parse_selection("min"), Ok((SelectionMethod::Min, Weighting::SingleRepresentative)));
+        assert_eq!(parse_selection("random").unwrap_err().expected, "max|min|clustering|weighted");
     }
 
     #[test]

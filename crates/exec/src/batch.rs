@@ -17,19 +17,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpumech_core::{
-    build_profile, Gpumech, Model, ModelError, Prediction, PredictionRequest, SelectionMethod,
-    Weighting,
+    Gpumech, Model, ModelError, Prediction, PredictionRequest, SelectionMethod, Weighting,
 };
 use gpumech_isa::{SchedulingPolicy, SimConfig};
-use gpumech_obs::{CancelToken, Interrupt};
+use gpumech_obs::CancelToken;
 use gpumech_trace::KernelTrace;
 
 use crate::cache::{
     analysis_config_fingerprint, payload_checksum, trace_fingerprint, CacheKey, ProfileCache,
 };
-use crate::pool::{
-    maybe_inject, panic_message, run_indexed, FaultInjection, FaultKind, PoolOptions,
-};
+use crate::pool::{maybe_inject, panic_message, run_indexed, FaultKind, PoolOptions};
 use crate::resilience::{BatchOptions, CircuitBreaker, Journal};
 use crate::{BatchError, ExecError};
 
@@ -137,20 +134,6 @@ impl BatchEngine {
         self.run_with(jobs, &BatchOptions::default())
     }
 
-    /// [`BatchEngine::run`] with an optional deliberate fault, exposed for
-    /// the fault-injection suite (`None` on every production path).
-    #[must_use]
-    pub fn run_with_injection(
-        &self,
-        jobs: &[BatchJob],
-        inject: Option<FaultInjection>,
-    ) -> Vec<Result<Prediction, BatchError>> {
-        self.run_with(
-            jobs,
-            &BatchOptions { injections: inject.into_iter().collect(), ..BatchOptions::default() },
-        )
-    }
-
     /// The resilient batch entry point: [`BatchEngine::run`] under a
     /// [`BatchOptions`] bundle of deadline, per-job timeout, retry,
     /// circuit-breaker, and journal/resume behavior.
@@ -174,20 +157,10 @@ impl BatchEngine {
             // vs. actual throughput.
             gpumech_obs::counter!("exec.pool.workers_clamped");
         }
-        // Fingerprint each distinct trace once, not once per job: a
-        // config sweep shares one `Arc`d trace across many jobs, and the
-        // trace fingerprint (a full-content hash) is a measurable
-        // fraction of an analysis. Distinct `Arc`s with equal content
-        // just recompute — the key is content-based either way.
-        let mut memo: HashMap<*const KernelTrace, u64> = HashMap::new();
         let keys: Vec<CacheKey> = jobs
             .iter()
-            .map(|job| CacheKey {
-                trace: *memo
-                    .entry(Arc::as_ptr(&job.trace))
-                    .or_insert_with(|| trace_fingerprint(&job.trace)),
-                config: analysis_config_fingerprint(&job.cfg),
-            })
+            .zip(trace_fingerprints(jobs))
+            .map(|(job, trace)| CacheKey { trace, config: analysis_config_fingerprint(&job.cfg) })
             .collect();
         let fingerprints: Vec<u64> =
             jobs.iter().zip(&keys).map(|(job, key)| job_fingerprint(key.trace, job)).collect();
@@ -221,7 +194,7 @@ impl BatchEngine {
             // job (jobs the run outlived fail fast and uniformly), then
             // the breaker, then actually attempt it. Skipped jobs record
             // nothing against the breaker — only real attempts count.
-            let mut outcome = match run_token.check().map_err(interrupt_error) {
+            let mut outcome = match run_token.check().map_err(ExecError::from) {
                 Err(e) => Err(e),
                 Ok(()) => match breaker.as_ref().and_then(|b| b.is_open(&job.trace.name)) {
                     Some(failures) => {
@@ -326,7 +299,7 @@ impl BatchEngine {
                 // token firing. Each poll advances a FakeClock, so
                 // fake-time tests terminate too.
                 FaultKind::SlowJob => loop {
-                    token.check().map_err(interrupt_error)?;
+                    token.check()?;
                     std::hint::spin_loop();
                 },
                 // Panics on the first attempt only — a retry recovers it.
@@ -374,57 +347,29 @@ pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
     payload_checksum(blob.as_bytes())
 }
 
-/// [`job_fingerprint`] over a whole job list, fingerprinting each distinct
-/// `Arc`d trace once (the same memoization [`BatchEngine::run_with`] uses
-/// internally). This is the enumeration-order fingerprint list sharded
-/// sweeps partition on and stamp into their manifests — computing it here
-/// guarantees the shard partitioner and the journal key agree exactly.
-#[must_use]
-pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
+/// The [`trace_fingerprint`] of every job's trace, each distinct `Arc`d
+/// trace hashed once, not once per job: a config sweep shares one trace
+/// across many jobs, and the fingerprint (a full-content hash) is a
+/// measurable fraction of an analysis. Distinct `Arc`s with equal content
+/// just recompute — the value is content-based either way.
+fn trace_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
     let mut memo: HashMap<*const KernelTrace, u64> = HashMap::new();
     jobs.iter()
         .map(|job| {
-            let trace_fp = *memo
+            *memo
                 .entry(Arc::as_ptr(&job.trace))
-                .or_insert_with(|| trace_fingerprint(&job.trace));
-            job_fingerprint(trace_fp, job)
+                .or_insert_with(|| trace_fingerprint(&job.trace))
         })
         .collect()
 }
 
-/// Maps a pipeline interrupt to its execution-layer error.
-fn interrupt_error(why: Interrupt) -> ExecError {
-    match why {
-        Interrupt::DeadlineExceeded => ExecError::Deadline,
-        Interrupt::Cancelled => ExecError::Cancelled,
-    }
-}
-
-/// Parallel per-warp analysis of a single kernel: interval profiles are
-/// built concurrently on the pool, cache simulation stays sequential (the
-/// shared L2 makes it a whole-trace computation), and the resulting
-/// [`Analysis`](gpumech_core::Analysis) is bit-identical to
-/// [`Gpumech::analyze`] because profiles are pure per-warp functions
-/// published in warp order.
-///
-/// # Errors
-///
-/// Exactly [`Gpumech::analyze`]'s errors, plus [`ModelError::Execution`]
-/// if a profiling worker panics.
-pub fn analyze_parallel(
-    model: &Gpumech,
-    trace: &KernelTrace,
-    workers: usize,
-) -> Result<gpumech_core::Analysis, ModelError> {
-    model.analyze_with(trace, |warps, cfg, mem| {
-        let opts = PoolOptions::new(effective_workers(workers));
-        let results = run_indexed(&opts, warps, |_, w| Ok(build_profile(w, cfg, mem)));
-        let mut profiles = Vec::with_capacity(results.len());
-        for r in results {
-            profiles.push(r.map_err(|e| ModelError::Execution(e.to_string()))?);
-        }
-        Ok(profiles)
-    })
+/// [`job_fingerprint`] over a whole job list — exactly the journal keys
+/// [`BatchEngine::run_with`] computes. This is the enumeration-order
+/// fingerprint list sharded sweeps partition on and stamp into their
+/// manifests, so the shard partitioner and the journal key agree.
+#[must_use]
+pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
+    jobs.iter().zip(trace_fingerprints(jobs)).map(|(job, fp)| job_fingerprint(fp, job)).collect()
 }
 
 /// Canonical JSON of a prediction for byte-identity assertions: wall-clock
@@ -512,18 +457,6 @@ mod tests {
         CacheKey {
             trace: trace_fingerprint(&job.trace),
             config: analysis_config_fingerprint(&job.cfg),
-        }
-    }
-
-    #[test]
-    fn parallel_per_warp_analysis_is_bit_identical() {
-        let trace =
-            workloads::by_name("lud_diagonal").unwrap().with_blocks(4).trace().unwrap();
-        let model = Gpumech::new(SimConfig::default());
-        let seq = model.analyze(&trace).unwrap();
-        for workers in [1, 2, 8] {
-            let par = analyze_parallel(&model, &trace, workers).unwrap();
-            assert_eq!(seq, par, "workers={workers}");
         }
     }
 }

@@ -23,9 +23,7 @@
 //! 3. **Batch engine** ([`batch`]) — ties both together:
 //!    [`BatchJob`] descriptors in,
 //!    [`Prediction`](gpumech_core::Prediction)s out, bit-identical to the
-//!    sequential path. Per-warp parallelism inside a single kernel is
-//!    available through [`batch::analyze_parallel`], built on the
-//!    [`Gpumech::analyze_with`](gpumech_core::Gpumech::analyze_with) seam.
+//!    sequential path.
 //!
 //! A fourth piece, the **resilience layer** ([`resilience`]), makes the
 //! batch engine safe to run unattended: whole-run deadlines and per-job
@@ -50,8 +48,7 @@ use std::fmt;
 use gpumech_core::ModelError;
 use gpumech_obs::Interrupt;
 
-pub use batch::{analyze_parallel, canonical_prediction_json, job_fingerprint, job_fingerprints,
-                BatchEngine, BatchJob};
+pub use batch::{canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob};
 pub use cache::{analysis_config_fingerprint, cache_key, trace_fingerprint, CacheKey, ProfileCache};
 pub use pool::{run_indexed, FaultInjection, FaultKind, PoolOptions};
 pub use resilience::{BatchOptions, CircuitBreaker, RetryPolicy};
@@ -155,9 +152,17 @@ impl From<ModelError> for ExecError {
         // defect: surface it as the execution-layer variant so callers can
         // distinguish "ran out of budget" from "the model rejected it".
         match e {
-            ModelError::Interrupted(Interrupt::DeadlineExceeded) => ExecError::Deadline,
-            ModelError::Interrupted(Interrupt::Cancelled) => ExecError::Cancelled,
+            ModelError::Interrupted(why) => why.into(),
             other => ExecError::Model(other),
+        }
+    }
+}
+
+impl From<Interrupt> for ExecError {
+    fn from(why: Interrupt) -> Self {
+        match why {
+            Interrupt::DeadlineExceeded => ExecError::Deadline,
+            Interrupt::Cancelled => ExecError::Cancelled,
         }
     }
 }

@@ -76,12 +76,6 @@ impl PoolOptions {
     pub fn new(workers: usize) -> Self {
         Self { workers, inject: None }
     }
-
-    /// Options with a deliberate fault for the suite to observe.
-    #[must_use]
-    pub fn with_injection(workers: usize, inject: FaultInjection) -> Self {
-        Self { workers, inject: Some(inject) }
-    }
 }
 
 /// Deliberately panics when `inject` targets item `i` with `kind`.

@@ -38,6 +38,7 @@ use std::sync::{Mutex, PoisonError};
 use gpumech_obs::CancelToken;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::avalanche;
 use crate::pool::FaultInjection;
 
 /// Deterministic exponential backoff with splitmix64 jitter.
@@ -65,14 +66,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The splitmix64 finalizer — the same avalanche the cache fingerprints
-/// use, here as a stateless jitter hash.
-fn splitmix64(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
 impl RetryPolicy {
     /// The delay to sleep before retry number `attempt` (0-based: the
     /// delay between the first failure and the second attempt) of job
@@ -90,7 +83,8 @@ impl RetryPolicy {
         if jitter_range == 0 {
             return exp;
         }
-        let jitter = splitmix64(self.seed ^ job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt));
+        let jitter =
+            avalanche(self.seed ^ job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt));
         half + (jitter % (jitter_range + 1))
     }
 }
@@ -225,13 +219,16 @@ pub struct JournalEntry {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
+    /// Held across one append's tail check and write, so pool workers
+    /// finishing together cannot both see (or both miss) a torn tail.
+    appending: Mutex<()>,
 }
 
 impl Journal {
     /// A journal at `path` (the file is created on first append).
     #[must_use]
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into() }
+        Self { path: path.into(), appending: Mutex::new(()) }
     }
 
     /// The journal's path.
@@ -283,6 +280,7 @@ impl Journal {
                 fs::create_dir_all(dir).map_err(|e| format!("journal dir: {e}"))?;
             }
         }
+        let _appending = self.appending.lock().unwrap_or_else(PoisonError::into_inner);
         let mut file = fs::OpenOptions::new()
             .create(true)
             .read(true)
@@ -380,6 +378,36 @@ mod tests {
         let healed = j.load();
         assert_eq!(healed.len(), 3, "append after a torn tail must not lose entries");
         assert_eq!(healed[&0xbeef].label, "job-c");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_appends_from_racing_threads_are_whole_lines() {
+        const THREADS: usize = 8;
+        const APPENDS: usize = 50;
+        let path = std::env::temp_dir()
+            .join(format!("gpumech-journal-race-{}.jsonl", std::process::id()));
+        let _ = fs::remove_file(&path);
+        let j = Journal::new(&path);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (j, start) = (&j, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..APPENDS {
+                        j.append((t * APPENDS + i) as u64, "job", r#"{"cpi":1.0}"#).unwrap();
+                    }
+                });
+            }
+        });
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), THREADS * APPENDS, "one line per append");
+        for line in text.lines() {
+            assert!(!line.is_empty(), "blank journal line");
+            serde_json::from_str::<JournalEntry>(line).unwrap();
+        }
+        assert_eq!(j.load().len(), THREADS * APPENDS);
         let _ = fs::remove_file(&path);
     }
 

@@ -12,8 +12,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_core::{Gpumech, Prediction, PredictionRequest};
 use gpumech_exec::{
-    analyze_parallel, canonical_prediction_json, run_indexed, BatchEngine, BatchJob, ExecError,
-    PoolOptions,
+    canonical_prediction_json, run_indexed, BatchEngine, BatchJob, ExecError, PoolOptions,
 };
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
@@ -88,20 +87,6 @@ fn oversubscribed_pool_is_byte_identical_to_sequential() {
     for ((job, want), result) in jobs.iter().zip(&expected).zip(got) {
         let p = result.unwrap_or_else(|e| panic!("{}: {e}", job.label));
         assert_eq!(&canon(&p), want, "kernel={}", job.label);
-    }
-}
-
-#[test]
-fn parallel_per_warp_analysis_matches_sequential_over_the_library() {
-    for w in workloads::all().into_iter().step_by(7) {
-        let w = w.with_blocks(2);
-        let trace = w.trace().unwrap();
-        let model = Gpumech::new(SimConfig::table1());
-        let seq = model.analyze(&trace).unwrap();
-        for workers in [2, 8] {
-            let par = analyze_parallel(&model, &trace, workers).unwrap();
-            assert_eq!(seq, par, "kernel={}, workers={workers}", w.name);
-        }
     }
 }
 

@@ -20,7 +20,8 @@ use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Clock, FakeClock, Recorder};
 use gpumech_trace::workloads;
 
-/// Serializes tests that install the process-global recorder.
+/// Serializes tests that install the process-global recorder with the
+/// tests whose batch runs would count into it (`exec.cache.misses`).
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -55,6 +56,7 @@ fn counter(rec: &Recorder, name: &str) -> u64 {
 /// other prediction byte-identical to an unconstrained run.
 #[test]
 fn hung_and_panicking_jobs_fail_alone_and_named_while_the_rest_match_exactly() {
+    let _serial = recorder_lock();
     let names =
         ["sdk_vectoradd", "bfs_kernel1", "kmeans_invert_mapping", "cfd_step_factor", "lud_diagonal"];
     let all = jobs(&names);
@@ -296,6 +298,7 @@ fn partial_journal_resumes_only_the_missing_jobs() {
 
 #[test]
 fn timeouts_do_not_perturb_jobs_that_fit_their_budget() {
+    let _serial = recorder_lock();
     // A generous fake-clock timeout: all jobs complete and match an
     // unconstrained run byte for byte (cancellation polling must not
     // change the numerics).
@@ -318,6 +321,7 @@ fn timeouts_do_not_perturb_jobs_that_fit_their_budget() {
 
 #[test]
 fn resilient_batch_with_disk_cache_surfaces_no_spurious_warnings() {
+    let _serial = recorder_lock();
     // Belt and braces: the happy path through the resilient entry point
     // with a disk cache produces clean predictions (no cache warnings).
     let dir = std::env::temp_dir()

@@ -332,7 +332,9 @@ pub fn run_batch_case(
 ) -> Vec<Outcome> {
     let _span = gpumech_obs::span!("fault.case.batch");
     match catch_unwind(AssertUnwindSafe(|| {
-        BatchEngine::new(workers).run_with_injection(jobs, inject)
+        let opts =
+            BatchOptions { injections: inject.into_iter().collect(), ..BatchOptions::default() };
+        BatchEngine::new(workers).run_with(jobs, &opts)
     })) {
         Ok(results) => results
             .into_iter()

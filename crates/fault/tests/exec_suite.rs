@@ -8,7 +8,8 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_exec::{
-    canonical_prediction_json, BatchEngine, BatchJob, ExecError, FaultInjection, FaultKind,
+    canonical_prediction_json, BatchEngine, BatchJob, BatchOptions, ExecError, FaultInjection,
+    FaultKind,
 };
 use gpumech_fault::{
     restore_panic_output, run_batch_case, silence_panic_output, Outcome, EXEC_FAULTS,
@@ -57,7 +58,8 @@ fn injected_worker_faults_cost_exactly_the_victim_item() {
             for workers in [1, 3] {
                 injected_runs += 1;
                 let inject = FaultInjection { item: victim, kind };
-                let got = BatchEngine::new(workers).run_with_injection(&jobs, Some(inject));
+                let opts = BatchOptions { injections: vec![inject], ..BatchOptions::default() };
+                let got = BatchEngine::new(workers).run_with(&jobs, &opts);
                 assert_eq!(got.len(), jobs.len());
                 for (i, (result, want)) in got.iter().zip(&baseline).enumerate() {
                     let case = format!(

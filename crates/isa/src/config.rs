@@ -266,6 +266,28 @@ impl SimConfig {
         Self::default()
     }
 
+    /// Table I with the four overrides every front end accepts
+    /// (`--warps/--mshrs/--bw/--sfu`, the `/predict` body fields of the
+    /// same names) applied where given, validated.
+    ///
+    /// # Errors
+    ///
+    /// [`SimConfig::validate`]'s error for the assembled configuration.
+    pub fn table1_with(
+        warps: Option<usize>,
+        mshrs: Option<usize>,
+        bw: Option<f64>,
+        sfu: Option<usize>,
+    ) -> Result<Self, ConfigError> {
+        let mut cfg = Self::table1();
+        cfg.max_warps_per_core = warps.unwrap_or(cfg.max_warps_per_core);
+        cfg.num_mshrs = mshrs.unwrap_or(cfg.num_mshrs);
+        cfg.dram_bandwidth_gbps = bw.unwrap_or(cfg.dram_bandwidth_gbps);
+        cfg.sfu_per_core = sfu.unwrap_or(cfg.sfu_per_core);
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
     /// Returns a copy with a different number of resident warps per core
     /// (the Figure 13 sweep: 8, 16, 32, 48).
     #[must_use]
@@ -487,6 +509,22 @@ mod tests {
         assert_eq!(cfg.dram_latency, 300);
         assert_eq!(cfg.latencies.fp_add, 25, "normal FP instructions are 25 cycles");
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn table1_with_applies_overrides_and_validates() {
+        assert_eq!(SimConfig::table1_with(None, None, None, None), Ok(SimConfig::table1()));
+        let cfg = SimConfig::table1_with(Some(48), Some(64), Some(96.0), Some(4)).unwrap();
+        let chained = SimConfig::table1()
+            .with_warps_per_core(48)
+            .with_mshrs(64)
+            .with_dram_bandwidth(96.0)
+            .with_sfu_per_core(4);
+        assert_eq!(cfg, chained);
+        assert_eq!(
+            SimConfig::table1_with(None, Some(0), None, None),
+            Err(ConfigError::ZeroField("num_mshrs"))
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use config::{CacheConfig, ConfigError, LatencyTable, SimConfig};
 pub use ids::{BlockId, CoreId, WarpId};
 pub use kernel::{AddrPattern, BranchCond, Kernel, KernelBuilder, Operand, Reg, StaticInst, ValueOp};
 pub use opcode::{InstKind, MemSpace};
-pub use policy::SchedulingPolicy;
+pub use policy::{SchedulingPolicy, UnknownWord};
 
 /// Number of threads in a warp. Fixed at 32, matching the paper's Table I and
 /// every NVIDIA architecture the paper models.

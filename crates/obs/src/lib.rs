@@ -27,18 +27,25 @@
 //! Every span and metric name is `stage.subsystem.name`: exactly three
 //! dot-separated segments of `[a-z0-9_]+`, each starting with a letter,
 //! where `stage` is the short crate name (`isa`, `analyze`, `trace`,
-//! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`).
-//! The scheme
-//! is
-//! machine-checked: [`valid_metric_name`] backs `gpumech obs-validate`,
-//! which CI runs over every export.
+//! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`,
+//! `perf`, `shard`). The scheme is machine-checked: [`valid_metric_name`]
+//! and the stage-family allowlists back [`validate_jsonl`] /
+//! [`validate_folded`], which `gpumech obs-validate` calls and CI runs
+//! over every export.
 //!
-//! # Exporters
+//! # Exporters and their validator
 //!
 //! [`render_tree`] (human-readable span tree + metric tables),
-//! [`to_jsonl`] (one JSON object per line — the schema `gpumech
-//! obs-validate` enforces), and [`to_chrome_trace`] (Chrome
+//! [`to_jsonl`] (one JSON object per line — the schema
+//! [`validate_jsonl`] enforces), and [`to_chrome_trace`] (Chrome
 //! `trace_event` JSON loadable in `chrome://tracing` / Perfetto).
+//!
+//! # Process-level primitives
+//!
+//! [`CancelToken`] (cooperative cancellation and deadlines) and
+//! [`signals`] (the SIGTERM/SIGINT flag and senders) are what the
+//! long-running front ends — `gpumech serve`, `gpumech supervise` — share
+//! for graceful drain.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -49,7 +56,9 @@ mod export;
 mod naming;
 mod recorder;
 mod report;
+pub mod signals;
 mod span;
+mod validate;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use clock::{Clock, FakeClock, RealClock};
@@ -62,6 +71,7 @@ pub use recorder::{
 };
 pub use report::{PipelineReport, StageReport};
 pub use span::SpanGuard;
+pub use validate::{validate_folded, validate_jsonl, JsonlCounts, Problem};
 
 /// Fast-path gate: `true` while a recorder is installed. Instrumentation
 /// macros check this before doing any other work.

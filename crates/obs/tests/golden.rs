@@ -13,7 +13,7 @@
 
 use std::path::Path;
 
-use gpumech_obs::{to_chrome_trace, to_jsonl, Recorder, Snapshot};
+use gpumech_obs::{to_chrome_trace, to_jsonl, validate_jsonl, JsonlCounts, Recorder, Snapshot};
 
 /// A small but representative snapshot: nested spans with attributes, all
 /// three metric kinds, and one span left open on a second thread (the
@@ -65,20 +65,12 @@ fn chrome_export_matches_golden() {
 }
 
 #[test]
-fn jsonl_golden_lines_parse_and_use_valid_names() {
-    let text = to_jsonl(&golden_snapshot());
-    for line in text.lines() {
-        let v = serde_json::parse_value(line)
-            .unwrap_or_else(|e| panic!("unparsable JSONL line {line:?}: {e}"));
-        for key in ["name"] {
-            if let Some(serde::Value::Str(name)) = v.get_field(key) {
-                assert!(
-                    gpumech_obs::valid_metric_name(name),
-                    "{name:?} violates the stage.subsystem.name scheme"
-                );
-            }
-        }
-    }
+fn jsonl_golden_passes_the_export_validator() {
+    let counts = validate_jsonl(&to_jsonl(&golden_snapshot()), serde_json::parse_value)
+        .unwrap_or_else(|problems| {
+            panic!("golden export fails its own validator: {problems:?}");
+        });
+    assert_eq!(counts, JsonlCounts { spans: 3, metrics: 4, aggregates: 4 });
 }
 
 #[test]

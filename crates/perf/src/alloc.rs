@@ -218,13 +218,14 @@ impl Drop for AllocScope {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex, PoisonError};
 
     /// The gate is process-wide; serialize the tests that assert it is
-    /// closed against the ones that open scopes.
-    static SCOPE_LOCK: Mutex<()> = Mutex::new(());
+    /// closed against the ones that open scopes — the suite's tests
+    /// included, whose every stage opens one.
+    pub(crate) static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn scope_counts_allocations_and_peak() {

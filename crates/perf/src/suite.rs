@@ -212,10 +212,14 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<Vec<BenchResult>, PerfError> {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
+    use std::sync::PoisonError;
+
     use super::*;
+    use crate::alloc::tests::SCOPE_LOCK;
 
     #[test]
     fn suite_runs_every_stage_quickly() {
+        let _l = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let opts = SuiteOptions { iters: 1, warmup: 0, slow: Vec::new() };
         let results = run_suite(&opts).unwrap();
         assert_eq!(results.len(), STAGE_NAMES.len());
@@ -229,6 +233,7 @@ mod tests {
 
     #[test]
     fn injected_sleep_inflates_the_named_stage_only() {
+        let _l = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let base = run_suite(&SuiteOptions { iters: 1, warmup: 0, slow: Vec::new() }).unwrap();
         let slowed = run_suite(&SuiteOptions {
             iters: 1,

@@ -34,6 +34,5 @@ pub mod server;
 
 pub use api::{parse_predict_body, predict_response_body, ApiError, PredictBody};
 pub use http::{parse_request, Limits, ParseError, Request, Response};
-pub use server::{
-    send_sigkill, send_sigterm, ServeConfig, ServeError, ServeSummary, Server, ServerHandle,
-};
+pub use gpumech_obs::signals::{send_sigkill, send_sigterm};
+pub use server::{ServeConfig, ServeError, ServeSummary, Server, ServerHandle};

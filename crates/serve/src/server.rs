@@ -30,95 +30,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use gpumech_core::{Model, ModelError, SelectionMethod, Weighting};
+use gpumech_core::{parse_selection, Model, ModelError};
 use gpumech_exec::{
     BatchEngine, BatchJob, BatchOptions, CircuitBreaker, ExecError, ProfileCache,
 };
-use gpumech_isa::{SchedulingPolicy, SimConfig};
-use gpumech_obs::{CancelToken, Interrupt};
+use gpumech_isa::{SchedulingPolicy, SimConfig, UnknownWord};
+use gpumech_obs::{signals, CancelToken};
 use gpumech_trace::{workloads, KernelTrace, TraceError};
 
-use crate::api::{parse_predict_body, predict_response_body, ApiError, PredictBody};
+use crate::api::{parse_predict_body, predict_response_body, ApiError};
 use crate::http::{parse_request, Limits, ParseError, Request, Response};
-
-/// SIGTERM/SIGINT plumbing without the `libc` crate: an async-signal-safe
-/// handler that stores into a process-global flag the accept loop polls.
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FIRED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // An atomic store is async-signal-safe; everything else happens
-        // on the accept loop when it next polls `fired`.
-        FIRED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub(super) fn install() {
-        // SAFETY: `on_signal` only performs an atomic store, and both
-        // SIGINT (2) and SIGTERM (15) are catchable signals.
-        unsafe {
-            signal(2, on_signal);
-            signal(15, on_signal);
-        }
-    }
-
-    pub(super) fn fired() -> bool {
-        FIRED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub(super) fn install() {}
-
-    pub(super) fn fired() -> bool {
-        false
-    }
-}
-
-/// Sends `sig` to `pid`. Returns `false` on non-Unix platforms or if the
-/// signal could not be delivered.
-fn send_signal(pid: u32, sig: i32) -> bool {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        let Ok(pid) = i32::try_from(pid) else {
-            return false;
-        };
-        // SAFETY: plain syscall wrapper; no memory is touched.
-        unsafe { kill(pid, sig) == 0 }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
-}
-
-/// Sends SIGTERM to `pid`. Test/bench helper (the smoke test and the
-/// load harness exercise graceful drain against a real child process).
-/// Returns `false` on non-Unix platforms or if the signal could not be
-/// delivered.
-#[must_use]
-pub fn send_sigterm(pid: u32) -> bool {
-    send_signal(pid, 15)
-}
-
-/// Sends SIGKILL to `pid`. Chaos helper: the load harness murders a
-/// server mid-load to prove the crash-safe cache survives and a restart
-/// comes back ready. Returns `false` on non-Unix platforms or failure.
-#[must_use]
-pub fn send_sigkill(pid: u32) -> bool {
-    send_signal(pid, 9)
-}
 
 /// Server configuration. `Default` is tuned for tests and the local CLI;
 /// the `gpumech serve` subcommand exposes every knob as a flag.
@@ -767,67 +688,35 @@ fn readyz_response(state: &State) -> Response {
     }
 }
 
-/// Builds the per-request machine configuration from body overrides.
-fn request_config(body: &PredictBody) -> Result<SimConfig, ApiError> {
-    let mut cfg = SimConfig::table1();
-    if let Some(w) = body.warps {
-        cfg = cfg.with_warps_per_core(w);
-    }
-    if let Some(m) = body.mshrs {
-        cfg = cfg.with_mshrs(m);
-    }
-    if let Some(b) = body.bw {
-        cfg = cfg.with_dram_bandwidth(b);
-    }
-    if let Some(s) = body.sfu {
-        cfg = cfg.with_sfu_per_core(s);
-    }
-    cfg.validate()
-        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
-    Ok(cfg)
+/// The 422 for a request word outside its vocabulary.
+fn invalid_option(field: &str, e: &UnknownWord) -> ApiError {
+    ApiError::new(422, "invalid_option", format!("{field} {e}"))
 }
 
-fn request_policy(body: &PredictBody) -> Result<SchedulingPolicy, ApiError> {
-    match body.policy.as_deref() {
-        None | Some("rr") => Ok(SchedulingPolicy::RoundRobin),
-        Some("gto") => Ok(SchedulingPolicy::GreedyThenOldest),
-        Some(other) => Err(ApiError::new(
-            422,
-            "invalid_option",
-            format!("policy must be rr|gto, got {other:?}"),
-        )),
-    }
+/// The 503 for a kernel whose circuit breaker is open.
+fn circuit_open(kernel: &str, failures: u32) -> ApiError {
+    ApiError::new(
+        503,
+        "circuit_open",
+        format!("circuit open for kernel {kernel:?} after {failures} consecutive failures"),
+    )
+    .with_retry_after_ms(1_000)
 }
 
-fn request_model(body: &PredictBody) -> Result<Model, ApiError> {
-    match body.model.as_deref() {
-        None | Some("full" | "mt_mshr_band") => Ok(Model::MtMshrBand),
-        Some("naive") => Ok(Model::NaiveInterval),
-        Some("markov") => Ok(Model::MarkovChain),
-        Some("mt") => Ok(Model::Mt),
-        Some("mt_mshr") => Ok(Model::MtMshr),
-        Some(other) => Err(ApiError::new(
-            422,
-            "invalid_option",
-            format!("model must be naive|markov|mt|mt_mshr|full, got {other:?}"),
-        )),
-    }
-}
-
-fn request_selection(body: &PredictBody) -> Result<(SelectionMethod, Weighting), ApiError> {
-    match body.selection.as_deref() {
-        None | Some("clustering") => {
-            Ok((SelectionMethod::Clustering, Weighting::SingleRepresentative))
-        }
-        Some("max") => Ok((SelectionMethod::Max, Weighting::SingleRepresentative)),
-        Some("min") => Ok((SelectionMethod::Min, Weighting::SingleRepresentative)),
-        Some("weighted") => Ok((SelectionMethod::Clustering, Weighting::PopulationWeighted)),
-        Some(other) => Err(ApiError::new(
-            422,
-            "invalid_option",
-            format!("selection must be max|min|clustering|weighted, got {other:?}"),
-        )),
-    }
+/// The 422 for a kernel static verification rejected, with its findings
+/// and, when the tracer gave one, the reason.
+fn rejected_by_analysis(
+    kernel: &str,
+    reason: Option<&dyn fmt::Display>,
+    findings: &[String],
+) -> ApiError {
+    let why = reason.map(|r| format!(": {r}")).unwrap_or_default();
+    ApiError::new(
+        422,
+        "rejected_by_analysis",
+        format!("kernel {kernel:?} rejected by static analysis{why}"),
+    )
+    .with_findings(findings.to_vec())
 }
 
 /// Fetches (or computes and memoizes) the trace for `(kernel, blocks)`.
@@ -848,12 +737,7 @@ fn lookup_trace(
     };
     let trace = w.trace().map_err(|e| match e {
         TraceError::RejectedByAnalysis { kernel, reason, findings } => {
-            ApiError::new(
-                422,
-                "rejected_by_analysis",
-                format!("kernel {kernel:?} rejected by static analysis: {reason}"),
-            )
-            .with_findings(findings)
+            rejected_by_analysis(&kernel, Some(&reason), &findings)
         }
         other => ApiError::new(422, "trace_failed", other.to_string()),
     })?;
@@ -875,28 +759,15 @@ fn exec_error_to_api(state: &State, kernel: &str, err: &ExecError) -> ApiError {
             "draining",
             "request cancelled: server drain deadline expired",
         ),
-        ExecError::CircuitOpen { kernel, failures } => ApiError::new(
-            503,
-            "circuit_open",
-            format!("circuit open for kernel {kernel:?} after {failures} consecutive failures"),
-        )
-        .with_retry_after_ms(1_000),
-        ExecError::RejectedByAnalysis { kernel, findings } => ApiError::new(
-            422,
-            "rejected_by_analysis",
-            format!("kernel {kernel:?} rejected by static analysis"),
-        )
-        .with_findings(findings.clone()),
+        ExecError::CircuitOpen { kernel, failures } => circuit_open(kernel, *failures),
+        ExecError::RejectedByAnalysis { kernel, findings } => {
+            rejected_by_analysis(kernel, None, findings)
+        }
         ExecError::Model(ModelError::Trace(TraceError::RejectedByAnalysis {
             kernel,
             reason,
             findings,
-        })) => ApiError::new(
-            422,
-            "rejected_by_analysis",
-            format!("kernel {kernel:?} rejected by static analysis: {reason}"),
-        )
-        .with_findings(findings.clone()),
+        })) => rejected_by_analysis(kernel, Some(reason), findings),
         ExecError::Model(ModelError::InvalidConfig(e)) => {
             ApiError::new(422, "invalid_config", e.to_string())
         }
@@ -924,18 +795,22 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
             .with_retry_after_ms(250));
     }
     let body = parse_predict_body(&req.body)?;
-    let cfg = request_config(&body)?;
-    let policy = request_policy(&body)?;
-    let model = request_model(&body)?;
-    let (selection, weighting) = request_selection(&body)?;
+    let cfg = SimConfig::table1_with(body.warps, body.mshrs, body.bw, body.sfu)
+        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
+    let policy: SchedulingPolicy = body
+        .policy
+        .as_deref()
+        .unwrap_or("rr")
+        .parse()
+        .map_err(|e| invalid_option("policy", &e))?;
+    let model: Model =
+        body.model.as_deref().unwrap_or("full").parse().map_err(|e| invalid_option("model", &e))?;
+    let (selection, weighting) =
+        parse_selection(body.selection.as_deref().unwrap_or("clustering"))
+            .map_err(|e| invalid_option("selection", &e))?;
 
     if let Some(failures) = state.breaker.as_ref().and_then(|b| b.is_open(&body.kernel)) {
-        return Err(ApiError::new(
-            503,
-            "circuit_open",
-            format!("circuit open for kernel {:?} after {failures} consecutive failures", body.kernel),
-        )
-        .with_retry_after_ms(1_000));
+        return Err(circuit_open(&body.kernel, failures));
     }
 
     let trace = lookup_trace(state, &body.kernel, body.blocks)?;
@@ -954,14 +829,7 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
             let t0 = Instant::now();
             while t0.elapsed() < Duration::from_millis(hold) {
                 if let Err(why) = token.check() {
-                    return Err(match why {
-                        Interrupt::DeadlineExceeded => {
-                            exec_error_to_api(state, &body.kernel, &ExecError::Deadline)
-                        }
-                        Interrupt::Cancelled => {
-                            exec_error_to_api(state, &body.kernel, &ExecError::Cancelled)
-                        }
-                    });
+                    return Err(exec_error_to_api(state, &body.kernel, &why.into()));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }

@@ -145,19 +145,42 @@ fn predict_round_trips_byte_identical_to_sequential() {
 fn typed_client_errors() {
     let _g = guard();
     let srv = Running::start(ServeConfig::default());
-    for (body, status, code) in [
-        ("not json", 400, "bad_json"),
-        (r#"{"kernel":"no_such_kernel"}"#, 404, "kernel_not_found"),
-        (r#"{"kernel":"sdk_vectoradd","mshrs":0}"#, 422, "invalid_config"),
-        (r#"{"kernel":"sdk_vectoradd","policy":"lifo"}"#, 422, "invalid_option"),
-        (r#"{"kernel":"sdk_vectoradd","bogus":1}"#, 400, "unknown_field"),
+    for (body, status, code, message) in [
+        ("not json", 400, "bad_json", "request body is not JSON"),
+        (r#"{"kernel":"no_such_kernel"}"#, 404, "kernel_not_found", "unknown kernel"),
+        (
+            r#"{"kernel":"sdk_vectoradd","mshrs":0}"#,
+            422,
+            "invalid_config",
+            "configuration field num_mshrs must be non-zero",
+        ),
+        (
+            r#"{"kernel":"sdk_vectoradd","policy":"lifo"}"#,
+            422,
+            "invalid_option",
+            r#"policy must be rr|gto, got \"lifo\""#,
+        ),
+        (
+            r#"{"kernel":"sdk_vectoradd","model":"quantum"}"#,
+            422,
+            "invalid_option",
+            r#"model must be naive|markov|mt|mt_mshr|full, got \"quantum\""#,
+        ),
+        (
+            r#"{"kernel":"sdk_vectoradd","selection":"random"}"#,
+            422,
+            "invalid_option",
+            r#"selection must be max|min|clustering|weighted, got \"random\""#,
+        ),
+        (r#"{"kernel":"sdk_vectoradd","bogus":1}"#, 400, "unknown_field", "bogus"),
     ] {
         let resp = predict(srv.addr, body);
         assert_eq!(resp.status, status, "{body} -> {}", resp.body);
         assert!(resp.body.contains(&format!("\"error\":\"{code}\"")), "{body} -> {}", resp.body);
+        assert!(resp.body.contains(message), "{body} -> {}", resp.body);
     }
     let summary = srv.stop();
-    assert_eq!(summary.rejected, 5, "{summary:?}");
+    assert_eq!(summary.rejected, 7, "{summary:?}");
 }
 
 #[test]

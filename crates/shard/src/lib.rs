@@ -11,6 +11,9 @@
 //!    fingerprint the resume journal keys on), so any shard's job set is
 //!    reproducible, independent of enumeration order, and provably
 //!    disjoint from every other shard's.
+//!    [`plan`] builds the enumeration itself — kernel × sweep point,
+//!    rejected kernels inline — identically on every shard, and derives
+//!    the fingerprints, manifest and owned subset from it.
 //! 2. **Manifest + report** ([`manifest`], [`report`]) — every shard
 //!    result file is stamped with a [`SweepManifest`] naming the sweep
 //!    fingerprint, shard index/count, git commit, and configuration
@@ -38,6 +41,7 @@
 pub mod manifest;
 pub mod merge;
 pub mod partition;
+pub mod plan;
 pub mod report;
 pub mod supervise;
 
@@ -47,6 +51,7 @@ pub use manifest::{fingerprint_hex, parse_fingerprint, SweepManifest};
 pub use merge::{merge_files, verify_expectation, FindingKind, MergeFinding, MergeOptions,
                 MergeOutcome, MergedSweep};
 pub use partition::{rejected_fingerprint, shard_of, sweep_fingerprint, ShardSpec};
+pub use plan::{sweep_points, Outcome, SweepPlan};
 pub use report::{load_shard_file, rows_checksum, CounterEntry, JobRow, ShardFile, SweepReport};
 pub use supervise::{supervise, ChaosKill, ShardStatus, SupervisorConfig, SupervisorSummary};
 

@@ -16,8 +16,9 @@
 
 use std::path::Path;
 
-use gpumech_core::CpiStack;
+use gpumech_core::{CpiStack, Prediction};
 use gpumech_exec::cache::payload_checksum;
+use gpumech_exec::BatchError;
 use serde::{Deserialize, Serialize};
 
 use crate::manifest::{fingerprint_hex, parse_fingerprint, SweepManifest};
@@ -43,6 +44,42 @@ pub struct JobRow {
     /// warnings are stripped before writing, so rows are byte-stable
     /// across shards, resumes, and machines.
     pub warnings: Vec<String>,
+}
+
+impl JobRow {
+    /// The row of a job that predicted `p`. Row bytes must not depend on
+    /// which shard or machine produced them, so the environment-dependent
+    /// `cache: ` warnings are dropped here.
+    #[must_use]
+    pub fn ok(label: &str, fingerprint: u64, p: &Prediction, oracle_cpi: Option<f64>) -> Self {
+        Self {
+            label: label.to_string(),
+            fingerprint: fingerprint_hex(fingerprint),
+            cpi: Some(p.cpi_total()),
+            ipc: Some(p.ipc()),
+            stack: Some(p.cpi),
+            oracle_cpi,
+            error: None,
+            warnings: p.warnings.iter().filter(|w| !w.starts_with("cache: ")).cloned().collect(),
+        }
+    }
+
+    /// The row of a job that failed, or whose kernel was rejected before
+    /// it could run: the full error payload (job label, configuration
+    /// fingerprint, underlying error) and no numbers.
+    #[must_use]
+    pub fn failed(fingerprint: u64, e: &BatchError) -> Self {
+        Self {
+            label: e.label.clone(),
+            fingerprint: fingerprint_hex(fingerprint),
+            cpi: None,
+            ipc: None,
+            stack: None,
+            oracle_cpi: None,
+            error: Some(e.to_string()),
+            warnings: Vec::new(),
+        }
+    }
 }
 
 /// One aggregated counter carried in a sweep report (outside the

@@ -27,71 +27,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use gpumech_exec::resilience::RetryPolicy;
-use gpumech_obs::CancelToken;
+use gpumech_obs::{signals, CancelToken};
 
 use crate::ShardError;
-
-/// SIGTERM/SIGINT plumbing without the `libc` crate: an async-signal-safe
-/// handler that stores into a process-global flag the supervisor polls.
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FIRED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // An atomic store is async-signal-safe; everything else happens
-        // on the supervisor loop when it next polls `fired`.
-        FIRED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub(super) fn install() {
-        // SAFETY: `on_signal` only performs an atomic store, and both
-        // SIGINT (2) and SIGTERM (15) are catchable signals.
-        unsafe {
-            signal(2, on_signal);
-            signal(15, on_signal);
-        }
-    }
-
-    pub(super) fn fired() -> bool {
-        FIRED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub(super) fn install() {}
-
-    pub(super) fn fired() -> bool {
-        false
-    }
-}
-
-/// Sends `sig` to `pid`. Returns `false` on non-Unix platforms or if the
-/// signal could not be delivered.
-fn send_signal(pid: u32, sig: i32) -> bool {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        let Ok(pid) = i32::try_from(pid) else {
-            return false;
-        };
-        // SAFETY: plain syscall wrapper; no memory is touched.
-        unsafe { kill(pid, sig) == 0 }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
-}
 
 /// A chaos injection: SIGKILL shard `shard` once its journal reaches
 /// `after_journal_lines` lines. Fires at most once per supervise run —
@@ -300,13 +238,7 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<SupervisorSummary, ShardError
 
     let result = run_loop(cfg, &mut shards, deadline, &mut chaos_fired);
     // Whatever happened, leave no children behind.
-    for s in &mut shards {
-        if let Some(child) = &mut s.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        s.child = None;
-    }
+    kill_all(&mut shards);
     let drained = matches!(result, Ok(true));
     result?;
 
@@ -448,14 +380,12 @@ fn spawn_shard(cfg: &SupervisorConfig, s: &mut ShardState) -> Result<(), ShardEr
     let spec = format!("{}/{}", s.shard, cfg.shards);
     let journal = cfg.journal_path(s.shard);
     let result = cfg.result_path(s.shard);
-    let log = File::create(cfg.log_path(s.shard)).map_err(|e| ShardError::Io {
+    let log_io = |e: std::io::Error| ShardError::Io {
         path: cfg.log_path(s.shard).display().to_string(),
         msg: e.to_string(),
-    })?;
-    let log_err = log.try_clone().map_err(|e| ShardError::Io {
-        path: cfg.log_path(s.shard).display().to_string(),
-        msg: e.to_string(),
-    })?;
+    };
+    let log = File::create(cfg.log_path(s.shard)).map_err(log_io)?;
+    let log_err = log.try_clone().map_err(log_io)?;
     let mut cmd = Command::new(&cfg.program);
     cmd.args(&cfg.shared_args)
         .arg("--shard")
@@ -502,7 +432,7 @@ fn kill_all(shards: &mut [ShardState]) {
 fn drain(cfg: &SupervisorConfig, shards: &mut [ShardState]) {
     for s in shards.iter_mut() {
         if let Some(child) = &s.child {
-            let _ = send_signal(child.id(), 15);
+            let _ = signals::send_sigterm(child.id());
         }
     }
     let grace_end = Instant::now() + Duration::from_millis(cfg.drain_ms);

@@ -1,15 +1,19 @@
 //! Property-style tests for the shard partitioner: for arbitrary shard
 //! counts and job lists, the shards `0/N .. N-1/N` form an exact disjoint
 //! cover of the job space, and ownership is stable under reordering of
-//! the input list.
+//! the input list — and the same for the sweep enumeration itself: every
+//! shard of one sweep computes the same manifest, and their owned sets
+//! partition it.
 //!
 //! Cases are fanned out from a seeded splitmix64 stream, so the "arbitrary"
 //! inputs are reproducible — a failure names the case seed.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use gpumech_shard::{shard_of, sweep_fingerprint, ShardSpec};
-use gpumech_trace::splitmix64;
+use gpumech_exec::{BatchEngine, ExecError};
+use gpumech_isa::{KernelBuilder, Operand, SimConfig, ValueOp};
+use gpumech_shard::{shard_of, sweep_fingerprint, sweep_points, ShardSpec, SweepPlan};
+use gpumech_trace::{splitmix64, workloads, Workload};
 
 /// A deterministic pseudo-random stream for case generation.
 struct Stream(u64);
@@ -156,4 +160,87 @@ fn sweep_fingerprint_is_order_sensitive_but_count_free() {
             );
         }
     }
+}
+
+/// A clean kernel, one static verification rejects (a barrier under a
+/// divergent branch), and another clean one.
+fn sweep_kernels() -> Vec<Workload> {
+    let clean = |name| workloads::by_name(name).unwrap().with_blocks(2);
+    let mut b = KernelBuilder::new("bad_barrier");
+    let c = b.alu(ValueOp::CmpLt, &[Operand::Lane, Operand::Imm(8)]);
+    b.if_begin(Operand::Reg(c));
+    b.sync();
+    b.if_end();
+    let mut rejected = clean("sdk_vectoradd");
+    rejected.name = "bad_barrier".to_string();
+    rejected.kernel = b.finish(vec![]);
+    vec![clean("sdk_vectoradd"), rejected, clean("bfs_kernel1")]
+}
+
+#[test]
+fn shards_of_one_sweep_enumerate_one_manifest_and_partition_it() {
+    let base = SimConfig::table1();
+    let kernels = sweep_kernels();
+    for spec in [None, Some("bw=64,128,192"), Some("warps=8,16,32,48")] {
+        let points = sweep_points(spec, &base).unwrap();
+        for count in [1u32, 2, 3, 5, 8] {
+            let case = format!("sweep {spec:?}, {count} shard(s)");
+            let plans: Vec<SweepPlan> = (0..count)
+                .map(|index| {
+                    let shard = ShardSpec { index, count };
+                    SweepPlan::enumerate(&kernels, &points, |_| {}, shard, "abc123", &base).unwrap()
+                })
+                .collect();
+            let all = &plans[0];
+            assert_eq!(all.entries.len(), kernels.len() * points.len(), "{case}");
+            let rejected = all.entries.iter().filter(|e| e.is_err()).count();
+            assert_eq!(rejected, points.len(), "{case}: one rejected row per sweep point");
+
+            let mut owners = vec![0usize; all.entries.len()];
+            for (plan, index) in plans.iter().zip(0..) {
+                assert!(plan.manifest.same_sweep(&all.manifest), "{case}: shard {index}");
+                assert_eq!(plan.manifest.shard_index, index, "{case}");
+                assert_eq!(plan.fingerprints, all.fingerprints, "{case}: shard {index}");
+                assert_eq!(plan.manifest.job_fps().unwrap(), plan.fingerprints, "{case}");
+                assert!(plan.owned.windows(2).all(|w| w[0] < w[1]), "{case}: enumeration order");
+                for &i in &plan.owned {
+                    owners[i] += 1;
+                }
+                let runnable = plan.owned.iter().filter(|&&i| plan.entries[i].is_ok()).count();
+                assert_eq!(plan.jobs.len(), runnable, "{case}: shard {index}");
+            }
+            assert!(owners.iter().all(|&n| n == 1), "{case}: owners per entry {owners:?}");
+        }
+    }
+}
+
+#[test]
+fn outcomes_pair_every_owned_entry_with_its_result_in_order() {
+    let base = SimConfig::table1();
+    let points = sweep_points(Some("bw=96,192"), &base).unwrap();
+    let mut covered = Vec::new();
+    for index in 0..2 {
+        let shard = ShardSpec { index, count: 2 };
+        let plan =
+            SweepPlan::enumerate(&sweep_kernels(), &points, |_| {}, shard, "abc123", &base).unwrap();
+        let results = BatchEngine::new(1).run(&plan.jobs);
+        let outcomes = plan.outcomes(&results);
+        assert_eq!(outcomes.len(), plan.owned.len());
+        for (&i, (fp, outcome)) in plan.owned.iter().zip(&outcomes) {
+            assert_eq!(*fp, plan.fingerprints[i]);
+            match (&plan.entries[i], outcome) {
+                (Ok(job), Ok((j, p))) => {
+                    assert_eq!(plan.jobs[*j].label, job.label);
+                    assert_eq!(Ok(*p), results[*j].as_ref());
+                }
+                (Err(_), Err(e)) => {
+                    assert!(matches!(e.error, ExecError::RejectedByAnalysis { .. }), "{e}");
+                    assert!(e.label.starts_with("bad_barrier @ bw="), "{e}");
+                }
+                (entry, outcome) => panic!("entry {entry:?} paired with {outcome:?}"),
+            }
+            covered.push(*fp);
+        }
+    }
+    assert_eq!(covered.len(), 6, "two shards cover the 3 x 2 sweep exactly once");
 }
