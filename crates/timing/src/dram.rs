@@ -14,8 +14,15 @@
 //! [`WINDOW_CYCLES`]-cycle window holds `WINDOW_CYCLES / s` requests, and a
 //! request starts in the first window at-or-after its arrival with spare
 //! capacity. This is bandwidth-exact and insensitive to issue order.
+//!
+//! Writes occupy a bounded queue until their bus service ends, and a full
+//! queue back-pressures store issue. [`DramChannel::write_admission_time`]
+//! answers with the cycle the queue *actually* drops below its limit, which
+//! lets a blocked core sleep over the whole drain: finish times are fixed at
+//! booking, and while the queue is full nobody is admitted, so nothing is
+//! enqueued before that cycle and the answer cannot move.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use gpumech_isa::SimConfig;
 
@@ -34,12 +41,14 @@ pub const WRITE_QUEUE_LIMIT: usize = 128;
 pub struct DramChannel {
     service: f64,
     access_latency: u64,
-    /// Window index → booked bus-service cycles.
-    booked: BTreeMap<u64, f64>,
+    /// `(window index, booked bus-service cycles)` of the live windows in
+    /// ascending order: a handful around the clock plus whatever MSHR
+    /// reservations have booked ahead, so a sorted ring stands in for a map.
+    booked: VecDeque<(u64, f64)>,
     requests: u64,
     busy_time: f64,
-    /// Bus-service completion times of outstanding writes.
-    write_finish: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
+    /// Bus-service completion times of outstanding writes, ascending.
+    write_finish: VecDeque<u64>,
 }
 
 impl DramChannel {
@@ -61,10 +70,10 @@ impl DramChannel {
         Self {
             service,
             access_latency: cfg.dram_latency,
-            booked: BTreeMap::new(),
+            booked: VecDeque::new(),
             requests: 0,
             busy_time: 0.0,
-            write_finish: std::collections::BinaryHeap::new(),
+            write_finish: VecDeque::new(),
         }
     }
 
@@ -77,16 +86,16 @@ impl DramChannel {
     /// be handed out twice.
     fn book(&mut self, now: u64, arrival: u64) -> f64 {
         let cur = now / WINDOW_CYCLES;
-        while let Some((&w, _)) = self.booked.first_key_value() {
-            if w + 2 < cur {
-                self.booked.pop_first();
-            } else {
-                break;
-            }
+        while self.booked.front().is_some_and(|&(w, _)| w + 2 < cur) {
+            self.booked.pop_front();
         }
         let mut wi = arrival.max(now) / WINDOW_CYCLES;
+        let mut at = self.booked.partition_point(|&(w, _)| w < wi);
         loop {
-            let used = self.booked.entry(wi).or_insert(0.0);
+            if self.booked.get(at).is_none_or(|&(w, _)| w != wi) {
+                self.booked.insert(at, (wi, 0.0));
+            }
+            let used = &mut self.booked[at].1;
             if *used + self.service <= WINDOW_CYCLES as f64 {
                 let start = (arrival as f64).max(wi as f64 * WINDOW_CYCLES as f64 + *used);
                 *used += self.service;
@@ -95,6 +104,7 @@ impl DramChannel {
                 return start + self.service;
             }
             wi += 1;
+            at += 1;
         }
     }
 
@@ -111,26 +121,26 @@ impl DramChannel {
     /// The write occupies a bounded queue slot until its bus service
     /// finishes.
     pub fn request_write(&mut self, now: u64, arrival: u64) {
-        let bus_done = self.book(now, arrival);
-        self.write_finish.push(std::cmp::Reverse(bus_done.ceil() as u64));
+        let finish = self.book(now, arrival).ceil() as u64;
+        // Stores issue in time order, so a finish almost always belongs at
+        // the back; the search keeps the queue ordered for any caller.
+        let at = self.write_finish.partition_point(|&t| t <= finish);
+        self.write_finish.insert(at, finish);
     }
 
     /// First cycle at which a store may issue without overflowing the
     /// bounded write queue (`now` itself when there is room). When the
-    /// queue is full this returns the earliest outstanding write's
-    /// completion — a lower bound; the scheduler re-checks on retry.
+    /// queue is full this is the cycle enough writes have finished for it
+    /// to hold fewer than [`WRITE_QUEUE_LIMIT`] — exact, not a bound, as
+    /// long as nothing is enqueued in between, and a full queue admits
+    /// nobody.
     pub fn write_admission_time(&mut self, now: u64) -> u64 {
-        while let Some(&std::cmp::Reverse(t)) = self.write_finish.peek() {
-            if t <= now {
-                self.write_finish.pop();
-            } else {
-                break;
-            }
+        while self.write_finish.front().is_some_and(|&t| t <= now) {
+            self.write_finish.pop_front();
         }
-        if self.write_finish.len() < WRITE_QUEUE_LIMIT {
-            now
-        } else {
-            self.write_finish.peek().map_or(now, |&std::cmp::Reverse(t)| t)
+        match self.write_finish.len().checked_sub(WRITE_QUEUE_LIMIT) {
+            None => now,
+            Some(excess) => self.write_finish[excess],
         }
     }
 
@@ -239,6 +249,23 @@ mod tests {
         // After enough time passes, the queue drains and admits again.
         let later = admit + 1000;
         assert_eq!(d.write_admission_time(later), later);
+    }
+
+    #[test]
+    fn full_write_queue_admits_when_it_has_drained_below_the_limit() {
+        let mut d = channel(64.0); // s = 2: write k leaves the bus at 2(k+1)
+        for _ in 0..WRITE_QUEUE_LIMIT + 9 {
+            d.request_write(0, 0);
+        }
+        // Ten writes too many: the tenth finish makes room, not the first.
+        assert_eq!(d.write_admission_time(0), 20);
+        assert_eq!(d.write_admission_time(19), 20);
+        assert_eq!(d.write_admission_time(20), 20);
+        // Out-of-order finishes are queued in order.
+        d.request_write(20, 10_000);
+        d.request_write(20, 5_000);
+        assert_eq!(d.write_finish.back(), Some(&10_002));
+        assert_eq!(d.write_admission_time(21), 24, "two more writes, two more finishes");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gpumech_mem::Cache;
 use gpumech_trace::{KernelTrace, TraceError};
 use serde::{Deserialize, Serialize};
 
-use crate::core::Core;
+use crate::core::{Core, IdleCycles, StallCause, Uncore, NEVER};
 use crate::dram::DramChannel;
 
 /// Hard cap on simulated cycles: exceeded only by a deadlocked
@@ -61,6 +61,9 @@ pub struct TimingResult {
     pub dram_requests: u64,
     /// DRAM bus utilization (busy cycles / total cycles).
     pub dram_utilization: f64,
+    /// Core-cycles without an issue, by what the core was waiting for:
+    /// `insts + idle.total() == cycles * num_cores`.
+    pub idle: IdleCycles,
 }
 
 impl TimingResult {
@@ -138,84 +141,68 @@ fn simulate_impl(
     }
     let mut cores: Vec<Core<'_>> =
         per_core_blocks.into_iter().map(|blocks| Core::new(trace, cfg, blocks)).collect();
-    if with_log {
-        for core in &mut cores {
-            core.issue_log = Some(trace.warps.iter().map(|w| Vec::with_capacity(w.len())).collect());
-        }
-    }
-    let mut l2 = Cache::new(&cfg.l2);
-    let mut dram = DramChannel::new(cfg);
+    let mut uncore = Uncore {
+        l2: Cache::new(&cfg.l2),
+        dram: DramChannel::new(cfg),
+        issue_log: with_log
+            .then(|| trace.warps.iter().map(|w| Vec::with_capacity(w.len())).collect()),
+        idle: IdleCycles::default(),
+    };
 
+    // Visit only cycles on which some core wakes, and on them only the
+    // cores that do — in core order, which is the order they reach the
+    // shared L2 and DRAM within a cycle.
+    let mut running = cores.iter().filter(|c| !c.done()).count();
     let mut cycle: u64 = 0;
-    loop {
-        if cores.iter().all(Core::done) {
-            break;
-        }
+    while running > 0 {
         if cycle > MAX_CYCLES {
             return Err(SimError::CycleLimit);
         }
-        let mut any = false;
+        let mut next = NEVER;
         for core in &mut cores {
-            if !core.done() && core.try_issue(cycle, &mut l2, &mut dram, policy) {
-                any = true;
-            }
-        }
-        if any {
-            cycle += 1;
-        } else {
-            // Nothing issued anywhere: skip to the next possible event.
-            let next = cores
-                .iter()
-                .filter(|c| !c.done())
-                .filter_map(|c| c.next_event_time(cycle, &mut dram))
-                .min();
-            cycle = match next {
-                Some(t) if t > cycle => t,
-                _ => cycle + 1,
-            };
-        }
-    }
-
-    let per_core_insts: Vec<u64> = cores.iter().map(|c| c.issued).collect();
-    let insts = per_core_insts.iter().sum();
-    let log = if with_log {
-        // Merge the per-core logs (each warp belongs to exactly one core).
-        let mut merged: Vec<Vec<u64>> = trace.warps.iter().map(|_| Vec::new()).collect();
-        for core in &mut cores {
-            if let Some(core_log) = core.issue_log.take() {
-                for (w, cycles) in core_log.into_iter().enumerate() {
-                    if !cycles.is_empty() {
-                        merged[w] = cycles;
-                    }
+            if core.wake <= cycle {
+                core.step(cycle, &mut uncore, policy);
+                if core.done() {
+                    running -= 1;
                 }
             }
+            next = next.min(core.wake);
         }
-        Some(merged)
-    } else {
-        None
-    };
+        // The last issue ends the simulation on the following cycle; with
+        // work left and no wake-up anywhere (a deadlock) `next` is `NEVER`
+        // and the cycle limit reports it.
+        cycle = if running == 0 { cycle + 1 } else { next };
+    }
+
+    // A core is drained from its last activity to the end.
+    for core in &cores {
+        uncore.idle.charge(StallCause::Drained, cycle - core.accounted);
+    }
+    let per_core_insts: Vec<u64> = cores.iter().map(|c| c.issued).collect();
+    let insts = per_core_insts.iter().sum();
     let result = TimingResult {
         cycles: cycle,
         insts,
         num_cores: cfg.num_cores,
         per_core_insts,
-        dram_requests: dram.requests(),
-        dram_utilization: if cycle == 0 { 0.0 } else { dram.busy_time() / cycle as f64 },
+        dram_requests: uncore.dram.requests(),
+        dram_utilization: if cycle == 0 { 0.0 } else { uncore.dram.busy_time() / cycle as f64 },
+        idle: uncore.idle,
     };
     gpumech_obs::counter!("timing.oracle.cycles", result.cycles);
     gpumech_obs::counter!("timing.oracle.insts", result.insts);
     gpumech_obs::counter!("timing.oracle.dram_requests", result.dram_requests);
     gpumech_obs::gauge!("timing.oracle.dram_utilization", result.dram_utilization);
     gpumech_obs::gauge!("timing.oracle.cpi", result.cpi());
-    Ok((result, log))
+    Ok((result, uncore.issue_log))
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use gpumech_isa::{AddrPattern, KernelBuilder, Operand, ValueOp};
-    use gpumech_trace::{trace_kernel, workloads, LaunchConfig};
+    use gpumech_isa::{AddrPattern, BlockId, InstKind, KernelBuilder, Operand, ValueOp, WarpId};
+    use gpumech_trace::{trace_kernel, workloads, LaunchConfig, WarpTrace};
 
     fn cfg() -> SimConfig {
         SimConfig::default()
@@ -377,6 +364,101 @@ mod tests {
         );
     }
 
+    /// A one-block, two-warp trace written row by row: `(kind, deps)` per
+    /// instruction, warp 0 dispatched first (the older under GTO).
+    fn two_warps(rows: [&[(InstKind, &[u32])]; 2]) -> KernelTrace {
+        let warps = rows
+            .iter()
+            .enumerate()
+            .map(|(w, rows)| {
+                let mut wt = WarpTrace::new(WarpId::new(w as u32), BlockId::new(0));
+                for (pc, &(kind, deps)) in rows.iter().enumerate() {
+                    wt.push(pc as u32, kind, u32::MAX, deps, &[]).unwrap();
+                }
+                wt
+            })
+            .collect();
+        KernelTrace { name: "two_warps".into(), launch: LaunchConfig::new(64, 1), warps }
+    }
+
+    #[test]
+    fn gto_forgets_the_greedy_warp_after_a_cycle_without_an_issue() {
+        // FP add completes 25 cycles after issue, integer ALU 24: the older
+        // warp's consumer (issued at 0) and the younger warp's consumer
+        // (issued at 1) both have their operands at cycle 26.
+        let mut one = cfg();
+        one.num_cores = 1;
+        one.latencies.int_alu = one.latencies.fp_add - 1;
+        let gto = SchedulingPolicy::GreedyThenOldest;
+        let older: [(InstKind, &[u32]); 2] = [(InstKind::FpAdd, &[]), (InstKind::Branch, &[0])];
+
+        // The younger warp issues at 1 and is the greedy warp; cycles 2..=25
+        // issue nothing, so at 26 greed is forgotten and the older warp goes
+        // first.
+        let gap = two_warps([&older, &[(InstKind::IntAlu, &[]), (InstKind::Branch, &[0])]]);
+        let (_, log) = simulate_with_issue_log(&gap, &one, gto).unwrap();
+        assert_eq!(log, [vec![0, 26], vec![1, 27]]);
+
+        // The younger warp issues on every cycle from 1 on: at 26 it is
+        // still the greedy warp and keeps the slot until it has drained.
+        let busy: Vec<(InstKind, &[u32])> = vec![(InstKind::Branch, &[]); 27];
+        let no_gap = two_warps([&older, &busy]);
+        let (_, log) = simulate_with_issue_log(&no_gap, &one, gto).unwrap();
+        assert_eq!(log, [vec![0, 28], (1..=27).collect::<Vec<u64>>()]);
+    }
+
+    fn hostile() -> SimConfig {
+        let mut cfg = cfg().with_dram_bandwidth(64.0).with_sfu_per_core(4);
+        cfg.num_cores = 2;
+        cfg.num_mshrs = 8;
+        cfg
+    }
+
+    #[test]
+    fn idle_cycles_and_issues_cover_every_core_cycle() {
+        let policies = [SchedulingPolicy::RoundRobin, SchedulingPolicy::GreedyThenOldest];
+        let mut seen = [false; 4];
+        for w in workloads::all() {
+            let t = w.clone().with_blocks(12).trace().unwrap();
+            for cfg in [cfg(), hostile()] {
+                for policy in policies {
+                    let r = simulate(&t, &cfg, policy).unwrap();
+                    assert_eq!(
+                        r.insts + r.idle.total(),
+                        r.cycles * r.num_cores as u64,
+                        "{} under {policy} on {} cores: {:?}",
+                        w.name,
+                        r.num_cores,
+                        r.idle
+                    );
+                    assert_eq!(r.idle.barrier, 0, "a barrier wake-up never ends a span");
+                    let idle = [r.idle.operand, r.idle.write_queue, r.idle.sfu_port, r.idle.drained];
+                    seen = std::array::from_fn(|i| seen[i] || idle[i] > 0);
+                }
+            }
+        }
+        // 12 blocks leave four of Table I's cores without work, and the
+        // library binds every other cause somewhere.
+        assert_eq!(seen, [true; 4]);
+    }
+
+    #[test]
+    fn idle_spans_are_charged_to_the_wake_up_that_ends_them() {
+        // One warp, a dependent FP chain: issues at 0, 26, 52, exit at 53,
+        // 54 cycles. The two 25-cycle gaps wait for an operand.
+        let mut b = KernelBuilder::new("chain");
+        let a = b.fp_add(&[Operand::Imm(1)]);
+        let c = b.fp_add(&[Operand::Reg(a), Operand::Imm(1)]);
+        let _ = b.fp_add(&[Operand::Reg(c), Operand::Imm(1)]);
+        let t = trace_kernel(&b.finish(vec![]), LaunchConfig::new(32, 1)).unwrap();
+        let mut two = cfg();
+        two.num_cores = 2;
+        let r = simulate(&t, &two, rr()).unwrap();
+        assert_eq!((r.cycles, r.insts), (54, 4));
+        // The second core never has a block.
+        assert_eq!(r.idle, IdleCycles { operand: 50, drained: 54, ..IdleCycles::default() });
+    }
+
     #[test]
     fn result_is_deterministic() {
         let w = workloads::by_name("parboil_spmv").unwrap().with_blocks(8);
@@ -395,6 +477,7 @@ mod tests {
             per_core_insts: vec![100; 4],
             dram_requests: 0,
             dram_utilization: 0.0,
+            idle: IdleCycles::default(),
         };
         assert!((r.cpi() - 1.0).abs() < 1e-12);
         assert!((r.ipc() - 1.0).abs() < 1e-12);

@@ -4,9 +4,9 @@
 # results/<name>.txt (and results/<name>.json where the binary can dump
 # one). Run from anywhere inside the repository.
 #
-#   results/run_all.sh              the recorded grid sizes (about 8 min on
-#                                   one core; see "Grid sizes" in
-#                                   EXPERIMENTS.md)
+#   results/run_all.sh              the recorded grid sizes (under a minute
+#                                   on one core once built; see "Grid
+#                                   sizes" in EXPERIMENTS.md)
 #   results/run_all.sh --blocks N   every harness at N blocks, for a quick
 #                                   look (numbers then differ from the
 #                                   committed ones)
