@@ -10,43 +10,31 @@
 #      suites, batch determinism over all 40 workloads, the cache
 #      corruption fan, the resilience contract, kill/resume, journal
 #      corruption resume, the defective-kernel corpus, the lint schema,
-#      the serve suites and smoke test, the perf suite, the shard
-#      partition/plan properties, the merge corruption fan, the
-#      supervisor chaos suite, the exit-code taxonomy and the CLI golden
+#      the serve suites and smoke tests (SIGTERM drain, SIGKILL and
+#      restart over the same cache), the shard partition/plan properties,
+#      the merge corruption fan, the supervisor chaos suite, the exit-code
+#      taxonomy and the CLI golden
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
 #      anything `#[deprecated]`)
-#   5. parallel benchmark: sequential-vs-batch walls on both axes,
-#      recorded as results/BENCH_parallel.json
-#   6. `gpumech lint` over the 40-workload library (nonzero exit on any
+#   5. `gpumech lint` over the 40-workload library (nonzero exit on any
 #      error-severity finding; zero Error findings is the gate)
-#   7. observability round trip: `gpumech profile` writes a JSONL trace
-#      and a Chrome trace, and `gpumech obs-validate` checks the JSONL
-#      against the exporter schema and the stage.subsystem.name scheme —
+#   6. observability round trip: `gpumech profile` writes a JSONL trace,
+#      a Chrome trace and a folded-stack export, and `gpumech
+#      obs-validate` checks the JSONL against the exporter schema and the
+#      stage.subsystem.name scheme and the folded stacks with --folded —
 #      including a `gpumech batch --obs-out` trace with exec.* metrics
-#   8. resilience: a journalled run + `--resume` through the release
+#   7. resilience: a journalled run + `--resume` through the release
 #      binary, with an obs-validate gate on the resumed run's trace
 #      carrying exec.resilience.* metrics
-#   9. serve: a quick bench_serve load run against the release binary
-#      (real sockets, shed + deadline taxonomy, SIGTERM drain,
-#      SIGKILL/restart chaos) whose --obs-out trace must pass
-#      obs-validate
-#  10. perf gate: a clean `gpumech perf compare` against the committed
-#      results/PERF_BASELINE.json — the parent's recording — within the
-#      disclosed noise tolerance (+40% +2 ms wall, +10% +256 allocs,
-#      min-of-N), then a fresh baseline recorded over it whose perf.*
-#      trace must validate, proof that a fault-injected 300 ms slowdown
-#      exits 4, and the folded-stack exporter round-tripped through
-#      obs-validate --folded
-#  11. sharded sweeps: a real 3-shard supervised sweep with one shard
+#   8. sharded sweeps: a real 3-shard supervised sweep with one shard
 #      SIGKILLed mid-run — the auto-merged output must be byte-identical
 #      (from jobs_checksum on) to the unsharded reference run, a
 #      deliberately corrupted shard file must fail `merge` with exit 5
-#      and a typed finding, the supervised run's --obs-out trace
-#      (shard.* metrics) must pass obs-validate — and the quick
-#      bench_shard sharded-vs-unsharded harness
-#  12. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#      and a typed finding, and the supervised run's --obs-out trace
+#      (shard.* metrics) must pass obs-validate
+#   9. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
 #      workload's traced and untraced sim_digest disagree (its numbers
@@ -69,17 +57,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== parallel benchmark =="
-cargo run --release -p gpumech-bench --bin bench_parallel -- \
-  --blocks 48 --json results/BENCH_parallel.json
-
 echo "== gpumech lint =="
 ./target/release/gpumech lint --min-severity warning
 
 echo "== observability =="
 ./target/release/gpumech profile sdk_vectoradd --blocks 4 \
-  --obs-out target/obs-ci.jsonl --chrome-out target/obs-ci.trace.json > /dev/null
+  --obs-out target/obs-ci.jsonl --chrome-out target/obs-ci.trace.json \
+  --folded-out target/obs-ci.folded > /dev/null
 ./target/release/gpumech obs-validate target/obs-ci.jsonl
+./target/release/gpumech obs-validate --folded target/obs-ci.folded
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --sweep bw=96,192 --obs-out target/obs-batch-ci.jsonl > /dev/null
 ./target/release/gpumech obs-validate target/obs-batch-ci.jsonl
@@ -97,44 +83,6 @@ rm -f target/ci-journal.jsonl
 grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
   || { echo "resume trace missing exec.resilience.* metrics"; exit 1; }
 rm -f target/ci-journal.jsonl
-
-echo "== serve =="
-# Quick load harness against the release binary: real sockets, shed +
-# deadline taxonomy, SIGTERM drain, SIGKILL/restart chaos. The drained
-# server's observability trace must validate like any other export.
-cargo run --release -p gpumech-bench --bin bench_serve -- --quick \
-  --server-bin target/release/gpumech \
-  --obs-out target/obs-serve-ci.jsonl --json target/bench-serve-ci.json
-./target/release/gpumech obs-validate target/obs-serve-ci.jsonl
-grep -q 'serve.req.ok' target/obs-serve-ci.jsonl \
-  || { echo "serve trace missing serve.* metrics"; exit 1; }
-
-echo "== perf gate =="
-# The gate proper, against the parent: results/PERF_BASELINE.json as
-# committed is the previous change's recording, so this run must stay within
-# the disclosed tolerance (+40% +2 ms wall, +10% +256 allocs over the
-# recorded min-of-N) of what the parent measured. The trace and analyze
-# rows are the pipeline's two big stages: parent (base) -> this change.
-./target/release/gpumech perf compare | tee target/perf-vs-parent-ci.txt
-echo "parent -> change:"
-grep -E '^(stage|trace|analyze) ' target/perf-vs-parent-ci.txt
-# Only then record this host's numbers over it (committed, so the next
-# change is compared with this one) and check the suite's own telemetry:
-# the perf.* metric family must validate.
-./target/release/gpumech perf record --obs-out target/obs-perf-ci.jsonl
-./target/release/gpumech obs-validate target/obs-perf-ci.jsonl
-grep -q 'perf.alloc.count' target/obs-perf-ci.jsonl \
-  || { echo "perf trace missing perf.alloc.* metrics"; exit 1; }
-# Against the fresh recording a fault-injected 300 ms sleep must be caught
-# with exit code 4.
-rc=0
-./target/release/gpumech perf compare --slow e2e_batch=300 > /dev/null || rc=$?
-[ "$rc" -eq 4 ] \
-  || { echo "perf gate missed an injected slowdown (exit $rc, want 4)"; exit 1; }
-# Folded-stack export round-trips through the validator.
-./target/release/gpumech profile sdk_vectoradd --blocks 4 \
-  --folded-out target/obs-ci.folded > /dev/null
-./target/release/gpumech obs-validate --folded target/obs-ci.folded
 
 echo "== sharded sweeps =="
 # A real supervised sweep: 3 shards over a 24-job sweep, shard 0
@@ -168,10 +116,6 @@ rc=0
   || { echo "corrupt shard merge exited $rc, want 5"; exit 1; }
 grep -q 'corrupt-shard-file' target/ci-shard-merge.log \
   || { echo "merge failure lacks the typed finding"; exit 1; }
-# The sharded-vs-unsharded harness: chaos kill, recovery, verified merge,
-# and the provenance-stamped report.
-cargo run --release -p gpumech-bench --bin bench_shard -- --quick \
-  --shard-bin target/release/gpumech --json target/bench-shard-ci.json
 rm -rf target/ci-shard-sweep
 
 echo "== repo benchmark (quick) =="

@@ -46,18 +46,6 @@ pub fn arg_blocks() -> Option<usize> {
     arg_value("--blocks").map(|s| s.parse().unwrap_or_else(|_| fail("--blocks expects a number")))
 }
 
-/// The `gpumech` binary a process-level harness drives: the value of
-/// `flag`, or a sibling of this executable.
-#[must_use]
-pub fn gpumech_bin(flag: &str) -> std::path::PathBuf {
-    arg_value(flag).map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("gpumech")))
-            .unwrap_or_else(|| fail("cannot locate the gpumech binary"))
-    })
-}
-
 /// One kernel evaluated under one configuration and policy: the oracle
 /// result and every model's prediction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -213,26 +201,6 @@ pub fn evaluate_trace(name: &str, trace: &KernelTrace, exp: &Experiment) -> Kern
         analysis_time,
         predict_time,
     }
-}
-
-/// Minimal wall-clock micro-benchmark used by the `benches/` binaries
-/// (`harness = false`): one warm-up call, then `iters` timed iterations.
-/// Prints and returns the mean per-iteration time.
-///
-/// This replaces an external benchmarking framework: the build environment
-/// is offline, and plain `Instant` timing is plenty for the coarse
-/// "tracer not regressed" / "model vs oracle" comparisons recorded in
-/// EXPERIMENTS.md.
-pub fn bench_wall<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
-    assert!(iters > 0, "bench_wall needs at least one iteration");
-    std::hint::black_box(f()); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per = t0.elapsed() / iters;
-    println!("{label:<44} {per:>12.3?}  (mean of {iters})");
-    per
 }
 
 /// Mean of `values`.

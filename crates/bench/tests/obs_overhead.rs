@@ -15,9 +15,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use gpumech_bench::bench_wall;
 use gpumech_core::{Gpumech, PredictionRequest};
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
@@ -28,6 +27,18 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One warm-up call, then the mean wall time of `iters` timed calls.
+fn bench_wall<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
+    std::hint::black_box(f());
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    let per = t0.elapsed() / iters;
+    println!("{label:<44} {per:>12.3?}  (mean of {iters})");
+    per
 }
 
 fn pipeline_once(trace: &KernelTrace) -> f64 {

@@ -5,7 +5,6 @@
 
 mod check;
 mod kernel;
-mod perf;
 mod serve;
 mod sweep;
 
@@ -64,15 +63,6 @@ pub enum CliError {
         /// Number of violations.
         problems: usize,
     },
-    /// `perf compare` found stages regressed beyond the noise tolerance.
-    /// The report carries the full comparison table so `main` can print
-    /// it before exiting nonzero.
-    PerfRegression {
-        /// Rendered comparison table (same text a clean run would print).
-        report: String,
-        /// Number of regressed stages.
-        regressions: usize,
-    },
     /// `merge` (or the auto-merge after `supervise`) found typed merge
     /// findings — corrupt shard files, cross-sweep mixes, coverage gaps,
     /// duplicate conflicts, or a byte mismatch against `--expect`. The
@@ -108,9 +98,6 @@ impl fmt::Display for CliError {
             CliError::ObsInvalid { problems, .. } => {
                 write!(f, "observability trace failed validation with {problems} problem(s)")
             }
-            CliError::PerfRegression { regressions, .. } => {
-                write!(f, "perf compare found {regressions} regressed stage(s)")
-            }
             CliError::MergeFailed { findings, .. } => {
                 write!(f, "merge failed with {findings} finding(s); no merged output written")
             }
@@ -121,14 +108,13 @@ impl fmt::Display for CliError {
 impl CliError {
     /// For the failures that are a *check's verdict* rather than a broken
     /// invocation: the report to print before the error line, and the
-    /// exit code that tells them apart (2 lint, 3 obs-validate, 4 perf
-    /// compare, 5 merge).
+    /// exit code that tells them apart (2 lint, 3 obs-validate, 5 merge;
+    /// 4 is retired).
     #[must_use]
     pub fn report(&self) -> Option<(&str, u8)> {
         match self {
             CliError::LintFailed { report, .. } => Some((report, 2)),
             CliError::ObsInvalid { report, .. } => Some((report, 3)),
-            CliError::PerfRegression { report, .. } => Some((report, 4)),
             CliError::MergeFailed { report, .. } => Some((report, 5)),
             _ => None,
         }
@@ -303,12 +289,6 @@ where
             &["oracle"],
             sweep::supervise,
         ),
-        "perf" => observed(
-            rest,
-            &[&["out", "baseline", "iters", "warmup", "slow", "tolerance"]],
-            &[],
-            perf::perf,
-        ),
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",
@@ -335,14 +315,6 @@ pub(crate) mod tests {
 
     pub(crate) fn run_err(argv: &[&str]) -> CliError {
         run(argv.iter().map(ToString::to_string)).expect_err("command fails")
-    }
-
-    /// Holds the recorder's turn for a test whose command counts into
-    /// whatever recorder is installed without installing one itself (the
-    /// perf suite's e2e_batch stage), so it cannot add to the counters a
-    /// concurrent `batch` test asserts on.
-    pub(crate) fn recorder_turn() -> std::sync::MutexGuard<'static, ()> {
-        OBS_SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A unique temp path for tests that write files.

@@ -8,9 +8,9 @@ use gpumech_core::{Model, Prediction, SchedulingPolicy};
 use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError, ProfileCache};
 use gpumech_obs::Snapshot;
 use gpumech_shard::{
-    merge_files, supervise as run_supervisor, sweep_points, verify_expectation, ChaosKill,
-    CounterEntry, FindingKind, JobRow, MergeFinding, MergeOptions, MergeOutcome, ShardSpec,
-    SupervisorConfig, SweepPlan, SweepReport,
+    git_commit, merge_files, supervise as run_supervisor, sweep_points, verify_expectation,
+    ChaosKill, CounterEntry, FindingKind, JobRow, MergeFinding, MergeOptions, MergeOutcome,
+    ShardSpec, SupervisorConfig, SweepPlan, SweepReport,
 };
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
@@ -121,7 +121,7 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
             job.weighting = weighting;
         },
         shard,
-        &gpumech_perf::git_commit(),
+        &git_commit(),
         &cfg,
     )
     .map_err(CliError::Model)?;

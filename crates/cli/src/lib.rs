@@ -46,10 +46,6 @@ COMMANDS:
     lint [kernel|all]            statically analyze and verify kernel IR:
                                  structure, divergence, barriers, shared-memory
                                  races, bank conflicts (default: all 40)
-    perf record|compare          run the stage-level + end-to-end micro-benchmark
-                                 suite; record a baseline to
-                                 results/PERF_BASELINE.json or gate against one
-                                 (exit 4 on regression)
     obs-validate <path>          check an --obs-out JSONL trace against the
                                  exporter schema and naming scheme; with
                                  --folded, check a folded-stack export instead
@@ -130,7 +126,6 @@ EXIT CODES (ci.sh gates on the distinction):
     1  usage or pipeline error
     2  lint found error-severity findings
     3  obs-validate found schema violations
-    4  perf compare found regressions beyond the noise tolerance
     5  merge (or supervise's auto-merge) found findings: corrupt shard
        files, coverage gaps, duplicate conflicts, cross-sweep mixes, or
        an --expect byte mismatch
@@ -160,21 +155,9 @@ SERVE FLAGS:
                       per-kernel circuit breaker: after N consecutive
                       server-side failures further requests get 503
 
-PERF FLAGS:
-    --out PATH        (record) baseline destination
-                      (default results/PERF_BASELINE.json)
-    --baseline PATH   (compare) baseline to gate against (same default)
-    --iters N         timed iterations per stage, min reported (default 5)
-    --warmup N        untimed warmup iterations per stage (default 2)
-    --tolerance PCT   relative wall-time headroom before a stage counts as
-                      regressed, on top of a 2 ms absolute floor (default 40)
-    --slow STAGE=MS[,STAGE=MS...]
-                      inject a sleep into named stages (fault hook used by
-                      the perf-gate acceptance test)
-
 OBSERVABILITY FLAGS:
     --obs-out PATH    write a JSON-lines recorder trace (predict, simulate,
-                      compare, stacks, profile, intervals, batch, perf)
+                      compare, stacks, profile, intervals, batch)
     --chrome-out PATH write a Chrome trace_event JSON (profile only); load
                       it in chrome://tracing or Perfetto
     --folded-out PATH write flamegraph-collapsed self-time stacks (profile

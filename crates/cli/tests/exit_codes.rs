@@ -1,6 +1,6 @@
 //! Exit-code taxonomy contract for the `gpumech` binary.
 //!
-//! The README documents a six-code taxonomy that CI scripts branch on;
+//! The README documents the exit-code taxonomy CI scripts branch on;
 //! this suite spawns the real binary once per code and pins each one:
 //!
 //! | code | meaning                                   |
@@ -9,7 +9,7 @@
 //! | 1    | usage / pipeline error                    |
 //! | 2    | `lint` found Error-severity findings      |
 //! | 3    | `obs-validate` found schema violations    |
-//! | 4    | `perf compare` found regressions          |
+//! | 4    | retired (was the perf gate's), not reused |
 //! | 5    | `merge` / `supervise` merge failure       |
 //!
 //! Failure codes must also keep their report-then-error shape: the full
@@ -48,6 +48,8 @@ fn exit_1_on_usage_error() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command"), "stderr names the problem: {stderr}");
+    // The retired perf gate's subcommand is the same class of failure.
+    assert_eq!(gpumech(&["perf", "compare"]).status.code(), Some(1));
 
     // A broken flag value is the same class of failure.
     let out = gpumech(&["batch", "sdk_vectoradd", "--shard", "9/3"]);
@@ -89,28 +91,6 @@ fn exit_3_on_invalid_obs_trace() {
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn exit_4_on_perf_regression() {
-    // The committed baseline plus an injected 300 ms sleep: guaranteed
-    // regression regardless of host speed. One iteration keeps it quick.
-    let out = gpumech(&[
-        "perf", "compare", "--iters", "1", "--warmup", "0",
-        "--baseline", "../../results/PERF_BASELINE.json",
-        "--slow", "e2e_batch=300",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("regressed stage"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //!
 //! Every case runs in one scratch directory with relative file names, so
 //! no path in the output depends on the host; wall-clock fields are
-//! masked (`<t>`), and outputs that are timing tables keep only their
+//! masked (`<t>`), and outputs that end in timing tables keep only their
 //! deterministic part. Regenerate after an intentional change with:
 //!
 //! ```text
@@ -24,8 +24,6 @@ enum Keep {
     All,
     /// Lines before the first one starting with this marker.
     Until(&'static str),
-    /// The first word of each line (timing tables: the row names).
-    FirstWords,
 }
 
 const SWEEP: [&str; 8] =
@@ -92,11 +90,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("lint-json", vec!["lint", "sdk_vectoradd", "--format", "json"], Keep::All),
         ("obs-validate", vec!["obs-validate", "good.jsonl"], Keep::All),
         ("obs-validate-folded", vec!["obs-validate", "--folded", "good.folded"], Keep::All),
-        (
-            "perf-record",
-            vec!["perf", "record", "--iters", "1", "--warmup", "0", "--out", "perf.json"],
-            Keep::FirstWords,
-        ),
         // Usage-error paths.
         ("bad-policy", vec!["predict", "sdk_vectoradd", "--policy", "fifo"], Keep::All),
         ("bad-model", vec!["predict", "sdk_vectoradd", "--model", "quantum"], Keep::All),
@@ -115,8 +108,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("invalid-config-sim", vec!["simulate", "sdk_vectoradd", "--bw", "0.5"], Keep::All),
         ("resume-without-journal", vec!["batch", "sdk_vectoradd", "--blocks", "4", "--resume"], Keep::Until("USAGE:")),
         ("merge-nothing", vec!["merge"], Keep::Until("USAGE:")),
-        ("perf-bad-action", vec!["perf", "tune"], Keep::All),
-        ("perf-bad-slow", vec!["perf", "compare", "--slow", "nope=5"], Keep::All),
         ("lint-bad-format", vec!["lint", "--format", "xml"], Keep::All),
         ("serve-bad-warm", vec!["serve", "--warm", "no_such_kernel"], Keep::All),
         ("obs-validate-broken", vec!["obs-validate", "broken.jsonl"], Keep::All),
@@ -184,7 +175,6 @@ fn keep(text: &str, keep: Keep) -> String {
             Keep::All => out.push_str(&mask_durations(line)),
             Keep::Until(marker) if line.starts_with(marker) => break,
             Keep::Until(_) => out.push_str(&mask_durations(line)),
-            Keep::FirstWords => out.push_str(line.split_whitespace().next().unwrap_or("")),
         }
         out.push('\n');
     }

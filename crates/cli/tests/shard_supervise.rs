@@ -3,7 +3,8 @@
 //! * an unsharded `batch --json` reference run;
 //! * the same sweep split `--shard 0/2` / `--shard 1/2` and re-united
 //!   with `merge --expect` — exit 0 and byte-identical (from
-//!   `jobs_checksum` on) to the reference;
+//!   `jobs_checksum` on) to the reference, also when the two shards run
+//!   from different working directories, one outside any checkout;
 //! * a full `supervise` run (3 shards, chaos kill armed, auto-merge with
 //!   `--expect`) — exit 0, merged output and markdown report written;
 //! * a corrupted shard file — `merge` exits 5 with a typed finding and
@@ -27,11 +28,36 @@ const SWEEP_ARGS: [&str; 8] = [
     "warps=16,32",
 ];
 
-fn gpumech(args: &[&str]) -> Output {
+fn gpumech_in(cwd: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gpumech"))
         .args(args)
+        .current_dir(cwd)
         .output()
         .expect("binary spawns")
+}
+
+fn gpumech(args: &[&str]) -> Output {
+    gpumech_in(Path::new("."), args)
+}
+
+/// Runs shard `shard` (`i/N`) of the sweep from working directory `cwd`
+/// into `dir/shard-i.json` and returns that path.
+fn shard_run(dir: &Path, shard: &str, cwd: &Path) -> PathBuf {
+    let path = dir.join(format!("shard-{}.json", &shard[..1]));
+    let mut args: Vec<&str> = vec!["batch"];
+    args.extend_from_slice(&SWEEP_ARGS);
+    args.extend_from_slice(&["--shard", shard, "--json", path.to_str().unwrap()]);
+    let out = gpumech_in(cwd, &args);
+    assert_eq!(out.status.code(), Some(0), "shard {shard}: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("# shard {shard}: owns")), "shard banner missing: {stdout}");
+    path
+}
+
+/// The part of a sweep file a merge must reproduce byte for byte.
+fn tail(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    text[text.find("\"jobs_checksum\"").unwrap()..].to_string()
 }
 
 fn workspace(tag: &str) -> PathBuf {
@@ -59,27 +85,8 @@ fn reference_run(dir: &Path) -> PathBuf {
 fn manual_shards_merge_byte_identically_to_unsharded() {
     let dir = workspace("manual");
     let reference = reference_run(&dir);
-
-    let mut shard_paths = Vec::new();
-    for shard in ["0/2", "1/2"] {
-        let path = dir.join(format!("shard-{}.json", &shard[..1]));
-        let mut args: Vec<&str> = vec!["batch"];
-        args.extend_from_slice(&SWEEP_ARGS);
-        args.extend_from_slice(&["--shard", shard, "--json", path.to_str().unwrap()]);
-        let out = gpumech(&args);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "shard {shard}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains(&format!("# shard {shard}: owns")),
-            "shard banner missing: {stdout}"
-        );
-        shard_paths.push(path);
-    }
+    let here = Path::new(".");
+    let shard_paths = [shard_run(&dir, "0/2", here), shard_run(&dir, "1/2", here)];
 
     let merged = dir.join("merged.json");
     let report = dir.join("report.md");
@@ -97,10 +104,7 @@ fn manual_shards_merge_byte_identically_to_unsharded() {
 
     // The contract the --expect note claims: merged == reference from the
     // jobs_checksum field on.
-    let merged_text = std::fs::read_to_string(&merged).unwrap();
-    let reference_text = std::fs::read_to_string(&reference).unwrap();
-    let tail = |s: &str| s[s.find("\"jobs_checksum\"").unwrap()..].to_string();
-    assert_eq!(tail(&merged_text), tail(&reference_text));
+    assert_eq!(tail(&merged), tail(&reference));
 
     // The markdown report renders the sweep sections.
     let md = std::fs::read_to_string(&report).unwrap();
@@ -136,11 +140,7 @@ fn supervised_sweep_with_chaos_kill_matches_unsharded() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("# supervisor: completed"), "{stdout}");
     assert!(stdout.contains("byte-identical to the reference run"), "{stdout}");
-
-    let merged_text = std::fs::read_to_string(&merged).unwrap();
-    let reference_text = std::fs::read_to_string(&reference).unwrap();
-    let tail = |s: &str| s[s.find("\"jobs_checksum\"").unwrap()..].to_string();
-    assert_eq!(tail(&merged_text), tail(&reference_text));
+    assert_eq!(tail(&merged), tail(&reference));
 
     // The per-shard artifacts the supervisor promises: result file and
     // journal per shard.
@@ -154,15 +154,8 @@ fn supervised_sweep_with_chaos_kill_matches_unsharded() {
 #[test]
 fn corrupted_shard_fails_merge_with_exit_5() {
     let dir = workspace("corrupt");
-    let mut shard_paths = Vec::new();
-    for shard in ["0/2", "1/2"] {
-        let path = dir.join(format!("shard-{}.json", &shard[..1]));
-        let mut args: Vec<&str> = vec!["batch"];
-        args.extend_from_slice(&SWEEP_ARGS);
-        args.extend_from_slice(&["--shard", shard, "--json", path.to_str().unwrap()]);
-        assert_eq!(gpumech(&args).status.code(), Some(0));
-        shard_paths.push(path);
-    }
+    let here = Path::new(".");
+    let shard_paths = [shard_run(&dir, "0/2", here), shard_run(&dir, "1/2", here)];
     // Flip one digit inside the rows of shard 1.
     let text = std::fs::read_to_string(&shard_paths[1]).unwrap();
     let jobs_at = text.find("\"jobs\": [").unwrap();
@@ -189,5 +182,27 @@ fn corrupted_shard_fails_merge_with_exit_5() {
         PathBuf::from(format!("{}.quarantine", shard_paths[1].display())).exists(),
         "corrupt file quarantined"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shards_stamp_the_binary_commit_whatever_their_working_directory() {
+    // Provenance follows the executable, not the working directory: shard
+    // 0 runs inside the checkout, shard 1 from a temp dir outside any, and
+    // the two must still be one sweep to `merge`.
+    let dir = workspace("provenance");
+    let reference = reference_run(&dir);
+    let shard_paths = [shard_run(&dir, "0/2", Path::new(".")), shard_run(&dir, "1/2", &dir)];
+    let merged = dir.join("merged.json");
+    let out = gpumech(&[
+        "merge",
+        shard_paths[0].to_str().unwrap(),
+        shard_paths[1].to_str().unwrap(),
+        "--out", merged.to_str().unwrap(),
+        "--expect", reference.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(tail(&merged), tail(&reference));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -28,8 +28,8 @@
 //! dot-separated segments of `[a-z0-9_]+`, each starting with a letter,
 //! where `stage` is the short crate name (`isa`, `analyze`, `trace`,
 //! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`,
-//! `perf`, `shard`). The scheme is machine-checked: [`valid_metric_name`]
-//! and the stage-family allowlists back [`validate_jsonl`] /
+//! `shard`). The scheme is machine-checked: [`valid_metric_name`]
+//! and the stage-family allowlist back [`validate_jsonl`] /
 //! [`validate_folded`], which `gpumech obs-validate` calls and CI runs
 //! over every export.
 //!

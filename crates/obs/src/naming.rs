@@ -3,11 +3,10 @@
 /// Validates a span or metric name against the documented scheme:
 /// exactly three dot-separated segments, each `[a-z][a-z0-9_]*`.
 ///
-/// The first segment is the emitting stage (the short crate name:
-/// `isa`, `analyze`, `trace`, `mem`, `timing`, `core`, `exec`, `serve`,
-/// `cli`, `bench`, `fault`, `perf`, `shard`, or `test` in unit tests);
-/// the second
-/// names the subsystem;
+/// The first segment is the emitting stage (the short crate name of an
+/// instrumented layer: `isa`, `analyze`, `trace`, `mem`, `timing`,
+/// `core`, `exec`, `serve`, `cli`, `bench`, `fault`, `shard`, or `test`
+/// in unit tests; `perf` emits nothing); the second names the subsystem;
 /// the third the measurement. `gpumech obs-validate` fails any export
 /// containing a name this function rejects.
 #[must_use]

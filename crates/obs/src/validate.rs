@@ -1,7 +1,7 @@
 //! The validator for what [`to_jsonl`](crate::to_jsonl) and the
 //! folded-stack exporter write: every line matches its schema, and every
 //! span, metric and frame name is within the `stage.subsystem.name`
-//! scheme ([`valid_metric_name`]) and the stage-family allowlists.
+//! scheme ([`valid_metric_name`]) and the stage-family allowlist.
 //! `gpumech obs-validate` is a thin caller.
 
 use std::fmt;
@@ -42,14 +42,10 @@ pub struct JsonlCounts {
 
 /// Stage families a conforming export may emit under — the short crate
 /// names of every instrumented layer (`test` covers unit-test fixtures).
-const STAGE_FAMILIES: [&str; 14] = [
+const STAGE_FAMILIES: [&str; 13] = [
     "isa", "analyze", "trace", "mem", "timing", "core", "exec", "serve", "cli", "bench", "fault",
-    "perf", "shard", "test",
+    "shard", "test",
 ];
-
-/// Subsystems the `perf.*` family is allowed to emit under: the suite's
-/// stage spans, the allocation counters, and the benchmark metrics.
-const PERF_SUBSYSTEMS: [&str; 3] = ["suite", "alloc", "bench"];
 
 const METRIC_KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
 
@@ -119,18 +115,11 @@ impl Line<'_> {
         }
     }
 
-    /// Checks one scheme-shaped name against the stage-family allowlist,
-    /// and the `perf.*` family against its subsystem allowlist.
+    /// Checks one scheme-shaped name against the stage-family allowlist.
     fn check_name_family(&mut self, name: &str, what: &str) {
-        let mut segs = name.split('.');
-        let stage = segs.next().unwrap_or("");
+        let stage = name.split('.').next().unwrap_or("");
         if !STAGE_FAMILIES.contains(&stage) {
             self.problem(format!("{what} name {name:?} uses unknown stage family {stage:?}"));
-        } else if stage == "perf" && !PERF_SUBSYSTEMS.contains(&segs.next().unwrap_or("")) {
-            self.problem(format!(
-                "{what} name {name:?} outside the perf.* family \
-                 (subsystem must be one of suite|alloc|bench)"
-            ));
         }
     }
 
@@ -145,7 +134,7 @@ impl Line<'_> {
         }
     }
 
-    /// Checks a line's `name` against the scheme and the allowlists.
+    /// Checks a line's `name` against the scheme and the allowlist.
     fn check_name(&mut self, v: &Value, what: &str) {
         match field_str(v, "name") {
             None => self.problem(format!("{what} missing string \"name\"")),

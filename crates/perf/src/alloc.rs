@@ -3,7 +3,7 @@
 //!
 //! [`CountingAlloc`] wraps [`System`] and is registered as the workspace
 //! `#[global_allocator]` by this crate (every binary that links
-//! `gpumech-perf` — the CLI, the bench harnesses, the fault suite — gets
+//! `gpumech-perf` — the CLI, the benchmark, the fault suite — gets
 //! it). While no [`AllocScope`] is open the allocator's only overhead is
 //! one relaxed atomic load and a predicted branch per `alloc`/`dealloc`
 //! (`alloc` also checks the `Once` of the one-time set-up below),
@@ -218,14 +218,13 @@ impl Drop for AllocScope {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::sync::{Mutex, PoisonError};
 
     /// The gate is process-wide; serialize the tests that assert it is
-    /// closed against the ones that open scopes — the suite's tests
-    /// included, whose every stage opens one.
-    pub(crate) static SCOPE_LOCK: Mutex<()> = Mutex::new(());
+    /// closed against the ones that open scopes.
+    static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn scope_counts_allocations_and_peak() {

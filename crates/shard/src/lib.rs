@@ -47,7 +47,7 @@ pub mod supervise;
 
 use std::fmt;
 
-pub use manifest::{fingerprint_hex, parse_fingerprint, SweepManifest};
+pub use manifest::{fingerprint_hex, git_commit, parse_fingerprint, SweepManifest};
 pub use merge::{merge_files, verify_expectation, FindingKind, MergeFinding, MergeOptions,
                 MergeOutcome, MergedSweep};
 pub use partition::{rejected_fingerprint, shard_of, sweep_fingerprint, ShardSpec};

@@ -37,6 +37,30 @@ pub struct SweepManifest {
     pub jobs: Vec<String>,
 }
 
+/// The commit a manifest's `git_commit` names: `git rev-parse --short=12
+/// HEAD` run in the directory of this executable, so every shard of a
+/// build stamps the same commit whatever directory it runs from;
+/// `"unknown"` when the executable is not inside a git checkout or git is
+/// unavailable.
+#[must_use]
+pub fn git_commit() -> String {
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| {
+            std::process::Command::new("git")
+                .arg("-C")
+                .arg(exe.parent()?)
+                .args(["rev-parse", "--short=12", "HEAD"])
+                .output()
+                .ok()
+        })
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Formats a fingerprint the way every sweep artifact stores it.
 #[must_use]
 pub fn fingerprint_hex(fp: u64) -> String {

@@ -11,9 +11,9 @@
 //! - [`timing`] — the cycle-level validation oracle (MacSim substitute);
 //! - [`core`] — the interval-analysis performance model itself;
 //! - [`exec`] — the parallel batch-prediction engine and profile cache;
-//! - [`perf`] — continuous performance telemetry: self-time attribution
-//!   and folded-stack export over the span tree, the counting global
-//!   allocator, and the `gpumech perf` benchmark suite with baselines;
+//! - [`perf`] — performance telemetry: self-time attribution and
+//!   folded-stack export over the span tree, and the counting global
+//!   allocator;
 //! - [`shard`] — fleet-scale sharded sweeps: deterministic job
 //!   partitioning, verified shard merges, and the crash-tolerant
 //!   multi-process supervisor behind `gpumech supervise`.
