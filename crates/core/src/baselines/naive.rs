@@ -43,7 +43,8 @@ mod tests {
                 mshr_reqs: 0.0,
                 dram_reqs: 0.0,
                 ..Interval::default()
-            }],
+            }]
+            .into(),
             issue_rate: 1.0,
         }
     }
@@ -79,7 +80,7 @@ mod tests {
 
     #[test]
     fn degenerate_profile_returns_zero() {
-        let p = IntervalProfile { intervals: vec![], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![].into(), issue_rate: 1.0 };
         assert_eq!(naive_interval_cpi(&p, 8), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::interval::IntervalProfile;
+use crate::interval::{insts_and_perfs, IntervalProfile};
 
 /// The 2-D feature vector of one warp: warp performance and instruction
 /// count, each normalized by the all-warp average (Equation 6).
@@ -29,14 +29,10 @@ impl FeatureVector {
 /// Degenerate inputs (zero average) normalize to zero rather than NaN.
 #[must_use]
 pub fn feature_vectors(profiles: &[IntervalProfile]) -> Vec<FeatureVector> {
-    // One walk of each profile's intervals; the vectors hold the raw
+    // At most one walk of each interval list; the vectors hold the raw
     // performance and instruction count until the averages are known.
-    let mut feats: Vec<FeatureVector> = profiles
-        .iter()
-        .map(|p| {
-            let (insts, perf) = p.insts_and_perf();
-            FeatureVector { perf, insts: insts as f64 }
-        })
+    let mut feats: Vec<FeatureVector> = insts_and_perfs(profiles)
+        .map(|(insts, perf)| FeatureVector { perf, insts: insts as f64 })
         .collect();
     let n = profiles.len().max(1) as f64;
     let avg_perf: f64 = feats.iter().map(|f| f.perf).sum::<f64>() / n;
@@ -66,7 +62,8 @@ mod tests {
                 mshr_reqs: 0.0,
                 dram_reqs: 0.0,
                 ..Interval::default()
-            }],
+            }]
+            .into(),
             issue_rate: 1.0,
         }
     }
@@ -93,6 +90,16 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_list_under_another_issue_rate_is_walked_again() {
+        let slow = profile(10, 10.0);
+        let fast = IntervalProfile { issue_rate: 2.0, ..slow.clone() };
+        let f = feature_vectors(&[slow.clone(), slow, fast]);
+        assert_eq!(f[0], f[1]);
+        // 10 insts in 20 cycles vs. in 15: perf 0.5 vs. 2/3.
+        assert!((f[2].perf / f[0].perf - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn distance_is_squared_euclidean() {
         let a = FeatureVector { perf: 0.0, insts: 0.0 };
         let b = FeatureVector { perf: 3.0, insts: 4.0 };
@@ -102,7 +109,7 @@ mod tests {
 
     #[test]
     fn degenerate_profiles_do_not_nan() {
-        let ps = vec![IntervalProfile { intervals: vec![], issue_rate: 1.0 }];
+        let ps = vec![IntervalProfile { intervals: vec![].into(), issue_rate: 1.0 }];
         let f = feature_vectors(&ps);
         assert!(f[0].perf.is_finite() && f[0].insts.is_finite());
     }

@@ -15,7 +15,7 @@ pub use features::{feature_vectors, FeatureVector};
 pub use kmeans::{kmeans2, kmeans2_cancellable, KmeansResult};
 pub(crate) use kmeans::kmeans2_checked;
 
-use crate::interval::IntervalProfile;
+use crate::interval::{insts_and_perfs, IntervalProfile};
 
 /// How the representative warp is chosen (the three methods of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,17 +37,12 @@ pub enum SelectionMethod {
 #[must_use]
 pub fn select_representative(profiles: &[IntervalProfile], method: SelectionMethod) -> usize {
     assert!(!profiles.is_empty(), "no warps to select from");
+    // Ties go to the last equal maximum and the first equal minimum.
+    let perfs = insts_and_perfs(profiles).map(|(_, perf)| perf).enumerate();
+    let by_perf = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
     match method {
-        SelectionMethod::Max => profiles
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.warp_perf().total_cmp(&b.warp_perf()))
-            .map_or(0, |(i, _)| i),
-        SelectionMethod::Min => profiles
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.warp_perf().total_cmp(&b.warp_perf()))
-            .map_or(0, |(i, _)| i),
+        SelectionMethod::Max => perfs.max_by(by_perf).map_or(0, |(i, _)| i),
+        SelectionMethod::Min => perfs.min_by(by_perf).map_or(0, |(i, _)| i),
         SelectionMethod::Clustering => {
             let feats = feature_vectors(profiles);
             let km = kmeans2(&feats);
@@ -74,7 +69,8 @@ mod tests {
                 mshr_reqs: 0.0,
                 dram_reqs: 0.0,
                 ..Interval::default()
-            }],
+            }]
+            .into(),
             issue_rate: 1.0,
         }
     }
@@ -84,6 +80,22 @@ mod tests {
         let ps = vec![profile(10, 10.0), profile(10, 0.0), profile(10, 50.0)];
         assert_eq!(select_representative(&ps, SelectionMethod::Max), 1);
         assert_eq!(select_representative(&ps, SelectionMethod::Min), 2);
+    }
+
+    #[test]
+    fn ties_go_to_the_last_maximum_and_the_first_minimum() {
+        let (fast, slow) = (profile(10, 0.0), profile(10, 50.0));
+        // Shared lists and equal lists of their own tie alike.
+        let ps = vec![
+            fast.clone(),
+            slow.clone(),
+            slow,
+            profile(10, 0.0),
+            profile(10, 50.0),
+            fast,
+        ];
+        assert_eq!(select_representative(&ps, SelectionMethod::Max), 5);
+        assert_eq!(select_representative(&ps, SelectionMethod::Min), 1);
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
     }
 
     fn profile(intervals: Vec<Interval>) -> IntervalProfile {
-        IntervalProfile { intervals, issue_rate: 1.0 }
+        IntervalProfile { intervals: intervals.into(), issue_rate: 1.0 }
     }
 
     fn cfg() -> SimConfig {

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn compute_only_profile_has_zero_contention() {
         let p = IntervalProfile {
-            intervals: vec![mem_iv(10, 0, 0.0, 0.0)],
+            intervals: vec![mem_iv(10, 0, 0.0, 0.0)].into(),
             issue_rate: 1.0,
         };
         let r = contention_cpi(&p, &SimConfig::default(), 32, 420.0, 2.0);
@@ -220,7 +220,7 @@ mod tests {
         // 32-way divergent load per interval, 32 warps → 1024 core requests
         // against 32 MSHRs and the DRAM bus.
         let p = IntervalProfile {
-            intervals: vec![mem_iv(5, 1, 32.0, 32.0); 4],
+            intervals: vec![mem_iv(5, 1, 32.0, 32.0); 4].into(),
             issue_rate: 1.0,
         };
         let r = contention_cpi(&p, &SimConfig::default(), 32, 420.0, 2.0);
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn contention_grows_with_warps() {
         let p = IntervalProfile {
-            intervals: vec![mem_iv(5, 1, 32.0, 32.0); 4],
+            intervals: vec![mem_iv(5, 1, 32.0, 32.0); 4].into(),
             issue_rate: 1.0,
         };
         let cfg = SimConfig::default();
@@ -255,7 +255,7 @@ mod tests {
     fn sfu_roofline_is_zero_at_the_table1_default() {
         let mut iv = mem_iv(10, 0, 0.0, 0.0);
         iv.sfu_insts = 5;
-        let p = IntervalProfile { intervals: vec![iv], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![iv].into(), issue_rate: 1.0 };
         assert_eq!(sfu_cpi(&p, &SimConfig::default(), 2.0), 0.0, "32 lanes → no contention");
     }
 
@@ -265,7 +265,7 @@ mod tests {
         // CPI floor = 8 * 0.5 = 4; with 1.5 already modeled, SFU adds 2.5.
         let mut iv = mem_iv(10, 0, 0.0, 0.0);
         iv.sfu_insts = 5;
-        let p = IntervalProfile { intervals: vec![iv], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![iv].into(), issue_rate: 1.0 };
         let cfg = SimConfig::default().with_sfu_per_core(4);
         let d = sfu_cpi(&p, &cfg, 1.5);
         assert!((d - 2.5).abs() < 1e-12, "got {d}");
@@ -277,7 +277,7 @@ mod tests {
     fn sfu_contention_feeds_the_total() {
         let mut iv = mem_iv(10, 0, 0.0, 0.0);
         iv.sfu_insts = 8;
-        let p = IntervalProfile { intervals: vec![iv], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![iv].into(), issue_rate: 1.0 };
         let cfg = SimConfig::default().with_sfu_per_core(4);
         let r = contention_cpi(&p, &cfg, 32, 420.0, 1.0);
         assert!(r.cpi_sfu > 0.0);
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_profile_is_zero() {
-        let p = IntervalProfile { intervals: vec![], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![].into(), issue_rate: 1.0 };
         let r = contention_cpi(&p, &SimConfig::default(), 32, 420.0, 2.0);
         assert_eq!(r.cpi, 0.0);
     }

@@ -194,7 +194,7 @@ impl CpiStack {
         let issue_rate =
             if profile.issue_rate.is_finite() && profile.issue_rate > 0.0 { profile.issue_rate } else { 1.0 };
         let mut stack = CpiStack { base: 1.0 / issue_rate, ..Default::default() };
-        for iv in &profile.intervals {
+        for iv in profile.intervals.iter() {
             match iv.cause {
                 StallCause::None => {}
                 StallCause::Compute => stack.dep += iv.stall_cycles / insts,
@@ -286,7 +286,8 @@ mod tests {
             intervals: vec![
                 iv(4, 24.0, StallCause::Compute),
                 iv(6, 100.0, StallCause::Memory { pc: 3 }),
-            ],
+            ]
+            .into(),
             issue_rate: 1.0,
         };
         let mem = mem_with_dist(3, 1, 0, 9);
@@ -301,7 +302,7 @@ mod tests {
         // Paper's example: 100 stall cycles, 10% L2 hit / 90% L2 miss →
         // 10 cycles L2, 90 cycles DRAM.
         let p = IntervalProfile {
-            intervals: vec![iv(1, 100.0, StallCause::Memory { pc: 7 })],
+            intervals: vec![iv(1, 100.0, StallCause::Memory { pc: 7 })].into(),
             issue_rate: 1.0,
         };
         let mem = mem_with_dist(7, 0, 1, 9);
@@ -315,7 +316,7 @@ mod tests {
     #[test]
     fn multi_warp_stack_sums_to_final_cpi() {
         let p = IntervalProfile {
-            intervals: vec![iv(5, 45.0, StallCause::Compute), iv(5, 0.0, StallCause::None)],
+            intervals: vec![iv(5, 45.0, StallCause::Compute), iv(5, 0.0, StallCause::None)].into(),
             issue_rate: 1.0,
         };
         let mem = MemStats::new(25, 120, 420);
@@ -361,7 +362,7 @@ mod tests {
 
     #[test]
     fn empty_profile_gives_empty_stack() {
-        let p = IntervalProfile { intervals: vec![], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![].into(), issue_rate: 1.0 };
         let mem = MemStats::new(25, 120, 420);
         assert_eq!(CpiStack::single_warp(&p, &mem).total(), 0.0);
     }

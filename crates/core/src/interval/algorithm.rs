@@ -7,6 +7,8 @@
 //! come from the latency table; global-load latencies are the per-PC AMATs
 //! produced by the functional cache simulation (Section V-B).
 
+use std::sync::Arc;
+
 use gpumech_isa::{InstKind, MemSpace, SimConfig};
 use gpumech_mem::{MemStats, PcStats};
 use gpumech_trace::{KernelTrace, TraceInst, WarpTrace};
@@ -60,18 +62,33 @@ pub struct ProfileBuilder<'a> {
     issue_slot: f64,
     /// Completion time of every instruction of the warp being profiled.
     done: Vec<f64>,
-    /// Intervals of the last warp profiled — warps of one kernel mostly
-    /// form the same intervals, so it sizes the next warp's list.
-    last_intervals: usize,
+    /// The intervals of the warp being profiled, frozen into the profile's
+    /// shared list once the warp is done.
+    intervals: Vec<Interval>,
 }
 
-/// The interval list of `profile` in a list of the same capacity — not
-/// `Vec::clone`, whose exact-size block would leave the size classes
-/// [`ProfileBuilder::build`] keeps to.
-fn copy_of(profile: &IntervalProfile) -> IntervalProfile {
-    let mut intervals = Vec::with_capacity(profile.intervals.capacity());
-    intervals.extend_from_slice(&profile.intervals);
-    IntervalProfile { intervals, issue_rate: profile.issue_rate }
+/// Moves the first of `kept` that `matches` to the front and returns it:
+/// the recent-first list of the streams (or lists) met so far, since a
+/// launch runs a handful of them and neighbouring warps mostly share one.
+fn recent_first<T>(kept: &mut [T], matches: impl FnMut(&T) -> bool) -> Option<&T> {
+    let at = kept.iter().position(matches)?;
+    kept[..=at].rotate_right(1);
+    kept.first()
+}
+
+/// Makes warps whose interval lists are equal share one list, as
+/// [`ProfileBuilder::build_all`] makes warps of one stream share theirs —
+/// for profiles decoded one list per warp. Lists compare with `==`: a
+/// `NaN` can only cost a share, and a `-0.0`, the one value `==` confuses
+/// with another, is never produced (every sum starts at `+0.0`).
+pub fn share_equal_intervals(profiles: &mut [IntervalProfile]) {
+    let mut kept: Vec<Arc<[Interval]>> = Vec::new();
+    for p in profiles {
+        match recent_first(&mut kept, |list| *list == p.intervals) {
+            Some(list) => p.intervals = Arc::clone(list),
+            None => kept.insert(0, Arc::clone(&p.intervals)),
+        }
+    }
 }
 
 impl<'a> ProfileBuilder<'a> {
@@ -94,7 +111,7 @@ impl<'a> ProfileBuilder<'a> {
             issue_rate,
             issue_slot: 1.0 / issue_rate,
             done: Vec::new(),
-            last_intervals: 0,
+            intervals: Vec::new(),
         }
     }
 
@@ -146,7 +163,7 @@ impl<'a> ProfileBuilder<'a> {
     /// (and this builder's per-PC table), so warps that executed the same
     /// instruction stream ([`WarpTrace::same_stream`]) have the same
     /// profile: the algorithm runs once per distinct stream and every other
-    /// warp gets a copy.
+    /// warp shares that warp's list.
     ///
     /// # Errors
     ///
@@ -157,16 +174,12 @@ impl<'a> ProfileBuilder<'a> {
         mut check: impl FnMut() -> Result<(), E>,
     ) -> Result<Vec<IntervalProfile>, E> {
         let mut profiles: Vec<IntervalProfile> = Vec::with_capacity(warps.len());
-        // First warp of every stream met so far, the stream met last first:
-        // a launch runs a handful of streams and neighbours mostly share one.
+        // First warp of every stream met so far, the stream met last first.
         let mut streams: Vec<usize> = Vec::new();
         for (i, warp) in warps.iter().enumerate() {
             check()?;
-            let profile = match streams.iter().position(|&first| warps[first].same_stream(warp)) {
-                Some(at) => {
-                    streams[..=at].rotate_right(1);
-                    copy_of(&profiles[streams[0]])
-                }
+            let profile = match recent_first(&mut streams, |&first| warps[first].same_stream(warp)) {
+                Some(&first) => profiles[first].clone(),
                 None => {
                     streams.insert(0, i);
                     self.build(warp)
@@ -188,17 +201,11 @@ impl<'a> ProfileBuilder<'a> {
     /// statistics of its instructions (from the per-PC cache statistics),
     /// which the contention models of Section IV-B consume.
     pub fn build(&mut self, warp: &WarpTrace) -> IntervalProfile {
-        // The capacity pushing one by one would have reached for the last
-        // warp's intervals: lists stay in the allocator's power-of-two size
-        // classes, which later analyses refill.
-        let capacity = match self.last_intervals {
-            0 => 0,
-            n => n.next_power_of_two().max(4),
+        let Some(first) = warp.insts.first() else {
+            return IntervalProfile { intervals: Arc::new([]), issue_rate: self.issue_rate };
         };
-        let mut profile =
-            IntervalProfile { intervals: Vec::with_capacity(capacity), issue_rate: self.issue_rate };
-        let Some(first) = warp.insts.first() else { return profile };
-
+        let mut intervals = std::mem::take(&mut self.intervals);
+        intervals.clear();
         let mut done = std::mem::take(&mut self.done);
         done.clear();
         done.resize(warp.insts.len(), 0.0);
@@ -234,14 +241,16 @@ impl<'a> ProfileBuilder<'a> {
                     }
                     _ => StallCause::Compute,
                 };
-                profile.intervals.push(std::mem::take(&mut cur));
+                intervals.push(std::mem::take(&mut cur));
             }
             done[k] = issue + self.account(&mut cur, inst);
             issue_prev = issue;
         }
         // The final interval ends with the trace (no trailing stall).
-        profile.intervals.push(cur);
-        self.last_intervals = profile.intervals.len();
+        intervals.push(cur);
+        let profile =
+            IntervalProfile { intervals: intervals.as_slice().into(), issue_rate: self.issue_rate };
+        self.intervals = intervals;
         self.done = done;
         profile
     }
@@ -418,10 +427,35 @@ mod tests {
         // The arms stall for different lengths, so a profile handed to the
         // wrong stream would show.
         assert_ne!(profiles[0], profiles[1]);
-        // A copy stays in its source's size class.
-        for (w, p) in profiles.iter().enumerate().skip(2) {
-            assert_eq!(p.intervals.capacity(), profiles[w % 2].intervals.capacity(), "warp {w}");
+        // One list per stream, shared by every warp of it.
+        for (w, p) in profiles.iter().enumerate() {
+            assert!(Arc::ptr_eq(&p.intervals, &profiles[w % 2].intervals), "warp {w}");
         }
+        assert_eq!(distinct_lists(&profiles), 2);
+    }
+
+    /// How many allocations the interval lists of `profiles` take.
+    fn distinct_lists(profiles: &[IntervalProfile]) -> usize {
+        let mut lists: Vec<_> = profiles.iter().map(|p| p.intervals.as_ptr()).collect();
+        lists.sort_unstable();
+        lists.dedup();
+        lists.len()
+    }
+
+    #[test]
+    fn equal_lists_decoded_apart_are_shared_again() {
+        let trace = two_stream_trace();
+        let cfg = cfg();
+        let mem = empty_mem(&cfg);
+        let built =
+            ProfileBuilder::new(&cfg, &mem).build_all(&trace.warps, || Ok::<(), ()>(())).unwrap();
+        let json = serde_json::to_string(&built).unwrap();
+        let mut decoded: Vec<IntervalProfile> = serde_json::from_str(&json).unwrap();
+        assert_eq!(distinct_lists(&decoded), decoded.len());
+        share_equal_intervals(&mut decoded);
+        assert_eq!(decoded, built);
+        assert_eq!(distinct_lists(&decoded), 2);
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
     }
 
     #[test]
@@ -439,6 +473,12 @@ mod tests {
         let distinct = (0..trace.warps.len())
             .filter(|&i| !trace.warps[..i].iter().any(|e| e.same_stream(&trace.warps[i])))
             .count();
+        assert_eq!(distinct_lists(&profiles), distinct, "one list per distinct stream");
+        for (a, pa) in trace.warps.iter().zip(&profiles) {
+            for (b, pb) in trace.warps.iter().zip(&profiles) {
+                assert_eq!(a.same_stream(b), Arc::ptr_eq(&pa.intervals, &pb.intervals));
+            }
+        }
         assert!(
             1 < distinct && distinct < trace.warps.len(),
             "{distinct} streams over {} warps: nothing to tell apart, or nothing to share",

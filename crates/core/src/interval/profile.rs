@@ -1,6 +1,8 @@
 //! The interval profile of a warp (Equation 2) and the scalar statistics
 //! derived from it (Equations 5, 9, 13).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// What ended an interval — the instruction the stalled consumer waited on.
@@ -73,8 +75,10 @@ impl Interval {
 /// under.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalProfile {
-    /// The intervals in execution order.
-    pub intervals: Vec<Interval>,
+    /// The intervals in execution order: one list, shared by every warp of
+    /// an analysis that ran the same instruction stream. Written and read
+    /// as the JSON array of a `Vec`.
+    pub intervals: Arc<[Interval]>,
     /// Warp-instructions issued per cycle when unstalled (Table I: 1.0).
     pub issue_rate: f64,
 }
@@ -150,6 +154,26 @@ impl IntervalProfile {
     }
 }
 
+/// [`IntervalProfile::insts_and_perf`] of every profile, in order. A warp
+/// whose list and issue rate are the previous warp's reuses its result:
+/// the same computation on the same data, without walking the list again.
+pub(crate) fn insts_and_perfs(
+    profiles: &[IntervalProfile],
+) -> impl Iterator<Item = (u64, f64)> + '_ {
+    profiles.iter().scan(None::<(&IntervalProfile, (u64, f64))>, |last, p| {
+        let raw = match *last {
+            Some((l, raw))
+                if Arc::ptr_eq(&l.intervals, &p.intervals) && l.issue_rate == p.issue_rate =>
+            {
+                raw
+            }
+            _ => p.insts_and_perf(),
+        };
+        *last = Some((p, raw));
+        Some(raw)
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -172,7 +196,16 @@ mod tests {
     /// The Figure 2 example: two intervals (1 inst + 10 stalls, 4 insts +
     /// 10 stalls) at 1 inst/cycle.
     fn figure2() -> IntervalProfile {
-        IntervalProfile { intervals: vec![iv(1, 10.0), iv(4, 10.0)], issue_rate: 1.0 }
+        IntervalProfile { intervals: vec![iv(1, 10.0), iv(4, 10.0)].into(), issue_rate: 1.0 }
+    }
+
+    #[test]
+    fn a_shared_list_writes_and_reads_the_json_of_a_vec() {
+        let list = vec![iv(1, 10.0), iv(4, 0.5), Interval { mem_reqs: 0.1, ..iv(2, 0.0) }];
+        let shared: Arc<[Interval]> = list.clone().into();
+        let json = serde_json::to_string(&list).unwrap();
+        assert_eq!(serde_json::to_string(&shared).unwrap(), json);
+        assert_eq!(*serde_json::from_str::<Arc<[Interval]>>(&json).unwrap(), *list);
     }
 
     #[test]
@@ -206,7 +239,7 @@ mod tests {
 
     #[test]
     fn empty_profile_is_safe() {
-        let p = IntervalProfile { intervals: vec![], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![].into(), issue_rate: 1.0 };
         assert_eq!(p.total_insts(), 0);
         assert_eq!(p.warp_perf(), 0.0);
         assert_eq!(p.single_warp_cpi(), 0.0);

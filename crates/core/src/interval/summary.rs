@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::profile::{IntervalProfile, StallCause};
+use super::profile::{insts_and_perfs, IntervalProfile, StallCause};
 
 /// Aggregate statistics of one warp's interval profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,7 +45,7 @@ impl IntervalProfile {
         let stalling: Vec<&super::profile::Interval> =
             self.intervals.iter().filter(|iv| iv.stall_cycles > 0.0).collect();
         let (mut compute, mut memory) = (0.0f64, 0.0f64);
-        for iv in &self.intervals {
+        for iv in self.intervals.iter() {
             match iv.cause {
                 StallCause::Compute => compute += iv.stall_cycles,
                 StallCause::Memory { .. } => memory += iv.stall_cycles,
@@ -117,8 +117,7 @@ pub struct PopulationSummary {
 #[must_use]
 pub fn summarize_population(profiles: &[IntervalProfile]) -> PopulationSummary {
     assert!(!profiles.is_empty(), "population must be non-empty");
-    let perfs: Vec<f64> = profiles.iter().map(IntervalProfile::warp_perf).collect();
-    let insts: Vec<u64> = profiles.iter().map(IntervalProfile::total_insts).collect();
+    let (insts, perfs): (Vec<u64>, Vec<f64>) = insts_and_perfs(profiles).unzip();
     let n = profiles.len() as f64;
     let perf_mean = perfs.iter().sum::<f64>() / n;
     let var = perfs.iter().map(|p| (p - perf_mean).powi(2)).sum::<f64>() / n;

@@ -902,7 +902,7 @@ mod tests {
         assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
 
         // The interval stage polls once per warp whether it builds the
-        // warp's profile or copies an earlier warp's: all eight warps here
+        // warp's profile or shares an earlier warp's: all eight warps here
         // execute one stream, so seven of the polls are on shared warps,
         // and a clock that runs out at the analysis' last poll stops on
         // the last of them.

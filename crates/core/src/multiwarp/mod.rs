@@ -116,7 +116,7 @@ mod tests {
     /// The Figure 8(c) profile: one interval of 3 instructions and 6 stall
     /// cycles, 4 warps, issue rate 1.
     fn figure8() -> IntervalProfile {
-        IntervalProfile { intervals: vec![iv(3, 6.0)], issue_rate: 1.0 }
+        IntervalProfile { intervals: vec![iv(3, 6.0)].into(), issue_rate: 1.0 }
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn stall_free_profile_is_issue_bound() {
-        let p = IntervalProfile { intervals: vec![iv(10, 0.0)], issue_rate: 1.0 };
+        let p = IntervalProfile { intervals: vec![iv(10, 0.0)].into(), issue_rate: 1.0 };
         let r = multithreading_cpi(&p, 8, SchedulingPolicy::RoundRobin);
         assert!((r.cpi - 1.0).abs() < 1e-12, "no stalls → CPI = 1/issue_rate");
     }
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn per_interval_counts_sum_to_total() {
         let p = IntervalProfile {
-            intervals: vec![iv(1, 10.0), iv(4, 10.0), iv(7, 0.0)],
+            intervals: vec![iv(1, 10.0), iv(4, 10.0), iv(7, 0.0)].into(),
             issue_rate: 1.0,
         };
         for policy in SchedulingPolicy::ALL {

@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use gpumech_core::{Analysis, ModelError};
+use gpumech_core::{share_equal_intervals, Analysis, ModelError};
 use gpumech_isa::SimConfig;
 use gpumech_trace::KernelTrace;
 
@@ -405,7 +405,12 @@ impl ProfileCache {
             }
         };
         match serde_json::from_str::<Analysis>(payload) {
-            Ok(a) => Some(a),
+            // JSON holds one list per warp; share them as a fresh analysis
+            // does, for its memory and for selection's per-list reuse.
+            Ok(mut a) => {
+                share_equal_intervals(&mut a.profiles);
+                Some(a)
+            }
             Err(_) => {
                 Self::quarantine(&path, DiskDefect::Payload, warnings);
                 None

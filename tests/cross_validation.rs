@@ -25,7 +25,7 @@ fn one_core() -> SimConfig {
 fn implied_schedule(profile: &IntervalProfile) -> Vec<f64> {
     let mut cycle = 0.0;
     let mut schedule = Vec::new();
-    for interval in &profile.intervals {
+    for interval in profile.intervals.iter() {
         for _ in 0..interval.insts {
             schedule.push(cycle);
             cycle += 1.0 / profile.issue_rate;
