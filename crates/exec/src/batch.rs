@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Duration;
 
 use gpumech_core::{
@@ -24,7 +24,8 @@ use gpumech_obs::CancelToken;
 use gpumech_trace::KernelTrace;
 
 use crate::cache::{
-    analysis_config_fingerprint, payload_checksum, trace_fingerprint, CacheKey, ProfileCache,
+    analysis_config, normalized_config_fingerprint, payload_checksum, trace_fingerprint,
+    CacheKey, ProfileCache,
 };
 use crate::pool::{maybe_inject, panic_message, run_indexed, FaultKind, PoolOptions};
 use crate::resilience::{BatchOptions, CircuitBreaker, Journal};
@@ -78,36 +79,46 @@ fn effective_workers(requested: usize) -> usize {
     requested.clamp(1, host)
 }
 
-/// Parallel batch executor with a shared [`ProfileCache`].
+/// Parallel batch executor with a shared [`ProfileCache`] and the trace
+/// fingerprints of every trace it has seen that is still alive.
 ///
 /// The configured worker count is a *ceiling*: the engine never runs more
 /// threads than the host exposes (see [`BatchEngine::effective_workers`]).
-/// [`pool::run_indexed`](crate::pool::run_indexed) itself spawns exactly
-/// what it is asked for — the clamp is engine policy, kept out of the pool
-/// so tests can still exercise real oversubscription.
+/// At one worker [`pool::run_indexed`](crate::pool::run_indexed) runs the
+/// jobs on the calling thread; above that it spawns exactly what it is
+/// asked for — the clamp is engine policy, kept out of the pool so tests
+/// can still exercise real oversubscription.
 #[derive(Debug)]
 pub struct BatchEngine {
     cache: ProfileCache,
     workers: usize,
+    fingerprints: FingerprintMemo,
 }
 
 impl BatchEngine {
     /// An engine with up to `workers` threads and a fresh in-memory cache.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        Self { cache: ProfileCache::in_memory(), workers }
+        Self::with_cache(workers, ProfileCache::in_memory())
     }
 
     /// An engine sharing an existing cache (e.g. a disk-backed one).
     #[must_use]
     pub fn with_cache(workers: usize, cache: ProfileCache) -> Self {
-        Self { cache, workers }
+        Self { cache, workers, fingerprints: FingerprintMemo::default() }
     }
 
     /// The engine's profile cache.
     #[must_use]
     pub fn cache(&self) -> &ProfileCache {
         &self.cache
+    }
+
+    /// Traces whose fingerprint the engine remembers: at most the number
+    /// of traces alive when it last hashed one.
+    #[must_use]
+    pub fn remembered_traces(&self) -> usize {
+        self.fingerprints.len()
     }
 
     /// The configured (requested) worker ceiling.
@@ -157,13 +168,22 @@ impl BatchEngine {
             // vs. actual throughput.
             gpumech_obs::counter!("exec.pool.workers_clamped");
         }
-        let keys: Vec<CacheKey> = jobs
-            .iter()
-            .zip(trace_fingerprints(jobs))
-            .map(|(job, trace)| CacheKey { trace, config: analysis_config_fingerprint(&job.cfg) })
+        let keys: Vec<CacheKey> = self
+            .fingerprints
+            .of(jobs)
+            .into_iter()
+            .zip(config_fingerprints(jobs))
+            .map(|(trace, config)| CacheKey { trace, config })
             .collect();
-        let fingerprints: Vec<u64> =
-            jobs.iter().zip(&keys).map(|(job, key)| job_fingerprint(key.trace, job)).collect();
+        // Journal keys are read only by the journal and by a failed job's
+        // error, which computes its own below.
+        let fingerprints: Option<Vec<u64>> = (opts.journal.is_some() || opts.resume).then(|| {
+            jobs.iter().zip(&keys).map(|(job, key)| job_fingerprint(key.trace, job)).collect()
+        });
+        let job_key = |i: usize| match &fingerprints {
+            Some(fps) => fps[i],
+            None => job_fingerprint(keys[i].trace, &jobs[i]),
+        };
 
         let journal = opts.journal.as_ref().map(Journal::new);
         let completed = if opts.resume {
@@ -184,7 +204,7 @@ impl BatchEngine {
         let pool_opts = PoolOptions { workers: effective, inject: pool_inject };
 
         let results = run_indexed(&pool_opts, jobs, |i, job| {
-            if let Some(entry) = completed.get(&fingerprints[i]) {
+            if let Some(entry) = fingerprints.as_ref().and_then(|fps| completed.get(&fps[i])) {
                 gpumech_obs::counter!("exec.resilience.journal_hits");
                 return serde_json::from_str::<Prediction>(&entry.prediction).map_err(|e| {
                     ExecError::Model(ModelError::Execution(format!("journal replay: {e}")))
@@ -226,7 +246,7 @@ impl BatchEngine {
                 if let Ok(json) = canonical_prediction_json(p) {
                     // A failed append costs resumability, not correctness;
                     // the warning travels with the prediction.
-                    if let Err(w) = j.append(fingerprints[i], &job.label, &json) {
+                    if let Err(w) = j.append(job_key(i), &job.label, &json) {
                         p.warnings.push(format!("cache: {w}"));
                     }
                 }
@@ -239,7 +259,7 @@ impl BatchEngine {
             .map(|(i, r)| {
                 r.map_err(|error| BatchError {
                     label: jobs[i].label.clone(),
-                    config_fingerprint: fingerprints[i],
+                    config_fingerprint: job_key(i),
                     error,
                 })
             })
@@ -336,9 +356,11 @@ impl BatchEngine {
 /// trace content, the *full* configuration (prediction-stage fields
 /// included — they change the answer even when they don't change the
 /// analysis), every pipeline option, and the label (so two sweep points
-/// that happen to share a config stay distinct).
+/// that happen to share a config stay distinct). Counted under
+/// `exec.fingerprint.job_keys`.
 #[must_use]
 pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
+    gpumech_obs::counter!("exec.fingerprint.job_keys");
     let cfg = serde_json::to_string(&job.cfg).unwrap_or_else(|_| format!("{:?}", job.cfg));
     let blob = format!(
         "{trace_fp:016x}|{}|{cfg}|{:?}|{:?}|{:?}|{:?}",
@@ -347,18 +369,80 @@ pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
     payload_checksum(blob.as_bytes())
 }
 
-/// The [`trace_fingerprint`] of every job's trace, each distinct `Arc`d
-/// trace hashed once, not once per job: a config sweep shares one trace
-/// across many jobs, and the fingerprint (a full-content hash) is a
-/// measurable fraction of an analysis. Distinct `Arc`s with equal content
-/// just recompute — the value is content-based either way.
-fn trace_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
-    let mut memo: HashMap<*const KernelTrace, u64> = HashMap::new();
+/// Trace fingerprints remembered per allocation, for as long as it lives.
+///
+/// Keyed by `Arc::as_ptr`; each entry holds a `Weak` to the trace it was
+/// computed from, and a hit needs that `Weak` to upgrade to the very
+/// allocation asked about. That proves the content is what was hashed:
+/// `Arc::get_mut` fails while a `Weak` exists, `Arc::make_mut` moves the
+/// value away from its `Weak`s, a live `Weak` keeps the address from
+/// being reused, and `KernelTrace` has no interior mutability. The value
+/// is [`trace_fingerprint`]'s, so every cache filename, journal key and
+/// shard manifest is the same as without the memo. Entries of dropped
+/// traces are pruned on insert, so the map never outgrows the traces that
+/// were alive at its last insert.
+#[derive(Debug, Default)]
+struct FingerprintMemo(Mutex<HashMap<usize, (Weak<KernelTrace>, u64)>>);
+
+impl FingerprintMemo {
+    /// The trace fingerprint of every job, each distinct `Arc` looked up
+    /// once per call; `exec.fingerprint.{computed,reused}` count those
+    /// lookups by outcome.
+    fn of(&self, jobs: &[BatchJob]) -> Vec<u64> {
+        let mut this_call: HashMap<usize, u64> = HashMap::new();
+        let mut computed = 0u64;
+        let fps = jobs
+            .iter()
+            .map(|job| {
+                *this_call.entry(Arc::as_ptr(&job.trace) as usize).or_insert_with(|| {
+                    self.get(&job.trace).unwrap_or_else(|| {
+                        computed += 1;
+                        self.compute(&job.trace)
+                    })
+                })
+            })
+            .collect();
+        gpumech_obs::counter!("exec.fingerprint.computed", computed);
+        gpumech_obs::counter!("exec.fingerprint.reused", this_call.len() as u64 - computed);
+        fps
+    }
+
+    fn get(&self, trace: &Arc<KernelTrace>) -> Option<u64> {
+        let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let (weak, fp) = memo.get(&(Arc::as_ptr(trace) as usize))?;
+        weak.upgrade().is_some_and(|held| Arc::ptr_eq(&held, trace)).then_some(*fp)
+    }
+
+    /// Hashes `trace` outside the lock — a cold trace must not hold up
+    /// warm lookups from other threads — and remembers the value.
+    fn compute(&self, trace: &Arc<KernelTrace>) -> u64 {
+        let fp = trace_fingerprint(trace);
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.retain(|_, (weak, _)| weak.strong_count() > 0);
+        memo.insert(Arc::as_ptr(trace) as usize, (Arc::downgrade(trace), fp));
+        fp
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// [`analysis_config_fingerprint`](crate::cache::analysis_config_fingerprint)
+/// of every job's configuration, each distinct analysis-relevant
+/// configuration serialized once: a sweep over prediction-stage fields
+/// normalizes to one.
+fn config_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
+    let mut seen: Vec<(SimConfig, u64)> = Vec::new();
     jobs.iter()
         .map(|job| {
-            *memo
-                .entry(Arc::as_ptr(&job.trace))
-                .or_insert_with(|| trace_fingerprint(&job.trace))
+            let normalized = analysis_config(&job.cfg);
+            if let Some((_, fp)) = seen.iter().find(|(cfg, _)| *cfg == normalized) {
+                return *fp;
+            }
+            let fp = normalized_config_fingerprint(&normalized);
+            seen.push((normalized, fp));
+            fp
         })
         .collect()
 }
@@ -369,7 +453,8 @@ fn trace_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
 /// manifests, so the shard partitioner and the journal key agree.
 #[must_use]
 pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
-    jobs.iter().zip(trace_fingerprints(jobs)).map(|(job, fp)| job_fingerprint(fp, job)).collect()
+    let traces = FingerprintMemo::default().of(jobs);
+    jobs.iter().zip(traces).map(|(job, fp)| job_fingerprint(fp, job)).collect()
 }
 
 /// Canonical JSON of a prediction for byte-identity assertions: wall-clock
@@ -395,6 +480,7 @@ pub fn canonical_prediction_json(p: &Prediction) -> Result<String, ModelError> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::cache::analysis_config_fingerprint;
     use gpumech_trace::workloads;
 
     fn job(name: &str, cfg: SimConfig) -> BatchJob {

@@ -12,9 +12,11 @@
 //! lane-widened FNV-1a defined by this crate): the full trace content
 //! (via the `Hash` impls of the trace records) and the canonical JSON of
 //! a *normalized* configuration whose prediction-only fields are pinned
-//! to defaults. Entries live in memory behind `Arc`s; an optional disk
-//! directory persists them as JSON (vendored `serde_json`) across
-//! processes. Hits, misses, and disk traffic are observable through the
+//! to defaults. The batch engine hashes a trace once per allocation and
+//! serializes each distinct normalized configuration once per call.
+//! Entries live in memory behind `Arc`s; an optional disk directory
+//! persists them as JSON (vendored `serde_json`) across processes.
+//! Hits, misses, and disk traffic are observable through the
 //! `exec.cache.*` counters — the cache test asserts a warm second run
 //! does zero analysis work purely from those counters.
 
@@ -108,6 +110,11 @@ impl Hasher for Fnv1a {
 
 /// Content fingerprint of a kernel trace (name, launch geometry, and
 /// every dynamic instruction).
+///
+/// A full pass over the trace, so a
+/// [`BatchEngine`](crate::batch::BatchEngine) computes it once per `Arc`'d
+/// trace for as long as that allocation lives and reuses the value on
+/// every later call; the value is this function's either way.
 #[must_use]
 pub fn trace_fingerprint(trace: &KernelTrace) -> u64 {
     let mut h = Fnv1a::new();
@@ -125,7 +132,14 @@ pub fn trace_fingerprint(trace: &KernelTrace) -> u64 {
 /// config schema instead of a hand-maintained field list.
 #[must_use]
 pub fn analysis_config_fingerprint(cfg: &SimConfig) -> u64 {
-    let normalized = SimConfig {
+    normalized_config_fingerprint(&analysis_config(cfg))
+}
+
+/// The analysis-relevant subset of `cfg`: every prediction-stage field
+/// pinned to its default. Configurations equal after this have equal
+/// [`analysis_config_fingerprint`]s.
+pub(crate) fn analysis_config(cfg: &SimConfig) -> SimConfig {
+    SimConfig {
         num_cores: cfg.num_cores,
         simt_width: cfg.simt_width,
         max_warps_per_core: cfg.max_warps_per_core,
@@ -135,7 +149,11 @@ pub fn analysis_config_fingerprint(cfg: &SimConfig) -> u64 {
         l2: cfg.l2,
         dram_latency: cfg.dram_latency,
         ..SimConfig::default()
-    };
+    }
+}
+
+/// [`analysis_config_fingerprint`] of an already normalized configuration.
+pub(crate) fn normalized_config_fingerprint(normalized: &SimConfig) -> u64 {
     let mut h = Fnv1a::new();
     match serde_json::to_string(&normalized) {
         Ok(json) => json.hash(&mut h),

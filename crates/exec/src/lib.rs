@@ -6,11 +6,12 @@
 //! crate supplies the three pieces that make that cheap without touching
 //! the model's numerics:
 //!
-//! 1. **Worker pool** ([`pool`]) — a scoped, zero-external-dep thread pool
-//!    over [`std::thread::scope`] with a deterministic work queue: items
-//!    are claimed by atomic index and results land in their item's slot,
-//!    so the output order (and content, for pure tasks) is independent of
-//!    worker count and interleaving. Workers are panic-isolated: a panic
+//! 1. **Worker pool** ([`pool`]) — a zero-external-dep pool (one worker on
+//!    the caller's thread, more over [`std::thread::scope`]) with a
+//!    deterministic work queue: items are claimed by atomic index and
+//!    results land in their item's slot, so the output order (and
+//!    content, for pure tasks) is independent of worker count and
+//!    interleaving. Workers are panic-isolated: a panic
 //!    inside one task surfaces as a typed [`ExecError`] for that item
 //!    while the rest of the batch completes.
 //! 2. **Profile cache** ([`cache`]) — a content-addressed cache of
@@ -23,7 +24,8 @@
 //! 3. **Batch engine** ([`batch`]) — ties both together:
 //!    [`BatchJob`] descriptors in,
 //!    [`Prediction`](gpumech_core::Prediction)s out, bit-identical to the
-//!    sequential path.
+//!    sequential path. It remembers each live trace's fingerprint, so a
+//!    warm call over the same `Arc`'d traces hashes nothing.
 //!
 //! A fourth piece, the **resilience layer** ([`resilience`]), makes the
 //! batch engine safe to run unattended: whole-run deadlines and per-job
@@ -35,8 +37,8 @@
 //! without repeating finished jobs.
 //!
 //! Everything is instrumented under the existing `gpumech-obs` scheme
-//! (`exec.pool.*`, `exec.cache.*`, `exec.batch.*`, `exec.resilience.*`
-//! spans and counters).
+//! (`exec.pool.*`, `exec.cache.*`, `exec.batch.*`, `exec.fingerprint.*`,
+//! `exec.resilience.*` spans and counters).
 
 pub mod batch;
 pub mod cache;

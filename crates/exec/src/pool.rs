@@ -1,5 +1,5 @@
-//! The scoped worker pool: deterministic work distribution with
-//! panic-isolated workers.
+//! The worker pool: deterministic work distribution with panic-isolated
+//! workers, scoped threads when more than one is asked for.
 //!
 //! The pool is intentionally minimal — no channels, no futures, no
 //! external crates. Work items are claimed off a shared atomic index and
@@ -63,8 +63,8 @@ pub struct FaultInjection {
 /// Pool configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolOptions {
-    /// Worker threads to spawn. `0` means one worker; the pool also never
-    /// spawns more workers than there are items.
+    /// Workers to run. `0` means one worker, which runs on the caller's
+    /// thread; the pool also never runs more workers than there are items.
     pub workers: usize,
     /// Optional deliberate fault (fault-suite hook). `None` in production.
     pub inject: Option<FaultInjection>,
@@ -104,8 +104,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `task` over every item on a scoped worker pool, returning one
-/// outcome per item, in item order.
+/// Runs `task` over every item, returning one outcome per item, in item
+/// order.
 ///
 /// Items are claimed by atomic index (a deterministic work queue: no
 /// per-worker sharding, no stealing) and results are published into the
@@ -113,6 +113,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// for any worker count. A panicking task yields
 /// [`ExecError::WorkerPanic`] for its item only; the batch always
 /// completes.
+///
+/// One worker runs the claim loop on the caller's thread, so its tasks'
+/// spans nest under `exec.pool.run`; more workers each run the same loop
+/// on a scoped thread of their own.
 pub fn run_indexed<T, R, F>(opts: &PoolOptions, items: &[T], task: F) -> Vec<Result<R, ExecError>>
 where
     T: Sync,
@@ -126,35 +130,40 @@ where
     let results: Mutex<Vec<Option<Result<R, ExecError>>>> =
         Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    maybe_inject(opts.inject, i, FaultKind::TaskPanic);
-                    task(i, item)
-                }))
-                .unwrap_or_else(|payload| {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ExecError::WorkerPanic { item: i, message: panic_message(&*payload) })
-                });
-                // Publication is separately contained: an (injected) panic
-                // while holding the lock poisons the mutex and drops this
-                // item's outcome, but must not take down the scope.
-                let published = catch_unwind(AssertUnwindSafe(|| {
-                    let mut slots = results.lock().unwrap_or_else(PoisonError::into_inner);
-                    maybe_inject(opts.inject, i, FaultKind::PanicHoldingQueueLock);
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(outcome);
-                    }
-                }));
-                if published.is_err() {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                }
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            maybe_inject(opts.inject, i, FaultKind::TaskPanic);
+            task(i, item)
+        }))
+        .unwrap_or_else(|payload| {
+            panics.fetch_add(1, Ordering::Relaxed);
+            Err(ExecError::WorkerPanic { item: i, message: panic_message(&*payload) })
+        });
+        // Publication is separately contained: an (injected) panic while
+        // holding the lock poisons the mutex and drops this item's
+        // outcome, but must not take down the worker.
+        let published = catch_unwind(AssertUnwindSafe(|| {
+            let mut slots = results.lock().unwrap_or_else(PoisonError::into_inner);
+            maybe_inject(opts.inject, i, FaultKind::PanicHoldingQueueLock);
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(outcome);
+            }
+        }));
+        if published.is_err() {
+            panics.fetch_add(1, Ordering::Relaxed);
         }
-    });
+    };
+    if workers == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
 
     gpumech_obs::counter!("exec.pool.tasks", items.len() as u64);
     gpumech_obs::counter!("exec.pool.panics", panics.load(Ordering::Relaxed) as u64);
@@ -199,6 +208,24 @@ mod tests {
         let items: [u8; 0] = [];
         let got = run_indexed(&PoolOptions::new(4), &items, |_, _| Ok(0u8));
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_caller_and_still_contains_both_fault_kinds() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..5).collect();
+        for kind in [FaultKind::TaskPanic, FaultKind::PanicHoldingQueueLock] {
+            let opts = PoolOptions { workers: 1, inject: Some(FaultInjection { item: 2, kind }) };
+            let got = run_indexed(&opts, &items, |_, _| Ok(std::thread::current().id()));
+            for (i, r) in got.iter().enumerate() {
+                match (i, kind, r) {
+                    (2, FaultKind::TaskPanic, Err(ExecError::WorkerPanic { item: 2, .. }))
+                    | (2, FaultKind::PanicHoldingQueueLock, Err(ExecError::ResultLost { item: 2 })) => {}
+                    (2, ..) => panic!("{kind:?}: wrong degradation {r:?}"),
+                    _ => assert_eq!(*r.as_ref().unwrap(), caller, "{kind:?} item {i}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -296,6 +296,39 @@ fn partial_journal_resumes_only_the_missing_jobs() {
     let _ = fs::remove_file(&journal);
 }
 
+/// Journal keys are computed only where something reads them: never on a
+/// run with neither journal nor resume, once per job with a journal, and
+/// for a failed job only, at its failure.
+#[test]
+fn journal_keys_are_computed_only_when_read() {
+    let _serial = recorder_lock();
+    let all = jobs(&["sdk_vectoradd", "bfs_kernel1", "cfd_step_factor"]);
+    let journal = temp_journal("lazy-keys");
+    let keys_computed = |opts: &BatchOptions, jobs: &[BatchJob]| {
+        let rec = Arc::new(Recorder::new());
+        let out = {
+            let _obs = gpumech_obs::install(Arc::clone(&rec));
+            BatchEngine::new(1).run_with(jobs, opts)
+        };
+        (out, counter(&rec, "exec.fingerprint.job_keys"))
+    };
+
+    let (out, keys) = keys_computed(&BatchOptions::default(), &all);
+    assert!(out.iter().all(Result::is_ok));
+    assert_eq!(keys, 0, "no journal, no resume: no journal keys");
+
+    let journaled = BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
+    assert_eq!(keys_computed(&journaled, &all).1, all.len() as u64);
+
+    let mut broken = all.clone();
+    broken[1].cfg.num_mshrs = 0;
+    let (out, keys) = keys_computed(&BatchOptions::default(), &broken);
+    assert_eq!(keys, 1, "only the failed job names its key");
+    let want = gpumech_exec::job_fingerprints(&broken)[1];
+    assert_eq!(out[1].as_ref().unwrap_err().config_fingerprint, want);
+    let _ = fs::remove_file(&journal);
+}
+
 #[test]
 fn timeouts_do_not_perturb_jobs_that_fit_their_budget() {
     let _serial = recorder_lock();

@@ -47,6 +47,9 @@ mod tests {
             "trace.engine.affine_addr_insts",
             "core.intervals.distinct_streams",
             "core.intervals.shared_profiles",
+            "exec.fingerprint.computed",
+            "exec.fingerprint.reused",
+            "exec.fingerprint.job_keys",
             "timing.oracle.dram_utilization",
             "fault.case.pipeline",
             "a.b.c",

@@ -22,8 +22,8 @@
 //!
 //! * Counters are **per thread**: a scope sees exactly the allocations of
 //!   the thread that opened it, whatever other threads do meanwhile, and
-//!   nothing of the threads it spawns (the worker of a batch engine, a
-//!   server's handlers). The counters are `const`-initialised
+//!   nothing of the threads it spawns (the workers of a multi-worker batch
+//!   engine, a server's handlers). The counters are `const`-initialised
 //!   `thread_local!` [`Cell`]s without destructors, so reading them from
 //!   inside the allocator neither allocates nor re-enters it. An
 //!   [`AllocScope`] must be read on the thread that opened it.
