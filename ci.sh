@@ -6,14 +6,14 @@
 #   2. every suite of the workspace, twice: a debug pass (debug
 #      assertions live, which the trace engine's static-vs-observed
 #      cross-check suite needs) and a release pass (optimized codegen).
-#      Each covers the unit suites, the fault-injection and exec-layer
-#      suites, batch determinism over all 40 workloads, the cache
-#      corruption fan, the resilience contract, kill/resume, journal
-#      corruption resume, the defective-kernel corpus, the lint schema,
-#      the serve suites and smoke tests (SIGTERM drain, SIGKILL and
-#      restart over the same cache), the shard partition/plan properties,
-#      the merge corruption fan, the supervisor chaos suite, the exit-code
-#      taxonomy and the CLI golden
+#      Each covers the unit suites, the mutated-input fault suite, the
+#      exec layer's panic containment and resilience contract, batch
+#      determinism over all 40 workloads, the cache corruption fan,
+#      kill/resume, journal corruption resume, the defective-kernel
+#      corpus, the lint schema, the serve suites and smoke tests (SIGTERM
+#      drain, SIGKILL and restart over the same cache), the shard
+#      partition/plan properties, the merge corruption fan, the supervisor
+#      chaos suite, the exit-code taxonomy and the CLI golden
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of

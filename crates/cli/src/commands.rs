@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gpumech_core::{parse_selection, SelectionMethod, UnknownWord, Weighting};
 use gpumech_isa::SimConfig;
 use gpumech_obs::{Recorder, Snapshot};
-use gpumech_trace::{workloads, Workload};
+use gpumech_trace::{workloads, LaunchConfig, Workload};
 
 use crate::args::{ArgError, Args};
 use crate::USAGE;
@@ -143,7 +143,7 @@ const MACHINE_FLAGS: &[&str] = &["blocks", "warps", "mshrs", "bw", "sfu"];
 /// forwards exactly these to its `batch` children.
 const SWEEP_FLAGS: &[&str] = &[
     "blocks", "warps", "mshrs", "bw", "sfu", "policy", "model", "selection", "workers", "sweep",
-    "cache-dir", "timeout-ms", "retries", "breaker-threshold",
+    "cache-dir", "timeout-ms", "breaker-threshold",
 ];
 
 /// Where a verified merge goes and what it is checked against: `merge`'s
@@ -199,13 +199,21 @@ fn machine_config(args: &Args) -> Result<SimConfig, CliError> {
     .map_err(|e| CliError::Config(e.to_string()))
 }
 
+/// `w` at `--blocks` when given; a grid [`LaunchConfig::try_new`] refuses
+/// is a usage error.
+fn at_blocks(args: &Args, mut w: Workload) -> Result<Workload, CliError> {
+    if let Some(b) = args.flag_opt::<usize>("blocks")? {
+        w.launch = LaunchConfig::try_new(w.launch.threads_per_block, b).map_err(|_| {
+            ArgError::BadValue { flag: "blocks".to_string(), value: b.to_string() }
+        })?;
+    }
+    Ok(w)
+}
+
 /// The catalogue workload `name`, at `--blocks` when given.
 fn workload(args: &Args, name: &str) -> Result<Workload, CliError> {
     let w = workloads::by_name(name).ok_or_else(|| CliError::UnknownKernel(name.to_string()))?;
-    Ok(match args.flag_opt::<usize>("blocks")? {
-        Some(b) => w.with_blocks(b),
-        None => w,
-    })
+    at_blocks(args, w)
 }
 
 fn lookup(args: &Args) -> Result<Workload, CliError> {

@@ -16,8 +16,8 @@ use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
 
 use super::{
-    bad_choice, choice, machine_config, positionals, recorded, selection, workload, CliError,
-    SWEEP_FLAGS,
+    at_blocks, bad_choice, choice, machine_config, positionals, recorded, selection, workload,
+    CliError, SWEEP_FLAGS,
 };
 use crate::args::{ArgError, Args};
 
@@ -28,14 +28,7 @@ fn sweep_kernels(args: &Args) -> Result<Vec<Workload>, CliError> {
     if !names.is_empty() && names != ["all"] {
         return names.iter().map(|n| workload(args, n)).collect();
     }
-    let blocks = args.flag_opt::<usize>("blocks")?;
-    Ok(workloads::all()
-        .into_iter()
-        .map(|w| match blocks {
-            Some(b) => w.with_blocks(b),
-            None => w,
-        })
-        .collect())
+    workloads::all().into_iter().map(|w| at_blocks(args, w)).collect()
 }
 
 /// Appends one line per outcome of this shard's entries to `out` and
@@ -129,7 +122,6 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     let opts = BatchOptions {
         timeout_ms: args.flag_opt("timeout-ms")?,
         deadline_ms: args.flag_opt("deadline-ms")?,
-        retries: args.flag_or("retries", 0u32)?,
         breaker_threshold: args.flag_opt("breaker-threshold")?,
         journal: args.flag("journal").map(PathBuf::from),
         resume: args.switch("resume"),

@@ -76,8 +76,6 @@ BATCH FLAGS:
                       with a typed Deadline error
     --deadline-ms N   whole-run time budget; jobs past the deadline fail
                       fast instead of running
-    --retries N       retry a job up to N times after a transient worker
-                      panic, with deterministic exponential backoff
     --breaker-threshold N
                       skip further sweep points of a kernel after N
                       consecutive failures (typed CircuitOpen error)

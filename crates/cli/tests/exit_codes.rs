@@ -54,6 +54,11 @@ fn exit_1_on_usage_error() {
     // A broken flag value is the same class of failure.
     let out = gpumech(&["batch", "sdk_vectoradd", "--shard", "9/3"]);
     assert_eq!(out.status.code(), Some(1), "out-of-range shard spec is a usage error");
+    let out = gpumech(&["predict", "sdk_vectoradd", "--blocks", "0"]);
+    assert_eq!(out.status.code(), Some(1), "an empty grid is a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--blocks"));
+    let out = gpumech(&["batch", "sdk_vectoradd", "--retries", "1"]);
+    assert_eq!(out.status.code(), Some(1), "--retries is not a flag");
 }
 
 #[test]

@@ -12,9 +12,7 @@
 //! and the cache returns value-equal analyses.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
-use std::time::Duration;
 
 use gpumech_core::{
     Gpumech, Model, ModelError, Prediction, PredictionRequest, SelectionMethod, Weighting,
@@ -27,7 +25,7 @@ use crate::cache::{
     analysis_config, normalized_config_fingerprint, payload_checksum, trace_fingerprint,
     CacheKey, ProfileCache,
 };
-use crate::pool::{maybe_inject, panic_message, run_indexed, FaultKind, PoolOptions};
+use crate::pool::run_indexed;
 use crate::resilience::{BatchOptions, CircuitBreaker, Journal};
 use crate::{BatchError, ExecError};
 
@@ -146,7 +144,7 @@ impl BatchEngine {
     }
 
     /// The resilient batch entry point: [`BatchEngine::run`] under a
-    /// [`BatchOptions`] bundle of deadline, per-job timeout, retry,
+    /// [`BatchOptions`] bundle of deadline, per-job timeout,
     /// circuit-breaker, and journal/resume behavior.
     ///
     /// Jobs that exhaust their time budget fail with
@@ -194,16 +192,7 @@ impl BatchEngine {
         let breaker = opts.breaker_threshold.map(CircuitBreaker::new);
         let run_token = opts.run_token();
 
-        // Pool-level fault kinds go to the pool; batch-level kinds are
-        // interpreted inside the task below.
-        let pool_inject = opts
-            .injections
-            .iter()
-            .copied()
-            .find(|f| matches!(f.kind, FaultKind::TaskPanic | FaultKind::PanicHoldingQueueLock));
-        let pool_opts = PoolOptions { workers: effective, inject: pool_inject };
-
-        let results = run_indexed(&pool_opts, jobs, |i, job| {
+        let results = run_indexed(effective, jobs, |i, job| {
             if let Some(entry) = fingerprints.as_ref().and_then(|fps| completed.get(&fps[i])) {
                 gpumech_obs::counter!("exec.resilience.journal_hits");
                 return serde_json::from_str::<Prediction>(&entry.prediction).map_err(|e| {
@@ -222,7 +211,7 @@ impl BatchEngine {
                         Err(ExecError::CircuitOpen { kernel: job.trace.name.clone(), failures })
                     }
                     None => {
-                        let outcome = self.run_job_with_retries(i, job, keys[i], opts, &run_token);
+                        let outcome = self.run_job(job, keys[i], &opts.job_token(&run_token));
                         if let Some(b) = &breaker {
                             match &outcome {
                                 Ok(_) => b.record_success(&job.trace.name),
@@ -266,69 +255,13 @@ impl BatchEngine {
             .collect()
     }
 
-    /// One job under the retry loop: a panic *inside* an attempt is caught
-    /// and retried (with backoff) up to `opts.retries` times; every other
-    /// outcome — success, model error, expired budget — is final.
-    fn run_job_with_retries(
+    /// One job, under its own token.
+    fn run_job(
         &self,
-        i: usize,
         job: &BatchJob,
         key: CacheKey,
-        opts: &BatchOptions,
-        run_token: &CancelToken,
-    ) -> Result<Prediction, ExecError> {
-        let mut attempt: u32 = 0;
-        loop {
-            let token = opts.job_token(run_token);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                self.run_job_once(i, job, key, opts, &token, attempt)
-            }));
-            match caught {
-                Ok(outcome) => return outcome,
-                Err(payload) => {
-                    let message = panic_message(&*payload);
-                    if attempt >= opts.retries {
-                        return Err(ExecError::WorkerPanic { item: i, message });
-                    }
-                    gpumech_obs::counter!("exec.resilience.retries");
-                    std::thread::sleep(Duration::from_nanos(
-                        opts.retry_policy.delay_ns(i as u64, attempt),
-                    ));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// One attempt of one job, under its per-attempt token.
-    fn run_job_once(
-        &self,
-        i: usize,
-        job: &BatchJob,
-        key: CacheKey,
-        opts: &BatchOptions,
         token: &CancelToken,
-        attempt: u32,
     ) -> Result<Prediction, ExecError> {
-        for f in &opts.injections {
-            if f.item != i {
-                continue;
-            }
-            match f.kind {
-                // A hung job: never terminates on its own, only by its
-                // token firing. Each poll advances a FakeClock, so
-                // fake-time tests terminate too.
-                FaultKind::SlowJob => loop {
-                    token.check()?;
-                    std::hint::spin_loop();
-                },
-                // Panics on the first attempt only — a retry recovers it.
-                FaultKind::TransientPanic if attempt == 0 => {
-                    maybe_inject(Some(*f), i, FaultKind::TransientPanic);
-                }
-                _ => {}
-            }
-        }
         // Validate the *full* configuration before consulting the
         // cache: the fingerprint deliberately ignores prediction-stage
         // fields, so a NaN bandwidth must not ride in on a cache hit.

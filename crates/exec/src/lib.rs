@@ -30,11 +30,10 @@
 //! A fourth piece, the **resilience layer** ([`resilience`]), makes the
 //! batch engine safe to run unattended: whole-run deadlines and per-job
 //! timeouts propagated as [`CancelToken`](gpumech_obs::CancelToken)s
-//! through every pipeline stage, deterministic retry with jittered
-//! exponential backoff for transient worker panics, a per-kernel circuit
-//! breaker that stops feeding a kernel whose jobs keep dying, and a
-//! crash-safe completion journal that lets an interrupted sweep resume
-//! without repeating finished jobs.
+//! through every pipeline stage, a per-kernel circuit breaker that stops
+//! feeding a kernel whose jobs keep dying, and a crash-safe completion
+//! journal that lets an interrupted sweep resume without repeating
+//! finished jobs.
 //!
 //! Everything is instrumented under the existing `gpumech-obs` scheme
 //! (`exec.pool.*`, `exec.cache.*`, `exec.batch.*`, `exec.fingerprint.*`,
@@ -52,7 +51,7 @@ use gpumech_obs::Interrupt;
 
 pub use batch::{canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob};
 pub use cache::{analysis_config_fingerprint, cache_key, trace_fingerprint, CacheKey, ProfileCache};
-pub use pool::{run_indexed, FaultInjection, FaultKind, PoolOptions};
+pub use pool::{panic_message, run_indexed};
 pub use resilience::{BatchOptions, CircuitBreaker, RetryPolicy};
 
 /// Error produced by the execution layer for one work item.
@@ -71,13 +70,6 @@ pub enum ExecError {
         item: usize,
         /// Rendered panic payload.
         message: String,
-    },
-    /// The item's result slot was empty after the pool drained — the
-    /// worker died between computing and publishing the result (e.g. a
-    /// panic while holding the queue lock).
-    ResultLost {
-        /// Index of the item whose result vanished.
-        item: usize,
     },
     /// The job ran out of time: its per-job timeout or the whole-run
     /// deadline fired and the pipeline aborted at its next cancellation
@@ -113,9 +105,6 @@ impl fmt::Display for ExecError {
             ExecError::WorkerPanic { item, message } => {
                 write!(f, "worker panicked on item {item}: {message}")
             }
-            ExecError::ResultLost { item } => {
-                write!(f, "result for item {item} was lost before publication")
-            }
             ExecError::Deadline => write!(f, "deadline exceeded"),
             ExecError::Cancelled => write!(f, "cancelled"),
             ExecError::CircuitOpen { kernel, failures } => {
@@ -139,7 +128,6 @@ impl std::error::Error for ExecError {
         match self {
             ExecError::Model(e) => Some(e),
             ExecError::WorkerPanic { .. }
-            | ExecError::ResultLost { .. }
             | ExecError::Deadline
             | ExecError::Cancelled
             | ExecError::CircuitOpen { .. }

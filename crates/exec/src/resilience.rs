@@ -1,7 +1,7 @@
 //! The resilience layer: everything that makes a batch sweep safe to run
 //! unattended.
 //!
-//! Three mechanisms, all deterministic and all observable under
+//! Two mechanisms, both deterministic and both observable under
 //! `exec.resilience.*`:
 //!
 //! * **Time budgets** — [`BatchOptions::deadline_ms`] bounds the whole
@@ -11,16 +11,15 @@
 //!   pipeline stage polls; an expired budget surfaces as
 //!   [`ExecError::Deadline`](crate::ExecError::Deadline) for exactly the
 //!   jobs that ran out of time.
-//! * **Retry with backoff** — a worker panic *inside* a job attempt is
-//!   caught and the attempt repeated up to [`BatchOptions::retries`]
-//!   times, sleeping a [`RetryPolicy`]-computed delay in between. The
-//!   delay schedule is a pure function of (seed, job, attempt) — splitmix64
-//!   jitter over exponential growth — so tests can assert it without
-//!   clocks or sleeping.
 //! * **Circuit breaker** — a per-kernel consecutive-failure counter; once
 //!   it reaches the threshold, remaining jobs for that kernel are skipped
 //!   with [`ExecError::CircuitOpen`](crate::ExecError::CircuitOpen)
 //!   instead of burning budget on a kernel that keeps dying.
+//!
+//! A job is a pure function of its trace and configuration, so a failed
+//! job fails again on retry; the batch engine never retries. The
+//! supervisor restarts crashed shard processes after a [`RetryPolicy`]
+//! delay.
 //!
 //! The completion **journal** ([`Journal`]) rounds this out: every
 //! finished job appends one JSON line (fingerprint, label, canonical
@@ -39,7 +38,6 @@ use gpumech_obs::CancelToken;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::avalanche;
-use crate::pool::FaultInjection;
 
 /// Deterministic exponential backoff with splitmix64 jitter.
 ///
@@ -56,14 +54,6 @@ pub struct RetryPolicy {
     pub max_delay_ns: u64,
     /// Seed mixed into the jitter hash (vary per run to decorrelate).
     pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // 1ms base, 100ms cap: long enough to skip a transient resource
-        // spike, short enough not to dominate a test suite.
-        Self { base_delay_ns: 1_000_000, max_delay_ns: 100_000_000, seed: 0 }
-    }
 }
 
 impl RetryPolicy {
@@ -91,7 +81,7 @@ impl RetryPolicy {
 
 /// Per-kernel circuit breaker: after `threshold` *consecutive* failures
 /// for one kernel, further jobs for that kernel are skipped until a
-/// success (never, within one batch, unless a retry succeeds first).
+/// success.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     threshold: u32,
@@ -145,11 +135,6 @@ pub struct BatchOptions {
     /// Whole-run deadline in milliseconds; jobs that have not finished
     /// when it fires abort with `Deadline`.
     pub deadline_ms: Option<u64>,
-    /// Retries per job for transient (panic) failures; `0` disables
-    /// retrying.
-    pub retries: u32,
-    /// Backoff schedule between retries.
-    pub retry_policy: RetryPolicy,
     /// Open the per-kernel circuit breaker after this many consecutive
     /// failures; `None` disables the breaker.
     pub breaker_threshold: Option<u32>,
@@ -159,12 +144,6 @@ pub struct BatchOptions {
     /// Replay previously journalled jobs instead of recomputing them
     /// (requires `journal`).
     pub resume: bool,
-    /// Deliberate faults for the fault-injection suite (empty in
-    /// production). Pool-level kinds are forwarded to the worker pool;
-    /// batch-level kinds ([`SlowJob`](crate::pool::FaultKind::SlowJob),
-    /// [`TransientPanic`](crate::pool::FaultKind::TransientPanic)) are
-    /// interpreted inside the job task.
-    pub injections: Vec<FaultInjection>,
     /// Explicit root cancel token — supplied by tests to drive deadlines
     /// off a [`FakeClock`](gpumech_obs::FakeClock), or by embedders that
     /// want external cancellation. `deadline_ms`, when also set, becomes
@@ -185,7 +164,7 @@ impl BatchOptions {
         }
     }
 
-    /// The token one job attempt runs under: a child of `run` narrowed by
+    /// The token one job runs under: a child of `run` narrowed by
     /// the per-job timeout, or `run` itself when no timeout is set.
     #[must_use]
     pub fn job_token(&self, run: &CancelToken) -> CancelToken {

@@ -11,9 +11,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_core::{Gpumech, Prediction, PredictionRequest};
-use gpumech_exec::{
-    canonical_prediction_json, run_indexed, BatchEngine, BatchJob, ExecError, PoolOptions,
-};
+use gpumech_exec::{canonical_prediction_json, run_indexed, BatchEngine, BatchJob, ExecError};
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
 use gpumech_trace::workloads;
@@ -79,7 +77,7 @@ fn oversubscribed_pool_is_byte_identical_to_sequential() {
     // of host size.
     let jobs = all_jobs(2);
     let expected = sequential_canon(&jobs);
-    let got = run_indexed(&PoolOptions::new(8), &jobs, |_, job| {
+    let got = run_indexed(8, &jobs, |_, job| {
         Gpumech::new(job.cfg.clone())
             .run(&PredictionRequest::from_trace(&job.trace))
             .map_err(ExecError::Model)

@@ -1,8 +1,8 @@
-//! Resilience contract of the batch engine: deadlines and timeouts abort
-//! exactly the jobs that ran out of budget, retries recover transient
-//! panics, the circuit breaker stops feeding a dying kernel, and the
-//! completion journal makes an interrupted run resumable with zero repeat
-//! work — all driven off a `FakeClock`, so every assertion is
+//! Resilience contract of the batch engine: a panicking task costs its
+//! own item only, deadlines and timeouts abort exactly the jobs that ran
+//! out of budget, the circuit breaker stops feeding a dying kernel, and
+//! the completion journal makes an interrupted run resumable with zero
+//! repeat work — all driven off a `FakeClock`, so every assertion is
 //! deterministic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -11,10 +11,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use gpumech_core::ModelError;
+use gpumech_core::{Gpumech, ModelError, PredictionRequest};
 use gpumech_exec::{
-    canonical_prediction_json, BatchEngine, BatchJob, BatchOptions, ExecError, FaultInjection,
-    FaultKind, ProfileCache,
+    canonical_prediction_json, run_indexed, BatchEngine, BatchJob, BatchOptions, ExecError,
+    ProfileCache,
 };
 use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Clock, FakeClock, Recorder};
@@ -28,14 +28,20 @@ fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
     RECORDER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+fn job(name: &str, blocks: usize) -> BatchJob {
+    let trace = workloads::by_name(name).unwrap().with_blocks(blocks).trace().unwrap();
+    BatchJob::new(name, Arc::new(trace), SimConfig::default())
+}
+
 fn jobs(names: &[&str]) -> Vec<BatchJob> {
-    names
-        .iter()
-        .map(|n| {
-            let trace =
-                workloads::by_name(n).unwrap().with_blocks(1).trace().unwrap();
-            BatchJob::new(*n, Arc::new(trace), SimConfig::default())
-        })
+    names.iter().map(|n| job(n, 1)).collect()
+}
+
+fn canon_all(jobs: &[BatchJob]) -> Vec<String> {
+    BatchEngine::new(1)
+        .run(jobs)
+        .into_iter()
+        .map(|r| canonical_prediction_json(&r.unwrap()).unwrap())
         .collect()
 }
 
@@ -46,55 +52,79 @@ fn fake_clock_root(step_ns: u64) -> CancelToken {
     CancelToken::with_clock(Arc::new(FakeClock::new(step_ns)) as Arc<dyn Clock>, u64::MAX)
 }
 
+/// Each poll of a 5 ms budget on this clock costs a tenth of it: a
+/// one-block job polls about 24 times and fits, a 16-block job polls about
+/// 260 times and runs out.
+const POLL_NS: u64 = 100_000;
+const BUDGET_MS: u64 = 5;
+const HUNG_BLOCKS: usize = 16;
+
 fn counter(rec: &Recorder, name: &str) -> u64 {
     rec.snapshot().counters.get(name).map_or(0, |c| c.total)
 }
 
-/// The headline acceptance scenario: a sweep with one never-terminating
-/// job and one panicking job completes, reports exactly those two as
-/// `Deadline` / `WorkerPanic` with their kernel names, and leaves every
-/// other prediction byte-identical to an unconstrained run.
+/// A task that panics costs its own item and nothing else, on the
+/// caller's thread and on three workers: the pool's one `catch_unwind`
+/// turns it into a `WorkerPanic`, counts it, and unwinds its spans closed.
 #[test]
-fn hung_and_panicking_jobs_fail_alone_and_named_while_the_rest_match_exactly() {
+fn a_panicking_task_costs_only_its_item() {
+    let _serial = recorder_lock();
+    let all =
+        jobs(&["sdk_vectoradd", "bfs_kernel1", "kmeans_invert_mapping", "cfd_step_factor"]);
+    let baseline = canon_all(&all);
+    let victim = 2;
+    for workers in [1, 3] {
+        let rec = Arc::new(Recorder::new());
+        let got = {
+            let _obs = gpumech_obs::install(Arc::clone(&rec));
+            run_indexed(workers, &all, |i, job| {
+                let _span = gpumech_obs::span!("test.pool.task");
+                let p = Gpumech::new(job.cfg.clone())
+                    .run(&PredictionRequest::from_trace(&job.trace))?;
+                assert_ne!(i, victim, "deliberate panic");
+                Ok(p)
+            })
+        };
+        for (i, (r, want)) in got.iter().zip(&baseline).enumerate() {
+            if i == victim {
+                assert!(matches!(r, Err(ExecError::WorkerPanic { item: 2, .. })), "{r:?}");
+            } else {
+                assert_eq!(&canonical_prediction_json(r.as_ref().unwrap()).unwrap(), want);
+            }
+        }
+        assert_eq!(counter(&rec, "exec.pool.panics"), 1, "workers={workers}");
+        assert_eq!(rec.open_spans(), 0, "workers={workers}");
+    }
+}
+
+/// A job that outlives its per-job timeout fails alone, as `Deadline`
+/// naming its kernel, and every other prediction stays byte-identical to
+/// an unconstrained run.
+#[test]
+fn a_hung_job_fails_alone_and_named_while_the_rest_match_exactly() {
     let _serial = recorder_lock();
     let names =
         ["sdk_vectoradd", "bfs_kernel1", "kmeans_invert_mapping", "cfd_step_factor", "lud_diagonal"];
-    let all = jobs(&names);
-    let baseline: Vec<String> = BatchEngine::new(1)
-        .run(&all)
-        .into_iter()
-        .map(|r| canonical_prediction_json(&r.unwrap()).unwrap())
-        .collect();
+    let mut all = jobs(&names);
+    all[2] = job(names[2], HUNG_BLOCKS);
+    let baseline = canon_all(&all);
 
-    // Job 2 hangs forever (only its timeout can stop it); job 4 panics.
     let opts = BatchOptions {
-        timeout_ms: Some(5),
-        cancel: Some(fake_clock_root(1_000)),
-        injections: vec![
-            FaultInjection { item: 2, kind: FaultKind::SlowJob },
-            FaultInjection { item: 4, kind: FaultKind::TaskPanic },
-        ],
+        timeout_ms: Some(BUDGET_MS),
+        cancel: Some(fake_clock_root(POLL_NS)),
         ..BatchOptions::default()
     };
     let out = BatchEngine::new(1).run_with(&all, &opts);
 
     for (i, (r, want)) in out.iter().zip(&baseline).enumerate() {
-        match i {
-            2 => {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.error, ExecError::Deadline, "{e}");
-                assert_eq!(e.label, "kmeans_invert_mapping");
-                assert!(e.to_string().contains("kmeans_invert_mapping"), "{e}");
-            }
-            4 => {
-                let e = r.as_ref().unwrap_err();
-                assert!(matches!(e.error, ExecError::WorkerPanic { item: 4, .. }), "{e}");
-                assert_eq!(e.label, "lud_diagonal");
-            }
-            _ => {
-                let p = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
-                assert_eq!(&canonical_prediction_json(p).unwrap(), want, "job {i}");
-            }
+        if i == 2 {
+            let e = r.as_ref().unwrap_err();
+            assert_eq!(e.error, ExecError::Deadline, "{e}");
+            assert_eq!(e.label, "kmeans_invert_mapping");
+            assert!(e.to_string().contains("kmeans_invert_mapping"), "{e}");
+        } else {
+            let p = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
+            assert_eq!(&canonical_prediction_json(p).unwrap(), want, "job {i}");
         }
     }
 }
@@ -102,13 +132,13 @@ fn hung_and_panicking_jobs_fail_alone_and_named_while_the_rest_match_exactly() {
 #[test]
 fn whole_run_deadline_bounds_the_batch_and_is_counted() {
     let _serial = recorder_lock();
-    let all = jobs(&["sdk_vectoradd", "bfs_kernel1", "cfd_step_factor"]);
-    // The hung job is first; everything queued behind it inherits the
+    let mut all = jobs(&["sdk_vectoradd", "bfs_kernel1", "cfd_step_factor"]);
+    // The long job is first; everything queued behind it inherits the
     // already-expired run deadline and fails fast.
+    all[0] = job("sdk_vectoradd", HUNG_BLOCKS);
     let opts = BatchOptions {
-        deadline_ms: Some(5),
-        cancel: Some(fake_clock_root(1_000)),
-        injections: vec![FaultInjection { item: 0, kind: FaultKind::SlowJob }],
+        deadline_ms: Some(BUDGET_MS),
+        cancel: Some(fake_clock_root(POLL_NS)),
         ..BatchOptions::default()
     };
     let rec = Arc::new(Recorder::new());
@@ -139,45 +169,6 @@ fn explicit_cancellation_fails_every_job_as_cancelled() {
         assert_eq!(r.as_ref().unwrap_err().error, ExecError::Cancelled);
     }
     assert_eq!(counter(&rec, "exec.resilience.cancelled"), all.len() as u64);
-}
-
-#[test]
-fn one_retry_recovers_a_transient_panic_and_is_counted() {
-    let _serial = recorder_lock();
-    let all = jobs(&["sdk_vectoradd", "bfs_kernel1"]);
-    let inject = vec![FaultInjection { item: 1, kind: FaultKind::TransientPanic }];
-
-    // Without retries the transient panic is fatal for its job.
-    let no_retry =
-        BatchEngine::new(1).run_with(&all, &BatchOptions {
-            injections: inject.clone(),
-            ..BatchOptions::default()
-        });
-    assert!(no_retry[0].is_ok());
-    let e = no_retry[1].as_ref().unwrap_err();
-    assert!(
-        matches!(&e.error, ExecError::WorkerPanic { item: 1, message } if message.contains("TransientPanic")),
-        "{e}"
-    );
-
-    // With one retry the second attempt succeeds, byte-identical to an
-    // uninjected run.
-    let baseline = canonical_prediction_json(
-        BatchEngine::new(1).run(&all)[1].as_ref().unwrap(),
-    )
-    .unwrap();
-    let rec = Arc::new(Recorder::new());
-    let retried = {
-        let _obs = gpumech_obs::install(Arc::clone(&rec));
-        BatchEngine::new(1).run_with(&all, &BatchOptions {
-            injections: inject,
-            retries: 1,
-            ..BatchOptions::default()
-        })
-    };
-    let p = retried[1].as_ref().unwrap();
-    assert_eq!(canonical_prediction_json(p).unwrap(), baseline);
-    assert_eq!(counter(&rec, "exec.resilience.retries"), 1);
 }
 
 #[test]
@@ -271,11 +262,7 @@ fn partial_journal_resumes_only_the_missing_jobs() {
 
     // Resumed run over the full job list: the two journaled jobs replay,
     // the other two compute, and the union covers all jobs exactly once.
-    let baseline: Vec<String> = BatchEngine::new(1)
-        .run(&all)
-        .into_iter()
-        .map(|r| canonical_prediction_json(&r.unwrap()).unwrap())
-        .collect();
+    let baseline = canon_all(&all);
     let rec = Arc::new(Recorder::new());
     let resumed = {
         let _obs = gpumech_obs::install(Arc::clone(&rec));
@@ -336,11 +323,7 @@ fn timeouts_do_not_perturb_jobs_that_fit_their_budget() {
     // unconstrained run byte for byte (cancellation polling must not
     // change the numerics).
     let all = jobs(&["sdk_vectoradd", "bfs_kernel1"]);
-    let baseline: Vec<String> = BatchEngine::new(1)
-        .run(&all)
-        .into_iter()
-        .map(|r| canonical_prediction_json(&r.unwrap()).unwrap())
-        .collect();
+    let baseline = canon_all(&all);
     let opts = BatchOptions {
         timeout_ms: Some(10_000),
         cancel: Some(fake_clock_root(1)),

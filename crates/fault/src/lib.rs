@@ -17,19 +17,8 @@
 //! and the timing oracle under `catch_unwind` and classify the result as
 //! an [`Outcome`].
 //!
-//! The same contract extends to the execution layer: a worker thread
-//! failing mid-batch (a task panic, or the nastier panic while holding
-//! the result-queue lock) must cost exactly one item, as a typed
-//! [`gpumech_exec::ExecError`]. The [`EXEC_FAULTS`] corpus and
-//! [`run_batch_case`] drive those injections through the real
-//! [`BatchEngine`].
-//!
-//! The resilience layer gets its own corpora: [`RESILIENCE_FAULTS`]
-//! (never-terminating jobs, first-attempt-only panics) driven through
-//! [`run_resilient_batch_case`] under a full
-//! [`gpumech_exec::BatchOptions`] policy, and [`CACHE_MUTATORS`] — plus
-//! [`simulate_midwrite_kill`] — which corrupt the crash-safe profile
-//! cache's on-disk entries in every way the format must detect.
+//! The crash-safe profile cache gets [`simulate_midwrite_kill`], which
+//! plants the debris a writer killed between write and rename leaves.
 //!
 //! Finally, the static verifier is held to a completeness contract by
 //! the [`defects`] module: seeded injectors that plant semantic defects
@@ -57,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use gpumech_core::{Gpumech, PredictionRequest};
-use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, FaultInjection, FaultKind};
+use gpumech_exec::panic_message;
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
 use gpumech_trace::{splitmix64, KernelTrace};
@@ -89,17 +78,6 @@ impl Outcome {
             Outcome::TypedError(_) => true,
             Outcome::Panic(_) => false,
         }
-    }
-}
-
-/// Extracts a printable message from a `catch_unwind` payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -305,140 +283,6 @@ pub fn dangle_rows(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
             w.truncate_arenas((r >> 8) as usize % deps.max(1), (r >> 32) as usize % addrs.max(1));
         }
     }
-}
-
-/// The execution-layer fault corpus: deliberate worker failures the
-/// batch pool must contain. Unlike [`MUTATORS`], these corrupt the
-/// *machinery* (a worker thread), not the input — the contract is that
-/// only the victim item degrades, to a typed [`gpumech_exec::ExecError`],
-/// while every other item in the batch completes with output identical
-/// to a fault-free run.
-pub const EXEC_FAULTS: &[(&str, FaultKind)] = &[
-    ("task_panic", FaultKind::TaskPanic),
-    ("panic_holding_queue_lock", FaultKind::PanicHoldingQueueLock),
-];
-
-/// Runs `jobs` through a fresh [`BatchEngine`] with an optional injected
-/// worker fault, classifying each job's result as an [`Outcome`]
-/// (successful predictions by total CPI, [`gpumech_exec::ExecError`]s as
-/// typed errors). A panic *escaping* the engine — which the pool's
-/// isolation exists to prevent — classifies every job as
-/// [`Outcome::Panic`].
-#[must_use]
-pub fn run_batch_case(
-    jobs: &[BatchJob],
-    workers: usize,
-    inject: Option<FaultInjection>,
-) -> Vec<Outcome> {
-    let _span = gpumech_obs::span!("fault.case.batch");
-    match catch_unwind(AssertUnwindSafe(|| {
-        let opts =
-            BatchOptions { injections: inject.into_iter().collect(), ..BatchOptions::default() };
-        BatchEngine::new(workers).run_with(jobs, &opts)
-    })) {
-        Ok(results) => results
-            .into_iter()
-            .map(|r| match r {
-                Ok(p) => Outcome::Cpi(p.cpi_total()),
-                Err(e) => Outcome::TypedError(e.to_string()),
-            })
-            .collect(),
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            jobs.iter().map(|_| Outcome::Panic(msg.clone())).collect()
-        }
-    }
-}
-
-/// The resilience fault corpus: failures the retry/deadline layer — not
-/// the pool — must contain. `slow_job` makes the victim spin until its
-/// cancel token fires (it must die as a typed deadline error, never hang
-/// the batch); `transient_panic` panics on the first attempt only (one
-/// retry must make the batch byte-identical to a fault-free run).
-pub const RESILIENCE_FAULTS: &[(&str, FaultKind)] = &[
-    ("slow_job", FaultKind::SlowJob),
-    ("transient_panic", FaultKind::TransientPanic),
-];
-
-/// Runs `jobs` through a fresh [`BatchEngine`] under a full
-/// [`BatchOptions`] resilience policy (deadlines, retries, breakers,
-/// injections), classifying each job's result as an [`Outcome`] exactly
-/// like [`run_batch_case`]. A panic escaping the engine classifies every
-/// job as [`Outcome::Panic`].
-#[must_use]
-pub fn run_resilient_batch_case(
-    jobs: &[BatchJob],
-    workers: usize,
-    opts: &BatchOptions,
-) -> Vec<Outcome> {
-    let _span = gpumech_obs::span!("fault.case.batch_resilient");
-    match catch_unwind(AssertUnwindSafe(|| BatchEngine::new(workers).run_with(jobs, opts))) {
-        Ok(results) => results
-            .into_iter()
-            .map(|r| match r {
-                Ok(p) => Outcome::Cpi(p.cpi_total()),
-                Err(e) => Outcome::TypedError(e.to_string()),
-            })
-            .collect(),
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            jobs.iter().map(|_| Outcome::Panic(msg.clone())).collect()
-        }
-    }
-}
-
-/// A deterministic corruption of an on-disk profile-cache entry, driven
-/// by a splitmix64 seed. Operates on the raw file bytes; the mutated
-/// bytes replace the entry on disk.
-pub type CacheMutator = fn(&mut Vec<u8>, u64);
-
-/// The on-disk cache corruption corpus: `(name, mutator)` pairs covering
-/// every defect class the crash-safe format must detect — torn writes
-/// (truncation), media corruption (bit flips), format skew (version
-/// mismatch), and empty files. The contract for each: detected,
-/// quarantined, recomputed — never a panic, never a silently-trusted
-/// corrupt profile.
-pub const CACHE_MUTATORS: &[(&str, CacheMutator)] = &[
-    ("cache_truncate", cache_truncate),
-    ("cache_bit_flip", cache_bit_flip),
-    ("cache_version_mismatch", cache_version_mismatch),
-    ("cache_zero_length", cache_zero_length),
-];
-
-/// Truncates the entry at a seeded offset — a torn write from a
-/// non-atomic writer or a filesystem that lost the tail.
-pub fn cache_truncate(bytes: &mut Vec<u8>, seed: u64) {
-    let cut = (splitmix64(seed) as usize) % (bytes.len().max(1));
-    bytes.truncate(cut);
-}
-
-/// Flips one seeded bit anywhere in the entry — header or payload.
-#[allow(clippy::ptr_arg)] // signature must match `CacheMutator`
-pub fn cache_bit_flip(bytes: &mut Vec<u8>, seed: u64) {
-    if bytes.is_empty() {
-        return;
-    }
-    let r = splitmix64(seed);
-    let off = (r as usize) % bytes.len();
-    bytes[off] ^= 1 << ((r >> 32) % 8);
-}
-
-/// Rewrites the format-version tag to a seeded bogus version — an entry
-/// written by a different (future or past) build must never be trusted.
-#[allow(clippy::ptr_arg)] // signature must match `CacheMutator`
-pub fn cache_version_mismatch(bytes: &mut Vec<u8>, seed: u64) {
-    let bogus: &[u8] = match splitmix64(seed) % 3 {
-        0 => b"GPUMECH-CACHE v1",
-        1 => b"GPUMECH-CACHE v9",
-        _ => b"NOT-A-CACHE   v2",
-    };
-    let n = bogus.len().min(bytes.len());
-    bytes[..n].copy_from_slice(&bogus[..n]);
-}
-
-/// Empties the entry — a writer killed immediately after `create`.
-pub fn cache_zero_length(bytes: &mut Vec<u8>, _seed: u64) {
-    bytes.clear();
 }
 
 /// Simulates a writer killed mid-write: plants a stale `<entry>.tmp`

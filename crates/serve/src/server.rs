@@ -36,7 +36,7 @@ use gpumech_exec::{
 };
 use gpumech_isa::{SchedulingPolicy, SimConfig, UnknownWord};
 use gpumech_obs::{signals, CancelToken};
-use gpumech_trace::{workloads, KernelTrace, TraceError};
+use gpumech_trace::{workloads, KernelTrace, LaunchConfig, TraceError};
 
 use crate::api::{parse_predict_body, predict_response_body, ApiError};
 use crate::http::{parse_request, Limits, ParseError, Request, Response};
@@ -369,8 +369,7 @@ fn warm_up(state: &State) {
         let Some(w) = workloads::by_name(name) else { continue };
         let Ok(trace) = w.trace() else { continue };
         let trace = Arc::new(trace);
-        // Memo key 0 = "default blocks", matching un-overridden requests.
-        lock(&state.traces).insert((name.clone(), 0), Arc::clone(&trace));
+        lock(&state.traces).insert((name.clone(), w.launch.num_blocks), Arc::clone(&trace));
         let job = BatchJob::new(name.clone(), trace, SimConfig::table1());
         let _ = state.engine.run_with(&[job], &BatchOptions::default());
     }
@@ -719,22 +718,24 @@ fn rejected_by_analysis(
     .with_findings(findings.to_vec())
 }
 
-/// Fetches (or computes and memoizes) the trace for `(kernel, blocks)`.
+/// Fetches (or computes and memoizes) the trace for `(kernel, blocks)`,
+/// memoized under the block count it resolves to. A grid
+/// [`LaunchConfig::try_new`] refuses is a 422.
 fn lookup_trace(
     state: &State,
     kernel: &str,
     blocks: Option<usize>,
 ) -> Result<Arc<KernelTrace>, ApiError> {
-    let w = workloads::by_name(kernel)
+    let mut w = workloads::by_name(kernel)
         .ok_or_else(|| ApiError::new(404, "kernel_not_found", format!("unknown kernel {kernel:?}")))?;
-    let key = (kernel.to_string(), blocks.unwrap_or(0));
+    if let Some(b) = blocks {
+        w.launch = LaunchConfig::try_new(w.launch.threads_per_block, b)
+            .map_err(|e| ApiError::new(422, "invalid_config", format!("blocks: {e}")))?;
+    }
+    let key = (kernel.to_string(), w.launch.num_blocks);
     if let Some(t) = lock(&state.traces).get(&key) {
         return Ok(Arc::clone(t));
     }
-    let w = match blocks {
-        Some(b) => w.with_blocks(b),
-        None => w,
-    };
     let trace = w.trace().map_err(|e| match e {
         TraceError::RejectedByAnalysis { kernel, reason, findings } => {
             rejected_by_analysis(&kernel, Some(&reason), &findings)
@@ -777,9 +778,6 @@ fn exec_error_to_api(state: &State, kernel: &str, err: &ExecError) -> ApiError {
         ExecError::Model(e) => ApiError::new(500, "model_failed", e.to_string()),
         ExecError::WorkerPanic { message, .. } => {
             ApiError::new(500, "internal", format!("worker panicked: {message}"))
-        }
-        ExecError::ResultLost { .. } => {
-            ApiError::new(500, "internal", "prediction result lost".to_string())
         }
     }
 }

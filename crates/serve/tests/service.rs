@@ -173,6 +173,12 @@ fn typed_client_errors() {
             r#"selection must be max|min|clustering|weighted, got \"random\""#,
         ),
         (r#"{"kernel":"sdk_vectoradd","bogus":1}"#, 400, "unknown_field", "bogus"),
+        (
+            r#"{"kernel":"sdk_vectoradd","blocks":0}"#,
+            422,
+            "invalid_config",
+            "blocks: num_blocks must be non-zero",
+        ),
     ] {
         let resp = predict(srv.addr, body);
         assert_eq!(resp.status, status, "{body} -> {}", resp.body);
@@ -180,7 +186,7 @@ fn typed_client_errors() {
         assert!(resp.body.contains(message), "{body} -> {}", resp.body);
     }
     let summary = srv.stop();
-    assert_eq!(summary.rejected, 7, "{summary:?}");
+    assert_eq!(summary.rejected, 8, "{summary:?}");
 }
 
 #[test]
@@ -408,5 +414,8 @@ fn warm_kernels_gate_readiness() {
     }
     let resp = predict(srv.addr, r#"{"kernel":"sdk_vectoradd"}"#);
     assert_eq!(resp.status, 200, "{}", resp.body);
+    // A memoized default grid does not stand in for an invalid one.
+    let resp = predict(srv.addr, r#"{"kernel":"sdk_vectoradd","blocks":0}"#);
+    assert_eq!(resp.status, 422, "{}", resp.body);
     srv.stop();
 }
