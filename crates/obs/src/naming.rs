@@ -50,6 +50,7 @@ mod tests {
             "exec.fingerprint.computed",
             "exec.fingerprint.reused",
             "exec.fingerprint.job_keys",
+            "serve.http.accept_errors",
             "timing.oracle.dram_utilization",
             "fault.case.pipeline",
             "a.b.c",

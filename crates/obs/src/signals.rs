@@ -1,5 +1,5 @@
 //! SIGTERM/SIGINT plumbing without the `libc` crate, shared by every
-//! long-running front end (`gpumech serve`'s accept loop, `gpumech
+//! long-running front end (`gpumech serve`'s signal watcher, `gpumech
 //! supervise`'s poll loop): an async-signal-safe handler that stores into
 //! a process-global flag the loop polls, and the matching senders the
 //! drain paths and their test harnesses use. No-ops off Unix.

@@ -93,7 +93,10 @@ static HEAP_POLICY: Once = Once::new();
 /// Free heap glibc keeps at the top of an arena before it gives any back.
 /// Just under the 64 MiB heaps glibc builds a thread's arena from: at
 /// 64 MiB or more a worker thread's arena would never shrink again (a
-/// `gpumech serve` pass peaks at 450 MiB instead of 340).
+/// `gpumech serve` pass peaks at 450 MiB instead of 340). Up to this much
+/// per arena is still kept after its threads exit; a drained
+/// `gpumech_serve::Server` hands it back with `malloc_trim` before `run`
+/// returns, so fresh servers do not stack retained arenas.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 const TRIM_THRESHOLD_BYTES: i32 = 56 << 20;
 /// Blocks up to this size come from the heap rather than from their own

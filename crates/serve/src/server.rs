@@ -3,29 +3,35 @@
 //!
 //! # Threading model
 //!
-//! One acceptor (the caller of [`Server::run`]) polls a non-blocking
-//! [`TcpListener`] and either *admits* a connection into a bounded queue
-//! or *sheds* it with `429` + `Retry-After` when the queue is full. A
-//! fixed pool of service workers pops admitted connections, parses the
-//! request under read timeouts and byte limits, and executes predictions
-//! through the shared [`BatchEngine`] (one warm [`ProfileCache`] for the
-//! server's lifetime, one long-lived per-kernel [`CircuitBreaker`]).
+//! One acceptor (the caller of [`Server::run`]) blocks in
+//! [`TcpListener::accept`] and either *admits* a connection into a bounded
+//! queue or *sheds* it with `429` + `Retry-After` when the queue is full.
+//! A fixed pool of service workers sleeps on the queue's condvar, pops
+//! admitted connections, parses the request under read timeouts and byte
+//! limits, and executes predictions through the shared [`BatchEngine`]
+//! (one warm [`ProfileCache`] for the server's lifetime, one long-lived
+//! per-kernel [`CircuitBreaker`]). Nothing on the request path waits on a
+//! timer: a request waits only for the work in front of it.
 //!
 //! # Drain
 //!
-//! When shutdown is requested (handle, SIGTERM, or ctrl-c), the server
-//! flips `/readyz` to 503 and stops *admitting*: already-admitted
-//! requests run to completion, new connections get an immediate typed
-//! `503 draining` (health endpoints keep answering so orchestrators can
-//! watch the drain). If admitted work is still running when the drain
-//! deadline expires, the shared in-flight root token is cancelled and
-//! every remaining request aborts at its next cooperative poll with a
-//! typed response — partial work is cancelled, never leaked.
+//! [`ServerHandle::shutdown`] cancels the run token and then connects once
+//! to wake the acceptor; with `handle_signals`, a watcher thread turns
+//! SIGTERM / ctrl-c into the same call. The server then flips `/readyz` to
+//! 503 and stops *admitting*: already-admitted requests run to completion,
+//! new connections get an immediate typed `503 draining` (health endpoints
+//! keep answering so orchestrators can watch the drain). If admitted work
+//! is still running when the drain deadline expires, the shared in-flight
+//! root token is cancelled and every remaining request aborts at its next
+//! cooperative poll with a typed response — partial work is cancelled,
+//! never leaked. A drained server drops its trace memo and profile cache
+//! and hands the freed heap back to the kernel before [`Server::run`]
+//! returns.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -162,13 +168,21 @@ impl fmt::Display for ServeSummary {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     token: CancelToken,
+    /// Where the wake-up connection goes: the bound address, on loopback
+    /// when the server is bound to a wildcard address.
+    wake: SocketAddr,
 }
 
 impl ServerHandle {
     /// Requests a graceful drain: stop admitting, finish in-flight work,
-    /// then return from [`Server::run`].
+    /// then return from [`Server::run`]. Calling it again, or after `run`
+    /// has returned, is harmless.
     pub fn shutdown(&self) {
         self.token.cancel();
+        // The acceptor sleeps in `accept`: one throwaway connection wakes
+        // it to find the token cancelled. Refused (and ignored) once the
+        // server has returned and closed its listener.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 }
 
@@ -188,7 +202,9 @@ struct State {
     draining: std::sync::atomic::AtomicBool,
     /// `true` once warm-up finished (and until drain).
     ready: std::sync::atomic::AtomicBool,
-    /// `true` once workers should exit after emptying the queue.
+    /// `true` once workers should exit after emptying the queue. Set
+    /// under the queue lock, so a worker between its check and its wait
+    /// cannot miss the wake-up.
     stopping: std::sync::atomic::AtomicBool,
     /// Root ancestor of every per-request token; cancelled on forced drain.
     inflight_root: CancelToken,
@@ -273,7 +289,6 @@ impl Server {
         }
         let listener =
             TcpListener::bind((cfg.addr.as_str(), cfg.port)).map_err(ServeError::Bind)?;
-        listener.set_nonblocking(true).map_err(ServeError::Listener)?;
         let local_addr = listener.local_addr().map_err(ServeError::Listener)?;
         if cfg.handle_signals {
             signals::install();
@@ -322,7 +337,16 @@ impl Server {
     /// A handle that can request graceful shutdown from another thread.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { token: self.run_token.clone() }
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            // A wildcard bind also listens on loopback.
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        ServerHandle { token: self.run_token.clone(), wake }
     }
 
     /// Runs the accept loop until shutdown, then drains and returns the
@@ -330,26 +354,34 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Currently infallible after a successful bind, but typed for
-    /// forward compatibility.
+    /// [`ServeError::Listener`] when the listener cannot be switched to
+    /// non-blocking for the drain; admitted work is cancelled first.
     pub fn run(self) -> Result<ServeSummary, ServeError> {
         let state = &self.state;
-        let clean = std::thread::scope(|s| {
+        let drained = std::thread::scope(|s| {
             for _ in 0..state.cfg.workers {
                 s.spawn(move || worker_loop(state));
             }
             if !state.cfg.warm.is_empty() {
                 s.spawn(move || warm_up(state));
             }
-            let clean = accept_loop(state, &self.listener, &self.run_token);
-            state.stopping.store(true, Ordering::SeqCst);
+            if state.cfg.handle_signals {
+                let handle = self.handle();
+                s.spawn(move || watch_signals(&handle));
+            }
+            let drained = accept_loop(state, &self.listener, &self.run_token);
+            {
+                let _queue = lock(&state.queue);
+                state.stopping.store(true, Ordering::SeqCst);
+            }
             state.queue_cond.notify_all();
-            clean
+            drained
         });
+        let clean = drained.map_err(ServeError::Listener)?;
         if clean {
             gpumech_obs::counter!("serve.drain.clean");
         }
-        Ok(ServeSummary {
+        let summary = ServeSummary {
             requests: state.n_requests.load(Ordering::Relaxed),
             predicts_ok: state.n_ok.load(Ordering::Relaxed),
             shed: state.n_shed.load(Ordering::Relaxed),
@@ -357,7 +389,44 @@ impl Server {
             rejected: state.n_rejected.load(Ordering::Relaxed),
             failed: state.n_failed.load(Ordering::Relaxed),
             clean_drain: clean,
-        })
+        };
+        // The allocator keeps freed heap warm for the next prediction
+        // (`gpumech_perf`'s `retain_heap`). A drained server makes none:
+        // drop the trace memo and profile cache, then give every arena's
+        // free heap, the exited workers' included, back to the kernel.
+        drop(self);
+        release_heap();
+        Ok(summary)
+    }
+}
+
+/// Returns free heap in every malloc arena to the kernel. A no-op off
+/// glibc.
+fn release_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` is glibc's documented, thread-safe call; it
+        // takes a plain integer, touches only memory malloc already owns
+        // and frees nothing a caller still holds.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// With `handle_signals`: turns SIGTERM / ctrl-c into
+/// [`ServerHandle::shutdown`], so the acceptor never polls for signals.
+/// Exits once the run token is cancelled by either path.
+fn watch_signals(handle: &ServerHandle) {
+    while !handle.token.is_cancelled() {
+        if signals::fired() {
+            handle.shutdown();
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -377,42 +446,65 @@ fn warm_up(state: &State) {
 }
 
 /// The accept/drain loop. Returns `true` for a clean drain (all admitted
-/// work finished inside the budget), `false` when cancellation was forced.
-fn accept_loop(state: &State, listener: &TcpListener, run_token: &CancelToken) -> bool {
-    let mut drain_started: Option<Instant> = None;
-    loop {
-        if drain_started.is_none()
-            && (run_token.is_cancelled() || (state.cfg.handle_signals && signals::fired()))
-        {
-            drain_started = Some(Instant::now());
-            state.draining.store(true, Ordering::SeqCst);
-            state.ready.store(false, Ordering::SeqCst);
-        }
-        if let Some(t0) = drain_started {
-            if state.active.load(Ordering::SeqCst) == 0 {
-                return true;
-            }
-            if t0.elapsed() >= Duration::from_millis(state.cfg.drain_ms) {
-                gpumech_obs::counter!("serve.drain.forced");
-                state.inflight_root.cancel();
-                return false;
-            }
+/// work finished inside the budget), `false` when cancellation was forced,
+/// and the error when the listener cannot be made non-blocking to drain.
+fn accept_loop(
+    state: &State,
+    listener: &TcpListener,
+    run_token: &CancelToken,
+) -> std::io::Result<bool> {
+    // Serving: sleep in `accept` until a connection arrives. Shutdown
+    // cancels the token before it connects, so the connection that finds
+    // the token cancelled (the wake-up, or a client racing it) is the
+    // drain's first.
+    let first = loop {
+        if run_token.is_cancelled() {
+            break None;
         }
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                if drain_started.is_some() {
-                    // Not admitted: answer health probes, refuse work.
-                    drain_connection(state, stream);
-                } else {
-                    admit(state, stream);
-                }
-            }
+            Ok((stream, _peer)) if run_token.is_cancelled() => break Some(stream),
+            Ok((stream, _peer)) => admit(state, stream),
+            Err(_) => accept_failed(),
+        }
+    };
+
+    // Draining: poll, so the deadline is checked while nobody connects.
+    let t0 = Instant::now();
+    state.draining.store(true, Ordering::SeqCst);
+    state.ready.store(false, Ordering::SeqCst);
+    if let Some(stream) = first {
+        drain_connection(state, stream);
+    }
+    if let Err(e) = listener.set_nonblocking(true) {
+        state.inflight_root.cancel();
+        return Err(e);
+    }
+    loop {
+        if state.active.load(Ordering::SeqCst) == 0 {
+            return Ok(true);
+        }
+        if t0.elapsed() >= Duration::from_millis(state.cfg.drain_ms) {
+            gpumech_obs::counter!("serve.drain.forced");
+            state.inflight_root.cancel();
+            return Ok(false);
+        }
+        match listener.accept() {
+            // Not admitted: answer health probes, refuse work.
+            Ok((stream, _peer)) => drain_connection(state, stream),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => accept_failed(),
         }
     }
+}
+
+/// An `accept` that failed for the listener's sake (`EMFILE`,
+/// `ECONNABORTED`, …) is counted and backed off from, so a failure that
+/// repeats at once cannot spin the acceptor.
+fn accept_failed() {
+    gpumech_obs::counter!("serve.http.accept_errors");
+    std::thread::sleep(Duration::from_millis(10));
 }
 
 /// Applies socket timeouts; a failure here means the socket is already
@@ -499,11 +591,7 @@ fn worker_loop(state: &State) {
                 if state.flag(&state.stopping) {
                     break None;
                 }
-                q = state
-                    .queue_cond
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                q = state.queue_cond.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(conn) = conn else { return };

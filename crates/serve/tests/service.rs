@@ -126,6 +126,42 @@ fn health_endpoints_and_routing() {
 }
 
 #[test]
+fn sequential_round_trips_wait_only_for_their_own_work() {
+    let _g = guard();
+    let srv = Running::start(ServeConfig::default());
+    assert_eq!(get(srv.addr, "/healthz").status, 200);
+    // Each request connects only after the previous answer arrived, so an
+    // acceptor or worker that waits on a timer pays it once per request.
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(get(srv.addr, "/healthz").status, 200);
+    }
+    let elapsed = t0.elapsed();
+    srv.stop();
+    assert!(elapsed < Duration::from_millis(200), "200 health round trips took {elapsed:?}");
+}
+
+#[test]
+fn shutdown_wakes_an_idle_wildcard_server_and_repeats_harmlessly() {
+    let _g = guard();
+    let srv = Running::start(ServeConfig { addr: "0.0.0.0".to_string(), ..ServeConfig::default() });
+    let loopback = SocketAddr::from(([127, 0, 0, 1], srv.addr.port()));
+    // Answered, so the acceptor is (back) in `accept` with nothing queued.
+    assert_eq!(get(loopback, "/healthz").status, 200);
+    let handle = srv.handle.clone();
+    let t0 = Instant::now();
+    let summary = srv.stop();
+    assert!(t0.elapsed() < Duration::from_secs(1), "shutdown took {:?}", t0.elapsed());
+    assert!(summary.clean_drain, "{summary:?}");
+    assert_eq!(summary.requests, 1, "the wake-up connection counted as a request: {summary:?}");
+    // After `run` returned: nothing listens, nothing happens.
+    let t0 = Instant::now();
+    handle.shutdown();
+    handle.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(1), "late shutdown took {:?}", t0.elapsed());
+}
+
+#[test]
 fn predict_round_trips_byte_identical_to_sequential() {
     let _g = guard();
     let srv = Running::start(ServeConfig::default());
