@@ -12,8 +12,9 @@
 #      kill/resume, journal corruption resume, the defective-kernel
 #      corpus, the lint schema, the serve suites and smoke tests (SIGTERM
 #      drain, SIGKILL and restart over the same cache), the shard
-#      partition/plan properties, the merge corruption fan, the supervisor
-#      chaos suite, the exit-code taxonomy and the CLI golden
+#      partition/plan properties, the merge corruption fan, the exit-code
+#      taxonomy and the CLI golden. The SIGKILL-then-resume drill is
+#      kill_resume.rs
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
@@ -28,12 +29,12 @@
 #   7. resilience: a journalled run + `--resume` through the release
 #      binary, with an obs-validate gate on the resumed run's trace
 #      carrying exec.resilience.* metrics
-#   8. sharded sweeps: a real 3-shard supervised sweep with one shard
-#      SIGKILLed mid-run — the auto-merged output must be byte-identical
-#      (from jobs_checksum on) to the unsharded reference run, a
-#      deliberately corrupted shard file must fail `merge` with exit 5
-#      and a typed finding, and the supervised run's --obs-out trace
-#      (shard.* metrics) must pass obs-validate
+#   8. sharded sweeps: three `batch --shard i/3 --journal` runs merged
+#      with `merge --journals --expect` — the merged output must be
+#      byte-identical (from jobs_checksum on) to the unsharded reference
+#      run, one shard's --obs-out trace (shard.* metrics) must pass
+#      obs-validate, and a deliberately corrupted shard file must fail
+#      `merge` with exit 5 and a typed finding
 #   9. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
@@ -85,38 +86,41 @@ grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
 rm -f target/ci-journal.jsonl
 
 echo "== sharded sweeps =="
-# A real supervised sweep: 3 shards over a 24-job sweep, shard 0
-# SIGKILLed after its first journal line, journal-replay recovery, and
-# an auto-merge gated on byte-identity with the unsharded reference.
-rm -rf target/ci-shard-sweep target/ci-shard-{ref,merged}.json
-./target/release/gpumech batch sdk_vectoradd bfs_kernel1 \
-  kmeans_invert_mapping cfd_step_factor hotspot_calculate_temp \
-  srad_kernel1 --blocks 4 --sweep warps=8,16,32,64 \
+# A 24-job sweep run unsharded and as three journalled shards, merged with
+# the journal cross-check and gated on byte-identity with the reference.
+dir=target/ci-shard-sweep
+rm -rf "$dir" target/ci-shard-{ref,merged}.json
+mkdir -p "$dir"
+sweep=(sdk_vectoradd bfs_kernel1 kmeans_invert_mapping cfd_step_factor
+  hotspot_calculate_temp srad_kernel1 --blocks 4 --sweep warps=8,16,32,64)
+./target/release/gpumech batch "${sweep[@]}" \
   --json target/ci-shard-ref.json > /dev/null
-./target/release/gpumech supervise sdk_vectoradd bfs_kernel1 \
-  kmeans_invert_mapping cfd_step_factor hotspot_calculate_temp \
-  srad_kernel1 --blocks 4 --sweep warps=8,16,32,64 \
-  --shards 3 --dir target/ci-shard-sweep --chaos-kill 0@1 \
-  --out target/ci-shard-merged.json --report target/ci-shard-report.md \
+for i in 0 1 2; do
+  ./target/release/gpumech batch "${sweep[@]}" --shard "$i/3" \
+    --journal "$dir/shard-$i.journal" --json "$dir/shard-$i.json" \
+    --obs-out "$dir/obs-$i.jsonl" > /dev/null
+done
+./target/release/gpumech merge "$dir"/shard-{0,1,2}.json \
+  --journals "$dir/shard-0.journal,$dir/shard-1.journal,$dir/shard-2.journal" \
   --expect target/ci-shard-ref.json \
-  --obs-out target/obs-shard-ci.jsonl > /dev/null
+  --out target/ci-shard-merged.json --report target/ci-shard-report.md > /dev/null
 cmp <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-merged.json) \
     <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-ref.json) \
   || { echo "sharded sweep is not byte-identical to the reference"; exit 1; }
-./target/release/gpumech obs-validate target/obs-shard-ci.jsonl
-grep -q 'shard.supervisor.spawned' target/obs-shard-ci.jsonl \
-  || { echo "supervise trace missing shard.* metrics"; exit 1; }
+./target/release/gpumech obs-validate "$dir/obs-0.jsonl"
+grep -q 'shard.partition.owned' "$dir/obs-0.jsonl" \
+  || { echo "shard trace missing shard.* metrics"; exit 1; }
 # A corrupted shard file must fail the merge with exit 5 and a typed
 # finding — never a silent partial merge.
-sed -i 's/"cpi":[0-9]/"cpi":9/' target/ci-shard-sweep/shard-1.json
+sed -i 's/"cpi":[0-9]/"cpi":9/' "$dir/shard-1.json"
 rc=0
-./target/release/gpumech merge target/ci-shard-sweep/shard-*.json \
+./target/release/gpumech merge "$dir"/shard-*.json \
   > target/ci-shard-merge.log 2>&1 || rc=$?
 [ "$rc" -eq 5 ] \
   || { echo "corrupt shard merge exited $rc, want 5"; exit 1; }
 grep -q 'corrupt-shard-file' target/ci-shard-merge.log \
   || { echo "merge failure lacks the typed finding"; exit 1; }
-rm -rf target/ci-shard-sweep
+rm -rf "$dir"
 
 echo "== repo benchmark (quick) =="
 bash benchmark/run.sh --quick > target/benchmark-quick-ci.txt \

@@ -63,11 +63,11 @@ pub enum CliError {
         /// Number of violations.
         problems: usize,
     },
-    /// `merge` (or the auto-merge after `supervise`) found typed merge
-    /// findings — corrupt shard files, cross-sweep mixes, coverage gaps,
-    /// duplicate conflicts, or a byte mismatch against `--expect`. The
-    /// report carries one line per finding so `main` can print it before
-    /// exiting nonzero; no merged output is written.
+    /// `merge` found typed merge findings — corrupt shard files,
+    /// cross-sweep mixes, coverage gaps, duplicate conflicts, or a byte
+    /// mismatch against `--expect`. The report carries one line per
+    /// finding so `main` can print it before exiting nonzero; no merged
+    /// output is written.
     MergeFailed {
         /// Rendered finding list, one line each.
         report: String,
@@ -138,17 +138,6 @@ impl From<std::io::Error> for CliError {
 /// The grid-size override and the four Table I overrides
 /// ([`machine_config`]) every machine-building command accepts.
 const MACHINE_FLAGS: &[&str] = &["blocks", "warps", "mshrs", "bw", "sfu"];
-
-/// The flags that define a sweep: `batch` runs them, and `supervise`
-/// forwards exactly these to its `batch` children.
-const SWEEP_FLAGS: &[&str] = &[
-    "blocks", "warps", "mshrs", "bw", "sfu", "policy", "model", "selection", "workers", "sweep",
-    "cache-dir", "timeout-ms", "breaker-threshold",
-];
-
-/// Where a verified merge goes and what it is checked against: `merge`'s
-/// flags, and `supervise`'s for its auto-merge.
-const MERGE_FLAGS: &[&str] = &["out", "report", "expect"];
 
 /// Serializes installation of the process-global recorder. The recorder
 /// slot is shared by every thread, so concurrent commands (the test
@@ -282,21 +271,13 @@ where
         )?),
         "batch" => sweep::batch(&Args::parse_with_switches(
             rest,
-            &[SWEEP_FLAGS, &["json", "obs-out", "deadline-ms", "journal", "shard"]].concat(),
+            &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep", "cache-dir",
+              "timeout-ms", "deadline-ms", "breaker-threshold", "journal", "shard", "json",
+              "obs-out"]]
+                .concat(),
             &["resume", "oracle"],
         )?),
-        "merge" => observed(rest, &[MERGE_FLAGS, &["journals"]], &[], sweep::merge),
-        "supervise" => observed(
-            rest,
-            &[
-                SWEEP_FLAGS,
-                MERGE_FLAGS,
-                &["shards", "dir", "shard-bin", "restart-budget", "heartbeat-ms", "poll-ms",
-                  "deadline-ms", "drain-ms", "chaos-kill"],
-            ],
-            &["oracle"],
-            sweep::supervise,
-        ),
+        "merge" => observed(rest, &[&["out", "report", "expect", "journals"]], &[], sweep::merge),
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",

@@ -1,6 +1,5 @@
-//! The sweep commands: `batch` (one shard of a sweep, or all of it),
-//! `merge` (verified union of shard files) and `supervise` (a sharded
-//! sweep under the crash-tolerant supervisor, then the merge).
+//! The sweep commands: `batch` (one shard of a sweep, or all of it) and
+//! `merge` (verified union of shard files).
 
 use std::path::{Path, PathBuf};
 
@@ -8,16 +7,15 @@ use gpumech_core::{Model, Prediction, SchedulingPolicy};
 use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError, ProfileCache};
 use gpumech_obs::Snapshot;
 use gpumech_shard::{
-    git_commit, merge_files, supervise as run_supervisor, sweep_points, verify_expectation,
-    ChaosKill, CounterEntry, FindingKind, JobRow, MergeFinding, MergeOptions, MergeOutcome,
-    ShardSpec, SupervisorConfig, SweepPlan, SweepReport,
+    git_commit, merge_files, sweep_points, verify_expectation, CounterEntry, FindingKind, JobRow,
+    MergeFinding, MergeOptions, ShardSpec, SweepPlan, SweepReport,
 };
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
 
 use super::{
     at_blocks, bad_choice, choice, machine_config, positionals, recorded, selection, workload,
-    CliError, SWEEP_FLAGS,
+    CliError,
 };
 use crate::args::{ArgError, Args};
 
@@ -221,10 +219,22 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Finishes a merge: runs the `--expect` byte-identity check, converts
-/// findings into the exit-code-5 error, and writes `--out` / `--report`
-/// on success. Shared by `merge` and the auto-merge after `supervise`.
-fn finish_merge(args: &Args, mut outcome: MergeOutcome) -> Result<String, CliError> {
+/// `gpumech merge`: union shard result files into one verified sweep.
+/// Any typed finding — corrupt file, cross-sweep mix, coverage gap,
+/// duplicate conflict, journal corruption, `--expect` mismatch — aborts
+/// with exit code 5 and no merged output.
+pub(super) fn merge(args: &Args) -> Result<String, CliError> {
+    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
+    if paths.is_empty() {
+        return Err(CliError::Args(ArgError::MissingValue(
+            "shard result file(s) to merge".to_string(),
+        )));
+    }
+    let journals: Vec<PathBuf> = args
+        .flag("journals")
+        .map(|list| list.split(',').filter(|s| !s.is_empty()).map(PathBuf::from).collect())
+        .unwrap_or_default();
+    let mut outcome = merge_files(&paths, &MergeOptions { quarantine: true, journals });
     if let (Some(m), Some(expect)) = (&outcome.merged, args.flag("expect")) {
         let expect_text = std::fs::read_to_string(expect)
             .map_err(|e| CliError::Model(format!("--expect {expect}: {e}")))?;
@@ -273,88 +283,6 @@ fn finish_merge(args: &Args, mut outcome: MergeOutcome) -> Result<String, CliErr
         std::fs::write(path, m.render_markdown())?;
         out.push_str(&format!("sweep report written to {path}\n"));
     }
-    Ok(out)
-}
-
-/// `gpumech merge`: union shard result files into one verified sweep.
-/// Any typed finding — corrupt file, cross-sweep mix, coverage gap,
-/// duplicate conflict, journal corruption, `--expect` mismatch — aborts
-/// with exit code 5 and no merged output.
-pub(super) fn merge(args: &Args) -> Result<String, CliError> {
-    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Args(ArgError::MissingValue(
-            "shard result file(s) to merge".to_string(),
-        )));
-    }
-    let journals: Vec<PathBuf> = args
-        .flag("journals")
-        .map(|list| list.split(',').filter(|s| !s.is_empty()).map(PathBuf::from).collect())
-        .unwrap_or_default();
-    let outcome = merge_files(&paths, &MergeOptions { quarantine: true, journals });
-    finish_merge(args, outcome)
-}
-
-/// `gpumech supervise`: run a sharded sweep under the crash-tolerant
-/// local supervisor, then auto-merge the shard results.
-pub(super) fn supervise(args: &Args) -> Result<String, CliError> {
-    let shards: u32 = args.flag_or("shards", 3u32)?;
-    let dir = PathBuf::from(args.flag("dir").unwrap_or("gpumech-sweep"));
-    let program = match args.flag("shard-bin") {
-        Some(p) => PathBuf::from(p),
-        None => std::env::current_exe()
-            .map_err(|e| CliError::Model(format!("cannot locate the gpumech binary: {e}")))?,
-    };
-
-    // Shard children run `batch` with the forwarded sweep definition; the
-    // supervisor appends --shard/--journal/--json/--resume per child.
-    let mut shared = vec!["batch".to_string()];
-    shared.extend(positionals(args).into_iter().map(str::to_string));
-    for f in SWEEP_FLAGS {
-        if let Some(v) = args.flag(f) {
-            shared.push(format!("--{f}"));
-            shared.push(v.to_string());
-        }
-    }
-    if args.switch("oracle") {
-        shared.push("--oracle".to_string());
-    }
-
-    let mut chaos_kills: Vec<ChaosKill> = Vec::new();
-    if let Some(spec) = args.flag("chaos-kill") {
-        for part in spec.split(',').filter(|s| !s.is_empty()) {
-            chaos_kills.push(part.parse().map_err(|_| CliError::BadChoice {
-                flag: "chaos-kill",
-                value: part.to_string(),
-                expected: "shard@lines[,shard@lines...]",
-            })?);
-        }
-    }
-
-    let mut cfg = SupervisorConfig::new(program, dir, shards);
-    cfg.shared_args = shared;
-    cfg.restart_budget = args.flag_or("restart-budget", 3u32)?;
-    cfg.heartbeat_ms = args.flag_or("heartbeat-ms", 30_000u64)?;
-    cfg.poll_ms = args.flag_or("poll-ms", 25u64)?;
-    cfg.deadline_ms = args.flag_opt("deadline-ms")?;
-    cfg.drain_ms = args.flag_or("drain-ms", 2_000u64)?;
-    cfg.chaos_kills = chaos_kills;
-    cfg.handle_signals = true;
-
-    let summary = run_supervisor(&cfg).map_err(|e| CliError::Model(e.to_string()))?;
-    let mut out = summary.render();
-    if summary.drained {
-        out.push_str("# drained before completion; shard journals remain valid for --resume\n");
-        return Ok(out);
-    }
-
-    // Auto-merge the completed shards, cross-checking every journal.
-    let journals: Vec<PathBuf> = (0..shards).map(|i| cfg.journal_path(i)).collect();
-    let outcome = merge_files(
-        &summary.result_paths,
-        &MergeOptions { quarantine: true, journals },
-    );
-    out.push_str(&finish_merge(args, outcome)?);
     Ok(out)
 }
 

@@ -37,10 +37,6 @@ COMMANDS:
                                  sweep file + markdown report; any corruption,
                                  coverage gap, or cross-sweep mix is a typed
                                  finding and exit 5 — never a partial merge
-    supervise [kernels...|all]   run a sharded sweep under the crash-tolerant
-                                 supervisor: N shard child processes, journal
-                                 heartbeats, crash/hang restarts with --resume,
-                                 SIGTERM drain, verified auto-merge
     serve                        run the HTTP prediction service (POST /predict,
                                  /healthz, /readyz, /metrics) until SIGTERM/ctrl-c
     lint [kernel|all]            statically analyze and verify kernel IR:
@@ -103,28 +99,12 @@ MERGE FLAGS (gpumech merge shard0.json shard1.json ...):
     --journals A,B    shard journals to cross-check: every line must be a
                       valid journal entry belonging to this sweep
 
-SUPERVISE FLAGS (accepts all COMMON/BATCH sweep flags for its children):
-    --shards N        number of shard child processes (default 3)
-    --dir DIR         working directory for per-shard journals, results,
-                      and logs (default gpumech-sweep)
-    --shard-bin PATH  shard worker binary (default: this binary)
-    --restart-budget N  restarts allowed per shard before the sweep
-                      aborts with a typed error (default 3)
-    --heartbeat-ms N  a shard whose journal stops growing for this long
-                      is killed and restarted (default 30000)
-    --deadline-ms N   whole-sweep wall-clock bound
-    --drain-ms N      SIGTERM grace window before SIGKILL on drain
-                      (default 2000)
-    --chaos-kill S@L  SIGKILL shard S once its journal reaches L lines
-                      (fault-injection hook; comma-separate for several)
-    --out/--report/--expect  forwarded to the verified auto-merge
-
 EXIT CODES (ci.sh gates on the distinction):
     0  success
     1  usage or pipeline error
     2  lint found error-severity findings
     3  obs-validate found schema violations
-    5  merge (or supervise's auto-merge) found findings: corrupt shard
+    5  merge found findings: corrupt shard
        files, coverage gaps, duplicate conflicts, cross-sweep mixes, or
        an --expect byte mismatch
 

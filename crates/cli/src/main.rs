@@ -2,11 +2,10 @@
 //!
 //! Exit taxonomy (documented in the README): 0 = success, 1 = usage or
 //! pipeline error, 2 = `lint` found Error-severity findings, 3 =
-//! `obs-validate` found schema violations, 5 = `merge` (or the
-//! auto-merge after `supervise`) found merge findings — corrupt shard
-//! files, coverage gaps, duplicate conflicts, or an `--expect` byte
-//! mismatch. 4 is retired (it was the removed perf gate's) and not
-//! reused, so scripts keyed on 5 keep working. CI gates on the
+//! `obs-validate` found schema violations, 5 = `merge` found merge
+//! findings — corrupt shard files, coverage gaps, duplicate conflicts, or
+//! an `--expect` byte mismatch. 4 is retired (it was the removed perf
+//! gate's) and not reused, so scripts keyed on 5 keep working. CI gates on the
 //! distinction: a defective *kernel* (2), a malformed *trace* (3) and an
 //! *unsafe merge* (5) are each actionable differently from a broken
 //! *invocation* (1).

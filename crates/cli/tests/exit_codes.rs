@@ -10,7 +10,7 @@
 //! | 2    | `lint` found Error-severity findings      |
 //! | 3    | `obs-validate` found schema violations    |
 //! | 4    | retired (was the perf gate's), not reused |
-//! | 5    | `merge` / `supervise` merge failure       |
+//! | 5    | `merge` found merge findings              |
 //!
 //! Failure codes must also keep their report-then-error shape: the full
 //! report on stdout (for the CI log) and a one-line `error:` on stderr.

@@ -80,12 +80,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             ],
             Keep::All,
         ),
-        (
-            "supervise",
-            [&["supervise"], &SWEEP[..], &["--oracle", "--shards", "2", "--dir", "sweep", "--expect", "ref.json"]]
-                .concat(),
-            Keep::All,
-        ),
         ("lint", vec!["lint", "bfs_kernel1", "--min-severity", "info"], Keep::All),
         ("lint-json", vec!["lint", "sdk_vectoradd", "--format", "json"], Keep::All),
         ("obs-validate", vec!["obs-validate", "good.jsonl"], Keep::All),
@@ -97,7 +91,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("bad-sweep", vec!["batch", "sdk_vectoradd", "--sweep", "volts=1,2"], Keep::All),
         ("bad-sweep-value", vec!["batch", "sdk_vectoradd", "--sweep", "warps=abc"], Keep::All),
         ("bad-shard", vec!["batch", "sdk_vectoradd", "--shard", "9/3"], Keep::All),
-        ("bad-chaos-kill", vec!["supervise", "--chaos-kill", "x"], Keep::All),
         ("bad-flag-value", vec!["predict", "sdk_vectoradd", "--warps", "lots"], Keep::Until("USAGE:")),
         ("unknown-flag", vec!["predict", "sdk_vectoradd", "--bogus", "1"], Keep::Until("USAGE:")),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
@@ -238,7 +231,7 @@ fn duration_mask_touches_only_wall_clock_tokens() {
     assert_eq!(mask_durations("simulated in 1.23ms"), "simulated in <t>");
     assert_eq!(mask_durations("# 4 ok, 0 failed; 2 cached analysis(es); 456.78µs wall"),
                "# 4 ok, 0 failed; 2 cached analysis(es); <t> wall");
-    assert_eq!(mask_durations("# supervisor: completed in 812 ms"), "# supervisor: completed in <t>");
+    assert_eq!(mask_durations("# completed in 812 ms"), "# completed in <t>");
     assert_eq!(mask_durations("# merge: 2 shard file(s), 4 row(s)"), "# merge: 2 shard file(s), 4 row(s)");
     assert_eq!(mask_durations("sdk_vectoradd @ bw=96   2.065"), "sdk_vectoradd @ bw=96   2.065");
     assert_eq!(mask_durations("3 span(s), 1 samples, 5 s"), "3 span(s), 1 samples, <t>");

@@ -119,12 +119,6 @@ impl BatchEngine {
         self.fingerprints.len()
     }
 
-    /// The configured (requested) worker ceiling.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Worker threads a batch actually runs with: the configured count
     /// clamped to the host's available parallelism (never zero).
     #[must_use]

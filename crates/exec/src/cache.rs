@@ -59,20 +59,14 @@ impl Fnv1a {
     }
 }
 
-/// The splitmix64 finalizer: the avalanche closing every fingerprint, and
-/// the stateless jitter hash of
-/// [`RetryPolicy`](crate::resilience::RetryPolicy).
-pub(crate) fn avalanche(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
 impl Hasher for Fnv1a {
     fn finish(&self) -> u64 {
         // The lane-wide multiply alone never moves high input bits toward
-        // low output bits.
-        avalanche(self.0)
+        // low output bits, so close with the splitmix64 finalizer.
+        let h = self.0;
+        let h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
     }
 
     fn write(&mut self, bytes: &[u8]) {

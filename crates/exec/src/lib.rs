@@ -52,7 +52,7 @@ use gpumech_obs::Interrupt;
 pub use batch::{canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob};
 pub use cache::{analysis_config_fingerprint, cache_key, trace_fingerprint, CacheKey, ProfileCache};
 pub use pool::{panic_message, run_indexed};
-pub use resilience::{BatchOptions, CircuitBreaker, RetryPolicy};
+pub use resilience::{BatchOptions, CircuitBreaker};
 
 /// Error produced by the execution layer for one work item.
 ///

@@ -17,9 +17,7 @@
 //!   instead of burning budget on a kernel that keeps dying.
 //!
 //! A job is a pure function of its trace and configuration, so a failed
-//! job fails again on retry; the batch engine never retries. The
-//! supervisor restarts crashed shard processes after a [`RetryPolicy`]
-//! delay.
+//! job fails again on retry; the batch engine never retries.
 //!
 //! The completion **journal** ([`Journal`]) rounds this out: every
 //! finished job appends one JSON line (fingerprint, label, canonical
@@ -31,53 +29,11 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
 use gpumech_obs::CancelToken;
 use serde::{Deserialize, Serialize};
-
-use crate::cache::avalanche;
-
-/// Deterministic exponential backoff with splitmix64 jitter.
-///
-/// The delay for `(job, attempt)` is a pure function of the policy and
-/// those two numbers: `base * 2^attempt`, capped at `max`, with the top
-/// half of the range replaced by hash-derived jitter so simultaneous
-/// retries de-synchronize. No RNG state, no clock — the full schedule can
-/// be asserted in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Delay before the first retry, in nanoseconds.
-    pub base_delay_ns: u64,
-    /// Upper bound on any single delay, in nanoseconds.
-    pub max_delay_ns: u64,
-    /// Seed mixed into the jitter hash (vary per run to decorrelate).
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// The delay to sleep before retry number `attempt` (0-based: the
-    /// delay between the first failure and the second attempt) of job
-    /// `job`. Pure and deterministic.
-    #[must_use]
-    pub fn delay_ns(&self, job: u64, attempt: u32) -> u64 {
-        let exp = self
-            .base_delay_ns
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-            .min(self.max_delay_ns);
-        // Full jitter over [exp/2, exp]: keeps the exponential envelope
-        // while spreading concurrent retries.
-        let half = exp / 2;
-        let jitter_range = exp - half;
-        if jitter_range == 0 {
-            return exp;
-        }
-        let jitter =
-            avalanche(self.seed ^ job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt));
-        half + (jitter % (jitter_range + 1))
-    }
-}
 
 /// Per-kernel circuit breaker: after `threshold` *consecutive* failures
 /// for one kernel, further jobs for that kernel are skipped until a
@@ -94,12 +50,6 @@ impl CircuitBreaker {
     #[must_use]
     pub fn new(threshold: u32) -> Self {
         Self { threshold: threshold.max(1), consecutive: Mutex::new(HashMap::new()) }
-    }
-
-    /// The configured threshold.
-    #[must_use]
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 
     /// Returns `Some(consecutive_failures)` when the breaker for `kernel`
@@ -210,12 +160,6 @@ impl Journal {
         Self { path: path.into(), appending: Mutex::new(()) }
     }
 
-    /// The journal's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Loads completed entries, keyed by fingerprint. Missing file means
     /// an empty journal; torn or corrupt lines are skipped.
     #[must_use]
@@ -285,33 +229,6 @@ impl Journal {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let p = RetryPolicy { base_delay_ns: 1_000, max_delay_ns: 16_000, seed: 42 };
-        for job in 0..4u64 {
-            for attempt in 0..8u32 {
-                let d = p.delay_ns(job, attempt);
-                assert_eq!(d, p.delay_ns(job, attempt), "pure function of (job, attempt)");
-                let envelope = (1_000u64 << attempt.min(4)).min(16_000);
-                assert!(d >= envelope / 2 && d <= envelope, "job={job} attempt={attempt} d={d}");
-            }
-        }
-        // Jitter actually varies across jobs (not a constant schedule).
-        let delays: Vec<u64> = (0..16).map(|j| p.delay_ns(j, 3)).collect();
-        assert!(delays.iter().any(|&d| d != delays[0]), "{delays:?}");
-        // A different seed shifts the schedule.
-        let q = RetryPolicy { seed: 43, ..p };
-        assert!((0..16u64).any(|j| p.delay_ns(j, 3) != q.delay_ns(j, 3)));
-    }
-
-    #[test]
-    fn huge_attempt_numbers_saturate_instead_of_overflowing() {
-        let p = RetryPolicy { base_delay_ns: 1_000, max_delay_ns: 9_000, seed: 0 };
-        assert!(p.delay_ns(0, 63) <= 9_000);
-        assert!(p.delay_ns(0, 64) <= 9_000);
-        assert!(p.delay_ns(0, u32::MAX) <= 9_000);
-    }
 
     #[test]
     fn breaker_opens_on_consecutive_failures_and_closes_on_success() {

@@ -20,8 +20,8 @@ use std::path::PathBuf;
 
 use gpumech_fault::shardfaults::{fabricate_sweep, SHARD_FAULTS};
 use gpumech_shard::{
-    merge_files, rows_checksum, verify_expectation, FindingKind, MergeOptions, ShardSpec,
-    SweepManifest, SweepReport,
+    merge_files, verify_expectation, FindingKind, MergeOptions, ShardSpec, SweepManifest,
+    SweepReport,
 };
 
 fn workspace(tag: &str) -> PathBuf {
@@ -71,7 +71,6 @@ fn clean_fabricated_sweep_merges_byte_identically() {
         None,
         "sharded merge must be byte-identical to the unsharded rendering"
     );
-    assert_eq!(merged.to_report().jobs_checksum, rows_checksum(&merged.raw_rows));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

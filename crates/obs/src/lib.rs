@@ -44,8 +44,7 @@
 //!
 //! [`CancelToken`] (cooperative cancellation and deadlines) and
 //! [`signals`] (the SIGTERM/SIGINT flag and senders) are what the
-//! long-running front ends — `gpumech serve`, `gpumech supervise` — share
-//! for graceful drain.
+//! long-running front end, `gpumech serve`, uses for graceful drain.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};

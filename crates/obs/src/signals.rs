@@ -1,8 +1,7 @@
-//! SIGTERM/SIGINT plumbing without the `libc` crate, shared by every
-//! long-running front end (`gpumech serve`'s signal watcher, `gpumech
-//! supervise`'s poll loop): an async-signal-safe handler that stores into
-//! a process-global flag the loop polls, and the matching senders the
-//! drain paths and their test harnesses use. No-ops off Unix.
+//! SIGTERM/SIGINT plumbing without the `libc` crate, for `gpumech
+//! serve`'s signal watcher: an async-signal-safe handler that stores into
+//! a process-global flag the watcher polls, and the matching senders the
+//! test harnesses use. No-ops off Unix.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -44,12 +44,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// First value of header `name` (lowercase), if present.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
-    }
-
     /// The target's path component (query string stripped).
     #[must_use]
     pub fn path(&self) -> &str {
@@ -458,7 +452,7 @@ mod tests {
         let (req, used) = parse(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path(), "/healthz");
-        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.headers, [("host".to_string(), "x".to_string())]);
         assert!(req.body.is_empty());
         assert_eq!(used, b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".len());
     }

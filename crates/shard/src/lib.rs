@@ -1,5 +1,5 @@
-//! Fleet-scale sharded sweeps: deterministic partitioning, verified
-//! merges, and a crash-tolerant local supervisor.
+//! Fleet-scale sharded sweeps: deterministic partitioning and verified
+//! merges.
 //!
 //! A sweep at fleet scale is run as N independent `gpumech batch --shard
 //! i/N` processes, each owning a deterministic subset of the job space
@@ -29,21 +29,17 @@
 //!    byte-for-byte from the shard files, so a clean merge is
 //!    byte-identical (from the `jobs_checksum` field on) to the same
 //!    sweep run unsharded.
-//! 4. **Supervisor** ([`supervise()`]) — a local multi-process supervisor
-//!    that spawns the N shard children, watches their journals as
-//!    heartbeats, restarts crashed or hung shards with jittered backoff
-//!    and `--resume`, enforces a per-shard restart budget and a
-//!    whole-sweep deadline, and drains cleanly on SIGTERM.
 //!
+//! A killed shard is re-run with `batch --journal --resume`: the journal
+//! replays its finished jobs, so the re-run's file is byte-identical.
 //! Everything is instrumented under the `shard.*` metric family
-//! (`shard.partition.*`, `shard.merge.*`, `shard.supervisor.*`).
+//! (`shard.partition.*`, `shard.merge.*`).
 
 pub mod manifest;
 pub mod merge;
 pub mod partition;
 pub mod plan;
 pub mod report;
-pub mod supervise;
 
 use std::fmt;
 
@@ -53,61 +49,18 @@ pub use merge::{merge_files, verify_expectation, FindingKind, MergeFinding, Merg
 pub use partition::{rejected_fingerprint, shard_of, sweep_fingerprint, ShardSpec};
 pub use plan::{sweep_points, Outcome, SweepPlan};
 pub use report::{load_shard_file, rows_checksum, CounterEntry, JobRow, ShardFile, SweepReport};
-pub use supervise::{supervise, ChaosKill, ShardStatus, SupervisorConfig, SupervisorSummary};
 
 /// Error produced by the sharding layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// A shard spec (`i/N`), chaos spec (`i@lines`), or other textual
-    /// input failed to parse.
+    /// A shard spec (`i/N`) failed to parse.
     BadSpec(String),
-    /// A filesystem operation failed.
-    Io {
-        /// Path the operation touched.
-        path: String,
-        /// Rendered I/O error.
-        msg: String,
-    },
-    /// Serializing or deserializing a sweep artifact failed.
-    Serialize(String),
-    /// Spawning a shard child process failed.
-    Spawn {
-        /// The shard whose child could not be spawned.
-        shard: u32,
-        /// Rendered spawn error.
-        msg: String,
-    },
-    /// A shard kept dying: it was spawned `spawns` times (the first run
-    /// plus restarts) and the restart budget is exhausted.
-    RestartBudgetExhausted {
-        /// The shard that exhausted its budget.
-        shard: u32,
-        /// Total times it was spawned.
-        spawns: u32,
-    },
-    /// The whole-sweep deadline fired before every shard completed.
-    DeadlineExceeded {
-        /// The configured deadline in milliseconds.
-        ms: u64,
-    },
 }
 
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::BadSpec(s) => write!(f, "bad shard spec: {s}"),
-            ShardError::Io { path, msg } => write!(f, "io error on {path}: {msg}"),
-            ShardError::Serialize(s) => write!(f, "serialize error: {s}"),
-            ShardError::Spawn { shard, msg } => {
-                write!(f, "failed to spawn shard {shard}: {msg}")
-            }
-            ShardError::RestartBudgetExhausted { shard, spawns } => write!(
-                f,
-                "shard {shard} exhausted its restart budget after {spawns} spawn(s)"
-            ),
-            ShardError::DeadlineExceeded { ms } => {
-                write!(f, "sweep deadline of {ms} ms exceeded before all shards completed")
-            }
         }
     }
 }

@@ -21,8 +21,7 @@ use std::path::{Path, PathBuf};
 
 use crate::manifest::SweepManifest;
 use crate::partition::shard_of;
-use crate::report::{load_shard_file, render_parts, rows_checksum, write_atomic, CounterEntry,
-                    ShardFile, SweepReport};
+use crate::report::{load_shard_file, render_parts, write_atomic, CounterEntry, ShardFile};
 
 /// What kind of merge violation a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -528,19 +527,6 @@ impl MergedSweep {
             }
         }
         out
-    }
-
-    /// The merged sweep as a [`SweepReport`] (for tests and round trips).
-    #[must_use]
-    pub fn to_report(&self) -> SweepReport {
-        SweepReport {
-            manifest: self.manifest.clone(),
-            workers: self.workers,
-            cache_entries: self.cache_entries,
-            counters: self.counters.clone(),
-            jobs_checksum: rows_checksum(&self.raw_rows),
-            jobs: self.rows.clone(),
-        }
     }
 }
 

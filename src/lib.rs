@@ -15,8 +15,7 @@
 //!   folded-stack export over the span tree, and the counting global
 //!   allocator;
 //! - [`shard`] — fleet-scale sharded sweeps: deterministic job
-//!   partitioning, verified shard merges, and the crash-tolerant
-//!   multi-process supervisor behind `gpumech supervise`.
+//!   partitioning and verified shard merges.
 //!
 //! The supported entry points are also re-exported at the crate root, so
 //! most programs only need `use gpumech::{Gpumech, PredictionRequest, ...}`:
