@@ -35,7 +35,13 @@
 #      run, one shard's --obs-out trace (shard.* metrics) must pass
 #      obs-validate, and a deliberately corrupted shard file must fail
 #      `merge` with exit 5 and a typed finding
-#   9. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#   9. accuracy record: `results/run_all.sh --out target/ci-accuracy`
+#      regenerates every harness output, the oracle column of the
+#      fig11-15 accuracy tables included, and each .txt (but the wall-clock
+#      speedup.txt) and .tsv must be byte-identical to the one committed
+#      under results/ (the model side of the record is also checked by
+#      crates/bench/tests/accuracy_gate.rs in stage 2)
+#  10. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
 #      workload's traced and untraced sim_digest disagree (its numbers
@@ -120,6 +126,20 @@ rc=0
   || { echo "corrupt shard merge exited $rc, want 5"; exit 1; }
 grep -q 'corrupt-shard-file' target/ci-shard-merge.log \
   || { echo "merge failure lacks the typed finding"; exit 1; }
+rm -rf "$dir"
+
+echo "== accuracy record =="
+# The only check that recomputes the oracle CPIs against the record;
+# golden_oracle.rs pins the oracle's determinism on smaller grids.
+dir=target/ci-accuracy
+rm -rf "$dir"
+results/run_all.sh --out "$dir" > target/ci-accuracy.log 2>&1 \
+  || { echo "results/run_all.sh failed; see target/ci-accuracy.log"; exit 1; }
+for f in "$dir"/*.txt "$dir"/*.tsv; do
+  name="$(basename "$f")"
+  [ "$name" = speedup.txt ] && continue
+  cmp "$f" "results/$name" || { echo "$name differs from the committed record"; exit 1; }
+done
 rm -rf "$dir"
 
 echo "== repo benchmark (quick) =="

@@ -6,7 +6,7 @@
 //! (mean error per model; fraction of kernels under 20% error for
 //! GPUMech vs Markov_Chain).
 //!
-//! Usage: `fig11_rr [--blocks N] [--json PATH]`
+//! Usage: `fig11_rr [--blocks N] [--table PATH]`
 
 use gpumech_isa::SchedulingPolicy;
 

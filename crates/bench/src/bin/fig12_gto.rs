@@ -3,7 +3,7 @@
 //! Identical to the Figure 11 harness but with GTO scheduling in both the
 //! oracle and the models.
 //!
-//! Usage: `fig12_gto [--blocks N] [--json PATH]`
+//! Usage: `fig12_gto [--blocks N] [--table PATH]`
 
 use gpumech_isa::SchedulingPolicy;
 

@@ -4,7 +4,7 @@
 //! The paper's headline: the baselines' errors *grow* with warp count
 //! (more warps → more contention they ignore) while GPUMech stays flat.
 //!
-//! Usage: `fig13_warps [--blocks N] [--json PATH]`
+//! Usage: `fig13_warps [--blocks N] [--table PATH]`
 
 use gpumech_isa::SimConfig;
 

@@ -5,7 +5,7 @@
 //! MT_MSHR converge) but DRAM queueing *grows* (more in-flight requests),
 //! so only MT_MSHR_BAND tracks the oracle across the sweep.
 //!
-//! Usage: `fig14_mshr [--blocks N] [--json PATH]`
+//! Usage: `fig14_mshr [--blocks N] [--table PATH]`
 
 use gpumech_isa::SimConfig;
 

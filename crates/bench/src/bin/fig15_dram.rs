@@ -4,7 +4,7 @@
 //! Lower bandwidth means higher DRAM queueing delays, so bandwidth-blind
 //! models degrade sharply at 64 GB/s while MT_MSHR_BAND degrades least.
 //!
-//! Usage: `fig15_dram [--blocks N] [--json PATH]`
+//! Usage: `fig15_dram [--blocks N] [--table PATH]`
 
 use gpumech_isa::SimConfig;
 

@@ -5,16 +5,17 @@
 //! library: [`evaluate_kernel`] runs the timing oracle once and all five
 //! Table II models against it, [`KernelEval::error`] computes the paper's
 //! validation metric (relative CPI error), and the formatting helpers print
-//! the same rows/series the paper plots. Results can also be dumped as
-//! JSON for EXPERIMENTS.md bookkeeping.
+//! the same rows/series the paper plots. The model-comparison and sweep
+//! harnesses also write the accuracy record (`--table PATH`): one
+//! tab-separated row per kernel, policy and machine point, which
+//! `tests/accuracy_gate.rs` checks the model against.
 
 use std::time::{Duration, Instant};
 
-use gpumech_core::{Gpumech, Model, Prediction, PredictionRequest, SelectionMethod};
+use gpumech_core::{Analysis, Gpumech, Model, Prediction, PredictionRequest, SelectionMethod, StallCategory};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::{simulate, TimingResult};
 use gpumech_trace::{KernelTrace, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Grid size (blocks) used by the experiment harnesses.
 ///
@@ -48,7 +49,7 @@ pub fn arg_blocks() -> Option<usize> {
 
 /// One kernel evaluated under one configuration and policy: the oracle
 /// result and every model's prediction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelEval {
     /// Workload name.
     pub name: String,
@@ -56,6 +57,8 @@ pub struct KernelEval {
     pub config_label: String,
     /// Scheduling policy.
     pub policy: SchedulingPolicy,
+    /// Grid size (blocks) the kernel was traced at.
+    pub blocks: usize,
     /// Oracle (cycle-level) CPI.
     pub oracle_cpi: f64,
     /// Oracle wall-clock runtime.
@@ -74,8 +77,7 @@ impl KernelEval {
     /// `|CPI_model - CPI_sim| / CPI_sim`.
     #[must_use]
     pub fn error(&self, model: Model) -> f64 {
-        let p = self.prediction(model);
-        (p.cpi_total() - self.oracle_cpi).abs() / self.oracle_cpi
+        relative_error(self.prediction(model).cpi_total(), self.oracle_cpi)
     }
 
     /// The prediction of one model. Exits the process if `model` was not
@@ -132,10 +134,15 @@ pub fn evaluate_kernel(workload: &Workload, exp: &Experiment) -> KernelEval {
     evaluate_trace(&w.name, &trace, exp)
 }
 
+/// The paper's validation metric: `|CPI_model - CPI_sim| / CPI_sim`.
+#[must_use]
+pub fn relative_error(model_cpi: f64, oracle_cpi: f64) -> f64 {
+    (model_cpi - oracle_cpi).abs() / oracle_cpi
+}
+
 /// Deduplicated model warnings across all predictions of an evaluation,
 /// in first-seen order.
-#[must_use]
-pub fn distinct_warnings(predictions: &[Prediction]) -> Vec<String> {
+fn distinct_warnings(predictions: &[Prediction]) -> Vec<String> {
     let mut seen: Vec<String> = Vec::new();
     for p in predictions {
         for w in &p.warnings {
@@ -150,8 +157,7 @@ pub fn distinct_warnings(predictions: &[Prediction]) -> Vec<String> {
 /// [`evaluate_kernel`] over a pre-generated trace.
 ///
 /// Model warnings are printed to stderr (deduplicated) rather than
-/// silently dropped; they also remain on each serialized [`Prediction`]
-/// so JSON dumps carry them.
+/// silently dropped; they also remain on each [`Prediction`].
 ///
 /// Exits the process (via [`fail`]) if simulation or modeling fails.
 #[must_use]
@@ -170,18 +176,7 @@ pub fn evaluate_trace(name: &str, trace: &KernelTrace, exp: &Experiment) -> Kern
     let analysis_time = t1.elapsed();
 
     let t2 = Instant::now();
-    let predictions: Vec<Prediction> = Model::ALL
-        .iter()
-        .map(|&m| {
-            let req = PredictionRequest::from_analysis(&analysis)
-                .policy(exp.policy)
-                .model(m)
-                .selection(exp.selection);
-            model
-                .run(&req)
-                .unwrap_or_else(|e| fail(format_args!("{name}: prediction failed: {e}")))
-        })
-        .collect();
+    let predictions = predict_models(name, &analysis, exp);
     let predict_time = t2.elapsed();
 
     let warnings = distinct_warnings(&predictions);
@@ -195,12 +190,29 @@ pub fn evaluate_trace(name: &str, trace: &KernelTrace, exp: &Experiment) -> Kern
         name: name.to_string(),
         config_label: exp.label.clone(),
         policy: exp.policy,
+        blocks: trace.launch.num_blocks,
         oracle_cpi: oracle.cpi(),
         oracle_time,
         predictions,
         analysis_time,
         predict_time,
     }
+}
+
+/// The five Table II models' predictions, in Table II order, for one
+/// analysis on `exp`'s machine under its policy and selection method.
+///
+/// Exits the process (via [`fail`]) if a prediction fails.
+#[must_use]
+pub fn predict_models(name: &str, analysis: &Analysis, exp: &Experiment) -> Vec<Prediction> {
+    let model = Gpumech::new(exp.cfg.clone());
+    Model::ALL
+        .iter()
+        .map(|&m| {
+            let req = PredictionRequest::from_analysis(analysis).policy(exp.policy).model(m).selection(exp.selection);
+            model.run(&req).unwrap_or_else(|e| fail(format_args!("{name}: prediction failed: {e}")))
+        })
+        .collect()
 }
 
 /// Mean of `values`.
@@ -215,14 +227,13 @@ pub fn mean_error(evals: &[KernelEval], model: Model) -> f64 {
     mean(&evals.iter().map(|e| e.error(model)).collect::<Vec<_>>())
 }
 
-/// Fraction of evaluations with error below `threshold` for one model
-/// (the paper's "75% of kernels have less than 20% error" style metric).
+/// The summary line Figures 11 and 12 print for one model: its mean
+/// relative error over `errors` and the share of them under 20% (the
+/// paper's "75% of kernels have less than 20% error" metric).
 #[must_use]
-pub fn fraction_below(evals: &[KernelEval], model: Model, threshold: f64) -> f64 {
-    if evals.is_empty() {
-        return 0.0;
-    }
-    evals.iter().filter(|e| e.error(model) < threshold).count() as f64 / evals.len() as f64
+pub fn summary_line(model: Model, errors: &[f64]) -> String {
+    let under = errors.iter().filter(|&&e| e < 0.20).count() as f64 / errors.len().max(1) as f64;
+    format!("{:<16} mean error {:>7}   kernels under 20% error: {}", model.to_string(), pct(mean(errors)), pct(under))
 }
 
 /// Formats a percentage with one decimal.
@@ -253,12 +264,36 @@ pub fn print_error_table(evals: &[KernelEval], models: &[Model]) {
     println!();
 }
 
-/// Honours `--json PATH`: dumps `evals` there and says so on stderr.
-fn dump_json_if_asked(evals: &[KernelEval]) {
-    if let Some(path) = arg_value("--json") {
-        dump_json(evals, &path).unwrap_or_else(|e| fail(format!("write json failed: {e}")));
-        eprintln!("wrote {path}");
+/// The header line of the accuracy table: the row key (policy, machine
+/// point, blocks, kernel), the oracle CPI, the CPI of each Table II model
+/// and MT_MSHR_BAND's CPI-stack components, tab-separated.
+#[must_use]
+pub fn table_header() -> String {
+    let key = ["policy", "point", "blocks", "kernel", "oracle"].map(String::from);
+    let models = Model::ALL.map(|m| m.to_string());
+    let stack = StallCategory::ALL.map(|c| c.to_string());
+    key.iter().chain(&models).chain(&stack).cloned().collect::<Vec<_>>().join("\t")
+}
+
+/// Honours `--table PATH`: writes `evals` there as the accuracy table (see
+/// [`table_header`]), one row per evaluation, and says so on stderr.
+/// Floats use Rust's shortest round-trip formatting, so the file parses
+/// back to the exact `f64`s, and no wall-clock time is written.
+fn write_table_if_asked(evals: &[KernelEval]) {
+    let Some(path) = arg_value("--table") else { return };
+    let mut out = table_header();
+    for e in evals {
+        out.push_str(&format!("\n{}\t{}\t{}\t{}\t{}", e.policy, e.config_label, e.blocks, e.name, e.oracle_cpi));
+        for m in Model::ALL {
+            out.push_str(&format!("\t{}", e.prediction(m).cpi_total()));
+        }
+        for (_, v) in e.prediction(Model::MtMshrBand).cpi.components() {
+            out.push_str(&format!("\t{v}"));
+        }
     }
+    out.push('\n');
+    std::fs::write(&path, out).unwrap_or_else(|e| fail(format!("write {path} failed: {e}")));
+    eprintln!("wrote {path}");
 }
 
 /// The model-comparison harness of Figures 11 and 12: all 40 workloads on
@@ -266,7 +301,7 @@ fn dump_json_if_asked(evals: &[KernelEval]) {
 /// the cycle-level oracle, per-kernel relative CPI errors plus the paper's
 /// summary metrics (mean error per model; fraction of kernels under 20%
 /// error). `header` and `reference` are the figure's own captions.
-/// Honours `--blocks N` and `--json PATH`.
+/// Honours `--blocks N` and `--table PATH`.
 pub fn model_comparison(policy: SchedulingPolicy, label: &str, header: &str, reference: &str) {
     let mut exp = Experiment::baseline();
     exp.policy = policy;
@@ -286,15 +321,10 @@ pub fn model_comparison(policy: SchedulingPolicy, label: &str, header: &str, ref
     print_error_table(&evals, &Model::ALL);
     println!();
     for m in Model::ALL {
-        println!(
-            "{:<16} mean error {:>7}   kernels under 20% error: {}",
-            m.to_string(),
-            pct(mean_error(&evals, m)),
-            pct(fraction_below(&evals, m, 0.20)),
-        );
+        println!("{}", summary_line(m, &evals.iter().map(|e| e.error(m)).collect::<Vec<_>>()));
     }
     println!("\n{reference}");
-    dump_json_if_asked(&evals);
+    write_table_if_asked(&evals);
 }
 
 /// The axis-sweep harness of Figures 13–15: the mean error of every
@@ -302,7 +332,7 @@ pub fn model_comparison(policy: SchedulingPolicy, label: &str, header: &str, ref
 /// one machine axis. A point is its axis value, its configuration label
 /// and its machine; `column` heads the value column, `header` and
 /// `reference` are the figure's own captions. Honours `--blocks N` and
-/// `--json PATH`.
+/// `--table PATH`.
 pub fn axis_sweep(header: &str, column: &str, points: &[(u32, String, SimConfig)], reference: &str) {
     println!("{header}\n");
     let blocks = arg_blocks();
@@ -333,18 +363,7 @@ pub fn axis_sweep(header: &str, column: &str, points: &[(u32, String, SimConfig)
         println!();
     }
     println!("\n{reference}");
-    dump_json_if_asked(&all_evals);
-}
-
-/// Writes evaluations as JSON to `path` (used to record EXPERIMENTS.md
-/// data).
-///
-/// # Errors
-///
-/// Propagates I/O and serialization errors.
-pub fn dump_json(evals: &[KernelEval], path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    std::fs::write(path, serde_json::to_string_pretty(evals)?)?;
-    Ok(())
+    write_table_if_asked(&all_evals);
 }
 
 #[cfg(test)]
