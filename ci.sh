@@ -25,7 +25,9 @@
 #      a Chrome trace and a folded-stack export, and `gpumech
 #      obs-validate` checks the JSONL against the exporter schema and the
 #      stage.subsystem.name scheme and the folded stacks with --folded —
-#      including a `gpumech batch --obs-out` trace with exec.* metrics
+#      including a `gpumech batch --obs-out` trace with exec.* metrics;
+#      the profile trace must hold a span for each pipeline stage (cache
+#      sim, intervals, clustering, predict)
 #   7. resilience: a journalled run + `--resume` through the release
 #      binary, with an obs-validate gate on the resumed run's trace
 #      carrying exec.resilience.* metrics
@@ -73,6 +75,13 @@ echo "== observability =="
   --folded-out target/obs-ci.folded > /dev/null
 ./target/release/gpumech obs-validate target/obs-ci.jsonl
 ./target/release/gpumech obs-validate --folded target/obs-ci.folded
+# The spans are the only record of where a prediction's time went: each
+# pipeline stage must have one.
+for stage in mem.cachesim.simulate core.pipeline.intervals core.kmeans.cluster \
+  core.pipeline.predict; do
+  grep -q "\"type\":\"span\",.*\"name\":\"$stage\"" target/obs-ci.jsonl \
+    || { echo "profile trace has no $stage span"; exit 1; }
+done
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --sweep bw=96,192 --obs-out target/obs-batch-ci.jsonl > /dev/null
 ./target/release/gpumech obs-validate target/obs-batch-ci.jsonl

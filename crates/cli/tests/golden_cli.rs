@@ -53,7 +53,7 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         (
             "profile",
             vec!["profile", "sdk_vectoradd", "--blocks", "4", "--sfu", "8"],
-            Keep::Until("== pipeline stages =="),
+            Keep::Until("== recorder =="),
         ),
         ("intervals", vec!["intervals", "srad_kernel1", "--blocks", "4", "--limit", "5"], Keep::All),
         ("batch", sweep(&["--oracle", "--json", "ref.json"]), Keep::All),

@@ -6,6 +6,9 @@
 //!   --expect` — exit 0 and byte-identical (from `jobs_checksum` on) to
 //!   the reference, also when the two shards run from different working
 //!   directories, one outside any checkout;
+//! * a shard killed mid-append to its journal and rerun with `--resume`
+//!   still merges: the torn line it leaves behind is a job not done, not
+//!   a corrupt journal;
 //! * a corrupted shard file — `merge` exits 5 with a typed finding and
 //!   quarantines the file.
 
@@ -40,9 +43,9 @@ fn gpumech(args: &[&str]) -> Output {
 }
 
 /// Runs shard `shard` (`i/N`) of the sweep from working directory `cwd`
-/// into `dir/shard-i.json`, journalling to `dir/shard-i.journal`, and
-/// returns the result path.
-fn shard_run(dir: &Path, shard: &str, cwd: &Path) -> PathBuf {
+/// into `dir/shard-i.json`, journalling to `dir/shard-i.journal`, with the
+/// `extra` batch arguments, and returns the result path.
+fn shard_run(dir: &Path, shard: &str, cwd: &Path, extra: &[&str]) -> PathBuf {
     let path = dir.join(format!("shard-{}.json", &shard[..1]));
     let journal = path.with_extension("journal");
     let mut args: Vec<&str> = vec!["batch"];
@@ -52,6 +55,7 @@ fn shard_run(dir: &Path, shard: &str, cwd: &Path) -> PathBuf {
         "--journal", journal.to_str().unwrap(),
         "--json", path.to_str().unwrap(),
     ]);
+    args.extend_from_slice(extra);
     let out = gpumech_in(cwd, &args);
     assert_eq!(out.status.code(), Some(0), "shard {shard}: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -91,7 +95,7 @@ fn manual_shards_merge_byte_identically_to_unsharded() {
     let dir = workspace("manual");
     let reference = reference_run(&dir);
     let here = Path::new(".");
-    let shard_paths = [shard_run(&dir, "0/2", here), shard_run(&dir, "1/2", here)];
+    let shard_paths = [shard_run(&dir, "0/2", here, &[]), shard_run(&dir, "1/2", here, &[])];
 
     let merged = dir.join("merged.json");
     let report = dir.join("report.md");
@@ -123,10 +127,48 @@ fn manual_shards_merge_byte_identically_to_unsharded() {
 }
 
 #[test]
+fn a_shard_resumed_after_a_torn_journal_append_merges_byte_identically() {
+    let dir = workspace("torn-resume");
+    let reference = reference_run(&dir);
+    let here = Path::new(".");
+    let shard_paths = [shard_run(&dir, "0/2", here, &[]), shard_run(&dir, "1/2", here, &[])];
+    let journals: Vec<PathBuf> = shard_paths.iter().map(|p| p.with_extension("journal")).collect();
+
+    // Shard 1 was killed while appending its last entry: only a prefix of
+    // that line reached the disk.
+    let text = std::fs::read_to_string(&journals[1]).unwrap();
+    let last = text.trim_end().rfind('\n').map_or(0, |i| i + 1);
+    let torn = &text[last..last + (text.len() - last) / 2];
+    std::fs::write(&journals[1], format!("{}{torn}", &text[..last])).unwrap();
+
+    // The rerun replays the whole entries, recomputes the torn job and
+    // journals it on a fresh line; the torn prefix stays in the file.
+    shard_run(&dir, "1/2", here, &["--resume"]);
+    let healed = std::fs::read_to_string(&journals[1]).unwrap();
+    assert_eq!(healed.lines().count(), text.lines().count() + 1, "{healed}");
+    assert!(healed.contains(&format!("{torn}\n")), "the torn prefix stays: {healed}");
+
+    let merged = dir.join("merged.json");
+    let shown: Vec<String> = journals.iter().map(|p| p.display().to_string()).collect();
+    let out = gpumech(&[
+        "merge",
+        shard_paths[0].to_str().unwrap(),
+        shard_paths[1].to_str().unwrap(),
+        "--journals", &shown.join(","),
+        "--out", merged.to_str().unwrap(),
+        "--expect", reference.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(tail(&merged), tail(&reference));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn corrupted_shard_fails_merge_with_exit_5() {
     let dir = workspace("corrupt");
     let here = Path::new(".");
-    let shard_paths = [shard_run(&dir, "0/2", here), shard_run(&dir, "1/2", here)];
+    let shard_paths = [shard_run(&dir, "0/2", here, &[]), shard_run(&dir, "1/2", here, &[])];
     // Flip one digit inside the rows of shard 1.
     let text = std::fs::read_to_string(&shard_paths[1]).unwrap();
     let jobs_at = text.find("\"jobs\": [").unwrap();
@@ -163,7 +205,7 @@ fn shards_stamp_the_binary_commit_whatever_their_working_directory() {
     // the two must still be one sweep to `merge`.
     let dir = workspace("provenance");
     let reference = reference_run(&dir);
-    let shard_paths = [shard_run(&dir, "0/2", Path::new(".")), shard_run(&dir, "1/2", &dir)];
+    let shard_paths = [shard_run(&dir, "0/2", Path::new("."), &[]), shard_run(&dir, "1/2", &dir, &[])];
     let merged = dir.join("merged.json");
     let out = gpumech(&[
         "merge",

@@ -4,11 +4,9 @@
 
 use std::fmt;
 
-use std::time::Instant;
-
 use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig, UnknownWord};
 use gpumech_mem::{simulate_hierarchy_cancellable, MemStats};
-use gpumech_obs::{CancelToken, Interrupt, PipelineReport, StageReport};
+use gpumech_obs::{CancelToken, Interrupt};
 use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
 use serde::{Deserialize, Serialize};
 
@@ -145,10 +143,6 @@ pub struct Analysis {
     pub profiles: Vec<IntervalProfile>,
     /// Warps resident per core under the analyzed configuration.
     pub effective_warps: usize,
-    /// Per-stage wall time + key counters of this analysis run. Stage
-    /// equality ignores wall time, so [`Analysis`] comparisons stay
-    /// meaningful across runs.
-    pub stages: Vec<StageReport>,
 }
 
 /// The model's output for one kernel.
@@ -174,11 +168,6 @@ pub struct Prediction {
     /// non-empty when the pipeline downgraded itself (e.g. k-means
     /// degenerated and a population-weighted selection was used instead).
     pub warnings: Vec<String>,
-    /// Per-stage wall time + key counters for the pipeline run that
-    /// produced this prediction. Absent (empty) in predictions serialized
-    /// before this field existed.
-    #[serde(default)]
-    pub report: PipelineReport,
 }
 
 impl Prediction {
@@ -378,23 +367,8 @@ impl Gpumech {
         if trace.total_insts() == 0 {
             return Err(ModelError::EmptyKernel);
         }
-        let mut stages = Vec::new();
-
-        let t0 = Instant::now();
         let mem = simulate_hierarchy_cancellable(trace, &self.cfg, cancel)
             .map_err(ModelError::Interrupted)?;
-        let mut stage = StageReport::new("core.pipeline.cachesim");
-        stage.wall_ns = elapsed_ns(t0);
-        let (mem_insts, dram_reqs) = mem
-            .load_pcs()
-            .chain(mem.store_pcs())
-            .filter_map(|pc| mem.pc_stats(pc))
-            .fold((0u64, 0u64), |(i, d), s| (i + s.insts, d + s.dram_reqs));
-        stage.counter("mem_insts", mem_insts);
-        stage.counter("dram_reqs", dram_reqs);
-        stages.push(stage);
-
-        let t0 = Instant::now();
         let profiles: Vec<IntervalProfile> = {
             let _span = gpumech_obs::span!("core.pipeline.intervals", warps = trace.warps.len());
             profiler(&trace.warps, &self.cfg, &mem)?
@@ -406,19 +380,10 @@ impl Gpumech {
                 trace.warps.len()
             )));
         }
-        let mut stage = StageReport::new("core.pipeline.intervals");
-        stage.wall_ns = elapsed_ns(t0);
-        stage.counter("profiles", profiles.len() as u64);
-        stage.counter(
-            "intervals",
-            profiles.iter().map(|p| p.intervals.len() as u64).sum::<u64>(),
-        );
-        stages.push(stage);
-
         let effective_warps = (trace.launch.blocks_per_core(self.cfg.max_warps_per_core)
             * trace.launch.warps_per_block())
         .min(trace.launch.total_warps());
-        Ok(Analysis { mem, profiles, effective_warps, stages })
+        Ok(Analysis { mem, profiles, effective_warps })
     }
 
     /// Selects the representative warp by `selection` and predicts from it;
@@ -431,11 +396,9 @@ impl Gpumech {
         selection: SelectionMethod,
         check: &dyn Fn() -> Result<(), Interrupt>,
     ) -> Result<Prediction, Interrupt> {
-        if selection == SelectionMethod::Clustering {
-            let t0 = Instant::now();
+        let rep = if selection == SelectionMethod::Clustering {
             let feats = crate::cluster::feature_vectors(&analysis.profiles);
             let km = crate::cluster::kmeans2_checked(&feats, check)?;
-            let select = select_stage(&km, feats.len(), elapsed_ns(t0));
             if km.degenerate {
                 // Graceful degradation: the cluster structure is unreliable
                 // (non-finite features or Lloyd non-convergence), so blend
@@ -448,11 +411,10 @@ impl Gpumech {
                 );
                 return Ok(p);
             }
-            let mut p = self.profile_prediction(analysis, km.representative, policy, model);
-            insert_before_predict(&mut p.report, select);
-            return Ok(p);
-        }
-        let rep = select_representative(&analysis.profiles, selection);
+            km.representative
+        } else {
+            select_representative(&analysis.profiles, selection)
+        };
         Ok(self.profile_prediction(analysis, rep, policy, model))
     }
 
@@ -472,7 +434,6 @@ impl Gpumech {
             representative = rep,
             warps = analysis.effective_warps,
         );
-        let t0 = Instant::now();
         let profile = &analysis.profiles[rep];
         let warps = analysis.effective_warps.max(1);
         let n_intervals = profile.intervals.len();
@@ -521,13 +482,6 @@ impl Gpumech {
         };
 
         let cpi = CpiStack::multi_warp(profile, &analysis.mem, &mt, &rc);
-        let mut report = PipelineReport { stages: analysis.stages.clone() };
-        let mut stage = StageReport::new("core.pipeline.predict");
-        stage.wall_ns = elapsed_ns(t0);
-        stage.counter("intervals", n_intervals as u64);
-        stage.counter("warps_per_core", warps as u64);
-        stage.counter("representative", rep as u64);
-        report.push(stage);
         Prediction {
             model,
             policy,
@@ -538,7 +492,6 @@ impl Gpumech {
             multithreading: mt,
             contention: rc,
             warnings: Vec::new(),
-            report,
         }
     }
 
@@ -566,10 +519,8 @@ impl Gpumech {
         model: Model,
         check: &dyn Fn() -> Result<(), Interrupt>,
     ) -> Result<Prediction, Interrupt> {
-        let t0 = Instant::now();
         let feats = crate::cluster::feature_vectors(&analysis.profiles);
         let km = crate::cluster::kmeans2_checked(&feats, check)?;
-        let select = select_stage(&km, feats.len(), elapsed_ns(t0));
         let n = feats.len();
 
         // Per-cluster representative: the member nearest its centroid.
@@ -612,36 +563,8 @@ impl Gpumech {
         let mut p = blended
             .unwrap_or_else(|| self.profile_prediction(analysis, km.representative, policy, model));
         p.representative = km.representative;
-        insert_before_predict(&mut p.report, select);
         Ok(p)
     }
-}
-
-/// Saturating nanoseconds since `t0`.
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Builds the `core.pipeline.select` stage digest from a clustering run.
-fn select_stage(km: &crate::cluster::KmeansResult, points: usize, wall_ns: u64) -> StageReport {
-    let mut stage = StageReport::new("core.pipeline.select");
-    stage.wall_ns = wall_ns;
-    stage.counter("points", points as u64);
-    stage.counter("iterations", km.iterations as u64);
-    stage.counter("degenerate", u64::from(km.degenerate));
-    stage.counter("representative", km.representative as u64);
-    stage
-}
-
-/// Inserts `stage` just before the trailing `core.pipeline.predict` entry
-/// so reports read in execution order.
-fn insert_before_predict(report: &mut PipelineReport, stage: StageReport) {
-    let at = report
-        .stages
-        .iter()
-        .position(|s| s.name == "core.pipeline.predict")
-        .unwrap_or(report.stages.len());
-    report.stages.insert(at, stage);
 }
 
 /// Scales a prediction's additive components by `weight` (helper for the

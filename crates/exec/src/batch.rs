@@ -384,11 +384,10 @@ pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
     jobs.iter().zip(traces).map(|(job, fp)| job_fingerprint(fp, job)).collect()
 }
 
-/// Canonical JSON of a prediction for byte-identity assertions: wall-clock
-/// stage timings and `cache: `-prefixed warnings (the only
-/// environment-dependent bytes in a [`Prediction`] — a quarantined disk
-/// entry changes what happened, not what was predicted) are dropped
-/// before serializing.
+/// Canonical JSON of a prediction for byte-identity assertions:
+/// `cache: `-prefixed warnings (the only environment-dependent bytes in a
+/// [`Prediction`] — a quarantined disk entry changes what happened, not
+/// what was predicted) are dropped before serializing.
 ///
 /// # Errors
 ///
@@ -396,9 +395,6 @@ pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
 /// for predictions produced by this workspace).
 pub fn canonical_prediction_json(p: &Prediction) -> Result<String, ModelError> {
     let mut canon = p.clone();
-    for stage in &mut canon.report.stages {
-        stage.wall_ns = 0;
-    }
     canon.warnings.retain(|w| !w.starts_with("cache: "));
     serde_json::to_string(&canon).map_err(|e| ModelError::Execution(format!("serialize: {e}")))
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_core::{share_equal_intervals, Analysis, ModelError};
@@ -246,6 +246,39 @@ fn decode_disk_entry(text: &str) -> Result<&str, DiskDefect> {
     Ok(payload)
 }
 
+/// Writes `text` to `path` atomically: into `<path>.tmp` beside it (the
+/// directory is created if missing), then renamed into place, so a reader
+/// sees the old file or the new one, never a torn mix. A writer killed
+/// between the two steps leaves only the `.tmp`.
+///
+/// # Errors
+///
+/// The failing step's path and I/O error, rendered.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    let tmp = with_suffix(path, ".tmp");
+    fs::write(&tmp, text).map_err(|e| format!("{}: {e}", tmp.display()))?;
+    fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Moves a file that failed validation to `<path>.quarantine` (never
+/// deleted — the bytes are evidence — and never read again). Returns the
+/// new path, or `None` when the rename failed.
+#[must_use]
+pub fn quarantine(path: &Path) -> Option<PathBuf> {
+    let target = with_suffix(path, ".quarantine");
+    fs::rename(path, &target).ok().map(|()| target)
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
 /// In-memory cache state: entries tagged with a logical access clock so
 /// eviction can drop the least-recently-used one.
 #[derive(Debug, Default)]
@@ -353,7 +386,7 @@ impl ProfileCache {
     /// Removes leftover `.tmp` files from a previous writer that died
     /// mid-store. Rename is atomic, so anything still named `.tmp` is by
     /// definition an incomplete write.
-    fn sweep_stale_tmp(dir: &std::path::Path) {
+    fn sweep_stale_tmp(dir: &Path) {
         let Ok(entries) = fs::read_dir(dir) else { return };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -385,12 +418,9 @@ impl ProfileCache {
             .map(|d| d.join(format!("{:016x}-{:016x}.json", key.trace, key.config)))
     }
 
-    /// Moves a corrupt entry aside (never deletes it — the bytes are
-    /// evidence) and reports what was wrong with it.
-    fn quarantine(path: &std::path::Path, defect: DiskDefect, warnings: &mut Vec<String>) {
-        let mut target = path.as_os_str().to_owned();
-        target.push(".quarantine");
-        let moved = fs::rename(path, &target).is_ok();
+    /// [`quarantine`]s a corrupt entry and reports what was wrong with it.
+    fn quarantine_entry(path: &Path, defect: DiskDefect, warnings: &mut Vec<String>) {
+        let moved = quarantine(path).is_some();
         gpumech_obs::counter!("exec.cache.quarantined");
         warnings.push(format!(
             "cache entry {} failed validation ({defect}); {} and recomputing",
@@ -406,13 +436,13 @@ impl ProfileCache {
         // An existing file that is not UTF-8 *is* a defect (bit rot in a
         // format that is pure ASCII header + JSON).
         let Ok(text) = String::from_utf8(bytes) else {
-            Self::quarantine(&path, DiskDefect::Payload, warnings);
+            Self::quarantine_entry(&path, DiskDefect::Payload, warnings);
             return None;
         };
         let payload = match decode_disk_entry(&text) {
             Ok(p) => p,
             Err(defect) => {
-                Self::quarantine(&path, defect, warnings);
+                Self::quarantine_entry(&path, defect, warnings);
                 return None;
             }
         };
@@ -424,7 +454,7 @@ impl ProfileCache {
                 Some(a)
             }
             Err(_) => {
-                Self::quarantine(&path, DiskDefect::Payload, warnings);
+                Self::quarantine_entry(&path, DiskDefect::Payload, warnings);
                 None
             }
         }
@@ -432,18 +462,9 @@ impl ProfileCache {
 
     fn store_to_disk(&self, key: CacheKey, analysis: &Analysis, warnings: &mut Vec<String>) {
         let Some(path) = self.disk_path(key) else { return };
-        let Some(dir) = self.disk_dir.as_ref() else { return };
-        // Write to a sibling and rename into place: readers either see the
-        // previous complete entry or the new complete entry, never a torn
-        // one. A crash between write and rename leaves a `.tmp` that the
-        // next `with_disk` sweeps.
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let stored = fs::create_dir_all(dir).is_ok()
-            && serde_json::to_string(analysis).is_ok_and(|json| {
-                fs::write(&tmp, encode_disk_entry(&json)).is_ok()
-                    && fs::rename(&tmp, &path).is_ok()
-            });
+        // A crash mid-write leaves a `.tmp` that the next `with_disk` sweeps.
+        let stored = serde_json::to_string(analysis)
+            .is_ok_and(|json| write_atomic(&path, &encode_disk_entry(&json)).is_ok());
         if stored {
             gpumech_obs::counter!("exec.cache.disk_writes");
         } else {

@@ -126,7 +126,7 @@ impl BatchOptions {
 }
 
 /// One journal line: a completed job's identity and its canonical
-/// prediction JSON (wall-clock timings zeroed, so replay is byte-stable).
+/// prediction JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalEntry {
     /// The job fingerprint (trace + full config + options), hex-encoded.

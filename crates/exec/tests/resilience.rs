@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_core::{Gpumech, ModelError, PredictionRequest};
+use gpumech_exec::resilience::JournalEntry;
 use gpumech_exec::{
     canonical_prediction_json, run_indexed, BatchEngine, BatchJob, BatchOptions, ExecError,
     ProfileCache,
@@ -244,6 +245,50 @@ fn resume_replays_the_journal_with_zero_repeat_analysis() {
     }
     assert_eq!(counter(&rec, "exec.resilience.journal_hits"), all.len() as u64);
     assert_eq!(counter(&rec, "exec.cache.misses"), 0, "resume must do zero analysis work");
+    let _ = fs::remove_file(&journal);
+}
+
+/// Older builds wrote a `report` member (per-stage wall times and counters)
+/// into every journaled prediction. Such a journal still replays, to the
+/// same rows, with no job recomputed.
+#[test]
+fn a_journal_whose_predictions_carry_a_report_replays_to_the_same_rows() {
+    let _serial = recorder_lock();
+    let all = jobs(&["sdk_vectoradd", "bfs_kernel1"]);
+    let journal = temp_journal("report");
+    let opts = BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
+    let baseline: Vec<String> = BatchEngine::new(1)
+        .run_with(&all, &opts)
+        .iter()
+        .map(|r| canonical_prediction_json(r.as_ref().unwrap()).unwrap())
+        .collect();
+
+    let old: String = fs::read_to_string(&journal)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let mut e: JournalEntry = serde_json::from_str(line).unwrap();
+            e.prediction = format!(
+                "{},\"report\":{{\"stages\":[{{\"name\":\"core.pipeline.predict\",\
+                 \"wall_ns\":0,\"counters\":[[\"intervals\",5],[\"warps_per_core\",8]]}}]}}}}",
+                e.prediction.strip_suffix('}').unwrap()
+            );
+            serde_json::to_string(&e).unwrap() + "\n"
+        })
+        .collect();
+    assert_eq!(old.matches(r#"\"report\":"#).count(), all.len());
+    fs::write(&journal, old).unwrap();
+
+    let rec = Arc::new(Recorder::new());
+    let resumed = {
+        let _obs = gpumech_obs::install(Arc::clone(&rec));
+        BatchEngine::new(1).run_with(&all, &BatchOptions { resume: true, ..opts })
+    };
+    for (r, want) in resumed.iter().zip(&baseline) {
+        assert_eq!(&canonical_prediction_json(r.as_ref().unwrap()).unwrap(), want);
+    }
+    assert_eq!(counter(&rec, "exec.resilience.journal_hits"), all.len() as u64);
+    assert_eq!(counter(&rec, "exec.cache.misses"), 0);
     let _ = fs::remove_file(&journal);
 }
 

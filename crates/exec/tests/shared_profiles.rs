@@ -1,7 +1,8 @@
 //! Warps that run one instruction stream share one interval list. These
 //! tests pin what that sharing must not change — the bytes of a
 //! profile-cache entry and every prediction — and check that an analysis
-//! read back from the disk cache shares its lists like a fresh one.
+//! read back from the disk cache shares its lists like a fresh one, and
+//! that an entry written with the former `stages` member still loads.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -13,6 +14,7 @@ use gpumech_core::{
     feature_vectors, Analysis, Gpumech, IntervalProfile, PredictionRequest, SchedulingPolicy,
     SelectionMethod,
 };
+use gpumech_exec::cache::{payload_checksum, DISK_FORMAT_TAG};
 use gpumech_exec::{cache_key, canonical_prediction_json, ProfileCache};
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
@@ -39,14 +41,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The analysis of `name` at 8 blocks under Table I, with the stage wall
-/// times zeroed so that what the cache writes is a function of the inputs.
+/// The analysis of `name` at 8 blocks under Table I.
 fn analysis_of(name: &str) -> (KernelTrace, Analysis) {
     let trace = workloads::by_name(name).unwrap().with_blocks(8).trace().unwrap();
-    let mut a = Gpumech::new(SimConfig::table1()).analyze(&trace).unwrap();
-    for stage in &mut a.stages {
-        stage.wall_ns = 0;
-    }
+    let a = Gpumech::new(SimConfig::table1()).analyze(&trace).unwrap();
     (trace, a)
 }
 
@@ -78,16 +76,17 @@ fn predictions(a: &Analysis) -> Vec<String> {
 }
 
 /// FNV-1a of the entry file `ProfileCache::with_disk` writes for a coalesced,
-/// a divergent and a control-divergent kernel at 8 blocks, recorded before
-/// interval lists were shared: a cache directory written by an older build
-/// stays a hit, not a quarantine.
+/// a divergent and a control-divergent kernel at 8 blocks: sharing interval
+/// lists must not change what the cache writes. Each entry is the one older
+/// builds wrote minus their trailing `stages` member (per-stage wall times),
+/// which still load as hits (`an_entry_with_a_stages_member_is_a_disk_hit`).
 #[test]
 fn profile_cache_entries_keep_their_bytes() {
     let _serial = serial();
     let pinned: [(&str, u64); 3] = [
-        ("sdk_vectoradd", 0xbbcf_98fb_88a1_4c86),
-        ("kmeans_invert_mapping", 0x4288_d692_5536_673e),
-        ("bfs_kernel1", 0x29b8_a36b_8015_f413),
+        ("sdk_vectoradd", 0xd146_d0ff_05f8_d6e5),
+        ("kmeans_invert_mapping", 0x050d_66c8_21fe_9b4d),
+        ("bfs_kernel1", 0xebef_c69a_86e0_8f27),
     ];
     let dir = test_dir("digests");
     let got = pinned.map(|(name, _)| {
@@ -99,6 +98,42 @@ fn profile_cache_entries_keep_their_bytes() {
     });
     let _ = fs::remove_dir_all(&dir);
     assert_eq!(got, pinned, "cache entry bytes changed: {got:#018x?}");
+}
+
+/// Older builds appended a `stages` member (per-stage wall time and
+/// counters) to every entry. Such an entry is still a disk hit: no
+/// recompute, no quarantine, no warning, and the same analysis.
+#[test]
+fn an_entry_with_a_stages_member_is_a_disk_hit() {
+    let _serial = serial();
+    let dir = test_dir("stages");
+    let (trace, analysis) = analysis_of("sdk_vectoradd");
+    let key = cache_key(&trace, &SimConfig::table1());
+    let json = serde_json::to_string(&analysis).unwrap();
+    let old = format!(
+        "{},\"stages\":[{{\"name\":\"core.pipeline.cachesim\",\"wall_ns\":138813,\
+         \"counters\":[[\"mem_insts\",1152],[\"dram_reqs\",1152]]}},\
+         {{\"name\":\"core.pipeline.intervals\",\"wall_ns\":17403,\
+         \"counters\":[[\"profiles\",64],[\"intervals\",4352]]}}]}}",
+        json.strip_suffix('}').unwrap()
+    );
+    let sealed = format!(
+        "{DISK_FORMAT_TAG} len={} crc={:016x}\n{old}",
+        old.len(),
+        payload_checksum(old.as_bytes())
+    );
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{:016x}-{:016x}.json", key.trace, key.config));
+    fs::write(&path, sealed).unwrap();
+
+    let (loaded, warnings) = ProfileCache::with_disk(&dir)
+        .get_or_compute_logged(key, || panic!("disk hit expected"))
+        .unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(*loaded, analysis);
+    let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, [path.file_name().unwrap()], "nothing quarantined");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

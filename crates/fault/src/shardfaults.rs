@@ -257,13 +257,6 @@ fn coverage_gap(case: &mut SweepCase, _seed: u64) -> Result<(), String> {
     report.write(&case.paths[idx])
 }
 
-fn journal_torn_line(case: &mut SweepCase, seed: u64) -> Result<(), String> {
-    let path = &case.journals[(seed as usize) % case.journals.len()];
-    let mut text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    text.push_str("{\"fingerprint\":\"00000000000\n");
-    std::fs::write(path, text).map_err(|e| e.to_string())
-}
-
 fn journal_foreign_entry(case: &mut SweepCase, seed: u64) -> Result<(), String> {
     let path = &case.journals[(seed as usize) % case.journals.len()];
     let mut fp = 0xFEED_FACE_FEED_FACEu64;
@@ -328,11 +321,6 @@ pub const SHARD_FAULTS: &[ShardFault] = &[
         name: "coverage_gap",
         expect: FindingKind::CoverageGap,
         mutate: coverage_gap,
-    },
-    ShardFault {
-        name: "journal_torn_line",
-        expect: FindingKind::JournalCorrupt,
-        mutate: journal_torn_line,
     },
     ShardFault {
         name: "journal_foreign_entry",

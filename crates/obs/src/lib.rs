@@ -9,7 +9,7 @@
 //! one is active is a single `AtomicBool` ([`enabled`]), so every
 //! instrumentation site in the pipeline compiles down to a relaxed load
 //! and a predictable branch when observability is off. The recorder
-//! aggregates three kinds of data:
+//! aggregates two kinds of data:
 //!
 //! * **Spans** — hierarchical wall-clock regions opened by [`span!`]
 //!   (RAII: the span closes when the guard drops, including on unwind).
@@ -19,8 +19,11 @@
 //!   recorded both as a timestamped series and as running aggregates
 //!   (totals, min/max/last, log-bucketed quantile histograms with
 //!   p50/p90/p99 extraction via [`HistogramAgg::quantile`]).
-//! * **Reports** — [`PipelineReport`], the per-stage wall-time + counter
-//!   digest carried on every `Prediction` so harnesses can persist it.
+//!
+//! Where a prediction's time went is the span tree and nothing else: the
+//! pipeline's stages are the `mem.cachesim.simulate`,
+//! `core.pipeline.intervals`, `core.kmeans.cluster` and
+//! `core.pipeline.predict` spans.
 //!
 //! # Metric naming scheme
 //!
@@ -54,7 +57,6 @@ mod clock;
 mod export;
 mod naming;
 mod recorder;
-mod report;
 pub mod signals;
 mod span;
 mod validate;
@@ -68,7 +70,6 @@ pub use recorder::{
     Snapshot, SpanRecord, HISTOGRAM_NUM_BUCKETS, HISTOGRAM_OCTAVES, HISTOGRAM_SUB_BUCKETS,
     MAX_SAMPLES,
 };
-pub use report::{PipelineReport, StageReport};
 pub use span::SpanGuard;
 pub use validate::{validate_folded, validate_jsonl, JsonlCounts, Problem};
 

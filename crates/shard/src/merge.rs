@@ -19,9 +19,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use gpumech_exec::cache::{quarantine, write_atomic};
+use gpumech_exec::resilience::Journal;
+
 use crate::manifest::SweepManifest;
 use crate::partition::shard_of;
-use crate::report::{load_shard_file, render_parts, write_atomic, CounterEntry, ShardFile};
+use crate::report::{load_shard_file, render_parts, CounterEntry, ShardFile};
 
 /// What kind of merge violation a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +48,8 @@ pub enum FindingKind {
     /// A manifest job is covered by no row even though its owning shard's
     /// file is present.
     CoverageGap,
-    /// A shard journal contains a corrupt or foreign line.
+    /// A shard journal cannot be read, or holds an entry that is not a job
+    /// of this sweep.
     JournalCorrupt,
     /// The merged output does not match the `--expect` reference run.
     ExpectationMismatch,
@@ -92,8 +96,8 @@ pub struct MergeOptions {
     /// Rename files that fail load-verification to `<path>.quarantine`
     /// (the cache-layer convention) instead of leaving them in place.
     pub quarantine: bool,
-    /// Shard journals to cross-check: every line must parse as a journal
-    /// entry whose fingerprint belongs to the manifest.
+    /// Shard journals to cross-check: every entry a resume would replay
+    /// must belong to the manifest.
     pub journals: Vec<PathBuf>,
 }
 
@@ -156,8 +160,7 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
                     detail,
                 });
                 if opts.quarantine {
-                    let target = quarantine_path(path);
-                    if std::fs::rename(path, &target).is_ok() {
+                    if let Some(target) = quarantine(path) {
                         quarantined.push(target.display().to_string());
                     }
                 }
@@ -298,8 +301,6 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
         }
     }
 
-    // Journal cross-check: every line must be a parseable journal entry
-    // whose fingerprint belongs to the manifest.
     for journal in &opts.journals {
         check_journal(journal, &manifest_set, &mut findings);
     }
@@ -364,57 +365,32 @@ fn finish(
     MergeOutcome { merged, findings, notes, quarantined, files_ok }
 }
 
-/// `<path>.quarantine`, the same convention the disk cache uses.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".quarantine");
-    PathBuf::from(name)
-}
-
-/// Verifies one shard journal against the manifest fingerprint set.
+/// Verifies one shard journal against the manifest fingerprint set. The
+/// journal is read as `--resume` reads it: a torn line (a writer killed
+/// mid-append, which the next append starts a fresh line after) is a job
+/// not done, not corruption.
 fn check_journal(path: &Path, manifest: &BTreeSet<u64>, findings: &mut Vec<MergeFinding>) {
     let shown = path.display().to_string();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            findings.push(MergeFinding {
-                kind: FindingKind::JournalCorrupt,
-                path: shown,
-                detail: format!("read: {e}"),
-            });
-            return;
-        }
-    };
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        let entry: Result<gpumech_exec::resilience::JournalEntry, _> =
-            serde_json::from_str(line);
-        match entry {
-            Err(_) => findings.push(MergeFinding {
-                kind: FindingKind::JournalCorrupt,
-                path: shown.clone(),
-                detail: format!("line {lineno} does not parse as a journal entry (torn tail?)"),
-            }),
-            Ok(e) => match crate::manifest::parse_fingerprint(&e.fingerprint) {
-                None => findings.push(MergeFinding {
-                    kind: FindingKind::JournalCorrupt,
-                    path: shown.clone(),
-                    detail: format!("line {lineno} fingerprint malformed: {:?}", e.fingerprint),
-                }),
-                Some(fp) if !manifest.contains(&fp) => findings.push(MergeFinding {
-                    kind: FindingKind::JournalCorrupt,
-                    path: shown.clone(),
-                    detail: format!(
-                        "line {lineno} ({:?}, {fp:016x}) is not a job of this sweep",
-                        e.label
-                    ),
-                }),
-                Some(_) => {}
-            },
-        }
+    if let Err(e) = std::fs::read_to_string(path) {
+        findings.push(MergeFinding {
+            kind: FindingKind::JournalCorrupt,
+            path: shown,
+            detail: format!("read: {e}"),
+        });
+        return;
+    }
+    let foreign: BTreeMap<u64, String> = Journal::new(path)
+        .load()
+        .into_iter()
+        .filter(|(fp, _)| !manifest.contains(fp))
+        .map(|(fp, e)| (fp, e.label))
+        .collect();
+    for (fp, label) in foreign {
+        findings.push(MergeFinding {
+            kind: FindingKind::JournalCorrupt,
+            path: shown.clone(),
+            detail: format!("entry ({label:?}, {fp:016x}) is not a job of this sweep"),
+        });
     }
 }
 

@@ -17,7 +17,7 @@
 use std::path::Path;
 
 use gpumech_core::{CpiStack, Prediction};
-use gpumech_exec::cache::payload_checksum;
+use gpumech_exec::cache::{payload_checksum, write_atomic};
 use gpumech_exec::BatchError;
 use serde::{Deserialize, Serialize};
 
@@ -174,25 +174,8 @@ impl SweepReport {
     ///
     /// Serialization or I/O failure, rendered.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        let text = self.render()?;
-        write_atomic(path, &text)
+        write_atomic(path, &self.render()?)
     }
-}
-
-/// Atomic file write: tmp in the same directory, then rename.
-///
-/// # Errors
-///
-/// Rendered I/O failure.
-pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-    }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// A parsed shard file: the structured report plus the raw row texts as

@@ -11,7 +11,9 @@
 //! on which multi-wave slot refill, MSHR reservation rounds, write-queue
 //! backpressure, the SFU port and barriers all bind; and, for a dozen
 //! kernels spanning the families, the digest of the full issue log on both
-//! machines. After an intended change of oracle behaviour, print the tables
+//! machines. Every row also checks, whatever its recorded values, that the
+//! run retired exactly the traced instructions and that each core cycle
+//! was an issue or an idle one. After an intended change of oracle behaviour, print the tables
 //! with `cargo test -p gpumech-timing --release --test golden_oracle --
 //! --ignored --nocapture` and read the diff.
 
@@ -157,8 +159,14 @@ fn trace_of(name: &str) -> KernelTrace {
     w.trace().unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// One run's row, after checking that the run retired exactly the traced
+/// instructions and that every core cycle is an issue or an idle cycle.
 fn row(trace: &KernelTrace, cfg: &SimConfig, policy: SchedulingPolicy) -> Row {
     let r = simulate(trace, cfg, policy).unwrap_or_else(|e| panic!("{}: {e}", trace.name));
+    let at = format!("{} under {policy} on {} cores", trace.name, r.num_cores);
+    assert_eq!(r.insts, trace.total_insts() as u64, "{at}: retired != traced");
+    assert_eq!(r.per_core_insts.iter().sum::<u64>(), r.insts, "{at}: per-core sum");
+    assert_eq!(r.insts + r.idle.total(), r.cycles * r.num_cores as u64, "{at}: {:?}", r.idle);
     (r.cycles, r.insts, r.dram_requests, fnv1a(r.per_core_insts.iter().copied()))
 }
 
