@@ -27,7 +27,8 @@
 #      stage.subsystem.name scheme and the folded stacks with --folded —
 #      including a `gpumech batch --obs-out` trace with exec.* metrics;
 #      the profile trace must hold a span for each pipeline stage (cache
-#      sim, intervals, clustering, predict)
+#      sim, intervals, clustering, predict), and the batch trace exactly
+#      one clustering per kernel, however many sweep points share it
 #   7. resilience: a journalled run + `--resume` through the release
 #      binary, with an obs-validate gate on the resumed run's trace
 #      carrying exec.resilience.* metrics
@@ -85,6 +86,11 @@ done
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --sweep bw=96,192 --obs-out target/obs-batch-ci.jsonl > /dev/null
 ./target/release/gpumech obs-validate target/obs-batch-ci.jsonl
+# Selection runs once per cached analysis, not once per sweep point: two
+# kernels, two k-means runs.
+kmeans=$(grep -c '"type":"span",.*"name":"core.kmeans.cluster"' target/obs-batch-ci.jsonl || true)
+[ "$kmeans" -eq 2 ] \
+  || { echo "batch trace has $kmeans core.kmeans.cluster spans, want 2 (one per kernel)"; exit 1; }
 
 echo "== resilience =="
 # A journalled run + resume through the release binary; the resumed

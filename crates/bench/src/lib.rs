@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use gpumech_core::{Analysis, Gpumech, Model, Prediction, PredictionRequest, SelectionMethod, StallCategory};
+use gpumech_core::{Analysis, Gpumech, Model, Prediction, PredictionRequest, Selection, SelectionMethod, StallCategory};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::{simulate, TimingResult};
 use gpumech_trace::{KernelTrace, Workload};
@@ -200,16 +200,23 @@ pub fn evaluate_trace(name: &str, trace: &KernelTrace, exp: &Experiment) -> Kern
 }
 
 /// The five Table II models' predictions, in Table II order, for one
-/// analysis on `exp`'s machine under its policy and selection method.
+/// analysis on `exp`'s machine under its policy and selection method, all
+/// from one selection.
 ///
 /// Exits the process (via [`fail`]) if a prediction fails.
 #[must_use]
 pub fn predict_models(name: &str, analysis: &Analysis, exp: &Experiment) -> Vec<Prediction> {
     let model = Gpumech::new(exp.cfg.clone());
+    let selection = Selection::new(analysis, exp.selection, &gpumech_obs::CancelToken::never())
+        .unwrap_or_else(|e| fail(format_args!("{name}: selection failed: {e}")));
     Model::ALL
         .iter()
         .map(|&m| {
-            let req = PredictionRequest::from_analysis(analysis).policy(exp.policy).model(m).selection(exp.selection);
+            let req = PredictionRequest::from_analysis(analysis)
+                .policy(exp.policy)
+                .model(m)
+                .selection(exp.selection)
+                .selected(&selection);
             model.run(&req).unwrap_or_else(|e| fail(format_args!("{name}: prediction failed: {e}")))
         })
         .collect()

@@ -3,8 +3,9 @@
 
 use gpumech_core::{
     summarize_population, Gpumech, Model, Prediction, PredictionRequest, SchedulingPolicy,
-    SelectionMethod, StallCategory,
+    Selection, SelectionMethod, StallCategory,
 };
+use gpumech_obs::CancelToken;
 use gpumech_isa::SimConfig;
 use gpumech_timing::simulate as simulate_oracle;
 use gpumech_trace::{workloads, Workload};
@@ -154,6 +155,9 @@ pub(super) fn compare(args: &Args) -> Result<String, CliError> {
     let oracle = simulate_oracle(&trace, &cfg, pol).map_err(|e| CliError::Model(e.to_string()))?;
     let model = Gpumech::new(cfg);
     let analysis = model.analyze(&trace).map_err(|e| CliError::Model(e.to_string()))?;
+    // One selection serves all five models.
+    let selection = Selection::new(&analysis, SelectionMethod::Clustering, &CancelToken::never())
+        .map_err(|e| CliError::Model(e.to_string()))?;
 
     let mut out = format!(
         "kernel: {} ({pol} policy)\noracle CPI: {:.3}\n\n{:<16}{:>10}{:>10}\n",
@@ -164,9 +168,11 @@ pub(super) fn compare(args: &Args) -> Result<String, CliError> {
         "error"
     );
     for kind in Model::ALL {
-        let p = model
-            .run(&PredictionRequest::from_analysis(&analysis).policy(pol).model(kind))
-            .map_err(|e| CliError::Model(e.to_string()))?;
+        let request = PredictionRequest::from_analysis(&analysis)
+            .policy(pol)
+            .model(kind)
+            .selected(&selection);
+        let p = model.run(&request).map_err(|e| CliError::Model(e.to_string()))?;
         let err = (p.cpi_total() - oracle.cpi()).abs() / oracle.cpi();
         out.push_str(&format!(
             "{:<16}{:>10.3}{:>9.1}%\n",

@@ -13,9 +13,14 @@ mod kmeans;
 
 pub use features::{feature_vectors, FeatureVector};
 pub use kmeans::{kmeans2, kmeans2_cancellable, KmeansResult};
-pub(crate) use kmeans::kmeans2_checked;
+
+use std::convert::Infallible;
+
+use gpumech_obs::{CancelToken, Interrupt};
 
 use crate::interval::{insts_and_perfs, IntervalProfile};
+use crate::model::Analysis;
+use kmeans::kmeans2_checked;
 
 /// How the representative warp is chosen (the three methods of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,25 +34,110 @@ pub enum SelectionMethod {
     Clustering,
 }
 
-/// Selects the representative warp among `profiles` and returns its index.
+/// Everything a prediction takes from representative-warp selection over
+/// one analysis.
+///
+/// Selection reads only the interval profiles, which no prediction-stage
+/// parameter (bandwidth, MSHRs, policy, model) changes, so one
+/// `Selection` serves every prediction over its analysis: build it once
+/// with [`Selection::new`] and pass it along with
+/// [`PredictionRequest::selected`](crate::PredictionRequest::selected).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    pub(crate) method: SelectionMethod,
+    /// Warps of the analysis it was made over.
+    pub(crate) warps: usize,
+    /// Index of the representative warp in the grid.
+    pub(crate) representative: usize,
+    /// k-means degenerated (non-finite features or no convergence).
+    pub(crate) degenerate: bool,
+    /// `(representative, population weight)` of each populated cluster,
+    /// in cluster order; empty unless the method is clustering.
+    pub(crate) clusters: Vec<(usize, f64)>,
+}
+
+impl Selection {
+    /// Selects the representative warp of `analysis` by `method`; the
+    /// k-means loop polls `cancel` before every Lloyd iteration.
+    ///
+    /// # Errors
+    ///
+    /// The [`Interrupt`] once `cancel` fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the analysis has no warps.
+    pub fn new(
+        analysis: &Analysis,
+        method: SelectionMethod,
+        cancel: &CancelToken,
+    ) -> Result<Self, Interrupt> {
+        Self::of_profiles(&analysis.profiles, method, &|| cancel.check())
+    }
+
+    /// The one implementation of the selection rules; `check` is polled by
+    /// the k-means loop and decides the error type.
+    fn of_profiles<E>(
+        profiles: &[IntervalProfile],
+        method: SelectionMethod,
+        check: &dyn Fn() -> Result<(), E>,
+    ) -> Result<Self, E> {
+        assert!(!profiles.is_empty(), "no warps to select from");
+        let warps = profiles.len();
+        let single = |representative: usize| Selection {
+            method,
+            warps,
+            representative,
+            degenerate: false,
+            clusters: Vec::new(),
+        };
+        // Ties go to the last equal maximum and the first equal minimum.
+        let perfs = insts_and_perfs(profiles).map(|(_, perf)| perf).enumerate();
+        let by_perf = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
+        match method {
+            SelectionMethod::Max => Ok(single(perfs.max_by(by_perf).map_or(0, |(i, _)| i))),
+            SelectionMethod::Min => Ok(single(perfs.min_by(by_perf).map_or(0, |(i, _)| i))),
+            SelectionMethod::Clustering => {
+                let feats = feature_vectors(profiles);
+                let km = kmeans2_checked(&feats, check)?;
+                // Per populated cluster: the member nearest its centroid,
+                // weighted by the cluster's share of the warps.
+                let clusters = (0..2u8)
+                    .filter_map(|cluster| {
+                        let centre = km.centroids[cluster as usize];
+                        let rep = feats
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| km.assignment[*i] == cluster)
+                            .min_by(|(_, a), (_, b)| a.dist2(&centre).total_cmp(&b.dist2(&centre)))
+                            .map(|(i, _)| i)?;
+                        let size = km.assignment.iter().filter(|&&a| a == cluster).count();
+                        Some((rep, size as f64 / warps as f64))
+                    })
+                    .collect();
+                Ok(Selection {
+                    method,
+                    warps,
+                    representative: km.representative,
+                    degenerate: km.degenerate,
+                    clusters,
+                })
+            }
+        }
+    }
+}
+
+/// Selects the representative warp among `profiles` and returns its index:
+/// [`Selection`]'s rules without a cancel token.
 ///
 /// # Panics
 ///
 /// Panics if `profiles` is empty.
 #[must_use]
 pub fn select_representative(profiles: &[IntervalProfile], method: SelectionMethod) -> usize {
-    assert!(!profiles.is_empty(), "no warps to select from");
-    // Ties go to the last equal maximum and the first equal minimum.
-    let perfs = insts_and_perfs(profiles).map(|(_, perf)| perf).enumerate();
-    let by_perf = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
-    match method {
-        SelectionMethod::Max => perfs.max_by(by_perf).map_or(0, |(i, _)| i),
-        SelectionMethod::Min => perfs.min_by(by_perf).map_or(0, |(i, _)| i),
-        SelectionMethod::Clustering => {
-            let feats = feature_vectors(profiles);
-            let km = kmeans2(&feats);
-            km.representative
-        }
+    match Selection::of_profiles(profiles, method, &|| Ok::<(), Infallible>(())) {
+        Ok(s) => s.representative,
+        Err(never) => match never {},
     }
 }
 

@@ -49,7 +49,7 @@ pub mod model;
 pub mod multiwarp;
 pub mod request;
 
-pub use cluster::{feature_vectors, kmeans2, kmeans2_cancellable, select_representative, SelectionMethod};
+pub use cluster::{feature_vectors, kmeans2, kmeans2_cancellable, select_representative, Selection, SelectionMethod};
 pub use contention::{contention_cpi, ContentionOptions, ContentionResult};
 pub use cpistack::{CpiStack, StallCategory};
 pub use interval::{build_profile, share_equal_intervals, summarize_population, Interval, IntervalProfile, PopulationSummary, ProfileBuilder, ProfileSummary, StallCause};

@@ -11,7 +11,7 @@ use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{markov_chain_cpi, naive_interval_cpi};
-use crate::cluster::{select_representative, SelectionMethod};
+use crate::cluster::{Selection, SelectionMethod};
 use crate::contention::{contention_cpi, ContentionResult};
 use crate::cpistack::CpiStack;
 use crate::interval::{IntervalProfile, ProfileBuilder};
@@ -221,7 +221,8 @@ impl Gpumech {
     /// The request's source decides how much of the pipeline runs: a
     /// workload is traced first, a trace is analyzed first, and a
     /// precomputed [`Analysis`] goes straight to representative selection
-    /// and the multi-warp + contention models.
+    /// and the multi-warp + contention models. A request that carries a
+    /// precomputed [`Selection`] skips selection too.
     ///
     /// # Errors
     ///
@@ -230,9 +231,25 @@ impl Gpumech {
     /// [`ModelError::InvalidRequest`] when the request's options
     /// contradict each other: population weighting combined with a
     /// non-clustering selection, population weighting of an explicit
-    /// profile, or a profile index outside the analyzed grid.
+    /// profile, a profile index outside the analyzed grid, or a
+    /// precomputed selection made by another method, over another warp
+    /// count, or beside a source other than an analysis.
     pub fn run(&self, request: &PredictionRequest<'_>) -> Result<Prediction, ModelError> {
         request.cancel.check().map_err(ModelError::Interrupted)?;
+        if let Some(selected) = request.selected {
+            if !matches!(request.source, Source::Analysis(_)) {
+                return Err(ModelError::InvalidRequest(
+                    "a precomputed selection needs a precomputed analysis".to_owned(),
+                ));
+            }
+            if selected.method != request.selection {
+                return Err(ModelError::InvalidRequest(format!(
+                    "precomputed selection was made by {:?}, the request asks for {:?}",
+                    selected.method,
+                    request.selection
+                )));
+            }
+        }
         if request.weighting == Weighting::PopulationWeighted {
             if request.selection != SelectionMethod::Clustering {
                 return Err(ModelError::InvalidRequest(format!(
@@ -272,14 +289,26 @@ impl Gpumech {
             }
             return Ok(self.profile_prediction(analysis, rep, request.policy, request.model));
         }
-        let check = &|| cancel.check();
+        let made: Selection;
+        let selection = match request.selected {
+            Some(s) if s.warps != analysis.profiles.len() => {
+                return Err(ModelError::InvalidRequest(format!(
+                    "precomputed selection over {} warps for an analysis of {} warps",
+                    s.warps,
+                    analysis.profiles.len()
+                )));
+            }
+            Some(s) => s,
+            None => {
+                made = Selection::new(analysis, request.selection, cancel)
+                    .map_err(ModelError::Interrupted)?;
+                &made
+            }
+        };
         if request.weighting == Weighting::PopulationWeighted {
-            return self
-                .weighted_prediction(analysis, request.policy, request.model, check)
-                .map_err(ModelError::Interrupted);
+            return Ok(self.weighted_prediction(analysis, selection, request.policy, request.model));
         }
-        self.selected_prediction(analysis, request.policy, request.model, request.selection, check)
-            .map_err(ModelError::Interrupted)
+        Ok(self.selected_prediction(analysis, selection, request.policy, request.model))
     }
 
     /// Runs the input collector (functional cache simulation) and the
@@ -386,36 +415,27 @@ impl Gpumech {
         Ok(Analysis { mem, profiles, effective_warps })
     }
 
-    /// Selects the representative warp by `selection` and predicts from it;
-    /// `check` is polled by the k-means loop.
+    /// Predicts from `selection`'s representative warp.
     fn selected_prediction(
         &self,
         analysis: &Analysis,
+        selection: &Selection,
         policy: SchedulingPolicy,
         model: Model,
-        selection: SelectionMethod,
-        check: &dyn Fn() -> Result<(), Interrupt>,
-    ) -> Result<Prediction, Interrupt> {
-        let rep = if selection == SelectionMethod::Clustering {
-            let feats = crate::cluster::feature_vectors(&analysis.profiles);
-            let km = crate::cluster::kmeans2_checked(&feats, check)?;
-            if km.degenerate {
-                // Graceful degradation: the cluster structure is unreliable
-                // (non-finite features or Lloyd non-convergence), so blend
-                // by population instead of trusting one representative.
-                let mut p = self.weighted_prediction(analysis, policy, model, check)?;
-                p.warnings.push(
-                    "k-means clustering degenerated (non-finite features or no convergence); \
-                     downgraded to population-weighted cluster selection"
-                        .to_owned(),
-                );
-                return Ok(p);
-            }
-            km.representative
-        } else {
-            select_representative(&analysis.profiles, selection)
-        };
-        Ok(self.profile_prediction(analysis, rep, policy, model))
+    ) -> Prediction {
+        if selection.degenerate {
+            // Graceful degradation: the cluster structure is unreliable
+            // (non-finite features or Lloyd non-convergence), so blend by
+            // population instead of trusting one representative.
+            let mut p = self.weighted_prediction(analysis, selection, policy, model);
+            p.warnings.push(
+                "k-means clustering degenerated (non-finite features or no convergence); \
+                 downgraded to population-weighted cluster selection"
+                    .to_owned(),
+            );
+            return p;
+        }
+        self.profile_prediction(analysis, selection.representative, policy, model)
     }
 
     /// Runs the multi-warp + contention models for one explicit warp's
@@ -510,35 +530,16 @@ impl Gpumech {
     /// the blended `CPI_mt + CPI_rc`.
     ///
     /// The body of [`Gpumech::run`]'s population-weighted path and of the
-    /// degenerate-clustering fallback; `check` is polled by the k-means
-    /// loop.
+    /// degenerate-clustering fallback, over `selection`'s clusters.
     fn weighted_prediction(
         &self,
         analysis: &Analysis,
+        selection: &Selection,
         policy: SchedulingPolicy,
         model: Model,
-        check: &dyn Fn() -> Result<(), Interrupt>,
-    ) -> Result<Prediction, Interrupt> {
-        let feats = crate::cluster::feature_vectors(&analysis.profiles);
-        let km = crate::cluster::kmeans2_checked(&feats, check)?;
-        let n = feats.len();
-
-        // Per-cluster representative: the member nearest its centroid.
-        let rep_of = |cluster: u8| -> Option<usize> {
-            let centre = km.centroids[cluster as usize];
-            feats
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| km.assignment[*i] == cluster)
-                .min_by(|(_, a), (_, b)| a.dist2(&centre).total_cmp(&b.dist2(&centre)))
-                .map(|(i, _)| i)
-        };
-
+    ) -> Prediction {
         let mut blended: Option<Prediction> = None;
-        for cluster in 0..2u8 {
-            let size = km.assignment.iter().filter(|&&a| a == cluster).count();
-            let Some(rep) = rep_of(cluster) else { continue };
-            let weight = size as f64 / n as f64;
+        for &(rep, weight) in &selection.clusters {
             let p = self.profile_prediction(analysis, rep, policy, model);
             blended = Some(match blended {
                 None => weighted(&p, weight),
@@ -560,10 +561,11 @@ impl Gpumech {
         }
         // At least one cluster is always populated; the fallback covers a
         // (theoretically unreachable) fully-empty assignment without a panic.
-        let mut p = blended
-            .unwrap_or_else(|| self.profile_prediction(analysis, km.representative, policy, model));
-        p.representative = km.representative;
-        Ok(p)
+        let rep = selection.representative;
+        let mut p =
+            blended.unwrap_or_else(|| self.profile_prediction(analysis, rep, policy, model));
+        p.representative = rep;
+        p
     }
 }
 
@@ -759,6 +761,84 @@ mod tests {
         assert!(matches!(m.run(&bad), Err(ModelError::InvalidRequest(_))));
         let bad = PredictionRequest::from_profile(&a, a.profiles.len());
         assert!(matches!(m.run(&bad), Err(ModelError::InvalidRequest(_))));
+    }
+
+    /// An analysis whose warp 1 issues infinitely fast and stalls for the
+    /// least positive time: its performance is infinite, its normalized
+    /// feature NaN, so k-means flags the clustering degenerate.
+    fn degenerate_analysis() -> Analysis {
+        let mut a = model().analyze(&trace_of("bfs_kernel1", 2)).unwrap();
+        a.profiles[1] = crate::IntervalProfile {
+            intervals: vec![crate::Interval {
+                insts: 10,
+                stall_cycles: f64::from_bits(1),
+                ..crate::Interval::default()
+            }]
+            .into(),
+            issue_rate: f64::INFINITY,
+        };
+        a
+    }
+
+    #[test]
+    fn a_precomputed_selection_predicts_the_same_bytes() {
+        let m = model();
+        let analyses: Vec<Analysis> = ["lud_diagonal", "bfs_kernel1", "sdk_vectoradd"]
+            .iter()
+            .map(|name| m.analyze(&trace_of(name, 8)).unwrap())
+            .chain([degenerate_analysis()])
+            .collect();
+        let requests = [
+            (SelectionMethod::Clustering, Weighting::SingleRepresentative),
+            (SelectionMethod::Clustering, Weighting::PopulationWeighted),
+            (SelectionMethod::Max, Weighting::SingleRepresentative),
+            (SelectionMethod::Min, Weighting::SingleRepresentative),
+        ];
+        for a in &analyses {
+            for (method, weighting) in requests {
+                let selection = Selection::new(a, method, &CancelToken::never()).unwrap();
+                for model_kind in Model::ALL {
+                    for policy in SchedulingPolicy::ALL {
+                        let request = PredictionRequest::from_analysis(a)
+                            .selection(method)
+                            .weighting(weighting)
+                            .model(model_kind)
+                            .policy(policy);
+                        let inline = m.run(&request).unwrap();
+                        let given = m.run(&request.clone().selected(&selection)).unwrap();
+                        assert_eq!(
+                            serde_json::to_string(&inline).unwrap(),
+                            serde_json::to_string(&given).unwrap(),
+                            "{method:?} {weighting:?} {model_kind} {policy}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_precomputed_selection_must_fit_its_request() {
+        let m = model();
+        let t = trace_of("bfs_kernel1", 4);
+        let a = m.analyze(&t).unwrap();
+        let never = CancelToken::never();
+        let clustering = Selection::new(&a, SelectionMethod::Clustering, &never).unwrap();
+        let max = Selection::new(&a, SelectionMethod::Max, &never).unwrap();
+        let invalid = |request: PredictionRequest<'_>| {
+            assert!(matches!(m.run(&request), Err(ModelError::InvalidRequest(_))));
+        };
+        invalid(PredictionRequest::from_analysis(&a).selected(&max));
+        let min = PredictionRequest::from_analysis(&a).selection(SelectionMethod::Min);
+        invalid(min.selected(&max));
+        invalid(PredictionRequest::from_trace(&t).selected(&clustering));
+        invalid(PredictionRequest::from_profile(&a, 0).selected(&clustering));
+        let other = m.analyze(&trace_of("bfs_kernel1", 2)).unwrap();
+        assert_ne!(other.profiles.len(), a.profiles.len());
+        invalid(PredictionRequest::from_analysis(&other).selected(&clustering));
+        let ok =
+            PredictionRequest::from_analysis(&a).selection(SelectionMethod::Max).selected(&max);
+        assert_eq!(m.run(&ok).unwrap().representative, max.representative);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use gpumech_obs::CancelToken;
 use gpumech_trace::{KernelTrace, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::SelectionMethod;
+use crate::cluster::{Selection, SelectionMethod};
 use crate::model::{Analysis, Model};
 
 /// How the per-cluster structure of the kernel feeds the final number.
@@ -101,6 +101,7 @@ pub struct PredictionRequest<'a> {
     pub(crate) model: Model,
     pub(crate) selection: SelectionMethod,
     pub(crate) weighting: Weighting,
+    pub(crate) selected: Option<&'a Selection>,
     pub(crate) cancel: CancelToken,
 }
 
@@ -112,6 +113,7 @@ impl<'a> PredictionRequest<'a> {
             model: Model::MtMshrBand,
             selection: SelectionMethod::Clustering,
             weighting: Weighting::SingleRepresentative,
+            selected: None,
             cancel: CancelToken::never(),
         }
     }
@@ -178,6 +180,20 @@ impl<'a> PredictionRequest<'a> {
     #[must_use]
     pub fn population_weighted(self) -> Self {
         self.weighting(Weighting::PopulationWeighted)
+    }
+
+    /// Supplies the selection over the request's analysis, made once by
+    /// [`Selection::new`] and shared by every prediction over that
+    /// analysis, so this one runs no selection of its own. Its method must
+    /// equal the request's [`selection`](Self::selection), and it needs a
+    /// [`from_analysis`](Self::from_analysis) request over an analysis of
+    /// as many warps; otherwise
+    /// [`Gpumech::run`](crate::model::Gpumech::run) returns
+    /// [`ModelError::InvalidRequest`](crate::model::ModelError::InvalidRequest).
+    #[must_use]
+    pub fn selected(mut self, selection: &'a Selection) -> Self {
+        self.selected = Some(selection);
+        self
     }
 
     /// Attaches a [`CancelToken`] (default: never fires). Every stage of

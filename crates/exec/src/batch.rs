@@ -4,12 +4,13 @@
 //! A [`BatchJob`] is a self-contained descriptor of one pipeline run —
 //! the shape the paper's design-space exploration needs (Section VI-D:
 //! one trace swept across many hardware configurations). The engine runs
-//! jobs on the [`pool`](crate::pool), deduplicates analysis work through
-//! the [`ProfileCache`], and guarantees the batch output is bit-identical
-//! to running each job sequentially through
+//! jobs on the [`pool`](crate::pool), deduplicates analysis and selection
+//! work through the [`ProfileCache`], and guarantees the batch output is
+//! bit-identical to running each job sequentially through
 //! [`Gpumech::run`]: predictions are pure functions of
 //! (trace, config, options), the pool publishes results by item index,
-//! and the cache returns value-equal analyses.
+//! and the cache returns value-equal analyses and the selections
+//! `Gpumech::run` would make over them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -261,14 +262,16 @@ impl BatchEngine {
         // fields, so a NaN bandwidth must not ride in on a cache hit.
         job.cfg.validate().map_err(|e| ExecError::Model(ModelError::InvalidConfig(e)))?;
         let model = Gpumech::new(job.cfg.clone());
-        let (analysis, cache_warnings) = self
-            .cache
-            .get_or_compute_logged(key, || model.analyze_cancellable(&job.trace, token))?;
-        let request = PredictionRequest::from_analysis(&analysis)
+        let (entry, cache_warnings) =
+            self.cache.entry_logged(key, || model.analyze_cancellable(&job.trace, token))?;
+        // Every job over this entry shares its selection by this method.
+        let selection = entry.selection(job.selection, token)?;
+        let request = PredictionRequest::from_analysis(entry.analysis())
             .policy(job.policy)
             .model(job.model)
             .selection(job.selection)
             .weighting(job.weighting)
+            .selected(&selection)
             .cancel(token.clone());
         let mut p = model.run(&request).map_err(ExecError::from)?;
         // Disk-layer incidents (quarantined corrupt entries, failed

@@ -14,8 +14,9 @@
 //! a *normalized* configuration whose prediction-only fields are pinned
 //! to defaults. The batch engine hashes a trace once per allocation and
 //! serializes each distinct normalized configuration once per call.
-//! Entries live in memory behind `Arc`s; an optional disk directory
-//! persists them as JSON (vendored `serde_json`) across processes.
+//! Entries live in memory behind `Arc`s, each with its representative-warp
+//! selections filled on first use; an optional disk directory persists the
+//! analyses as JSON (vendored `serde_json`) across processes.
 //! Hits, misses, and disk traffic are observable through the
 //! `exec.cache.*` counters — the cache test asserts a warm second run
 //! does zero analysis work purely from those counters.
@@ -27,8 +28,9 @@ use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use gpumech_core::{share_equal_intervals, Analysis, ModelError};
+use gpumech_core::{share_equal_intervals, Analysis, ModelError, Selection, SelectionMethod};
 use gpumech_isa::SimConfig;
+use gpumech_obs::{CancelToken, Interrupt};
 use gpumech_trace::KernelTrace;
 
 /// Stable, dependency-free content fingerprint: an FNV-1a variant that
@@ -279,16 +281,65 @@ fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// One in-memory entry: an analysis and, per [`SelectionMethod`], the
+/// representative-warp selection over it.
+///
+/// Selection reads only the interval profiles, and every job served by an
+/// entry shares its analysis, so one selection per method serves them all.
+/// The slots live and die with the entry: an evicted entry takes its
+/// selections along, nothing of them is written to disk, and an entry
+/// loaded from disk starts empty.
+#[derive(Debug)]
+pub(crate) struct CacheEntry {
+    analysis: Arc<Analysis>,
+    selections: [Mutex<Option<Arc<Selection>>>; 3],
+}
+
+impl CacheEntry {
+    fn new(analysis: Arc<Analysis>) -> Self {
+        Self { analysis, selections: Default::default() }
+    }
+
+    /// The entry's analysis.
+    pub(crate) fn analysis(&self) -> &Arc<Analysis> {
+        &self.analysis
+    }
+
+    /// The selection by `method`, made on first use under `cancel`.
+    ///
+    /// Single-flight: a slot's lock is held while its selection is made,
+    /// so concurrent jobs wait for the one k-means instead of repeating
+    /// it. An interrupted selection leaves the slot empty for the next job.
+    pub(crate) fn selection(
+        &self,
+        method: SelectionMethod,
+        cancel: &CancelToken,
+    ) -> Result<Arc<Selection>, Interrupt> {
+        let slot = match method {
+            SelectionMethod::Max => 0,
+            SelectionMethod::Min => 1,
+            SelectionMethod::Clustering => 2,
+        };
+        let mut slot = self.selections[slot].lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(made) = &*slot {
+            return Ok(Arc::clone(made));
+        }
+        let made = Arc::new(Selection::new(&self.analysis, method, cancel)?);
+        *slot = Some(Arc::clone(&made));
+        Ok(made)
+    }
+}
+
 /// In-memory cache state: entries tagged with a logical access clock so
 /// eviction can drop the least-recently-used one.
 #[derive(Debug, Default)]
 struct CacheState {
-    entries: HashMap<CacheKey, (Arc<Analysis>, u64)>,
+    entries: HashMap<CacheKey, (Arc<CacheEntry>, u64)>,
     tick: u64,
 }
 
 impl CacheState {
-    fn touch(&mut self, key: CacheKey) -> Option<Arc<Analysis>> {
+    fn touch(&mut self, key: CacheKey) -> Option<Arc<CacheEntry>> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(&key).map(|(a, used)| {
@@ -305,11 +356,12 @@ impl CacheState {
         key: CacheKey,
         value: Arc<Analysis>,
         cap: Option<usize>,
-    ) -> (Arc<Analysis>, u64) {
+    ) -> (Arc<CacheEntry>, u64) {
         self.tick += 1;
         let tick = self.tick;
-        let arc =
-            Arc::clone(&self.entries.entry(key).or_insert((value, tick)).0);
+        let arc = Arc::clone(
+            &self.entries.entry(key).or_insert_with(|| (Arc::new(CacheEntry::new(value)), tick)).0,
+        );
         let mut evicted = 0u64;
         if let Some(cap) = cap {
             let cap = cap.max(1);
@@ -508,6 +560,19 @@ impl ProfileCache {
     where
         F: FnOnce() -> Result<Analysis, ModelError>,
     {
+        self.entry_logged(key, compute).map(|(entry, w)| (Arc::clone(entry.analysis()), w))
+    }
+
+    /// [`ProfileCache::get_or_compute_logged`] returning the whole entry,
+    /// selection slots included: the batch engine's way in.
+    pub(crate) fn entry_logged<F>(
+        &self,
+        key: CacheKey,
+        compute: F,
+    ) -> Result<(Arc<CacheEntry>, Vec<String>), ModelError>
+    where
+        F: FnOnce() -> Result<Analysis, ModelError>,
+    {
         let mut warnings = Vec::new();
         if let Some(hit) =
             self.state.lock().unwrap_or_else(PoisonError::into_inner).touch(key)
@@ -525,7 +590,7 @@ impl ProfileCache {
         Ok((self.insert(key, computed), warnings))
     }
 
-    fn insert(&self, key: CacheKey, value: Arc<Analysis>) -> Arc<Analysis> {
+    fn insert(&self, key: CacheKey, value: Arc<Analysis>) -> Arc<CacheEntry> {
         let (arc, evicted) = self
             .state
             .lock()
