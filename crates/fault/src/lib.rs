@@ -278,8 +278,9 @@ pub fn dangle_rows(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
         r = splitmix64(r);
         // Warp 0 always, so every seed corrupts something.
         if i == 0 || r & 3 == 0 {
-            let deps: usize = w.insts.iter().map(|inst| w.deps(inst).len()).sum();
-            let addrs: usize = w.insts.iter().map(|inst| w.addrs(inst).len()).sum();
+            // Cut inside each arena as stored: an affine row's addresses take
+            // two slots, not one per lane.
+            let (deps, addrs) = w.arena_lens();
             w.truncate_arenas((r >> 8) as usize % deps.max(1), (r >> 32) as usize % addrs.max(1));
         }
     }

@@ -16,7 +16,7 @@ use gpumech_fault::{
 };
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
-use gpumech_trace::{splitmix64, workloads};
+use gpumech_trace::{splitmix64, workloads, Addrs};
 
 /// Serializes the suite's tests: the recorder slot is process-global, and
 /// the open-spans assertion below must not observe another test's
@@ -177,4 +177,76 @@ fn dangling_rows_yield_typed_errors() {
     }
     restore_panic_output();
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Traced coalesced rows store their addresses as two arena slots; the
+/// address edits must reach those rows too: `dangle_rows` leaves some
+/// affine row outside its arena, and `corrupt_addrs` rewrites every
+/// affine row's addresses.
+#[test]
+fn address_mutators_reach_affine_rows() {
+    let _serial = suite_lock();
+    let w = workloads::by_name("sdk_vectoradd").expect("bundled").with_blocks(2);
+    let trace = w.trace().expect("traces");
+    let affine = |t: &gpumech_trace::KernelTrace, w: usize, k: usize| {
+        let warp = &t.warps[w];
+        matches!(warp.addrs(&warp.insts[k]), Addrs::Affine { .. })
+    };
+    let rows: Vec<(usize, usize)> = (0..trace.warps.len())
+        .flat_map(|w| (0..trace.warps[w].len()).map(move |k| (w, k)))
+        .filter(|&(w, k)| affine(&trace, w, k))
+        .collect();
+    assert!(!rows.is_empty(), "a coalesced kernel traces affine rows");
+
+    let mut dangled = 0;
+    for seed in 0..16u64 {
+        let mut t = trace.clone();
+        gpumech_fault::dangle_rows(&mut t, &mut SimConfig::table1(), seed);
+        let cut = |&&(w, k): &&(usize, usize)| t.warps[w].addrs(&t.warps[w].insts[k]).is_empty();
+        dangled += rows.iter().filter(cut).count();
+    }
+    assert!(dangled > 0, "dangle_rows never cut an affine row's slots");
+
+    for seed in [2u64, 3] {
+        let mut t = trace.clone();
+        gpumech_fault::corrupt_addrs(&mut t, &mut SimConfig::table1(), seed);
+        for &(w, k) in &rows {
+            let (before, after) = (&trace.warps[w], &t.warps[w]);
+            assert_ne!(
+                before.addrs(&before.insts[k]).to_vec(),
+                after.addrs(&after.insts[k]).to_vec(),
+                "seed {seed}: warp {w} row {k} kept its addresses"
+            );
+        }
+    }
+}
+
+/// An affine row's lanes are its active mask, so a mask edit in place (the
+/// edit `exec`'s fingerprint tests make) moves its addresses with it: the
+/// row stays consistent, validates, and both runners still give a finite
+/// CPI.
+#[test]
+fn a_mask_edit_moves_an_affine_rows_addresses() {
+    let _serial = suite_lock();
+    let w = workloads::by_name("sdk_vectoradd").expect("bundled").with_blocks(2);
+    let mut t = w.trace().expect("traces");
+    let mut edited = 0;
+    for warp in &mut t.warps {
+        for k in 0..warp.insts.len() {
+            let Addrs::Affine { base, stride, mask } = warp.addrs(&warp.insts[k]) else { continue };
+            warp.insts[k].active_mask ^= 1;
+            let want = Addrs::Affine { base, stride, mask: mask ^ 1 };
+            assert_eq!(warp.addrs(&warp.insts[k]), want);
+            assert_eq!(warp.addrs(&warp.insts[k]).len(), (mask ^ 1).count_ones() as usize);
+            edited += 1;
+        }
+    }
+    assert!(edited > 0, "a coalesced kernel traces affine rows");
+    t.validate().expect("a mask edit keeps an affine row consistent");
+    let cfg = SimConfig::table1();
+    for (runner, outcome) in
+        [("pipeline", run_pipeline(&t, &cfg)), ("oracle", run_oracle(&t, &cfg))]
+    {
+        assert!(matches!(outcome, Outcome::Cpi(c) if c.is_finite()), "{runner}: {outcome:?}");
+    }
 }

@@ -6,6 +6,7 @@
 //! issues 1 request, a maximally divergent one issues 32.
 
 use gpumech_isa::WARP_SIZE;
+use gpumech_trace::Addrs;
 
 /// The coalesced requests of one warp memory instruction: at most one line
 /// per lane, held inline so the cache simulators' inner loops allocate
@@ -25,7 +26,8 @@ impl std::ops::Deref for Lines {
 }
 
 /// Returns the distinct line-aligned addresses touched by `addrs`, in
-/// first-touch order (the order requests are issued).
+/// first-touch order (the order requests are issued). An affine row's
+/// lanes are expanded on the stack and take the lane loop of a list.
 ///
 /// # Panics
 ///
@@ -33,7 +35,7 @@ impl std::ops::Deref for Lines {
 /// than [`WARP_SIZE`] addresses (a warp instruction has one per active
 /// lane; `KernelTrace::validate` enforces it on every trace).
 #[must_use]
-pub fn coalesce(addrs: &[u64], line_bytes: u64) -> Lines {
+pub fn coalesce(addrs: Addrs<'_>, line_bytes: u64) -> Lines {
     let mut out = Lines { lines: [0; WARP_SIZE], len: 0 };
     out.len = usize::from(coalesce_into(addrs, line_bytes, &mut out.lines));
     out
@@ -41,9 +43,17 @@ pub fn coalesce(addrs: &[u64], line_bytes: u64) -> Lines {
 
 /// [`coalesce`] into the front of a caller-owned buffer at least as long
 /// as `addrs`; returns the number of lines written. Same panics.
-pub(crate) fn coalesce_into(addrs: &[u64], line_bytes: u64, out: &mut [u64]) -> u8 {
+pub(crate) fn coalesce_into(addrs: Addrs<'_>, line_bytes: u64, out: &mut [u64]) -> u8 {
     assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
     assert!(addrs.len() <= WARP_SIZE, "a warp instruction has at most {WARP_SIZE} addresses");
+    match addrs {
+        Addrs::Lanes(lanes) => distinct_lines(lanes, line_bytes, out),
+        Addrs::Affine { .. } => distinct_lines(addrs.lanes(&mut [0; WARP_SIZE]), line_bytes, out),
+    }
+}
+
+/// The distinct lines of `addrs` in first-touch order.
+fn distinct_lines(addrs: &[u64], line_bytes: u64, out: &mut [u64]) -> u8 {
     let mask = !(line_bytes - 1);
     let Some(&first) = addrs.first() else { return 0 };
     let first = first & mask;
@@ -61,12 +71,6 @@ pub(crate) fn coalesce_into(addrs: &[u64], line_bytes: u64, out: &mut [u64]) -> 
         prev = line;
     }
     n
-}
-
-/// Number of memory requests the instruction generates (1..=lanes).
-#[must_use]
-pub fn num_requests(addrs: &[u64], line_bytes: u64) -> usize {
-    coalesce(addrs, line_bytes).len()
 }
 
 #[cfg(test)]
@@ -142,36 +146,72 @@ mod tests {
         }
         for addrs in &inputs {
             for line_bytes in [2u64, 32, 128] {
-                let got = coalesce(addrs, line_bytes);
+                let got = coalesce(Addrs::Lanes(addrs), line_bytes);
                 assert_eq!(*got, *reference_coalesce(addrs, line_bytes), "{addrs:x?} / {line_bytes}");
-                assert_eq!(num_requests(addrs, line_bytes), got.len());
             }
         }
+    }
+
+    /// The affine path against the reference over the lanes it stands
+    /// for: strides that stay in a line, cross lines, alias lanes and step
+    /// backwards, on bases where the warp wraps past either end of the
+    /// address space, under full, one-lane, alternating and random masks.
+    #[test]
+    fn affine_coalescer_matches_the_reference_over_the_lanes() {
+        let strides = [0, 1, 4, 8, 64, 128, 4096, 1 << 63, u64::MAX, 4u64.wrapping_neg()];
+        let mut seed = 0xAFF1_u64;
+        let mut bases: Vec<u64> = vec![0, 4, 96, 4000, u64::MAX, u64::MAX - 3, u64::MAX - 200];
+        bases.extend((0..8).map(|_| splitmix64(&mut seed)));
+        bases.extend((0..4).map(|_| splitmix64(&mut seed) % 4096));
+        bases.extend((0..4).map(|_| (splitmix64(&mut seed) % 4096).wrapping_neg()));
+        let mut masks =
+            vec![u32::MAX, 1, 1 << 31, 0x5555_5555, 0xAAAA_AAAA, 0x0000_FFFF, 0xFFFF_0000];
+        masks.extend((0..12).map(|_| splitmix64(&mut seed) as u32 | 1 << (seed % 32)));
+        let mut cases = 0;
+        for &stride in &strides {
+            for &base in &bases {
+                for &mask in &masks {
+                    let addrs = Addrs::Affine { base, stride, mask };
+                    let lanes = addrs.to_vec();
+                    for line_bytes in [32u64, 128] {
+                        let got = coalesce(addrs, line_bytes);
+                        assert_eq!(
+                            *got,
+                            *reference_coalesce(&lanes, line_bytes),
+                            "base {base:#x} stride {stride:#x} mask {mask:#x} / {line_bytes}"
+                        );
+                        assert_eq!(*got, *coalesce(Addrs::Lanes(&lanes), line_bytes));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, strides.len() * bases.len() * masks.len() * 2);
     }
 
     #[test]
     fn adjacent_words_coalesce_to_one_line() {
         let addrs: Vec<u64> = (0..32).map(|i| 0x1000 + i * 4).collect();
-        assert_eq!(*coalesce(&addrs, 128), [0x1000]);
-        assert_eq!(num_requests(&addrs, 128), 1);
+        assert_eq!(*coalesce(Addrs::Lanes(&addrs), 128), [0x1000]);
+        assert_eq!(coalesce(Addrs::Lanes(&addrs), 128).len(), 1);
     }
 
     #[test]
     fn full_stride_gives_one_request_per_lane() {
         let addrs: Vec<u64> = (0..32).map(|i| i * 128).collect();
-        assert_eq!(num_requests(&addrs, 128), 32);
+        assert_eq!(coalesce(Addrs::Lanes(&addrs), 128).len(), 32);
     }
 
     #[test]
     fn half_line_stride_gives_sixteen_requests() {
         let addrs: Vec<u64> = (0..32).map(|i| i * 64).collect();
-        assert_eq!(num_requests(&addrs, 128), 16);
+        assert_eq!(coalesce(Addrs::Lanes(&addrs), 128).len(), 16);
     }
 
     #[test]
     fn duplicate_addresses_merge() {
         let addrs = vec![0x80, 0x84, 0x80, 0x200, 0x27F];
-        let lines = coalesce(&addrs, 128);
+        let lines = coalesce(Addrs::Lanes(&addrs), 128);
         assert_eq!(*lines, [0x80, 0x200]);
     }
 
@@ -179,24 +219,24 @@ mod tests {
     fn first_touch_order_is_preserved() {
         let addrs = vec![0x300, 0x100, 0x200, 0x101];
         // 0x101 shares the 0x100 line; the rest appear in first-touch order.
-        assert_eq!(*coalesce(&addrs, 128), [0x300, 0x100, 0x200]);
+        assert_eq!(*coalesce(Addrs::Lanes(&addrs), 128), [0x300, 0x100, 0x200]);
     }
 
     #[test]
     fn empty_input_gives_no_requests() {
-        assert_eq!(num_requests(&[], 128), 0);
+        assert_eq!(coalesce(Addrs::Lanes(&[]), 128).len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_lines() {
-        let _ = coalesce(&[0], 100);
+        let _ = coalesce(Addrs::Lanes(&[0]), 100);
     }
 
     #[test]
     #[should_panic(expected = "at most 32 addresses")]
     fn rejects_more_addresses_than_lanes() {
-        let _ = coalesce(&[0; WARP_SIZE + 1], 128);
+        let _ = coalesce(Addrs::Lanes(&[0; WARP_SIZE + 1]), 128);
     }
 
     #[test]
@@ -204,7 +244,7 @@ mod tests {
         for case in 0..64u64 {
             let len = 1 + (case as usize % 31);
             let addrs = random_addrs(case, len, None);
-            let n = num_requests(&addrs, 128);
+            let n = coalesce(Addrs::Lanes(&addrs), 128).len();
             assert!(n >= 1);
             assert!(n <= addrs.len());
         }
@@ -215,7 +255,7 @@ mod tests {
         for case in 0..64u64 {
             let len = case as usize % (WARP_SIZE + 1);
             let addrs = random_addrs(0x1000 + case, len, Some(1 << 20));
-            let lines = coalesce(&addrs, 128);
+            let lines = coalesce(Addrs::Lanes(&addrs), 128);
             for a in &addrs {
                 assert!(lines.contains(&(a & !127u64)));
             }
@@ -230,7 +270,7 @@ mod tests {
     fn requests_are_line_aligned() {
         for case in 0..64u64 {
             let len = case as usize % (WARP_SIZE + 1);
-            for l in coalesce(&random_addrs(0x2000 + case, len, None), 128).iter() {
+            for l in coalesce(Addrs::Lanes(&random_addrs(0x2000 + case, len, None)), 128).iter() {
                 assert_eq!(l % 128, 0);
             }
         }

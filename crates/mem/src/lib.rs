@@ -36,6 +36,6 @@ pub mod hierarchy;
 pub mod stats;
 
 pub use cache::{Access, Cache};
-pub use coalesce::{coalesce, num_requests, Lines};
+pub use coalesce::{coalesce, Lines};
 pub use hierarchy::{simulate_hierarchy, simulate_hierarchy_cancellable};
 pub use stats::{MemStats, MissDistribution, MissEvent, PcStats};

@@ -34,7 +34,10 @@
 //! register), exactly like real hardware: a register write by any lane makes
 //! the whole warp's later readers depend on that instruction. Records go
 //! straight into the warp's row vector and arenas (see [`crate::record`]),
-//! pre-sized from the previous warp of the same kernel.
+//! pre-sized from the previous warp of the same kernel. A memory
+//! instruction whose address is `base + stride·lane` is recorded as those
+//! two words, not as its lanes; a vector address is recorded lane by lane
+//! and never tested for affinity.
 //!
 //! Before tracing, every kernel passes through the `gpumech-analyze`
 //! pre-trace hook: kernels with Error-severity findings (mis-placed
@@ -52,7 +55,9 @@ use gpumech_isa::{
 use gpumech_obs::{CancelToken, Interrupt};
 
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, WarpTrace};
+#[cfg(debug_assertions)]
+use crate::record::Addrs;
+use crate::record::{affine_at, KernelTrace, WarpTrace};
 use crate::splitmix64;
 
 /// Upper bound on dynamic instructions per warp; exceeded only by a
@@ -179,11 +184,6 @@ const CANCEL_CHECK_MASK: usize = 0x3FF;
 
 /// One value per lane of a warp.
 type Lanes = [u64; WARP_SIZE];
-
-/// `base + stride·lane`, wrapping.
-fn affine_at(base: u64, stride: u64, lane: usize) -> u64 {
-    base.wrapping_add(stride.wrapping_mul(lane as u64))
-}
 
 /// `base + stride·lane` in every lane.
 fn ramp(base: u64, stride: u64) -> Lanes {
@@ -560,9 +560,7 @@ impl<'k> WarpMachine<'k> {
                 None => trace.push(top.pc, inst.kind, mask, deps, &[]),
                 Some(Value::Affine { base, stride }) => {
                     stats.affine_addr_insts += 1;
-                    trace.push_mem(top.pc, inst.kind, mask, deps, |lane| {
-                        affine_at(base, stride, lane)
-                    })
+                    trace.push_affine(top.pc, inst.kind, mask, deps, base, stride)
                 }
                 Some(Value::Vector(v)) => {
                     trace.push_mem(top.pc, inst.kind, mask, deps, |lane| v[lane])
@@ -729,22 +727,40 @@ impl RunStats {
     }
 }
 
+/// The distinct `key`s of an engine row's addresses (at most one per
+/// lane), sorted, in a stack buffer: the cross-checks below allocate
+/// nothing, so a debug build's tracing allocates what a release build's
+/// does.
 #[cfg(debug_assertions)]
-fn distinct_lines(addrs: &[u64]) -> u32 {
-    let mut lines: Vec<u64> = addrs.iter().map(|a| a >> LINE_SHIFT).collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines.len() as u32
+fn distinct_sorted<T: Copy + Default + Ord>(
+    addrs: Addrs<'_>,
+    key: impl Fn(u64) -> T,
+) -> ([T; WARP_SIZE], usize) {
+    let mut keys = [T::default(); WARP_SIZE];
+    let n = keys.iter_mut().zip(addrs.iter()).map(|(k, a)| *k = key(a)).count();
+    keys[..n].sort_unstable();
+    let mut distinct = 0;
+    for i in 0..n {
+        if distinct == 0 || keys[i] != keys[distinct - 1] {
+            keys[distinct] = keys[i];
+            distinct += 1;
+        }
+    }
+    (keys, distinct)
+}
+
+#[cfg(debug_assertions)]
+fn distinct_lines(addrs: Addrs<'_>) -> u32 {
+    distinct_sorted(addrs, |a| a >> LINE_SHIFT).1 as u32
 }
 
 /// Bank-conflict degree of one warp access under the default 32-bank × 4 B
 /// geometry (the model the pre-trace analysis uses): max distinct words in
 /// any one bank, lanes sharing a word broadcasting in one cycle.
 #[cfg(debug_assertions)]
-fn observed_bank_degree(addrs: &[u64]) -> u32 {
-    let mut words: Vec<(u64, u64)> = addrs.iter().map(|a| ((a / 4) % 32, a / 4)).collect();
-    words.sort_unstable();
-    words.dedup();
+fn observed_bank_degree(addrs: Addrs<'_>) -> u32 {
+    let (words, n) = distinct_sorted(addrs, |a| ((a / 4) % 32, a / 4));
+    let words = &words[..n];
     let mut best = 0u32;
     let mut i = 0;
     while i < words.len() {
@@ -849,6 +865,7 @@ pub fn trace_kernel_cancellable(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::record::Addrs;
     use gpumech_isa::{AddrPattern, KernelBuilder, MemSpace};
 
     fn launch1() -> LaunchConfig {
@@ -1529,14 +1546,14 @@ mod tests {
         let t = trace_warp(&k, LaunchConfig::new(64, 2), WarpId::new(3)).unwrap();
 
         let load = t.insts.iter().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
-        let load_addrs = t.addrs(load);
+        let load_addrs = t.addrs(load).to_vec();
         assert_eq!(load_addrs.len(), 32);
         // Warp 3 covers tids 96..128 → addresses 0x1000 + 4*tid.
         assert_eq!(load_addrs[0], 0x1000 + 4 * 96);
         assert_eq!(load_addrs[31], 0x1000 + 4 * 127);
 
         let store = t.insts.iter().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
-        let store_addrs = t.addrs(store);
+        let store_addrs = t.addrs(store).to_vec();
         assert_eq!(store_addrs.len(), 32);
         assert_eq!(store_addrs[1] - store_addrs[0], 128, "one line per lane");
     }
@@ -1590,15 +1607,22 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
 
-        assert_eq!(t.addrs(&t.insts[2]), &[content(0x42) & 0xFFF8; WARP_SIZE]);
+        assert_eq!(t.addrs(&t.insts[2]).to_vec(), [content(0x42) & 0xFFF8; WARP_SIZE]);
         let affine: Vec<u64> = (0..WARP_SIZE as u64).map(|l| 8 * l).collect();
-        assert_eq!(t.addrs(&t.insts[4]), &affine[..]);
+        assert_eq!(t.addrs(&t.insts[4]).to_vec(), affine);
         let scattered: Vec<u64> = affine.iter().map(|&a| content(a) & 0xFFF8).collect();
-        assert_eq!(t.addrs(&t.insts[6]), &scattered[..]);
+        assert_eq!(t.addrs(&t.insts[6]).to_vec(), scattered);
         let masked: Vec<_> = t.insts.iter().filter(|i| i.active_mask == 0xFF).collect();
         assert_eq!(masked.len(), 2);
-        assert_eq!(t.addrs(masked[0]), &affine[..8]);
-        assert_eq!(t.addrs(masked[1]), &scattered[..8]);
+        assert_eq!(t.addrs(masked[0]).to_vec(), affine[..8]);
+        assert_eq!(t.addrs(masked[1]).to_vec(), scattered[..8]);
+        // Affine and uniform addresses are stored as two words, a
+        // scattered one lane by lane.
+        for (row, affine_form) in [(2, true), (4, true), (6, false)] {
+            let form = t.addrs(&t.insts[row]);
+            assert_eq!(matches!(form, Addrs::Affine { .. }), affine_form, "row {row}: {form:?}");
+        }
+        assert!(matches!(t.addrs(masked[0]), Addrs::Affine { mask: 0xFF, .. }));
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   u32 active_mask | varint n_addrs | zigzag-varint delta-coded addrs
 //! ```
 //!
+//! Addresses are written lane by lane whichever form the row stores them
+//! in (see [`crate::record`]), so the bytes depend on the content only and
+//! the format needs no second address encoding. [`decode`] stores every
+//! list lane by lane; the decoded trace equals the encoded one.
+//!
 //! # Example
 //!
 //! ```
@@ -198,7 +203,7 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
             put_varint(&mut out, addrs.len() as u64);
             // Addresses are usually strided: zigzag-delta-code them.
             let mut prev = 0i64;
-            for &a in addrs {
+            for a in addrs.iter() {
                 let cur = a as i64;
                 put_varint(&mut out, zigzag(cur.wrapping_sub(prev)));
                 prev = cur;

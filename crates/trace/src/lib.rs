@@ -15,7 +15,8 @@
 //! instructions
 //! as small `Copy` rows ([`TraceInst`]) plus one dependency arena and one
 //! address arena, read through [`WarpTrace::deps`] and
-//! [`WarpTrace::addrs`] (see [`record`] for why rows and arenas).
+//! [`WarpTrace::addrs`] (see [`record`] for why rows and arenas, and for
+//! the two forms — lanes or `(base, stride)` — a row's [`Addrs`] take).
 //!
 //! It also bundles the [`workloads`] library: 40 synthetic kernels that
 //! stand in for the Rodinia 2.1 / Parboil 2.5 / NVIDIA SDK kernels of the
@@ -53,7 +54,7 @@ pub use engine::{
     trace_kernel, trace_kernel_cancellable, trace_warp, TraceError, MAX_DYN_INSTS_PER_WARP,
 };
 pub use launch::LaunchConfig;
-pub use record::{KernelTrace, RowOverflow, TraceInst, WarpTrace};
+pub use record::{AddrIter, Addrs, KernelTrace, RowOverflow, TraceInst, WarpTrace};
 pub use workloads::{DivergenceClass, Suite, Workload};
 
 /// Deterministic 64-bit mixer (SplitMix64 finalizer). Used for synthetic

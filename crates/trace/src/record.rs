@@ -4,8 +4,8 @@
 //! A warp's trace is a vector of small `Copy` rows ([`TraceInst`]) plus two
 //! arenas owned by the [`WarpTrace`]: one `Vec<u32>` holding every row's
 //! dependency list back to back and one `Vec<u64>` holding every memory
-//! row's per-lane addresses. A row stores an offset and a length into each
-//! arena and is read through [`WarpTrace::deps`] / [`WarpTrace::addrs`], so
+//! row's addresses. A row stores an offset and a length into each arena
+//! and is read through [`WarpTrace::deps`] / [`WarpTrace::addrs`], so
 //! tracing a warp costs three growing allocations instead of two per
 //! dynamic instruction, and dropping a trace frees three blocks per warp.
 //!
@@ -13,6 +13,24 @@
 //! `pc`, `kind` and `active_mask` of one instruction together, so those
 //! stay in one row (one cache line serves three rows); only the two
 //! variable-length lists move out.
+//!
+//! A memory row's addresses take one of two forms in the address arena
+//! ([`Addrs`]): one slot per active lane, or — when lane `l` accesses
+//! `base + stride·l`, the common coalesced case — the two slots
+//! `(base, stride)`, with the active lanes given by the row's mask. The
+//! engine writes an address it holds as `base + stride·lane` in the short
+//! form when three or more lanes are active, without materialising lanes;
+//! every other row, and every list handed to [`WarpTrace::push`] or
+//! [`WarpTrace::set_addrs`] (decoded, deserialized or edited traces), is
+//! stored lane by lane. Every observable — `PartialEq`, `Hash`, JSON,
+//! `io::encode` — sees only the lane addresses, so two rows with the same
+//! addresses are indistinguishable whichever form holds them.
+//!
+//! An affine row's lane set *is* its `active_mask`: editing the mask of
+//! such a row in place rewrites which addresses it holds (a lane row would
+//! instead disagree with its list's length, which
+//! [`KernelTrace::validate`] reports). Replace the list with
+//! [`WarpTrace::set_addrs`] to edit a mask and keep the addresses apart.
 
 use std::hash::{Hash, Hasher};
 
@@ -32,7 +50,9 @@ pub struct TraceInst {
     pub pc: u32,
     /// Latency class.
     pub kind: InstKind,
-    /// Bitmask of active lanes.
+    /// Bitmask of active lanes. On a row whose addresses are stored as
+    /// [`Addrs::Affine`] it also selects those addresses, so editing it
+    /// edits them (see the [module docs](self)).
     pub active_mask: u32,
     deps_off: u32,
     addrs_off: u32,
@@ -50,13 +70,16 @@ impl TraceInst {
 
 /// A list handed to [`WarpTrace::push`], [`WarpTrace::set_deps`] or
 /// [`WarpTrace::set_addrs`] does not fit the row layout: more than 255
-/// entries, or an arena that would outgrow its 32-bit offsets.
+/// dependencies or 254 addresses, or an arena that would outgrow its
+/// 32-bit offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowOverflow;
 
 impl std::fmt::Display for RowOverflow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("list exceeds the trace row layout (255 entries, 2^32-entry arena)")
+        f.write_str(
+            "list exceeds the trace row layout (255 dependencies, 254 addresses, 2^32-entry arena)",
+        )
     }
 }
 
@@ -74,10 +97,151 @@ fn append<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Result<(u32, u8), RowOver
 /// The arena range of one row, or the empty slice when the row points
 /// outside the arena (only a corrupted trace does; [`KernelTrace::validate`]
 /// reports it).
-fn span<T>(arena: &[T], off: u32, len: u8) -> &[T] {
+fn span<T>(arena: &[T], off: u32, len: usize) -> &[T] {
     let off = off as usize;
-    arena.get(off..off + len as usize).unwrap_or(&[])
+    arena.get(off..off + len).unwrap_or(&[])
 }
+
+/// The `addrs_len` of a row whose addresses are stored as `(base, stride)`:
+/// no lane list is this long, so the length byte doubles as the form flag
+/// and a row stays 20 bytes.
+const AFFINE: u8 = u8::MAX;
+
+/// [`append`] for a lane list, whose length must stay below the
+/// [`AFFINE`] flag.
+fn append_lanes(arena: &mut Vec<u64>, addrs: &[u64]) -> Result<(u32, u8), RowOverflow> {
+    if addrs.len() >= usize::from(AFFINE) {
+        return Err(RowOverflow);
+    }
+    append(arena, addrs)
+}
+
+/// `base + stride·lane`, wrapping: lane `lane`'s address of an affine row,
+/// and the engine's affine register values.
+pub(crate) fn affine_at(base: u64, stride: u64, lane: usize) -> u64 {
+    base.wrapping_add(stride.wrapping_mul(lane as u64))
+}
+
+/// The addresses of one memory row, in ascending lane order, as the row
+/// stores them. Read them with [`Addrs::iter`]; a consumer that can use the
+/// affine form directly (the coalescer) matches on it.
+#[derive(Debug, Clone, Copy)]
+pub enum Addrs<'a> {
+    /// One address per active lane.
+    Lanes(&'a [u64]),
+    /// Lane `l` accesses `base + stride·l` (wrapping), for each lane set in
+    /// `mask` (the row's active mask).
+    Affine {
+        /// Lane 0's address.
+        base: u64,
+        /// Address step from one lane to the next.
+        stride: u64,
+        /// The lanes that access memory.
+        mask: u32,
+    },
+}
+
+impl<'a> Addrs<'a> {
+    /// Number of addresses (active lanes).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match *self {
+            Addrs::Lanes(lanes) => lanes.len(),
+            Addrs::Affine { mask, .. } => mask.count_ones() as usize,
+        }
+    }
+
+    /// `true` for a row without addresses.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The addresses in ascending lane order.
+    #[must_use]
+    pub fn iter(&self) -> AddrIter<'a> {
+        AddrIter(match *self {
+            Addrs::Lanes(lanes) => IterForm::Lanes(lanes.iter()),
+            Addrs::Affine { base, stride, mask } => IterForm::Affine { base, stride, rest: mask },
+        })
+    }
+
+    /// The addresses as an owned list.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<u64> {
+        self.iter().collect()
+    }
+
+    /// The addresses as a lane slice: the stored lanes, or an affine row's
+    /// lanes written into `buf`. A list longer than `buf` (only a corrupted
+    /// trace holds one) is returned as stored.
+    #[must_use]
+    pub fn lanes<'b>(&self, buf: &'b mut [u64; WARP_SIZE]) -> &'b [u64]
+    where
+        'a: 'b,
+    {
+        match *self {
+            Addrs::Lanes(lanes) => lanes,
+            Addrs::Affine { .. } => {
+                let n = buf.iter_mut().zip(self.iter()).map(|(slot, a)| *slot = a).count();
+                &buf[..n]
+            }
+        }
+    }
+}
+
+/// Equality of the addresses, whichever form holds them.
+impl PartialEq for Addrs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Addrs<'_> {}
+
+/// Hashes exactly what the lane slice would: its length prefix, then its
+/// bytes in one write.
+impl Hash for Addrs<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.lanes(&mut [0; WARP_SIZE]).hash(state);
+    }
+}
+
+/// Iterator over the addresses of an [`Addrs`].
+#[derive(Debug, Clone)]
+pub struct AddrIter<'a>(IterForm<'a>);
+
+#[derive(Debug, Clone)]
+enum IterForm<'a> {
+    Lanes(std::slice::Iter<'a, u64>),
+    Affine { base: u64, stride: u64, rest: u32 },
+}
+
+impl Iterator for AddrIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        match &mut self.0 {
+            IterForm::Lanes(lanes) => lanes.next().copied(),
+            IterForm::Affine { base, stride, rest } => {
+                let lane = (*rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                *rest &= *rest - 1;
+                Some(affine_at(*base, *stride, lane))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            IterForm::Lanes(lanes) => lanes.len(),
+            IterForm::Affine { rest, .. } => rest.count_ones() as usize,
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for AddrIter<'_> {}
 
 /// One row with its lists resolved: the logical content of a dynamic
 /// instruction. Field order is the record's historical declaration order —
@@ -89,7 +253,7 @@ struct Row<'a> {
     kind: InstKind,
     deps: &'a [u32],
     active_mask: u32,
-    addrs: &'a [u64],
+    addrs: Addrs<'a>,
 }
 
 /// The full dynamic trace of one warp.
@@ -103,7 +267,8 @@ pub struct WarpTrace {
     pub insts: Vec<TraceInst>,
     /// Every row's dependency list, back to back.
     deps: Vec<u32>,
-    /// Every memory row's per-active-lane addresses, back to back.
+    /// Every memory row's addresses, back to back: one slot per active
+    /// lane, or the two slots `(base, stride)` of an affine row.
     addrs: Vec<u64>,
 }
 
@@ -152,23 +317,36 @@ impl WarpTrace {
     /// this warp.
     #[must_use]
     pub fn deps(&self, inst: &TraceInst) -> &[u32] {
-        span(&self.deps, inst.deps_off, inst.deps_len)
+        span(&self.deps, inst.deps_off, usize::from(inst.deps_len))
     }
 
     /// Per-active-lane byte addresses of a memory instruction, in ascending
-    /// lane order. Empty for non-memory instructions. `inst` must be a row
-    /// of this warp.
+    /// lane order, in the form the row stores them. Empty for non-memory
+    /// instructions. `inst` must be a row of this warp.
     #[must_use]
-    pub fn addrs(&self, inst: &TraceInst) -> &[u64] {
-        span(&self.addrs, inst.addrs_off, inst.addrs_len)
+    pub fn addrs(&self, inst: &TraceInst) -> Addrs<'_> {
+        if inst.addrs_len != AFFINE {
+            return Addrs::Lanes(span(&self.addrs, inst.addrs_off, usize::from(inst.addrs_len)));
+        }
+        match *span(&self.addrs, inst.addrs_off, 2) {
+            [base, stride] => Addrs::Affine { base, stride, mask: inst.active_mask },
+            _ => Addrs::Lanes(&[]),
+        }
+    }
+
+    /// Lengths of the dependency and address arenas, in entries.
+    #[must_use]
+    pub fn arena_lens(&self) -> (usize, usize) {
+        (self.deps.len(), self.addrs.len())
     }
 
     /// Appends one dynamic instruction.
     ///
     /// # Errors
     ///
-    /// [`RowOverflow`] when a list has more than 255 entries or an arena
-    /// would outgrow its 32-bit offsets; no row is appended then.
+    /// [`RowOverflow`] when the dependency list has more than 255 entries,
+    /// the address list more than 254, or an arena would outgrow its
+    /// 32-bit offsets; no row is appended then.
     pub fn push(
         &mut self,
         pc: u32,
@@ -177,8 +355,34 @@ impl WarpTrace {
         deps: &[u32],
         addrs: &[u64],
     ) -> Result<(), RowOverflow> {
-        let (addrs_off, addrs_len) = append(&mut self.addrs, addrs)?;
+        let (addrs_off, addrs_len) = append_lanes(&mut self.addrs, addrs)?;
         let (deps_off, deps_len) = append(&mut self.deps, deps)?;
+        self.insts.push(TraceInst { pc, kind, active_mask, deps_off, addrs_off, deps_len, addrs_len });
+        Ok(())
+    }
+
+    /// Appends one dynamic memory instruction whose lane `l` accesses
+    /// `base + stride·l`: stored as `(base, stride)` when three or more
+    /// lanes are active, else as the lanes themselves.
+    ///
+    /// # Errors
+    ///
+    /// [`RowOverflow`] as for [`WarpTrace::push`]; no row is appended then.
+    pub(crate) fn push_affine(
+        &mut self,
+        pc: u32,
+        kind: InstKind,
+        active_mask: u32,
+        deps: &[u32],
+        base: u64,
+        stride: u64,
+    ) -> Result<(), RowOverflow> {
+        if active_mask.count_ones() <= 2 {
+            return self.push_mem(pc, kind, active_mask, deps, |lane| affine_at(base, stride, lane));
+        }
+        let (deps_off, deps_len) = append(&mut self.deps, deps)?;
+        let (addrs_off, _) = append(&mut self.addrs, &[base, stride])?;
+        let addrs_len = AFFINE;
         self.insts.push(TraceInst { pc, kind, active_mask, deps_off, addrs_off, deps_len, addrs_len });
         Ok(())
     }
@@ -241,7 +445,7 @@ impl WarpTrace {
     ///
     /// Panics if `k` is out of range.
     pub fn set_addrs(&mut self, k: usize, addrs: &[u64]) -> Result<(), RowOverflow> {
-        let (off, len) = append(&mut self.addrs, addrs)?;
+        let (off, len) = append_lanes(&mut self.addrs, addrs)?;
         let row = &mut self.insts[k];
         (row.addrs_off, row.addrs_len) = (off, len);
         Ok(())
@@ -288,7 +492,16 @@ impl WarpTrace {
     /// does not reads back empty, so shorter than the row says).
     fn in_arenas(&self, inst: &TraceInst) -> bool {
         self.deps(inst).len() == usize::from(inst.deps_len)
-            && self.addrs(inst).len() == usize::from(inst.addrs_len)
+            && span(&self.addrs, inst.addrs_off, addr_slots(inst)).len() == addr_slots(inst)
+    }
+}
+
+/// Address-arena slots row `inst` occupies.
+fn addr_slots(inst: &TraceInst) -> usize {
+    if inst.addrs_len == AFFINE {
+        2
+    } else {
+        usize::from(inst.addrs_len)
     }
 }
 
@@ -333,7 +546,7 @@ impl Serialize for WarpTrace {
                     ("kind".to_string(), r.kind.to_value()),
                     ("deps".to_string(), r.deps.to_value()),
                     ("active_mask".to_string(), r.active_mask.to_value()),
-                    ("addrs".to_string(), r.addrs.to_value()),
+                    ("addrs".to_string(), r.addrs.to_vec().to_value()),
                 ])
             })
             .collect();
@@ -586,7 +799,7 @@ mod tests {
         wt.push(1, InstKind::Load(MemSpace::Global), 0b11, &[0], &[0x100, 0x104]).unwrap();
         wt.push(2, InstKind::FpAdd, 0b11, &[0, 1], &[]).unwrap();
         assert_eq!(wt.deps(&wt.insts[0]), &[] as &[u32]);
-        assert_eq!(wt.addrs(&wt.insts[1]), &[0x100, 0x104]);
+        assert_eq!(wt.addrs(&wt.insts[1]).to_vec(), [0x100, 0x104]);
         assert_eq!(wt.deps(&wt.insts[2]), &[0, 1]);
         assert_eq!(std::mem::size_of::<TraceInst>(), 20, "a row stays small");
     }
@@ -610,24 +823,109 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The masks `push_mem_records_the_active_lanes_in_ascending_order`
+    /// builds rows under; the two-forms test reuses them.
+    const MASKS: [u32; 6] = [u32::MAX, 0b1011, 1, 0x8000_0000, 0xFFFF_0000, 0x8000_0001];
+    const LOAD: InstKind = InstKind::Load(MemSpace::Global);
+
+    fn lanes_under(mask: u32, addr_of: impl Fn(usize) -> u64) -> Vec<u64> {
+        (0..WARP_SIZE).filter(|l| mask >> l & 1 != 0).map(addr_of).collect()
+    }
+
     #[test]
     fn push_mem_records_the_active_lanes_in_ascending_order() {
         let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
-        let kind = InstKind::Load(MemSpace::Global);
-        let masks = [u32::MAX, 0b1011, 1, 0x8000_0000, 0xFFFF_0000, 0x8000_0001];
-        for (k, &mask) in masks.iter().enumerate() {
+        for (k, &mask) in MASKS.iter().enumerate() {
             let base = 0x100 * k as u64;
-            wt.push_mem(k as u32, kind, mask, &[], |lane| base + 4 * lane as u64).unwrap();
-            let want: Vec<u64> =
-                (0..WARP_SIZE).filter(|l| mask >> l & 1 != 0).map(|l| base + 4 * l as u64).collect();
-            assert_eq!(wt.addrs(&wt.insts[k]), &want[..], "mask {mask:#x}");
+            wt.push_mem(k as u32, LOAD, mask, &[], |lane| base + 4 * lane as u64).unwrap();
+            let want = lanes_under(mask, |l| base + 4 * l as u64);
+            assert_eq!(wt.addrs(&wt.insts[k]).to_vec(), want, "mask {mask:#x}");
         }
         // Indistinguishable from the same rows pushed with explicit lists.
         let mut by_list = WarpTrace::new(WarpId::new(0), BlockId::new(0));
         for (k, row) in wt.insts.iter().enumerate() {
-            by_list.push(k as u32, kind, row.active_mask, &[], wt.addrs(row)).unwrap();
+            by_list.push(k as u32, LOAD, row.active_mask, &[], &wt.addrs(row).to_vec()).unwrap();
         }
         assert_eq!(wt, by_list);
+    }
+
+    /// A hasher that logs every call it receives: equal logs mean equal
+    /// hashes under any hasher, `gpumech_exec`'s lane-wise FNV-1a included.
+    #[derive(Default)]
+    struct CallLog(Vec<(&'static str, Vec<u8>)>);
+
+    impl Hasher for CallLog {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(("write", bytes.to_vec()));
+        }
+        fn write_u8(&mut self, v: u8) {
+            self.0.push(("u8", vec![v]));
+        }
+        fn write_u32(&mut self, v: u32) {
+            self.0.push(("u32", v.to_le_bytes().to_vec()));
+        }
+        fn write_u64(&mut self, v: u64) {
+            self.0.push(("u64", v.to_le_bytes().to_vec()));
+        }
+        fn write_usize(&mut self, v: usize) {
+            self.0.push(("usize", v.to_le_bytes().to_vec()));
+        }
+    }
+
+    #[test]
+    fn one_row_in_either_form_has_the_same_content() {
+        let kernel_of = |wt: WarpTrace| KernelTrace {
+            name: "k".into(),
+            launch: LaunchConfig::new(32, 1),
+            warps: vec![wt],
+        };
+        // Strides that wrap, step backwards and alias lanes, on bases near
+        // both ends of the address space.
+        let shapes = [(0x100, 4), (u64::MAX - 40, 8), (0x9000, 4u64.wrapping_neg()), (7, 1 << 63)];
+        for &mask in &MASKS {
+            for &(base, stride) in &shapes {
+                let row = |affine: bool| {
+                    let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+                    wt.push(0, InstKind::IntAlu, mask, &[], &[]).unwrap();
+                    if affine {
+                        wt.push_affine(1, LOAD, mask, &[0], base, stride).unwrap();
+                    } else {
+                        wt.push_mem(1, LOAD, mask, &[0], |l| affine_at(base, stride, l)).unwrap();
+                    }
+                    wt
+                };
+                let (affine, lanes) = (row(true), row(false));
+                let what = format!("mask {mask:#x}, base {base:#x}, stride {stride:#x}");
+                // Three or more lanes take the short form; the rest stay lanes.
+                let stored = affine.addrs(&affine.insts[1]);
+                assert_eq!(matches!(stored, Addrs::Affine { .. }), mask.count_ones() > 2, "{what}");
+                assert!(matches!(lanes.addrs(&lanes.insts[1]), Addrs::Lanes(_)), "{what}");
+                assert_eq!(stored.to_vec(), lanes_under(mask, |l| affine_at(base, stride, l)));
+
+                assert_eq!(affine, lanes, "{what}");
+                let default_hash = |w: &WarpTrace| {
+                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    w.hash(&mut h);
+                    h.finish()
+                };
+                assert_eq!(default_hash(&affine), default_hash(&lanes), "{what}");
+                let log = |w: &WarpTrace| {
+                    let mut h = CallLog::default();
+                    w.hash(&mut h);
+                    h.0
+                };
+                assert_eq!(log(&affine), log(&lanes), "{what}");
+                let json = |w: &WarpTrace| serde_json::to_string(w).unwrap();
+                assert_eq!(json(&affine), json(&lanes), "{what}");
+                let (affine, lanes) = (kernel_of(affine), kernel_of(lanes));
+                let bytes = crate::io::encode(&affine);
+                assert_eq!(bytes, crate::io::encode(&lanes), "{what}");
+                assert_eq!(crate::io::decode(&bytes).unwrap(), lanes, "{what}");
+            }
+        }
     }
 
     /// Four rows: an ALU op, a load depending on it, an add on both and a
@@ -689,10 +987,12 @@ mod tests {
         let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
         assert_eq!(wt.push(0, InstKind::IntAlu, 1, &[0; 256], &[]), Err(RowOverflow));
         assert_eq!(wt.push(0, InstKind::IntAlu, 1, &[], &[0; 256]), Err(RowOverflow));
+        // 255 is the affine form's length flag, so no list may be that long.
+        assert_eq!(wt.push(0, InstKind::IntAlu, 1, &[], &[0; 255]), Err(RowOverflow));
         assert!(wt.is_empty());
         wt.push(0, InstKind::IntAlu, 1, &[], &[]).unwrap();
         assert_eq!(wt.set_addrs(0, &[0; 256]), Err(RowOverflow));
-        assert_eq!(wt.addrs(&wt.insts[0]), &[] as &[u64]);
+        assert!(wt.addrs(&wt.insts[0]).is_empty());
     }
 
     #[test]
@@ -705,10 +1005,43 @@ mod tests {
         assert!(kt.validate().is_ok());
         kt.warps[0].truncate_arenas(0, 0);
         let w = &kt.warps[0];
-        assert_eq!(w.addrs(&w.insts[0]), &[] as &[u64]);
+        assert!(w.addrs(&w.insts[0]).is_empty());
         assert_eq!(w.deps(&w.insts[1]), &[] as &[u32]);
         let err = kt.validate().unwrap_err().to_string();
         assert!(err.contains("outside the warp's dependency or address arena"), "{err}");
+    }
+
+    #[test]
+    fn an_affine_row_outside_its_arena_reads_empty_and_fails_validation() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push_affine(0, InstKind::Load(MemSpace::Global), u32::MAX, &[], 0x40, 4).unwrap();
+        wt.push(1, InstKind::Exit, 1, &[0], &[]).unwrap();
+        assert_eq!(wt.arena_lens(), (1, 2), "two slots, not 32 lanes");
+        let kt =
+            KernelTrace { name: "k".into(), launch: LaunchConfig::new(32, 1), warps: vec![wt] };
+        assert!(kt.validate().is_ok());
+        // One slot of two left, then none.
+        for slots in [1, 0] {
+            let mut cut = kt.clone();
+            cut.warps[0].truncate_arenas(1, slots);
+            let w = &cut.warps[0];
+            assert!(w.addrs(&w.insts[0]).is_empty());
+            let err = cut.validate().unwrap_err().to_string();
+            assert!(err.contains("instruction 0 (pc 0) points outside"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_affine_row_on_a_non_memory_kind_fails_validation() {
+        let mut wt = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        wt.push_affine(0, InstKind::Load(MemSpace::Global), 0b1110, &[], 0x40, 4).unwrap();
+        assert!(matches!(wt.addrs(&wt.insts[0]), Addrs::Affine { .. }));
+        wt.insts[0].kind = InstKind::IntAlu;
+        let kt =
+            KernelTrace { name: "k".into(), launch: LaunchConfig::new(32, 1), warps: vec![wt] };
+        let err = kt.validate().unwrap_err();
+        assert!(matches!(err, TraceError::CorruptTrace { warp: Some(0), .. }), "{err:?}");
+        assert!(err.to_string().contains("records 3 addresses but its kind"), "{err}");
     }
 
     #[test]

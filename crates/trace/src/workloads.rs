@@ -754,12 +754,13 @@ pub fn figure16() -> Vec<Workload> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::record::Addrs;
     use gpumech_isa::WarpId;
     use std::collections::HashSet;
 
     /// Unique 128 B lines touched by one instruction (local helper; the real
     /// coalescer lives in `gpumech-mem`).
-    fn requests(addrs: &[u64]) -> usize {
+    fn requests(addrs: Addrs<'_>) -> usize {
         addrs.iter().map(|a| a >> 7).collect::<HashSet<_>>().len()
     }
 
@@ -942,7 +943,7 @@ mod tests {
         let (mut hot, mut cold) = (0usize, 0usize);
         for (wt, inst) in t.warps.iter().flat_map(|wt| wt.insts.iter().map(move |i| (wt, i))) {
             if inst.kind.is_global_load() {
-                if wt.addrs(inst).iter().all(|&a| a >= hot_base && a < hot_base + (1 << 20)) {
+                if wt.addrs(inst).iter().all(|a| a >= hot_base && a < hot_base + (1 << 20)) {
                     hot += 1;
                 } else {
                     cold += 1;

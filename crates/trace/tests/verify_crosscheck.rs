@@ -61,7 +61,7 @@ fn static_bank_bounds_dominate_observed_degrees() {
                 let fact = analysis
                     .shared_fact(inst.pc)
                     .unwrap_or_else(|| panic!("{}: no fact for shared pc {}", w.name, inst.pc));
-                let observed = observed_degree(warp.addrs(inst));
+                let observed = observed_degree(&warp.addrs(inst).to_vec());
                 assert!(
                     observed <= fact.bank_degree,
                     "{}: pc {} observed {observed}-way, static bound {}-way",
@@ -94,7 +94,7 @@ fn static_race_pairs_cover_observed_conflicts() {
                     InstKind::Sync => interval += 1,
                     InstKind::Load(MemSpace::Shared) | InstKind::Store(MemSpace::Shared) => {
                         let store = matches!(inst.kind, InstKind::Store(MemSpace::Shared));
-                        for &addr in warp.addrs(inst) {
+                        for addr in warp.addrs(inst).iter() {
                             touches
                                 .entry((warp.block.index(), interval, addr))
                                 .or_default()
