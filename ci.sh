@@ -4,8 +4,9 @@
 #
 #   1. release build of the whole workspace
 #   2. every suite of the workspace, twice: a debug pass (debug
-#      assertions live, which the trace engine's static-vs-observed
-#      cross-check suite needs) and a release pass (optimized codegen).
+#      assertions live: the trace engine's coalescing-bound and
+#      uniform-branch checks, which golden_workloads.rs drives over all 40
+#      kernels) and a release pass (optimized codegen).
 #      Each covers the unit suites, the mutated-input fault suite, the
 #      exec layer's panic containment and resilience contract, batch
 #      determinism over all 40 workloads, the cache corruption fan,
@@ -20,7 +21,8 @@
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
 #      anything `#[deprecated]`)
 #   5. `gpumech lint` over the 40-workload library (nonzero exit on any
-#      error-severity finding; zero Error findings is the gate)
+#      error-severity finding); it reports 0 error(s), 0 warning(s), and
+#      golden_workloads.rs gates that no finding reaches Warning
 #   6. observability round trip: `gpumech profile` writes a JSONL trace,
 #      a Chrome trace and a folded-stack export, and `gpumech
 #      obs-validate` checks the JSONL against the exporter schema and the

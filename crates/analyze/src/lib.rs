@@ -16,12 +16,9 @@
 //! * [`divergence`] — classifies each branch warp-uniform vs potentially
 //!   divergent and each global memory access by [`CoalesceClass`], with a
 //!   sound per-warp bound on coalescer requests;
-//! * [`KernelMetrics`] — static instruction mix and summary counts;
-//! * verification passes — barrier-divergence proof obligations (Error),
-//!   cross-warp shared-memory race detection under a two-thread
-//!   abstraction (Warning), and a static [`BankModel`] bank-conflict
-//!   degree per shared access (Warning); see DESIGN.md "Static
-//!   verification".
+//! * barrier divergence — a `Sync` reachable under divergent control
+//!   flow deadlocks real hardware (Error);
+//! * [`KernelMetrics`] — static instruction mix and summary counts.
 //!
 //! The single entry point is [`analyze`]; the result carries
 //! [`Diagnostic`]s (with [`Severity`] levels) plus the per-pc fact tables.
@@ -46,24 +43,20 @@
 //! assert_eq!(analysis.metrics.coalesced_accesses, 2);
 //! ```
 
-pub mod banks;
 mod barrier;
 pub mod cfg;
 mod dataflow;
 pub mod diag;
 pub mod divergence;
 mod metrics;
-mod race;
 
 use gpumech_isa::Kernel;
 use serde::{Deserialize, Serialize};
 
-pub use banks::{BankModel, SharedAccessFact};
 pub use cfg::Cfg;
 pub use diag::{Diagnostic, RejectReason, Severity};
 pub use divergence::{AbsVal, CoalesceClass, MemAccess};
 pub use metrics::KernelMetrics;
-pub use race::RacePair;
 
 /// Everything the analyzer learned about one kernel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,12 +71,6 @@ pub struct KernelAnalysis {
     pub branch_uniform: Vec<bool>,
     /// Per-pc address facts for global memory instructions.
     pub coalescing: Vec<Option<MemAccess>>,
-    /// Static bank-conflict verdicts for shared-memory instructions, in
-    /// ascending pc order.
-    pub shared_accesses: Vec<SharedAccessFact>,
-    /// Pairs of shared-memory accesses that may race across warps within
-    /// one barrier interval, sorted and deduplicated.
-    pub race_pairs: Vec<RacePair>,
     /// Static summary metrics.
     pub metrics: KernelMetrics,
 }
@@ -115,13 +102,6 @@ impl KernelAnalysis {
         self.diagnostics.iter().filter(|d| d.severity >= min).collect()
     }
 
-    /// Static bank-conflict verdict for the shared-memory instruction at
-    /// `pc`, if there is one.
-    #[must_use]
-    pub fn shared_fact(&self, pc: u32) -> Option<&SharedAccessFact> {
-        self.shared_accesses.iter().find(|f| f.pc == pc)
-    }
-
     /// Why the pre-trace hook rejects this kernel, or `None` if it is
     /// accepted. Barrier divergence is reported preferentially: it is the
     /// one defect class that deadlocks real hardware rather than merely
@@ -147,14 +127,6 @@ impl KernelAnalysis {
 /// conservative path.
 #[must_use]
 pub fn analyze(kernel: &Kernel) -> KernelAnalysis {
-    analyze_with_banks(kernel, &BankModel::default())
-}
-
-/// [`analyze`] with an explicit shared-memory bank geometry (e.g. built
-/// [`From`] a [`gpumech_isa::SimConfig`]) instead of the default
-/// 32-bank × 4 B model.
-#[must_use]
-pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnalysis {
     let _span = gpumech_obs::span!("analyze.lint.kernel", name = kernel.name.as_str());
     let n = kernel.insts.len();
     if let Err(e) = kernel.validate() {
@@ -168,8 +140,6 @@ pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnal
             )],
             branch_uniform: vec![false; n],
             coalescing: vec![None; n],
-            shared_accesses: Vec::new(),
-            race_pairs: Vec::new(),
             metrics: KernelMetrics { insts: n as u32, ..KernelMetrics::default() },
         };
     }
@@ -182,28 +152,13 @@ pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnal
     diagnostics.extend(dv.diagnostics.iter().cloned());
 
     let barrier_diags = barrier::run(kernel, &cfg, &dv.branch_uniform);
-    let races = race::run(kernel, &cfg, &dv.branch_uniform, df.written, df.maybe_uninit_reads);
-    let (shared_accesses, bank_diags) = banks::run(kernel, &cfg, &races.shapes, bank_model);
 
     let mut metrics = metrics::compute(kernel, &cfg, &dv, df.written, df.max_live);
     metrics.divergent_syncs = barrier_diags.len() as u32;
-    metrics.race_pairs = races.pairs.len() as u32;
-    metrics.bank_conflicted_accesses =
-        shared_accesses.iter().filter(|f| f.bank_degree >= 2).count() as u32;
-    metrics.max_bank_degree =
-        shared_accesses.iter().map(|f| f.bank_degree).max().unwrap_or(0);
 
     gpumech_obs::counter!("analyze.verify.barrier_errors", barrier_diags.len() as u64);
-    gpumech_obs::counter!("analyze.verify.race_pairs", races.pairs.len() as u64);
-    gpumech_obs::counter!("analyze.bank.accesses", shared_accesses.len() as u64);
-    gpumech_obs::counter!(
-        "analyze.bank.conflicted",
-        u64::from(metrics.bank_conflicted_accesses)
-    );
 
     diagnostics.extend(barrier_diags);
-    diagnostics.extend(races.diagnostics);
-    diagnostics.extend(bank_diags);
     diagnostics.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.pc.cmp(&b.pc)));
 
     gpumech_obs::counter!("analyze.lint.kernels", 1u64);
@@ -214,8 +169,6 @@ pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnal
         diagnostics,
         branch_uniform: dv.branch_uniform,
         coalescing: dv.mem,
-        shared_accesses,
-        race_pairs: races.pairs,
         metrics,
     }
 }
@@ -392,8 +345,6 @@ mod tests {
         assert_eq!(back.kernel_name, analysis.kernel_name);
         assert_eq!(back.branch_uniform, analysis.branch_uniform);
         assert_eq!(back.coalescing, analysis.coalescing);
-        assert_eq!(back.shared_accesses, analysis.shared_accesses);
-        assert_eq!(back.race_pairs, analysis.race_pairs);
         assert_eq!(back.metrics, analysis.metrics);
         assert_eq!(back.diagnostics, analysis.diagnostics);
     }
@@ -401,8 +352,9 @@ mod tests {
     #[test]
     fn verification_facts_surface_in_the_analysis() {
         use gpumech_isa::MemSpace;
-        // shared[lane·128] store: 32-way bank conflict and a cross-warp
-        // W/W self-race; plus a divergent barrier.
+        // A divergent barrier after a lane-strided shared store: the barrier
+        // is the one finding above Info; shared memory is a fixed-latency
+        // access.
         let mut b = KernelBuilder::new("defective");
         let off = b.alu(ValueOp::Mul, &[Operand::Lane, Operand::Imm(128)]);
         let v = b.alu(ValueOp::Mov, &[Operand::Imm(1)]);
@@ -416,18 +368,8 @@ mod tests {
         assert!(analysis.has_errors());
         assert_eq!(analysis.reject_reason(), Some(RejectReason::BarrierDivergence));
         assert_eq!(analysis.metrics.divergent_syncs, 1);
-        assert_eq!(analysis.metrics.max_bank_degree, 32);
-        assert_eq!(analysis.metrics.bank_conflicted_accesses, 1);
-        assert_eq!(analysis.metrics.race_pairs, 1);
-        let fact = analysis.shared_fact(2).expect("store fact");
-        assert!(fact.store);
-        assert!(fact.exact);
-        for code in ["barrier-divergence", "shared-race", "bank-conflict"] {
-            assert!(
-                analysis.diagnostics.iter().any(|d| d.code == code),
-                "missing {code}: {:?}",
-                analysis.diagnostics
-            );
-        }
+        assert_eq!(analysis.metrics.shared_accesses, 1);
+        let codes: Vec<&str> = analysis.diagnostics.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["barrier-divergence", "divergent-branch"]);
     }
 }

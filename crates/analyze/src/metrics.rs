@@ -53,14 +53,6 @@ pub struct KernelMetrics {
     /// Barriers reachable under divergent control flow
     /// (`barrier-divergence` errors).
     pub divergent_syncs: u32,
-    /// Cross-warp may-race pairs of shared accesses within one barrier
-    /// interval.
-    pub race_pairs: u32,
-    /// Shared accesses with a predicted bank-conflict degree of 2 or more.
-    pub bank_conflicted_accesses: u32,
-    /// Largest predicted bank-conflict degree over all shared accesses
-    /// (1 = conflict-free; 0 when the kernel has no shared accesses).
-    pub max_bank_degree: u32,
 }
 
 pub(crate) fn compute(

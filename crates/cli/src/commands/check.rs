@@ -100,12 +100,6 @@ pub(super) fn lint(args: &Args) -> Result<String, CliError> {
                     m.strided_accesses,
                     m.scattered_accesses,
                 ));
-                if m.shared_accesses > 0 {
-                    out.push_str(&format!(
-                        "  shared {}: {} race pair(s), {}-way banks",
-                        m.shared_accesses, m.race_pairs, m.max_bank_degree,
-                    ));
-                }
                 out.push('\n');
                 for d in a.diagnostics_at_least(min) {
                     out.push_str(&format!("    {d}\n"));

@@ -40,8 +40,8 @@ COMMANDS:
     serve                        run the HTTP prediction service (POST /predict,
                                  /healthz, /readyz, /metrics) until SIGTERM/ctrl-c
     lint [kernel|all]            statically analyze and verify kernel IR:
-                                 structure, divergence, barriers, shared-memory
-                                 races, bank conflicts (default: all 40)
+                                 structure, dataflow, divergence, barriers
+                                 (default: all 40)
     obs-validate <path>          check an --obs-out JSONL trace against the
                                  exporter schema and naming scheme; with
                                  --folded, check a folded-stack export instead

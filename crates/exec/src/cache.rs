@@ -642,6 +642,15 @@ mod tests {
         }
     }
 
+    /// Every profile-cache key, in memory and on disk, carries the
+    /// analysis-config fingerprint, which hashes `SimConfig`'s JSON: a
+    /// field added to or removed from `SimConfig` re-keys every entry. The
+    /// pin makes such a change a deliberate edit.
+    #[test]
+    fn table1_analysis_config_fingerprint_never_changes() {
+        assert_eq!(analysis_config_fingerprint(&SimConfig::table1()), 0xc054_5989_e0ea_e581);
+    }
+
     #[test]
     fn prediction_only_fields_do_not_change_the_config_fingerprint() {
         let base = SimConfig::default();

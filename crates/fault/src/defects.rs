@@ -1,38 +1,22 @@
 //! Seeded defective-*kernel* corpus for the static verifier.
 //!
 //! The crate-root [`MUTATORS`](crate::MUTATORS) corrupt traces to prove
-//! the pipeline panic-free; the injectors here corrupt kernel IR to
-//! prove the static verifier (`gpumech-analyze`'s barrier, race, and
-//! bank passes) *complete*: every planted defect must come back as a
-//! finding with the right code. Each injector edits instructions in
-//! place — never inserting or deleting — so every PC, branch target, and
-//! reconvergence point of the host kernel survives the mutation and
-//! [`Kernel::validate`] still passes; the defect is semantic, not
-//! structural, which is exactly the class `validate` cannot catch.
+//! the pipeline panic-free; the injector here corrupts kernel IR to prove
+//! `gpumech-analyze`'s barrier pass *complete*: every planted divergent
+//! barrier must come back as a `barrier-divergence` finding, and the trace
+//! engine must reject the mutant before any warp executes. The injector
+//! edits an instruction in place — never inserting or deleting — so every
+//! PC, branch target, and reconvergence point of the host kernel survives
+//! the mutation and [`Kernel::validate`] still passes; the defect is
+//! semantic, not structural, which is exactly the class `validate` cannot
+//! catch.
 //!
 //! As with the trace mutators, all randomness derives from
 //! [`gpumech_trace::splitmix64`]: a mutant is a pure function of
 //! `(kernel, seed)`, so a failing case reproduces byte-for-byte.
 
-use gpumech_isa::{BranchCond, InstKind, Kernel, MemSpace, Operand, StaticInst, ValueOp};
+use gpumech_isa::{BranchCond, InstKind, Kernel, StaticInst, ValueOp};
 use gpumech_trace::splitmix64;
-
-/// A deterministic defect injector: returns `true` when a suitable
-/// injection site existed and the kernel was mutated in place, `false`
-/// when the kernel offers no such site (it is left untouched).
-pub type KernelMutator = fn(&mut Kernel, u64) -> bool;
-
-/// The defective-kernel corpus: `(name, injector, expected finding
-/// code)` triples. The corpus suite applies every injector to every
-/// bundled workload and asserts that each successful injection is
-/// reported by `gpumech_analyze::analyze` under the expected code —
-/// `barrier-divergence` mutants must additionally be rejected by the
-/// trace engine before any warp executes.
-pub const KERNEL_MUTATORS: &[(&str, KernelMutator, &str)] = &[
-    ("inject_divergent_barrier", inject_divergent_barrier, "barrier-divergence"),
-    ("inject_shared_race", inject_shared_race, "shared-race"),
-    ("inject_bank_conflict", inject_bank_conflict, "bank-conflict"),
-];
 
 /// Replaces a seeded store *inside the influence region of a non-uniform
 /// conditional branch* with a block-wide barrier — the canonical
@@ -45,7 +29,9 @@ pub const KERNEL_MUTATORS: &[(&str, KernelMutator, &str)] = &[
 /// bodies of lane-trip-count loops (the same region the verifier's
 /// barrier pass checks). A store is chosen because it defines no
 /// register: removing it cannot turn a later read into a use of an
-/// undefined value.
+/// undefined value. Returns `true` when such a site existed and the kernel
+/// was mutated in place, `false` when it offers none (it is left
+/// untouched).
 pub fn inject_divergent_barrier(kernel: &mut Kernel, seed: u64) -> bool {
     let analysis = gpumech_analyze::analyze(kernel);
     let mut sites: Vec<usize> = Vec::new();
@@ -78,62 +64,6 @@ pub fn inject_divergent_barrier(kernel: &mut Kernel, seed: u64) -> bool {
         cond: BranchCond::Always,
         reconv: None,
     };
-    true
-}
-
-/// Retargets a seeded global store at shared memory with a per-lane
-/// address — `shared[lane]` — so every warp of a block writes the same
-/// 32 words with nothing ordering them: a guaranteed cross-warp
-/// write/write race on the first barrier interval containing the store.
-pub fn inject_shared_race(kernel: &mut Kernel, seed: u64) -> bool {
-    let sites: Vec<usize> = kernel
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.kind == InstKind::Store(MemSpace::Global))
-        .map(|(p, _)| p)
-        .collect();
-    if sites.is_empty() {
-        return false;
-    }
-    let p = sites[(splitmix64(seed) as usize) % sites.len()];
-    let inst = &mut kernel.insts[p];
-    inst.kind = InstKind::Store(MemSpace::Shared);
-    inst.srcs[0] = Operand::Lane;
-    true
-}
-
-/// Widens a seeded lane-indexed multiplier feeding a shared-memory
-/// address to a 128-byte stride, folding all 32 lanes onto bank 0 of the
-/// 32-bank × 4-byte model — a worst-case 32-way conflict on every access
-/// through that address.
-///
-/// Sites are found by walking each shared access's address operand
-/// backward through pass-through `Mov`/`Add` defs (most recent textual
-/// def — exact for the builder's structured bodies) to a
-/// `Mul(lane-ish, Imm)` stride computation.
-pub fn inject_bank_conflict(kernel: &mut Kernel, seed: u64) -> bool {
-    let mut sites: Vec<usize> = Vec::new();
-    for (p, inst) in kernel.insts.iter().enumerate() {
-        let shared = matches!(
-            inst.kind,
-            InstKind::Load(MemSpace::Shared) | InstKind::Store(MemSpace::Shared)
-        );
-        if !shared {
-            continue;
-        }
-        let Some(&addr) = inst.srcs.first() else { continue };
-        if let Some(def) = stride_mul_site(kernel, p, addr) {
-            sites.push(def);
-        }
-    }
-    sites.sort_unstable();
-    sites.dedup();
-    if sites.is_empty() {
-        return false;
-    }
-    let def = sites[(splitmix64(seed) as usize) % sites.len()];
-    kernel.insts[def].srcs[1] = Operand::Imm(128);
     true
 }
 
@@ -173,34 +103,6 @@ fn influence_region(kernel: &Kernel, b: usize, reconv: u32) -> Vec<usize> {
     (0..n).filter(|&p| seen[p]).collect()
 }
 
-/// Follows `op` backward from `pc` through at most four pass-through
-/// defs to a `Mul(Lane|TidInBlock, Imm)` stride computation, returning
-/// the multiplier's PC.
-fn stride_mul_site(kernel: &Kernel, mut pc: usize, mut op: Operand) -> Option<usize> {
-    for _ in 0..4 {
-        let Operand::Reg(r) = op else { return None };
-        let def = (0..pc).rev().find(|&d| kernel.insts[d].dst == Some(r))?;
-        let di = &kernel.insts[def];
-        if di.op == ValueOp::Mul
-            && di.srcs.len() == 2
-            && matches!(di.srcs[0], Operand::Lane | Operand::TidInBlock)
-            && matches!(di.srcs[1], Operand::Imm(_))
-        {
-            return Some(def);
-        }
-        match di.op {
-            // Pass-through for address arithmetic: keep walking the
-            // register component of a sum or a move.
-            ValueOp::Mov | ValueOp::Add => {
-                op = di.srcs.iter().copied().find(|s| matches!(s, Operand::Reg(_)))?;
-                pc = def;
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -210,38 +112,18 @@ mod tests {
     #[test]
     fn injectors_are_deterministic_and_structure_preserving() {
         for w in workloads::all() {
-            for &(name, inject, _) in KERNEL_MUTATORS {
-                let mut k1 = w.kernel.clone();
-                let mut k2 = w.kernel.clone();
-                let a1 = inject(&mut k1, 0xC0FFEE);
-                let a2 = inject(&mut k2, 0xC0FFEE);
-                assert_eq!(a1, a2, "{name} on {} is not deterministic", w.name);
-                assert_eq!(k1, k2, "{name} on {} mutates nondeterministically", w.name);
-                if a1 {
-                    assert_eq!(k1.len(), w.kernel.len(), "{name} shifted PCs in {}", w.name);
-                    k1.validate()
-                        .unwrap_or_else(|e| panic!("{name} broke {} structurally: {e}", w.name));
-                } else {
-                    assert_eq!(k1, w.kernel, "{name} mutated {} despite reporting no site", w.name);
-                }
+            let mut k1 = w.kernel.clone();
+            let mut k2 = w.kernel.clone();
+            let a1 = inject_divergent_barrier(&mut k1, 0xC0FFEE);
+            let a2 = inject_divergent_barrier(&mut k2, 0xC0FFEE);
+            assert_eq!(a1, a2, "{} is not deterministic", w.name);
+            assert_eq!(k1, k2, "{} mutates nondeterministically", w.name);
+            if a1 {
+                assert_eq!(k1.len(), w.kernel.len(), "shifted PCs in {}", w.name);
+                k1.validate().unwrap_or_else(|e| panic!("broke {} structurally: {e}", w.name));
+            } else {
+                assert_eq!(k1, w.kernel, "mutated {} despite reporting no site", w.name);
             }
         }
-    }
-
-    #[test]
-    fn different_seeds_can_pick_different_sites() {
-        // Somewhere in the library a kernel has several global stores;
-        // spread-out seeds must be able to hit distinct ones.
-        let diverse = workloads::all().into_iter().any(|w| {
-            let mutants: Vec<Kernel> = (0..8u64)
-                .filter_map(|s| {
-                    let mut k = w.kernel.clone();
-                    inject_shared_race(&mut k, s.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                        .then_some(k)
-                })
-                .collect();
-            mutants.iter().any(|m| *m != mutants[0])
-        });
-        assert!(diverse, "every seed chose the same injection site in every kernel");
     }
 }

@@ -21,10 +21,10 @@
 //! plants the debris a writer killed between write and rename leaves.
 //!
 //! Finally, the static verifier is held to a completeness contract by
-//! the [`defects`] module: seeded injectors that plant semantic defects
-//! (divergent barriers, shared-memory races, pathological bank strides)
-//! into structurally-valid kernel IR, which `gpumech_analyze::analyze`
-//! must report — with the right finding code — on every mutant.
+//! the [`defects`] module: a seeded injector that plants a divergent
+//! barrier into structurally-valid kernel IR, which
+//! `gpumech_analyze::analyze` must report as `barrier-divergence` on
+//! every mutant.
 //!
 //! Sharded sweeps are covered by the [`shardfaults`] module: a
 //! fabricator that writes a healthy multi-shard sweep through the real

@@ -187,28 +187,10 @@ pub struct SimConfig {
     /// leaves as future work (Section IV-B1).
     #[serde(default = "default_sfu_per_core")]
     pub sfu_per_core: usize,
-    /// Number of shared-memory banks (Fermi/Kepler and later: 32). Words
-    /// are interleaved across banks; an access serializes when two lanes
-    /// touch different words of the same bank. Consumed by the static
-    /// bank-conflict analysis in `gpumech-analyze`.
-    #[serde(default = "default_shared_mem_banks")]
-    pub shared_mem_banks: usize,
-    /// Width of one shared-memory bank word in bytes (4 on the modeled
-    /// generation; Kepler also offered an 8 B mode).
-    #[serde(default = "default_shared_bank_bytes")]
-    pub shared_bank_bytes: usize,
 }
 
 fn default_sfu_per_core() -> usize {
     32
-}
-
-fn default_shared_mem_banks() -> usize {
-    32
-}
-
-fn default_shared_bank_bytes() -> usize {
-    4
 }
 
 impl Default for SimConfig {
@@ -237,8 +219,6 @@ impl Default for SimConfig {
             dram_latency: 300,
             shared_mem_kib: 16,
             sfu_per_core: 32,
-            shared_mem_banks: 32,
-            shared_bank_bytes: 4,
         }
     }
 }
@@ -317,15 +297,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_sfu_per_core(mut self, lanes: usize) -> Self {
         self.sfu_per_core = lanes;
-        self
-    }
-
-    /// Returns a copy with a different shared-memory bank geometry (e.g.
-    /// Kepler's 32 banks × 8 B mode).
-    #[must_use]
-    pub fn with_shared_banks(mut self, banks: usize, word_bytes: usize) -> Self {
-        self.shared_mem_banks = banks;
-        self.shared_bank_bytes = word_bytes;
         self
     }
 
@@ -426,24 +397,6 @@ impl SimConfig {
             return Err(ConfigError::OutOfRange {
                 field: "sfu_per_core",
                 bound: "at most the warp size (32)",
-            });
-        }
-        if self.shared_mem_banks == 0 {
-            return Err(ConfigError::ZeroField("shared_mem_banks"));
-        }
-        if self.shared_bank_bytes == 0 {
-            return Err(ConfigError::ZeroField("shared_bank_bytes"));
-        }
-        if !self.shared_mem_banks.is_power_of_two() || self.shared_mem_banks > 64 {
-            return Err(ConfigError::OutOfRange {
-                field: "shared_mem_banks",
-                bound: "a power of two, at most 64",
-            });
-        }
-        if !self.shared_bank_bytes.is_power_of_two() || self.shared_bank_bytes > 16 {
-            return Err(ConfigError::OutOfRange {
-                field: "shared_bank_bytes",
-                bound: "a power of two, at most 16",
             });
         }
         if self.dram_latency > Self::MAX_DRAM_LATENCY {
@@ -630,20 +583,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::OutOfRange { field: "cache line_bytes", .. })
         ));
-
-        let cfg = SimConfig::default().with_shared_banks(24, 4);
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::OutOfRange { field: "shared_mem_banks", .. })
-        ));
-        let cfg = SimConfig::default().with_shared_banks(32, 32);
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::OutOfRange { field: "shared_bank_bytes", .. })
-        ));
-        let cfg = SimConfig::default().with_shared_banks(32, 0);
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroField("shared_bank_bytes")));
-        assert!(SimConfig::default().with_shared_banks(16, 8).validate().is_ok());
     }
 
     #[test]
@@ -678,18 +617,14 @@ mod tests {
     }
 
     #[test]
-    fn bank_geometry_defaults_apply_to_older_configs() {
-        // Config files written before the bank-geometry fields existed must
-        // still deserialize, picking up the Fermi defaults.
+    fn configs_with_retired_fields_still_load() {
+        // A config written by a version with more fields than this one
+        // still deserializes: unknown fields are ignored.
         let cfg = SimConfig::default();
         let json = serde_json::to_string(&cfg).expect("serialize");
-        let stripped = json
-            .replace(",\"shared_mem_banks\":32", "")
-            .replace(",\"shared_bank_bytes\":4", "");
-        assert_ne!(json, stripped, "fields must have been present to strip");
-        let back: SimConfig = serde_json::from_str(&stripped).expect("deserialize");
-        assert_eq!(back.shared_mem_banks, 32);
-        assert_eq!(back.shared_bank_bytes, 4);
+        let body = json.strip_suffix('}').expect("a JSON object");
+        let older = format!("{body},\"retired_knob\":32}}");
+        let back: SimConfig = serde_json::from_str(&older).expect("deserialize");
         assert_eq!(back, cfg);
     }
 }

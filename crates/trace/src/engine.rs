@@ -44,8 +44,8 @@
 //! reconvergence points, reads of never-written registers, irreducible
 //! control flow) are rejected with [`TraceError::RejectedByAnalysis`]. Debug
 //! builds cross-check every static fact against observed execution
-//! (`debug_assert!`): coalescing bounds, bank-conflict bounds, and that a
-//! branch the analyzer proves warp-uniform is observed uniform.
+//! (`debug_assert!`): coalescing bounds, and that a branch the analyzer
+//! proves warp-uniform is observed uniform.
 
 use gpumech_analyze::{KernelAnalysis, RejectReason};
 use gpumech_isa::{
@@ -582,17 +582,6 @@ impl<'k> WarpMachine<'k> {
                         access.class,
                     );
                 }
-                // Cross-check: the observed shared-memory bank-conflict
-                // degree must respect the analyzer's full-mask bound.
-                if let Some(fact) = self.analysis.shared_fact(top.pc) {
-                    let observed = observed_bank_degree(addrs);
-                    debug_assert!(
-                        observed <= fact.bank_degree,
-                        "pc {}: warp hit {observed}-way bank conflict, static bound is {}-way",
-                        top.pc,
-                        fact.bank_degree,
-                    );
-                }
             }
 
             match inst.kind {
@@ -728,7 +717,7 @@ impl RunStats {
 }
 
 /// The distinct `key`s of an engine row's addresses (at most one per
-/// lane), sorted, in a stack buffer: the cross-checks below allocate
+/// lane), sorted, in a stack buffer: the cross-check below allocates
 /// nothing, so a debug build's tracing allocates what a release build's
 /// does.
 #[cfg(debug_assertions)]
@@ -754,26 +743,6 @@ fn distinct_lines(addrs: Addrs<'_>) -> u32 {
     distinct_sorted(addrs, |a| a >> LINE_SHIFT).1 as u32
 }
 
-/// Bank-conflict degree of one warp access under the default 32-bank × 4 B
-/// geometry (the model the pre-trace analysis uses): max distinct words in
-/// any one bank, lanes sharing a word broadcasting in one cycle.
-#[cfg(debug_assertions)]
-fn observed_bank_degree(addrs: Addrs<'_>) -> u32 {
-    let (words, n) = distinct_sorted(addrs, |a| ((a / 4) % 32, a / 4));
-    let words = &words[..n];
-    let mut best = 0u32;
-    let mut i = 0;
-    while i < words.len() {
-        let bank = words[i].0;
-        let mut n = 0u32;
-        while i < words.len() && words[i].0 == bank {
-            n += 1;
-            i += 1;
-        }
-        best = best.max(n);
-    }
-    best.max(1)
-}
 
 /// Runs the pre-trace static analysis hook, rejecting kernels with
 /// Error-severity findings.

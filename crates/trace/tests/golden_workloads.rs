@@ -84,12 +84,8 @@ fn golden_table_covers_the_whole_library() {
 fn every_workload_is_lint_clean() {
     for w in workloads::all() {
         let a = analyze(&w.kernel);
-        assert!(
-            !a.has_errors(),
-            "{}: {:?}",
-            w.name,
-            a.diagnostics_at_least(Severity::Error)
-        );
+        let findings = a.diagnostics_at_least(Severity::Warning);
+        assert!(findings.is_empty(), "{}: {findings:?}", w.name);
     }
 }
 
