@@ -22,10 +22,12 @@
 //!
 //! The single entry point is [`analyze`]; the result carries
 //! [`Diagnostic`]s (with [`Severity`] levels) plus the per-pc fact tables.
-//! `gpumech-trace` runs it as a pre-trace hook: kernels with Error-level
-//! findings are rejected, and statically uniform branches skip the per-lane
-//! reconvergence-stack work. The `gpumech lint` CLI subcommand exposes the
-//! same analysis to humans and CI.
+//! `gpumech-trace` runs it as a pre-trace hook that rejects kernels with
+//! Error-level findings; that is the hook's only effect in release builds.
+//! Debug builds also cross-check every traced branch against its
+//! uniformity verdict and every memory access against its coalescing
+//! bound. The `gpumech lint` CLI subcommand exposes the same analysis to
+//! humans and CI.
 //!
 //! # Example
 //!

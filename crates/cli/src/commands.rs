@@ -272,8 +272,7 @@ where
         "batch" => sweep::batch(&Args::parse_with_switches(
             rest,
             &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep", "cache-dir",
-              "timeout-ms", "deadline-ms", "breaker-threshold", "journal", "shard", "json",
-              "obs-out"]]
+              "timeout-ms", "deadline-ms", "journal", "shard", "json", "obs-out"]]
                 .concat(),
             &["resume", "oracle"],
         )?),
@@ -281,8 +280,7 @@ where
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",
-                "drain-ms", "max-body-bytes", "max-header-bytes", "cache-dir", "warm",
-                "breaker-threshold"]],
+                "drain-ms", "max-body-bytes", "max-header-bytes", "cache-dir", "warm"]],
             &["debug-hooks"],
             serve::serve,
         ),

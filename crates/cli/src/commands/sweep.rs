@@ -120,7 +120,6 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     let opts = BatchOptions {
         timeout_ms: args.flag_opt("timeout-ms")?,
         deadline_ms: args.flag_opt("deadline-ms")?,
-        breaker_threshold: args.flag_opt("breaker-threshold")?,
         journal: args.flag("journal").map(PathBuf::from),
         resume: args.switch("resume"),
         ..BatchOptions::default()

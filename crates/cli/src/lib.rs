@@ -72,9 +72,6 @@ BATCH FLAGS:
                       with a typed Deadline error
     --deadline-ms N   whole-run time budget; jobs past the deadline fail
                       fast instead of running
-    --breaker-threshold N
-                      skip further sweep points of a kernel after N
-                      consecutive failures (typed CircuitOpen error)
     --journal PATH    append each completed job to a JSONL journal so an
                       interrupted run can be resumed
     --resume          skip jobs already present in --journal, replaying
@@ -129,9 +126,6 @@ SERVE FLAGS:
     --cache-dir DIR   persist the profile cache to DIR across restarts
     --warm LIST       comma-separated kernels (or \"all\") analyzed before
                       /readyz reports ready
-    --breaker-threshold N
-                      per-kernel circuit breaker: after N consecutive
-                      server-side failures further requests get 503
 
 OBSERVABILITY FLAGS:
     --obs-out PATH    write a JSON-lines recorder trace (predict, simulate,

@@ -93,6 +93,11 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("bad-shard", vec!["batch", "sdk_vectoradd", "--shard", "9/3"], Keep::All),
         ("bad-flag-value", vec!["predict", "sdk_vectoradd", "--warps", "lots"], Keep::Until("USAGE:")),
         ("unknown-flag", vec!["predict", "sdk_vectoradd", "--bogus", "1"], Keep::Until("USAGE:")),
+        (
+            "removed-breaker-flag",
+            vec!["batch", "sdk_vectoradd", "--breaker-threshold", "2"],
+            Keep::Until("USAGE:"),
+        ),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
         ("missing-kernel", vec!["predict"], Keep::Until("USAGE:")),
         ("unknown-kernel", vec!["predict", "no_such_kernel"], Keep::All),

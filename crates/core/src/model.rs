@@ -703,8 +703,8 @@ mod tests {
             .run(&PredictionRequest::from_analysis(&a).selection(SelectionMethod::Min))
             .unwrap()
             .cpi_total();
-        let blended =
-            m.run(&PredictionRequest::from_analysis(&a).population_weighted()).unwrap();
+        let weighted = PredictionRequest::from_analysis(&a).weighting(Weighting::PopulationWeighted);
+        let blended = m.run(&weighted).unwrap();
         let (lo, hi) = (lo.min(hi), lo.max(hi));
         assert!(
             blended.cpi_total() >= lo - 1e-9 && blended.cpi_total() <= hi + 1e-9,
@@ -726,8 +726,8 @@ mod tests {
         let m = model();
         let a = m.analyze(&t).unwrap();
         let single = m.run(&PredictionRequest::from_analysis(&a)).unwrap();
-        let blended =
-            m.run(&PredictionRequest::from_analysis(&a).population_weighted()).unwrap();
+        let weighted = PredictionRequest::from_analysis(&a).weighting(Weighting::PopulationWeighted);
+        let blended = m.run(&weighted).unwrap();
         let rel = (blended.cpi_total() - single.cpi_total()).abs() / single.cpi_total();
         assert!(rel < 0.05, "homogeneous blend should match single: {rel}");
     }
@@ -755,9 +755,9 @@ mod tests {
         let a = m.analyze(&t).unwrap();
         let bad = PredictionRequest::from_analysis(&a)
             .selection(SelectionMethod::Max)
-            .population_weighted();
+            .weighting(Weighting::PopulationWeighted);
         assert!(matches!(m.run(&bad), Err(ModelError::InvalidRequest(_))));
-        let bad = PredictionRequest::from_profile(&a, 0).population_weighted();
+        let bad = PredictionRequest::from_profile(&a, 0).weighting(Weighting::PopulationWeighted);
         assert!(matches!(m.run(&bad), Err(ModelError::InvalidRequest(_))));
         let bad = PredictionRequest::from_profile(&a, a.profiles.len());
         assert!(matches!(m.run(&bad), Err(ModelError::InvalidRequest(_))));

@@ -46,8 +46,8 @@ pub enum Weighting {
 
 /// Parses the request word for representative selection into the
 /// (method, weighting) pair a request takes. `weighted` is clustering
-/// selection with population weighting, matching
-/// [`PredictionRequest::population_weighted`].
+/// selection with population weighting
+/// ([`Weighting::PopulationWeighted`]).
 ///
 /// # Errors
 ///
@@ -176,12 +176,6 @@ impl<'a> PredictionRequest<'a> {
         self
     }
 
-    /// Shorthand for `weighting(Weighting::PopulationWeighted)`.
-    #[must_use]
-    pub fn population_weighted(self) -> Self {
-        self.weighting(Weighting::PopulationWeighted)
-    }
-
     /// Supplies the selection over the request's analysis, made once by
     /// [`Selection::new`] and shared by every prediction over that
     /// analysis, so this one runs no selection of its own. Its method must
@@ -246,7 +240,7 @@ mod tests {
             .policy(SchedulingPolicy::GreedyThenOldest)
             .model(Model::Mt)
             .selection(SelectionMethod::Max)
-            .population_weighted();
+            .weighting(Weighting::PopulationWeighted);
         assert_eq!(req.policy, SchedulingPolicy::GreedyThenOldest);
         assert_eq!(req.model, Model::Mt);
         assert_eq!(req.selection, SelectionMethod::Max);

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gpumech_core::{
     Analysis, Gpumech, Interval, IntervalProfile, Model, Prediction, PredictionRequest,
     SchedulingPolicy,
-    Selection, SelectionMethod,
+    Selection, SelectionMethod, Weighting,
 };
 use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Recorder};
@@ -65,7 +65,8 @@ fn a_degenerate_clustering_downgrades_after_one_kmeans() {
           downgraded to population-weighted cluster selection"]
     );
     assert_eq!(spans, 1, "the downgrade blends from the one clustering");
-    let blended = model.run(&PredictionRequest::from_analysis(&a).population_weighted()).unwrap();
+    let weighted = PredictionRequest::from_analysis(&a).weighting(Weighting::PopulationWeighted);
+    let blended = model.run(&weighted).unwrap();
     let json = |p: &Prediction| serde_json::to_string(&p.cpi).unwrap();
     assert_eq!(json(&blended), json(&p), "the downgrade is the weighted blend");
 }
@@ -87,7 +88,7 @@ fn a_precomputed_selection_runs_no_kmeans() {
                     .policy(policy)
                     .selected(&selection);
                 model.run(&request).unwrap();
-                model.run(&request.population_weighted()).unwrap();
+                model.run(&request.weighting(Weighting::PopulationWeighted)).unwrap();
             }
         }
     });

@@ -27,7 +27,7 @@ use crate::cache::{
     CacheKey, ProfileCache,
 };
 use crate::pool::run_indexed;
-use crate::resilience::{BatchOptions, CircuitBreaker, Journal};
+use crate::resilience::{BatchOptions, Journal};
 use crate::{BatchError, ExecError};
 
 /// One batch item: a kernel trace plus everything needed to predict it.
@@ -139,13 +139,12 @@ impl BatchEngine {
     }
 
     /// The resilient batch entry point: [`BatchEngine::run`] under a
-    /// [`BatchOptions`] bundle of deadline, per-job timeout,
-    /// circuit-breaker, and journal/resume behavior.
+    /// [`BatchOptions`] bundle of deadline, per-job timeout, and
+    /// journal/resume behavior.
     ///
     /// Jobs that exhaust their time budget fail with
     /// [`ExecError::Deadline`]; explicitly cancelled runs with
-    /// [`ExecError::Cancelled`]; jobs skipped by an open breaker with
-    /// [`ExecError::CircuitOpen`]. Every other job completes normally —
+    /// [`ExecError::Cancelled`]. Every other job completes normally —
     /// byte-identical to an unconstrained run.
     #[must_use]
     pub fn run_with(
@@ -184,7 +183,6 @@ impl BatchEngine {
         } else {
             HashMap::new()
         };
-        let breaker = opts.breaker_threshold.map(CircuitBreaker::new);
         let run_token = opts.run_token();
 
         let results = run_indexed(effective, jobs, |i, job| {
@@ -195,32 +193,11 @@ impl BatchEngine {
                 });
             }
             // Check the whole-run budget before spending anything on this
-            // job (jobs the run outlived fail fast and uniformly), then
-            // the breaker, then actually attempt it. Skipped jobs record
-            // nothing against the breaker — only real attempts count.
-            let mut outcome = match run_token.check().map_err(ExecError::from) {
-                Err(e) => Err(e),
-                Ok(()) => match breaker.as_ref().and_then(|b| b.is_open(&job.trace.name)) {
-                    Some(failures) => {
-                        gpumech_obs::counter!("exec.resilience.breaker_open");
-                        Err(ExecError::CircuitOpen { kernel: job.trace.name.clone(), failures })
-                    }
-                    None => {
-                        let outcome = self.run_job(job, keys[i], &opts.job_token(&run_token));
-                        if let Some(b) = &breaker {
-                            match &outcome {
-                                Ok(_) => b.record_success(&job.trace.name),
-                                Err(_) => {
-                                    if b.record_failure(&job.trace.name) {
-                                        gpumech_obs::counter!("exec.resilience.breaker_trips");
-                                    }
-                                }
-                            }
-                        }
-                        outcome
-                    }
-                },
-            };
+            // job: jobs the run outlived fail fast and uniformly.
+            let mut outcome = run_token
+                .check()
+                .map_err(ExecError::from)
+                .and_then(|()| self.run_job(job, keys[i], &opts.job_token(&run_token)));
             match &outcome {
                 Err(ExecError::Deadline) => gpumech_obs::counter!("exec.resilience.deadline"),
                 Err(ExecError::Cancelled) => gpumech_obs::counter!("exec.resilience.cancelled"),
@@ -450,11 +427,17 @@ mod tests {
 
     #[test]
     fn invalid_config_fails_only_its_job_and_names_it() {
-        let mut jobs =
-            vec![job("sdk_vectoradd", SimConfig::default()), job("bfs_kernel1", SimConfig::default())];
+        let mut jobs: Vec<BatchJob> = ["sdk_vectoradd", "bfs_kernel1", "bfs_kernel1", "bfs_kernel1"]
+            .into_iter()
+            .map(|name| job(name, SimConfig::default()))
+            .collect();
         jobs[1].cfg.num_mshrs = 0;
+        jobs[2].cfg.num_mshrs = 0;
         let out = BatchEngine::new(2).run(&jobs);
         assert!(out[0].is_ok());
+        // Failures of a kernel's jobs say nothing about its other jobs.
+        let alone = BatchEngine::new(1).run(&jobs[3..]);
+        assert_eq!(out[3].as_ref().unwrap(), alone[0].as_ref().unwrap());
         let err = out[1].as_ref().unwrap_err();
         assert!(matches!(err.error, ExecError::Model(ModelError::InvalidConfig(_))));
         // The error payload identifies the failing job without positional

@@ -265,12 +265,18 @@ pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Moves a file that failed validation to `<path>.quarantine` (never
-/// deleted — the bytes are evidence — and never read again). Returns the
-/// new path, or `None` when the rename failed.
+/// Moves a file that failed validation to the first free name among
+/// `<path>.quarantine`, `<path>.quarantine.1`, `<path>.quarantine.2`, …
+/// (never deleted or overwritten — the bytes are evidence — and never
+/// read again). Returns the new path, or `None` when the rename failed.
 #[must_use]
 pub fn quarantine(path: &Path) -> Option<PathBuf> {
-    let target = with_suffix(path, ".quarantine");
+    let target = (0..)
+        .map(|n| match n {
+            0 => with_suffix(path, ".quarantine"),
+            n => with_suffix(path, &format!(".quarantine.{n}")),
+        })
+        .find(|candidate| !candidate.exists())?;
     fs::rename(path, &target).ok().map(|()| target)
 }
 
@@ -286,9 +292,8 @@ fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
 ///
 /// Selection reads only the interval profiles, and every job served by an
 /// entry shares its analysis, so one selection per method serves them all.
-/// The slots live and die with the entry: an evicted entry takes its
-/// selections along, nothing of them is written to disk, and an entry
-/// loaded from disk starts empty.
+/// The slots live and die with the entry: nothing of them is written to
+/// disk, and an entry loaded from disk starts empty.
 #[derive(Debug)]
 pub(crate) struct CacheEntry {
     analysis: Arc<Analysis>,
@@ -330,57 +335,6 @@ impl CacheEntry {
     }
 }
 
-/// In-memory cache state: entries tagged with a logical access clock so
-/// eviction can drop the least-recently-used one.
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<CacheKey, (Arc<CacheEntry>, u64)>,
-    tick: u64,
-}
-
-impl CacheState {
-    fn touch(&mut self, key: CacheKey) -> Option<Arc<CacheEntry>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&key).map(|(a, used)| {
-            *used = tick;
-            Arc::clone(a)
-        })
-    }
-
-    /// Inserts (or refreshes) `key` and evicts least-recently-used entries
-    /// beyond `cap`. Returns the canonical `Arc` for `key` plus how many
-    /// entries were evicted.
-    fn insert_capped(
-        &mut self,
-        key: CacheKey,
-        value: Arc<Analysis>,
-        cap: Option<usize>,
-    ) -> (Arc<CacheEntry>, u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        let arc = Arc::clone(
-            &self.entries.entry(key).or_insert_with(|| (Arc::new(CacheEntry::new(value)), tick)).0,
-        );
-        let mut evicted = 0u64;
-        if let Some(cap) = cap {
-            let cap = cap.max(1);
-            while self.entries.len() > cap {
-                let victim = self
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, (_, used))| *used)
-                    .map(|(k, _)| *k);
-                let Some(victim) = victim else { break };
-                self.entries.remove(&victim);
-                evicted += 1;
-            }
-        }
-        (arc, evicted)
-    }
-}
-
 /// Content-addressed, thread-safe cache of [`Analysis`] results.
 ///
 /// In-memory always; [`ProfileCache::with_disk`] additionally persists
@@ -396,17 +350,13 @@ impl CacheState {
 ///   or payload fails validation is renamed to `<file>.quarantine`
 ///   (preserved for inspection, never re-read), counted under
 ///   `exec.cache.quarantined`, reported as a warning, and recomputed.
-/// * **Bounded memory** — [`ProfileCache::with_capacity`] caps the
-///   in-memory map with least-recently-used eviction
-///   (`exec.cache.evictions`); evicted entries remain on disk.
 ///
 /// Disk failures are never fatal: they count as misses and are tallied
 /// under `exec.cache.disk_errors`.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    state: Mutex<CacheState>,
+    entries: Mutex<HashMap<CacheKey, Arc<CacheEntry>>>,
     disk_dir: Option<PathBuf>,
-    max_entries: Option<usize>,
 }
 
 impl ProfileCache {
@@ -423,16 +373,7 @@ impl ProfileCache {
     pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
         Self::sweep_stale_tmp(&dir);
-        Self { state: Mutex::new(CacheState::default()), disk_dir: Some(dir), max_entries: None }
-    }
-
-    /// Caps the in-memory map at `max_entries` (minimum 1) with LRU
-    /// eviction. Disk persistence, if configured, is unaffected: evicted
-    /// entries reload from disk on their next use.
-    #[must_use]
-    pub fn with_capacity(mut self, max_entries: usize) -> Self {
-        self.max_entries = Some(max_entries.max(1));
-        self
+        Self { entries: Mutex::default(), disk_dir: Some(dir) }
     }
 
     /// Removes leftover `.tmp` files from a previous writer that died
@@ -455,7 +396,7 @@ impl ProfileCache {
     /// Never: lock poisoning is recovered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).entries.len()
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// `true` if no entry is held in memory.
@@ -575,7 +516,7 @@ impl ProfileCache {
     {
         let mut warnings = Vec::new();
         if let Some(hit) =
-            self.state.lock().unwrap_or_else(PoisonError::into_inner).touch(key)
+            self.entries.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned()
         {
             gpumech_obs::counter!("exec.cache.hits");
             return Ok((hit, warnings));
@@ -590,16 +531,11 @@ impl ProfileCache {
         Ok((self.insert(key, computed), warnings))
     }
 
+    /// Inserts `value` under `key` unless a racing worker got there first;
+    /// returns the entry the map holds.
     fn insert(&self, key: CacheKey, value: Arc<Analysis>) -> Arc<CacheEntry> {
-        let (arc, evicted) = self
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert_capped(key, value, self.max_entries);
-        if evicted > 0 {
-            gpumech_obs::counter!("exec.cache.evictions", evicted);
-        }
-        arc
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(entries.entry(key).or_insert_with(|| Arc::new(CacheEntry::new(value))))
     }
 }
 
@@ -805,6 +741,25 @@ mod tests {
     }
 
     #[test]
+    fn a_second_quarantine_keeps_the_first_ones_bytes() {
+        let dir = std::env::temp_dir()
+            .join(format!("gpumech-cache-quarantine-twice-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.json");
+        fs::write(&path, "first").unwrap();
+        let first = quarantine(&path).unwrap();
+        fs::write(&path, "second").unwrap();
+        let second = quarantine(&path).unwrap();
+        assert_eq!(first, dir.join("entry.json.quarantine"));
+        assert_eq!(second, dir.join("entry.json.quarantine.1"));
+        assert_eq!(fs::read_to_string(&first).unwrap(), "first");
+        assert_eq!(fs::read_to_string(&second).unwrap(), "second");
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_tmp_files_are_swept_on_open() {
         let dir = std::env::temp_dir().join(format!("gpumech-cache-tmp-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -814,44 +769,5 @@ mod tests {
         let _cache = ProfileCache::with_disk(&dir);
         assert!(!stale.exists(), "stale .tmp from a crashed writer must be removed");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lru_capacity_evicts_the_least_recently_used_entry() {
-        let cache = ProfileCache::in_memory().with_capacity(2);
-        let trace = small_trace("sdk_vectoradd");
-        let cfg = SimConfig::default();
-        let analysis = Gpumech::new(cfg.clone()).analyze(&trace).unwrap();
-        let key = |i: u64| CacheKey { trace: i, config: 0 };
-        for i in 0..2 {
-            cache.get_or_compute(key(i), || Ok(analysis.clone())).unwrap();
-        }
-        // Touch key 0 so key 1 becomes the LRU victim.
-        let mut recomputed = false;
-        cache
-            .get_or_compute(key(0), || {
-                recomputed = true;
-                Ok(analysis.clone())
-            })
-            .unwrap();
-        assert!(!recomputed, "key 0 must still be cached");
-        cache.get_or_compute(key(2), || Ok(analysis.clone())).unwrap();
-        assert_eq!(cache.len(), 2, "capacity must hold");
-        let mut hit0 = true;
-        cache
-            .get_or_compute(key(0), || {
-                hit0 = false;
-                Ok(analysis.clone())
-            })
-            .unwrap();
-        assert!(hit0, "recently used key 0 must survive eviction");
-        let mut hit1 = true;
-        cache
-            .get_or_compute(key(1), || {
-                hit1 = false;
-                Ok(analysis.clone())
-            })
-            .unwrap();
-        assert!(!hit1, "least-recently-used key 1 must have been evicted");
     }
 }

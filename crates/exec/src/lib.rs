@@ -31,10 +31,8 @@
 //! A fourth piece, the **resilience layer** ([`resilience`]), makes the
 //! batch engine safe to run unattended: whole-run deadlines and per-job
 //! timeouts propagated as [`CancelToken`](gpumech_obs::CancelToken)s
-//! through every pipeline stage, a per-kernel circuit breaker that stops
-//! feeding a kernel whose jobs keep dying, and a crash-safe completion
-//! journal that lets an interrupted sweep resume without repeating
-//! finished jobs.
+//! through every pipeline stage, and a crash-safe completion journal that
+//! lets an interrupted sweep resume without repeating finished jobs.
 //!
 //! Everything is instrumented under the existing `gpumech-obs` scheme
 //! (`exec.pool.*`, `exec.cache.*`, `exec.batch.*`, `exec.fingerprint.*`,
@@ -53,7 +51,7 @@ use gpumech_obs::Interrupt;
 pub use batch::{canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob};
 pub use cache::{analysis_config_fingerprint, cache_key, trace_fingerprint, CacheKey, ProfileCache};
 pub use pool::{panic_message, run_indexed};
-pub use resilience::{BatchOptions, CircuitBreaker};
+pub use resilience::BatchOptions;
 
 /// Error produced by the execution layer for one work item.
 ///
@@ -79,15 +77,6 @@ pub enum ExecError {
     /// The run was cancelled explicitly (a fired
     /// [`CancelToken`](gpumech_obs::CancelToken), not a deadline).
     Cancelled,
-    /// The per-kernel circuit breaker was open: previous jobs for the same
-    /// kernel failed too many times in a row, so this one was skipped
-    /// without being attempted.
-    CircuitOpen {
-        /// Name of the kernel whose breaker is open.
-        kernel: String,
-        /// Consecutive failures that tripped the breaker.
-        failures: u32,
-    },
     /// Static verification rejected the kernel before any tracing: every
     /// job over this kernel is skipped (a prediction for an undefined
     /// kernel would be meaningless, not merely inaccurate).
@@ -108,9 +97,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::Deadline => write!(f, "deadline exceeded"),
             ExecError::Cancelled => write!(f, "cancelled"),
-            ExecError::CircuitOpen { kernel, failures } => {
-                write!(f, "circuit breaker open for kernel {kernel:?} after {failures} consecutive failures")
-            }
             ExecError::RejectedByAnalysis { kernel, findings } => {
                 write!(
                     f,
@@ -131,7 +117,6 @@ impl std::error::Error for ExecError {
             ExecError::WorkerPanic { .. }
             | ExecError::Deadline
             | ExecError::Cancelled
-            | ExecError::CircuitOpen { .. }
             | ExecError::RejectedByAnalysis { .. } => None,
         }
     }

@@ -1,23 +1,16 @@
 //! The resilience layer: everything that makes a batch sweep safe to run
 //! unattended.
 //!
-//! Two mechanisms, both deterministic and both observable under
-//! `exec.resilience.*`:
-//!
-//! * **Time budgets** — [`BatchOptions::deadline_ms`] bounds the whole
-//!   run and [`BatchOptions::timeout_ms`] bounds each job. Both become
-//!   [`CancelToken`]s (the per-job token a
-//!   *child* of the run token, so a run-level interrupt wins) that every
-//!   pipeline stage polls; an expired budget surfaces as
-//!   [`ExecError::Deadline`](crate::ExecError::Deadline) for exactly the
-//!   jobs that ran out of time.
-//! * **Circuit breaker** — a per-kernel consecutive-failure counter; once
-//!   it reaches the threshold, remaining jobs for that kernel are skipped
-//!   with [`ExecError::CircuitOpen`](crate::ExecError::CircuitOpen)
-//!   instead of burning budget on a kernel that keeps dying.
+//! **Time budgets** — [`BatchOptions::deadline_ms`] bounds the whole run
+//! and [`BatchOptions::timeout_ms`] bounds each job. Both become
+//! [`CancelToken`]s (the per-job token a *child* of the run token, so a
+//! run-level interrupt wins) that every pipeline stage polls; an expired
+//! budget surfaces as [`ExecError::Deadline`](crate::ExecError::Deadline)
+//! for exactly the jobs that ran out of time.
 //!
 //! A job is a pure function of its trace and configuration, so a failed
-//! job fails again on retry; the batch engine never retries.
+//! job fails again on retry and says nothing about the kernel's other
+//! jobs; the batch engine neither retries nor skips.
 //!
 //! The completion **journal** ([`Journal`]) rounds this out: every
 //! finished job appends one JSON line (fingerprint, label, canonical
@@ -35,46 +28,6 @@ use std::sync::{Mutex, PoisonError};
 use gpumech_obs::CancelToken;
 use serde::{Deserialize, Serialize};
 
-/// Per-kernel circuit breaker: after `threshold` *consecutive* failures
-/// for one kernel, further jobs for that kernel are skipped until a
-/// success.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    consecutive: Mutex<HashMap<String, u32>>,
-}
-
-impl CircuitBreaker {
-    /// A breaker that opens after `threshold` consecutive failures
-    /// (minimum 1).
-    #[must_use]
-    pub fn new(threshold: u32) -> Self {
-        Self { threshold: threshold.max(1), consecutive: Mutex::new(HashMap::new()) }
-    }
-
-    /// Returns `Some(consecutive_failures)` when the breaker for `kernel`
-    /// is open (the job should be skipped), `None` when it may run.
-    #[must_use]
-    pub fn is_open(&self, kernel: &str) -> Option<u32> {
-        let map = self.consecutive.lock().unwrap_or_else(PoisonError::into_inner);
-        map.get(kernel).copied().filter(|&n| n >= self.threshold)
-    }
-
-    /// Records a successful job for `kernel`, closing its breaker.
-    pub fn record_success(&self, kernel: &str) {
-        self.consecutive.lock().unwrap_or_else(PoisonError::into_inner).remove(kernel);
-    }
-
-    /// Records a failed job for `kernel`; returns `true` when this
-    /// failure is the one that trips the breaker open.
-    pub fn record_failure(&self, kernel: &str) -> bool {
-        let mut map = self.consecutive.lock().unwrap_or_else(PoisonError::into_inner);
-        let n = map.entry(kernel.to_owned()).or_insert(0);
-        *n += 1;
-        *n == self.threshold
-    }
-}
-
 /// Options for a resilient batch run
 /// ([`BatchEngine::run_with`](crate::batch::BatchEngine::run_with)).
 #[derive(Debug, Default)]
@@ -85,9 +38,6 @@ pub struct BatchOptions {
     /// Whole-run deadline in milliseconds; jobs that have not finished
     /// when it fires abort with `Deadline`.
     pub deadline_ms: Option<u64>,
-    /// Open the per-kernel circuit breaker after this many consecutive
-    /// failures; `None` disables the breaker.
-    pub breaker_threshold: Option<u32>,
     /// Path of the completion journal; every finished job appends one
     /// line here.
     pub journal: Option<PathBuf>,
@@ -229,26 +179,6 @@ impl Journal {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breaker_opens_on_consecutive_failures_and_closes_on_success() {
-        let b = CircuitBreaker::new(3);
-        assert!(b.is_open("k").is_none());
-        assert!(!b.record_failure("k"));
-        assert!(!b.record_failure("k"));
-        assert!(b.is_open("k").is_none(), "two failures stay under the threshold");
-        assert!(b.record_failure("k"), "the third failure trips the breaker");
-        assert_eq!(b.is_open("k"), Some(3));
-        assert!(b.is_open("other").is_none(), "breakers are per kernel");
-        b.record_success("k");
-        assert!(b.is_open("k").is_none(), "success closes the breaker");
-        // A success between failures resets the consecutive count.
-        let c = CircuitBreaker::new(2);
-        c.record_failure("k");
-        c.record_success("k");
-        c.record_failure("k");
-        assert!(c.is_open("k").is_none());
-    }
 
     #[test]
     fn journal_round_trips_and_skips_torn_lines() {

@@ -1,9 +1,8 @@
 //! Resilience contract of the batch engine: a panicking task costs its
 //! own item only, deadlines and timeouts abort exactly the jobs that ran
-//! out of budget, the circuit breaker stops feeding a dying kernel, and
-//! the completion journal makes an interrupted run resumable with zero
-//! repeat work — all driven off a `FakeClock`, so every assertion is
-//! deterministic.
+//! out of budget, and the completion journal makes an interrupted run
+//! resumable with zero repeat work — all driven off a `FakeClock`, so
+//! every assertion is deterministic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -11,7 +10,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use gpumech_core::{Gpumech, ModelError, PredictionRequest};
+use gpumech_core::{Gpumech, PredictionRequest};
 use gpumech_exec::resilience::JournalEntry;
 use gpumech_exec::{
     canonical_prediction_json, run_indexed, BatchEngine, BatchJob, BatchOptions, ExecError,
@@ -170,42 +169,6 @@ fn explicit_cancellation_fails_every_job_as_cancelled() {
         assert_eq!(r.as_ref().unwrap_err().error, ExecError::Cancelled);
     }
     assert_eq!(counter(&rec, "exec.resilience.cancelled"), all.len() as u64);
-}
-
-#[test]
-fn circuit_breaker_skips_a_kernel_after_consecutive_failures() {
-    let _serial = recorder_lock();
-    // Five sweep points of one kernel, all with an invalid configuration:
-    // after two failures the breaker opens and the remaining three are
-    // skipped without being attempted.
-    let trace =
-        Arc::new(workloads::by_name("sdk_vectoradd").unwrap().with_blocks(1).trace().unwrap());
-    let all: Vec<BatchJob> = (0..5)
-        .map(|i| {
-            let cfg = SimConfig { num_mshrs: 0, ..SimConfig::default() };
-            BatchJob::new(format!("sdk_vectoradd @ {i}"), Arc::clone(&trace), cfg)
-        })
-        .collect();
-    let opts = BatchOptions { breaker_threshold: Some(2), ..BatchOptions::default() };
-    let rec = Arc::new(Recorder::new());
-    let out = {
-        let _obs = gpumech_obs::install(Arc::clone(&rec));
-        BatchEngine::new(1).run_with(&all, &opts)
-    };
-    for r in &out[..2] {
-        assert!(matches!(
-            r.as_ref().unwrap_err().error,
-            ExecError::Model(ModelError::InvalidConfig(_))
-        ));
-    }
-    for r in &out[2..] {
-        assert!(matches!(
-            &r.as_ref().unwrap_err().error,
-            ExecError::CircuitOpen { kernel, failures: 2 } if kernel == "sdk_vectoradd"
-        ));
-    }
-    assert_eq!(counter(&rec, "exec.resilience.breaker_trips"), 1);
-    assert_eq!(counter(&rec, "exec.resilience.breaker_open"), 3);
 }
 
 fn temp_journal(tag: &str) -> PathBuf {

@@ -175,24 +175,6 @@ fn a_deadline_inside_kmeans_fails_its_job_and_leaves_the_slot_empty() {
 }
 
 #[test]
-fn an_evicted_entry_takes_its_selections_along() {
-    let _serial = recorder_lock();
-    let [a, b] = [trace("bfs_kernel1", 4), trace("sdk_vectoradd", 4)];
-    let (a_jobs, b_jobs) = (sweep(&a), sweep(&b));
-    let engine = BatchEngine::with_cache(1, ProfileCache::in_memory().with_capacity(1));
-
-    let (a_first, kmeans) = counted(&engine, &a_jobs);
-    assert_eq!(kmeans, 1);
-    assert_eq!(counted(&engine, &a_jobs).1, 0, "a warm entry selects nothing");
-    assert_eq!(counted(&engine, &b_jobs).1, 1, "b's entry evicts a's");
-    assert_eq!(engine.cache().len(), 1);
-    let (a_again, kmeans) = counted(&engine, &a_jobs);
-    assert_eq!(kmeans, 1, "a re-inserted entry starts with no selection");
-    assert_eq!(a_again, a_first);
-    assert_eq!(counted(&engine, &a_jobs).1, 0);
-}
-
-#[test]
 fn an_entry_loaded_from_disk_starts_with_no_selection() {
     let _serial = recorder_lock();
     let dir = std::env::temp_dir().join(format!("gpumech-selection-memo-{}", std::process::id()));

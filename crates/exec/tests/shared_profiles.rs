@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gpumech_core::{
     feature_vectors, Analysis, Gpumech, IntervalProfile, PredictionRequest, SchedulingPolicy,
-    SelectionMethod,
+    SelectionMethod, Weighting,
 };
 use gpumech_exec::cache::{payload_checksum, DISK_FORMAT_TAG};
 use gpumech_exec::{cache_key, canonical_prediction_json, ProfileCache};
@@ -66,7 +66,7 @@ fn predictions(a: &Analysis) -> Vec<String> {
             base.clone(),
             base.clone().selection(SelectionMethod::Max),
             base.clone().selection(SelectionMethod::Min),
-            base.population_weighted(),
+            base.weighting(Weighting::PopulationWeighted),
         ];
         for request in &requests {
             out.push(canonical_prediction_json(&model.run(request).unwrap()).unwrap());

@@ -57,11 +57,6 @@ id_newtype!(
     "w"
 );
 id_newtype!(
-    /// Index of a streaming multiprocessor ("core").
-    CoreId,
-    "core"
-);
-id_newtype!(
     /// Index of a thread block within the launch grid.
     BlockId,
     "b"
@@ -79,7 +74,6 @@ mod tests {
         assert_eq!(u32::from(w), 7);
         assert_eq!(WarpId::from(7), w);
         assert_eq!(w.to_string(), "w7");
-        assert_eq!(CoreId::new(3).to_string(), "core3");
         assert_eq!(BlockId::new(11).to_string(), "b11");
     }
 

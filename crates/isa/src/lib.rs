@@ -10,7 +10,7 @@
 //!   functional simulator in `gpumech-trace` executes,
 //! * [`SimConfig`] — the machine description of Table I of the paper
 //!   (16 cores, 32-wide SIMT, 32 KB L1, 768 KB L2, 192 GB/s DRAM, …),
-//! * id newtypes ([`WarpId`], [`CoreId`], [`BlockId`]) used across crates.
+//! * id newtypes ([`WarpId`], [`BlockId`]) used across crates.
 //!
 //! # Example
 //!
@@ -32,7 +32,7 @@ pub mod opcode;
 pub mod policy;
 
 pub use config::{CacheConfig, ConfigError, LatencyTable, SimConfig};
-pub use ids::{BlockId, CoreId, WarpId};
+pub use ids::{BlockId, WarpId};
 pub use kernel::{AddrPattern, BranchCond, Kernel, KernelBuilder, Operand, Reg, StaticInst, ValueOp};
 pub use opcode::{InstKind, MemSpace};
 pub use policy::{SchedulingPolicy, UnknownWord};

@@ -130,11 +130,7 @@ fn simulate_impl<E>(
     let mut l2 = Cache::new(&cfg.l2);
     let mut stats = MemStats::new(cfg.l1.latency, cfg.l2_hit_latency(), cfg.l2_miss_latency());
 
-    // Deal blocks to cores: core c executes blocks {c, c+N, c+2N, ...}.
-    let mut core_blocks: Vec<Vec<usize>> = vec![Vec::new(); cfg.num_cores];
-    for b in 0..launch.num_blocks {
-        core_blocks[b % cfg.num_cores].push(b);
-    }
+    let core_blocks = launch.blocks_by_core(cfg.num_cores);
     let bpc = launch.blocks_per_core(cfg.max_warps_per_core);
     let max_waves = core_blocks.iter().map(|bs| bs.len().div_ceil(bpc)).max().unwrap_or(0);
     let wpb = launch.warps_per_block();

@@ -3,7 +3,7 @@
 //!
 //! The ROADMAP's target is serving interval-analysis predictions at
 //! production scale; the internals (batch engine, profile cache, cancel
-//! tokens, circuit breakers) already exist in `gpumech-exec` and
+//! tokens) already exist in `gpumech-exec` and
 //! `gpumech-obs`. This crate is the missing service layer, built on
 //! `std::net` only (the build environment has no crates.io access):
 //!
@@ -18,8 +18,8 @@
 //!   both a per-read socket timeout and a whole-request patience budget,
 //!   so slow-loris and oversized inputs map to `408`/`413`.
 //! * **Typed errors** — every failure is an [`ApiError`] with a stable
-//!   code; static-analysis rejections carry their findings (`422`), open
-//!   circuits and drain refusals are `503` ([`api`]).
+//!   code; static-analysis rejections carry their findings (`422`), and
+//!   drain refusals are `503` ([`api`]).
 //! * **Graceful drain** — SIGTERM/ctrl-c (or a [`ServerHandle`]) stops
 //!   admission, keeps health endpoints live, finishes admitted work
 //!   under a drain deadline, then cancels stragglers.

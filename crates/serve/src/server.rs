@@ -9,9 +9,10 @@
 //! A fixed pool of service workers sleeps on the queue's condvar, pops
 //! admitted connections, parses the request under read timeouts and byte
 //! limits, and executes predictions through the shared [`BatchEngine`]
-//! (one warm [`ProfileCache`] for the server's lifetime, one long-lived
-//! per-kernel [`CircuitBreaker`]). Nothing on the request path waits on a
-//! timer: a request waits only for the work in front of it.
+//! (one warm [`ProfileCache`] for the server's lifetime). A failed request
+//! leaves nothing behind: the next request for the same kernel runs as if
+//! it were the first. Nothing on the request path waits on a timer: a
+//! request waits only for the work in front of it.
 //!
 //! # Drain
 //!
@@ -37,9 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gpumech_core::{parse_selection, Model, ModelError};
-use gpumech_exec::{
-    BatchEngine, BatchJob, BatchOptions, CircuitBreaker, ExecError, ProfileCache,
-};
+use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, ExecError, ProfileCache};
 use gpumech_isa::{SchedulingPolicy, SimConfig, UnknownWord};
 use gpumech_obs::{signals, CancelToken};
 use gpumech_trace::{workloads, KernelTrace, LaunchConfig, TraceError};
@@ -72,9 +71,6 @@ pub struct ServeConfig {
     pub max_header_bytes: usize,
     /// Maximum body bytes before `413`.
     pub max_body_bytes: usize,
-    /// Open a kernel's circuit after this many consecutive execution
-    /// failures (`None` disables the breaker).
-    pub breaker_threshold: Option<u32>,
     /// Persist the profile cache to this directory.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Kernels to analyze before `/readyz` reports ready.
@@ -98,7 +94,6 @@ impl Default for ServeConfig {
             drain_ms: 5_000,
             max_header_bytes: 8 * 1024,
             max_body_bytes: 64 * 1024,
-            breaker_threshold: None,
             cache_dir: None,
             warm: Vec::new(),
             debug_hooks: false,
@@ -190,7 +185,6 @@ impl ServerHandle {
 struct State {
     cfg: ServeConfig,
     engine: BatchEngine,
-    breaker: Option<CircuitBreaker>,
     traces: Mutex<HashMap<(String, usize), Arc<KernelTrace>>>,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cond: Condvar,
@@ -302,10 +296,8 @@ impl Server {
         // while the engine contributes the cache, cancellation, and
         // typed-error machinery.
         let engine = BatchEngine::with_cache(1, cache);
-        let breaker = cfg.breaker_threshold.map(CircuitBreaker::new);
         let state = State {
             engine,
-            breaker,
             traces: Mutex::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
@@ -780,16 +772,6 @@ fn invalid_option(field: &str, e: &UnknownWord) -> ApiError {
     ApiError::new(422, "invalid_option", format!("{field} {e}"))
 }
 
-/// The 503 for a kernel whose circuit breaker is open.
-fn circuit_open(kernel: &str, failures: u32) -> ApiError {
-    ApiError::new(
-        503,
-        "circuit_open",
-        format!("circuit open for kernel {kernel:?} after {failures} consecutive failures"),
-    )
-    .with_retry_after_ms(1_000)
-}
-
 /// The 422 for a kernel static verification rejected, with its findings
 /// and, when the tracer gave one, the reason.
 fn rejected_by_analysis(
@@ -848,7 +830,6 @@ fn exec_error_to_api(state: &State, kernel: &str, err: &ExecError) -> ApiError {
             "draining",
             "request cancelled: server drain deadline expired",
         ),
-        ExecError::CircuitOpen { kernel, failures } => circuit_open(kernel, *failures),
         ExecError::RejectedByAnalysis { kernel, findings } => {
             rejected_by_analysis(kernel, None, findings)
         }
@@ -895,10 +876,6 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
         parse_selection(body.selection.as_deref().unwrap_or("clustering"))
             .map_err(|e| invalid_option("selection", &e))?;
 
-    if let Some(failures) = state.breaker.as_ref().and_then(|b| b.is_open(&body.kernel)) {
-        return Err(circuit_open(&body.kernel, failures));
-    }
-
     let trace = lookup_trace(state, &body.kernel, body.blocks)?;
 
     // Per-request deadline: the request may shorten the server's budget
@@ -934,30 +911,13 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
 
     match outcome {
         Some(Ok(p)) => {
-            if let Some(b) = &state.breaker {
-                b.record_success(&body.kernel);
-            }
             state.observe_service_time(t_exec.elapsed());
             state.n_ok.fetch_add(1, Ordering::Relaxed);
             gpumech_obs::counter!("serve.req.ok");
             let body_json = predict_response_body(&body.kernel, &p)?;
             Ok(Response::json(200, body_json))
         }
-        Some(Err(err)) => {
-            let api = exec_error_to_api(state, &body.kernel, &err);
-            // Server-side faults (5xx and blown deadlines) count against
-            // the kernel's breaker; client rejections, drain
-            // cancellations, and already-open circuits do not.
-            let server_fault = api.status >= 500 && api.code != "draining" && api.code != "circuit_open";
-            if server_fault {
-                if let Some(b) = &state.breaker {
-                    if b.record_failure(&body.kernel) {
-                        gpumech_obs::counter!("serve.breaker.trips");
-                    }
-                }
-            }
-            Err(api)
-        }
+        Some(Err(err)) => Err(exec_error_to_api(state, &body.kernel, &err)),
         None => Err(ApiError::new(500, "internal", "engine returned no result".to_string())),
     }
 }

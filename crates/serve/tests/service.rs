@@ -319,6 +319,28 @@ fn per_request_deadline_maps_to_504_and_cancels_partial_work() {
 }
 
 #[test]
+fn a_request_that_ran_out_of_time_in_the_engine_leaves_nothing_behind() {
+    let _g = guard();
+    let srv = Running::start(ServeConfig::default());
+    // No debug hold: the 1 ms budget starts after the trace lookup and
+    // expires in the engine's cache simulation of a cold kernel.
+    for _ in 0..2 {
+        let resp = predict(srv.addr, r#"{"kernel":"parboil_sgemm","deadline_ms":1}"#);
+        assert_eq!(resp.status, 504, "{}", resp.body);
+        assert!(resp.body.contains("\"error\":\"deadline_exceeded\""), "{}", resp.body);
+    }
+    // The same kernel under the default budget predicts as if the failed
+    // requests had never been made.
+    let resp = predict(srv.addr, r#"{"kernel":"parboil_sgemm"}"#);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let trace = workloads::by_name("parboil_sgemm").unwrap().trace().unwrap();
+    let p = Gpumech::new(SimConfig::table1()).run(&PredictionRequest::from_trace(&trace)).unwrap();
+    assert_eq!(resp.body, predict_response_body("parboil_sgemm", &p).unwrap());
+    let summary = srv.stop();
+    assert_eq!(summary.deadlines, 2, "{summary:?}");
+}
+
+#[test]
 fn graceful_drain_finishes_admitted_work_and_refuses_new() {
     let _g = guard();
     let srv = Running::start(ServeConfig {

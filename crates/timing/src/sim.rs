@@ -134,13 +134,12 @@ fn simulate_impl(
     cfg.validate().map_err(SimError::InvalidConfig)?;
     trace.validate().map_err(SimError::MalformedTrace)?;
 
-    // Deal blocks to cores (same rule as the functional cache simulator).
-    let mut per_core_blocks: Vec<Vec<usize>> = vec![Vec::new(); cfg.num_cores];
-    for b in 0..trace.launch.num_blocks {
-        per_core_blocks[b % cfg.num_cores].push(b);
-    }
-    let mut cores: Vec<Core<'_>> =
-        per_core_blocks.into_iter().map(|blocks| Core::new(trace, cfg, blocks)).collect();
+    let mut cores: Vec<Core<'_>> = trace
+        .launch
+        .blocks_by_core(cfg.num_cores)
+        .into_iter()
+        .map(|blocks| Core::new(trace, cfg, blocks))
+        .collect();
     let mut uncore = Uncore {
         l2: Cache::new(&cfg.l2),
         dram: DramChannel::new(cfg),

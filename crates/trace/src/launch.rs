@@ -2,7 +2,7 @@
 //! the block-to-core assignment rule shared by the functional cache
 //! simulator and the cycle-level oracle.
 
-use gpumech_isa::{BlockId, CoreId, WarpId, WARP_SIZE};
+use gpumech_isa::{BlockId, WarpId, WARP_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// Grid geometry of one kernel launch (1-D, as in all the paper's kernels).
@@ -98,19 +98,14 @@ impl LaunchConfig {
         (warp.index() * WARP_SIZE + lane) as u64
     }
 
-    /// Core that executes a block: blocks are dealt round-robin across
-    /// cores, so block `b` runs on core `b % num_cores`. Both the functional
-    /// cache simulator and the timing oracle follow this rule, keeping their
-    /// per-core access streams comparable.
+    /// The grid's blocks dealt round-robin to `num_cores` cores (at least
+    /// one): core `c` runs blocks `c, c + num_cores, c + 2 * num_cores, …`
+    /// in that order. Both the functional cache simulator and the timing
+    /// oracle deal by this rule, keeping their per-core access streams
+    /// comparable.
     #[must_use]
-    pub fn core_of_block(&self, block: BlockId, num_cores: usize) -> CoreId {
-        CoreId::new((block.index() % num_cores) as u32)
-    }
-
-    /// Core that executes a warp (via its block).
-    #[must_use]
-    pub fn core_of_warp(&self, warp: WarpId, num_cores: usize) -> CoreId {
-        self.core_of_block(self.block_of_warp(warp), num_cores)
+    pub fn blocks_by_core(&self, num_cores: usize) -> Vec<Vec<usize>> {
+        (0..num_cores).map(|c| (c..self.num_blocks).step_by(num_cores).collect()).collect()
     }
 
     /// Number of blocks that fit on one core given a resident-warp budget.
@@ -145,11 +140,15 @@ mod tests {
 
     #[test]
     fn blocks_deal_round_robin_to_cores() {
-        let l = LaunchConfig::new(256, 40);
-        assert_eq!(l.core_of_block(BlockId::new(0), 16), CoreId::new(0));
-        assert_eq!(l.core_of_block(BlockId::new(16), 16), CoreId::new(0));
-        assert_eq!(l.core_of_block(BlockId::new(17), 16), CoreId::new(1));
-        assert_eq!(l.core_of_warp(WarpId::new(8), 16), CoreId::new(1));
+        let by_core = LaunchConfig::new(256, 40).blocks_by_core(16);
+        assert_eq!(by_core.len(), 16);
+        assert_eq!(by_core[0], [0, 16, 32]);
+        assert_eq!(by_core[1], [1, 17, 33]);
+        assert_eq!(by_core[8], [8, 24]);
+        assert_eq!(by_core[15], [15, 31]);
+        // Fewer blocks than cores leaves the tail cores empty.
+        let by_core = LaunchConfig::new(256, 3).blocks_by_core(4);
+        assert_eq!(by_core, [vec![0], vec![1], vec![2], vec![]]);
     }
 
     #[test]
