@@ -271,7 +271,7 @@ where
         )?),
         "batch" => sweep::batch(&Args::parse_with_switches(
             rest,
-            &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep", "cache-dir",
+            &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep",
               "timeout-ms", "deadline-ms", "journal", "shard", "json", "obs-out"]]
                 .concat(),
             &["resume", "oracle"],
@@ -280,7 +280,7 @@ where
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",
-                "drain-ms", "max-body-bytes", "max-header-bytes", "cache-dir", "warm"]],
+                "drain-ms", "max-body-bytes", "max-header-bytes", "warm"]],
             &["debug-hooks"],
             serve::serve,
         ),

@@ -32,7 +32,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         drain_ms: args.flag_or("drain-ms", 5_000u64)?,
         max_header_bytes: args.flag_or("max-header-bytes", 8 * 1024usize)?,
         max_body_bytes: args.flag_or("max-body-bytes", 64 * 1024usize)?,
-        cache_dir: args.flag("cache-dir").map(std::path::PathBuf::from),
         warm,
         debug_hooks: args.switch("debug-hooks"),
         handle_signals: true,

@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use gpumech_core::{Model, Prediction, SchedulingPolicy};
-use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError, ProfileCache};
+use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError};
 use gpumech_obs::Snapshot;
 use gpumech_shard::{
     git_commit, merge_files, sweep_points, verify_expectation, CounterEntry, FindingKind, JobRow,
@@ -130,11 +130,7 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
         )));
     }
 
-    let cache = match args.flag("cache-dir") {
-        Some(dir) => ProfileCache::with_disk(dir),
-        None => ProfileCache::in_memory(),
-    };
-    let engine = BatchEngine::with_cache(workers, cache);
+    let engine = BatchEngine::new(workers);
     let effective = engine.effective_workers();
     if effective < workers {
         eprintln!(

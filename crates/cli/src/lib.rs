@@ -67,7 +67,6 @@ BATCH FLAGS:
     --sweep AXIS=A,B  sweep one machine axis (warps|mshrs|bw|sfu) across the
                       listed values; each kernel is predicted at every point
     --json PATH       write the batch results as machine-readable JSON
-    --cache-dir DIR   persist the profile cache to DIR across invocations
     --timeout-ms N    per-job time budget; a job over budget fails alone
                       with a typed Deadline error
     --deadline-ms N   whole-run time budget; jobs past the deadline fail
@@ -123,7 +122,6 @@ SERVE FLAGS:
     --max-body-bytes N / --max-header-bytes N
                       request size budgets; oversize maps to 413
                       (defaults 65536 / 8192)
-    --cache-dir DIR   persist the profile cache to DIR across restarts
     --warm LIST       comma-separated kernels (or \"all\") analyzed before
                       /readyz reports ready
 

@@ -98,6 +98,11 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             vec!["batch", "sdk_vectoradd", "--breaker-threshold", "2"],
             Keep::Until("USAGE:"),
         ),
+        (
+            "removed-cache-dir-flag",
+            vec!["batch", "sdk_vectoradd", "--cache-dir", "d"],
+            Keep::Until("USAGE:"),
+        ),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
         ("missing-kernel", vec!["predict"], Keep::Until("USAGE:")),
         ("unknown-kernel", vec!["predict", "no_such_kernel"], Keep::All),

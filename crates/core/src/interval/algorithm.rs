@@ -68,27 +68,12 @@ pub struct ProfileBuilder<'a> {
 }
 
 /// Moves the first of `kept` that `matches` to the front and returns it:
-/// the recent-first list of the streams (or lists) met so far, since a
+/// the recent-first list of the streams met so far, since a
 /// launch runs a handful of them and neighbouring warps mostly share one.
 fn recent_first<T>(kept: &mut [T], matches: impl FnMut(&T) -> bool) -> Option<&T> {
     let at = kept.iter().position(matches)?;
     kept[..=at].rotate_right(1);
     kept.first()
-}
-
-/// Makes warps whose interval lists are equal share one list, as
-/// [`ProfileBuilder::build_all`] makes warps of one stream share theirs —
-/// for profiles decoded one list per warp. Lists compare with `==`: a
-/// `NaN` can only cost a share, and a `-0.0`, the one value `==` confuses
-/// with another, is never produced (every sum starts at `+0.0`).
-pub fn share_equal_intervals(profiles: &mut [IntervalProfile]) {
-    let mut kept: Vec<Arc<[Interval]>> = Vec::new();
-    for p in profiles {
-        match recent_first(&mut kept, |list| *list == p.intervals) {
-            Some(list) => p.intervals = Arc::clone(list),
-            None => kept.insert(0, Arc::clone(&p.intervals)),
-        }
-    }
 }
 
 impl<'a> ProfileBuilder<'a> {
@@ -440,22 +425,6 @@ mod tests {
         lists.sort_unstable();
         lists.dedup();
         lists.len()
-    }
-
-    #[test]
-    fn equal_lists_decoded_apart_are_shared_again() {
-        let trace = two_stream_trace();
-        let cfg = cfg();
-        let mem = empty_mem(&cfg);
-        let built =
-            ProfileBuilder::new(&cfg, &mem).build_all(&trace.warps, || Ok::<(), ()>(())).unwrap();
-        let json = serde_json::to_string(&built).unwrap();
-        let mut decoded: Vec<IntervalProfile> = serde_json::from_str(&json).unwrap();
-        assert_eq!(distinct_lists(&decoded), decoded.len());
-        share_equal_intervals(&mut decoded);
-        assert_eq!(decoded, built);
-        assert_eq!(distinct_lists(&decoded), 2);
-        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
     }
 
     #[test]

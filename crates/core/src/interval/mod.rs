@@ -5,7 +5,7 @@ mod algorithm;
 mod profile;
 mod summary;
 
-pub use algorithm::{build_profile, share_equal_intervals, ProfileBuilder};
+pub use algorithm::{build_profile, ProfileBuilder};
 pub(crate) use profile::insts_and_perfs;
 pub use profile::{Interval, IntervalProfile, StallCause};
 pub use summary::{summarize_population, PopulationSummary, ProfileSummary};

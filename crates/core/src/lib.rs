@@ -52,7 +52,7 @@ pub mod request;
 pub use cluster::{feature_vectors, kmeans2, kmeans2_cancellable, select_representative, Selection, SelectionMethod};
 pub use contention::{contention_cpi, ContentionOptions, ContentionResult};
 pub use cpistack::{CpiStack, StallCategory};
-pub use interval::{build_profile, share_equal_intervals, summarize_population, Interval, IntervalProfile, PopulationSummary, ProfileBuilder, ProfileSummary, StallCause};
+pub use interval::{build_profile, summarize_population, Interval, IntervalProfile, PopulationSummary, ProfileBuilder, ProfileSummary, StallCause};
 pub use model::{Analysis, Gpumech, Model, ModelError, Prediction};
 pub use multiwarp::{multithreading_cpi, MultithreadingResult};
 pub use request::{parse_selection, PredictionRequest, Weighting};

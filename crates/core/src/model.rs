@@ -133,8 +133,8 @@ impl From<TraceError> for ModelError {
 /// the same reuse the paper exploits when exploring hardware
 /// configurations (Section VI-D).
 ///
-/// Serializable so execution layers can persist analyses in a
-/// content-addressed profile cache and reuse them across processes.
+/// An execution layer keeps analyses in a content-addressed, in-memory
+/// profile cache and reuses them across a sweep's hardware points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Analysis {
     /// Per-PC cache statistics of the functional hierarchy simulation.

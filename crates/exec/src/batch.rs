@@ -101,7 +101,7 @@ impl BatchEngine {
         Self::with_cache(workers, ProfileCache::in_memory())
     }
 
-    /// An engine sharing an existing cache (e.g. a disk-backed one).
+    /// An engine over an existing cache.
     #[must_use]
     pub fn with_cache(workers: usize, cache: ProfileCache) -> Self {
         Self { cache, workers, fingerprints: FingerprintMemo::default() }
@@ -188,8 +188,13 @@ impl BatchEngine {
         let results = run_indexed(effective, jobs, |i, job| {
             if let Some(entry) = fingerprints.as_ref().and_then(|fps| completed.get(&fps[i])) {
                 gpumech_obs::counter!("exec.resilience.journal_hits");
-                return serde_json::from_str::<Prediction>(&entry.prediction).map_err(|e| {
-                    ExecError::Model(ModelError::Execution(format!("journal replay: {e}")))
+                let replayed = if entry.is_intact() {
+                    serde_json::from_str::<Prediction>(&entry.prediction).map_err(|e| e.to_string())
+                } else {
+                    Err("checksum mismatch".to_owned())
+                };
+                return replayed.map_err(|why| {
+                    ExecError::Model(ModelError::Execution(format!("journal replay: {why}")))
                 });
             }
             // Check the whole-run budget before spending anything on this
@@ -239,8 +244,7 @@ impl BatchEngine {
         // fields, so a NaN bandwidth must not ride in on a cache hit.
         job.cfg.validate().map_err(|e| ExecError::Model(ModelError::InvalidConfig(e)))?;
         let model = Gpumech::new(job.cfg.clone());
-        let (entry, cache_warnings) =
-            self.cache.entry_logged(key, || model.analyze_cancellable(&job.trace, token))?;
+        let entry = self.cache.entry(key, || model.analyze_cancellable(&job.trace, token))?;
         // Every job over this entry shares its selection by this method.
         let selection = entry.selection(job.selection, token)?;
         let request = PredictionRequest::from_analysis(entry.analysis())
@@ -250,12 +254,7 @@ impl BatchEngine {
             .weighting(job.weighting)
             .selected(&selection)
             .cancel(token.clone());
-        let mut p = model.run(&request).map_err(ExecError::from)?;
-        // Disk-layer incidents (quarantined corrupt entries, failed
-        // persists) ride along as warnings: environmental, so prefixed and
-        // stripped from the canonical JSON used for byte-identity.
-        p.warnings.extend(cache_warnings.into_iter().map(|w| format!("cache: {w}")));
-        Ok(p)
+        model.run(&request).map_err(ExecError::from)
     }
 }
 
@@ -284,7 +283,7 @@ pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
 /// `Arc::get_mut` fails while a `Weak` exists, `Arc::make_mut` moves the
 /// value away from its `Weak`s, a live `Weak` keeps the address from
 /// being reused, and `KernelTrace` has no interior mutability. The value
-/// is [`trace_fingerprint`]'s, so every cache filename, journal key and
+/// is [`trace_fingerprint`]'s, so every cache key, journal key and
 /// shard manifest is the same as without the memo. Entries of dropped
 /// traces are pruned on insert, so the map never outgrows the traces that
 /// were alive at its last insert.
@@ -366,7 +365,7 @@ pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
 
 /// Canonical JSON of a prediction for byte-identity assertions:
 /// `cache: `-prefixed warnings (the only environment-dependent bytes in a
-/// [`Prediction`] — a quarantined disk entry changes what happened, not
+/// [`Prediction`] — a failed journal append changes what happened, not
 /// what was predicted) are dropped before serializing.
 ///
 /// # Errors

@@ -15,20 +15,16 @@
 //! to defaults. The batch engine hashes a trace once per allocation and
 //! serializes each distinct normalized configuration once per call.
 //! Entries live in memory behind `Arc`s, each with its representative-warp
-//! selections filled on first use; an optional disk directory persists the
-//! analyses as JSON (vendored `serde_json`) across processes.
-//! Hits, misses, and disk traffic are observable through the
-//! `exec.cache.*` counters — the cache test asserts a warm second run
-//! does zero analysis work purely from those counters.
+//! selections filled on first use, for as long as the cache lives.
+//! Hits and misses are observable through the `exec.cache.*` counters —
+//! the cache test asserts a warm second run does zero analysis work purely
+//! from those counters.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::fs;
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use gpumech_core::{share_equal_intervals, Analysis, ModelError, Selection, SelectionMethod};
+use gpumech_core::{Analysis, ModelError, Selection, SelectionMethod};
 use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Interrupt};
 use gpumech_trace::KernelTrace;
@@ -38,13 +34,13 @@ use gpumech_trace::KernelTrace;
 /// final avalanche.
 ///
 /// Not `DefaultHasher`: that one is documented to vary across releases,
-/// which would silently invalidate on-disk caches on a toolchain bump.
+/// which would silently re-key every journal on a toolchain bump.
 /// Not canonical byte-wise FNV-1a either: a trace fingerprint hashes
 /// every dynamic instruction (tens of megabytes for a full-size grid),
 /// and one multiply per byte made fingerprinting cost more than half of
 /// the analysis it deduplicates. The function is defined by this crate
-/// and must never change once released — on-disk cache filenames embed
-/// its output.
+/// and must never change once released — completion-journal lines and
+/// shard manifests embed its output.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -75,7 +71,7 @@ impl Hasher for Fnv1a {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
             // Little-endian on every platform, so fingerprints (and the
-            // disk-cache filenames derived from them) are portable.
+            // journal keys derived from them) are portable.
             self.absorb(u64::from_le_bytes(c.try_into().unwrap_or([0; 8])));
         }
         for &b in chunks.remainder() {
@@ -175,11 +171,7 @@ pub fn cache_key(trace: &KernelTrace, cfg: &SimConfig) -> CacheKey {
     CacheKey { trace: trace_fingerprint(trace), config: analysis_config_fingerprint(cfg) }
 }
 
-/// Magic + version tag opening every on-disk cache entry. Bumping the
-/// version invalidates (quarantines) all previously written entries.
-pub const DISK_FORMAT_TAG: &str = "GPUMECH-CACHE v2";
-
-/// Checksum of an on-disk payload: the same lane-widened FNV-1a used for
+/// Checksum of a payload: the same lane-widened FNV-1a used for
 /// fingerprints, applied to the raw payload bytes.
 #[must_use]
 pub fn payload_checksum(payload: &[u8]) -> u64 {
@@ -188,112 +180,12 @@ pub fn payload_checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Why a disk entry was rejected and quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DiskDefect {
-    /// Missing/foreign magic line or wrong format version.
-    Header,
-    /// Header `len` disagrees with the actual payload size (truncation or
-    /// trailing garbage).
-    Length,
-    /// Checksum mismatch (bit rot, torn write).
-    Checksum,
-    /// Header and checksum fine but the JSON payload did not deserialize
-    /// (schema drift).
-    Payload,
-}
-
-impl fmt::Display for DiskDefect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DiskDefect::Header => write!(f, "bad or missing header"),
-            DiskDefect::Length => write!(f, "payload length mismatch (truncated?)"),
-            DiskDefect::Checksum => write!(f, "checksum mismatch"),
-            DiskDefect::Payload => write!(f, "unparsable payload"),
-        }
-    }
-}
-
-/// Encodes one entry in the on-disk format:
-/// `GPUMECH-CACHE v2 len=<bytes> crc=<16-hex>\n<json payload>`.
-fn encode_disk_entry(json: &str) -> String {
-    let payload = json.as_bytes();
-    format!(
-        "{DISK_FORMAT_TAG} len={} crc={:016x}\n{json}",
-        payload.len(),
-        payload_checksum(payload)
-    )
-}
-
-/// Validates header, length, and checksum and returns the payload slice.
-fn decode_disk_entry(text: &str) -> Result<&str, DiskDefect> {
-    let (header, payload) = text.split_once('\n').ok_or(DiskDefect::Header)?;
-    let rest = header.strip_prefix(DISK_FORMAT_TAG).ok_or(DiskDefect::Header)?;
-    let mut len = None;
-    let mut crc = None;
-    for field in rest.split_whitespace() {
-        if let Some(v) = field.strip_prefix("len=") {
-            len = v.parse::<usize>().ok();
-        } else if let Some(v) = field.strip_prefix("crc=") {
-            crc = u64::from_str_radix(v, 16).ok();
-        }
-    }
-    let (Some(len), Some(crc)) = (len, crc) else { return Err(DiskDefect::Header) };
-    if payload.len() != len {
-        return Err(DiskDefect::Length);
-    }
-    if payload_checksum(payload.as_bytes()) != crc {
-        return Err(DiskDefect::Checksum);
-    }
-    Ok(payload)
-}
-
-/// Writes `text` to `path` atomically: into `<path>.tmp` beside it (the
-/// directory is created if missing), then renamed into place, so a reader
-/// sees the old file or the new one, never a torn mix. A writer killed
-/// between the two steps leaves only the `.tmp`.
-///
-/// # Errors
-///
-/// The failing step's path and I/O error, rendered.
-pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    }
-    let tmp = with_suffix(path, ".tmp");
-    fs::write(&tmp, text).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Moves a file that failed validation to the first free name among
-/// `<path>.quarantine`, `<path>.quarantine.1`, `<path>.quarantine.2`, …
-/// (never deleted or overwritten — the bytes are evidence — and never
-/// read again). Returns the new path, or `None` when the rename failed.
-#[must_use]
-pub fn quarantine(path: &Path) -> Option<PathBuf> {
-    let target = (0..)
-        .map(|n| match n {
-            0 => with_suffix(path, ".quarantine"),
-            n => with_suffix(path, &format!(".quarantine.{n}")),
-        })
-        .find(|candidate| !candidate.exists())?;
-    fs::rename(path, &target).ok().map(|()| target)
-}
-
-/// `path` with `suffix` appended to its file name.
-fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(suffix);
-    PathBuf::from(name)
-}
-
 /// One in-memory entry: an analysis and, per [`SelectionMethod`], the
 /// representative-warp selection over it.
 ///
 /// Selection reads only the interval profiles, and every job served by an
 /// entry shares its analysis, so one selection per method serves them all.
-/// The slots live and die with the entry: nothing of them is written to
-/// disk, and an entry loaded from disk starts empty.
+/// The slots live and die with the entry.
 #[derive(Debug)]
 pub(crate) struct CacheEntry {
     analysis: Arc<Analysis>,
@@ -335,28 +227,15 @@ impl CacheEntry {
     }
 }
 
-/// Content-addressed, thread-safe cache of [`Analysis`] results.
+/// Content-addressed, thread-safe, in-memory cache of [`Analysis`]
+/// results.
 ///
-/// In-memory always; [`ProfileCache::with_disk`] additionally persists
-/// entries under a directory as `<trace>-<config>.json` files in a
-/// versioned, checksummed envelope (see [`DISK_FORMAT_TAG`]), surviving
-/// process restarts and — by design — process *crashes*:
-///
-/// * **Atomic writes** — entries are written to a `.tmp` sibling and
-///   renamed into place, so a reader never observes a half-written file;
-///   a crash mid-write leaves only a stale `.tmp`, which the next
-///   [`ProfileCache::with_disk`] sweeps away.
-/// * **Corruption quarantine** — an entry whose header, length, checksum,
-///   or payload fails validation is renamed to `<file>.quarantine`
-///   (preserved for inspection, never re-read), counted under
-///   `exec.cache.quarantined`, reported as a warning, and recomputed.
-///
-/// Disk failures are never fatal: they count as misses and are tallied
-/// under `exec.cache.disk_errors`.
+/// Memory only: the key hashes the whole trace, so a copy kept across
+/// processes could skip only the cache-sim and interval stages, and
+/// reading one back from disk cost more than recomputing them.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     entries: Mutex<HashMap<CacheKey, Arc<CacheEntry>>>,
-    disk_dir: Option<PathBuf>,
 }
 
 impl ProfileCache {
@@ -364,29 +243,6 @@ impl ProfileCache {
     #[must_use]
     pub fn in_memory() -> Self {
         Self::default()
-    }
-
-    /// A cache that also persists entries under `dir` (created on first
-    /// write if missing). Stale `.tmp` files left by a crashed writer are
-    /// removed immediately.
-    #[must_use]
-    pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        Self::sweep_stale_tmp(&dir);
-        Self { entries: Mutex::default(), disk_dir: Some(dir) }
-    }
-
-    /// Removes leftover `.tmp` files from a previous writer that died
-    /// mid-store. Rename is atomic, so anything still named `.tmp` is by
-    /// definition an incomplete write.
-    fn sweep_stale_tmp(dir: &Path) {
-        let Ok(entries) = fs::read_dir(dir) else { return };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "tmp") && fs::remove_file(&path).is_ok() {
-                gpumech_obs::counter!("exec.cache.stale_tmp_removed");
-            }
-        }
     }
 
     /// Number of entries currently held in memory.
@@ -405,71 +261,8 @@ impl ProfileCache {
         self.len() == 0
     }
 
-    fn disk_path(&self, key: CacheKey) -> Option<PathBuf> {
-        self.disk_dir
-            .as_ref()
-            .map(|d| d.join(format!("{:016x}-{:016x}.json", key.trace, key.config)))
-    }
-
-    /// [`quarantine`]s a corrupt entry and reports what was wrong with it.
-    fn quarantine_entry(path: &Path, defect: DiskDefect, warnings: &mut Vec<String>) {
-        let moved = quarantine(path).is_some();
-        gpumech_obs::counter!("exec.cache.quarantined");
-        warnings.push(format!(
-            "cache entry {} failed validation ({defect}); {} and recomputing",
-            path.display(),
-            if moved { "quarantined" } else { "could not be quarantined" },
-        ));
-    }
-
-    fn load_from_disk(&self, key: CacheKey, warnings: &mut Vec<String>) -> Option<Analysis> {
-        let path = self.disk_path(key)?;
-        // A missing file is the common cold-cache case, not a defect.
-        let Ok(bytes) = fs::read(&path) else { return None };
-        // An existing file that is not UTF-8 *is* a defect (bit rot in a
-        // format that is pure ASCII header + JSON).
-        let Ok(text) = String::from_utf8(bytes) else {
-            Self::quarantine_entry(&path, DiskDefect::Payload, warnings);
-            return None;
-        };
-        let payload = match decode_disk_entry(&text) {
-            Ok(p) => p,
-            Err(defect) => {
-                Self::quarantine_entry(&path, defect, warnings);
-                return None;
-            }
-        };
-        match serde_json::from_str::<Analysis>(payload) {
-            // JSON holds one list per warp; share them as a fresh analysis
-            // does, for its memory and for selection's per-list reuse.
-            Ok(mut a) => {
-                share_equal_intervals(&mut a.profiles);
-                Some(a)
-            }
-            Err(_) => {
-                Self::quarantine_entry(&path, DiskDefect::Payload, warnings);
-                None
-            }
-        }
-    }
-
-    fn store_to_disk(&self, key: CacheKey, analysis: &Analysis, warnings: &mut Vec<String>) {
-        let Some(path) = self.disk_path(key) else { return };
-        // A crash mid-write leaves a `.tmp` that the next `with_disk` sweeps.
-        let stored = serde_json::to_string(analysis)
-            .is_ok_and(|json| write_atomic(&path, &encode_disk_entry(&json)).is_ok());
-        if stored {
-            gpumech_obs::counter!("exec.cache.disk_writes");
-        } else {
-            gpumech_obs::counter!("exec.cache.disk_errors");
-            warnings.push(format!("failed to persist cache entry {}", path.display()));
-        }
-    }
-
     /// Returns the cached [`Analysis`] for `key`, computing and inserting
-    /// it via `compute` on a miss. Disk-layer incidents (quarantined
-    /// corrupt entries, failed writes) are discarded; use
-    /// [`ProfileCache::get_or_compute_logged`] to observe them.
+    /// it via `compute` on a miss.
     ///
     /// The lock is **not** held during `compute`, so concurrent workers
     /// analyzing different keys proceed in parallel. Two workers racing on
@@ -483,52 +276,24 @@ impl ProfileCache {
     where
         F: FnOnce() -> Result<Analysis, ModelError>,
     {
-        self.get_or_compute_logged(key, compute).map(|(a, _)| a)
+        self.entry(key, compute).map(|entry| Arc::clone(entry.analysis()))
     }
 
-    /// [`ProfileCache::get_or_compute`] that additionally returns the
-    /// disk-layer warnings raised while serving this key (quarantined
-    /// corrupt entries, failed persists). Empty on the happy path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates whatever `compute` returns on a miss.
-    pub fn get_or_compute_logged<F>(
-        &self,
-        key: CacheKey,
-        compute: F,
-    ) -> Result<(Arc<Analysis>, Vec<String>), ModelError>
-    where
-        F: FnOnce() -> Result<Analysis, ModelError>,
-    {
-        self.entry_logged(key, compute).map(|(entry, w)| (Arc::clone(entry.analysis()), w))
-    }
-
-    /// [`ProfileCache::get_or_compute_logged`] returning the whole entry,
+    /// [`ProfileCache::get_or_compute`] returning the whole entry,
     /// selection slots included: the batch engine's way in.
-    pub(crate) fn entry_logged<F>(
-        &self,
-        key: CacheKey,
-        compute: F,
-    ) -> Result<(Arc<CacheEntry>, Vec<String>), ModelError>
+    pub(crate) fn entry<F>(&self, key: CacheKey, compute: F) -> Result<Arc<CacheEntry>, ModelError>
     where
         F: FnOnce() -> Result<Analysis, ModelError>,
     {
-        let mut warnings = Vec::new();
         if let Some(hit) =
             self.entries.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned()
         {
             gpumech_obs::counter!("exec.cache.hits");
-            return Ok((hit, warnings));
-        }
-        if let Some(from_disk) = self.load_from_disk(key, &mut warnings) {
-            gpumech_obs::counter!("exec.cache.disk_hits");
-            return Ok((self.insert(key, Arc::new(from_disk)), warnings));
+            return Ok(hit);
         }
         gpumech_obs::counter!("exec.cache.misses");
         let computed = Arc::new(compute()?);
-        self.store_to_disk(key, &computed, &mut warnings);
-        Ok((self.insert(key, computed), warnings))
+        Ok(self.insert(key, computed))
     }
 
     /// Inserts `value` under `key` unless a racing worker got there first;
@@ -561,7 +326,7 @@ mod tests {
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
     }
 
-    /// Fingerprints name on-disk cache entries, journal lines and shard
+    /// Fingerprints key profile-cache entries, journal lines and shard
     /// plans, so they must survive any change to how a trace is stored:
     /// these are the values the `Vec`-owning record layout produced
     /// (recorded at commit 4214416) for a coalesced, a gather and a
@@ -578,7 +343,7 @@ mod tests {
         }
     }
 
-    /// Every profile-cache key, in memory and on disk, carries the
+    /// Every profile-cache key carries the
     /// analysis-config fingerprint, which hashes `SimConfig`'s JSON: a
     /// field added to or removed from `SimConfig` re-keys every entry. The
     /// pin makes such a change a deliberate edit.
@@ -654,120 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_cache_round_trips_bit_identical_analyses() {
-        let dir = std::env::temp_dir().join(format!("gpumech-exec-cache-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let trace = small_trace("parboil_spmv");
-        let cfg = SimConfig::default();
-        let key = cache_key(&trace, &cfg);
-        let fresh = {
-            let cache = ProfileCache::with_disk(&dir);
-            cache.get_or_compute(key, || Gpumech::new(cfg.clone()).analyze(&trace)).unwrap()
-        };
-        // A new cache instance (cold memory) must load the entry from disk
-        // without calling compute, and the loaded value must be equal.
-        let cold = ProfileCache::with_disk(&dir);
-        let reloaded = cold
-            .get_or_compute(key, || {
-                panic!("disk hit expected; compute must not run")
-            })
-            .unwrap();
-        assert_eq!(*fresh, *reloaded);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn compute_errors_propagate_and_are_not_cached() {
         let cache = ProfileCache::in_memory();
         let key = CacheKey { trace: 1, config: 2 };
         let err = cache.get_or_compute(key, || Err(ModelError::EmptyKernel)).unwrap_err();
         assert_eq!(err, ModelError::EmptyKernel);
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn disk_envelope_round_trips_and_rejects_each_defect() {
-        let entry = encode_disk_entry(r#"{"x":1}"#);
-        assert_eq!(decode_disk_entry(&entry).unwrap(), r#"{"x":1}"#);
-        // Wrong version tag.
-        let old = entry.replace("v2", "v1");
-        assert_eq!(decode_disk_entry(&old), Err(DiskDefect::Header));
-        // Truncated payload: header length no longer matches.
-        let truncated = &entry[..entry.len() - 2];
-        assert_eq!(decode_disk_entry(truncated), Err(DiskDefect::Length));
-        // Same-length payload corruption: checksum catches it.
-        let flipped = entry.replace(r#"{"x":1}"#, r#"{"x":2}"#);
-        assert_eq!(decode_disk_entry(&flipped), Err(DiskDefect::Checksum));
-        // No header line at all (a v1-era bare-JSON file).
-        assert_eq!(decode_disk_entry(r#"{"x":1}"#), Err(DiskDefect::Header));
-    }
-
-    #[test]
-    fn corrupt_disk_entry_is_quarantined_and_recomputed() {
-        let dir =
-            std::env::temp_dir().join(format!("gpumech-cache-quarantine-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let trace = small_trace("sdk_vectoradd");
-        let cfg = SimConfig::default();
-        let key = cache_key(&trace, &cfg);
-        {
-            let cache = ProfileCache::with_disk(&dir);
-            cache.get_or_compute(key, || Gpumech::new(cfg.clone()).analyze(&trace)).unwrap();
-        }
-        // Corrupt the stored entry in place (flip a payload byte).
-        let path = dir.join(format!("{:016x}-{:016x}.json", key.trace, key.config));
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-
-        let cold = ProfileCache::with_disk(&dir);
-        let mut computed = false;
-        let (got, warnings) = cold
-            .get_or_compute_logged(key, || {
-                computed = true;
-                Gpumech::new(cfg.clone()).analyze(&trace)
-            })
-            .unwrap();
-        assert!(computed, "corrupt entry must be recomputed, not trusted");
-        assert_eq!(got.profiles.len(), trace.warps.len());
-        assert_eq!(warnings.len(), 1, "one warning for the quarantined entry: {warnings:?}");
-        assert!(warnings[0].contains("quarantined"), "{warnings:?}");
-        let mut quarantined = path.clone().into_os_string();
-        quarantined.push(".quarantine");
-        assert!(std::path::Path::new(&quarantined).exists(), "corrupt bytes must be preserved");
-        assert!(!path.exists() || decode_disk_entry(&fs::read_to_string(&path).unwrap()).is_ok());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_second_quarantine_keeps_the_first_ones_bytes() {
-        let dir = std::env::temp_dir()
-            .join(format!("gpumech-cache-quarantine-twice-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("entry.json");
-        fs::write(&path, "first").unwrap();
-        let first = quarantine(&path).unwrap();
-        fs::write(&path, "second").unwrap();
-        let second = quarantine(&path).unwrap();
-        assert_eq!(first, dir.join("entry.json.quarantine"));
-        assert_eq!(second, dir.join("entry.json.quarantine.1"));
-        assert_eq!(fs::read_to_string(&first).unwrap(), "first");
-        assert_eq!(fs::read_to_string(&second).unwrap(), "second");
-        assert!(!path.exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_tmp_files_are_swept_on_open() {
-        let dir = std::env::temp_dir().join(format!("gpumech-cache-tmp-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let stale = dir.join("0000000000000000-0000000000000000.json.tmp");
-        fs::write(&stale, "half-written").unwrap();
-        let _cache = ProfileCache::with_disk(&dir);
-        assert!(!stale.exists(), "stale .tmp from a crashed writer must be removed");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

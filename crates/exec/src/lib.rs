@@ -19,9 +19,9 @@
 //!    fingerprint, analysis-relevant-config fingerprint). Interval
 //!    profiles are computed once per (trace, cache configuration) and
 //!    reused across config sweeps that only vary prediction-stage
-//!    parameters (bandwidth, MSHRs, SFU width, clock), and optionally
-//!    persisted to disk via the vendored `serde_json`. Each entry also
-//!    keeps its representative-warp selection per method, made once.
+//!    parameters (bandwidth, MSHRs, SFU width, clock), for as long as the
+//!    cache lives. Each entry also keeps its representative-warp selection
+//!    per method, made once.
 //! 3. **Batch engine** ([`batch`]) — ties both together:
 //!    [`BatchJob`] descriptors in,
 //!    [`Prediction`](gpumech_core::Prediction)s out, bit-identical to the

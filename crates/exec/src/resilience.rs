@@ -13,11 +13,12 @@
 //! jobs; the batch engine neither retries nor skips.
 //!
 //! The completion **journal** ([`Journal`]) rounds this out: every
-//! finished job appends one JSON line (fingerprint, label, canonical
-//! prediction) with a single atomic `O_APPEND` write, and a rerun with
-//! `resume` replays those predictions instead of recomputing them. A
-//! torn final line from a killed process fails to parse and is simply
-//! treated as not-completed.
+//! finished job appends one JSON line (fingerprint, label, checksum,
+//! canonical prediction) with a single atomic `O_APPEND` write, and a
+//! rerun with `resume` replays those predictions instead of recomputing
+//! them. A torn final line from a killed process fails to parse and is
+//! simply treated as not-completed; a whole line whose prediction no
+//! longer matches its checksum fails that job's replay.
 
 use std::collections::HashMap;
 use std::fs;
@@ -27,6 +28,8 @@ use std::sync::{Mutex, PoisonError};
 
 use gpumech_obs::CancelToken;
 use serde::{Deserialize, Serialize};
+
+use crate::cache::payload_checksum;
 
 /// Options for a resilient batch run
 /// ([`BatchEngine::run_with`](crate::batch::BatchEngine::run_with)).
@@ -76,16 +79,39 @@ impl BatchOptions {
 }
 
 /// One journal line: a completed job's identity and its canonical
-/// prediction JSON.
+/// prediction JSON under a checksum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalEntry {
     /// The job fingerprint (trace + full config + options), hex-encoded.
     pub fingerprint: String,
     /// The job's label, for human inspection of the journal.
     pub label: String,
+    /// [`payload_checksum`] of `prediction`, 16 hex digits. A line
+    /// without one (written by an older build) fails to parse.
+    pub crc: String,
     /// Canonical prediction JSON
     /// ([`canonical_prediction_json`](crate::batch::canonical_prediction_json)).
     pub prediction: String,
+}
+
+impl JournalEntry {
+    /// The entry for job `fingerprint`, its checksum computed.
+    #[must_use]
+    pub fn new(fingerprint: u64, label: &str, prediction: &str) -> Self {
+        Self {
+            fingerprint: format!("{fingerprint:016x}"),
+            label: label.to_owned(),
+            crc: format!("{:016x}", payload_checksum(prediction.as_bytes())),
+            prediction: prediction.to_owned(),
+        }
+    }
+
+    /// `true` when `crc` is the checksum of `prediction`.
+    #[must_use]
+    pub fn is_intact(&self) -> bool {
+        u64::from_str_radix(&self.crc, 16)
+            .is_ok_and(|crc| crc == payload_checksum(self.prediction.as_bytes()))
+    }
 }
 
 /// The completion journal: an append-only JSONL file of finished jobs.
@@ -94,7 +120,9 @@ pub struct JournalEntry {
 /// either fully present or (after a kill mid-write) a torn tail that
 /// fails to parse — [`Journal::load`] skips unparsable lines, treating
 /// those jobs as not completed. That is exactly the crash-safety contract
-/// resume needs: no job is ever *wrongly* marked done.
+/// resume needs: no job is ever *wrongly* marked done. A parsable line
+/// whose prediction was altered fails [`JournalEntry::is_intact`], and
+/// the batch engine fails that job's replay instead of trusting it.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -140,11 +168,7 @@ impl Journal {
     pub fn append(&self, fingerprint: u64, label: &str, prediction_json: &str) -> Result<(), String> {
         use std::io::{Read as _, Seek as _, SeekFrom};
 
-        let entry = JournalEntry {
-            fingerprint: format!("{fingerprint:016x}"),
-            label: label.to_owned(),
-            prediction: prediction_json.to_owned(),
-        };
+        let entry = JournalEntry::new(fingerprint, label, prediction_json);
         let mut line =
             serde_json::to_string(&entry).map_err(|e| format!("journal serialize: {e}"))?;
         line.push('\n');
@@ -196,6 +220,7 @@ mod tests {
         }
         let loaded = j.load();
         assert_eq!(loaded.len(), 2, "torn line must be skipped");
+        assert!(loaded.values().all(JournalEntry::is_intact));
         assert_eq!(loaded[&0xabcd].label, "job-a");
         assert_eq!(loaded[&0x1234].prediction, r#"{"cpi":2.0}"#);
         // Appending after the torn tail must self-heal: the new entry
@@ -204,6 +229,14 @@ mod tests {
         let healed = j.load();
         assert_eq!(healed.len(), 3, "append after a torn tail must not lose entries");
         assert_eq!(healed[&0xbeef].label, "job-c");
+        // A line without a checksum, as older builds wrote, is not a
+        // completed job.
+        {
+            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(b"{\"fingerprint\":\"00ff\",\"label\":\"old\",\"prediction\":\"{}\"}\n")
+                .unwrap();
+        }
+        assert_eq!(j.load().len(), 3, "a line without crc must be skipped");
         let _ = fs::remove_file(&path);
     }
 

@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gpumech_core::{Analysis, Gpumech, PredictionRequest, SelectionMethod, Weighting};
 use gpumech_exec::{
     cache_key, canonical_prediction_json, BatchEngine, BatchJob, BatchOptions, ExecError,
-    ProfileCache,
 };
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_obs::{CancelToken, Clock, FakeClock, Recorder};
@@ -172,22 +171,4 @@ fn a_deadline_inside_kmeans_fails_its_job_and_leaves_the_slot_empty() {
     assert_eq!(out, expected, "the next job gets the right bytes");
     assert_eq!(kmeans, 1, "the interrupted selection left nothing to reuse");
     assert_eq!(counted(&engine, std::slice::from_ref(&job)).1, 0);
-}
-
-#[test]
-fn an_entry_loaded_from_disk_starts_with_no_selection() {
-    let _serial = recorder_lock();
-    let dir = std::env::temp_dir().join(format!("gpumech-selection-memo-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let jobs = sweep(&trace("kmeans_invert_mapping", 4));
-
-    let writer = BatchEngine::with_cache(1, ProfileCache::with_disk(&dir));
-    let (written, kmeans) = counted(&writer, &jobs);
-    assert_eq!(kmeans, 1);
-    let reader = BatchEngine::with_cache(1, ProfileCache::with_disk(&dir));
-    let (read, kmeans) = counted(&reader, &jobs);
-    assert_eq!(kmeans, 1, "selections are not persisted");
-    assert_eq!(read, written);
-    assert_eq!(counted(&reader, &jobs).1, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

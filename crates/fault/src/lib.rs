@@ -17,9 +17,6 @@
 //! and the timing oracle under `catch_unwind` and classify the result as
 //! an [`Outcome`].
 //!
-//! The crash-safe profile cache gets [`simulate_midwrite_kill`], which
-//! plants the debris a writer killed between write and rename leaves.
-//!
 //! Finally, the static verifier is held to a completeness contract by
 //! the [`defects`] module: a seeded injector that plants a divergent
 //! barrier into structurally-valid kernel IR, which
@@ -43,7 +40,6 @@ pub mod defects;
 pub mod shardfaults;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 
 use gpumech_core::{Gpumech, PredictionRequest};
 use gpumech_exec::panic_message;
@@ -286,30 +282,6 @@ pub fn dangle_rows(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     }
 }
 
-/// Simulates a writer killed mid-write: plants a stale `<entry>.tmp`
-/// holding a seeded-length prefix of `content` next to `entry_path`,
-/// exactly the debris the atomic temp-file-plus-rename protocol leaves
-/// when the process dies between the write and the rename. The committed
-/// entry (if any) is left untouched. Returns the planted tmp path.
-///
-/// # Errors
-/// Propagates the underlying I/O error if the tmp file cannot be written.
-pub fn simulate_midwrite_kill(
-    entry_path: &Path,
-    content: &[u8],
-    seed: u64,
-) -> std::io::Result<std::path::PathBuf> {
-    let mut tmp = entry_path.to_path_buf().into_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let cut = (splitmix64(seed) as usize) % (content.len().max(1));
-    if let Some(parent) = tmp.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&tmp, &content[..cut])?;
-    Ok(tmp)
-}
-
 /// A completion-journal mutator: corrupts the JSONL text of a
 /// `gpumech_exec` completion journal (`BatchOptions::journal`) the way
 /// hostile filesystems and racing appenders do.
@@ -324,6 +296,7 @@ pub const JOURNAL_MUTATORS: &[(&str, JournalMutator)] = &[
     ("journal_torn_interleave", journal_torn_interleave),
     ("journal_torn_tail", journal_torn_tail),
     ("journal_poison_prediction", journal_poison_prediction),
+    ("journal_flip_digit", journal_flip_digit),
 ];
 
 /// Duplicates a seeded subset of lines — an appender that retried after a
@@ -422,6 +395,33 @@ pub fn journal_poison_prediction(text: &mut String, seed: u64) {
         out.push('\n');
     }
     *text = out;
+}
+
+/// Changes one digit of one seeded entry's prediction — silent bit rot
+/// that leaves the line, and the prediction inside it, valid JSON. The
+/// changed digit opens a number (it follows a `:`) and never becomes a
+/// leading zero, so the entry still parses to a prediction with one
+/// wrong value: its replay must fail typed on the entry's checksum.
+pub fn journal_flip_digit(text: &mut String, seed: u64) {
+    const KEY: &str = "\"prediction\":\"";
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    if lines.is_empty() {
+        return;
+    }
+    let victim = (splitmix64(seed) as usize) % lines.len();
+    let line = &mut lines[victim];
+    let start = line.find(KEY).map_or(line.len(), |p| p + KEY.len());
+    let bytes = line.as_bytes();
+    let sites: Vec<usize> =
+        (start..bytes.len()).filter(|&k| bytes[k].is_ascii_digit() && bytes[k - 1] == b':').collect();
+    if sites.is_empty() {
+        return;
+    }
+    let at = sites[(splitmix64(seed ^ 0x0D16_17F1) as usize) % sites.len()];
+    let flipped = if bytes[at] == b'9' { '1' } else { char::from(bytes[at] + 1) };
+    line.replace_range(at..=at, flipped.encode_utf8(&mut [0; 4]));
+    *text = lines.join("\n");
+    text.push('\n');
 }
 
 /// Swaps two seeded warp slots, so stored warp ids disagree with their

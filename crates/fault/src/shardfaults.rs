@@ -114,11 +114,7 @@ pub fn fabricate_sweep(dir: &Path, shards: u32, jobs: usize) -> Result<SweepCase
         let journal = dir.join(format!("shard-{shard}.journal"));
         let mut text = String::new();
         for &(i, fp) in &owned {
-            let entry = JournalEntry {
-                fingerprint: fingerprint_hex(fp),
-                label: format!("job-{i}"),
-                prediction: prediction.clone(),
-            };
+            let entry = JournalEntry::new(fp, &format!("job-{i}"), &prediction);
             text.push_str(
                 &serde_json::to_string(&entry).map_err(|e| e.to_string())?,
             );
@@ -263,11 +259,7 @@ fn journal_foreign_entry(case: &mut SweepCase, seed: u64) -> Result<(), String> 
     while case.manifest_fps.contains(&fp) {
         fp ^= 1;
     }
-    let entry = JournalEntry {
-        fingerprint: fingerprint_hex(fp),
-        label: "foreign".to_string(),
-        prediction: sample_prediction()?,
-    };
+    let entry = JournalEntry::new(fp, "foreign", &sample_prediction()?);
     let mut text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     text.push_str(&serde_json::to_string(&entry).map_err(|e| e.to_string())?);
     text.push('\n');

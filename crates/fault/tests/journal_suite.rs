@@ -7,9 +7,10 @@
 //!   is silently double-run and none is dropped;
 //! * replayed and recomputed predictions are byte-identical (canonical
 //!   form) to an uncorrupted run;
-//! * a journal entry whose payload is poisoned fails with a *typed*
-//!   journal-replay error — never a panic, never a silent recompute that
-//!   would mask the corruption.
+//! * a journal entry whose payload is poisoned, or whose prediction had a
+//!   digit changed, fails with a *typed* journal-replay error — never a
+//!   panic, never a silent recompute or a wrong replay that would mask the
+//!   corruption.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -124,15 +125,15 @@ fn resume_after_journal_corruption_covers_every_job_exactly_once() {
                     }
                 }
             }
-            if name == "journal_poison_prediction" {
+            if matches!(name, "journal_poison_prediction" | "journal_flip_digit") {
                 assert_eq!(
                     typed_failures, 1,
-                    "{name} seed {seed:#x}: the poisoned entry must fail typed"
+                    "{name} seed {seed:#x}: the corrupted entry must fail typed"
                 );
             } else {
                 assert_eq!(
                     typed_failures, 0,
-                    "{name} seed {seed:#x}: only poisoning may fail a resume"
+                    "{name} seed {seed:#x}: only a corrupted prediction may fail a resume"
                 );
             }
             let _ = fs::remove_file(&path);

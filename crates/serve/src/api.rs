@@ -207,10 +207,9 @@ pub fn parse_predict_body(body: &[u8]) -> Result<PredictBody, ApiError> {
 /// The `POST /predict` success body: headline numbers, first-class model
 /// warnings, and the full canonical prediction.
 ///
-/// The embedded prediction is [`canonical_prediction_json`] — wall-clock
-/// stage timings zeroed and environmental `cache: ` warnings stripped —
-/// so a served response is *byte-identical* to one computed sequentially
-/// in-process from the same inputs. The load-shed suite relies on that.
+/// The embedded prediction is [`canonical_prediction_json`], so a served
+/// response is *byte-identical* to one computed sequentially in-process
+/// from the same inputs. The load-shed suite relies on that.
 ///
 /// # Errors
 ///
@@ -224,7 +223,7 @@ pub fn predict_response_body(kernel: &str, p: &Prediction) -> Result<String, Api
     let ipc = serde_json::to_string(&p.ipc())
         .map_err(|e| ApiError::new(500, "serialize_failed", e.to_string()))?;
     let mut warnings = String::from("[");
-    for (i, w) in p.warnings.iter().filter(|w| !w.starts_with("cache: ")).enumerate() {
+    for (i, w) in p.warnings.iter().enumerate() {
         if i > 0 {
             warnings.push(',');
         }

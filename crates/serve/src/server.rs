@@ -9,9 +9,9 @@
 //! A fixed pool of service workers sleeps on the queue's condvar, pops
 //! admitted connections, parses the request under read timeouts and byte
 //! limits, and executes predictions through the shared [`BatchEngine`]
-//! (one warm [`ProfileCache`] for the server's lifetime). A failed request
-//! leaves nothing behind: the next request for the same kernel runs as if
-//! it were the first. Nothing on the request path waits on a timer: a
+//! (one warm [`ProfileCache`](gpumech_exec::ProfileCache) for the server's
+//! lifetime). A failed request leaves nothing behind: the next request for
+//! the same kernel runs as if it were the first. Nothing on the request path waits on a timer: a
 //! request waits only for the work in front of it.
 //!
 //! # Drain
@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gpumech_core::{parse_selection, Model, ModelError};
-use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, ExecError, ProfileCache};
+use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, ExecError};
 use gpumech_isa::{SchedulingPolicy, SimConfig, UnknownWord};
 use gpumech_obs::{signals, CancelToken};
 use gpumech_trace::{workloads, KernelTrace, LaunchConfig, TraceError};
@@ -71,8 +71,6 @@ pub struct ServeConfig {
     pub max_header_bytes: usize,
     /// Maximum body bytes before `413`.
     pub max_body_bytes: usize,
-    /// Persist the profile cache to this directory.
-    pub cache_dir: Option<std::path::PathBuf>,
     /// Kernels to analyze before `/readyz` reports ready.
     pub warm: Vec<String>,
     /// Honor the debug `hold_ms` request field (deterministic load and
@@ -94,7 +92,6 @@ impl Default for ServeConfig {
             drain_ms: 5_000,
             max_header_bytes: 8 * 1024,
             max_body_bytes: 64 * 1024,
-            cache_dir: None,
             warm: Vec::new(),
             debug_hooks: false,
             handle_signals: false,
@@ -287,15 +284,11 @@ impl Server {
         if cfg.handle_signals {
             signals::install();
         }
-        let cache = match &cfg.cache_dir {
-            Some(dir) => ProfileCache::with_disk(dir),
-            None => ProfileCache::in_memory(),
-        };
         // One engine worker per call: each HTTP worker runs one job at a
         // time, so request-level parallelism comes from the HTTP pool
         // while the engine contributes the cache, cancellation, and
         // typed-error machinery.
-        let engine = BatchEngine::with_cache(1, cache);
+        let engine = BatchEngine::new(1);
         let state = State {
             engine,
             traces: Mutex::new(HashMap::new()),

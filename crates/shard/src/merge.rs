@@ -19,12 +19,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use gpumech_exec::cache::{quarantine, write_atomic};
 use gpumech_exec::resilience::Journal;
 
 use crate::manifest::SweepManifest;
 use crate::partition::shard_of;
-use crate::report::{load_shard_file, render_parts, CounterEntry, ShardFile};
+use crate::report::{load_shard_file, quarantine, render_parts, write_atomic, CounterEntry, ShardFile};
 
 /// What kind of merge violation a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,10 +14,11 @@
 //! treated as corrupt (typed finding + quarantine), never silently
 //! merged.
 
-use std::path::Path;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 use gpumech_core::{CpiStack, Prediction};
-use gpumech_exec::cache::{payload_checksum, write_atomic};
+use gpumech_exec::cache::payload_checksum;
 use gpumech_exec::BatchError;
 use serde::{Deserialize, Serialize};
 
@@ -289,6 +290,45 @@ fn extract_raw_rows(text: &str) -> Result<Vec<String>, String> {
     Err("jobs array never closes (torn tail)".to_string())
 }
 
+/// Writes `text` to `path` atomically: into `<path>.tmp` beside it (the
+/// directory is created if missing), then renamed into place, so a reader
+/// sees the old file or the new one, never a torn mix. A writer killed
+/// between the two steps leaves only the `.tmp`.
+///
+/// # Errors
+///
+/// The failing step's path and I/O error, rendered.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    let tmp = with_suffix(path, ".tmp");
+    fs::write(&tmp, text).map_err(|e| format!("{}: {e}", tmp.display()))?;
+    fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Moves a file that failed validation to the first free name among
+/// `<path>.quarantine`, `<path>.quarantine.1`, `<path>.quarantine.2`, …
+/// (never deleted or overwritten — the bytes are evidence — and never
+/// read again). Returns the new path, or `None` when the rename failed.
+#[must_use]
+pub(crate) fn quarantine(path: &Path) -> Option<PathBuf> {
+    let target = (0..)
+        .map(|n| match n {
+            0 => with_suffix(path, ".quarantine"),
+            n => with_suffix(path, &format!(".quarantine.{n}")),
+        })
+        .find(|candidate| !candidate.exists())?;
+    fs::rename(path, &target).ok().map(|()| target)
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -382,5 +422,23 @@ mod tests {
         assert!(err.contains("manifest"), "{err}");
 
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_second_quarantine_keeps_the_first_ones_bytes() {
+        let dir = tmp("quarantine-twice");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.json");
+        fs::write(&path, "first").unwrap();
+        let first = quarantine(&path).unwrap();
+        fs::write(&path, "second").unwrap();
+        let second = quarantine(&path).unwrap();
+        assert_eq!(first, dir.join("entry.json.quarantine"));
+        assert_eq!(second, dir.join("entry.json.quarantine.1"));
+        assert_eq!(fs::read_to_string(&first).unwrap(), "first");
+        assert_eq!(fs::read_to_string(&second).unwrap(), "second");
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 }
