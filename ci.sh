@@ -9,12 +9,12 @@
 #      kernels) and a release pass (optimized codegen).
 #      Each covers the unit suites, the mutated-input fault suite, the
 #      exec layer's panic containment and resilience contract, batch
-#      determinism over all 40 workloads, the cache corruption fan,
-#      kill/resume, journal corruption resume, the defective-kernel
-#      corpus, the lint schema, the serve suites and smoke tests (SIGTERM
-#      drain, SIGKILL and restart over the same cache), the shard
-#      partition/plan properties, the merge corruption fan, the exit-code
-#      taxonomy and the CLI golden. The SIGKILL-then-resume drill is
+#      determinism over all 40 workloads, kill/resume, journal corruption
+#      resume, the defective-kernel corpus, the lint schema, the serve
+#      suites and smoke tests (SIGTERM drain, SIGKILL and a restart that
+#      answers byte for byte as before), the shard partition/plan
+#      properties, the merge corruption fan, the exit-code taxonomy and
+#      the CLI golden. The SIGKILL-then-resume drill is
 #      kill_resume.rs
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
@@ -35,7 +35,7 @@
 #      binary, with an obs-validate gate on the resumed run's trace
 #      carrying exec.resilience.* metrics
 #   8. sharded sweeps: three `batch --shard i/3 --journal` runs merged
-#      with `merge --journals --expect` — the merged output must be
+#      with `merge --expect` — the merged output must be
 #      byte-identical (from jobs_checksum on) to the unsharded reference
 #      run, one shard's --obs-out trace (shard.* metrics) must pass
 #      obs-validate, and a deliberately corrupted shard file must fail
@@ -109,8 +109,8 @@ grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
 rm -f target/ci-journal.jsonl
 
 echo "== sharded sweeps =="
-# A 24-job sweep run unsharded and as three journalled shards, merged with
-# the journal cross-check and gated on byte-identity with the reference.
+# A 24-job sweep run unsharded and as three journalled shards, merged and
+# gated on byte-identity with the reference.
 dir=target/ci-shard-sweep
 rm -rf "$dir" target/ci-shard-{ref,merged}.json
 mkdir -p "$dir"
@@ -124,7 +124,6 @@ for i in 0 1 2; do
     --obs-out "$dir/obs-$i.jsonl" > /dev/null
 done
 ./target/release/gpumech merge "$dir"/shard-{0,1,2}.json \
-  --journals "$dir/shard-0.journal,$dir/shard-1.journal,$dir/shard-2.journal" \
   --expect target/ci-shard-ref.json \
   --out target/ci-shard-merged.json --report target/ci-shard-report.md > /dev/null
 cmp <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-merged.json) \

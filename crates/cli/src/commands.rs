@@ -276,7 +276,7 @@ where
                 .concat(),
             &["resume", "oracle"],
         )?),
-        "merge" => observed(rest, &[&["out", "report", "expect", "journals"]], &[], sweep::merge),
+        "merge" => observed(rest, &[&["out", "report", "expect"]], &[], sweep::merge),
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",

@@ -8,7 +8,7 @@ use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError};
 use gpumech_obs::Snapshot;
 use gpumech_shard::{
     git_commit, merge_files, sweep_points, verify_expectation, CounterEntry, FindingKind, JobRow,
-    MergeFinding, MergeOptions, ShardSpec, SweepPlan, SweepReport,
+    MergeFinding, ShardSpec, SweepPlan, SweepReport,
 };
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
@@ -216,8 +216,8 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
 
 /// `gpumech merge`: union shard result files into one verified sweep.
 /// Any typed finding — corrupt file, cross-sweep mix, coverage gap,
-/// duplicate conflict, journal corruption, `--expect` mismatch — aborts
-/// with exit code 5 and no merged output.
+/// duplicate conflict, `--expect` mismatch — aborts with exit code 5 and
+/// no merged output.
 pub(super) fn merge(args: &Args) -> Result<String, CliError> {
     let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
     if paths.is_empty() {
@@ -225,15 +225,11 @@ pub(super) fn merge(args: &Args) -> Result<String, CliError> {
             "shard result file(s) to merge".to_string(),
         )));
     }
-    let journals: Vec<PathBuf> = args
-        .flag("journals")
-        .map(|list| list.split(',').filter(|s| !s.is_empty()).map(PathBuf::from).collect())
-        .unwrap_or_default();
-    let mut outcome = merge_files(&paths, &MergeOptions { quarantine: true, journals });
+    let mut outcome = merge_files(&paths);
     if let (Some(m), Some(expect)) = (&outcome.merged, args.flag("expect")) {
         let expect_text = std::fs::read_to_string(expect)
             .map_err(|e| CliError::Model(format!("--expect {expect}: {e}")))?;
-        let merged_text = m.render_json().map_err(CliError::Model)?;
+        let merged_text = m.render().map_err(CliError::Model)?;
         match verify_expectation(&merged_text, &expect_text) {
             None => outcome.notes.push(format!(
                 "byte-identical to the reference run {expect} (from jobs_checksum on)"
@@ -259,19 +255,19 @@ pub(super) fn merge(args: &Args) -> Result<String, CliError> {
         // Unreachable: a merge without findings always carries output.
         return Err(CliError::Model("merge produced no output and no findings".to_string()));
     };
-    let ok = m.rows.iter().filter(|r| r.error.is_none()).count();
+    let ok = m.jobs.iter().filter(|r| r.error.is_none()).count();
     let mut out = format!(
         "# merge: {} shard file(s), {} row(s) ({ok} ok, {} failed), sweep {}\n",
         outcome.files_ok,
-        m.rows.len(),
-        m.rows.len() - ok,
+        m.jobs.len(),
+        m.jobs.len() - ok,
         m.manifest.sweep_fingerprint,
     );
     for note in &outcome.notes {
         out.push_str(&format!("# note: {note}\n"));
     }
     if let Some(path) = args.flag("out") {
-        m.write_json(Path::new(path)).map_err(CliError::Model)?;
+        m.write(Path::new(path)).map_err(CliError::Model)?;
         out.push_str(&format!("merged sweep written to {path}\n"));
     }
     if let Some(path) = args.flag("report") {

@@ -92,8 +92,6 @@ MERGE FLAGS (gpumech merge shard0.json shard1.json ...):
     --expect PATH     byte-compare the merged output (from jobs_checksum
                       on) against a reference run's --json file; any
                       mismatch is a finding
-    --journals A,B    shard journals to cross-check: every line must be a
-                      valid journal entry belonging to this sweep
 
 EXIT CODES (ci.sh gates on the distinction):
     0  success

@@ -103,6 +103,7 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             vec!["batch", "sdk_vectoradd", "--cache-dir", "d"],
             Keep::Until("USAGE:"),
         ),
+        ("removed-journals-flag", vec!["merge", "s0.json", "--journals", "j"], Keep::Until("USAGE:")),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
         ("missing-kernel", vec!["predict"], Keep::Until("USAGE:")),
         ("unknown-kernel", vec!["predict", "no_such_kernel"], Keep::All),
@@ -213,8 +214,8 @@ fn every_subcommand_and_usage_error_matches_the_golden() {
         let _ = writeln!(actual, "--- stderr ---");
         actual.push_str(&keep(&String::from_utf8_lossy(&out.stderr), kept));
     }
-    // The sweep file's content region: the rows a merge splices byte for
-    // byte (everything before `jobs_checksum` is run-dependent).
+    // The sweep file's content region: the rows a merge reproduces byte
+    // for byte (everything before `jobs_checksum` is run-dependent).
     let sweep_file = std::fs::read_to_string(dir.join("ref.json")).unwrap();
     let _ = writeln!(actual, "==== ref.json from jobs_checksum on ====");
     actual.push_str(&sweep_file[sweep_file.find("  \"jobs_checksum\"").unwrap()..]);

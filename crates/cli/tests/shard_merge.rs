@@ -2,13 +2,12 @@
 //!
 //! * an unsharded `batch --json` reference run;
 //! * the same sweep split `--shard 0/2` / `--shard 1/2`, each shard
-//!   writing its own `--journal`, and re-united with `merge --journals
-//!   --expect` — exit 0 and byte-identical (from `jobs_checksum` on) to
-//!   the reference, also when the two shards run from different working
+//!   writing its own `--journal`, and re-united with `merge --expect` —
+//!   exit 0 and byte-identical (from `jobs_checksum` on) to the
+//!   reference, also when the two shards run from different working
 //!   directories, one outside any checkout;
 //! * a shard killed mid-append to its journal and rerun with `--resume`
-//!   still merges: the torn line it leaves behind is a job not done, not
-//!   a corrupt journal;
+//!   still merges: the torn line it leaves behind is a job not done;
 //! * a corrupted shard file — `merge` exits 5 with a typed finding and
 //!   quarantines the file.
 
@@ -99,13 +98,10 @@ fn manual_shards_merge_byte_identically_to_unsharded() {
 
     let merged = dir.join("merged.json");
     let report = dir.join("report.md");
-    let journals: Vec<String> =
-        shard_paths.iter().map(|p| p.with_extension("journal").display().to_string()).collect();
     let out = gpumech(&[
         "merge",
         shard_paths[0].to_str().unwrap(),
         shard_paths[1].to_str().unwrap(),
-        "--journals", &journals.join(","),
         "--out", merged.to_str().unwrap(),
         "--report", report.to_str().unwrap(),
         "--expect", reference.to_str().unwrap(),
@@ -149,12 +145,10 @@ fn a_shard_resumed_after_a_torn_journal_append_merges_byte_identically() {
     assert!(healed.contains(&format!("{torn}\n")), "the torn prefix stays: {healed}");
 
     let merged = dir.join("merged.json");
-    let shown: Vec<String> = journals.iter().map(|p| p.display().to_string()).collect();
     let out = gpumech(&[
         "merge",
         shard_paths[0].to_str().unwrap(),
         shard_paths[1].to_str().unwrap(),
-        "--journals", &shown.join(","),
         "--out", merged.to_str().unwrap(),
         "--expect", reference.to_str().unwrap(),
     ]);

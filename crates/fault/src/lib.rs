@@ -28,8 +28,8 @@
 //! [`gpumech_shard::SweepReport`] writer, and the [`shardfaults::SHARD_FAULTS`]
 //! corpus of on-disk corruptions (torn tails, bit flips, forged
 //! checksums, overlapping assignments, diverging duplicates, missing
-//! shards, cross-sweep mixes, journal rot) each of which the verified
-//! merge must answer with its declared typed finding — never a panic,
+//! shards, cross-sweep mixes, unknown jobs, coverage gaps) each of which
+//! the verified merge must answer with its declared typed finding — never a panic,
 //! never a merged output.
 //!
 //! All randomness is derived from [`gpumech_trace::splitmix64`], so every

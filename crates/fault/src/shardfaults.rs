@@ -12,23 +12,18 @@
 //! fingerprints partitioned with the real [`gpumech_shard::shard_of`],
 //! rendered through the real [`SweepReport`] writer), so the corpus
 //! exercises the exact on-disk format `gpumech batch --shard` produces
-//! without spawning processes. Journal lines carry a real
-//! [`Prediction`](gpumech_core::Prediction) so the journal cross-check
-//! sees production-shaped entries.
+//! without spawning processes.
 //!
 //! All variation is seeded: a failing case reproduces byte-for-byte.
 
 use std::path::{Path, PathBuf};
 
-use gpumech_core::{CpiStack, Gpumech, PredictionRequest};
-use gpumech_exec::canonical_prediction_json;
-use gpumech_exec::resilience::JournalEntry;
-use gpumech_isa::SimConfig;
+use gpumech_core::CpiStack;
 use gpumech_shard::{
     fingerprint_hex, load_shard_file, shard_of, FindingKind, JobRow, ShardSpec, SweepManifest,
     SweepReport,
 };
-use gpumech_trace::{splitmix64, workloads};
+use gpumech_trace::splitmix64;
 
 /// A fabricated sharded sweep on disk: the merge inputs plus the ground
 /// truth needed to corrupt them surgically.
@@ -39,8 +34,6 @@ pub struct SweepCase {
     /// Shard result files, in shard order — the merge input. Mutators may
     /// add (duplicate copies) or remove (missing shard) entries.
     pub paths: Vec<PathBuf>,
-    /// Per-shard journals for the merge's journal cross-check.
-    pub journals: Vec<PathBuf>,
     /// The sweep's job fingerprints in enumeration order.
     pub manifest_fps: Vec<u64>,
     /// Shard count the sweep was fabricated with.
@@ -49,18 +42,6 @@ pub struct SweepCase {
 
 /// Seed mixed into fabricated job fingerprints.
 const JOB_SEED: u64 = 0x5EED_0001;
-
-/// A canonical prediction payload for journal lines: real model output,
-/// so the journal cross-check parses production-shaped entries.
-fn sample_prediction() -> Result<String, String> {
-    let workload = workloads::by_name("sdk_vectoradd")
-        .ok_or_else(|| "bundled workload sdk_vectoradd missing".to_string())?
-        .with_blocks(1);
-    let prediction = Gpumech::new(SimConfig::default())
-        .run(&PredictionRequest::from_workload(&workload))
-        .map_err(|e| e.to_string())?;
-    canonical_prediction_json(&prediction).map_err(|e| e.to_string())
-}
 
 /// Deterministic synthetic row for job `i` of the sweep.
 fn row(i: usize, fp: u64) -> JobRow {
@@ -77,19 +58,16 @@ fn row(i: usize, fp: u64) -> JobRow {
 }
 
 /// Fabricates a healthy `shards`-way sweep of `jobs` jobs under `dir`:
-/// one verified result file and one valid journal per shard. A clean
-/// [`gpumech_shard::merge_files`] over the returned case must succeed.
+/// one verified result file per shard. A clean [`gpumech_shard::merge_files`]
+/// over the returned case must succeed.
 ///
 /// # Errors
 ///
-/// Rendered I/O or model failure (the workspace could not be built).
+/// Rendered I/O failure (the workspace could not be built).
 pub fn fabricate_sweep(dir: &Path, shards: u32, jobs: usize) -> Result<SweepCase, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let fps: Vec<u64> = (0..jobs).map(|i| splitmix64(JOB_SEED.wrapping_add(i as u64))).collect();
-    let prediction = sample_prediction()?;
-
     let mut paths = Vec::new();
-    let mut journals = Vec::new();
     for shard in 0..shards {
         let spec = ShardSpec { index: shard, count: shards };
         let manifest = SweepManifest::new(spec, "deadbeef", 0xC0FF_EE00, &fps);
@@ -110,20 +88,8 @@ pub fn fabricate_sweep(dir: &Path, shards: u32, jobs: usize) -> Result<SweepCase
         let path = dir.join(format!("shard-{shard}.json"));
         report.write(&path)?;
         paths.push(path);
-
-        let journal = dir.join(format!("shard-{shard}.journal"));
-        let mut text = String::new();
-        for &(i, fp) in &owned {
-            let entry = JournalEntry::new(fp, &format!("job-{i}"), &prediction);
-            text.push_str(
-                &serde_json::to_string(&entry).map_err(|e| e.to_string())?,
-            );
-            text.push('\n');
-        }
-        std::fs::write(&journal, text).map_err(|e| format!("{}: {e}", journal.display()))?;
-        journals.push(journal);
     }
-    Ok(SweepCase { dir: dir.to_path_buf(), paths, journals, manifest_fps: fps, shards })
+    Ok(SweepCase { dir: dir.to_path_buf(), paths, manifest_fps: fps, shards })
 }
 
 /// A mutator corrupts one fabricated sweep in place. `seed` varies the
@@ -140,18 +106,12 @@ pub struct ShardFault {
     pub mutate: ShardMutator,
 }
 
-/// Loads a (valid) shard file back into its structured report so a
-/// mutator can edit and re-render it with a consistent checksum.
-fn reload(path: &Path) -> Result<SweepReport, String> {
-    Ok(load_shard_file(path)?.report)
-}
-
 /// The shard with the most rows (mutations that delete or move rows need
 /// a donor that owns at least one).
 fn fattest_shard(case: &SweepCase) -> Result<(usize, SweepReport), String> {
     let mut best: Option<(usize, SweepReport)> = None;
     for (i, path) in case.paths.iter().enumerate() {
-        let report = reload(path)?;
+        let report = load_shard_file(path)?;
         if best.as_ref().is_none_or(|(_, b)| report.jobs.len() > b.jobs.len()) {
             best = Some((i, report));
         }
@@ -185,20 +145,13 @@ fn bit_flip_in_rows(case: &mut SweepCase, seed: u64) -> Result<(), String> {
 
 fn forged_checksum(case: &mut SweepCase, seed: u64) -> Result<(), String> {
     let path = &case.paths[(seed as usize) % case.paths.len()];
-    let mut report = reload(path)?;
-    // Store a syntactically valid but wrong checksum; render() would fix
-    // it, so write through render_parts-compatible text manually: easiest
-    // is to render then splice the forged value in.
-    report.jobs_checksum = String::new();
-    let text = report.render()?;
-    let honest = gpumech_shard::rows_checksum(
-        &load_shard_file(path)?.raw_rows,
-    );
-    let forged: String = honest
-        .chars()
-        .map(|c| if c == '0' { '1' } else { '0' })
-        .collect();
-    std::fs::write(path, text.replacen(&honest, &forged, 1)).map_err(|e| e.to_string())
+    // Store a syntactically valid but wrong checksum: render() would fix
+    // it, so splice the forged value into the rendered text.
+    let report = load_shard_file(path)?;
+    let forged: String =
+        report.jobs_checksum.chars().map(|c| if c == '0' { '1' } else { '0' }).collect();
+    let text = report.render()?.replacen(&report.jobs_checksum, &forged, 1);
+    std::fs::write(path, text).map_err(|e| e.to_string())
 }
 
 fn overlapping_assignment(case: &mut SweepCase, _seed: u64) -> Result<(), String> {
@@ -206,7 +159,7 @@ fn overlapping_assignment(case: &mut SweepCase, _seed: u64) -> Result<(), String
     let (donor_idx, donor) = fattest_shard(case)?;
     let victim_idx = (donor_idx + 1) % case.paths.len();
     let stray = donor.jobs.first().ok_or("donor shard owns no rows")?.clone();
-    let mut victim = reload(&case.paths[victim_idx])?;
+    let mut victim = load_shard_file(&case.paths[victim_idx])?;
     victim.jobs.push(stray);
     victim.write(&case.paths[victim_idx])
 }
@@ -232,7 +185,7 @@ fn missing_shard(case: &mut SweepCase, seed: u64) -> Result<(), String> {
 
 fn cross_sweep_mix(case: &mut SweepCase, seed: u64) -> Result<(), String> {
     let at = (seed as usize) % case.paths.len();
-    let mut report = reload(&case.paths[at])?;
+    let mut report = load_shard_file(&case.paths[at])?;
     report.manifest.git_commit = "f00dface".to_string();
     report.write(&case.paths[at])
 }
@@ -251,19 +204,6 @@ fn coverage_gap(case: &mut SweepCase, _seed: u64) -> Result<(), String> {
     let (idx, mut report) = fattest_shard(case)?;
     report.jobs.pop().ok_or("shard owns no rows")?;
     report.write(&case.paths[idx])
-}
-
-fn journal_foreign_entry(case: &mut SweepCase, seed: u64) -> Result<(), String> {
-    let path = &case.journals[(seed as usize) % case.journals.len()];
-    let mut fp = 0xFEED_FACE_FEED_FACEu64;
-    while case.manifest_fps.contains(&fp) {
-        fp ^= 1;
-    }
-    let entry = JournalEntry::new(fp, "foreign", &sample_prediction()?);
-    let mut text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    text.push_str(&serde_json::to_string(&entry).map_err(|e| e.to_string())?);
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| e.to_string())
 }
 
 /// Every way a sharded sweep can rot on disk, and the typed finding the
@@ -313,10 +253,5 @@ pub const SHARD_FAULTS: &[ShardFault] = &[
         name: "coverage_gap",
         expect: FindingKind::CoverageGap,
         mutate: coverage_gap,
-    },
-    ShardFault {
-        name: "journal_foreign_entry",
-        expect: FindingKind::JournalCorrupt,
-        mutate: journal_foreign_entry,
     },
 ];

@@ -20,8 +20,7 @@ use std::path::PathBuf;
 
 use gpumech_fault::shardfaults::{fabricate_sweep, SHARD_FAULTS};
 use gpumech_shard::{
-    merge_files, verify_expectation, FindingKind, MergeOptions, ShardSpec, SweepManifest,
-    SweepReport,
+    merge_files, verify_expectation, FindingKind, ShardSpec, SweepManifest, SweepReport,
 };
 
 fn workspace(tag: &str) -> PathBuf {
@@ -33,22 +32,18 @@ fn workspace(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(journals: &[PathBuf]) -> MergeOptions {
-    MergeOptions { quarantine: true, journals: journals.to_vec() }
-}
-
 #[test]
 fn clean_fabricated_sweep_merges_byte_identically() {
     let dir = workspace("clean");
     let case = fabricate_sweep(&dir, 3, 12).unwrap();
-    let outcome = merge_files(&case.paths, &opts(&case.journals));
+    let outcome = merge_files(&case.paths);
     assert!(outcome.findings.is_empty(), "clean sweep: {:?}", outcome.findings);
     assert_eq!(outcome.files_ok, 3);
     let merged = outcome.merged.expect("clean sweep must merge");
 
     // Rows come back in manifest enumeration order, fully covered.
-    assert_eq!(merged.rows.len(), case.manifest_fps.len());
-    let merged_fps: Vec<String> = merged.rows.iter().map(|r| r.fingerprint.clone()).collect();
+    assert_eq!(merged.jobs.len(), case.manifest_fps.len());
+    let merged_fps: Vec<String> = merged.jobs.iter().map(|r| r.fingerprint.clone()).collect();
     let expect_fps: Vec<String> =
         case.manifest_fps.iter().map(|&fp| gpumech_shard::fingerprint_hex(fp)).collect();
     assert_eq!(merged_fps, expect_fps, "merged rows must follow manifest order");
@@ -62,9 +57,9 @@ fn clean_fabricated_sweep_merges_byte_identically() {
         cache_entries: 0,
         counters: Vec::new(),
         jobs_checksum: String::new(),
-        jobs: merged.rows.clone(),
+        jobs: merged.jobs.clone(),
     };
-    let merged_text = merged.render_json().unwrap();
+    let merged_text = merged.render().unwrap();
     let reference_text = reference.render().unwrap();
     assert_eq!(
         verify_expectation(&merged_text, &reference_text),
@@ -82,7 +77,7 @@ fn byte_identical_duplicate_is_a_note_not_a_finding() {
     let copy = dir.join("shard-0-retry.json");
     std::fs::copy(&case.paths[0], &copy).unwrap();
     case.paths.push(copy);
-    let outcome = merge_files(&case.paths, &opts(&case.journals));
+    let outcome = merge_files(&case.paths);
     assert!(outcome.findings.is_empty(), "identical duplicate: {:?}", outcome.findings);
     assert!(outcome.merged.is_some());
     assert!(
@@ -104,7 +99,7 @@ fn every_corruption_yields_its_typed_finding_and_no_merge() {
                 .unwrap_or_else(|e| panic!("{}: mutate: {e}", fault.name));
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                merge_files(&case.paths, &opts(&case.journals))
+                merge_files(&case.paths)
             }))
             .unwrap_or_else(|_| panic!("{} seed {seed:#x}: merge panicked", fault.name));
 
@@ -133,12 +128,15 @@ fn every_corruption_yields_its_typed_finding_and_no_merge() {
                     fault.name
                 );
             }
-            // Every finding renders with its stable kebab-case code.
+            // Every finding renders with its stable kebab-case code, and a
+            // finding about no one file names none.
             for f in &outcome.findings {
+                let shown = f.to_string();
                 assert!(
-                    f.to_string().starts_with(&format!("[{}]", f.kind.code())),
-                    "finding rendering must lead with its code: {f}"
+                    shown.starts_with(&format!("[{}]", f.kind.code())),
+                    "finding rendering must lead with its code: {shown}"
                 );
+                assert!(!shown.contains("] : "), "empty path rendered: {shown}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -3,8 +3,9 @@
 //!
 //! A sweep at fleet scale is run as N independent `gpumech batch --shard
 //! i/N` processes, each owning a deterministic subset of the job space
-//! and writing its own journal and result file. This crate supplies the
-//! three layers that make that safe to run unattended:
+//! and writing its own result file (and, to survive a kill, its own
+//! resume journal). This crate supplies the three layers that make that
+//! safe to run unattended:
 //!
 //! 1. **Partitioning** ([`partition`]) — shard ownership is a pure
 //!    function of the stable job fingerprint (splitmix64 over the same
@@ -25,13 +26,16 @@
 //!    duplicate jobs by byte-equality, and verifying that the union
 //!    covers the manifest exactly. Every violation is a typed
 //!    [`MergeFinding`]; a merge with findings produces no output (never
-//!    a silent partial merge). The merged file's job rows are spliced
-//!    byte-for-byte from the shard files, so a clean merge is
-//!    byte-identical (from the `jobs_checksum` field on) to the same
-//!    sweep run unsharded.
+//!    a silent partial merge). Rows are parsed and re-rendered through
+//!    the one [`SweepReport`] writer, so a clean merge is byte-identical
+//!    (from the `jobs_checksum` field on) to the same sweep run
+//!    unsharded.
 //!
-//! A killed shard is re-run with `batch --journal --resume`: the journal
-//! replays its finished jobs, so the re-run's file is byte-identical.
+//! The two on-disk formats have one job each. The journal resumes a run:
+//! a killed shard is re-run with `batch --journal --resume`, the journal
+//! replays its finished jobs, and the re-run's file is byte-identical.
+//! The shard file is what `merge` reads: only it holds rejected kernels,
+//! failed jobs, `--oracle` CPIs and the manifest.
 //! Everything is instrumented under the `shard.*` metric family
 //! (`shard.partition.*`, `shard.merge.*`).
 
@@ -44,11 +48,10 @@ pub mod report;
 use std::fmt;
 
 pub use manifest::{fingerprint_hex, git_commit, parse_fingerprint, SweepManifest};
-pub use merge::{merge_files, verify_expectation, FindingKind, MergeFinding, MergeOptions,
-                MergeOutcome, MergedSweep};
+pub use merge::{merge_files, verify_expectation, FindingKind, MergeFinding, MergeOutcome};
 pub use partition::{rejected_fingerprint, shard_of, sweep_fingerprint, ShardSpec};
 pub use plan::{sweep_points, Outcome, SweepPlan};
-pub use report::{load_shard_file, rows_checksum, CounterEntry, JobRow, ShardFile, SweepReport};
+pub use report::{load_shard_file, rows_checksum, CounterEntry, JobRow, SweepReport};
 
 /// Error produced by the sharding layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,13 +2,14 @@
 //! or produce typed findings explaining exactly why that would be unsafe.
 //!
 //! The merge never guesses. Every file is fully verified on load (JSON
-//! shape, manifest consistency, `jobs_checksum`); corrupt or torn files
-//! are quarantined (`<path>.quarantine`) with a typed finding. Files from
-//! different sweeps (mismatched sweep/config fingerprints, commits, or
-//! shard counts) are rejected. Every row must be owned by the shard that
-//! wrote it (overlapping assignments are findings), belong to the
-//! manifest (unknown jobs are findings), and duplicates are resolved by
-//! byte-equality (diverging duplicates are findings). Finally the union
+//! shape, manifest consistency, `jobs_checksum` over the re-rendered
+//! rows); corrupt or torn files are quarantined (`<path>.quarantine`)
+//! with a typed finding. Files from different sweeps (mismatched
+//! sweep/config fingerprints, commits, or shard counts) are rejected.
+//! Every row must be owned by the shard that wrote it (overlapping
+//! assignments are findings), belong to the manifest (unknown jobs are
+//! findings), and duplicates are resolved by byte-equality of their
+//! rendered rows (diverging duplicates are findings). Finally the union
 //! must cover the manifest *exactly* — a missing shard or a missing row
 //! is a finding, never a silent partial merge.
 //!
@@ -17,13 +18,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use gpumech_exec::resilience::Journal;
-
-use crate::manifest::SweepManifest;
+use crate::manifest::{parse_fingerprint, SweepManifest};
 use crate::partition::shard_of;
-use crate::report::{load_shard_file, quarantine, render_parts, write_atomic, CounterEntry, ShardFile};
+use crate::report::{load_shard_file, quarantine, row_texts, CounterEntry, JobRow, SweepReport};
 
 /// What kind of merge violation a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +46,6 @@ pub enum FindingKind {
     /// A manifest job is covered by no row even though its owning shard's
     /// file is present.
     CoverageGap,
-    /// A shard journal cannot be read, or holds an entry that is not a job
-    /// of this sweep.
-    JournalCorrupt,
     /// The merged output does not match the `--expect` reference run.
     ExpectationMismatch,
 }
@@ -66,7 +62,6 @@ impl FindingKind {
             FindingKind::MisassignedJob => "misassigned-job",
             FindingKind::UnknownJob => "unknown-job",
             FindingKind::CoverageGap => "coverage-gap",
-            FindingKind::JournalCorrupt => "journal-corrupt",
             FindingKind::ExpectationMismatch => "expectation-mismatch",
         }
     }
@@ -77,7 +72,8 @@ impl FindingKind {
 pub struct MergeFinding {
     /// What kind of violation.
     pub kind: FindingKind,
-    /// The file the violation was found in (or about).
+    /// The file the violation was found in (or about); empty for a
+    /// finding about the sweep as a whole (a missing shard or job).
     pub path: String,
     /// One-line description with enough identity to act on.
     pub detail: String,
@@ -85,44 +81,20 @@ pub struct MergeFinding {
 
 impl fmt::Display for MergeFinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.kind.code(), self.path, self.detail)
+        if self.path.is_empty() {
+            write!(f, "[{}] {}", self.kind.code(), self.detail)
+        } else {
+            write!(f, "[{}] {}: {}", self.kind.code(), self.path, self.detail)
+        }
     }
-}
-
-/// Merge configuration.
-#[derive(Debug, Clone, Default)]
-pub struct MergeOptions {
-    /// Rename files that fail load-verification to `<path>.quarantine`
-    /// (the cache-layer convention) instead of leaving them in place.
-    pub quarantine: bool,
-    /// Shard journals to cross-check: every entry a resume would replay
-    /// must belong to the manifest.
-    pub journals: Vec<PathBuf>,
-}
-
-/// A verified merged sweep, ready to render.
-#[derive(Debug, Clone)]
-pub struct MergedSweep {
-    /// The merged manifest (shard 0 of 1: the merge *is* the whole sweep).
-    pub manifest: SweepManifest,
-    /// Sum of shard worker counts (informational).
-    pub workers: u64,
-    /// Sum of shard cache entries (informational).
-    pub cache_entries: u64,
-    /// Counters summed across shards by name.
-    pub counters: Vec<CounterEntry>,
-    /// Raw row text per job, in manifest enumeration order, spliced
-    /// byte-for-byte from the shard files.
-    pub raw_rows: Vec<String>,
-    /// Parsed rows, parallel to `raw_rows`.
-    pub rows: Vec<crate::report::JobRow>,
 }
 
 /// The outcome of a merge attempt.
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
-    /// The merged sweep — present only when there are no findings.
-    pub merged: Option<MergedSweep>,
+    /// The merged sweep — present only when there are no findings. Its
+    /// manifest reads shard 0 of 1: the merge *is* the whole sweep.
+    pub merged: Option<SweepReport>,
     /// Every violation, in discovery order.
     pub findings: Vec<MergeFinding>,
     /// Benign observations (identical duplicates resolved, etc.).
@@ -133,12 +105,14 @@ pub struct MergeOutcome {
     pub files_ok: usize,
 }
 
-/// Merges the shard result files at `paths`.
+/// Merges the shard result files at `paths`. A file that fails
+/// load-verification is renamed to `<path>.quarantine` (never deleted or
+/// overwritten).
 ///
 /// Infallible at the API level: every problem is a typed finding in the
 /// returned [`MergeOutcome`], and `merged` is `Some` iff there are none.
 #[must_use]
-pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
+pub fn merge_files(paths: &[PathBuf]) -> MergeOutcome {
     let _span = gpumech_obs::span!("shard.merge.run", files = paths.len());
     let mut findings: Vec<MergeFinding> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
@@ -146,7 +120,7 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
 
     // Load + verify every file; corrupt files become findings (and are
     // quarantined), the rest proceed.
-    let mut files: Vec<(String, ShardFile)> = Vec::new();
+    let mut files: Vec<(String, SweepReport)> = Vec::new();
     for path in paths {
         let shown = path.display().to_string();
         match load_shard_file(path) {
@@ -158,10 +132,8 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
                     path: shown.clone(),
                     detail,
                 });
-                if opts.quarantine {
-                    if let Some(target) = quarantine(path) {
-                        quarantined.push(target.display().to_string());
-                    }
+                if let Some(target) = quarantine(path) {
+                    quarantined.push(target.display().to_string());
                 }
             }
         }
@@ -177,12 +149,12 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
         });
         return finish(None, findings, notes, quarantined, files_ok);
     };
-    let reference = first.report.manifest.clone();
+    let reference = first.manifest.clone();
 
     // Cross-sweep rejection: every manifest must agree with the first
     // (modulo shard index).
     for (shown, f) in &files {
-        if !f.report.manifest.same_sweep(&reference) {
+        if !f.manifest.same_sweep(&reference) {
             findings.push(MergeFinding {
                 kind: FindingKind::CrossSweepMix,
                 path: shown.clone(),
@@ -190,11 +162,11 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
                     "manifest disagrees with {}: sweep {} vs {}, {} vs {} shard(s), \
                      commit {:?} vs {:?}",
                     paths.first().map_or_else(String::new, |p| p.display().to_string()),
-                    f.report.manifest.sweep_fingerprint,
+                    f.manifest.sweep_fingerprint,
                     reference.sweep_fingerprint,
-                    f.report.manifest.shard_count,
+                    f.manifest.shard_count,
                     reference.shard_count,
-                    f.report.manifest.git_commit,
+                    f.manifest.git_commit,
                     reference.git_commit,
                 ),
             });
@@ -218,16 +190,18 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
     let manifest_set: BTreeSet<u64> = manifest_fps.iter().copied().collect();
     let count = reference.shard_count;
 
-    // Union rows: fingerprint -> (raw bytes, source path). Duplicates are
-    // resolved by byte equality; divergence is a conflict finding.
-    let mut union: HashMap<u64, (String, String)> = HashMap::new();
+    // Union rows: fingerprint -> (rendered row, row, source path).
+    // Duplicates are resolved by byte equality of the rendered rows;
+    // divergence is a conflict finding.
+    let mut union: HashMap<u64, (String, &JobRow, &str)> = HashMap::new();
     let mut present_shards: BTreeSet<u32> = BTreeSet::new();
     for (shown, f) in &files {
-        present_shards.insert(f.report.manifest.shard_index);
-        for (i, fp) in f.row_fps.iter().enumerate() {
-            let raw = &f.raw_rows[i];
-            let label = &f.report.jobs[i].label;
-            if !manifest_set.contains(fp) {
+        present_shards.insert(f.manifest.shard_index);
+        let Ok(texts) = row_texts(&f.jobs) else { continue }; // rendered on load
+        for (i, (row, text)) in f.jobs.iter().zip(texts).enumerate() {
+            let label = &row.label;
+            let Some(fp) = parse_fingerprint(&row.fingerprint) else { continue }; // checked on load
+            if !manifest_set.contains(&fp) {
                 findings.push(MergeFinding {
                     kind: FindingKind::UnknownJob,
                     path: shown.clone(),
@@ -235,30 +209,30 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
                 });
                 continue;
             }
-            let owner = shard_of(*fp, count);
-            if owner != f.report.manifest.shard_index {
+            let owner = shard_of(fp, count);
+            if owner != f.manifest.shard_index {
                 findings.push(MergeFinding {
                     kind: FindingKind::MisassignedJob,
                     path: shown.clone(),
                     detail: format!(
                         "row {i} ({label:?}, {fp:016x}) belongs to shard {owner}, not shard {} \
                          (overlapping shard assignment)",
-                        f.report.manifest.shard_index
+                        f.manifest.shard_index
                     ),
                 });
                 continue;
             }
-            match union.get(fp) {
+            match union.get(&fp) {
                 None => {
-                    union.insert(*fp, (raw.clone(), shown.clone()));
+                    union.insert(fp, (text, row, shown));
                 }
-                Some((existing, from)) if existing == raw => {
+                Some((existing, _, from)) if *existing == text => {
                     notes.push(format!(
                         "job {label:?} ({fp:016x}) duplicated byte-identically in {from} and \
                          {shown}; kept one copy"
                     ));
                 }
-                Some((_, from)) => {
+                Some((_, _, from)) => {
                     findings.push(MergeFinding {
                         kind: FindingKind::DuplicateJobConflict,
                         path: shown.clone(),
@@ -300,43 +274,31 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
         }
     }
 
-    for journal in &opts.journals {
-        check_journal(journal, &manifest_set, &mut findings);
-    }
-
     gpumech_obs::counter!("shard.merge.findings", findings.len() as u64);
     if !findings.is_empty() {
         return finish(None, findings, notes, quarantined, files_ok);
     }
 
-    // Clean: splice rows in manifest enumeration order. Repeated manifest
+    // Clean: rows in manifest enumeration order. Repeated manifest
     // fingerprints (legal: enumeration defines multiplicity) emit their
-    // row text once per occurrence, matching the unsharded writer.
-    let mut raw_rows = Vec::with_capacity(manifest_fps.len());
-    let mut rows = Vec::with_capacity(manifest_fps.len());
-    let by_fp: HashMap<u64, &crate::report::JobRow> = files
+    // row once per occurrence, matching the unsharded writer.
+    let jobs: Vec<JobRow> = manifest_fps
         .iter()
-        .flat_map(|(_, f)| f.row_fps.iter().copied().zip(f.report.jobs.iter()))
+        .filter_map(|fp| union.get(fp).map(|&(_, row, _)| row.clone()))
         .collect();
-    for fp in &manifest_fps {
-        if let (Some((raw, _)), Some(row)) = (union.get(fp), by_fp.get(fp)) {
-            raw_rows.push(raw.clone());
-            rows.push((*row).clone());
-        }
-    }
-    gpumech_obs::counter!("shard.merge.rows", raw_rows.len() as u64);
+    gpumech_obs::counter!("shard.merge.rows", jobs.len() as u64);
 
     let mut counter_sums: BTreeMap<String, u64> = BTreeMap::new();
     let mut workers = 0u64;
     let mut cache_entries = 0u64;
     for (_, f) in &files {
-        workers += f.report.workers;
-        cache_entries += f.report.cache_entries;
-        for c in &f.report.counters {
+        workers += f.workers;
+        cache_entries += f.cache_entries;
+        for c in &f.counters {
             *counter_sums.entry(c.name.clone()).or_insert(0) += c.total;
         }
     }
-    let merged = MergedSweep {
+    let merged = SweepReport {
         manifest: SweepManifest {
             shard_index: 0,
             shard_count: 1,
@@ -348,161 +310,20 @@ pub fn merge_files(paths: &[PathBuf], opts: &MergeOptions) -> MergeOutcome {
             .into_iter()
             .map(|(name, total)| CounterEntry { name, total })
             .collect(),
-        raw_rows,
-        rows,
+        jobs_checksum: String::new(), // recomputed on render
+        jobs,
     };
     finish(Some(merged), findings, notes, quarantined, files_ok)
 }
 
 fn finish(
-    merged: Option<MergedSweep>,
+    merged: Option<SweepReport>,
     findings: Vec<MergeFinding>,
     notes: Vec<String>,
     quarantined: Vec<String>,
     files_ok: usize,
 ) -> MergeOutcome {
     MergeOutcome { merged, findings, notes, quarantined, files_ok }
-}
-
-/// Verifies one shard journal against the manifest fingerprint set. The
-/// journal is read as `--resume` reads it: a torn line (a writer killed
-/// mid-append, which the next append starts a fresh line after) is a job
-/// not done, not corruption.
-fn check_journal(path: &Path, manifest: &BTreeSet<u64>, findings: &mut Vec<MergeFinding>) {
-    let shown = path.display().to_string();
-    if let Err(e) = std::fs::read_to_string(path) {
-        findings.push(MergeFinding {
-            kind: FindingKind::JournalCorrupt,
-            path: shown,
-            detail: format!("read: {e}"),
-        });
-        return;
-    }
-    let foreign: BTreeMap<u64, String> = Journal::new(path)
-        .load()
-        .into_iter()
-        .filter(|(fp, _)| !manifest.contains(fp))
-        .map(|(fp, e)| (fp, e.label))
-        .collect();
-    for (fp, label) in foreign {
-        findings.push(MergeFinding {
-            kind: FindingKind::JournalCorrupt,
-            path: shown.clone(),
-            detail: format!("entry ({label:?}, {fp:016x}) is not a job of this sweep"),
-        });
-    }
-}
-
-impl MergedSweep {
-    /// Renders the merged file in the canonical shard-file layout.
-    ///
-    /// # Errors
-    ///
-    /// Serialization failure, rendered.
-    pub fn render_json(&self) -> Result<String, String> {
-        let manifest = serde_json::to_string(&self.manifest).map_err(|e| e.to_string())?;
-        let counters = serde_json::to_string(&self.counters).map_err(|e| e.to_string())?;
-        Ok(render_parts(&manifest, self.workers, self.cache_entries, &counters, &self.raw_rows))
-    }
-
-    /// Writes the merged file atomically.
-    ///
-    /// # Errors
-    ///
-    /// Serialization or I/O failure, rendered.
-    pub fn write_json(&self, path: &Path) -> Result<(), String> {
-        write_atomic(path, &self.render_json()?)
-    }
-
-    /// The markdown sweep report: per-kernel CPI stacks, the
-    /// error-vs-oracle table, failures, and cache/resilience counters.
-    #[must_use]
-    pub fn render_markdown(&self) -> String {
-        let ok = self.rows.iter().filter(|r| r.error.is_none()).count();
-        let failed = self.rows.len() - ok;
-        let mut out = String::from("# GPUMech sweep report\n\n");
-        out.push_str(&format!(
-            "- sweep fingerprint: `{}`\n- config fingerprint: `{}`\n- git commit: `{}`\n\
-             - jobs: {} ({ok} ok, {failed} failed)\n\n",
-            self.manifest.sweep_fingerprint,
-            self.manifest.config_fingerprint,
-            self.manifest.git_commit,
-            self.rows.len(),
-        ));
-
-        out.push_str("## Per-kernel CPI stacks\n\n");
-        out.push_str("| job | BASE | DEP | L1 | L2 | DRAM | MSHR | QUEUE | CPI | IPC |\n");
-        out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
-        for r in &self.rows {
-            let Some(stack) = &r.stack else { continue };
-            out.push_str(&format!(
-                "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |\n",
-                r.label,
-                stack.base,
-                stack.dep,
-                stack.l1,
-                stack.l2,
-                stack.dram,
-                stack.mshr,
-                stack.queue,
-                r.cpi.unwrap_or(f64::NAN),
-                r.ipc.unwrap_or(f64::NAN),
-            ));
-        }
-
-        out.push_str("\n## Model vs oracle\n\n");
-        let with_oracle: Vec<&crate::report::JobRow> =
-            self.rows.iter().filter(|r| r.oracle_cpi.is_some() && r.cpi.is_some()).collect();
-        if with_oracle.is_empty() {
-            out.push_str("_no oracle data recorded (run with `--oracle`)_\n");
-        } else {
-            out.push_str("| job | model CPI | oracle CPI | error |\n|---|---|---|---|\n");
-            let mut sum_err = 0.0f64;
-            for r in &with_oracle {
-                let (cpi, oracle) = (r.cpi.unwrap_or(f64::NAN), r.oracle_cpi.unwrap_or(f64::NAN));
-                let err = if oracle.abs() > f64::EPSILON {
-                    (cpi - oracle).abs() / oracle
-                } else {
-                    f64::NAN
-                };
-                if err.is_finite() {
-                    sum_err += err;
-                }
-                out.push_str(&format!(
-                    "| {} | {cpi:.3} | {oracle:.3} | {:.1}% |\n",
-                    r.label,
-                    100.0 * err
-                ));
-            }
-            out.push_str(&format!(
-                "\nmean absolute CPI error: {:.1}% over {} job(s)\n",
-                100.0 * sum_err / with_oracle.len() as f64,
-                with_oracle.len()
-            ));
-        }
-
-        if failed > 0 {
-            out.push_str("\n## Failures\n\n");
-            for r in self.rows.iter().filter(|r| r.error.is_some()) {
-                out.push_str(&format!(
-                    "- `{}`: {}\n",
-                    r.label,
-                    r.error.as_deref().unwrap_or("")
-                ));
-            }
-        }
-
-        out.push_str("\n## Cache & resilience counters\n\n");
-        if self.counters.is_empty() {
-            out.push_str("_none recorded_\n");
-        } else {
-            out.push_str("| counter | total |\n|---|---|\n");
-            for c in &self.counters {
-                out.push_str(&format!("| `{}` | {} |\n", c.name, c.total));
-            }
-        }
-        out
-    }
 }
 
 /// Compares a merged rendering against a reference (unsharded) run's file

@@ -2,7 +2,7 @@
 //! identically — kernel × sweep point, in order, with a kernel that static
 //! verification rejects kept inline as one typed failure per point — and
 //! what is derived from it: entry fingerprints, the [`SweepManifest`], and
-//! the subset one shard owns. Coverage checking and the merge's splice
+//! the subset one shard owns. Coverage checking and the merge's row
 //! order rest on exactly this list, which is why it is built here, beside
 //! the manifest and [`ShardSpec`] it feeds.
 

@@ -1,18 +1,17 @@
 //! The shard result file: the canonical on-disk sweep report format.
 //!
-//! The format is JSON, but with a *fixed physical layout* so that merges
-//! can operate on raw bytes: the manifest, counters, and `jobs_checksum`
-//! each occupy their own line, and every job row is one compact JSON
-//! object on its own line inside the `jobs` array. The merge verifier
-//! never re-serializes rows — it splices the raw row text from the shard
-//! files into the merged file — so a clean merge is byte-identical (from
-//! `jobs_checksum` on) to the same sweep run unsharded, and duplicate
-//! detection is plain byte equality.
+//! The format is JSON with a *fixed physical layout*: the manifest,
+//! counters, and `jobs_checksum` each occupy their own line, and every job
+//! row is one compact JSON object on its own line inside the `jobs` array.
+//! Every writer (a `batch` shard, the unsharded run, the merge) renders
+//! through [`SweepReport::render`], so a clean merge is byte-identical
+//! (from `jobs_checksum` on) to the same sweep run unsharded.
 //!
-//! `jobs_checksum` is a content hash over the compact row texts; a
-//! bit-flipped or truncated row fails the checksum and the whole file is
-//! treated as corrupt (typed finding + quarantine), never silently
-//! merged.
+//! A reader parses the file and re-renders each row; `jobs_checksum` is a
+//! content hash over those compact row texts. A flipped digit changes the
+//! parsed value and so the re-rendered row, a torn file fails to parse,
+//! and a forged checksum does not match: the whole file is treated as
+//! corrupt (typed finding + quarantine), never silently merged.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -113,41 +112,14 @@ pub struct SweepReport {
 
 /// Checksum over compact row texts: what `jobs_checksum` stores.
 #[must_use]
-pub fn rows_checksum(raw_rows: &[String]) -> String {
-    fingerprint_hex(payload_checksum(raw_rows.join("\n").as_bytes()))
+pub fn rows_checksum(rows: &[String]) -> String {
+    fingerprint_hex(payload_checksum(rows.join("\n").as_bytes()))
 }
 
-/// Renders the canonical file text from pre-serialized parts. Both the
-/// batch writer and the merge writer go through here, which is what makes
-/// their outputs byte-comparable.
-#[must_use]
-pub fn render_parts(
-    manifest_json: &str,
-    workers: u64,
-    cache_entries: u64,
-    counters_json: &str,
-    raw_rows: &[String],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    // Run-dependent fields (worker count, cache size, counters) come
-    // first; everything from the manifest on is sweep content, so the
-    // byte-compared tail of the file — from the first `"jobs"` key, which
-    // lives inside the compact manifest — is identical across resumes,
-    // shards, and the unsharded reference run.
-    out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!("  \"cache_entries\": {cache_entries},\n"));
-    out.push_str(&format!("  \"counters\": {counters_json},\n"));
-    out.push_str(&format!("  \"manifest\": {manifest_json},\n"));
-    out.push_str(&format!("  \"jobs_checksum\": \"{}\",\n", rows_checksum(raw_rows)));
-    out.push_str("  \"jobs\": [\n");
-    for (i, row) in raw_rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(row);
-        out.push_str(if i + 1 < raw_rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The compact JSON text of each row: the unit of the checksum, of
+/// duplicate comparison, and of the file layout.
+pub(crate) fn row_texts(rows: &[JobRow]) -> Result<Vec<String>, String> {
+    rows.iter().map(|row| serde_json::to_string(row).map_err(|e| e.to_string())).collect()
 }
 
 impl SweepReport {
@@ -161,11 +133,27 @@ impl SweepReport {
     pub fn render(&self) -> Result<String, String> {
         let manifest = serde_json::to_string(&self.manifest).map_err(|e| e.to_string())?;
         let counters = serde_json::to_string(&self.counters).map_err(|e| e.to_string())?;
-        let mut rows = Vec::with_capacity(self.jobs.len());
-        for row in &self.jobs {
-            rows.push(serde_json::to_string(row).map_err(|e| e.to_string())?);
+        let rows = row_texts(&self.jobs)?;
+        let mut out = String::new();
+        out.push_str("{\n");
+        // Run-dependent fields (worker count, cache size, counters) come
+        // first; everything from the manifest on is sweep content, so the
+        // byte-compared tail of the file — from the first `"jobs"` key,
+        // which lives inside the compact manifest — is identical across
+        // resumes, shards, and the unsharded reference run.
+        out.push_str(&format!("  \"workers\": {},\n", self.workers));
+        out.push_str(&format!("  \"cache_entries\": {},\n", self.cache_entries));
+        out.push_str(&format!("  \"counters\": {counters},\n"));
+        out.push_str(&format!("  \"manifest\": {manifest},\n"));
+        out.push_str(&format!("  \"jobs_checksum\": \"{}\",\n", rows_checksum(&rows)));
+        out.push_str("  \"jobs\": [\n");
+        for (i, row) in rows.iter().enumerate() {
+            out.push_str("    ");
+            out.push_str(row);
+            out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
         }
-        Ok(render_parts(&manifest, self.workers, self.cache_entries, &counters, &rows))
+        out.push_str("  ]\n}\n");
+        Ok(out)
     }
 
     /// Renders and writes atomically (tmp + rename), so a killed writer
@@ -177,117 +165,123 @@ impl SweepReport {
     pub fn write(&self, path: &Path) -> Result<(), String> {
         write_atomic(path, &self.render()?)
     }
-}
 
-/// A parsed shard file: the structured report plus the raw row texts as
-/// they appear on disk (the merge's unit of byte comparison).
-#[derive(Debug, Clone)]
-pub struct ShardFile {
-    /// The parsed report.
-    pub report: SweepReport,
-    /// Compact row text per job, exactly as stored (whitespace-trimmed).
-    pub raw_rows: Vec<String>,
-    /// Decoded fingerprint per row, parallel to `raw_rows`.
-    pub row_fps: Vec<u64>,
+    /// The markdown sweep report: per-kernel CPI stacks, the
+    /// error-vs-oracle table, failures, and cache/resilience counters.
+    #[must_use]
+    pub fn render_markdown(&self) -> String {
+        let ok = self.jobs.iter().filter(|r| r.error.is_none()).count();
+        let failed = self.jobs.len() - ok;
+        let mut out = String::from("# GPUMech sweep report\n\n");
+        out.push_str(&format!(
+            "- sweep fingerprint: `{}`\n- config fingerprint: `{}`\n- git commit: `{}`\n\
+             - jobs: {} ({ok} ok, {failed} failed)\n\n",
+            self.manifest.sweep_fingerprint,
+            self.manifest.config_fingerprint,
+            self.manifest.git_commit,
+            self.jobs.len(),
+        ));
+
+        out.push_str("## Per-kernel CPI stacks\n\n");
+        out.push_str("| job | BASE | DEP | L1 | L2 | DRAM | MSHR | QUEUE | CPI | IPC |\n");
+        out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
+        for r in &self.jobs {
+            let Some(stack) = &r.stack else { continue };
+            out.push_str(&format!(
+                "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |\n",
+                r.label,
+                stack.base,
+                stack.dep,
+                stack.l1,
+                stack.l2,
+                stack.dram,
+                stack.mshr,
+                stack.queue,
+                r.cpi.unwrap_or(f64::NAN),
+                r.ipc.unwrap_or(f64::NAN),
+            ));
+        }
+
+        out.push_str("\n## Model vs oracle\n\n");
+        let with_oracle: Vec<&JobRow> =
+            self.jobs.iter().filter(|r| r.oracle_cpi.is_some() && r.cpi.is_some()).collect();
+        if with_oracle.is_empty() {
+            out.push_str("_no oracle data recorded (run with `--oracle`)_\n");
+        } else {
+            out.push_str("| job | model CPI | oracle CPI | error |\n|---|---|---|---|\n");
+            let mut sum_err = 0.0f64;
+            for r in &with_oracle {
+                let (cpi, oracle) = (r.cpi.unwrap_or(f64::NAN), r.oracle_cpi.unwrap_or(f64::NAN));
+                let err = if oracle.abs() > f64::EPSILON {
+                    (cpi - oracle).abs() / oracle
+                } else {
+                    f64::NAN
+                };
+                if err.is_finite() {
+                    sum_err += err;
+                }
+                out.push_str(&format!(
+                    "| {} | {cpi:.3} | {oracle:.3} | {:.1}% |\n",
+                    r.label,
+                    100.0 * err
+                ));
+            }
+            out.push_str(&format!(
+                "\nmean absolute CPI error: {:.1}% over {} job(s)\n",
+                100.0 * sum_err / with_oracle.len() as f64,
+                with_oracle.len()
+            ));
+        }
+
+        if failed > 0 {
+            out.push_str("\n## Failures\n\n");
+            for r in self.jobs.iter().filter(|r| r.error.is_some()) {
+                out.push_str(&format!(
+                    "- `{}`: {}\n",
+                    r.label,
+                    r.error.as_deref().unwrap_or("")
+                ));
+            }
+        }
+
+        out.push_str("\n## Cache & resilience counters\n\n");
+        if self.counters.is_empty() {
+            out.push_str("_none recorded_\n");
+        } else {
+            out.push_str("| counter | total |\n|---|---|\n");
+            for c in &self.counters {
+                out.push_str(&format!("| `{}` | {} |\n", c.name, c.total));
+            }
+        }
+        out
+    }
 }
 
 /// Loads and fully verifies one shard file: JSON parse, manifest
-/// consistency, raw-row extraction, per-row fingerprint decode, row/field
-/// agreement, and the `jobs_checksum` content check.
+/// consistency, per-row fingerprint decode, and the `jobs_checksum`
+/// content check over the re-rendered rows.
 ///
 /// # Errors
 ///
 /// A one-line description of the first defect — the caller turns it into
 /// a typed corrupt-file finding.
-pub fn load_shard_file(path: &Path) -> Result<ShardFile, String> {
+pub fn load_shard_file(path: &Path) -> Result<SweepReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
     let report: SweepReport =
         serde_json::from_str(&text).map_err(|e| format!("parse: {e}"))?;
     report.manifest.validate().map_err(|m| format!("manifest: {m}"))?;
-    let raw_rows = extract_raw_rows(&text)?;
-    if raw_rows.len() != report.jobs.len() {
-        return Err(format!(
-            "jobs array extracted {} raw row(s) but parsed {}",
-            raw_rows.len(),
-            report.jobs.len()
-        ));
+    for (i, row) in report.jobs.iter().enumerate() {
+        parse_fingerprint(&row.fingerprint)
+            .ok_or_else(|| format!("row {i} fingerprint malformed: {:?}", row.fingerprint))?;
     }
-    let actual = rows_checksum(&raw_rows);
+    let actual = rows_checksum(&row_texts(&report.jobs)?);
     if actual != report.jobs_checksum {
         return Err(format!(
             "jobs_checksum mismatch: stored {} computed {actual} (bit rot or torn write)",
             report.jobs_checksum
         ));
     }
-    let mut row_fps = Vec::with_capacity(report.jobs.len());
-    for (i, row) in report.jobs.iter().enumerate() {
-        let fp = parse_fingerprint(&row.fingerprint)
-            .ok_or_else(|| format!("row {i} fingerprint malformed: {:?}", row.fingerprint))?;
-        row_fps.push(fp);
-    }
-    Ok(ShardFile { report, raw_rows, row_fps })
-}
-
-/// Extracts the compact row texts from the `jobs` array of a canonical
-/// file, string- and escape-aware, without re-serializing anything.
-fn extract_raw_rows(text: &str) -> Result<Vec<String>, String> {
-    let key = "\"jobs\": [";
-    let start = text.find(key).ok_or_else(|| "no \"jobs\" array".to_string())?;
-    let body = &text[start + key.len()..];
-    let mut rows = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut current = String::new();
-    for c in body.chars() {
-        if in_string {
-            current.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                current.push(c);
-            }
-            '{' | '[' => {
-                depth += 1;
-                current.push(c);
-            }
-            '}' => {
-                depth = depth.checked_sub(1).ok_or_else(|| "unbalanced jobs array".to_string())?;
-                current.push(c);
-            }
-            ']' => {
-                if depth == 0 {
-                    // End of the jobs array.
-                    let last = current.trim();
-                    if !last.is_empty() {
-                        rows.push(last.to_string());
-                    }
-                    return Ok(rows);
-                }
-                depth -= 1;
-                current.push(c);
-            }
-            ',' if depth == 0 => {
-                let row = current.trim();
-                if row.is_empty() {
-                    return Err("empty element in jobs array".to_string());
-                }
-                rows.push(row.to_string());
-                current.clear();
-            }
-            other => current.push(other),
-        }
-    }
-    Err("jobs array never closes (torn tail)".to_string())
+    Ok(report)
 }
 
 /// Writes `text` to `path` atomically: into `<path>.tmp` beside it (the
@@ -365,22 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn render_load_round_trips_with_raw_rows() {
+    fn render_load_round_trips() {
         let report = sample();
         let path = tmp("roundtrip.json");
         report.write(&path).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
         let loaded = load_shard_file(&path).unwrap();
-        assert_eq!(loaded.report.jobs, report.jobs);
-        assert_eq!(loaded.report.manifest, report.manifest);
-        assert_eq!(loaded.raw_rows.len(), 3);
-        assert_eq!(loaded.row_fps, vec![0x10, 0x20, 0x30]);
-        // Raw rows are exactly the compact serialization (including rows
-        // with braces and quotes inside string values).
-        for (raw, row) in loaded.raw_rows.iter().zip(&report.jobs) {
-            assert_eq!(raw, &serde_json::to_string(row).unwrap());
-        }
-        // The stored checksum matches the recomputed one by construction.
-        assert_eq!(loaded.report.jobs_checksum, rows_checksum(&loaded.raw_rows));
+        assert_eq!(loaded.jobs, report.jobs);
+        assert_eq!(loaded.manifest, report.manifest);
+        // Re-rendering the loaded report reproduces the file byte for byte
+        // (including rows with braces and quotes inside string values), so
+        // the stored checksum matches the recomputed one.
+        assert_eq!(loaded.render().unwrap(), text);
+        assert_eq!(loaded.jobs_checksum, rows_checksum(&row_texts(&loaded.jobs).unwrap()));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -392,7 +383,7 @@ mod tests {
         let path = tmp("empty.json");
         report.write(&path).unwrap();
         let loaded = load_shard_file(&path).unwrap();
-        assert!(loaded.raw_rows.is_empty());
+        assert!(loaded.jobs.is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
