@@ -24,22 +24,23 @@
 #      error-severity finding); it reports 0 error(s), 0 warning(s), and
 #      golden_workloads.rs gates that no finding reaches Warning
 #   6. observability round trip: `gpumech profile` writes a JSONL trace,
-#      a Chrome trace and a folded-stack export, and `gpumech
-#      obs-validate` checks the JSONL against the exporter schema and the
-#      stage.subsystem.name scheme and the folded stacks with --folded —
-#      including a `gpumech batch --obs-out` trace with exec.* metrics;
-#      the profile trace must hold a span for each pipeline stage (cache
-#      sim, intervals, clustering, predict), and the batch trace exactly
-#      one clustering per kernel, however many sweep points share it
+#      a Chrome trace and a folded-stack export, and `gpumech batch
+#      --obs-out` a trace with exec.* metrics; each JSONL trace's meta
+#      line must read `"invalid_names":[]` (the recorder lists there every
+#      name outside the stage.subsystem.name scheme and its stage
+#      families); the profile trace must hold a span for each pipeline
+#      stage (cache sim, intervals, clustering, predict), and the batch
+#      trace exactly one clustering per kernel, however many sweep points
+#      share it
 #   7. resilience: a journalled run + `--resume` through the release
-#      binary, with an obs-validate gate on the resumed run's trace
-#      carrying exec.resilience.* metrics
+#      binary; the resumed run's trace must carry exec.resilience.*
+#      metrics and an empty `invalid_names`
 #   8. sharded sweeps: three `batch --shard i/3 --journal` runs merged
 #      with `merge --expect` — the merged output must be
 #      byte-identical (from jobs_checksum on) to the unsharded reference
-#      run, one shard's --obs-out trace (shard.* metrics) must pass
-#      obs-validate, and a deliberately corrupted shard file must fail
-#      `merge` with exit 5 and a typed finding
+#      run, one shard's --obs-out trace must carry shard.* metrics and an
+#      empty `invalid_names`, and a deliberately corrupted shard file must
+#      fail `merge` with exit 5 and a typed finding
 #   9. accuracy record: `results/run_all.sh --out target/ci-accuracy`
 #      regenerates every harness output, the oracle column of the
 #      fig11-15 accuracy tables included, and each .txt (but the wall-clock
@@ -69,6 +70,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# A JSONL trace's meta line lists every span and metric name the recorder
+# rejected; a clean trace lists none.
+names_clean() {
+  grep -q '^{"type":"meta",.*"invalid_names":\[\]}$' "$1" \
+    || { echo "$1: the recorder flagged names: $(head -n 1 "$1")"; exit 1; }
+}
+
 echo "== gpumech lint =="
 ./target/release/gpumech lint --min-severity warning
 
@@ -76,8 +84,7 @@ echo "== observability =="
 ./target/release/gpumech profile sdk_vectoradd --blocks 4 \
   --obs-out target/obs-ci.jsonl --chrome-out target/obs-ci.trace.json \
   --folded-out target/obs-ci.folded > /dev/null
-./target/release/gpumech obs-validate target/obs-ci.jsonl
-./target/release/gpumech obs-validate --folded target/obs-ci.folded
+names_clean target/obs-ci.jsonl
 # The spans are the only record of where a prediction's time went: each
 # pipeline stage must have one.
 for stage in mem.cachesim.simulate core.pipeline.intervals core.kmeans.cluster \
@@ -87,7 +94,7 @@ for stage in mem.cachesim.simulate core.pipeline.intervals core.kmeans.cluster \
 done
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --sweep bw=96,192 --obs-out target/obs-batch-ci.jsonl > /dev/null
-./target/release/gpumech obs-validate target/obs-batch-ci.jsonl
+names_clean target/obs-batch-ci.jsonl
 # Selection runs once per cached analysis, not once per sweep point: two
 # kernels, two k-means runs.
 kmeans=$(grep -c '"type":"span",.*"name":"core.kmeans.cluster"' target/obs-batch-ci.jsonl || true)
@@ -96,14 +103,14 @@ kmeans=$(grep -c '"type":"span",.*"name":"core.kmeans.cluster"' target/obs-batch
 
 echo "== resilience =="
 # A journalled run + resume through the release binary; the resumed
-# trace must carry well-formed exec.resilience.* metrics and validate.
+# trace must carry exec.resilience.* metrics and no flagged name.
 rm -f target/ci-journal.jsonl
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --journal target/ci-journal.jsonl > /dev/null
 ./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
   --journal target/ci-journal.jsonl --resume \
   --obs-out target/obs-resume-ci.jsonl > /dev/null
-./target/release/gpumech obs-validate target/obs-resume-ci.jsonl
+names_clean target/obs-resume-ci.jsonl
 grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
   || { echo "resume trace missing exec.resilience.* metrics"; exit 1; }
 rm -f target/ci-journal.jsonl
@@ -129,7 +136,7 @@ done
 cmp <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-merged.json) \
     <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-ref.json) \
   || { echo "sharded sweep is not byte-identical to the reference"; exit 1; }
-./target/release/gpumech obs-validate "$dir/obs-0.jsonl"
+names_clean "$dir/obs-0.jsonl"
 grep -q 'shard.partition.owned' "$dir/obs-0.jsonl" \
   || { echo "shard trace missing shard.* metrics"; exit 1; }
 # A corrupted shard file must fail the merge with exit 5 and a typed

@@ -54,15 +54,6 @@ pub enum CliError {
         /// Number of error-severity findings.
         errors: usize,
     },
-    /// `obs-validate` found schema or naming violations in a JSONL trace.
-    /// The report carries one line per violation so `main` can print it
-    /// before exiting nonzero.
-    ObsInvalid {
-        /// Rendered problem list, one line each.
-        report: String,
-        /// Number of violations.
-        problems: usize,
-    },
     /// `merge` found typed merge findings — corrupt shard files,
     /// cross-sweep mixes, coverage gaps, duplicate conflicts, or a byte
     /// mismatch against `--expect`. The report carries one line per
@@ -95,9 +86,6 @@ impl fmt::Display for CliError {
             CliError::LintFailed { errors, .. } => {
                 write!(f, "lint found {errors} error-severity finding(s)")
             }
-            CliError::ObsInvalid { problems, .. } => {
-                write!(f, "observability trace failed validation with {problems} problem(s)")
-            }
             CliError::MergeFailed { findings, .. } => {
                 write!(f, "merge failed with {findings} finding(s); no merged output written")
             }
@@ -108,13 +96,12 @@ impl fmt::Display for CliError {
 impl CliError {
     /// For the failures that are a *check's verdict* rather than a broken
     /// invocation: the report to print before the error line, and the
-    /// exit code that tells them apart (2 lint, 3 obs-validate, 5 merge;
-    /// 4 is retired).
+    /// exit code that tells them apart (2 lint, 5 merge; 3 and 4 are
+    /// retired).
     #[must_use]
     pub fn report(&self) -> Option<(&str, u8)> {
         match self {
             CliError::LintFailed { report, .. } => Some((report, 2)),
-            CliError::ObsInvalid { report, .. } => Some((report, 3)),
             CliError::MergeFailed { report, .. } => Some((report, 5)),
             _ => None,
         }
@@ -285,7 +272,6 @@ where
             serve::serve,
         ),
         "lint" => check::lint(&Args::parse(rest, &["format", "min-severity", "from-json"])?),
-        "obs-validate" => check::obs_validate(&Args::parse_with_switches(rest, &[], &["folded"])?),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }

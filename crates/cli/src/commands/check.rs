@@ -1,37 +1,11 @@
-//! The checkers: `lint` (static analysis of kernel IR) and
-//! `obs-validate` (an observability export against its schema).
+//! The checker: `lint` (static analysis of kernel IR).
 
 use gpumech_analyze::{analyze, KernelAnalysis, Severity};
 use gpumech_isa::Kernel;
-use gpumech_obs::{validate_folded, validate_jsonl};
 use gpumech_trace::workloads;
 
 use super::CliError;
 use crate::args::Args;
-
-/// Validates a `--obs-out` JSONL trace — or, with `--folded`, a
-/// `--folded-out` folded-stack export — with the checker that lives
-/// beside the exporters in `gpumech-obs`. Exits nonzero on any violation.
-pub(super) fn obs_validate(args: &Args) -> Result<String, CliError> {
-    let path = args.required(0, "path")?;
-    let text = std::fs::read_to_string(path)?;
-    let verdict = if args.switch("folded") {
-        validate_folded(&text)
-            .map(|stacks| format!("{path}: valid folded stacks — {stacks} stack line(s)\n"))
-    } else {
-        validate_jsonl(&text, serde_json::parse_value).map(|c| {
-            format!(
-                "{path}: valid — {} span(s), {} metric sample(s), {} aggregate(s); \
-                 all names within stage.subsystem.name\n",
-                c.spans, c.metrics, c.aggregates
-            )
-        })
-    };
-    verdict.map_err(|problems| CliError::ObsInvalid {
-        report: problems.iter().map(|p| format!("{path}: {p}\n")).collect(),
-        problems: problems.len(),
-    })
-}
 
 pub(super) fn lint(args: &Args) -> Result<String, CliError> {
     let target = args.positional(0).unwrap_or("all");
@@ -133,46 +107,8 @@ pub(super) fn lint(args: &Args) -> Result<String, CliError> {
 mod tests {
     use gpumech_analyze::KernelAnalysis;
 
-    use crate::commands::tests::{run_err, run_ok, tmp_path};
+    use crate::commands::tests::{run_err, run_ok};
     use crate::commands::CliError;
-
-    #[test]
-    fn obs_validate_rejects_bad_names_and_schema() {
-        let path = tmp_path("bad.jsonl");
-        let path_s = path.to_string_lossy().to_string();
-        std::fs::write(
-            &path,
-            "{\"type\":\"meta\",\"version\":1,\"dropped_samples\":0,\"invalid_names\":[]}\n\
-             {\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"NotAValidName\",\
-              \"thread\":0,\"start_ns\":0,\"dur_ns\":5,\"attrs\":{}}\n\
-             {\"type\":\"metric\",\"kind\":\"thermometer\",\"name\":\"a.b.c\",\
-              \"value\":1,\"ts_ns\":0,\"span\":null}\n\
-             not json\n",
-        )
-        .unwrap();
-        let e = run_err(&["obs-validate", &path_s]);
-        let CliError::ObsInvalid { report, problems } = e else {
-            panic!("expected ObsInvalid, got {e:?}");
-        };
-        // Four problems: the off-scheme span name, the unknown metric
-        // kind, the scheme-valid but unknown-family metric name "a.b.c",
-        // and the non-JSON line.
-        assert_eq!(problems, 4, "{report}");
-        assert!(report.contains("outside the stage.subsystem.name scheme"));
-        assert!(report.contains("thermometer"));
-        assert!(report.contains("unknown stage family \"a\""));
-        assert!(report.contains("not valid JSON"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn obs_validate_requires_path_and_existing_file() {
-        assert!(matches!(run_err(&["obs-validate"]), CliError::Args(_)));
-        assert!(matches!(
-            run_err(&["obs-validate", "/no/such/file.jsonl"]),
-            CliError::Io(_)
-        ));
-    }
 
     #[test]
     fn lint_all_is_clean_over_the_workload_library() {
@@ -206,27 +142,5 @@ mod tests {
             CliError::BadChoice { flag: "min-severity", .. }
         ));
         assert!(matches!(run_err(&["lint", "nope"]), CliError::UnknownKernel(_)));
-    }
-
-    #[test]
-    fn obs_validate_folded_rejects_malformed_stacks() {
-        let path = tmp_path("bad.folded");
-        let path_s = path.to_string_lossy().to_string();
-        std::fs::write(
-            &path,
-            "exec.batch.run;NotAFrame 100\n\
-             exec.batch.run\n\
-             zzz.bogus.family 5\n\
-             exec.batch.run notanumber\n",
-        )
-        .unwrap();
-        let e = run_err(&["obs-validate", "--folded", &path_s]);
-        let CliError::ObsInvalid { report, problems } = e else {
-            panic!("expected ObsInvalid, got {e:?}");
-        };
-        assert_eq!(problems, 4, "{report}");
-        assert!(report.contains("outside the stage.subsystem.name scheme"));
-        assert!(report.contains("unknown stage family \"zzz\""));
-        std::fs::remove_file(&path).unwrap();
     }
 }

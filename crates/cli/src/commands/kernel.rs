@@ -437,11 +437,13 @@ mod tests {
         let out = run_ok(&["predict", "sdk_vectoradd", "--blocks", "4", "--obs-out", &path_s]);
         assert!(out.contains("observability trace written to"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"type\":\"meta\""));
+        let meta = text.lines().next().unwrap();
+        assert!(meta.starts_with("{\"type\":\"meta\""), "{meta}");
+        assert!(meta.ends_with("\"invalid_names\":[]}"), "the recorder flagged names: {meta}");
         assert!(text.contains("\"type\":\"span\""));
-        let verdict = run_ok(&["obs-validate", &path_s]);
-        assert!(verdict.contains("valid"), "{verdict}");
-        assert!(verdict.contains("all names within stage.subsystem.name"));
+        for line in text.lines() {
+            serde_json::parse_value(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -481,8 +483,6 @@ mod tests {
         assert!(out.contains("== self-time attribution =="), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("core.pipeline.analyze"), "{text}");
-        let verdict = run_ok(&["obs-validate", "--folded", &path_s]);
-        assert!(verdict.contains("valid folded stacks"), "{verdict}");
         std::fs::remove_file(&path).unwrap();
     }
 }

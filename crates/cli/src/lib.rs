@@ -42,9 +42,6 @@ COMMANDS:
     lint [kernel|all]            statically analyze and verify kernel IR:
                                  structure, dataflow, divergence, barriers
                                  (default: all 40)
-    obs-validate <path>          check an --obs-out JSONL trace against the
-                                 exporter schema and naming scheme; with
-                                 --folded, check a folded-stack export instead
     help                         this text
 
 COMMON FLAGS:
@@ -97,7 +94,6 @@ EXIT CODES (ci.sh gates on the distinction):
     0  success
     1  usage or pipeline error
     2  lint found error-severity findings
-    3  obs-validate found schema violations
     5  merge found findings: corrupt shard
        files, coverage gaps, duplicate conflicts, cross-sweep mixes, or
        an --expect byte mismatch
@@ -125,7 +121,8 @@ SERVE FLAGS:
 
 OBSERVABILITY FLAGS:
     --obs-out PATH    write a JSON-lines recorder trace (predict, simulate,
-                      compare, stacks, profile, intervals, batch)
+                      compare, stacks, profile, intervals, batch, merge,
+                      serve)
     --chrome-out PATH write a Chrome trace_event JSON (profile only); load
                       it in chrome://tracing or Perfetto
     --folded-out PATH write flamegraph-collapsed self-time stacks (profile

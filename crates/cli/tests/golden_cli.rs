@@ -82,8 +82,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ),
         ("lint", vec!["lint", "bfs_kernel1", "--min-severity", "info"], Keep::All),
         ("lint-json", vec!["lint", "sdk_vectoradd", "--format", "json"], Keep::All),
-        ("obs-validate", vec!["obs-validate", "good.jsonl"], Keep::All),
-        ("obs-validate-folded", vec!["obs-validate", "--folded", "good.folded"], Keep::All),
         // Usage-error paths.
         ("bad-policy", vec!["predict", "sdk_vectoradd", "--policy", "fifo"], Keep::All),
         ("bad-model", vec!["predict", "sdk_vectoradd", "--model", "quantum"], Keep::All),
@@ -104,6 +102,7 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             Keep::Until("USAGE:"),
         ),
         ("removed-journals-flag", vec!["merge", "s0.json", "--journals", "j"], Keep::Until("USAGE:")),
+        ("removed-obs-validate-command", vec!["obs-validate", "x.jsonl"], Keep::Until("USAGE:")),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
         ("missing-kernel", vec!["predict"], Keep::Until("USAGE:")),
         ("unknown-kernel", vec!["predict", "no_such_kernel"], Keep::All),
@@ -114,31 +113,8 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("merge-nothing", vec!["merge"], Keep::Until("USAGE:")),
         ("lint-bad-format", vec!["lint", "--format", "xml"], Keep::All),
         ("serve-bad-warm", vec!["serve", "--warm", "no_such_kernel"], Keep::All),
-        ("obs-validate-broken", vec!["obs-validate", "broken.jsonl"], Keep::All),
-        ("obs-validate-broken-folded", vec!["obs-validate", "--folded", "broken.folded"], Keep::All),
     ]
 }
-
-const BROKEN_JSONL: &str = "\
-{\"type\":\"meta\",\"version\":2,\"invalid_names\":[\"Bad.Name\"]}
-{\"type\":\"span\",\"id\":1,\"parent\":\"x\",\"name\":\"NotAValidName\",\"thread\":0,\"dur_ns\":5,\"attrs\":{}}
-{\"type\":\"metric\",\"kind\":\"thermometer\",\"name\":\"a.b.c\",\"value\":\"hot\",\"span\":null}
-{\"type\":\"aggregate\",\"kind\":\"histogram\",\"name\":\"perf.nope.x\",\"min\":1,\"max\":\"2\",\"p50\":1,\"p90\":1,\"p99\":1}
-{\"type\":\"aggregate\",\"name\":\"exec.cache.hits\",\"total\":1,\"count\":1}
-{\"type\":\"mystery\"}
-{\"no_type\":true}
-
-not json
-";
-
-const BROKEN_FOLDED: &str = "\
-exec.batch.run;NotAFrame 100
-exec.batch.run
-
-zzz.bogus.family 5
-perf.nope.x 7
-exec.batch.run notanumber
-";
 
 /// Replaces wall-clock tokens — `1.23ms`, `456.7µs`, `12 ms` — with `<t>`.
 fn mask_durations(line: &str) -> String {
@@ -189,11 +165,6 @@ fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gpumech-golden-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
-    std::fs::copy(crates.join("obs/tests/golden/trace.jsonl"), dir.join("good.jsonl")).unwrap();
-    std::fs::copy(crates.join("perf/tests/golden/trace.folded"), dir.join("good.folded")).unwrap();
-    std::fs::write(dir.join("broken.jsonl"), BROKEN_JSONL).unwrap();
-    std::fs::write(dir.join("broken.folded"), BROKEN_FOLDED).unwrap();
     dir
 }
 

@@ -20,7 +20,8 @@ use std::path::PathBuf;
 
 use gpumech_fault::shardfaults::{fabricate_sweep, SHARD_FAULTS};
 use gpumech_shard::{
-    merge_files, verify_expectation, FindingKind, ShardSpec, SweepManifest, SweepReport,
+    load_shard_file, merge_files, verify_expectation, FindingKind, ShardSpec, SweepManifest,
+    SweepReport,
 };
 
 fn workspace(tag: &str) -> PathBuf {
@@ -85,6 +86,31 @@ fn byte_identical_duplicate_is_a_note_not_a_finding() {
         "duplicate resolution must leave an audit note: {:?}",
         outcome.notes
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cross_sweep_mix_names_the_first_file_that_loaded() {
+    let dir = workspace("mix-after-torn");
+    let case = fabricate_sweep(&dir, 2, 12).unwrap();
+    let (s0, s1) = (&case.paths[0], &case.paths[1]);
+    // s0 is torn (quarantined on load), so s1 is the reference manifest.
+    let bytes = std::fs::read(s0).unwrap();
+    std::fs::write(s0, &bytes[..bytes.len() / 2]).unwrap();
+    let mut other = load_shard_file(s1).unwrap();
+    other.manifest.git_commit = "f00dface".to_string();
+    let s1b = dir.join("shard-1b.json");
+    other.write(&s1b).unwrap();
+
+    let outcome = merge_files(&[s0.clone(), s1.clone(), s1b.clone()]);
+    let mix = outcome
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::CrossSweepMix)
+        .unwrap_or_else(|| panic!("no cross-sweep-mix finding: {:?}", outcome.findings));
+    assert_eq!(mix.path, s1b.display().to_string());
+    let reference = format!("disagrees with {}:", s1.display());
+    assert!(mix.detail.contains(&reference), "detail names the wrong file: {}", mix.detail);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -66,8 +66,7 @@ fn json_attrs(attrs: &[(&'static str, AttrValue)]) -> String {
     out
 }
 
-/// Renders the snapshot as JSON lines — the format `--obs-out` writes and
-/// `gpumech obs-validate` checks.
+/// Renders the snapshot as JSON lines — the format `--obs-out` writes.
 ///
 /// Line types (one JSON object per line, stable order):
 /// 1. one `meta` header (`version`, `dropped_samples`, `invalid_names`),

@@ -31,17 +31,16 @@
 //! dot-separated segments of `[a-z0-9_]+`, each starting with a letter,
 //! where `stage` is the short crate name (`isa`, `analyze`, `trace`,
 //! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`,
-//! `shard`). The scheme is machine-checked: [`valid_metric_name`]
-//! and the stage-family allowlist back [`validate_jsonl`] /
-//! [`validate_folded`], which `gpumech obs-validate` calls and CI runs
-//! over every export.
+//! `shard`). The [`Recorder`] checks each name it records with
+//! [`valid_metric_name`] and lists the ones it rejects in
+//! [`Snapshot::invalid_names`], which [`to_jsonl`] writes into the
+//! `meta` line.
 //!
-//! # Exporters and their validator
+//! # Exporters
 //!
 //! [`render_tree`] (human-readable span tree + metric tables),
-//! [`to_jsonl`] (one JSON object per line — the schema
-//! [`validate_jsonl`] enforces), and [`to_chrome_trace`] (Chrome
-//! `trace_event` JSON loadable in `chrome://tracing` / Perfetto).
+//! [`to_jsonl`] (one JSON object per line), and [`to_chrome_trace`]
+//! (Chrome `trace_event` JSON loadable in `chrome://tracing` / Perfetto).
 //!
 //! # Process-level primitives
 //!
@@ -59,7 +58,6 @@ mod naming;
 mod recorder;
 pub mod signals;
 mod span;
-mod validate;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use clock::{Clock, FakeClock, RealClock};
@@ -71,7 +69,6 @@ pub use recorder::{
     MAX_SAMPLES,
 };
 pub use span::SpanGuard;
-pub use validate::{validate_folded, validate_jsonl, JsonlCounts, Problem};
 
 /// Fast-path gate: `true` while a recorder is installed. Instrumentation
 /// macros check this before doing any other work.

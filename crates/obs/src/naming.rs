@@ -1,16 +1,22 @@
 //! The `stage.subsystem.name` metric/span naming scheme.
 
+/// The stages a name may start with: the short crate name of each
+/// instrumented layer, and `test` for unit-test fixtures.
+const STAGE_FAMILIES: [&str; 13] = [
+    "isa", "analyze", "trace", "mem", "timing", "core", "exec", "serve", "cli", "bench", "fault",
+    "shard", "test",
+];
+
 /// Validates a span or metric name against the documented scheme:
-/// exactly three dot-separated segments, each `[a-z][a-z0-9_]*`.
-///
-/// The first segment is the emitting stage (the short crate name of an
-/// instrumented layer: `isa`, `analyze`, `trace`, `mem`, `timing`,
-/// `core`, `exec`, `serve`, `cli`, `bench`, `fault`, `shard`, or `test`
-/// in unit tests; `perf` emits nothing); the second names the subsystem;
-/// the third the measurement. `gpumech obs-validate` fails any export
-/// containing a name this function rejects.
+/// exactly three dot-separated segments, each `[a-z][a-z0-9_]*` — the
+/// emitting stage (one of the stage families), the subsystem, the
+/// measurement. The [`Recorder`](crate::Recorder) lists each name this
+/// rejects in the snapshot's `invalid_names`.
 #[must_use]
 pub fn valid_metric_name(name: &str) -> bool {
+    if !STAGE_FAMILIES.contains(&name.split('.').next().unwrap_or("")) {
+        return false;
+    }
     let mut segments = 0usize;
     for seg in name.split('.') {
         segments += 1;
@@ -53,8 +59,7 @@ mod tests {
             "serve.http.accept_errors",
             "timing.oracle.dram_utilization",
             "fault.case.pipeline",
-            "a.b.c",
-            "x1.y_2.z_3x",
+            "test.y_2.z_3x",
         ] {
             assert!(valid_metric_name(name), "{name} should be accepted");
         }
@@ -74,6 +79,9 @@ mod tests {
             "one.two.thr-ee",
             "one.two.thr ee",
             "_x.y.z",
+            "a.b.c",
+            "x1.y_2.z_3x",
+            "perf.nope.x",
         ] {
             assert!(!valid_metric_name(name), "{name} should be rejected");
         }

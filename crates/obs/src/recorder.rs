@@ -260,9 +260,9 @@ pub struct Snapshot {
     pub hists: BTreeMap<&'static str, HistogramAgg>,
     /// Samples discarded after the [`MAX_SAMPLES`] cap was hit.
     pub dropped_samples: u64,
-    /// Names that violate the `stage.subsystem.name` scheme, with the
-    /// offenders recorded so exports are debuggable rather than silently
-    /// wrong. `gpumech obs-validate` fails on any of these.
+    /// Names [`valid_metric_name`](crate::valid_metric_name) rejects, each
+    /// listed once so exports are debuggable rather than silently wrong;
+    /// the JSONL export's `meta` line carries them.
     pub invalid_names: Vec<&'static str>,
 }
 
@@ -571,10 +571,11 @@ mod tests {
         let r = Recorder::fake(1);
         r.counter("BadName", 1);
         r.counter("BadName", 1);
-        r.counter("good.name.here", 1);
+        r.counter("test.name.here", 1);
+        r.counter("perf.x.y", 1);
         let s = r.snapshot();
-        assert_eq!(s.invalid_names, vec!["BadName"]);
-        assert_eq!(s.counters.len(), 2, "invalid names still record");
+        assert_eq!(s.invalid_names, vec!["BadName", "perf.x.y"]);
+        assert_eq!(s.counters.len(), 3, "invalid names still record");
     }
 
     #[test]

@@ -56,14 +56,6 @@ fn folded_export_matches_golden() {
 }
 
 #[test]
-fn folded_golden_passes_the_export_validator() {
-    // The contract `gpumech obs-validate --folded` enforces.
-    let text = to_folded(&golden_snapshot());
-    assert_eq!(gpumech_obs::validate_folded(&text), Ok(text.lines().count()));
-    assert!(!text.is_empty());
-}
-
-#[test]
 fn golden_attribution_is_consistent_with_folded_totals() {
     let snap = golden_snapshot();
     let attrs = attribute(&snap);

@@ -141,7 +141,7 @@ pub fn merge_files(paths: &[PathBuf]) -> MergeOutcome {
     let files_ok = files.len();
     gpumech_obs::counter!("shard.merge.files", files_ok as u64);
 
-    let Some((_, first)) = files.first() else {
+    let Some((first_shown, first)) = files.first() else {
         findings.push(MergeFinding {
             kind: FindingKind::MissingShard,
             path: String::new(),
@@ -152,7 +152,7 @@ pub fn merge_files(paths: &[PathBuf]) -> MergeOutcome {
     let reference = first.manifest.clone();
 
     // Cross-sweep rejection: every manifest must agree with the first
-    // (modulo shard index).
+    // file that loaded (modulo shard index).
     for (shown, f) in &files {
         if !f.manifest.same_sweep(&reference) {
             findings.push(MergeFinding {
@@ -161,7 +161,7 @@ pub fn merge_files(paths: &[PathBuf]) -> MergeOutcome {
                 detail: format!(
                     "manifest disagrees with {}: sweep {} vs {}, {} vs {} shard(s), \
                      commit {:?} vs {:?}",
-                    paths.first().map_or_else(String::new, |p| p.display().to_string()),
+                    first_shown,
                     f.manifest.sweep_fingerprint,
                     reference.sweep_fingerprint,
                     f.manifest.shard_count,
