@@ -61,8 +61,7 @@ impl BatchOptions {
     pub fn run_token(&self) -> CancelToken {
         let root = self.cancel.clone().unwrap_or_default();
         match self.deadline_ms {
-            Some(ms) if self.cancel.is_some() => root.child_with_timeout_ms(ms),
-            Some(ms) => CancelToken::with_deadline_ms(ms),
+            Some(ms) => root.child_with_timeout_ms(ms),
             None => root,
         }
     }

@@ -167,13 +167,12 @@ fn overlapping_assignment(case: &mut SweepCase, _seed: u64) -> Result<(), String
 fn duplicate_with_different_bytes(case: &mut SweepCase, _seed: u64) -> Result<(), String> {
     // A "retry" copy of one shard's file where one row's value drifted:
     // the merge must refuse to pick a winner.
-    let (idx, mut retry) = fattest_shard(case)?;
+    let (_, mut retry) = fattest_shard(case)?;
     let first = retry.jobs.first_mut().ok_or("shard owns no rows")?;
     first.cpi = first.cpi.map(|c| c + 1.0);
     let path = case.dir.join("shard-retry.json");
     retry.write(&path)?;
     case.paths.push(path);
-    let _ = idx;
     Ok(())
 }
 

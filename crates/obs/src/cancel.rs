@@ -92,15 +92,6 @@ impl CancelToken {
         CancelToken::from_parts(NO_DEADLINE, Arc::new(RealClock), None)
     }
 
-    /// A token whose deadline is `ms` milliseconds from now on the real
-    /// monotonic clock.
-    #[must_use]
-    pub fn with_deadline_ms(ms: u64) -> Self {
-        let clock: Arc<dyn Clock> = Arc::new(RealClock);
-        let deadline = clock.now_ns().saturating_add(ms.saturating_mul(1_000_000));
-        CancelToken::from_parts(deadline, clock, None)
-    }
-
     /// A token with an absolute deadline on an injected clock — the
     /// deterministic test path (pass a [`FakeClock`](crate::FakeClock)).
     /// `deadline_ns` of `u64::MAX` means no deadline.

@@ -420,10 +420,7 @@ fn watch_signals(handle: &ServerHandle) {
 /// analyzed on first request.
 fn warm_up(state: &State) {
     for name in &state.cfg.warm {
-        let Some(w) = workloads::by_name(name) else { continue };
-        let Ok(trace) = w.trace() else { continue };
-        let trace = Arc::new(trace);
-        lock(&state.traces).insert((name.clone(), w.launch.num_blocks), Arc::clone(&trace));
+        let Ok(trace) = lookup_trace(state, name, None) else { continue };
         let job = BatchJob::new(name.clone(), trace, SimConfig::table1());
         let _ = state.engine.run_with(&[job], &BatchOptions::default());
     }
@@ -666,8 +663,15 @@ fn respond_and_close(stream: &mut TcpStream, resp: &Response) {
     }
 }
 
-fn parse_error_response(state: &State, e: &ParseError) -> Response {
+/// Counts one rejected (4xx) request on both of its `/metrics` lines:
+/// `serve.req.rejected_total` and the recorder's `serve.req.rejected`.
+fn count_rejected(state: &State) {
     state.n_rejected.fetch_add(1, Ordering::Relaxed);
+    gpumech_obs::counter!("serve.req.rejected");
+}
+
+fn parse_error_response(state: &State, e: &ParseError) -> Response {
+    count_rejected(state);
     gpumech_obs::counter!("serve.http.parse_errors");
     if e.status() == 408 {
         gpumech_obs::counter!("serve.http.timeouts");
@@ -721,8 +725,7 @@ fn route(state: &State, req: &Request, t0: Instant) -> Response {
                 Ok(resp) => resp,
                 Err(e) => {
                     if e.status < 500 {
-                        state.n_rejected.fetch_add(1, Ordering::Relaxed);
-                        gpumech_obs::counter!("serve.req.rejected");
+                        count_rejected(state);
                     } else {
                         state.n_failed.fetch_add(1, Ordering::Relaxed);
                         gpumech_obs::counter!("serve.req.failed");
@@ -734,12 +737,12 @@ fn route(state: &State, req: &Request, t0: Instant) -> Response {
             resp
         }
         (_, "/healthz" | "/readyz" | "/metrics" | "/predict") => {
-            state.n_rejected.fetch_add(1, Ordering::Relaxed);
+            count_rejected(state);
             ApiError::new(405, "method_not_allowed", format!("{} not allowed here", req.method))
                 .response()
         }
         (_, path) => {
-            state.n_rejected.fetch_add(1, Ordering::Relaxed);
+            count_rejected(state);
             ApiError::new(404, "not_found", format!("no such endpoint {path:?}")).response()
         }
     }

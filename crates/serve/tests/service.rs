@@ -296,6 +296,22 @@ fn load_shed_full_queue_gets_429_and_in_flight_completes_identically() {
 }
 
 #[test]
+fn both_rejection_counters_count_routing_and_parse_errors() {
+    let _g = guard();
+    let rec = Arc::new(Recorder::new());
+    let _obs = gpumech_obs::install(Arc::clone(&rec));
+    let srv = Running::start(ServeConfig::default());
+    assert_eq!(get(srv.addr, "/nope").status, 404);
+    assert_eq!(send_raw(srv.addr, b"GARBAGE\r\n\r\n").status, 400);
+    let metrics = get(srv.addr, "/metrics");
+    for name in ["serve.req.rejected_total", "serve.req.rejected"] {
+        assert_eq!(metric_line(&metrics.body, name), Some(2.0), "{name}:\n{}", metrics.body);
+    }
+    let summary = srv.stop();
+    assert_eq!(summary.rejected, 2, "{summary:?}");
+}
+
+#[test]
 fn per_request_deadline_maps_to_504_and_cancels_partial_work() {
     let _g = guard();
     let srv = Running::start(ServeConfig { debug_hooks: true, ..ServeConfig::default() });

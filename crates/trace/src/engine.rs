@@ -133,6 +133,7 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::CorruptTrace { kernel, warp, detail } => match warp {
                 Some(w) => write!(f, "corrupt trace for kernel '{kernel}', warp {w}: {detail}"),
+                None if kernel.is_empty() => write!(f, "corrupt trace: {detail}"),
                 None => write!(f, "corrupt trace for kernel '{kernel}': {detail}"),
             },
             TraceError::BrokenInvariant { kernel, warp, pc, detail } => {

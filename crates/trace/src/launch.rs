@@ -74,12 +74,6 @@ impl LaunchConfig {
         self.warps_per_block() * self.num_blocks
     }
 
-    /// Total threads in the grid.
-    #[must_use]
-    pub fn total_threads(&self) -> usize {
-        self.threads_per_block * self.num_blocks
-    }
-
     /// The block containing a grid-global warp.
     #[must_use]
     pub fn block_of_warp(&self, warp: WarpId) -> BlockId {
@@ -132,7 +126,6 @@ mod tests {
         let l = LaunchConfig::new(256, 192);
         assert_eq!(l.warps_per_block(), 8);
         assert_eq!(l.total_warps(), 1536);
-        assert_eq!(l.total_threads(), 49152);
         assert_eq!(l.block_of_warp(WarpId::new(9)), BlockId::new(1));
         assert_eq!(l.warp_in_block(WarpId::new(9)), 1);
         assert_eq!(l.global_tid(WarpId::new(2), 5), 69);

@@ -21,10 +21,10 @@
 //! engine writes an address it holds as `base + stride·lane` in the short
 //! form when three or more lanes are active, without materialising lanes;
 //! every other row, and every list handed to [`WarpTrace::push`] or
-//! [`WarpTrace::set_addrs`] (decoded, deserialized or edited traces), is
-//! stored lane by lane. Every observable — `PartialEq`, `Hash`, JSON,
-//! `io::encode` — sees only the lane addresses, so two rows with the same
-//! addresses are indistinguishable whichever form holds them.
+//! [`WarpTrace::set_addrs`] (decoded or edited traces), is stored lane by
+//! lane. Every observable — `PartialEq`, `Hash`, JSON, `io::encode` — sees
+//! only the lane addresses, so two rows with the same addresses are
+//! indistinguishable whichever form holds them.
 //!
 //! An affine row's lane set *is* its `active_mask`: editing the mask of
 //! such a row in place rewrites which addresses it holds (a lane row would
@@ -35,7 +35,7 @@
 use std::hash::{Hash, Hasher};
 
 use gpumech_isa::{BlockId, InstKind, WarpId, WARP_SIZE};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::engine::TraceError;
 use crate::launch::LaunchConfig;
@@ -558,44 +558,8 @@ impl Serialize for WarpTrace {
     }
 }
 
-/// A required field of a JSON object, with the field name on any error.
-fn field<T: Deserialize>(object: &Value, name: &str) -> Result<T, serde::Error> {
-    let v = object.get_field(name).ok_or_else(|| serde::Error::missing_field(name))?;
-    T::from_value(v).map_err(|e| e.in_field(name))
-}
-
-impl Deserialize for WarpTrace {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        if !matches!(value, Value::Object(_)) {
-            return Err(serde::Error::invalid_type("struct WarpTrace", value));
-        }
-        let mut warp = WarpTrace::new(field(value, "warp")?, field(value, "block")?);
-        let insts = match value.get_field("insts") {
-            Some(Value::Array(items)) => items,
-            Some(other) => return Err(serde::Error::invalid_type("array", other).in_field("insts")),
-            None => return Err(serde::Error::missing_field("insts")),
-        };
-        for item in insts {
-            if !matches!(item, Value::Object(_)) {
-                return Err(serde::Error::invalid_type("struct TraceInst", item).in_field("insts"));
-            }
-            let deps: Vec<u32> = field(item, "deps")?;
-            let addrs: Vec<u64> = field(item, "addrs")?;
-            warp.push(
-                field(item, "pc")?,
-                field(item, "kind")?,
-                field(item, "active_mask")?,
-                &deps,
-                &addrs,
-            )
-            .map_err(|e| serde::Error::custom(e.to_string()).in_field("insts"))?;
-        }
-        Ok(warp)
-    }
-}
-
 /// The traces of every warp of a kernel launch.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct KernelTrace {
     /// Kernel name (copied from the kernel definition).
     pub name: String,
@@ -625,7 +589,7 @@ impl KernelTrace {
 
     /// Checks the structural invariants every downstream consumer (cache
     /// model, interval algorithm, timing oracle) relies on. Traces produced
-    /// by the tracer satisfy them by construction; deserialized or mutated
+    /// by the tracer satisfy them by construction; decoded or mutated
     /// traces must pass here before being simulated, or indexing panics
     /// would be reachable from untrusted input.
     ///
