@@ -12,10 +12,9 @@
 #      determinism over all 40 workloads, kill/resume, journal corruption
 #      resume, the defective-kernel corpus, the lint schema, the serve
 #      suites and smoke tests (SIGTERM drain, SIGKILL and a restart that
-#      answers byte for byte as before), the shard partition/plan
-#      properties, the merge corruption fan, the exit-code taxonomy and
-#      the CLI golden. The SIGKILL-then-resume drill is
-#      kill_resume.rs
+#      answers byte for byte as before), the sweep plan's
+#      rejected-kernel rows, the exit-code taxonomy and the CLI golden.
+#      The SIGKILL-then-resume drill is kill_resume.rs
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
@@ -35,19 +34,13 @@
 #   7. resilience: a journalled run + `--resume` through the release
 #      binary; the resumed run's trace must carry exec.resilience.*
 #      metrics and an empty `invalid_names`
-#   8. sharded sweeps: three `batch --shard i/3 --journal` runs merged
-#      with `merge --expect` — the merged output must be
-#      byte-identical (from jobs_checksum on) to the unsharded reference
-#      run, one shard's --obs-out trace must carry shard.* metrics and an
-#      empty `invalid_names`, and a deliberately corrupted shard file must
-#      fail `merge` with exit 5 and a typed finding
-#   9. accuracy record: `results/run_all.sh --out target/ci-accuracy`
+#   8. accuracy record: `results/run_all.sh --out target/ci-accuracy`
 #      regenerates every harness output, the oracle column of the
 #      fig11-15 accuracy tables included, and each .txt (but the wall-clock
 #      speedup.txt) and .tsv must be byte-identical to the one committed
 #      under results/ (the model side of the record is also checked by
 #      crates/bench/tests/accuracy_gate.rs in stage 2)
-#  10. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#   9. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
 #      workload's traced and untraced sim_digest disagree (its numbers
@@ -114,42 +107,6 @@ names_clean target/obs-resume-ci.jsonl
 grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
   || { echo "resume trace missing exec.resilience.* metrics"; exit 1; }
 rm -f target/ci-journal.jsonl
-
-echo "== sharded sweeps =="
-# A 24-job sweep run unsharded and as three journalled shards, merged and
-# gated on byte-identity with the reference.
-dir=target/ci-shard-sweep
-rm -rf "$dir" target/ci-shard-{ref,merged}.json
-mkdir -p "$dir"
-sweep=(sdk_vectoradd bfs_kernel1 kmeans_invert_mapping cfd_step_factor
-  hotspot_calculate_temp srad_kernel1 --blocks 4 --sweep warps=8,16,32,64)
-./target/release/gpumech batch "${sweep[@]}" \
-  --json target/ci-shard-ref.json > /dev/null
-for i in 0 1 2; do
-  ./target/release/gpumech batch "${sweep[@]}" --shard "$i/3" \
-    --journal "$dir/shard-$i.journal" --json "$dir/shard-$i.json" \
-    --obs-out "$dir/obs-$i.jsonl" > /dev/null
-done
-./target/release/gpumech merge "$dir"/shard-{0,1,2}.json \
-  --expect target/ci-shard-ref.json \
-  --out target/ci-shard-merged.json --report target/ci-shard-report.md > /dev/null
-cmp <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-merged.json) \
-    <(sed -n '/"jobs_checksum"/,$p' target/ci-shard-ref.json) \
-  || { echo "sharded sweep is not byte-identical to the reference"; exit 1; }
-names_clean "$dir/obs-0.jsonl"
-grep -q 'shard.partition.owned' "$dir/obs-0.jsonl" \
-  || { echo "shard trace missing shard.* metrics"; exit 1; }
-# A corrupted shard file must fail the merge with exit 5 and a typed
-# finding — never a silent partial merge.
-sed -i 's/"cpi":[0-9]/"cpi":9/' "$dir/shard-1.json"
-rc=0
-./target/release/gpumech merge "$dir"/shard-*.json \
-  > target/ci-shard-merge.log 2>&1 || rc=$?
-[ "$rc" -eq 5 ] \
-  || { echo "corrupt shard merge exited $rc, want 5"; exit 1; }
-grep -q 'corrupt-shard-file' target/ci-shard-merge.log \
-  || { echo "merge failure lacks the typed finding"; exit 1; }
-rm -rf "$dir"
 
 echo "== accuracy record =="
 # The only check that recomputes the oracle CPIs against the record;

@@ -54,17 +54,6 @@ pub enum CliError {
         /// Number of error-severity findings.
         errors: usize,
     },
-    /// `merge` found typed merge findings — corrupt shard files,
-    /// cross-sweep mixes, coverage gaps, duplicate conflicts, or a byte
-    /// mismatch against `--expect`. The report carries one line per
-    /// finding so `main` can print it before exiting nonzero; no merged
-    /// output is written.
-    MergeFailed {
-        /// Rendered finding list, one line each.
-        report: String,
-        /// Number of findings.
-        findings: usize,
-    },
 }
 
 impl fmt::Display for CliError {
@@ -86,23 +75,18 @@ impl fmt::Display for CliError {
             CliError::LintFailed { errors, .. } => {
                 write!(f, "lint found {errors} error-severity finding(s)")
             }
-            CliError::MergeFailed { findings, .. } => {
-                write!(f, "merge failed with {findings} finding(s); no merged output written")
-            }
         }
     }
 }
 
 impl CliError {
-    /// For the failures that are a *check's verdict* rather than a broken
+    /// For the failure that is a *check's verdict* rather than a broken
     /// invocation: the report to print before the error line, and the
-    /// exit code that tells them apart (2 lint, 5 merge; 3 and 4 are
-    /// retired).
+    /// exit code that tells it apart (2 lint; 3, 4 and 5 are retired).
     #[must_use]
     pub fn report(&self) -> Option<(&str, u8)> {
         match self {
             CliError::LintFailed { report, .. } => Some((report, 2)),
-            CliError::MergeFailed { report, .. } => Some((report, 5)),
             _ => None,
         }
     }
@@ -259,11 +243,10 @@ where
         "batch" => sweep::batch(&Args::parse_with_switches(
             rest,
             &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep",
-              "timeout-ms", "deadline-ms", "journal", "shard", "json", "obs-out"]]
+              "timeout-ms", "deadline-ms", "journal", "json", "obs-out"]]
                 .concat(),
             &["resume", "oracle"],
         )?),
-        "merge" => observed(rest, &[&["out", "report", "expect"]], &[], sweep::merge),
         "serve" => observed(
             rest,
             &[&["addr", "port", "workers", "queue-cap", "request-timeout-ms", "read-timeout-ms",

@@ -1,15 +1,11 @@
-//! The sweep commands: `batch` (one shard of a sweep, or all of it) and
-//! `merge` (verified union of shard files).
+//! The sweep command: `batch`, a kernel × sweep-point enumeration
+//! through the batch engine, one row per job.
 
 use std::path::{Path, PathBuf};
 
 use gpumech_core::{Model, Prediction, SchedulingPolicy};
-use gpumech_exec::{BatchEngine, BatchError, BatchOptions, ExecError};
+use gpumech_exec::{analysis_config_fingerprint, BatchEngine, BatchError, BatchOptions, ExecError};
 use gpumech_obs::Snapshot;
-use gpumech_shard::{
-    git_commit, merge_files, sweep_points, verify_expectation, CounterEntry, FindingKind, JobRow,
-    MergeFinding, ShardSpec, SweepPlan, SweepReport,
-};
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
 
@@ -18,6 +14,8 @@ use super::{
     CliError,
 };
 use crate::args::{ArgError, Args};
+use crate::plan::{sweep_points, SweepPlan};
+use crate::report::{git_commit, CounterEntry, JobRow, SweepReport};
 
 /// The kernels a sweep covers, at `--blocks` when given: the named ones,
 /// or the whole catalogue for none / `all`.
@@ -29,13 +27,24 @@ fn sweep_kernels(args: &Args) -> Result<Vec<Workload>, CliError> {
     workloads::all().into_iter().map(|w| at_blocks(args, w)).collect()
 }
 
-/// Appends one line per outcome of this shard's entries to `out` and
+/// |model − oracle| / oracle; NaN for an oracle CPI of zero.
+fn oracle_error(cpi: f64, oracle: f64) -> f64 {
+    if oracle.abs() > f64::EPSILON {
+        (cpi - oracle).abs() / oracle
+    } else {
+        f64::NAN
+    }
+}
+
+/// Appends one line per outcome of the plan's entries to `out` and
 /// returns the matching report rows. `results` and `oracles` are parallel
-/// to `plan.jobs`.
+/// to `plan.jobs`; with `oracle`, a job's line also shows its oracle CPI
+/// and the model's error against it.
 fn render_rows(
     plan: &SweepPlan,
     results: &[Result<Prediction, BatchError>],
     oracles: &[Option<f64>],
+    oracle: bool,
     out: &mut String,
 ) -> Vec<JobRow> {
     plan.outcomes(results)
@@ -43,7 +52,15 @@ fn render_rows(
         .map(|(fp, outcome)| match outcome {
             Ok((j, p)) => {
                 let label = &plan.jobs[j].label;
-                out.push_str(&format!("{label:<40}{:>10.3}{:>10.3}\n", p.cpi_total(), p.ipc()));
+                let cpi = p.cpi_total();
+                out.push_str(&format!("{label:<40}{cpi:>10.3}{:>10.3}", p.ipc()));
+                if oracle {
+                    out.push_str(&match oracles[j] {
+                        Some(o) => format!("{o:>10.3}{:>9.1}%", 100.0 * oracle_error(cpi, o)),
+                        None => format!("{:>10}{:>10}", "-", "-"),
+                    });
+                }
+                out.push('\n');
                 for w in &p.warnings {
                     out.push_str(&format!("    warning: {w}\n"));
                 }
@@ -62,11 +79,24 @@ fn render_rows(
         .collect()
 }
 
-/// Cache, resilience, and partition behaviour, visible without
-/// `--obs-out`: every counter the run incremented, one line per family.
+/// The mean of each job's error against its oracle CPI, over the jobs
+/// that have both; `None` when none has.
+fn mean_oracle_error(rows: &[JobRow]) -> Option<(f64, usize)> {
+    let pairs: Vec<(f64, f64)> =
+        rows.iter().filter_map(|r| Some((r.cpi?, r.oracle_cpi?))).collect();
+    if pairs.is_empty() {
+        return None;
+    }
+    let sum: f64 =
+        pairs.iter().map(|&(cpi, o)| oracle_error(cpi, o)).filter(|e| e.is_finite()).sum();
+    Some((sum / pairs.len() as f64, pairs.len()))
+}
+
+/// Cache and resilience behaviour, visible without `--obs-out`: every
+/// counter the run incremented, one line per family.
 fn counter_summary(snap: &Snapshot) -> String {
     let mut out = String::new();
-    for family in ["exec.cache.", "exec.resilience.", "shard."] {
+    for family in ["exec.cache.", "exec.resilience."] {
         let line: Vec<String> = snap
             .counters
             .iter()
@@ -84,37 +114,23 @@ fn counter_summary(snap: &Snapshot) -> String {
     out
 }
 
-/// `gpumech batch`: predict this shard's share of a kernel × sweep-point
-/// enumeration through the batch engine, one row per job.
+/// `gpumech batch`: predict a kernel × sweep-point enumeration through
+/// the batch engine, one row per job.
 pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     let cfg = machine_config(args)?;
     let pol: SchedulingPolicy = choice(args, "policy", "rr")?;
     let kind: Model = choice(args, "model", "full")?;
     let (sel, weighting) = selection(args)?;
     let workers: usize = args.flag_or("workers", 4)?;
-    let shard: ShardSpec = match args.flag("shard") {
-        None => ShardSpec::single(),
-        Some(s) => s.parse().map_err(|_| CliError::BadChoice {
-            flag: "shard",
-            value: s.to_string(),
-            expected: "i/N with 0 <= i < N",
-        })?,
-    };
+    let oracle = args.switch("oracle");
     let kernels = sweep_kernels(args)?;
     let points = sweep_points(args.flag("sweep"), &cfg).map_err(bad_choice("sweep"))?;
-    let plan = SweepPlan::enumerate(
-        &kernels,
-        &points,
-        |job| {
-            job.policy = pol;
-            job.model = kind;
-            job.selection = sel;
-            job.weighting = weighting;
-        },
-        shard,
-        &git_commit(),
-        &cfg,
-    )
+    let plan = SweepPlan::enumerate(&kernels, &points, |job| {
+        job.policy = pol;
+        job.model = kind;
+        job.selection = sel;
+        job.weighting = weighting;
+    })
     .map_err(CliError::Model)?;
 
     let opts = BatchOptions {
@@ -132,26 +148,21 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
 
     let engine = BatchEngine::new(workers);
     let effective = engine.effective_workers();
-    if effective < workers {
+    // The default asks for 4 whatever the host has; only a number the
+    // user chose is worth a warning.
+    if args.flag("workers").is_some() && effective < workers {
         eprintln!(
             "warning: --workers {workers} exceeds this host's available parallelism; \
              running with {effective} worker(s)"
         );
     }
-    // Always record: the summary surfaces exec.cache / exec.resilience /
-    // shard.partition counters whether or not --obs-out asked for the
-    // full trace.
+    // Always record: the summary surfaces exec.cache / exec.resilience
+    // counters whether or not --obs-out asked for the full trace.
     let ((results, oracles, dt), snap) = recorded(|| {
         let t0 = std::time::Instant::now();
-        gpumech_obs::counter!("shard.partition.owned", plan.owned.len() as u64);
-        gpumech_obs::counter!(
-            "shard.partition.skipped",
-            (plan.entries.len() - plan.owned.len()) as u64
-        );
         let results = engine.run_with(&plan.jobs, &opts);
         // Oracle pass (--oracle): the cycle-level simulator over each
-        // *successful* owned job, for the model-vs-oracle report table.
-        let oracle = args.switch("oracle");
+        // *successful* job, on this thread, one job after another.
         let oracles: Vec<Option<f64>> = plan
             .jobs
             .iter()
@@ -173,19 +184,20 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
         kernels.len(),
         points.len(),
     );
-    if !shard.is_single() {
-        out.push_str(&format!(
-            "# shard {shard}: owns {} of {} job(s)\n",
-            plan.owned.len(),
-            plan.entries.len()
-        ));
+    out.push_str(&format!("{:<40}{:>10}{:>10}", "job", "CPI", "IPC"));
+    if oracle {
+        out.push_str(&format!("{:>10}{:>10}", "oracle", "error"));
     }
-    out.push_str(&format!("{:<40}{:>10}{:>10}\n", "job", "CPI", "IPC"));
-    let rows = render_rows(&plan, &results, &oracles, &mut out);
+    out.push('\n');
+    let rows = render_rows(&plan, &results, &oracles, oracle, &mut out);
     let failures = rows.iter().filter(|r| r.error.is_some()).count();
+    if let Some((mean, n)) = mean_oracle_error(&rows) {
+        let mean = 100.0 * mean;
+        out.push_str(&format!("# model vs oracle: mean |error| {mean:.1}% over {n} job(s)\n"));
+    }
     out.push_str(&format!(
         "# {} ok, {failures} failed; {} cached analysis(es); {dt:.2?} wall\n",
-        plan.owned.len() - failures,
+        rows.len() - failures,
         engine.cache().len(),
     ));
     out.push_str(&counter_summary(&snap));
@@ -197,11 +209,11 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
             .collect();
         counters.sort_by(|a, b| a.name.cmp(&b.name));
         let report = SweepReport {
-            manifest: plan.manifest,
             workers: workers as u64,
             cache_entries: engine.cache().len() as u64,
             counters,
-            jobs_checksum: String::new(), // recomputed on render
+            git_commit: git_commit(),
+            config_fingerprint: analysis_config_fingerprint(&cfg),
             jobs: rows,
         };
         report.write(Path::new(path)).map_err(CliError::Model)?;
@@ -210,69 +222,6 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     if let Some(path) = args.flag("obs-out") {
         std::fs::write(path, gpumech_obs::to_jsonl(&snap))?;
         out.push_str(&format!("observability trace written to {path}\n"));
-    }
-    Ok(out)
-}
-
-/// `gpumech merge`: union shard result files into one verified sweep.
-/// Any typed finding — corrupt file, cross-sweep mix, coverage gap,
-/// duplicate conflict, `--expect` mismatch — aborts with exit code 5 and
-/// no merged output.
-pub(super) fn merge(args: &Args) -> Result<String, CliError> {
-    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        return Err(CliError::Args(ArgError::MissingValue(
-            "shard result file(s) to merge".to_string(),
-        )));
-    }
-    let mut outcome = merge_files(&paths);
-    if let (Some(m), Some(expect)) = (&outcome.merged, args.flag("expect")) {
-        let expect_text = std::fs::read_to_string(expect)
-            .map_err(|e| CliError::Model(format!("--expect {expect}: {e}")))?;
-        let merged_text = m.render().map_err(CliError::Model)?;
-        match verify_expectation(&merged_text, &expect_text) {
-            None => outcome.notes.push(format!(
-                "byte-identical to the reference run {expect} (from jobs_checksum on)"
-            )),
-            Some(detail) => outcome.findings.push(MergeFinding {
-                kind: FindingKind::ExpectationMismatch,
-                path: expect.to_string(),
-                detail,
-            }),
-        }
-    }
-    if !outcome.findings.is_empty() {
-        let mut report = String::new();
-        for f in &outcome.findings {
-            report.push_str(&format!("finding: {f}\n"));
-        }
-        for q in &outcome.quarantined {
-            report.push_str(&format!("quarantined: {q}\n"));
-        }
-        return Err(CliError::MergeFailed { report, findings: outcome.findings.len() });
-    }
-    let Some(m) = outcome.merged else {
-        // Unreachable: a merge without findings always carries output.
-        return Err(CliError::Model("merge produced no output and no findings".to_string()));
-    };
-    let ok = m.jobs.iter().filter(|r| r.error.is_none()).count();
-    let mut out = format!(
-        "# merge: {} shard file(s), {} row(s) ({ok} ok, {} failed), sweep {}\n",
-        outcome.files_ok,
-        m.jobs.len(),
-        m.jobs.len() - ok,
-        m.manifest.sweep_fingerprint,
-    );
-    for note in &outcome.notes {
-        out.push_str(&format!("# note: {note}\n"));
-    }
-    if let Some(path) = args.flag("out") {
-        m.write(Path::new(path)).map_err(CliError::Model)?;
-        out.push_str(&format!("merged sweep written to {path}\n"));
-    }
-    if let Some(path) = args.flag("report") {
-        std::fs::write(path, m.render_markdown())?;
-        out.push_str(&format!("sweep report written to {path}\n"));
     }
     Ok(out)
 }

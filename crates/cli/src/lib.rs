@@ -5,10 +5,13 @@
 //! processes. The `gpumech` binary (`src/main.rs`) is a thin dispatcher.
 //!
 //! [`USAGE`] lists the subcommands and their flags; `commands` has one
-//! module per command family.
+//! module per command family, and `plan` and `report` are the sweep
+//! enumeration and the `--json` file that `batch` runs and writes.
 
 pub mod args;
 pub mod commands;
+mod plan;
+mod report;
 
 pub use args::{ArgError, Args};
 pub use commands::{run, CliError};
@@ -33,10 +36,6 @@ COMMANDS:
     intervals <kernel>           dump the representative warp's intervals (--limit N)
     batch [kernels...|all]       predict many kernels (and swept configurations)
                                  in parallel with profile caching (default: all 40)
-    merge <shards...>            verify and union shard result files into one
-                                 sweep file + markdown report; any corruption,
-                                 coverage gap, or cross-sweep mix is a typed
-                                 finding and exit 5 — never a partial merge
     serve                        run the HTTP prediction service (POST /predict,
                                  /healthz, /readyz, /metrics) until SIGTERM/ctrl-c
     lint [kernel|all]            statically analyze and verify kernel IR:
@@ -72,31 +71,17 @@ BATCH FLAGS:
                       interrupted run can be resumed
     --resume          skip jobs already present in --journal, replaying
                       their recorded predictions byte-identically
-    --shard I/N       run only shard I of an N-way deterministic split of
-                      the sweep (jobs are assigned by fingerprint hash, so
-                      the split is stable across machines and enumeration
-                      order); the --json file carries the sweep manifest
-    --oracle          also run the cycle-level oracle per job and record
-                      its CPI in the result rows (feeds the merge report's
-                      model-vs-oracle table)
-
-MERGE FLAGS (gpumech merge shard0.json shard1.json ...):
-    --out PATH        write the merged sweep file (canonical shard-file
-                      layout, byte-identical from jobs_checksum on to an
-                      unsharded run)
-    --report PATH     write the markdown sweep report (CPI stacks,
-                      model-vs-oracle error, failures, counters)
-    --expect PATH     byte-compare the merged output (from jobs_checksum
-                      on) against a reference run's --json file; any
-                      mismatch is a finding
+    --oracle          also run the cycle-level oracle per job (one job
+                      after another, whatever --workers says): each row
+                      gains its oracle CPI and the model's error against
+                      it, a summary line the mean error, and the --json
+                      rows their oracle_cpi
 
 EXIT CODES (ci.sh gates on the distinction):
     0  success
     1  usage or pipeline error
     2  lint found error-severity findings
-    5  merge found findings: corrupt shard
-       files, coverage gaps, duplicate conflicts, cross-sweep mixes, or
-       an --expect byte mismatch
+    3, 4 and 5 are retired and not reused
 
 SERVE FLAGS:
     --addr A          bind address (default 127.0.0.1)
@@ -121,7 +106,7 @@ SERVE FLAGS:
 
 OBSERVABILITY FLAGS:
     --obs-out PATH    write a JSON-lines recorder trace (predict, simulate,
-                      compare, stacks, profile, intervals, batch, merge,
+                      compare, stacks, profile, intervals, batch,
                       serve)
     --chrome-out PATH write a Chrome trace_event JSON (profile only); load
                       it in chrome://tracing or Perfetto

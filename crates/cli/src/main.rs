@@ -1,13 +1,11 @@
 //! The `gpumech` binary: a thin dispatcher over [`gpumech_cli::run`].
 //!
 //! Exit taxonomy (documented in the README): 0 = success, 1 = usage or
-//! pipeline error, 2 = `lint` found Error-severity findings, 5 = `merge`
-//! found merge findings — corrupt shard files, coverage gaps, duplicate
-//! conflicts, or an `--expect` byte mismatch. 3 and 4 are retired (they
-//! were the removed trace validator's and perf gate's) and not reused,
-//! so scripts keyed on 5 keep working. CI gates on the distinction: a
-//! defective *kernel* (2) and an *unsafe merge* (5) are each actionable
-//! differently from a broken *invocation* (1).
+//! pipeline error, 2 = `lint` found Error-severity findings. 3, 4 and 5
+//! are retired (they were the removed trace validator's, perf gate's and
+//! shard merge's) and not reused. CI gates on the distinction: a
+//! defective *kernel* (2) is actionable differently from a broken
+//! *invocation* (1).
 
 use std::process::ExitCode;
 

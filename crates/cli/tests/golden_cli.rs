@@ -29,7 +29,7 @@ enum Keep {
 const SWEEP: [&str; 8] =
     ["sdk_vectoradd", "bfs_kernel1", "--blocks", "4", "--workers", "1", "--sweep", "bw=96,192"];
 
-/// The cases, in execution order: later ones read files earlier ones wrote.
+/// The cases, in execution order.
 fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
     let sweep = |extra: &[&'static str]| [&["batch"], &SWEEP[..], extra].concat();
     vec![
@@ -57,8 +57,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ),
         ("intervals", vec!["intervals", "srad_kernel1", "--blocks", "4", "--limit", "5"], Keep::All),
         ("batch", sweep(&["--oracle", "--json", "ref.json"]), Keep::All),
-        ("batch-shard-0", sweep(&["--oracle", "--shard", "0/2", "--json", "s0.json"]), Keep::All),
-        ("batch-shard-1", sweep(&["--oracle", "--shard", "1/2", "--json", "s1.json"]), Keep::All),
         (
             "batch-bad-point",
             vec!["batch", "sdk_vectoradd", "--blocks", "4", "--workers", "1", "--sweep", "warps=0,8"],
@@ -72,14 +70,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             ],
             Keep::All,
         ),
-        (
-            "merge",
-            vec![
-                "merge", "s0.json", "s1.json", "--out", "merged.json", "--report", "merged.md",
-                "--expect", "ref.json",
-            ],
-            Keep::All,
-        ),
         ("lint", vec!["lint", "bfs_kernel1", "--min-severity", "info"], Keep::All),
         ("lint-json", vec!["lint", "sdk_vectoradd", "--format", "json"], Keep::All),
         // Usage-error paths.
@@ -88,7 +78,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("bad-selection", vec!["batch", "sdk_vectoradd", "--selection", "random"], Keep::All),
         ("bad-sweep", vec!["batch", "sdk_vectoradd", "--sweep", "volts=1,2"], Keep::All),
         ("bad-sweep-value", vec!["batch", "sdk_vectoradd", "--sweep", "warps=abc"], Keep::All),
-        ("bad-shard", vec!["batch", "sdk_vectoradd", "--shard", "9/3"], Keep::All),
         ("bad-flag-value", vec!["predict", "sdk_vectoradd", "--warps", "lots"], Keep::Until("USAGE:")),
         ("unknown-flag", vec!["predict", "sdk_vectoradd", "--bogus", "1"], Keep::Until("USAGE:")),
         (
@@ -101,7 +90,8 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             vec!["batch", "sdk_vectoradd", "--cache-dir", "d"],
             Keep::Until("USAGE:"),
         ),
-        ("removed-journals-flag", vec!["merge", "s0.json", "--journals", "j"], Keep::Until("USAGE:")),
+        ("removed-shard-flag", vec!["batch", "sdk_vectoradd", "--shard", "0/2"], Keep::Until("USAGE:")),
+        ("removed-merge-command", vec!["merge", "ref.json"], Keep::Until("USAGE:")),
         ("removed-obs-validate-command", vec!["obs-validate", "x.jsonl"], Keep::Until("USAGE:")),
         ("unknown-command", vec!["frobnicate"], Keep::Until("USAGE:")),
         ("missing-kernel", vec!["predict"], Keep::Until("USAGE:")),
@@ -110,7 +100,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("invalid-config", vec!["predict", "sdk_vectoradd", "--mshrs", "0"], Keep::All),
         ("invalid-config-sim", vec!["simulate", "sdk_vectoradd", "--bw", "0.5"], Keep::All),
         ("resume-without-journal", vec!["batch", "sdk_vectoradd", "--blocks", "4", "--resume"], Keep::Until("USAGE:")),
-        ("merge-nothing", vec!["merge"], Keep::Until("USAGE:")),
         ("lint-bad-format", vec!["lint", "--format", "xml"], Keep::All),
         ("serve-bad-warm", vec!["serve", "--warm", "no_such_kernel"], Keep::All),
     ]
@@ -185,8 +174,9 @@ fn every_subcommand_and_usage_error_matches_the_golden() {
         let _ = writeln!(actual, "--- stderr ---");
         actual.push_str(&keep(&String::from_utf8_lossy(&out.stderr), kept));
     }
-    // The sweep file's content region: the rows a merge reproduces byte
-    // for byte (everything before `jobs_checksum` is run-dependent).
+    // The sweep file's content region: the rows a resumed run reproduces
+    // byte for byte (everything before `jobs_checksum` is run-dependent
+    // or provenance).
     let sweep_file = std::fs::read_to_string(dir.join("ref.json")).unwrap();
     let _ = writeln!(actual, "==== ref.json from jobs_checksum on ====");
     actual.push_str(&sweep_file[sweep_file.find("  \"jobs_checksum\"").unwrap()..]);
@@ -214,7 +204,8 @@ fn duration_mask_touches_only_wall_clock_tokens() {
     assert_eq!(mask_durations("# 4 ok, 0 failed; 2 cached analysis(es); 456.78µs wall"),
                "# 4 ok, 0 failed; 2 cached analysis(es); <t> wall");
     assert_eq!(mask_durations("# completed in 812 ms"), "# completed in <t>");
-    assert_eq!(mask_durations("# merge: 2 shard file(s), 4 row(s)"), "# merge: 2 shard file(s), 4 row(s)");
+    assert_eq!(mask_durations("# batch: 4 job(s) (2 kernel(s) x 2 config(s))"),
+               "# batch: 4 job(s) (2 kernel(s) x 2 config(s))");
     assert_eq!(mask_durations("sdk_vectoradd @ bw=96   2.065"), "sdk_vectoradd @ bw=96   2.065");
     assert_eq!(mask_durations("3 span(s), 1 samples, 5 s"), "3 span(s), 1 samples, <t>");
 }

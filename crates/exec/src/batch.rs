@@ -284,7 +284,7 @@ pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
 /// value away from its `Weak`s, a live `Weak` keeps the address from
 /// being reused, and `KernelTrace` has no interior mutability. The value
 /// is [`trace_fingerprint`]'s, so every cache key, journal key and
-/// shard manifest is the same as without the memo. Entries of dropped
+/// report row is the same as without the memo. Entries of dropped
 /// traces are pruned on insert, so the map never outgrows the traces that
 /// were alive at its last insert.
 #[derive(Debug, Default)]
@@ -354,9 +354,8 @@ fn config_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
 }
 
 /// [`job_fingerprint`] over a whole job list — exactly the journal keys
-/// [`BatchEngine::run_with`] computes. This is the enumeration-order
-/// fingerprint list sharded sweeps partition on and stamp into their
-/// manifests, so the shard partitioner and the journal key agree.
+/// [`BatchEngine::run_with`] computes. `gpumech batch` stamps these into
+/// its `--json` rows, so a row and its journal line name a job alike.
 #[must_use]
 pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
     let traces = FingerprintMemo::default().of(jobs);

@@ -40,7 +40,7 @@ use gpumech_trace::KernelTrace;
 /// and one multiply per byte made fingerprinting cost more than half of
 /// the analysis it deduplicates. The function is defined by this crate
 /// and must never change once released — completion-journal lines and
-/// shard manifests embed its output.
+/// `batch --json` rows embed its output.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -326,8 +326,8 @@ mod tests {
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
     }
 
-    /// Fingerprints key profile-cache entries, journal lines and shard
-    /// plans, so they must survive any change to how a trace is stored:
+    /// Fingerprints key profile-cache entries, journal lines and report
+    /// rows, so they must survive any change to how a trace is stored:
     /// these are the values the `Vec`-owning record layout produced
     /// (recorded at commit 4214416) for a coalesced, a gather and a
     /// control-divergent kernel at 8 blocks.

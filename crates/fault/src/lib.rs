@@ -23,21 +23,11 @@
 //! `gpumech_analyze::analyze` must report as `barrier-divergence` on
 //! every mutant.
 //!
-//! Sharded sweeps are covered by the [`shardfaults`] module: a
-//! fabricator that writes a healthy multi-shard sweep through the real
-//! [`gpumech_shard::SweepReport`] writer, and the [`shardfaults::SHARD_FAULTS`]
-//! corpus of on-disk corruptions (torn tails, bit flips, forged
-//! checksums, overlapping assignments, diverging duplicates, missing
-//! shards, cross-sweep mixes, unknown jobs, coverage gaps) each of which
-//! the verified merge must answer with its declared typed finding — never a panic,
-//! never a merged output.
-//!
 //! All randomness is derived from [`gpumech_trace::splitmix64`], so every
 //! mutation is a pure function of its seed: a failing case found in CI
 //! reproduces byte-for-byte locally.
 
 pub mod defects;
-pub mod shardfaults;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -30,8 +30,8 @@
 //! Every span and metric name is `stage.subsystem.name`: exactly three
 //! dot-separated segments of `[a-z0-9_]+`, each starting with a letter,
 //! where `stage` is the short crate name (`isa`, `analyze`, `trace`,
-//! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`,
-//! `shard`). The [`Recorder`] checks each name it records with
+//! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`),
+//! or `test` for unit-test fixtures. The [`Recorder`] checks each name it records with
 //! [`valid_metric_name`] and lists the ones it rejects in
 //! [`Snapshot::invalid_names`], which [`to_jsonl`] writes into the
 //! `meta` line.

@@ -2,9 +2,9 @@
 
 /// The stages a name may start with: the short crate name of each
 /// instrumented layer, and `test` for unit-test fixtures.
-const STAGE_FAMILIES: [&str; 13] = [
+const STAGE_FAMILIES: [&str; 12] = [
     "isa", "analyze", "trace", "mem", "timing", "core", "exec", "serve", "cli", "bench", "fault",
-    "shard", "test",
+    "test",
 ];
 
 /// Validates a span or metric name against the documented scheme:
@@ -82,6 +82,7 @@ mod tests {
             "a.b.c",
             "x1.y_2.z_3x",
             "perf.nope.x",
+            "shard.partition.owned",
         ] {
             assert!(!valid_metric_name(name), "{name} should be rejected");
         }

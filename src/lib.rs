@@ -13,9 +13,7 @@
 //! - [`exec`] — the parallel batch-prediction engine and profile cache;
 //! - [`perf`] — performance telemetry: self-time attribution and
 //!   folded-stack export over the span tree, and the counting global
-//!   allocator;
-//! - [`shard`] — fleet-scale sharded sweeps: deterministic job
-//!   partitioning and verified shard merges.
+//!   allocator.
 //!
 //! The supported entry points are also re-exported at the crate root, so
 //! most programs only need `use gpumech::{Gpumech, PredictionRequest, ...}`:
@@ -42,7 +40,6 @@ pub use gpumech_isa as isa;
 pub use gpumech_mem as mem;
 pub use gpumech_obs as obs;
 pub use gpumech_perf as perf;
-pub use gpumech_shard as shard;
 pub use gpumech_timing as timing;
 pub use gpumech_trace as trace;
 
