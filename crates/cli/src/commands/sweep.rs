@@ -4,7 +4,9 @@
 use std::path::{Path, PathBuf};
 
 use gpumech_core::{Model, Prediction, SchedulingPolicy};
-use gpumech_exec::{analysis_config_fingerprint, BatchEngine, BatchError, BatchOptions, ExecError};
+use gpumech_exec::{
+    analysis_config_fingerprint, run_indexed, BatchEngine, BatchError, BatchOptions, ExecError,
+};
 use gpumech_obs::Snapshot;
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, Workload};
@@ -162,19 +164,21 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
         let t0 = std::time::Instant::now();
         let results = engine.run_with(&plan.jobs, &opts);
         // Oracle pass (--oracle): the cycle-level simulator over each
-        // *successful* job, on this thread, one job after another.
-        let oracles: Vec<Option<f64>> = plan
-            .jobs
-            .iter()
-            .zip(&results)
-            .map(|(job, r)| {
-                if oracle && r.is_ok() {
-                    simulate(&job.trace, &job.cfg, job.policy).ok().map(|o| o.cpi())
-                } else {
-                    None
-                }
+        // *successful* job, on the engine's workers; a job's slot is its own
+        // whichever worker runs it, so the rows keep their order.
+        let oracles: Vec<Option<f64>> = if oracle {
+            run_indexed(effective, &plan.jobs, |i, job| {
+                Ok(results[i]
+                    .is_ok()
+                    .then(|| simulate(&job.trace, &job.cfg, job.policy).ok().map(|o| o.cpi()))
+                    .flatten())
             })
-            .collect();
+            .into_iter()
+            .map(|r| r.ok().flatten())
+            .collect()
+        } else {
+            vec![None; plan.jobs.len()]
+        };
         (results, oracles, t0.elapsed())
     });
 
@@ -353,6 +357,24 @@ mod tests {
         for p in [&journal, &first_json, &second_json] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn batch_oracle_rows_do_not_depend_on_the_worker_count() {
+        let rows = |workers: &str| {
+            let out = run_ok(&[
+                "batch", "sdk_vectoradd", "bfs_kernel1", "--blocks", "4", "--workers", workers,
+                "--sweep", "bw=96,192", "--oracle",
+            ]);
+            // The job rows and the mean error, not the header, the wall
+            // time or the cache counters (two workers may miss together).
+            let skip = |l: &str| l.starts_with("# batch") || l.starts_with("# exec");
+            let rows = out.lines().filter(|l| !skip(l) && !l.contains("wall"));
+            rows.map(str::to_owned).collect::<Vec<_>>()
+        };
+        let one = rows("1");
+        assert!(one.iter().any(|l| l.starts_with("# model vs oracle")), "{one:?}");
+        assert_eq!(one, rows("2"));
     }
 
     #[test]

@@ -71,8 +71,8 @@ BATCH FLAGS:
                       interrupted run can be resumed
     --resume          skip jobs already present in --journal, replaying
                       their recorded predictions byte-identically
-    --oracle          also run the cycle-level oracle per job (one job
-                      after another, whatever --workers says): each row
+    --oracle          also run the cycle-level oracle per job, on the
+                      same --workers as the model: each row
                       gains its oracle CPI and the model's error against
                       it, a summary line the mean error, and the --json
                       rows their oracle_cpi

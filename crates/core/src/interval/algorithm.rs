@@ -7,11 +7,12 @@
 //! come from the latency table; global-load latencies are the per-PC AMATs
 //! produced by the functional cache simulation (Section V-B).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use gpumech_isa::{InstKind, MemSpace, SimConfig};
 use gpumech_mem::{MemStats, PcStats};
-use gpumech_trace::{KernelTrace, TraceInst, WarpTrace};
+use gpumech_trace::{KernelTrace, Stream, TraceInst, WarpTrace};
 
 use super::profile::{Interval, IntervalProfile, StallCause};
 
@@ -65,15 +66,6 @@ pub struct ProfileBuilder<'a> {
     /// The intervals of the warp being profiled, frozen into the profile's
     /// shared list once the warp is done.
     intervals: Vec<Interval>,
-}
-
-/// Moves the first of `kept` that `matches` to the front and returns it:
-/// the recent-first list of the streams met so far, since a
-/// launch runs a handful of them and neighbouring warps mostly share one.
-fn recent_first<T>(kept: &mut [T], matches: impl FnMut(&T) -> bool) -> Option<&T> {
-    let at = kept.iter().position(matches)?;
-    kept[..=at].rotate_right(1);
-    kept.first()
 }
 
 impl<'a> ProfileBuilder<'a> {
@@ -145,10 +137,10 @@ impl<'a> ProfileBuilder<'a> {
     /// order, calling `check` before each warp.
     ///
     /// A build reads only the `pc`, `kind` and dependency list of each row
-    /// (and this builder's per-PC table), so warps that executed the same
-    /// instruction stream ([`WarpTrace::same_stream`]) have the same
-    /// profile: the algorithm runs once per distinct stream and every other
-    /// warp shares that warp's list.
+    /// (and this builder's per-PC table), so warps that hold the same
+    /// instruction stream ([`WarpTrace::stream`]) have the same profile:
+    /// the algorithm runs once per distinct stream and every other warp
+    /// shares the list built for the first warp of its stream.
     ///
     /// # Errors
     ///
@@ -159,14 +151,14 @@ impl<'a> ProfileBuilder<'a> {
         mut check: impl FnMut() -> Result<(), E>,
     ) -> Result<Vec<IntervalProfile>, E> {
         let mut profiles: Vec<IntervalProfile> = Vec::with_capacity(warps.len());
-        // First warp of every stream met so far, the stream met last first.
-        let mut streams: Vec<usize> = Vec::new();
+        // The first warp of every stream met so far.
+        let mut streams: HashMap<*const Stream, usize> = HashMap::new();
         for (i, warp) in warps.iter().enumerate() {
             check()?;
-            let profile = match recent_first(&mut streams, |&first| warps[first].same_stream(warp)) {
-                Some(&first) => profiles[first].clone(),
-                None => {
-                    streams.insert(0, i);
+            let profile = match streams.entry(Arc::as_ptr(warp.stream())) {
+                Entry::Occupied(first) => profiles[*first.get()].clone(),
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
                     self.build(warp)
                 }
             };
@@ -186,29 +178,30 @@ impl<'a> ProfileBuilder<'a> {
     /// statistics of its instructions (from the per-PC cache statistics),
     /// which the contention models of Section IV-B consume.
     pub fn build(&mut self, warp: &WarpTrace) -> IntervalProfile {
-        let Some(first) = warp.insts.first() else {
+        let mut insts = warp.insts();
+        let Some(first) = insts.next() else {
             return IntervalProfile { intervals: Arc::new([]), issue_rate: self.issue_rate };
         };
         let mut intervals = std::mem::take(&mut self.intervals);
         intervals.clear();
         let mut done = std::mem::take(&mut self.done);
         done.clear();
-        done.resize(warp.insts.len(), 0.0);
+        done.resize(warp.len(), 0.0);
 
         // Accumulators for the interval currently being formed.
         let mut cur = Interval::default();
         let mut issue_prev = 0.0f64;
-        done[0] = issue_prev + self.account(&mut cur, first);
+        done[0] = issue_prev + self.account(&mut cur, &first);
 
-        for (k, inst) in warp.insts.iter().enumerate().skip(1) {
+        for (k, inst) in insts.enumerate().map(|(k, inst)| (k + 1, inst)) {
             // Equation 4: issue(k) = max(issue(k-1) + 1, done(source) + 1).
             let mut dep_done = 0.0f64;
-            let mut blamed: Option<&TraceInst> = None;
-            for &d in warp.deps(inst) {
+            let mut blamed: Option<TraceInst> = None;
+            for &d in warp.deps(&inst) {
                 let dd = done[d as usize];
                 if dd > dep_done {
                     dep_done = dd;
-                    blamed = Some(&warp.insts[d as usize]);
+                    blamed = Some(warp.inst(d as usize));
                 }
             }
             let seq = issue_prev + self.issue_slot;
@@ -228,7 +221,7 @@ impl<'a> ProfileBuilder<'a> {
                 };
                 intervals.push(std::mem::take(&mut cur));
             }
-            done[k] = issue + self.account(&mut cur, inst);
+            done[k] = issue + self.account(&mut cur, &inst);
             issue_prev = issue;
         }
         // The final interval ends with the trace (no trailing stall).
@@ -310,8 +303,7 @@ mod tests {
         let p = build_profile(&trace.warps[0], &cfg(), &mem);
 
         let load_pc = trace.warps[0]
-            .insts
-            .iter()
+            .insts()
             .find(|i| i.kind.is_global_load())
             .map(|i| i.pc)
             .unwrap();
@@ -398,9 +390,10 @@ mod tests {
     fn warps_of_one_stream_share_a_build_and_other_streams_do_not() {
         let trace = two_stream_trace();
         let (a, b) = (&trace.warps[0], &trace.warps[1]);
-        let n_deps = |w: &WarpTrace| w.insts.iter().map(|i| w.deps(i).len()).sum::<usize>();
+        let n_deps = |w: &WarpTrace| w.insts().map(|i| w.deps(&i).len()).sum::<usize>();
         assert_eq!((a.len(), n_deps(a)), (b.len(), n_deps(b)));
-        assert!(!a.same_stream(b) && a.same_stream(&trace.warps[2]));
+        let same = |a: &WarpTrace, b: &WarpTrace| Arc::ptr_eq(a.stream(), b.stream());
+        assert!(!same(a, b) && same(a, &trace.warps[2]));
 
         let cfg = cfg();
         let mem = empty_mem(&cfg);
@@ -439,13 +432,12 @@ mod tests {
         for (wt, p) in trace.warps.iter().zip(&profiles) {
             assert_eq!(*p, build_profile(wt, &cfg, &mem), "warp {}", wt.warp);
         }
-        let distinct = (0..trace.warps.len())
-            .filter(|&i| !trace.warps[..i].iter().any(|e| e.same_stream(&trace.warps[i])))
-            .count();
+        let distinct = trace.distinct_streams();
         assert_eq!(distinct_lists(&profiles), distinct, "one list per distinct stream");
         for (a, pa) in trace.warps.iter().zip(&profiles) {
             for (b, pb) in trace.warps.iter().zip(&profiles) {
-                assert_eq!(a.same_stream(b), Arc::ptr_eq(&pa.intervals, &pb.intervals));
+                let shared = Arc::ptr_eq(a.stream(), b.stream());
+                assert_eq!(shared, Arc::ptr_eq(&pa.intervals, &pb.intervals));
             }
         }
         assert!(

@@ -909,7 +909,7 @@ mod tests {
         // execute one stream, so seven of the polls are on shared warps,
         // and a clock that runs out at the analysis' last poll stops on
         // the last of them.
-        assert!(t.warps.iter().all(|w| w.same_stream(&t.warps[0])));
+        assert_eq!(t.distinct_streams(), 1);
         let m = model();
         let polls_of = |run: &dyn Fn(&CancelToken)| {
             let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));

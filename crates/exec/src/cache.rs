@@ -322,7 +322,8 @@ mod tests {
         assert_eq!(trace_fingerprint(&a), trace_fingerprint(&a.clone()));
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&b));
         let mut mutated = a.clone();
-        mutated.warps[0].insts[0].active_mask ^= 1;
+        let mask = mutated.warps[0].inst(0).active_mask;
+        mutated.warps[0].set_mask(0, mask ^ 1);
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
     }
 

@@ -81,7 +81,8 @@ fn a_trace_changed_through_make_mut_is_hashed_again() {
     // The jobs are gone, so `shared` is the only strong reference and the
     // memo's `Weak` the only weak one: `make_mut` moves the value to a
     // new allocation instead of cloning it, and the memo must notice.
-    Arc::make_mut(&mut shared).warps[0].insts[0].active_mask ^= 1;
+    let warp = &mut Arc::make_mut(&mut shared).warps[0];
+    warp.set_mask(0, warp.inst(0).active_mask ^ 1);
     let jobs = sweep(&shared);
     let (after, computed, reused) = counted_run(&engine, &jobs);
     assert_eq!((computed, reused), (1, 0));

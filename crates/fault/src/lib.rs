@@ -153,8 +153,8 @@ pub fn truncate_trace(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) 
     trace.warps.truncate(cut);
     if r & 1 == 1 {
         for w in &mut trace.warps {
-            let keep = (splitmix64(r ^ w.warp.index() as u64) as usize) % (w.insts.len() + 1);
-            w.insts.truncate(keep);
+            let keep = (splitmix64(r ^ w.warp.index() as u64) as usize) % (w.len() + 1);
+            w.truncate(keep);
         }
     }
 }
@@ -176,10 +176,10 @@ pub fn drop_warps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
 pub fn zero_masks(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for k in 0..w.insts.len() {
+        for k in 0..w.len() {
             r = splitmix64(r);
             if r & 7 == 0 {
-                w.insts[k].active_mask = 0;
+                w.set_mask(k, 0);
                 // An empty list always fits the row layout.
                 let _ = w.set_addrs(k, &[]);
             }
@@ -192,8 +192,8 @@ pub fn zero_masks(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
 pub fn scramble_deps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        let n = w.insts.len() as u32;
-        for k in 0..w.insts.len() {
+        let n = w.len() as u32;
+        for k in 0..w.len() {
             r = splitmix64(r);
             // Lists of one and three entries always fit the row layout.
             if r & 3 == 0 {
@@ -232,8 +232,8 @@ pub fn extreme_config(_trace: &mut KernelTrace, cfg: &mut SimConfig, seed: u64) 
 pub fn corrupt_addrs(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for k in 0..w.insts.len() {
-            let mut addrs = w.addrs(&w.insts[k]).to_vec();
+        for k in 0..w.len() {
+            let mut addrs = w.addrs(&w.inst(k)).to_vec();
             if addrs.is_empty() {
                 continue;
             }

@@ -190,7 +190,7 @@ fn address_mutators_reach_affine_rows() {
     let trace = w.trace().expect("traces");
     let affine = |t: &gpumech_trace::KernelTrace, w: usize, k: usize| {
         let warp = &t.warps[w];
-        matches!(warp.addrs(&warp.insts[k]), Addrs::Affine { .. })
+        matches!(warp.addrs(&warp.inst(k)), Addrs::Affine { .. })
     };
     let rows: Vec<(usize, usize)> = (0..trace.warps.len())
         .flat_map(|w| (0..trace.warps[w].len()).map(move |k| (w, k)))
@@ -202,7 +202,7 @@ fn address_mutators_reach_affine_rows() {
     for seed in 0..16u64 {
         let mut t = trace.clone();
         gpumech_fault::dangle_rows(&mut t, &mut SimConfig::table1(), seed);
-        let cut = |&&(w, k): &&(usize, usize)| t.warps[w].addrs(&t.warps[w].insts[k]).is_empty();
+        let cut = |&&(w, k): &&(usize, usize)| t.warps[w].addrs(&t.warps[w].inst(k)).is_empty();
         dangled += rows.iter().filter(cut).count();
     }
     assert!(dangled > 0, "dangle_rows never cut an affine row's slots");
@@ -213,8 +213,8 @@ fn address_mutators_reach_affine_rows() {
         for &(w, k) in &rows {
             let (before, after) = (&trace.warps[w], &t.warps[w]);
             assert_ne!(
-                before.addrs(&before.insts[k]).to_vec(),
-                after.addrs(&after.insts[k]).to_vec(),
+                before.addrs(&before.inst(k)).to_vec(),
+                after.addrs(&after.inst(k)).to_vec(),
                 "seed {seed}: warp {w} row {k} kept its addresses"
             );
         }
@@ -232,12 +232,12 @@ fn a_mask_edit_moves_an_affine_rows_addresses() {
     let mut t = w.trace().expect("traces");
     let mut edited = 0;
     for warp in &mut t.warps {
-        for k in 0..warp.insts.len() {
-            let Addrs::Affine { base, stride, mask } = warp.addrs(&warp.insts[k]) else { continue };
-            warp.insts[k].active_mask ^= 1;
+        for k in 0..warp.len() {
+            let Addrs::Affine { base, stride, mask } = warp.addrs(&warp.inst(k)) else { continue };
+            warp.set_mask(k, mask ^ 1);
             let want = Addrs::Affine { base, stride, mask: mask ^ 1 };
-            assert_eq!(warp.addrs(&warp.insts[k]), want);
-            assert_eq!(warp.addrs(&warp.insts[k]).len(), (mask ^ 1).count_ones() as usize);
+            assert_eq!(warp.addrs(&warp.inst(k)), want);
+            assert_eq!(warp.addrs(&warp.inst(k)).len(), (mask ^ 1).count_ones() as usize);
             edited += 1;
         }
     }

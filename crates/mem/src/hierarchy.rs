@@ -167,11 +167,11 @@ fn simulate_impl<E>(
                     let Some(warp) = trace.warps.get(b * wpb + w) else { continue };
                     check()?;
                     let (op, line) = (ops.len(), lines.len());
-                    for inst in warp.insts.iter().filter(|i| i.kind.is_global_mem()) {
+                    for inst in warp.insts().filter(|i| i.kind.is_global_mem()) {
                         if inst.pc as usize >= per_pc.len() {
                             per_pc.resize(inst.pc as usize + 1, PcStats::default());
                         }
-                        let addrs = warp.addrs(inst);
+                        let addrs = warp.addrs(&inst);
                         let first = lines.len();
                         lines.resize(first + addrs.len(), 0);
                         let reqs = coalesce_into(addrs, line_bytes, &mut lines[first..]);

@@ -313,7 +313,7 @@ impl<'t> Core<'t> {
         self.by_age.extend(slots.clone());
         for (w, idx) in slots.enumerate() {
             let trace_idx = block * self.wpb + w;
-            let len = self.trace.warps[trace_idx].insts.len();
+            let len = self.trace.warps[trace_idx].len();
             if self.scoreboard[idx].len() < len {
                 self.scoreboard[idx].resize(len, 0);
             }
@@ -331,9 +331,10 @@ impl<'t> Core<'t> {
     /// the producer's done cycle + 1) and the port it will need.
     fn arm(&mut self, idx: usize) {
         let warp = &self.trace.warps[self.trace_idx[idx]];
-        let inst = &warp.insts[self.next[idx]];
+        let inst = warp.inst(self.next[idx]);
         let done = &self.scoreboard[idx];
-        self.ready_at[idx] = warp.deps(inst).iter().map(|&d| done[d as usize] + 1).max().unwrap_or(0);
+        self.ready_at[idx] =
+            warp.deps(&inst).iter().map(|&d| done[d as usize] + 1).max().unwrap_or(0);
         self.cause[idx] = StallCause::Operand;
         self.port[idx] = match inst.kind {
             InstKind::Store(MemSpace::Global) => Port::WriteQueue,
@@ -461,12 +462,12 @@ impl<'t> Core<'t> {
         let trace: &'t KernelTrace = self.trace;
         let warp = &trace.warps[trace_idx];
         let k = self.next[idx];
-        let inst = &warp.insts[k];
+        let inst = warp.inst(k);
         let line_bytes = self.cfg.l1.line_bytes as u64;
 
         let done_cycle = match inst.kind {
             InstKind::Load(MemSpace::Global) => {
-                let lines = coalesce(warp.addrs(inst), line_bytes);
+                let lines = coalesce(warp.addrs(&inst), line_bytes);
                 let mut done = now + self.cfg.l1.latency;
                 for &l in lines.iter() {
                     let line_done = if let Some(fill) = self.mshr.pending(l, now) {
@@ -495,7 +496,7 @@ impl<'t> Core<'t> {
             }
             InstKind::Store(MemSpace::Global) => {
                 // Write-through, no-allocate: traffic only; retires at once.
-                for &l in coalesce(warp.addrs(inst), line_bytes).iter() {
+                for &l in coalesce(warp.addrs(&inst), line_bytes).iter() {
                     let _ = uncore.l2.access(l, false);
                     uncore.dram.request_write(now, now + self.cfg.l2.latency);
                 }
@@ -526,7 +527,7 @@ impl<'t> Core<'t> {
         self.next[idx] = k + 1;
         self.issued += 1;
 
-        if k + 1 < warp.insts.len() {
+        if k + 1 < warp.len() {
             if self.at_barrier[idx] {
                 self.ready_at[idx] = NEVER;
                 self.cause[idx] = StallCause::Barrier;

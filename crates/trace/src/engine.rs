@@ -33,8 +33,9 @@
 //! The engine tracks a *warp-level* register scoreboard (last writer per
 //! register), exactly like real hardware: a register write by any lane makes
 //! the whole warp's later readers depend on that instruction. Records go
-//! straight into the warp's row vector and arenas (see [`crate::record`]),
-//! pre-sized from the previous warp of the same kernel. A memory
+//! through one `TraceBuilder` per kernel (see [`crate::record`]), which
+//! stores each distinct instruction stream once: a warp that repeats the
+//! stream of an earlier one adds only its masks and addresses. A memory
 //! instruction whose address is `base + stride·lane` is recorded as those
 //! two words, not as its lanes; a vector address is recorded lane by lane
 //! and never tested for affinity.
@@ -57,7 +58,7 @@ use gpumech_obs::{CancelToken, Interrupt};
 use crate::launch::LaunchConfig;
 #[cfg(debug_assertions)]
 use crate::record::Addrs;
-use crate::record::{affine_at, KernelTrace, WarpTrace};
+use crate::record::{affine_at, KernelTrace, TraceBuilder, WarpTrace};
 use crate::splitmix64;
 
 /// Upper bound on dynamic instructions per warp; exceeded only by a
@@ -513,20 +514,16 @@ impl<'k> WarpMachine<'k> {
         n
     }
 
-    /// Functionally executes `warp` and returns its trace, sized like
-    /// `like` (the previous warp of the launch) when there is one.
+    /// Functionally executes `warp` and returns its trace, built by `trace`
+    /// (the builder of every warp of the launch).
     fn run(
         &mut self,
         warp: WarpId,
-        like: Option<&WarpTrace>,
+        trace: &mut TraceBuilder,
     ) -> Result<(WarpTrace, RunStats), TraceError> {
         self.begin(warp);
         let kernel = self.kernel;
-        let block = self.launch.block_of_warp(warp);
-        let mut trace = match like {
-            Some(prev) => WarpTrace::sized_like(warp, block, prev),
-            None => WarpTrace::new(warp, block),
-        };
+        trace.begin();
         let mut stats = RunStats::default();
         let mut deps = [0u32; NUM_REGS];
         let broken = |pc: u32, detail: &'static str| TraceError::BrokenInvariant {
@@ -569,8 +566,8 @@ impl<'k> WarpMachine<'k> {
             }
             .map_err(|_| broken(top.pc, "dynamic instruction exceeds the trace row layout"))?;
             #[cfg(debug_assertions)]
-            if let Some(row) = trace.insts.last().filter(|row| row.kind.is_mem()) {
-                let addrs = trace.addrs(row);
+            if inst.kind.is_mem() {
+                let addrs = trace.last_addrs(mask);
                 // Cross-check: the observed line count must respect the
                 // analyzer's per-warp coalescing bound.
                 if let Some(Some(access)) = self.analysis.coalescing.get(top.pc as usize) {
@@ -671,7 +668,7 @@ impl<'k> WarpMachine<'k> {
             }
         }
 
-        Ok((trace, stats))
+        Ok((trace.finish(warp, self.launch.block_of_warp(warp)), stats))
     }
 }
 
@@ -782,7 +779,9 @@ pub fn trace_warp(
 ) -> Result<WarpTrace, TraceError> {
     let analysis = pre_trace_analysis(kernel)?;
     let cancel = CancelToken::never();
-    let (trace, stats) = WarpMachine::new(kernel, &analysis, &cancel, launch).run(warp, None)?;
+    let mut builder = TraceBuilder::default();
+    let (trace, stats) =
+        WarpMachine::new(kernel, &analysis, &cancel, launch).run(warp, &mut builder)?;
     gpumech_obs::counter!("trace.engine.insts", trace.len() as u64);
     stats.emit();
     Ok(trace)
@@ -818,10 +817,11 @@ pub fn trace_kernel_cancellable(
     let analysis = pre_trace_analysis(kernel)?;
     let mut machine = WarpMachine::new(kernel, &analysis, cancel, launch);
     let mut stats = RunStats::default();
+    let mut builder = TraceBuilder::default();
     let mut warps: Vec<WarpTrace> = Vec::with_capacity(launch.total_warps());
     for w in launch.warps() {
         cancel.check().map_err(TraceError::Interrupted)?;
-        let (trace, s) = machine.run(w, warps.last())?;
+        let (trace, s) = machine.run(w, &mut builder)?;
         stats.absorb(s);
         warps.push(trace);
     }
@@ -1153,10 +1153,11 @@ mod tests {
             m.observed = u64::MAX;
         }
         let mut stats = RunStats::default();
+        let mut builder = TraceBuilder::default();
         let warps = launch
             .warps()
             .map(|w| {
-                let (trace, s) = m.run(w, None).unwrap();
+                let (trace, s) = m.run(w, &mut builder).unwrap();
                 stats.absorb(s);
                 trace
             })
@@ -1425,10 +1426,10 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         assert_eq!(t.len(), 4); // 3 + exit
-        assert_eq!(t.deps(&t.insts[0]), &[] as &[u32]);
-        assert_eq!(t.deps(&t.insts[1]), &[0]);
-        assert_eq!(t.deps(&t.insts[2]), &[0, 1]);
-        assert_eq!(t.insts[0].active_mask, u32::MAX);
+        assert_eq!(t.deps(&t.inst(0)), &[] as &[u32]);
+        assert_eq!(t.deps(&t.inst(1)), &[0]);
+        assert_eq!(t.deps(&t.inst(2)), &[0, 1]);
+        assert_eq!(t.inst(0).active_mask, u32::MAX);
     }
 
     #[test]
@@ -1448,17 +1449,17 @@ mod tests {
         // Instruction stream: cmp, branch, (then add OR else path first
         // depending on taken order) ... we take the branch-taken path first,
         // which for IfZero is the *else* arm (lanes >= 8).
-        let masks: Vec<(u32, u32)> = t.insts.iter().map(|i| (i.pc, i.active_mask)).collect();
+        let masks: Vec<(u32, u32)> = t.insts().map(|i| (i.pc, i.active_mask)).collect();
         // cmp and branch run under the full mask.
         assert_eq!(masks[0], (0, u32::MAX));
         assert_eq!(masks[1], (1, u32::MAX));
         // Both arms appear, with complementary masks.
-        let then_inst = t.insts.iter().find(|i| i.pc == 2).expect("then arm executed");
-        let else_inst = t.insts.iter().find(|i| i.pc == 4).expect("else arm executed");
+        let then_inst = t.insts().find(|i| i.pc == 2).expect("then arm executed");
+        let else_inst = t.insts().find(|i| i.pc == 4).expect("else arm executed");
         assert_eq!(then_inst.active_mask, then_mask);
         assert_eq!(else_inst.active_mask, !then_mask);
         // The reconverged instruction runs under the full mask again.
-        let merged = t.insts.iter().find(|i| i.pc == 5).expect("reconverged inst");
+        let merged = t.insts().find(|i| i.pc == 5).expect("reconverged inst");
         assert_eq!(merged.active_mask, u32::MAX);
     }
 
@@ -1474,8 +1475,8 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         // Else arm (pc 4) never executes.
-        assert!(t.insts.iter().all(|i| i.pc != 4));
-        assert!(t.insts.iter().any(|i| i.pc == 2 && i.active_mask == u32::MAX));
+        assert!(t.insts().all(|i| i.pc != 4));
+        assert!(t.insts().any(|i| i.pc == 2 && i.active_mask == u32::MAX));
     }
 
     #[test]
@@ -1496,14 +1497,14 @@ mod tests {
         // retire (trip counts 0/1 retire after iteration 1, trip 2 after
         // iteration 2, trip 3 after iteration 3).
         let body_masks: Vec<u32> =
-            t.insts.iter().filter(|i| i.pc == 2).map(|i| i.active_mask).collect();
+            t.insts().filter(|i| i.pc == 2).map(|i| i.active_mask).collect();
         assert_eq!(body_masks.len(), 3);
         assert_eq!(body_masks[0], u32::MAX);
         assert!(body_masks.windows(2).all(|w| (w[1] & !w[0]) == 0), "masks only shrink");
         assert_eq!(body_masks[1].count_ones(), 16, "half the lanes reach trip 2");
         assert_eq!(body_masks[2].count_ones(), 8, "one lane in four reaches trip 3");
         // After the loop, everyone reconverges.
-        let merged = t.insts.iter().rev().find(|i| i.kind == InstKind::IntAlu).unwrap();
+        let merged = t.insts().rev().find(|i| i.kind == InstKind::IntAlu).unwrap();
         assert_eq!(merged.active_mask, u32::MAX);
     }
 
@@ -1515,15 +1516,15 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, LaunchConfig::new(64, 2), WarpId::new(3)).unwrap();
 
-        let load = t.insts.iter().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
-        let load_addrs = t.addrs(load).to_vec();
+        let load = t.insts().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
+        let load_addrs = t.addrs(&load).to_vec();
         assert_eq!(load_addrs.len(), 32);
         // Warp 3 covers tids 96..128 → addresses 0x1000 + 4*tid.
         assert_eq!(load_addrs[0], 0x1000 + 4 * 96);
         assert_eq!(load_addrs[31], 0x1000 + 4 * 127);
 
-        let store = t.insts.iter().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
-        let store_addrs = t.addrs(store).to_vec();
+        let store = t.insts().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
+        let store_addrs = t.addrs(&store).to_vec();
         assert_eq!(store_addrs.len(), 32);
         assert_eq!(store_addrs[1] - store_addrs[0], 128, "one line per lane");
     }
@@ -1535,9 +1536,9 @@ mod tests {
         let _ = b.fp_add(&[Operand::Reg(x), Operand::Imm(1)]);
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
-        let load_idx = t.insts.iter().position(|i| i.kind.is_global_load()).unwrap() as u32;
-        let consumer = t.insts.iter().find(|i| i.kind == InstKind::FpAdd).unwrap();
-        assert!(t.deps(consumer).contains(&load_idx));
+        let load_idx = t.insts().position(|i| i.kind.is_global_load()).unwrap() as u32;
+        let consumer = t.insts().find(|i| i.kind == InstKind::FpAdd).unwrap();
+        assert!(t.deps(&consumer).contains(&load_idx));
     }
 
     #[test]
@@ -1577,22 +1578,22 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
 
-        assert_eq!(t.addrs(&t.insts[2]).to_vec(), [content(0x42) & 0xFFF8; WARP_SIZE]);
+        assert_eq!(t.addrs(&t.inst(2)).to_vec(), [content(0x42) & 0xFFF8; WARP_SIZE]);
         let affine: Vec<u64> = (0..WARP_SIZE as u64).map(|l| 8 * l).collect();
-        assert_eq!(t.addrs(&t.insts[4]).to_vec(), affine);
+        assert_eq!(t.addrs(&t.inst(4)).to_vec(), affine);
         let scattered: Vec<u64> = affine.iter().map(|&a| content(a) & 0xFFF8).collect();
-        assert_eq!(t.addrs(&t.insts[6]).to_vec(), scattered);
-        let masked: Vec<_> = t.insts.iter().filter(|i| i.active_mask == 0xFF).collect();
+        assert_eq!(t.addrs(&t.inst(6)).to_vec(), scattered);
+        let masked: Vec<_> = t.insts().filter(|i| i.active_mask == 0xFF).collect();
         assert_eq!(masked.len(), 2);
-        assert_eq!(t.addrs(masked[0]).to_vec(), affine[..8]);
-        assert_eq!(t.addrs(masked[1]).to_vec(), scattered[..8]);
+        assert_eq!(t.addrs(&masked[0]).to_vec(), affine[..8]);
+        assert_eq!(t.addrs(&masked[1]).to_vec(), scattered[..8]);
         // Affine and uniform addresses are stored as two words, a
         // scattered one lane by lane.
         for (row, affine_form) in [(2, true), (4, true), (6, false)] {
-            let form = t.addrs(&t.insts[row]);
+            let form = t.addrs(&t.inst(row));
             assert_eq!(matches!(form, Addrs::Affine { .. }), affine_form, "row {row}: {form:?}");
         }
-        assert!(matches!(t.addrs(masked[0]), Addrs::Affine { mask: 0xFF, .. }));
+        assert!(matches!(t.addrs(&masked[0]), Addrs::Affine { mask: 0xFF, .. }));
     }
 
     #[test]
@@ -1663,7 +1664,7 @@ mod tests {
         let _ = b.alu(ValueOp::Add, &[Operand::Imm(3)]); // all lanes
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
-        let by_pc = |pc: u32| t.insts.iter().find(|i| i.pc == pc).map(|i| i.active_mask);
+        let by_pc = |pc: u32| t.insts().find(|i| i.pc == pc).map(|i| i.active_mask);
         assert_eq!(by_pc(4), Some(0xFF), "inner body: lanes 0..8");
         assert_eq!(by_pc(5), Some(0xFFFF), "outer body after inner merge: lanes 0..16");
         assert_eq!(by_pc(6), Some(u32::MAX), "full reconvergence");

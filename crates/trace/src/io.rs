@@ -20,10 +20,12 @@
 //!   u32 active_mask | varint n_addrs | zigzag-varint delta-coded addrs
 //! ```
 //!
-//! Addresses are written lane by lane whichever form the row stores them
-//! in (see [`crate::record`]), so the bytes depend on the content only and
-//! the format needs no second address encoding. [`decode`] stores every
-//! list lane by lane; the decoded trace equals the encoded one.
+//! Each warp is written out in full, its stream's rows included, and its
+//! addresses lane by lane whichever form the row stores them in (see
+//! [`crate::record`]), so the bytes depend on the content only and the
+//! format needs no second address encoding. [`decode`] stores every list
+//! lane by lane and shares each distinct stream between its warps as the
+//! engine does; the decoded trace equals the encoded one.
 //!
 //! # Example
 //!
@@ -41,7 +43,7 @@ use gpumech_isa::{kernel::NUM_REGS, BlockId, InstKind, MemSpace, WarpId, WARP_SI
 
 use crate::engine::TraceError;
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, WarpTrace};
+use crate::record::{KernelTrace, TraceBuilder, WarpTrace};
 
 const MAGIC: &[u8; 8] = b"GPUMECHT";
 const VERSION: u8 = 1;
@@ -153,11 +155,11 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
     put_varint(&mut out, trace.warps.len() as u64);
 
     for warp in &trace.warps {
-        put_varint(&mut out, warp.insts.len() as u64);
-        for inst in &warp.insts {
-            put_varint(&mut out, u64::from(inst.pc));
-            out.push(kind_tag(inst.kind));
-            let deps = warp.deps(inst);
+        put_varint(&mut out, warp.len() as u64);
+        for row in warp.rows() {
+            put_varint(&mut out, u64::from(row.pc));
+            out.push(kind_tag(row.kind));
+            let deps = row.deps;
             put_varint(&mut out, deps.len() as u64);
             // Deps are sorted ascending: delta-code them. Wrapping keeps the
             // encoder total on corrupt (unsorted) inputs; the decoder's
@@ -167,8 +169,8 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
                 put_varint(&mut out, u64::from(d).wrapping_sub(prev));
                 prev = u64::from(d);
             }
-            out.extend_from_slice(&inst.active_mask.to_le_bytes());
-            let addrs = warp.addrs(inst);
+            out.extend_from_slice(&row.active_mask.to_le_bytes());
+            let addrs = row.addrs;
             put_varint(&mut out, addrs.len() as u64);
             // Addresses are usually strided: zigzag-delta-code them.
             let mut prev = 0i64;
@@ -228,18 +230,14 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, TraceError> {
     let num_warps = varint(&mut pos)? as usize;
 
     let mut warps: Vec<WarpTrace> = Vec::with_capacity(capped_capacity(num_warps, buf, pos));
+    // Interns each warp's stream as the engine does, so a decoded trace
+    // shares its streams like a traced one.
+    let mut builder = TraceBuilder::default();
     for w in 0..num_warps {
         let n_insts = varint(&mut pos)? as usize;
         let warp_id = WarpId::new(w as u32);
         let block = BlockId::new((w / launch.warps_per_block()) as u32);
-        // Warps of one kernel are mostly the same size: the previous warp
-        // sizes this one's arenas (its size is itself bounded by the bytes
-        // that were there to decode).
-        let mut warp = match warps.last() {
-            Some(prev) => WarpTrace::sized_like(warp_id, block, prev),
-            None => WarpTrace::new(warp_id, block),
-        };
-        warp.insts.reserve(capped_capacity(n_insts, buf, pos));
+        builder.begin();
         let mut deps = [0u32; NUM_REGS];
         let mut addrs = [0u64; WARP_SIZE];
         for _ in 0..n_insts {
@@ -278,9 +276,11 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, TraceError> {
                 prev = prev.wrapping_add(unzigzag(varint(&mut pos)?));
                 *a = prev as u64;
             }
-            warp.push(pc, kind, active_mask, deps, addrs).map_err(|e| corrupt(e.to_string()))?;
+            builder
+                .push(pc, kind, active_mask, deps, addrs)
+                .map_err(|e| corrupt(e.to_string()))?;
         }
-        warps.push(warp);
+        warps.push(builder.finish(warp_id, block));
     }
     let trace = KernelTrace { name, launch, warps };
     trace.validate()?;
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn an_invalid_trace_decodes_to_validates_error_with_its_warp() {
         let mut trace = workloads::by_name("sdk_vectoradd").unwrap().with_blocks(2).trace().unwrap();
-        trace.warps[3].insts.clear();
+        trace.warps[3].truncate(0);
         let err = decode(&encode(&trace)).unwrap_err();
         assert_eq!(
             err,

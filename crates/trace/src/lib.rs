@@ -11,12 +11,12 @@
 //! The [`engine`] interprets a warp-instruction warp-wide — a register is
 //! `base + stride·lane` or a 32-lane vector, the value operation is
 //! dispatched once per warp-instruction, and values that no address or
-//! branch can observe are not computed — and a [`WarpTrace`] stores its
-//! instructions
-//! as small `Copy` rows ([`TraceInst`]) plus one dependency arena and one
-//! address arena, read through [`WarpTrace::deps`] and
-//! [`WarpTrace::addrs`] (see [`record`] for why rows and arenas, and for
-//! the two forms — lanes or `(base, stride)` — a row's [`Addrs`] take).
+//! branch can observe are not computed — and a [`WarpTrace`] holds its
+//! instruction [`Stream`], shared with every warp of the launch that
+//! executed the same one, beside its own masks and addresses, read as
+//! [`TraceInst`] rows through [`WarpTrace::insts`], [`WarpTrace::deps`] and
+//! [`WarpTrace::addrs`] (see [`record`] for the split, and for the two
+//! forms — lanes or `(base, stride)` — a row's [`Addrs`] take).
 //!
 //! It also bundles the [`workloads`] library: 40 synthetic kernels that
 //! stand in for the Rodinia 2.1 / Parboil 2.5 / NVIDIA SDK kernels of the
@@ -39,8 +39,8 @@
 //! assert_eq!(trace.warps.len(), 8);
 //! let warp = &trace.warps[0];
 //! assert!(warp.len() >= 4);
-//! let load = warp.insts.iter().find(|i| i.kind.is_global_load()).ok_or("no load")?;
-//! assert_eq!(warp.addrs(load).len(), 32);
+//! let load = warp.insts().find(|i| i.kind.is_global_load()).ok_or("no load")?;
+//! assert_eq!(warp.addrs(&load).len(), 32);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -54,7 +54,7 @@ pub use engine::{
     trace_kernel, trace_kernel_cancellable, trace_warp, TraceError, MAX_DYN_INSTS_PER_WARP,
 };
 pub use launch::LaunchConfig;
-pub use record::{AddrIter, Addrs, KernelTrace, RowOverflow, TraceInst, WarpTrace};
+pub use record::{AddrIter, Addrs, KernelTrace, RowOverflow, Stream, TraceInst, WarpTrace};
 pub use workloads::{DivergenceClass, Suite, Workload};
 
 /// Deterministic 64-bit mixer (SplitMix64 finalizer). Used for synthetic

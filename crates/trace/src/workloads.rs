@@ -810,8 +810,8 @@ mod tests {
         let w = by_name("sdk_vectoradd").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
         let wt = &t.warps[0];
-        for inst in wt.insts.iter().filter(|i| i.kind.is_global_mem()) {
-            let addrs = wt.addrs(inst);
+        for inst in wt.insts().filter(|i| i.kind.is_global_mem()) {
+            let addrs = wt.addrs(&inst);
             assert!(requests(addrs) <= 2, "vectoradd should coalesce: {addrs:?}");
         }
     }
@@ -822,10 +822,9 @@ mod tests {
         let t = w.trace().unwrap();
         let wt = &t.warps[0];
         let max_req = wt
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(wt.addrs(i)))
+            .map(|i| requests(wt.addrs(&i)))
             .max()
             .unwrap();
         assert_eq!(max_req, 32, "transpose stores should be fully divergent");
@@ -834,10 +833,9 @@ mod tests {
         let t = w.trace().unwrap();
         let wt = &t.warps[0];
         let max_req = wt
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(wt.addrs(i)))
+            .map(|i| requests(wt.addrs(&i)))
             .max()
             .unwrap();
         assert!(max_req >= 30, "invert_mapping stores should be ~fully divergent, got {max_req}");
@@ -849,10 +847,9 @@ mod tests {
         let t = w.trace().unwrap();
         let wt = &t.warps[0];
         let reqs: Vec<usize> = wt
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_load())
-            .map(|i| requests(wt.addrs(i)))
+            .map(|i| requests(wt.addrs(&i)))
             .collect();
         let max = *reqs.iter().max().unwrap();
         // 32 lanes x 64 B stride = 16 lines, +1 when the region wrap splits
@@ -888,8 +885,7 @@ mod tests {
         let t = crate::trace_kernel(&k, LaunchConfig::new(32, 1)).unwrap();
         let wt = &t.warps[0];
         let load_idxs: Vec<u32> = wt
-            .insts
-            .iter()
+            .insts()
             .enumerate()
             .filter(|(_, i)| i.kind.is_global_load())
             .map(|(n, _)| n as u32)
@@ -908,7 +904,7 @@ mod tests {
                     break;
                 }
                 if seen.insert(n) {
-                    frontier.extend(wt.deps(&wt.insts[n as usize]));
+                    frontier.extend(wt.deps(&wt.inst(n as usize)));
                 }
             }
             assert!(reaches, "load {next} does not depend on load {prev}");
@@ -941,9 +937,9 @@ mod tests {
         let t = w.trace().unwrap();
         let hot_base = 1u64 << 32; // region(0)
         let (mut hot, mut cold) = (0usize, 0usize);
-        for (wt, inst) in t.warps.iter().flat_map(|wt| wt.insts.iter().map(move |i| (wt, i))) {
+        for (wt, inst) in t.warps.iter().flat_map(|wt| wt.insts().map(move |i| (wt, i))) {
             if inst.kind.is_global_load() {
-                if wt.addrs(inst).iter().all(|a| a >= hot_base && a < hot_base + (1 << 20)) {
+                if wt.addrs(&inst).iter().all(|a| a >= hot_base && a < hot_base + (1 << 20)) {
                     hot += 1;
                 } else {
                     cold += 1;
