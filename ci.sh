@@ -8,13 +8,12 @@
 #      uniform-branch checks, which golden_workloads.rs drives over all 40
 #      kernels) and a release pass (optimized codegen).
 #      Each covers the unit suites, the mutated-input fault suite, the
-#      exec layer's panic containment and resilience contract, batch
-#      determinism over all 40 workloads, kill/resume, journal corruption
-#      resume, the defective-kernel corpus, the lint schema, the serve
-#      suites and smoke tests (SIGTERM drain, SIGKILL and a restart that
-#      answers byte for byte as before), the sweep plan's
-#      rejected-kernel rows, the exit-code taxonomy and the CLI golden.
-#      The SIGKILL-then-resume drill is kill_resume.rs
+#      exec layer's panic containment and time-budget contract, batch
+#      determinism over all 40 workloads, the defective-kernel corpus,
+#      the lint schema, the serve suites and smoke tests (SIGTERM drain,
+#      SIGKILL and a restart that answers byte for byte as before), the
+#      sweep plan's rejected-kernel rows, the exit-code taxonomy and the
+#      CLI golden.
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
 #   4. rustdoc with warnings denied (broken intra-doc links, use of
@@ -31,16 +30,13 @@
 #      stage (cache sim, intervals, clustering, predict), and the batch
 #      trace exactly one clustering per kernel, however many sweep points
 #      share it
-#   7. resilience: a journalled run + `--resume` through the release
-#      binary; the resumed run's trace must carry exec.resilience.*
-#      metrics and an empty `invalid_names`
-#   8. accuracy record: `results/run_all.sh --out target/ci-accuracy`
+#   7. accuracy record: `results/run_all.sh --out target/ci-accuracy`
 #      regenerates every harness output, the oracle column of the
 #      fig11-15 accuracy tables included, and each .txt (but the wall-clock
 #      speedup.txt) and .tsv must be byte-identical to the one committed
 #      under results/ (the model side of the record is also checked by
 #      crates/bench/tests/accuracy_gate.rs in stage 2)
-#   9. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
+#   8. repo benchmark smoke set: `benchmark/run.sh --quick` runs one pass
 #      of all five workloads, untraced and traced; it exits non-zero when
 #      any op's prediction differs from its sequential reference or a
 #      workload's traced and untraced sim_digest disagree (its numbers
@@ -93,20 +89,6 @@ names_clean target/obs-batch-ci.jsonl
 kmeans=$(grep -c '"type":"span",.*"name":"core.kmeans.cluster"' target/obs-batch-ci.jsonl || true)
 [ "$kmeans" -eq 2 ] \
   || { echo "batch trace has $kmeans core.kmeans.cluster spans, want 2 (one per kernel)"; exit 1; }
-
-echo "== resilience =="
-# A journalled run + resume through the release binary; the resumed
-# trace must carry exec.resilience.* metrics and no flagged name.
-rm -f target/ci-journal.jsonl
-./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
-  --journal target/ci-journal.jsonl > /dev/null
-./target/release/gpumech batch sdk_vectoradd bfs_kernel1 --blocks 4 \
-  --journal target/ci-journal.jsonl --resume \
-  --obs-out target/obs-resume-ci.jsonl > /dev/null
-names_clean target/obs-resume-ci.jsonl
-grep -q 'exec.resilience.journal_hits' target/obs-resume-ci.jsonl \
-  || { echo "resume trace missing exec.resilience.* metrics"; exit 1; }
-rm -f target/ci-journal.jsonl
 
 echo "== accuracy record =="
 # The only check that recomputes the oracle CPIs against the record;

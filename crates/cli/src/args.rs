@@ -203,18 +203,18 @@ mod tests {
     #[test]
     fn switches_parse_without_values() {
         let a = Args::parse_with_switches(
-            argv(&["--resume", "--blocks", "8", "kernel1"]),
+            argv(&["--oracle", "--blocks", "8", "kernel1"]),
             &["blocks"],
-            &["resume"],
+            &["oracle"],
         )
         .unwrap();
-        assert!(a.switch("resume"));
+        assert!(a.switch("oracle"));
         assert!(!a.switch("json"));
         assert_eq!(a.flag_or("blocks", 0usize).unwrap(), 8);
         assert_eq!(a.positional(0), Some("kernel1"));
         // A switch name is not a valued flag and vice versa.
-        let e = Args::parse_with_switches(argv(&["--resume", "x"]), &["blocks"], &[]).unwrap_err();
-        assert_eq!(e, ArgError::UnknownFlag("resume".into()));
+        let e = Args::parse_with_switches(argv(&["--oracle", "x"]), &["blocks"], &[]).unwrap_err();
+        assert_eq!(e, ArgError::UnknownFlag("oracle".into()));
     }
 
     #[test]

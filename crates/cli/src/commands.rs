@@ -243,9 +243,9 @@ where
         "batch" => sweep::batch(&Args::parse_with_switches(
             rest,
             &[MACHINE_FLAGS, &["policy", "model", "selection", "workers", "sweep",
-              "timeout-ms", "deadline-ms", "journal", "json", "obs-out"]]
+              "timeout-ms", "deadline-ms", "json", "obs-out"]]
                 .concat(),
-            &["resume", "oracle"],
+            &["oracle"],
         )?),
         "serve" => observed(
             rest,

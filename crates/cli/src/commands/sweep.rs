@@ -1,7 +1,7 @@
 //! The sweep command: `batch`, a kernel × sweep-point enumeration
 //! through the batch engine, one row per job.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use gpumech_core::{Model, Prediction, SchedulingPolicy};
 use gpumech_exec::{
@@ -15,7 +15,7 @@ use super::{
     at_blocks, bad_choice, choice, machine_config, positionals, recorded, selection, workload,
     CliError,
 };
-use crate::args::{ArgError, Args};
+use crate::args::Args;
 use crate::plan::{sweep_points, SweepPlan};
 use crate::report::{git_commit, CounterEntry, JobRow, SweepReport};
 
@@ -138,15 +138,8 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
     let opts = BatchOptions {
         timeout_ms: args.flag_opt("timeout-ms")?,
         deadline_ms: args.flag_opt("deadline-ms")?,
-        journal: args.flag("journal").map(PathBuf::from),
-        resume: args.switch("resume"),
         ..BatchOptions::default()
     };
-    if opts.resume && opts.journal.is_none() {
-        return Err(CliError::Args(ArgError::MissingValue(
-            "journal (required by --resume)".to_string(),
-        )));
-    }
 
     let engine = BatchEngine::new(workers);
     let effective = engine.effective_workers();
@@ -235,9 +228,8 @@ pub(super) fn batch(args: &Args) -> Result<String, CliError> {
 mod tests {
     use serde::Value;
 
-    use crate::args::ArgError;
     use crate::commands::tests::{run_err, run_ok, tmp_path};
-    use crate::commands::{run, CliError};
+    use crate::commands::CliError;
 
     #[test]
     fn batch_sweeps_kernels_and_configs() {
@@ -298,15 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_resume_requires_a_journal() {
-        let e = run_err(&["batch", "sdk_vectoradd", "--blocks", "4", "--resume"]);
-        assert!(
-            matches!(&e, CliError::Args(ArgError::MissingValue(f)) if f.contains("journal")),
-            "{e:?}"
-        );
-    }
-
-    #[test]
     fn batch_deadline_zero_fails_every_job_with_a_typed_error() {
         let out = run_ok(&[
             "batch", "sdk_vectoradd", "bfs_kernel1", "--blocks", "4", "--workers", "1",
@@ -314,49 +297,6 @@ mod tests {
         ]);
         assert!(out.contains("0 ok, 2 failed"), "{out}");
         assert!(out.contains("deadline exceeded"), "{out}");
-    }
-
-    #[test]
-    fn batch_journal_then_resume_replays_byte_identically() {
-        let journal = tmp_path("batch-journal.jsonl");
-        let journal_s = journal.to_string_lossy().to_string();
-        let _ = std::fs::remove_file(&journal);
-        let first_json = tmp_path("batch-first.json");
-        let second_json = tmp_path("batch-second.json");
-        let argv = |json: &std::path::Path, resume: bool| {
-            let mut v = vec![
-                "batch".to_string(),
-                "sdk_vectoradd".to_string(),
-                "bfs_kernel1".to_string(),
-                "--blocks".to_string(),
-                "4".to_string(),
-                "--workers".to_string(),
-                "1".to_string(),
-                "--journal".to_string(),
-                journal_s.clone(),
-                "--json".to_string(),
-                json.to_string_lossy().to_string(),
-            ];
-            if resume {
-                v.push("--resume".to_string());
-            }
-            v
-        };
-        run(argv(&first_json, false)).expect("first run succeeds");
-        run(argv(&second_json, true)).expect("resumed run succeeds");
-        // The journal holds each job exactly once, and the replayed rows
-        // match the computed ones byte for byte (compare from the jobs
-        // array on: cache_entries legitimately differs, since the resumed
-        // run performed zero analyses).
-        let lines = std::fs::read_to_string(&journal).unwrap();
-        assert_eq!(lines.lines().count(), 2);
-        let first = std::fs::read_to_string(&first_json).unwrap();
-        let second = std::fs::read_to_string(&second_json).unwrap();
-        let tail = |s: &str| s[s.find("\"jobs\"").unwrap()..].to_string();
-        assert_eq!(tail(&first), tail(&second));
-        for p in [&journal, &first_json, &second_json] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

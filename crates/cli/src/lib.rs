@@ -67,10 +67,6 @@ BATCH FLAGS:
                       with a typed Deadline error
     --deadline-ms N   whole-run time budget; jobs past the deadline fail
                       fast instead of running
-    --journal PATH    append each completed job to a JSONL journal so an
-                      interrupted run can be resumed
-    --resume          skip jobs already present in --journal, replaying
-                      their recorded predictions byte-identically
     --oracle          also run the cycle-level oracle per job, on the
                       same --workers as the model: each row
                       gains its oracle CPI and the model's error against

@@ -67,7 +67,7 @@ pub(crate) type Outcome<'a> = Result<(usize, &'a Prediction), &'a BatchError>;
 #[derive(Debug)]
 pub(crate) struct SweepPlan {
     /// Every entry of the sweep, in enumeration order, beside its stable
-    /// fingerprint (the journal key ([`job_fingerprints`]) of a job,
+    /// fingerprint ([`job_fingerprints`] of a job,
     /// [`rejected_fingerprint`] of a rejected entry's label): the index in
     /// `jobs` of a runnable entry, or the rejection of its kernel.
     pub(crate) entries: Vec<(u64, Result<usize, BatchError>)>,
@@ -229,6 +229,6 @@ mod tests {
         let entry_fps: Vec<u64> = plan.entries.iter().map(|(fp, _)| *fp).collect();
         assert_eq!(fps, entry_fps);
         assert_eq!(fps[2], rejected_fingerprint("bad_barrier @ bw=96"));
-        assert_eq!(fps[0], job_fingerprints(&plan.jobs)[0], "a job's row carries its journal key");
+        assert_eq!(fps[0], job_fingerprints(&plan.jobs)[0], "a job's row carries its fingerprint");
     }
 }

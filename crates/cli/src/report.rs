@@ -6,8 +6,7 @@
 //! their own line, and every job row is one compact JSON object on its
 //! own line inside the `jobs` array. `jobs_checksum` is a content hash
 //! over those compact row texts. From `jobs_checksum` on, the file is
-//! sweep content: a resumed run writes it byte for byte as the run it
-//! resumes.
+//! sweep content: a rerun of the same sweep writes it byte for byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -50,7 +49,7 @@ pub(crate) fn git_commit() -> String {
 pub(crate) struct JobRow {
     /// Job label (`kernel[ @ axis=value]`).
     pub(crate) label: String,
-    /// The job fingerprint (the journal key), hex-encoded.
+    /// The job fingerprint ([`gpumech_exec::job_fingerprint`]), hex-encoded.
     pub(crate) fingerprint: String,
     /// Predicted CPI, absent when the job failed.
     pub(crate) cpi: Option<f64>,
@@ -62,16 +61,12 @@ pub(crate) struct JobRow {
     pub(crate) oracle_cpi: Option<f64>,
     /// The job's typed error, absent when it succeeded.
     pub(crate) error: Option<String>,
-    /// Non-fatal warnings. Environment-dependent `cache: `-prefixed
-    /// warnings are stripped before writing, so rows are byte-stable
-    /// across resumes and machines.
+    /// Non-fatal warnings.
     pub(crate) warnings: Vec<String>,
 }
 
 impl JobRow {
-    /// The row of a job that predicted `p`. Row bytes must not depend on
-    /// the machine that produced them, so the environment-dependent
-    /// `cache: ` warnings are dropped here.
+    /// The row of a job that predicted `p`.
     pub(crate) fn ok(
         label: &str,
         fingerprint: u64,
@@ -86,7 +81,7 @@ impl JobRow {
             stack: Some(p.cpi),
             oracle_cpi,
             error: None,
-            warnings: p.warnings.iter().filter(|w| !w.starts_with("cache: ")).cloned().collect(),
+            warnings: p.warnings.clone(),
         }
     }
 
@@ -108,7 +103,7 @@ impl JobRow {
 }
 
 /// One aggregated counter carried in a sweep report (outside the
-/// byte-compared region: a resumed run counts differently).
+/// byte-compared region: counts depend on the worker count).
 #[derive(Debug, Serialize)]
 pub(crate) struct CounterEntry {
     /// Full metric name (`exec.cache.hits`, ...).

@@ -90,6 +90,8 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
             vec!["batch", "sdk_vectoradd", "--cache-dir", "d"],
             Keep::Until("USAGE:"),
         ),
+        ("removed-journal-flag", vec!["batch", "sdk_vectoradd", "--journal", "x"], Keep::Until("USAGE:")),
+        ("removed-resume-flag", vec!["batch", "sdk_vectoradd", "--resume"], Keep::Until("USAGE:")),
         ("removed-shard-flag", vec!["batch", "sdk_vectoradd", "--shard", "0/2"], Keep::Until("USAGE:")),
         ("removed-merge-command", vec!["merge", "ref.json"], Keep::Until("USAGE:")),
         ("removed-obs-validate-command", vec!["obs-validate", "x.jsonl"], Keep::Until("USAGE:")),
@@ -99,7 +101,6 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, Keep)> {
         ("unknown-kernel-batch", vec!["batch", "sdk_vectoradd", "no_such_kernel"], Keep::All),
         ("invalid-config", vec!["predict", "sdk_vectoradd", "--mshrs", "0"], Keep::All),
         ("invalid-config-sim", vec!["simulate", "sdk_vectoradd", "--bw", "0.5"], Keep::All),
-        ("resume-without-journal", vec!["batch", "sdk_vectoradd", "--blocks", "4", "--resume"], Keep::Until("USAGE:")),
         ("lint-bad-format", vec!["lint", "--format", "xml"], Keep::All),
         ("serve-bad-warm", vec!["serve", "--warm", "no_such_kernel"], Keep::All),
     ]
@@ -174,7 +175,7 @@ fn every_subcommand_and_usage_error_matches_the_golden() {
         let _ = writeln!(actual, "--- stderr ---");
         actual.push_str(&keep(&String::from_utf8_lossy(&out.stderr), kept));
     }
-    // The sweep file's content region: the rows a resumed run reproduces
+    // The sweep file's content region: the rows a rerun reproduces
     // byte for byte (everything before `jobs_checksum` is run-dependent
     // or provenance).
     let sweep_file = std::fs::read_to_string(dir.join("ref.json")).unwrap();

@@ -27,7 +27,6 @@ use crate::cache::{
     CacheKey, ProfileCache,
 };
 use crate::pool::run_indexed;
-use crate::resilience::{BatchOptions, Journal};
 use crate::{BatchError, ExecError};
 
 /// One batch item: a kernel trace plus everything needed to predict it.
@@ -65,6 +64,56 @@ impl BatchJob {
             model: Model::MtMshrBand,
             selection: SelectionMethod::Clustering,
             weighting: Weighting::SingleRepresentative,
+        }
+    }
+}
+
+/// Time budgets for one batch run ([`BatchEngine::run_with`]).
+///
+/// [`BatchOptions::deadline_ms`] bounds the whole run and
+/// [`BatchOptions::timeout_ms`] bounds each job. Both become
+/// [`CancelToken`]s (the per-job token a *child* of the run token, so a
+/// run-level interrupt wins) that every pipeline stage polls; an expired
+/// budget surfaces as [`ExecError::Deadline`] for exactly the jobs that
+/// ran out of time.
+///
+/// A job is a pure function of its trace and configuration, so a failed
+/// job fails again on retry and says nothing about the kernel's other
+/// jobs; the batch engine neither retries nor skips.
+#[derive(Debug, Default)]
+pub struct BatchOptions {
+    /// Per-job time budget in milliseconds; a job still running when it
+    /// expires aborts with [`ExecError::Deadline`].
+    pub timeout_ms: Option<u64>,
+    /// Whole-run deadline in milliseconds; jobs that have not finished
+    /// when it fires abort with `Deadline`.
+    pub deadline_ms: Option<u64>,
+    /// Explicit root cancel token — supplied by tests to drive deadlines
+    /// off a [`FakeClock`](gpumech_obs::FakeClock), or by embedders that
+    /// want external cancellation. `deadline_ms`, when also set, becomes
+    /// a child of this token.
+    pub cancel: Option<CancelToken>,
+}
+
+impl BatchOptions {
+    /// The root token for one run: the explicit token if supplied,
+    /// narrowed by `deadline_ms` when set.
+    #[must_use]
+    pub fn run_token(&self) -> CancelToken {
+        let root = self.cancel.clone().unwrap_or_default();
+        match self.deadline_ms {
+            Some(ms) => root.child_with_timeout_ms(ms),
+            None => root,
+        }
+    }
+
+    /// The token one job runs under: a child of `run` narrowed by
+    /// the per-job timeout, or `run` itself when no timeout is set.
+    #[must_use]
+    pub fn job_token(&self, run: &CancelToken) -> CancelToken {
+        match self.timeout_ms {
+            Some(ms) => run.child_with_timeout_ms(ms),
+            None => run.clone(),
         }
     }
 }
@@ -138,9 +187,8 @@ impl BatchEngine {
         self.run_with(jobs, &BatchOptions::default())
     }
 
-    /// The resilient batch entry point: [`BatchEngine::run`] under a
-    /// [`BatchOptions`] bundle of deadline, per-job timeout, and
-    /// journal/resume behavior.
+    /// [`BatchEngine::run`] under a [`BatchOptions`] bundle of deadline
+    /// and per-job timeout.
     ///
     /// Jobs that exhaust their time budget fail with
     /// [`ExecError::Deadline`]; explicitly cancelled runs with
@@ -167,39 +215,12 @@ impl BatchEngine {
             .zip(config_fingerprints(jobs))
             .map(|(trace, config)| CacheKey { trace, config })
             .collect();
-        // Journal keys are read only by the journal and by a failed job's
-        // error, which computes its own below.
-        let fingerprints: Option<Vec<u64>> = (opts.journal.is_some() || opts.resume).then(|| {
-            jobs.iter().zip(&keys).map(|(job, key)| job_fingerprint(key.trace, job)).collect()
-        });
-        let job_key = |i: usize| match &fingerprints {
-            Some(fps) => fps[i],
-            None => job_fingerprint(keys[i].trace, &jobs[i]),
-        };
-
-        let journal = opts.journal.as_ref().map(Journal::new);
-        let completed = if opts.resume {
-            journal.as_ref().map(Journal::load).unwrap_or_default()
-        } else {
-            HashMap::new()
-        };
         let run_token = opts.run_token();
 
         let results = run_indexed(effective, jobs, |i, job| {
-            if let Some(entry) = fingerprints.as_ref().and_then(|fps| completed.get(&fps[i])) {
-                gpumech_obs::counter!("exec.resilience.journal_hits");
-                let replayed = if entry.is_intact() {
-                    serde_json::from_str::<Prediction>(&entry.prediction).map_err(|e| e.to_string())
-                } else {
-                    Err("checksum mismatch".to_owned())
-                };
-                return replayed.map_err(|why| {
-                    ExecError::Model(ModelError::Execution(format!("journal replay: {why}")))
-                });
-            }
             // Check the whole-run budget before spending anything on this
             // job: jobs the run outlived fail fast and uniformly.
-            let mut outcome = run_token
+            let outcome = run_token
                 .check()
                 .map_err(ExecError::from)
                 .and_then(|()| self.run_job(job, keys[i], &opts.job_token(&run_token)));
@@ -208,24 +229,16 @@ impl BatchEngine {
                 Err(ExecError::Cancelled) => gpumech_obs::counter!("exec.resilience.cancelled"),
                 _ => {}
             }
-            if let (Ok(p), Some(j)) = (&mut outcome, &journal) {
-                if let Ok(json) = canonical_prediction_json(p) {
-                    // A failed append costs resumability, not correctness;
-                    // the warning travels with the prediction.
-                    if let Err(w) = j.append(job_key(i), &job.label, &json) {
-                        p.warnings.push(format!("cache: {w}"));
-                    }
-                }
-            }
             outcome
         });
         results
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
+            .zip(jobs.iter().zip(&keys))
+            .map(|(r, (job, key))| {
+                // Only a failed job's error names its fingerprint.
                 r.map_err(|error| BatchError {
-                    label: jobs[i].label.clone(),
-                    config_fingerprint: job_key(i),
+                    label: job.label.clone(),
+                    config_fingerprint: job_fingerprint(key.trace, job),
                     error,
                 })
             })
@@ -258,11 +271,11 @@ impl BatchEngine {
     }
 }
 
-/// Fingerprint identifying one batch job for the resume journal: the
-/// trace content, the *full* configuration (prediction-stage fields
-/// included — they change the answer even when they don't change the
-/// analysis), every pipeline option, and the label (so two sweep points
-/// that happen to share a config stay distinct). Counted under
+/// Fingerprint identifying one batch job: the trace content, the *full*
+/// configuration (prediction-stage fields included — they change the
+/// answer even when they don't change the analysis), every pipeline
+/// option, and the label (so two sweep points that happen to share a
+/// config stay distinct). Counted under
 /// `exec.fingerprint.job_keys`.
 #[must_use]
 pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
@@ -283,7 +296,7 @@ pub fn job_fingerprint(trace_fp: u64, job: &BatchJob) -> u64 {
 /// `Arc::get_mut` fails while a `Weak` exists, `Arc::make_mut` moves the
 /// value away from its `Weak`s, a live `Weak` keeps the address from
 /// being reused, and `KernelTrace` has no interior mutability. The value
-/// is [`trace_fingerprint`]'s, so every cache key, journal key and
+/// is [`trace_fingerprint`]'s, so every cache key, job fingerprint and
 /// report row is the same as without the memo. Entries of dropped
 /// traces are pruned on insert, so the map never outgrows the traces that
 /// were alive at its last insert.
@@ -353,28 +366,23 @@ fn config_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
         .collect()
 }
 
-/// [`job_fingerprint`] over a whole job list — exactly the journal keys
-/// [`BatchEngine::run_with`] computes. `gpumech batch` stamps these into
-/// its `--json` rows, so a row and its journal line name a job alike.
+/// [`job_fingerprint`] over a whole job list — exactly the fingerprints
+/// a failed job's [`BatchError`] carries. `gpumech batch` stamps these
+/// into its `--json` rows.
 #[must_use]
 pub fn job_fingerprints(jobs: &[BatchJob]) -> Vec<u64> {
     let traces = FingerprintMemo::default().of(jobs);
     jobs.iter().zip(traces).map(|(job, fp)| job_fingerprint(fp, job)).collect()
 }
 
-/// Canonical JSON of a prediction for byte-identity assertions:
-/// `cache: `-prefixed warnings (the only environment-dependent bytes in a
-/// [`Prediction`] — a failed journal append changes what happened, not
-/// what was predicted) are dropped before serializing.
+/// Canonical JSON of a prediction for byte-identity assertions.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Execution`] if serialization fails (unreachable
 /// for predictions produced by this workspace).
 pub fn canonical_prediction_json(p: &Prediction) -> Result<String, ModelError> {
-    let mut canon = p.clone();
-    canon.warnings.retain(|w| !w.starts_with("cache: "));
-    serde_json::to_string(&canon).map_err(|e| ModelError::Execution(format!("serialize: {e}")))
+    serde_json::to_string(p).map_err(|e| ModelError::Execution(format!("serialize: {e}")))
 }
 
 #[cfg(test)]
@@ -444,6 +452,26 @@ mod tests {
         let key = cache_key_for(&jobs[1]);
         assert_eq!(err.config_fingerprint, job_fingerprint(key.trace, &jobs[1]));
         assert!(err.to_string().contains("bfs_kernel1"), "{err}");
+    }
+
+    #[test]
+    fn run_and_job_tokens_compose_deadlines() {
+        use gpumech_obs::FakeClock;
+
+        let none = BatchOptions::default();
+        assert!(none.run_token().check().is_ok());
+
+        // An explicit (fake-clock) token narrowed by a run deadline.
+        let clock = Arc::new(FakeClock::new(1_000));
+        let root = CancelToken::with_clock(Arc::clone(&clock) as Arc<dyn gpumech_obs::Clock>, u64::MAX);
+        let opts =
+            BatchOptions { deadline_ms: Some(1), cancel: Some(root.clone()), timeout_ms: Some(2) };
+        let run = opts.run_token();
+        assert!(run.deadline_ns().is_some(), "deadline_ms must narrow the explicit token");
+        let job = opts.job_token(&run);
+        // Cancelling the root must reach the job token through two levels.
+        root.cancel();
+        assert!(job.check().is_err());
     }
 
     fn cache_key_for(job: &BatchJob) -> CacheKey {

@@ -34,13 +34,13 @@ use gpumech_trace::KernelTrace;
 /// final avalanche.
 ///
 /// Not `DefaultHasher`: that one is documented to vary across releases,
-/// which would silently re-key every journal on a toolchain bump.
+/// which would silently change every `batch --json` row on a toolchain bump.
 /// Not canonical byte-wise FNV-1a either: a trace fingerprint hashes
 /// every dynamic instruction (tens of megabytes for a full-size grid),
 /// and one multiply per byte made fingerprinting cost more than half of
 /// the analysis it deduplicates. The function is defined by this crate
-/// and must never change once released — completion-journal lines and
-/// `batch --json` rows embed its output.
+/// and must never change once released — `batch --json` rows embed its
+/// output.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -70,8 +70,8 @@ impl Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            // Little-endian on every platform, so fingerprints (and the
-            // journal keys derived from them) are portable.
+            // Little-endian on every platform, so fingerprints (and the job
+            // fingerprints derived from them) are portable.
             self.absorb(u64::from_le_bytes(c.try_into().unwrap_or([0; 8])));
         }
         for &b in chunks.remainder() {
@@ -327,11 +327,11 @@ mod tests {
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
     }
 
-    /// Fingerprints key profile-cache entries, journal lines and report
-    /// rows, so they must survive any change to how a trace is stored:
-    /// these are the values the `Vec`-owning record layout produced
-    /// (recorded at commit 4214416) for a coalesced, a gather and a
-    /// control-divergent kernel at 8 blocks.
+    /// Fingerprints key profile-cache entries and report rows, so they
+    /// must survive any change to how a trace is stored: these are the
+    /// values the `Vec`-owning record layout produced (recorded at commit
+    /// 4214416) for a coalesced, a gather and a control-divergent kernel
+    /// at 8 blocks.
     #[test]
     fn fingerprints_of_pinned_kernels_never_change() {
         for (name, pinned) in [

@@ -1,7 +1,7 @@
 //! Parallel execution engine for the GPUMech pipeline.
 //!
 //! GPUMech's selling point over cycle-accurate simulation is speed, and
-//! speed at fleet scale means running *many* pipeline invocations — all
+//! a design-space sweep means running *many* pipeline invocations — all
 //! bundled workloads, swept across machine configurations — not one. This
 //! crate supplies the three pieces that make that cheap without touching
 //! the model's numerics:
@@ -26,13 +26,10 @@
 //!    [`BatchJob`] descriptors in,
 //!    [`Prediction`](gpumech_core::Prediction)s out, bit-identical to the
 //!    sequential path. It remembers each live trace's fingerprint, so a
-//!    warm call over the same `Arc`'d traces hashes nothing.
-//!
-//! A fourth piece, the **resilience layer** ([`resilience`]), makes the
-//! batch engine safe to run unattended: whole-run deadlines and per-job
-//! timeouts propagated as [`CancelToken`](gpumech_obs::CancelToken)s
-//! through every pipeline stage, and a crash-safe completion journal that
-//! lets an interrupted sweep resume without repeating finished jobs.
+//!    warm call over the same `Arc`'d traces hashes nothing. Its
+//!    [`BatchOptions`] bound a run with a whole-run deadline and per-job
+//!    timeouts, propagated as [`CancelToken`](gpumech_obs::CancelToken)s
+//!    through every pipeline stage.
 //!
 //! Everything is instrumented under the existing `gpumech-obs` scheme
 //! (`exec.pool.*`, `exec.cache.*`, `exec.batch.*`, `exec.fingerprint.*`,
@@ -41,17 +38,18 @@
 pub mod batch;
 pub mod cache;
 pub mod pool;
-pub mod resilience;
 
 use std::fmt;
 
 use gpumech_core::ModelError;
 use gpumech_obs::Interrupt;
 
-pub use batch::{canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob};
+pub use batch::{
+    canonical_prediction_json, job_fingerprint, job_fingerprints, BatchEngine, BatchJob,
+    BatchOptions,
+};
 pub use cache::{analysis_config_fingerprint, cache_key, trace_fingerprint, CacheKey, ProfileCache};
 pub use pool::{panic_message, run_indexed};
-pub use resilience::BatchOptions;
 
 /// Error produced by the execution layer for one work item.
 ///
@@ -154,8 +152,8 @@ impl From<Interrupt> for ExecError {
 pub struct BatchError {
     /// The failing job's label (kernel name plus sweep point).
     pub label: String,
-    /// Fingerprint of the job's full configuration and options (the same
-    /// fingerprint the resume journal keys on).
+    /// Fingerprint of the job's full configuration and options
+    /// ([`job_fingerprint`]).
     pub config_fingerprint: u64,
     /// What went wrong.
     pub error: ExecError,

@@ -1,17 +1,13 @@
 //! Resilience contract of the batch engine: a panicking task costs its
-//! own item only, deadlines and timeouts abort exactly the jobs that ran
-//! out of budget, and the completion journal makes an interrupted run
-//! resumable with zero repeat work — all driven off a `FakeClock`, so
-//! every assertion is deterministic.
+//! own item only, and deadlines and timeouts abort exactly the jobs that
+//! ran out of budget — all driven off a `FakeClock`, so every assertion
+//! is deterministic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::fs;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_core::{Gpumech, PredictionRequest};
-use gpumech_exec::resilience::JournalEntry;
 use gpumech_exec::{
     canonical_prediction_json, run_indexed, BatchEngine, BatchJob, BatchOptions, ExecError,
     ProfileCache,
@@ -171,158 +167,31 @@ fn explicit_cancellation_fails_every_job_as_cancelled() {
     assert_eq!(counter(&rec, "exec.resilience.cancelled"), all.len() as u64);
 }
 
-fn temp_journal(tag: &str) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("gpumech-resilience-{tag}-{}.jsonl", std::process::id()));
-    let _ = fs::remove_file(&path);
-    path
-}
-
+/// A job's fingerprint is computed only where something reads it: never
+/// on an all-success run, and for a failed job only, at its failure.
 #[test]
-fn resume_replays_the_journal_with_zero_repeat_analysis() {
-    let _serial = recorder_lock();
-    let names = ["sdk_vectoradd", "bfs_kernel1", "kmeans_invert_mapping"];
-    let all = jobs(&names);
-    let journal = temp_journal("resume");
-
-    // First (journaled) run completes everything.
-    let first_opts =
-        BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
-    let first = BatchEngine::new(1).run_with(&all, &first_opts);
-    let baseline: Vec<String> =
-        first.iter().map(|r| canonical_prediction_json(r.as_ref().unwrap()).unwrap()).collect();
-
-    // Second run, fresh engine (cold cache), resuming: every job must be
-    // served from the journal — zero analyses, byte-identical output.
-    let rec = Arc::new(Recorder::new());
-    let second = {
-        let _obs = gpumech_obs::install(Arc::clone(&rec));
-        BatchEngine::new(1).run_with(&all, &BatchOptions {
-            journal: Some(journal.clone()),
-            resume: true,
-            ..BatchOptions::default()
-        })
-    };
-    for (r, want) in second.iter().zip(&baseline) {
-        assert_eq!(&canonical_prediction_json(r.as_ref().unwrap()).unwrap(), want);
-    }
-    assert_eq!(counter(&rec, "exec.resilience.journal_hits"), all.len() as u64);
-    assert_eq!(counter(&rec, "exec.cache.misses"), 0, "resume must do zero analysis work");
-    let _ = fs::remove_file(&journal);
-}
-
-/// Older builds wrote a `report` member (per-stage wall times and counters)
-/// into every journaled prediction. A checksummed line whose prediction
-/// carries one still replays, to the same rows, with no job recomputed.
-#[test]
-fn a_journal_whose_predictions_carry_a_report_replays_to_the_same_rows() {
-    let _serial = recorder_lock();
-    let all = jobs(&["sdk_vectoradd", "bfs_kernel1"]);
-    let journal = temp_journal("report");
-    let opts = BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
-    let baseline: Vec<String> = BatchEngine::new(1)
-        .run_with(&all, &opts)
-        .iter()
-        .map(|r| canonical_prediction_json(r.as_ref().unwrap()).unwrap())
-        .collect();
-
-    let old: String = fs::read_to_string(&journal)
-        .unwrap()
-        .lines()
-        .map(|line| {
-            let e: JournalEntry = serde_json::from_str(line).unwrap();
-            let prediction = format!(
-                "{},\"report\":{{\"stages\":[{{\"name\":\"core.pipeline.predict\",\
-                 \"wall_ns\":0,\"counters\":[[\"intervals\",5],[\"warps_per_core\",8]]}}]}}}}",
-                e.prediction.strip_suffix('}').unwrap()
-            );
-            let fp = u64::from_str_radix(&e.fingerprint, 16).unwrap();
-            serde_json::to_string(&JournalEntry::new(fp, &e.label, &prediction)).unwrap() + "\n"
-        })
-        .collect();
-    assert_eq!(old.matches(r#"\"report\":"#).count(), all.len());
-    fs::write(&journal, old).unwrap();
-
-    let rec = Arc::new(Recorder::new());
-    let resumed = {
-        let _obs = gpumech_obs::install(Arc::clone(&rec));
-        BatchEngine::new(1).run_with(&all, &BatchOptions { resume: true, ..opts })
-    };
-    for (r, want) in resumed.iter().zip(&baseline) {
-        assert_eq!(&canonical_prediction_json(r.as_ref().unwrap()).unwrap(), want);
-    }
-    assert_eq!(counter(&rec, "exec.resilience.journal_hits"), all.len() as u64);
-    assert_eq!(counter(&rec, "exec.cache.misses"), 0);
-    let _ = fs::remove_file(&journal);
-}
-
-#[test]
-fn partial_journal_resumes_only_the_missing_jobs() {
-    let _serial = recorder_lock();
-    let names = ["sdk_vectoradd", "bfs_kernel1", "kmeans_invert_mapping", "cfd_step_factor"];
-    let all = jobs(&names);
-    let journal = temp_journal("partial");
-
-    // Interrupted first run: only the first two jobs completed (simulated
-    // by journaling a sub-batch).
-    let opts = BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
-    let partial = BatchEngine::new(1).run_with(&all[..2], &opts);
-    assert!(partial.iter().all(Result::is_ok));
-
-    // Resumed run over the full job list: the two journaled jobs replay,
-    // the other two compute, and the union covers all jobs exactly once.
-    let baseline = canon_all(&all);
-    let rec = Arc::new(Recorder::new());
-    let resumed = {
-        let _obs = gpumech_obs::install(Arc::clone(&rec));
-        BatchEngine::new(1).run_with(&all, &BatchOptions {
-            journal: Some(journal.clone()),
-            resume: true,
-            ..BatchOptions::default()
-        })
-    };
-    for ((r, want), name) in resumed.iter().zip(&baseline).zip(&names) {
-        assert_eq!(&canonical_prediction_json(r.as_ref().unwrap()).unwrap(), want, "{name}");
-    }
-    assert_eq!(counter(&rec, "exec.resilience.journal_hits"), 2);
-    assert_eq!(counter(&rec, "exec.cache.misses"), 2, "only the two unfinished jobs compute");
-    // The journal now covers all four jobs exactly once.
-    let lines = fs::read_to_string(&journal).unwrap();
-    assert_eq!(lines.lines().count(), 4);
-    let _ = fs::remove_file(&journal);
-}
-
-/// Journal keys are computed only where something reads them: never on a
-/// run with neither journal nor resume, once per job with a journal, and
-/// for a failed job only, at its failure.
-#[test]
-fn journal_keys_are_computed_only_when_read() {
+fn job_keys_are_computed_only_for_failed_jobs() {
     let _serial = recorder_lock();
     let all = jobs(&["sdk_vectoradd", "bfs_kernel1", "cfd_step_factor"]);
-    let journal = temp_journal("lazy-keys");
-    let keys_computed = |opts: &BatchOptions, jobs: &[BatchJob]| {
+    let keys_computed = |jobs: &[BatchJob]| {
         let rec = Arc::new(Recorder::new());
         let out = {
             let _obs = gpumech_obs::install(Arc::clone(&rec));
-            BatchEngine::new(1).run_with(jobs, opts)
+            BatchEngine::new(1).run(jobs)
         };
         (out, counter(&rec, "exec.fingerprint.job_keys"))
     };
 
-    let (out, keys) = keys_computed(&BatchOptions::default(), &all);
+    let (out, keys) = keys_computed(&all);
     assert!(out.iter().all(Result::is_ok));
-    assert_eq!(keys, 0, "no journal, no resume: no journal keys");
-
-    let journaled = BatchOptions { journal: Some(journal.clone()), ..BatchOptions::default() };
-    assert_eq!(keys_computed(&journaled, &all).1, all.len() as u64);
+    assert_eq!(keys, 0, "an all-success run computes no job keys");
 
     let mut broken = all.clone();
     broken[1].cfg.num_mshrs = 0;
-    let (out, keys) = keys_computed(&BatchOptions::default(), &broken);
+    let (out, keys) = keys_computed(&broken);
     assert_eq!(keys, 1, "only the failed job names its key");
     let want = gpumech_exec::job_fingerprints(&broken)[1];
     assert_eq!(out[1].as_ref().unwrap_err().config_fingerprint, want);
-    let _ = fs::remove_file(&journal);
 }
 
 #[test]

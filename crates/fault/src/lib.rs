@@ -272,148 +272,6 @@ pub fn dangle_rows(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     }
 }
 
-/// A completion-journal mutator: corrupts the JSONL text of a
-/// `gpumech_exec` completion journal (`BatchOptions::journal`) the way
-/// hostile filesystems and racing appenders do.
-pub type JournalMutator = fn(&mut String, u64);
-
-/// The journal corruption corpus. The resume contract under every one of
-/// these: a `--resume` run covers every job **exactly once** — replayed
-/// from the journal or recomputed — or fails with a typed journal error.
-/// It never panics and never silently double-runs a job.
-pub const JOURNAL_MUTATORS: &[(&str, JournalMutator)] = &[
-    ("journal_duplicate_lines", journal_duplicate_lines),
-    ("journal_torn_interleave", journal_torn_interleave),
-    ("journal_torn_tail", journal_torn_tail),
-    ("journal_poison_prediction", journal_poison_prediction),
-    ("journal_flip_digit", journal_flip_digit),
-];
-
-/// Duplicates a seeded subset of lines — an appender that retried after a
-/// timeout whose first write had actually landed. Duplicate fingerprints
-/// must collapse on load, not double-run or double-count.
-pub fn journal_duplicate_lines(text: &mut String, seed: u64) {
-    let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    let mut out = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        out.push_str(line);
-        out.push('\n');
-        if splitmix64(seed ^ (i as u64)).is_multiple_of(2) {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    // Guarantee at least one duplicate even on an all-odd seed draw.
-    if let Some(first) = lines.first() {
-        out.push_str(first);
-        out.push('\n');
-    }
-    *text = out;
-}
-
-/// Interleaves two seeded lines' bytes mid-line — two appenders whose
-/// non-atomic writes raced. Both mangled entries must be treated as
-/// not-completed (recomputed), never half-trusted.
-pub fn journal_torn_interleave(text: &mut String, seed: u64) {
-    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    if lines.len() < 2 {
-        return;
-    }
-    let a = (splitmix64(seed) as usize) % lines.len();
-    let mut b = (splitmix64(seed ^ 0x517C_C1B7_2722_0A95) as usize) % lines.len();
-    if a == b {
-        b = (b + 1) % lines.len();
-    }
-    let (la, lb) = (lines[a].clone(), lines[b].clone());
-    let mut cut_a = (splitmix64(seed ^ 1) as usize) % la.len().max(1);
-    let mut cut_b = (splitmix64(seed ^ 2) as usize) % lb.len().max(1);
-    while !la.is_char_boundary(cut_a) {
-        cut_a -= 1;
-    }
-    while !lb.is_char_boundary(cut_b) {
-        cut_b -= 1;
-    }
-    // One write landed a prefix of A, then all of B's line, then A's tail
-    // glued on — the classic torn interleave from two O_APPEND-less
-    // writers sharing a descriptor.
-    let merged = format!("{}{}{}", &la[..cut_a], &lb[..cut_b], &la[cut_a..]);
-    lines[a] = merged;
-    lines[b] = lb[cut_b..].to_string();
-    *text = lines.join("\n");
-    text.push('\n');
-}
-
-/// Truncates the final line at a seeded byte — the process was killed
-/// mid-append. The torn tail must be skipped, and the job recomputed.
-pub fn journal_torn_tail(text: &mut String, seed: u64) {
-    let end_of_prev = text.trim_end_matches('\n').rfind('\n').map_or(0, |i| i + 1);
-    let tail_len = text.len() - end_of_prev;
-    if tail_len == 0 {
-        return;
-    }
-    let mut cut = end_of_prev + (splitmix64(seed) as usize) % tail_len;
-    while !text.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    text.truncate(cut);
-}
-
-/// Corrupts the *payload* of one seeded entry while keeping the outer
-/// JSONL line valid: the entry loads, but replaying its prediction must
-/// fail with a typed journal-replay error — never a panic, and never a
-/// silent re-run that masks the corruption.
-pub fn journal_poison_prediction(text: &mut String, seed: u64) {
-    let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    if lines.is_empty() {
-        return;
-    }
-    let victim = (splitmix64(seed) as usize) % lines.len();
-    let mut out = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        if i == victim {
-            if let Some(pos) = line.find("\"prediction\":\"") {
-                let insert_at = pos + "\"prediction\":\"".len();
-                out.push_str(&line[..insert_at]);
-                out.push_str("!poisoned! ");
-                out.push_str(&line[insert_at..]);
-            } else {
-                out.push_str(line);
-            }
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    *text = out;
-}
-
-/// Changes one digit of one seeded entry's prediction — silent bit rot
-/// that leaves the line, and the prediction inside it, valid JSON. The
-/// changed digit opens a number (it follows a `:`) and never becomes a
-/// leading zero, so the entry still parses to a prediction with one
-/// wrong value: its replay must fail typed on the entry's checksum.
-pub fn journal_flip_digit(text: &mut String, seed: u64) {
-    const KEY: &str = "\"prediction\":\"";
-    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    if lines.is_empty() {
-        return;
-    }
-    let victim = (splitmix64(seed) as usize) % lines.len();
-    let line = &mut lines[victim];
-    let start = line.find(KEY).map_or(line.len(), |p| p + KEY.len());
-    let bytes = line.as_bytes();
-    let sites: Vec<usize> =
-        (start..bytes.len()).filter(|&k| bytes[k].is_ascii_digit() && bytes[k - 1] == b':').collect();
-    if sites.is_empty() {
-        return;
-    }
-    let at = sites[(splitmix64(seed ^ 0x0D16_17F1) as usize) % sites.len()];
-    let flipped = if bytes[at] == b'9' { '1' } else { char::from(bytes[at] + 1) };
-    line.replace_range(at..=at, flipped.encode_utf8(&mut [0; 4]));
-    *text = lines.join("\n");
-    text.push('\n');
-}
-
 /// Swaps two seeded warp slots, so stored warp ids disagree with their
 /// grid positions.
 pub fn swap_warp_ids(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {

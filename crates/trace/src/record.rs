@@ -281,7 +281,7 @@ impl ExactSizeIterator for AddrIter<'_> {}
 /// One row with its lists resolved: the logical content of a dynamic
 /// instruction. Field order is the record's historical declaration order —
 /// `Hash` feeds fields in this order, and `gpumech_exec::trace_fingerprint`
-/// values (so profile-cache keys, journals and report rows) depend on it.
+/// values (so profile-cache keys and report rows) depend on it.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) struct Row<'a> {
     pub(crate) pc: u32,
