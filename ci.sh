@@ -76,8 +76,8 @@ echo "== observability =="
 names_clean target/obs-ci.jsonl
 # The spans are the only record of where a prediction's time went: each
 # pipeline stage must have one.
-for stage in mem.cachesim.simulate core.pipeline.intervals core.kmeans.cluster \
-  core.pipeline.predict; do
+for stage in mem.cachesim.simulate mem.cachesim.gather mem.cachesim.replay \
+  core.pipeline.intervals core.kmeans.cluster core.pipeline.predict; do
   grep -q "\"type\":\"span\",.*\"name\":\"$stage\"" target/obs-ci.jsonl \
     || { echo "profile trace has no $stage span"; exit 1; }
 done

@@ -24,7 +24,6 @@
 //!   there (DESIGN.md, "Oracle stores touch L2 recency").
 
 use std::convert::Infallible;
-use std::time::Instant;
 
 use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Interrupt};
@@ -64,16 +63,6 @@ struct Cursor {
 struct CoreQueue {
     cursors: Vec<Cursor>,
     turn: usize,
-}
-
-/// Nanoseconds since `clock` was last read, restarting it; 0 when the
-/// simulation is not being timed.
-fn lap(clock: &mut Option<Instant>) -> u64 {
-    let Some(since) = clock else { return 0 };
-    let now = Instant::now();
-    let ns = u64::try_from(now.duration_since(*since).as_nanos()).unwrap_or(u64::MAX);
-    *since = now;
-    ns
 }
 
 /// Runs the functional hierarchy simulation and returns per-PC statistics.
@@ -145,9 +134,8 @@ fn simulate_impl<E>(
     let mut lines: Vec<u64> = Vec::new();
     let mut queues: Vec<CoreQueue> = (0..cfg.num_cores).map(|_| CoreQueue::default()).collect();
 
-    // Sub-stage totals, emitted once when a recorder is installed.
-    let mut clock = gpumech_obs::enabled().then(Instant::now);
-    let (mut gather_ns, mut replay_ns) = (0u64, 0u64);
+    // Sizes of the waves, emitted once when a recorder is installed; each
+    // wave's gather and replay are timed by a span of their own.
     let (mut wave_ops, mut wave_lines) = (0u64, 0u64);
 
     for wave in 0..max_waves {
@@ -155,6 +143,7 @@ fn simulate_impl<E>(
         // order, and coalesce there, so that the replay below — which hops
         // between up to `num_cores x max_warps_per_core` warps — reads only
         // the two compact wave lists.
+        let gather = gpumech_obs::span!("mem.cachesim.gather");
         ops.clear();
         lines.clear();
         for (queue, blocks) in queues.iter_mut().zip(&core_blocks) {
@@ -188,10 +177,11 @@ fn simulate_impl<E>(
         }
         wave_ops += ops.len() as u64;
         wave_lines += lines.len() as u64;
-        gather_ns += lap(&mut clock);
+        drop(gather);
 
         // Round-robin: each pass replays one memory instruction of the next
         // warp in turn on every core.
+        let _replay = gpumech_obs::span!("mem.cachesim.replay");
         loop {
             if passes & CANCEL_CHECK_MASK == 0 {
                 check()?;
@@ -251,11 +241,8 @@ fn simulate_impl<E>(
                 break;
             }
         }
-        replay_ns += lap(&mut clock);
     }
-    if clock.is_some() {
-        gpumech_obs::counter!("mem.cachesim.gather_ns", gather_ns);
-        gpumech_obs::counter!("mem.cachesim.replay_ns", replay_ns);
+    if gpumech_obs::enabled() {
         gpumech_obs::counter!("mem.cachesim.wave_ops", wave_ops);
         gpumech_obs::counter!("mem.cachesim.wave_lines", wave_lines);
     }
@@ -272,23 +259,24 @@ fn record_hierarchy_metrics(stats: &MemStats) {
     if !gpumech_obs::enabled() {
         return;
     }
-    let mut l1_hits = 0u64;
-    let mut l2_hits = 0u64;
-    let mut l2_misses = 0u64;
+    // Memory instructions by their worst request, beside line requests.
+    let mut l1_hit_insts = 0u64;
+    let mut l2_hit_insts = 0u64;
+    let mut l2_miss_insts = 0u64;
     let mut mshr_reqs = 0u64;
     let mut dram_reqs = 0u64;
     for pc in stats.load_pcs().chain(stats.store_pcs()) {
         let Some(s) = stats.pc_stats(pc) else { continue };
-        l1_hits += s.l1_hit_insts;
-        l2_hits += s.l2_hit_insts;
-        l2_misses += s.l2_miss_insts;
+        l1_hit_insts += s.l1_hit_insts;
+        l2_hit_insts += s.l2_hit_insts;
+        l2_miss_insts += s.l2_miss_insts;
         mshr_reqs += s.mshr_reqs;
         dram_reqs += s.dram_reqs;
         gpumech_obs::histogram!("mem.cachesim.reqs_per_inst", s.reqs_per_inst());
     }
-    gpumech_obs::counter!("mem.cachesim.l1_hits", l1_hits);
-    gpumech_obs::counter!("mem.cachesim.l2_hits", l2_hits);
-    gpumech_obs::counter!("mem.cachesim.l2_misses", l2_misses);
+    gpumech_obs::counter!("mem.cachesim.l1_hit_insts", l1_hit_insts);
+    gpumech_obs::counter!("mem.cachesim.l2_hit_insts", l2_hit_insts);
+    gpumech_obs::counter!("mem.cachesim.l2_miss_insts", l2_miss_insts);
     gpumech_obs::counter!("mem.cachesim.mshr_reqs", mshr_reqs);
     gpumech_obs::counter!("mem.cachesim.dram_reqs", dram_reqs);
     gpumech_obs::gauge!("mem.cachesim.avg_miss_latency", stats.avg_miss_latency());

@@ -41,9 +41,11 @@ mod tests {
     fn accepts_scheme_conforming_names() {
         for name in [
             "core.kmeans.inertia",
-            "mem.cachesim.l1_hits",
-            "mem.cachesim.gather_ns",
-            "mem.cachesim.replay_ns",
+            "mem.cachesim.l1_hit_insts",
+            "mem.cachesim.l2_hit_insts",
+            "mem.cachesim.l2_miss_insts",
+            "mem.cachesim.gather",
+            "mem.cachesim.replay",
             "mem.cachesim.wave_ops",
             "mem.cachesim.wave_lines",
             "trace.engine.insts",
@@ -51,6 +53,7 @@ mod tests {
             "trace.engine.scalar_insts",
             "trace.engine.vector_insts",
             "trace.engine.affine_addr_insts",
+            "trace.engine.replayed_insts",
             "core.intervals.distinct_streams",
             "core.intervals.shared_profiles",
             "exec.fingerprint.computed",

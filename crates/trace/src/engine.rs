@@ -40,6 +40,15 @@
 //! two words, not as its lanes; a vector address is recorded lane by lane
 //! and never tested for affinity.
 //!
+//! When the previous warp ran every row under a full mask, a warp first
+//! *replays* that warp's stream: it evaluates only its addresses, its
+//! observed registers and its branch conditions, and checks that its
+//! control goes where the stream went, warp-uniformly. Such a warp's rows,
+//! dependency lists included, are the stream's, so it builds none of them.
+//! Where the warp departs from the stream, the interpreter — the one
+//! semantics of the engine — resumes it from the same registers. Which
+//! warps replay is decided by the data, never by an option.
+//!
 //! Before tracing, every kernel passes through the `gpumech-analyze`
 //! pre-trace hook: kernels with Error-severity findings (mis-placed
 //! reconvergence points, reads of never-written registers, irreducible
@@ -50,7 +59,7 @@
 
 use gpumech_analyze::{KernelAnalysis, RejectReason};
 use gpumech_isa::{
-    kernel::{BranchCond, KernelError, NUM_REGS},
+    kernel::{BranchCond, KernelError, StaticInst, NUM_REGS},
     InstKind, Kernel, Operand, Reg, ValueOp, WarpId, WARP_SIZE,
 };
 use gpumech_obs::{CancelToken, Interrupt};
@@ -278,6 +287,14 @@ impl Value<&Lanes> {
             Value::Vector(v) => *v,
         }
     }
+}
+
+/// What a row that does not fit the trace row layout breaks.
+const ROW_OVERFLOW: &str = "dynamic instruction exceeds the trace row layout";
+
+/// The [`TraceError::BrokenInvariant`] of `warp` of `kernel` at `pc`.
+fn broken(kernel: &Kernel, warp: WarpId, pc: u32, detail: &'static str) -> TraceError {
+    TraceError::BrokenInvariant { kernel: kernel.name.clone(), warp, pc, detail }
 }
 
 /// The registers a trace can observe, as a bit set: those that feed a
@@ -514,24 +531,168 @@ impl<'k> WarpMachine<'k> {
         n
     }
 
+    /// The lanes of the warp in which `op` is zero; a uniform value is one
+    /// compare.
+    fn zeros(&self, op: Operand) -> u32 {
+        match self.value(op) {
+            Value::Affine { base, stride: 0 } => {
+                if base == 0 { FULL_MASK } else { 0 }
+            }
+            val => zero_lanes(&val.lanes()),
+        }
+    }
+
+    /// Computes `inst`'s result into its destination register in the lanes
+    /// of `mask` — unless no address or branch can observe that register —
+    /// and makes row `idx` the register's last writer.
+    fn write_dst(&mut self, inst: &StaticInst, mask: u32, idx: u32, stats: &mut RunStats) {
+        let Some(Reg(dst)) = inst.dst else { return };
+        if self.observed >> dst & 1 == 0 {
+            stats.unobserved_insts += 1;
+        } else {
+            let val = match (inst.kind, inst.kind.is_mem().then(|| self.value(inst.srcs[0]))) {
+                // A load from one address loads one value.
+                (InstKind::Load(_), Some(Value::Affine { base, stride: 0 })) => {
+                    Value::uniform(loaded(base))
+                }
+                (InstKind::Load(_), Some(addr)) => Value::Vector(map1(&addr.lanes(), loaded)),
+                _ => self.compute(inst.op, &inst.srcs),
+            };
+            match val {
+                Value::Affine { .. } => stats.scalar_insts += 1,
+                Value::Vector(_) => stats.vector_insts += 1,
+            }
+            self.write_back(dst, &val, mask);
+        }
+        self.last_writer[dst as usize] = Some(idx);
+    }
+
+    /// Cross-check: the lines a memory row at `pc` touched must respect the
+    /// analyzer's per-warp coalescing bound.
+    #[cfg(debug_assertions)]
+    fn check_coalescing(&self, pc: u32, addrs: Addrs<'_>) {
+        if let Some(Some(access)) = self.analysis.coalescing.get(pc as usize) {
+            let lines = distinct_lines(addrs);
+            debug_assert!(
+                lines <= access.max_requests,
+                "pc {pc}: warp touched {lines} lines, static bound is {} ({:?})",
+                access.max_requests,
+                access.class,
+            );
+        }
+    }
+
     /// Functionally executes `warp` and returns its trace, built by `trace`
-    /// (the builder of every warp of the launch).
+    /// (the builder of every warp of the launch): a replay of the previous
+    /// warp's stream for as long as the warp provably repeats it, then the
+    /// interpreter from where the replay stopped.
     fn run(
         &mut self,
         warp: WarpId,
         trace: &mut TraceBuilder,
     ) -> Result<(WarpTrace, RunStats), TraceError> {
         self.begin(warp);
-        let kernel = self.kernel;
         trace.begin();
         let mut stats = RunStats::default();
-        let mut deps = [0u32; NUM_REGS];
-        let broken = |pc: u32, detail: &'static str| TraceError::BrokenInvariant {
-            kernel: kernel.name.clone(),
-            warp,
-            pc,
-            detail,
+        if !self.replay(warp, trace, &mut stats)? {
+            self.interpret(warp, trace, &mut stats)?;
+        }
+        Ok((trace.finish(warp, self.launch.block_of_warp(warp)), stats))
+    }
+
+    /// Replays the stream of the previous warp if that warp ran every row
+    /// under a full mask, row by row from the entry state: each row
+    /// computes only what the trace can observe — its address, a write to
+    /// an observed register, a conditional branch's condition — and appends
+    /// only its addresses. The warp follows the stream while its pc
+    /// sequence provably does, all under full masks: a branch is
+    /// warp-uniform and goes where the stream's next row went, any other
+    /// row is followed by the next pc. Such a warp has the stream's rows —
+    /// a row's kind and address list follow from its pc, its dependency
+    /// list from the pcs before it — and stores no mask, so neither the
+    /// dependency lists, the row comparison, the masks nor the
+    /// reconvergence stack are needed.
+    ///
+    /// Returns `true` when the warp reached its `Exit` here; `false` when
+    /// the interpreter is to run it from the current state — the entry
+    /// state, or the row where the warp departs from the stream, with the
+    /// registers and scoreboard as the replay left them.
+    fn replay(
+        &mut self,
+        warp: WarpId,
+        trace: &mut TraceBuilder,
+        stats: &mut RunStats,
+    ) -> Result<bool, TraceError> {
+        let Some(stream) = trace.replayable() else { return Ok(false) };
+        let kernel = self.kernel;
+        let (mut k, mut pc) = (0usize, 0u32);
+        let exited = loop {
+            if stream.pc(k) != Some(pc) {
+                break false;
+            }
+            if k & CANCEL_CHECK_MASK == 0 {
+                self.cancel.check().map_err(TraceError::Interrupted)?;
+            }
+            let inst = &kernel.insts[pc as usize];
+            let next = match inst.kind {
+                InstKind::Branch => {
+                    let taken = match inst.cond {
+                        BranchCond::Always => true,
+                        sense => match self.zeros(inst.srcs[0]) {
+                            FULL_MASK => sense == BranchCond::IfZero,
+                            0 => sense == BranchCond::IfNonZero,
+                            // Divergent: the interpreter runs this row.
+                            _ => break false,
+                        },
+                    };
+                    let next = if taken { inst.target } else { Some(pc + 1) };
+                    // A target missing is reported by the interpreter.
+                    let Some(next) = next else { break false };
+                    stats.uniform_branches += 1;
+                    next
+                }
+                InstKind::Exit => {
+                    k += 1;
+                    break true;
+                }
+                kind => {
+                    if kind.is_mem() {
+                        match self.value(inst.srcs[0]) {
+                            Value::Affine { base, stride } => {
+                                stats.affine_addr_insts += 1;
+                                trace.replay_affine(base, stride)
+                            }
+                            Value::Vector(v) => trace.replay_lanes(v),
+                        }
+                        .map_err(|_| broken(kernel, warp, pc, ROW_OVERFLOW))?;
+                        #[cfg(debug_assertions)]
+                        self.check_coalescing(pc, trace.last_addrs(FULL_MASK));
+                    }
+                    self.write_dst(inst, FULL_MASK, k as u32, stats);
+                    pc + 1
+                }
+            };
+            k += 1;
+            pc = next;
         };
+        stats.replayed_insts += k as u64;
+        trace.resume(k);
+        if let Some(base) = self.stack.first_mut() {
+            base.pc = pc;
+        }
+        Ok(exited)
+    }
+
+    /// Executes the warp from its current state to its end, row by row,
+    /// with the reconvergence stack: the one semantics of the engine.
+    fn interpret(
+        &mut self,
+        warp: WarpId,
+        trace: &mut TraceBuilder,
+        stats: &mut RunStats,
+    ) -> Result<(), TraceError> {
+        let kernel = self.kernel;
+        let mut deps = [0u32; NUM_REGS];
 
         while let Some(&top) = self.stack.last() {
             if top.pc == top.reconv {
@@ -553,8 +714,7 @@ impl<'k> WarpMachine<'k> {
             let deps = &deps[..n_deps];
             // Memory instructions: srcs[0] is the address in every lane,
             // and the active lanes' addresses go straight into the row.
-            let addr = inst.kind.is_mem().then(|| self.value(inst.srcs[0]));
-            match addr {
+            match inst.kind.is_mem().then(|| self.value(inst.srcs[0])) {
                 None => trace.push(top.pc, inst.kind, mask, deps, &[]),
                 Some(Value::Affine { base, stride }) => {
                     stats.affine_addr_insts += 1;
@@ -564,22 +724,10 @@ impl<'k> WarpMachine<'k> {
                     trace.push_mem(top.pc, inst.kind, mask, deps, |lane| v[lane])
                 }
             }
-            .map_err(|_| broken(top.pc, "dynamic instruction exceeds the trace row layout"))?;
+            .map_err(|_| broken(kernel, warp, top.pc, ROW_OVERFLOW))?;
             #[cfg(debug_assertions)]
             if inst.kind.is_mem() {
-                let addrs = trace.last_addrs(mask);
-                // Cross-check: the observed line count must respect the
-                // analyzer's per-warp coalescing bound.
-                if let Some(Some(access)) = self.analysis.coalescing.get(top.pc as usize) {
-                    let lines = distinct_lines(addrs);
-                    debug_assert!(
-                        lines <= access.max_requests,
-                        "pc {}: warp touched {lines} lines, static bound is {} ({:?})",
-                        top.pc,
-                        access.max_requests,
-                        access.class,
-                    );
-                }
+                self.check_coalescing(top.pc, trace.last_addrs(mask));
             }
 
             match inst.kind {
@@ -587,13 +735,7 @@ impl<'k> WarpMachine<'k> {
                     let taken = match inst.cond {
                         BranchCond::Always => mask,
                         sense => {
-                            // A uniform condition is one compare.
-                            let zero = match self.value(inst.srcs[0]) {
-                                Value::Affine { base, stride: 0 } => {
-                                    if base == 0 { FULL_MASK } else { 0 }
-                                }
-                                cond => zero_lanes(&cond.lanes()),
-                            };
+                            let zero = self.zeros(inst.srcs[0]);
                             mask & if sense == BranchCond::IfZero { zero } else { !zero }
                         }
                     };
@@ -607,7 +749,8 @@ impl<'k> WarpMachine<'k> {
                     // validation and the stack top by the loop condition;
                     // report (never panic) if an invariant is broken.
                     let Some(target) = inst.target else {
-                        return Err(broken(top.pc, "branch without a target survived validation"));
+                        let detail = "branch without a target survived validation";
+                        return Err(broken(kernel, warp, top.pc, detail));
                     };
                     let Some(frame) = self.stack.last_mut() else { break };
                     if taken != 0 && fall != 0 {
@@ -620,10 +763,8 @@ impl<'k> WarpMachine<'k> {
                         (false, true) => frame.pc += 1,
                         (true, true) => {
                             let Some(reconv) = inst.reconv else {
-                                return Err(broken(
-                                    top.pc,
-                                    "divergent branch without a reconvergence pc",
-                                ));
+                                let detail = "divergent branch without a reconvergence pc";
+                                return Err(broken(kernel, warp, top.pc, detail));
                             };
                             frame.pc = reconv;
                             self.stack.push(Frame { pc: top.pc + 1, mask: fall, reconv });
@@ -640,35 +781,13 @@ impl<'k> WarpMachine<'k> {
                     self.stack.retain(|f| f.mask != 0);
                 }
                 _ => {
-                    if let Some(Reg(dst)) = inst.dst {
-                        if self.observed >> dst & 1 == 0 {
-                            stats.unobserved_insts += 1;
-                        } else {
-                            let val = match (addr, inst.kind) {
-                                // A load from one address loads one value.
-                                (Some(Value::Affine { base, stride: 0 }), InstKind::Load(_)) => {
-                                    Value::uniform(loaded(base))
-                                }
-                                (Some(addr), InstKind::Load(_)) => {
-                                    Value::Vector(map1(&addr.lanes(), loaded))
-                                }
-                                _ => self.compute(inst.op, &inst.srcs),
-                            };
-                            match val {
-                                Value::Affine { .. } => stats.scalar_insts += 1,
-                                Value::Vector(_) => stats.vector_insts += 1,
-                            }
-                            self.write_back(dst, &val, mask);
-                        }
-                        self.last_writer[dst as usize] = Some(idx);
-                    }
+                    self.write_dst(inst, mask, idx, stats);
                     let Some(frame) = self.stack.last_mut() else { break };
                     frame.pc += 1;
                 }
             }
         }
-
-        Ok((trace.finish(warp, self.launch.block_of_warp(warp)), stats))
+        Ok(())
     }
 }
 
@@ -676,7 +795,9 @@ impl<'k> WarpMachine<'k> {
 /// before being emitted as `trace.engine.*` counters (so the hot loop only
 /// bumps plain integers). Every register-writing instruction is counted in
 /// exactly one of `unobserved_insts`, `scalar_insts` and `vector_insts`.
-#[derive(Debug, Clone, Copy, Default)]
+/// Whether a row was replayed or interpreted changes only
+/// `replayed_insts`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RunStats {
     /// Conditional branches where active lanes split both ways.
     divergent_branches: u64,
@@ -691,6 +812,9 @@ struct RunStats {
     vector_insts: u64,
     /// Memory instructions whose address was `base + stride·lane`.
     affine_addr_insts: u64,
+    /// Rows produced by replaying the previous warp's stream rather than
+    /// by the interpreter.
+    replayed_insts: u64,
 }
 
 impl RunStats {
@@ -701,6 +825,7 @@ impl RunStats {
         self.scalar_insts += other.scalar_insts;
         self.vector_insts += other.vector_insts;
         self.affine_addr_insts += other.affine_addr_insts;
+        self.replayed_insts += other.replayed_insts;
     }
 
     /// Emits the tallies, once per traced kernel (or lone warp).
@@ -711,6 +836,7 @@ impl RunStats {
         gpumech_obs::counter!("trace.engine.scalar_insts", self.scalar_insts);
         gpumech_obs::counter!("trace.engine.vector_insts", self.vector_insts);
         gpumech_obs::counter!("trace.engine.affine_addr_insts", self.affine_addr_insts);
+        gpumech_obs::counter!("trace.engine.replayed_insts", self.replayed_insts);
     }
 }
 
@@ -837,6 +963,7 @@ mod tests {
     use super::*;
     use crate::record::Addrs;
     use gpumech_isa::{AddrPattern, KernelBuilder, MemSpace};
+    use std::sync::Arc;
 
     fn launch1() -> LaunchConfig {
         LaunchConfig::new(32, 1)
@@ -1139,30 +1266,56 @@ mod tests {
         assert!(kept_affine >= 100, "partial writes of a held value were not exercised");
     }
 
-    /// Traces every warp of a launch, on the product machine or on one
-    /// that observes every register (the slice switched off).
-    fn trace_all(
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        observe_everything: bool,
-    ) -> (Vec<WarpTrace>, RunStats) {
+    /// How `trace_all` runs each warp.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Path {
+        /// `run`: the replay, then the interpreter where the warp departs.
+        Product,
+        /// The interpreter alone.
+        Interpreter,
+        /// The interpreter alone, on a machine that observes every register
+        /// (the slice switched off).
+        Unsliced,
+    }
+
+    /// Every warp of a launch traced along one path.
+    struct Traced {
+        warps: Vec<WarpTrace>,
+        stats: RunStats,
+        /// Warps that replayed some rows and then left the stream: the
+        /// interpreter resumed them midway.
+        resumed: usize,
+    }
+
+    fn trace_all(kernel: &Kernel, launch: LaunchConfig, path: Path) -> Traced {
         let analysis = pre_trace_analysis(kernel).unwrap();
         let cancel = CancelToken::never();
         let mut m = WarpMachine::new(kernel, &analysis, &cancel, launch);
-        if observe_everything {
+        if path == Path::Unsliced {
             m.observed = u64::MAX;
         }
         let mut stats = RunStats::default();
+        let mut resumed = 0;
         let mut builder = TraceBuilder::default();
         let warps = launch
             .warps()
             .map(|w| {
-                let (trace, s) = m.run(w, &mut builder).unwrap();
+                let (trace, s) = if path == Path::Product {
+                    m.run(w, &mut builder).unwrap()
+                } else {
+                    m.begin(w);
+                    builder.begin();
+                    let mut s = RunStats::default();
+                    m.interpret(w, &mut builder, &mut s).unwrap();
+                    (builder.finish(w, launch.block_of_warp(w)), s)
+                };
+                let replayed = s.replayed_insts as usize;
+                resumed += usize::from(replayed > 0 && replayed < trace.len());
                 stats.absorb(s);
                 trace
             })
             .collect();
-        (warps, stats)
+        Traced { warps, stats, resumed }
     }
 
     /// A seeded kernel built to stress the observed-register slice: a small
@@ -1170,7 +1323,12 @@ mod tests {
     /// addresses, as branch conditions — through `Select`, `Hash`, loads
     /// whose value becomes the next address, and writes under divergent
     /// masks inside nested `if`s and lane-dependent loops.
-    fn generated_kernel(seed: u64) -> Kernel {
+    ///
+    /// With `uniform_branches`, every branch condition and trip count is
+    /// the same in every lane of a warp but varies from warp to warp, so
+    /// warps run under full masks and part ways with the previous warp's
+    /// stream at a branch.
+    fn generated_kernel(seed: u64, uniform_branches: bool) -> Kernel {
         struct Gen {
             b: KernelBuilder,
             r: u64,
@@ -1180,6 +1338,9 @@ mod tests {
             temps: Vec<Reg>,
             /// Loads left: each takes a fresh register from the builder.
             loads: u32,
+            /// Branch on values that are the same in every lane of a warp
+            /// but differ from warp to warp.
+            uniform_branches: bool,
         }
         impl Gen {
             fn next(&mut self) -> u64 {
@@ -1203,6 +1364,27 @@ mod tests {
                     _ => Operand::Reg(self.reg()),
                 }
             }
+            /// What a branch condition or a loop's trip count derives from:
+            /// any operand, or, for warp-uniform branches, the block, the
+            /// warp within it, or a load from an address derived from them.
+            fn branch_source(&mut self) -> Operand {
+                if !self.uniform_branches {
+                    return self.operand();
+                }
+                match self.next() % 3 {
+                    0 => Operand::Block,
+                    1 => Operand::WarpInBlock,
+                    _ if self.loads == 0 => Operand::WarpInBlock,
+                    _ => {
+                        self.loads -= 1;
+                        let addr = self.temp();
+                        let base = 0x4000_0000 + 64 * (self.next() % 16);
+                        let srcs = [Operand::Block, Operand::WarpInBlock, Operand::Imm(base)];
+                        self.b.alu_into(addr, ValueOp::Add, &srcs);
+                        Operand::Reg(self.b.load(MemSpace::Global, Operand::Reg(addr)))
+                    }
+                }
+            }
             /// A global address derived from a pool register.
             fn address(&mut self) -> Operand {
                 let (from, off, addr) = (Operand::Reg(self.reg()), self.temp(), self.temp());
@@ -1216,11 +1398,14 @@ mod tests {
                 self.b.alu_into(addr, ValueOp::Add, &[Operand::Reg(off), Operand::Imm(base)]);
                 Operand::Reg(addr)
             }
-            /// A condition on which lanes usually disagree.
+            /// A condition on which lanes usually disagree — or, for
+            /// warp-uniform branches, always agree.
             fn condition(&mut self) -> Operand {
-                let (from, h, c) = (self.operand(), self.temp(), self.temp());
+                let from = self.branch_source();
+                let (h, c) = (self.temp(), self.temp());
                 let salt = self.next() % 5;
-                self.b.alu_into(h, ValueOp::Add, &[from, Operand::Lane, Operand::Imm(salt)]);
+                let lane = if self.uniform_branches { Operand::Imm(0) } else { Operand::Lane };
+                self.b.alu_into(h, ValueOp::Add, &[from, lane, Operand::Imm(salt)]);
                 self.b.alu_into(c, ValueOp::Rem, &[Operand::Reg(h), Operand::Imm(2 + salt)]);
                 Operand::Reg(c)
             }
@@ -1280,7 +1465,7 @@ mod tests {
                             // Do-while with a lane-dependent trip count of
                             // at most four; counter and bound are fresh
                             // registers so the loop always ends.
-                            let from = self.operand();
+                            let from = self.branch_source();
                             let trip = self.b.alu(ValueOp::Rem, &[from, Operand::Imm(4)]);
                             let i = self.b.alu(ValueOp::Mov, &[Operand::Imm(0)]);
                             self.b.loop_begin();
@@ -1305,6 +1490,7 @@ mod tests {
             pool: vec![],
             temps: vec![],
             loads: 12,
+            uniform_branches,
         };
         // Every pool register is written before anything reads it, in one
         // of each shape.
@@ -1331,20 +1517,20 @@ mod tests {
     fn the_observed_slice_does_not_change_any_trace() {
         for w in crate::workloads::all() {
             let w = w.with_blocks(2);
-            let (sliced, _) = trace_all(&w.kernel, w.launch, false);
-            let (full, stats) = trace_all(&w.kernel, w.launch, true);
-            assert_eq!(sliced, full, "{}", w.name);
-            assert_eq!(stats.unobserved_insts, 0, "{}: the reference skipped a write", w.name);
+            let sliced = trace_all(&w.kernel, w.launch, Path::Interpreter);
+            let full = trace_all(&w.kernel, w.launch, Path::Unsliced);
+            assert_eq!(sliced.warps, full.warps, "{}", w.name);
+            assert_eq!(full.stats.unobserved_insts, 0, "{}: the reference skipped a write", w.name);
         }
 
         let launch = LaunchConfig::new(64, 3);
         let mut totals = RunStats::default();
         for seed in 0..64u64 {
-            let k = generated_kernel(seed);
-            let (sliced, stats) = trace_all(&k, launch, false);
-            let (full, _) = trace_all(&k, launch, true);
-            assert_eq!(sliced, full, "generated kernel {seed}");
-            totals.absorb(stats);
+            let k = generated_kernel(seed, false);
+            let sliced = trace_all(&k, launch, Path::Interpreter);
+            let full = trace_all(&k, launch, Path::Unsliced);
+            assert_eq!(sliced.warps, full.warps, "generated kernel {seed}");
+            totals.absorb(sliced.stats);
         }
         // The fan reaches every path it is meant to.
         for (what, n) in [
@@ -1357,6 +1543,105 @@ mod tests {
         ] {
             assert!(n >= 100, "the generated kernels executed only {n} {what}");
         }
+    }
+
+    /// Replay is unobservable: the product path — replay, then the
+    /// interpreter where a warp departs — gives the interpreter's traces
+    /// and tallies (all but `replayed_insts`), warp for warp.
+    fn assert_replay_matches(kernel: &Kernel, launch: LaunchConfig, what: &str) -> Traced {
+        let product = trace_all(kernel, launch, Path::Product);
+        let reference = trace_all(kernel, launch, Path::Interpreter);
+        assert_eq!(product.warps, reference.warps, "{what}");
+        // Each warp holds the stream of the same first warp on both paths.
+        let sharing = |warps: &[WarpTrace]| -> Vec<usize> {
+            let first = |w: &WarpTrace| {
+                warps.iter().position(|o| Arc::ptr_eq(o.stream(), w.stream())).unwrap()
+            };
+            warps.iter().map(first).collect()
+        };
+        let (ours, theirs) = (sharing(&product.warps), sharing(&reference.warps));
+        assert_eq!(ours, theirs, "{what}: streams interned apart");
+        assert_eq!(reference.stats.replayed_insts, 0);
+        assert_eq!(RunStats { replayed_insts: 0, ..product.stats }, reference.stats, "{what}");
+        product
+    }
+
+    #[test]
+    fn replay_changes_no_trace_and_no_tally() {
+        let mut replayed = [0u64; 4];
+        for w in crate::workloads::all() {
+            for (at, blocks) in [1, 3, 8, 64].into_iter().enumerate() {
+                let w = w.clone().with_blocks(blocks);
+                let what = format!("{} x{blocks}", w.name);
+                let traced = assert_replay_matches(&w.kernel, w.launch, &what);
+                replayed[at] += traced.stats.replayed_insts;
+            }
+        }
+        assert!(replayed.iter().all(|&n| n > 0), "the library replayed {replayed:?} rows");
+
+        let launch = LaunchConfig::new(64, 3);
+        let mut replayed = 0;
+        for seed in 0..64u64 {
+            let k = generated_kernel(seed, false);
+            let what = format!("generated kernel {seed}");
+            replayed += assert_replay_matches(&k, launch, &what).stats.replayed_insts;
+        }
+        assert!(replayed > 0, "no generated kernel replayed a row");
+    }
+
+    /// Warps that branch on their block or their warp index, or on a load
+    /// from an address derived from them, run under full masks and leave
+    /// the previous warp's stream at a branch: the interpreter resumes them
+    /// midway, with the registers and the scoreboard the replay left.
+    #[test]
+    fn warps_that_leave_the_replayed_stream_resume_in_the_interpreter() {
+        let launch = LaunchConfig::new(64, 3);
+        let (mut resumed, mut totals) = (0, RunStats::default());
+        for seed in 0..64u64 {
+            let k = generated_kernel(seed, true);
+            let what = format!("uniform-branch kernel {seed}");
+            let traced = assert_replay_matches(&k, launch, &what);
+            resumed += traced.resumed;
+            totals.absorb(traced.stats);
+        }
+        assert!(resumed >= 100, "only {resumed} warps resumed in the interpreter");
+        assert!(totals.replayed_insts >= 1000, "only {} rows replayed", totals.replayed_insts);
+    }
+
+    /// The replay polls the cancel token like the interpreter: a deadline
+    /// that passes while the second warp replays the first one's stream
+    /// interrupts it.
+    #[test]
+    fn a_deadline_interrupts_a_warp_mid_replay() {
+        let mut b = KernelBuilder::new("k");
+        let i = b.alu(ValueOp::Mov, &[Operand::Imm(0)]);
+        b.loop_begin();
+        b.alu_into(i, ValueOp::Add, &[Operand::Reg(i), Operand::Imm(1)]);
+        let c = b.alu(ValueOp::CmpLt, &[Operand::Reg(i), Operand::Imm(1000)]);
+        b.loop_end_while(Operand::Reg(c));
+        let k = b.finish(vec![]);
+        let analysis = pre_trace_analysis(&k).unwrap();
+        let launch = LaunchConfig::new(64, 1);
+        // Warp 0 and warp 1 on a fake clock that steps by one per poll;
+        // also returns how many polls warp 0 made.
+        let two_warps = |deadline: u64| {
+            let clock = Arc::new(gpumech_obs::FakeClock::new(1));
+            let cancel = CancelToken::with_clock(clock.clone(), deadline);
+            let mut m = WarpMachine::new(&k, &analysis, &cancel, launch);
+            let mut builder = TraceBuilder::default();
+            let first = m.run(WarpId::new(0), &mut builder);
+            let polls = gpumech_obs::Clock::now_ns(&*clock);
+            (first, polls, m.run(WarpId::new(1), &mut builder))
+        };
+        let (first, polls, second) = two_warps(1 << 40);
+        let rows = first.unwrap().0.len();
+        let (_, stats) = second.unwrap();
+        assert!(rows > 2 * (CANCEL_CHECK_MASK + 1), "{rows} rows poll the clock at most twice");
+        assert_eq!(stats.replayed_insts, rows as u64, "warp 1 replays warp 0 whole");
+        // Warp 1 polls at rows 0 and 1024; the deadline passes in between.
+        let (first, _, second) = two_warps(polls + 2);
+        assert!(first.is_ok());
+        assert_eq!(second.unwrap_err(), TraceError::Interrupted(Interrupt::DeadlineExceeded));
     }
 
     #[test]

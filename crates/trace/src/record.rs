@@ -326,6 +326,11 @@ impl Stream {
         span(&self.deps, off, usize::from(len))
     }
 
+    /// The `pc` of row `k`, if there is one.
+    pub(crate) fn pc(&self, k: usize) -> Option<u32> {
+        self.rows.get(k).map(|r| r.pc)
+    }
+
     /// Appends a row; with `has_addrs` it takes the next span index.
     fn push(
         &mut self,
@@ -521,12 +526,21 @@ impl WarpData {
 /// warp ends. So each distinct stream is stored once, and a warp that
 /// repeats one allocates only its addresses (and its masks, if any is not
 /// full).
+///
+/// The engine may also skip the comparison: when the previous warp ran every
+/// row under a full mask, it replays that warp's stream ([`Self::replayable`]),
+/// appends only the addresses ([`Self::replay_affine`],
+/// [`Self::replay_lanes`]) and tells the builder how far the warp followed
+/// the stream ([`Self::resume`]).
 #[derive(Debug, Default)]
 pub(crate) struct TraceBuilder {
     /// The distinct streams of the warps built so far.
     streams: Vec<Arc<Stream>>,
     /// The stream the current warp has matched so far.
     follow: Option<usize>,
+    /// The previous warp ran every row under a full mask (it stored no
+    /// masks); `follow` names its stream until the current warp departs.
+    follow_full: bool,
     /// The current warp's own stream, once it left every known one.
     own: Option<Stream>,
     /// Rows of the current warp so far.
@@ -552,6 +566,35 @@ impl TraceBuilder {
     /// Rows of the current warp so far.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// The stream of the previous warp if it ran every row under a full
+    /// mask: the one a warp may replay.
+    pub(crate) fn replayable(&self) -> Option<Arc<Stream>> {
+        let f = self.follow.filter(|_| self.follow_full)?;
+        Some(Arc::clone(&self.streams[f]))
+    }
+
+    /// Appends the addresses `base + stride·lane` of a replayed memory row
+    /// (full mask) as the two slots `(base, stride)`.
+    pub(crate) fn replay_affine(&mut self, base: u64, stride: u64) -> Result<(), RowOverflow> {
+        let off = u32::try_from(self.data.addrs.len()).map_err(|_| RowOverflow)?;
+        self.data.push_lanes(AddrSpan { off, len: AFFINE }, &[base, stride]);
+        Ok(())
+    }
+
+    /// Appends the 32 lane addresses of a replayed memory row (full mask).
+    pub(crate) fn replay_lanes(&mut self, lanes: &[u64; WARP_SIZE]) -> Result<(), RowOverflow> {
+        let span = self.data.next_lanes(WARP_SIZE)?;
+        self.data.push_lanes(span, lanes);
+        Ok(())
+    }
+
+    /// Declares the current warp's first `len` rows to be those of the
+    /// [replayable](Self::replayable) stream, under full masks, their
+    /// addresses appended already; later rows are compared as usual.
+    pub(crate) fn resume(&mut self, len: usize) {
+        self.len = len;
     }
 
     /// The stream side of row `self.len`.
@@ -688,6 +731,7 @@ impl TraceBuilder {
             }
         };
         self.follow = Some(at);
+        self.follow_full = self.data.masks.is_empty();
         let mut data = std::mem::take(&mut self.data);
         data.shrink_to_fit();
         self.hint = (len, data.spans.len(), data.addrs.len());
